@@ -14,11 +14,17 @@ relaxations of the two ranking conditions ("all of S below position k",
 "other relevant labels fill the top k"), so no sort appears anywhere in
 the gradient path; only the success check ranks scores.
 
-Per iteration the loop takes plain gradient steps on the lambdas
-(projected back to [0, 1]), a momentum gradient step on epsilon, projects
-x+eps into the clip domain, and stops early once the success condition
-holds. Distinct instances never share state, so attacks parallelize
-freely over instances with a read-only scorer.
+Per iteration the loop scores the projected input once and ranks the
+scores once; that one ranking serves the success test, the residual set
+reported at the end and the (k+1)-th class of the tkml_ap_u baseline.
+Each loss is a function of the score vector, so its value and score
+cotangent come from the same scores, and one vector-Jacobian product
+turns the cotangent into the epsilon gradient. The loop then takes plain
+gradient steps on the lambdas (projected back to [0, 1]), a momentum
+gradient step on epsilon, projects x+eps into the clip domain, and stops
+early once the success condition holds. Distinct instances never share
+state, so attacks parallelize freely over instances with a read-only
+scorer.
 """
 from __future__ import annotations
 
@@ -27,7 +33,7 @@ from typing import Callable, Literal, Sequence
 
 import numpy as np
 
-from .core import Instance, top_k_indices
+from .core import Instance, rank_order, top_k_indices
 from .model import Scorer
 
 __all__ = [
@@ -174,6 +180,39 @@ def _split_sets(specified, relevant, c: int):
     return spec, rest
 
 
+def _tkmia_terms(scores, eps, lam1: float, lam2: float, spec, rest, k: int,
+                 alpha: float):
+    """Objective value, score cotangent and lambda gradients at ``scores``.
+
+    ``spec`` and ``rest`` are the checked label sets from
+    :func:`_split_sets`; pulling the cotangent back through the scorer and
+    adding ``alpha * eps`` gives the gradient with respect to eps.
+    """
+    c = scores.shape[0]
+    s_max = spec[int(np.argmax(scores[list(spec)]))]
+    y_min = rest[int(np.argmin(scores[list(rest)]))]
+
+    gaps1 = scores[s_max] - scores - lam1
+    gaps2 = scores - scores[y_min] - lam2
+    active1 = gaps1 > 0.0
+    active2 = gaps2 > 0.0
+    n1 = int(active1.sum())
+    n2 = int(active2.sum())
+
+    value = (lam1 + lam2 + 0.5 * alpha * float(eps @ eps)
+             + float(gaps1[active1].sum()) / (c - k)
+             + float(gaps2[active2].sum()) / k)
+    grad_lam1 = 1.0 - n1 / (c - k)
+    grad_lam2 = 1.0 - n2 / k
+
+    cot = np.zeros(c)
+    cot[s_max] += n1 / (c - k)
+    cot[active1] -= 1.0 / (c - k)
+    cot[active2] += 1.0 / k
+    cot[y_min] -= n2 / k
+    return value, cot, grad_lam1, grad_lam2
+
+
 def tkmia_objective(model: Scorer, x, eps, lam1: float, lam2: float,
                     specified, relevant, config: AttackConfig):
     """Objective value and its gradients with respect to (eps, lam1, lam2).
@@ -192,31 +231,31 @@ def tkmia_objective(model: Scorer, x, eps, lam1: float, lam2: float,
     if not (0.0 <= lam1 <= 1.0 and 0.0 <= lam2 <= 1.0):
         raise ValueError("lambdas must lie in [0, 1]")
     spec, rest = _split_sets(specified, relevant, c)
-
-    scores = model.score(x + eps)
-    s_max = spec[int(np.argmax(scores[list(spec)]))]
-    y_min = rest[int(np.argmin(scores[list(rest)]))]
-
-    gaps1 = scores[s_max] - scores - lam1
-    gaps2 = scores - scores[y_min] - lam2
-    active1 = gaps1 > 0.0
-    active2 = gaps2 > 0.0
-    n1 = int(active1.sum())
-    n2 = int(active2.sum())
-
-    value = (lam1 + lam2 + 0.5 * config.alpha * float(eps @ eps)
-             + float(gaps1[active1].sum()) / (c - k)
-             + float(gaps2[active2].sum()) / k)
-    grad_lam1 = 1.0 - n1 / (c - k)
-    grad_lam2 = 1.0 - n2 / k
-
-    cot = np.zeros(c)
-    cot[s_max] += n1 / (c - k)
-    cot[active1] -= 1.0 / (c - k)
-    cot[active2] += 1.0 / k
-    cot[y_min] -= n2 / k
-    grad_eps = model.input_gradient(x + eps, cot) + config.alpha * eps
+    x_adv = x + eps
+    value, cot, grad_lam1, grad_lam2 = _tkmia_terms(
+        model.score(x_adv), eps, lam1, lam2, spec, rest, k, config.alpha)
+    grad_eps = model.input_gradient(x_adv, cot) + config.alpha * eps
     return value, grad_eps, grad_lam1, grad_lam2
+
+
+def _ranked_in(top, labels) -> tuple[int, ...]:
+    """The members of ``labels`` found in ``top``, a top-k index array."""
+    top = top.tolist()
+    return tuple(i for i in labels if i in top)
+
+
+def _tkmia_success(scores, order, k: int, residual, rest, mode) -> bool:
+    """The success condition read from a ranking of ``scores``.
+
+    ``order`` holds at least the first k classes of the ranking,
+    ``residual`` the specified labels among them and ``rest`` the checked
+    remaining-relevant set.
+    """
+    if residual:
+        return False
+    if mode == "c1_only":
+        return True
+    return float(scores[order[k - 1]]) <= float(np.min(scores[list(rest)]))
 
 
 def success_check(scores, specified, relevant, k: int,
@@ -234,20 +273,15 @@ def success_check(scores, specified, relevant, k: int,
     if k >= c:
         raise ValueError(f"k={k} must be smaller than c={c}")
     spec, rest = _split_sets(specified, relevant, c)
-    topk = set(int(i) for i in top_k_indices(scores, k))
-    c1 = not (set(spec) & topk)
-    if mode == "c1_only":
-        return c1
-    if mode != "strict":
+    if mode not in ("c1_only", "strict"):
         raise ValueError(f"unknown success mode {mode!r}")
-    kth = float(np.sort(scores)[::-1][k - 1])
-    return c1 and kth <= float(np.min(scores[list(rest)]))
+    top = top_k_indices(scores, k)
+    return _tkmia_success(scores, top, k, _ranked_in(top, spec), rest, mode)
 
 
 def residual_set(scores, specified, k: int) -> tuple[int, ...]:
     """Specified labels still ranked inside the top k."""
-    topk = set(int(i) for i in top_k_indices(scores, k))
-    return tuple(i for i in specified if i in topk)
+    return _ranked_in(top_k_indices(scores, k), specified)
 
 
 def run_attack_loop(model: Scorer, instance: Instance, specified,
@@ -255,51 +289,61 @@ def run_attack_loop(model: Scorer, instance: Instance, specified,
                     step_fn: Callable, success_fn: Callable) -> AttackOutcome:
     """Shared iterative engine for the attack and the baseline losses.
 
-    ``step_fn(x_adv, eps) -> (value, grad_eps)`` evaluates one loss and
-    may advance its own auxiliary state; ``success_fn(scores) -> bool``
-    is the stopping test. The loop evaluates success before any update,
+    Each iteration scores the projected input ``x_adv`` once and ranks
+    the scores once with :func:`rank_order`, giving ``order``. The
+    ``residual`` (specified labels inside the first k of ``order``) comes
+    from that ranking, and ``success_fn(scores, order, residual) -> bool``
+    is the stopping test. While it fails and budget remains,
+    ``step_fn(scores, order, eps) -> (value, cotangent)`` evaluates the
+    loss at ``x_adv`` from the same scores and may advance its own
+    auxiliary state; the loop pulls the cotangent back with one
+    ``model.input_gradient(x_adv, cotangent)`` and adds
+    ``config.alpha * eps``. The loop evaluates success before any update,
     so an instance that already satisfies it returns epsilon exactly 0
     after zero iterations.
     """
+    k = config.k
+    c = model.out_dim
+    if not 1 <= k < c:
+        raise ValueError(f"k={k} out of range [1, {c - 1}]")
     lo, hi = config.clip_domain
+    spec = tuple(sorted(int(i) for i in specified))
     x = instance.x
     eps = np.zeros_like(x)
     velocity = np.zeros_like(x)
     trace: list[float] = []
-    scores_before = None
-    scores = None
     success = False
-    iterations = 0
 
     for it in range(config.max_iter + 1):
-        x_adv = np.clip(x + eps, lo, hi)
+        x_adv = np.minimum(np.maximum(x + eps, lo), hi)
         scores = model.score(x_adv)
+        order = rank_order(scores)
+        residual = _ranked_in(order[:k], spec)
         if it == 0:
             scores_before = scores.copy()
-        if success_fn(scores):
+        if success_fn(scores, order, residual):
             success = True
-            iterations = it
             break
         if it == config.max_iter:
-            iterations = it
             break
-        value, grad_eps = step_fn(x_adv, eps)
-        if not np.all(np.isfinite(grad_eps)):
+        value, cot = step_fn(scores, order, eps)
+        grad_eps = model.input_gradient(x_adv, cot) + config.alpha * eps
+        if not np.isfinite(grad_eps).all():
             raise FloatingPointError(f"non-finite gradient at iteration {it}")
         trace.append(value)
         velocity = config.momentum * velocity + grad_eps
         eps = eps - config.eta * velocity
         # Keep eps consistent with the projected adversarial input so the
         # reported norm reflects the perturbation actually applied.
-        eps = np.clip(x + eps, lo, hi) - x
+        eps = np.minimum(np.maximum(x + eps, lo), hi) - x
 
     return AttackOutcome(
         method=method,
         epsilon=eps,
-        iterations_used=iterations,
+        iterations_used=it,
         success=success,
-        specified=tuple(sorted(int(i) for i in specified)),
-        residual=residual_set(scores, sorted(int(i) for i in specified), config.k),
+        specified=spec,
+        residual=residual,
         lambda1=0.0,
         lambda2=0.0,
         trace=trace,
@@ -318,24 +362,24 @@ def tkmia_attack(model: Scorer, instance: Instance, specified,
     step size as epsilon; momentum applies to epsilon only.
     """
     relevant = instance.relevant
-    spec = tuple(sorted(int(i) for i in specified))
+    spec, rest = _split_sets(specified, relevant, model.out_dim)
     if len(relevant) < config.k + len(spec):
         raise ValueError(
             f"instance filter violated: |Yp|={len(relevant)} < k+|S|={config.k + len(spec)}"
         )
     lam = [0.0, 0.0]
 
-    def step(x_adv, eps):
-        value, grad_eps, g1, g2 = tkmia_objective(
-            model, instance.x, eps, lam[0], lam[1], spec, relevant, config)
+    def step(scores, order, eps):
+        value, cot, g1, g2 = _tkmia_terms(
+            scores, eps, lam[0], lam[1], spec, rest, config.k, config.alpha)
         if not (np.isfinite(g1) and np.isfinite(g2)):
             raise FloatingPointError("non-finite lambda gradient")
         lam[0] = float(np.clip(lam[0] - config.eta * g1, 0.0, 1.0))
         lam[1] = float(np.clip(lam[1] - config.eta * g2, 0.0, 1.0))
-        return value, grad_eps
+        return value, cot
 
-    def succeeded(scores):
-        return success_check(scores, spec, relevant, config.k, config.success_mode)
+    def succeeded(scores, order, residual):
+        return _tkmia_success(scores, order, config.k, residual, rest, config.success_mode)
 
     outcome = run_attack_loop(model, instance, spec, config, "tkmia", step, succeeded)
     return replace(outcome, lambda1=lam[0], lambda2=lam[1])

@@ -20,7 +20,7 @@ from typing import Literal
 
 import numpy as np
 
-from .attack import AttackConfig, AttackOutcome, run_attack_loop, residual_set
+from .attack import AttackConfig, AttackOutcome, run_attack_loop
 from .core import Instance, top_k_indices
 from .model import Scorer
 
@@ -46,6 +46,7 @@ class BaselineSpec:
 
 
 def _label_split(labels_or_relevant, c: int):
+    """Checked relevant and irrelevant label sets as index arrays."""
     relevant = tuple(sorted(int(i) for i in labels_or_relevant))
     if not relevant:
         raise ValueError("relevant set must be non-empty")
@@ -54,7 +55,36 @@ def _label_split(labels_or_relevant, c: int):
     irrelevant = tuple(sorted(set(range(c)) - set(relevant)))
     if not irrelevant:
         raise ValueError("irrelevant set must be non-empty")
-    return relevant, irrelevant
+    return np.array(relevant), np.array(irrelevant)
+
+
+def _ml_cw_u_terms(scores, eps, rel, irr, alpha: float):
+    """ml_cw_u value and score cotangent at ``scores``."""
+    j_min = rel[int(np.argmin(scores[rel]))]
+    i_max = irr[int(np.argmax(scores[irr]))]
+    margin = float(scores[j_min] - scores[i_max])
+    value = max(0.0, margin) + 0.5 * alpha * float(eps @ eps)
+    cot = np.zeros(scores.shape[0])
+    if margin > 0.0:
+        cot[j_min] += 1.0
+        cot[i_max] -= 1.0
+    return value, cot
+
+
+def _tkml_ap_u_terms(scores, order, eps, rel, k: int, alpha: float):
+    """tkml_ap_u value and score cotangent at ``scores``.
+
+    ``order`` holds at least the first k+1 classes of the ranking.
+    """
+    y_max = rel[int(np.argmax(scores[rel]))]
+    kp1 = order[k]
+    margin = float(scores[y_max] - scores[kp1])
+    value = max(0.0, margin) + 0.5 * alpha * float(eps @ eps)
+    cot = np.zeros(scores.shape[0])
+    if margin > 0.0:
+        cot[y_max] += 1.0
+        cot[kp1] -= 1.0
+    return value, cot
 
 
 def ml_cw_u_loss(model: Scorer, x, eps, relevant, alpha: float = 0.0):
@@ -67,17 +97,9 @@ def ml_cw_u_loss(model: Scorer, x, eps, relevant, alpha: float = 0.0):
     x = np.asarray(x, dtype=np.float64)
     eps = np.asarray(eps, dtype=np.float64)
     rel, irr = _label_split(relevant, model.out_dim)
-    scores = model.score(x + eps)
-    j_min = rel[int(np.argmin(scores[list(rel)]))]
-    i_max = irr[int(np.argmax(scores[list(irr)]))]
-    margin = float(scores[j_min] - scores[i_max])
-    value = max(0.0, margin) + 0.5 * alpha * float(eps @ eps)
-    cot = np.zeros(model.out_dim)
-    if margin > 0.0:
-        cot[j_min] += 1.0
-        cot[i_max] -= 1.0
-    grad = model.input_gradient(x + eps, cot) + alpha * eps
-    return value, grad
+    x_adv = x + eps
+    value, cot = _ml_cw_u_terms(model.score(x_adv), eps, rel, irr, alpha)
+    return value, model.input_gradient(x_adv, cot) + alpha * eps
 
 
 def tkml_ap_u_loss(model: Scorer, x, eps, relevant, k: int, alpha: float = 0.0):
@@ -92,17 +114,10 @@ def tkml_ap_u_loss(model: Scorer, x, eps, relevant, k: int, alpha: float = 0.0):
     if not 1 <= k < c:
         raise ValueError(f"k={k} out of range [1, {c - 1}]")
     rel, _ = _label_split(relevant, c)
-    scores = model.score(x + eps)
-    y_max = rel[int(np.argmax(scores[list(rel)]))]
-    kp1 = int(top_k_indices(scores, k + 1)[k])
-    margin = float(scores[y_max] - scores[kp1])
-    value = max(0.0, margin) + 0.5 * alpha * float(eps @ eps)
-    cot = np.zeros(c)
-    if margin > 0.0:
-        cot[y_max] += 1.0
-        cot[kp1] -= 1.0
-    grad = model.input_gradient(x + eps, cot) + alpha * eps
-    return value, grad
+    x_adv = x + eps
+    scores = model.score(x_adv)
+    value, cot = _tkml_ap_u_terms(scores, top_k_indices(scores, k + 1), eps, rel, k, alpha)
+    return value, model.input_gradient(x_adv, cot) + alpha * eps
 
 
 def run_baseline(model: Scorer, instance: Instance, specified,
@@ -126,17 +141,16 @@ def run_baseline(model: Scorer, instance: Instance, specified,
     delta = config.delta_threshold if config.delta_threshold is not None else len(s)
     if delta > len(s):
         raise ValueError(f"delta threshold {delta} exceeds |S|={len(s)}")
+    rel, irr = _label_split(relevant, model.out_dim)
 
     if spec.method == "ml_cw_u":
-        def step(x_adv, eps):
-            return ml_cw_u_loss(model, instance.x, eps, relevant, config.alpha)
+        def step(scores, order, eps):
+            return _ml_cw_u_terms(scores, eps, rel, irr, config.alpha)
     else:
-        def step(x_adv, eps):
-            return tkml_ap_u_loss(model, instance.x, eps, relevant, config.k,
-                                  config.alpha)
+        def step(scores, order, eps):
+            return _tkml_ap_u_terms(scores, order, eps, rel, config.k, config.alpha)
 
-    def succeeded(scores):
-        expelled = len(s) - len(residual_set(scores, s, config.k))
-        return expelled >= delta
+    def succeeded(scores, order, residual):
+        return len(s) - len(residual) >= delta
 
     return run_attack_loop(model, instance, s, config, spec.method, step, succeeded)

@@ -13,6 +13,7 @@ import numpy as np
 
 __all__ = [
     "Instance",
+    "rank_order",
     "top_k_indices",
     "kth_largest",
     "avg_top_k",
@@ -31,9 +32,9 @@ def as_scores(values) -> np.ndarray:
     scores = np.asarray(values, dtype=np.float64)
     if scores.ndim != 1 or scores.shape[0] < 2:
         raise ValueError("score vector must be 1-D with at least 2 entries")
-    if not np.all(np.isfinite(scores)):
+    if not np.isfinite(scores).all():
         raise ValueError("score vector contains non-finite entries")
-    if np.any(scores < 0.0) or np.any(scores > 1.0):
+    if (scores < 0.0).any() or (scores > 1.0).any():
         raise ValueError("score entries must lie in [0, 1]")
     return scores
 
@@ -89,15 +90,18 @@ class Instance:
         return tuple(int(i) for i in np.flatnonzero(self.y == 0))
 
 
-def top_k_indices(scores, k: int) -> np.ndarray:
-    """Indices of the k largest scores, descending by score.
+def rank_order(scores) -> np.ndarray:
+    """Every class index, descending by score.
 
     Ties are broken by smaller class index (stable sort on negated scores).
     """
-    scores = as_scores(scores)
-    k = _check_k(k, scores.shape[0])
-    order = np.argsort(-scores, kind="stable")
-    return order[:k]
+    return np.argsort(-as_scores(scores), kind="stable")
+
+
+def top_k_indices(scores, k: int) -> np.ndarray:
+    """Indices of the k largest scores: the first k of :func:`rank_order`."""
+    order = rank_order(scores)
+    return order[:_check_k(k, order.shape[0])]
 
 
 def kth_largest(scores, k: int) -> float:

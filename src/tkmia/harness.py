@@ -41,14 +41,7 @@ __all__ = [
     "save_dataset",
     "load_dataset",
     "run_experiment",
-    "ITERATION_GRID",
-    "STEP_SIZE_GRID",
 ]
-
-# Sweep levels mirrored by the config defaults: iteration budgets and the
-# step-size / trade-off search values.
-ITERATION_GRID = (100, 300, 500)
-STEP_SIZE_GRID = (1e-3, 5e-4, 1e-4, 5e-5)
 
 # Feature noise around the prototype mixture, before the tanh squash.
 # Calibrated so default victims land near 0.97 sample-mean AP@3: strong

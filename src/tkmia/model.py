@@ -42,7 +42,7 @@ _ACTIVATIONS = ("tanh", "relu", "identity")
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
-    return 1.0 / (1.0 + np.exp(-np.clip(z, -_LOGIT_CLIP, _LOGIT_CLIP)))
+    return 1.0 / (1.0 + np.exp(-np.minimum(np.maximum(z, -_LOGIT_CLIP), _LOGIT_CLIP)))
 
 
 def _sigmoid_grad(z: np.ndarray) -> np.ndarray:
@@ -115,7 +115,7 @@ class Scorer:
         x = np.asarray(x, dtype=np.float64)
         if x.ndim != 1 or x.shape[0] != self.in_dim:
             raise ValueError(f"input dimension {x.shape} != ({self.in_dim},)")
-        if not np.all(np.isfinite(x)):
+        if not np.isfinite(x).all():
             raise ValueError("non-finite input")
         return x
 
@@ -142,7 +142,7 @@ class Scorer:
         cot = np.asarray(cotangent, dtype=np.float64)
         if cot.shape != (self.out_dim,):
             raise ValueError(f"cotangent shape {cot.shape} != ({self.out_dim},)")
-        if not np.all(np.isfinite(cot)):
+        if not np.isfinite(cot).all():
             raise ValueError("non-finite cotangent")
         if self.arch == "affine":
             z = self.weights[0] @ x + self.biases[0]

@@ -1,0 +1,197 @@
+"""The attack engine against a reference copy of the per-instance loop.
+
+``reference_attack_loop`` is the loop as it stood before the engine
+shared one forward pass and one ranking per iteration: it scores x_adv
+for the success test, and each loss closure calls a public loss, which
+scores again and runs its own forward pass for the gradient. The engine
+must reproduce it bit for bit, and must call the scorer exactly once for
+the forward pass and once for the gradient per iteration.
+"""
+from dataclasses import replace
+
+import numpy as np
+import pytest
+
+from tkmia.attack import (
+    AttackConfig,
+    AttackOutcome,
+    residual_set,
+    success_check,
+    tkmia_attack,
+    tkmia_objective,
+)
+from tkmia.baselines import BaselineSpec, ml_cw_u_loss, run_baseline, tkml_ap_u_loss
+from tkmia.harness import SyntheticSpec, gen_synthetic
+from tkmia.model import Scorer, TrainConfig, make_mlp, train_bce
+
+K = 2
+SPECIFIED = (0, 1)
+
+
+def reference_attack_loop(model, instance, specified, config, method, step_fn, success_fn):
+    lo, hi = config.clip_domain
+    x = instance.x
+    eps = np.zeros_like(x)
+    velocity = np.zeros_like(x)
+    trace = []
+    scores_before = None
+    scores = None
+    success = False
+    iterations = 0
+
+    for it in range(config.max_iter + 1):
+        x_adv = np.clip(x + eps, lo, hi)
+        scores = model.score(x_adv)
+        if it == 0:
+            scores_before = scores.copy()
+        if success_fn(scores):
+            success = True
+            iterations = it
+            break
+        if it == config.max_iter:
+            iterations = it
+            break
+        value, grad_eps = step_fn(x_adv, eps)
+        if not np.all(np.isfinite(grad_eps)):
+            raise FloatingPointError(f"non-finite gradient at iteration {it}")
+        trace.append(value)
+        velocity = config.momentum * velocity + grad_eps
+        eps = eps - config.eta * velocity
+        eps = np.clip(x + eps, lo, hi) - x
+
+    return AttackOutcome(
+        method=method,
+        epsilon=eps,
+        iterations_used=iterations,
+        success=success,
+        specified=tuple(sorted(int(i) for i in specified)),
+        residual=residual_set(scores, sorted(int(i) for i in specified), config.k),
+        lambda1=0.0,
+        lambda2=0.0,
+        trace=trace,
+        scores_before=scores_before,
+        scores_after=scores,
+    )
+
+
+def reference_tkmia(model, instance, specified, config):
+    relevant = instance.relevant
+    spec = tuple(sorted(int(i) for i in specified))
+    lam = [0.0, 0.0]
+
+    def step(x_adv, eps):
+        value, grad_eps, g1, g2 = tkmia_objective(
+            model, instance.x, eps, lam[0], lam[1], spec, relevant, config)
+        lam[0] = float(np.clip(lam[0] - config.eta * g1, 0.0, 1.0))
+        lam[1] = float(np.clip(lam[1] - config.eta * g2, 0.0, 1.0))
+        return value, grad_eps
+
+    def succeeded(scores):
+        return success_check(scores, spec, relevant, config.k, config.success_mode)
+
+    outcome = reference_attack_loop(model, instance, spec, config, "tkmia", step, succeeded)
+    return replace(outcome, lambda1=lam[0], lambda2=lam[1])
+
+
+def reference_baseline(model, instance, specified, spec):
+    config = spec.config
+    relevant = instance.relevant
+    s = tuple(sorted(int(i) for i in specified))
+    delta = config.delta_threshold if config.delta_threshold is not None else len(s)
+
+    if spec.method == "ml_cw_u":
+        def step(x_adv, eps):
+            return ml_cw_u_loss(model, instance.x, eps, relevant, config.alpha)
+    else:
+        def step(x_adv, eps):
+            return tkml_ap_u_loss(model, instance.x, eps, relevant, config.k, config.alpha)
+
+    def succeeded(scores):
+        return len(s) - len(residual_set(scores, s, config.k)) >= delta
+
+    return reference_attack_loop(model, instance, s, config, spec.method, step, succeeded)
+
+
+CONFIG = AttackConfig(k=K, eta=0.05, alpha=1e-4, momentum=0.9, max_iter=120)
+CASES = {
+    "tkmia-c1_only": ("tkmia", CONFIG),
+    "tkmia-strict": ("tkmia", replace(CONFIG, success_mode="strict")),
+    "ml_cw_u": ("ml_cw_u", CONFIG),
+    "ml_cw_u-delta1": ("ml_cw_u", replace(CONFIG, delta_threshold=1)),
+    "tkml_ap_u": ("tkml_ap_u", CONFIG),
+    "tkml_ap_u-delta1": ("tkml_ap_u", replace(CONFIG, delta_threshold=1)),
+}
+
+
+def attack(method, model, instance, specified, config, reference=False):
+    if method == "tkmia":
+        run = reference_tkmia if reference else tkmia_attack
+        return run(model, instance, specified, config)
+    run = reference_baseline if reference else run_baseline
+    return run(model, instance, specified, BaselineSpec(method, config))
+
+
+@pytest.fixture(scope="module", params=["affine", "mlp"])
+def victim(request):
+    data = gen_synthetic(SyntheticSpec(n=400, d=12, c=7, mean_relevant=3.5,
+                                       label_correlation=0.5, seed=11))
+    train = TrainConfig(epochs=30, learning_rate=0.5, batch_size=64, seed=5)
+    start = make_mlp(12, 16, 7, seed=5) if request.param == "mlp" else None
+    model = train_bce(data, train, model=start)
+    targets = []
+    for inst in data:
+        spec = tuple(i for i in SPECIFIED if i in inst.relevant)
+        if spec and len(inst.relevant) >= K + len(spec):
+            targets.append((inst, spec))
+    pairs = ([t for t in targets if len(t[1]) == 2][:10]
+             + [t for t in targets if len(t[1]) == 1][:10])
+    assert len(pairs) == 20
+    return model, pairs
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_engine_matches_reference_loop(victim, case):
+    method, config = CASES[case]
+    model, pairs = victim
+    iterations = 0
+    for instance, spec in pairs:
+        ref = attack(method, model, instance, spec, config, reference=True)
+        new = attack(method, model, instance, spec, config)
+        assert new.success == ref.success
+        assert new.iterations_used == ref.iterations_used
+        assert new.residual == ref.residual
+        assert (new.lambda1, new.lambda2) == (ref.lambda1, ref.lambda2)
+        assert new.epsilon.tobytes() == ref.epsilon.tobytes()
+        assert new.scores_before.tobytes() == ref.scores_before.tobytes()
+        assert new.scores_after.tobytes() == ref.scores_after.tobytes()
+        assert np.array(new.trace).tobytes() == np.array(ref.trace).tobytes()
+        iterations += new.iterations_used
+    assert iterations > 0
+
+
+class CountingScorer(Scorer):
+    def __init__(self, model):
+        super().__init__(model.weights, model.biases, model.activation, model.sigmoid_output)
+        self.calls = {"score": 0, "input_gradient": 0}
+
+    def score(self, x):
+        self.calls["score"] += 1
+        return super().score(x)
+
+    def input_gradient(self, x, cotangent):
+        self.calls["input_gradient"] += 1
+        return super().input_gradient(x, cotangent)
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_one_forward_and_one_gradient_per_iteration(victim, case):
+    method, config = CASES[case]
+    model, pairs = victim
+    iterations = 0
+    for instance, spec in pairs:
+        counting = CountingScorer(model)
+        out = attack(method, counting, instance, spec, config)
+        assert counting.calls == {"score": out.iterations_used + 1,
+                                  "input_gradient": out.iterations_used}
+        iterations += out.iterations_used
+    assert iterations > 0
