@@ -16,8 +16,6 @@ from .baselines import BaselineSpec, ml_cw_u_loss, run_baseline, tkml_ap_u_loss
 from .core import (
     Instance,
     avg_top_k,
-    delta_terms,
-    delta_tilde_terms,
     hinge,
     kth_largest,
     top_k_indices,

@@ -17,14 +17,14 @@ the gradient path; only the success check ranks scores.
 Per iteration the loop scores the projected input once and ranks the
 scores once; that one ranking serves the success test, the residual set
 reported at the end and the (k+1)-th class of the tkml_ap_u baseline.
-Each loss is a function of the score vector, so its value and score
-cotangent come from the same scores, and one vector-Jacobian product
-turns the cotangent into the epsilon gradient. The loop then takes plain
-gradient steps on the lambdas (projected back to [0, 1]), a momentum
-gradient step on epsilon, projects x+eps into the clip domain, and stops
-early once the success condition holds. Distinct instances never share
-state, so attacks parallelize freely over instances with a read-only
-scorer.
+Each loss is a function of the score vector: a method's step maps
+(scores, ranking, eps) to the score cotangent, and one vector-Jacobian
+product turns that cotangent into the epsilon gradient. The loop then
+takes plain gradient steps on the lambdas (projected back to [0, 1]), a
+momentum gradient step on epsilon, projects x+eps into the clip domain,
+and stops early once the success condition holds. Distinct instances
+never share state, so attacks parallelize freely over instances with a
+read-only scorer.
 """
 from __future__ import annotations
 
@@ -122,8 +122,8 @@ class AttackOutcome:
     """Result of one attack run on one instance.
 
     ``residual`` holds the specified labels still ranked in the top k
-    after the attack; ``trace`` records the objective value at each
-    iterate that received a gradient step.
+    after the attack. ``scores_before`` and ``scores_after`` are the
+    victim's scores at x and at the final projected x + epsilon.
     """
 
     method: str
@@ -134,7 +134,6 @@ class AttackOutcome:
     residual: tuple[int, ...]
     lambda1: float
     lambda2: float
-    trace: list[float]
     scores_before: np.ndarray
     scores_after: np.ndarray
 
@@ -180,6 +179,32 @@ def _split_sets(specified, relevant, c: int):
     return spec, rest
 
 
+def attack_preconditions(instance: Instance, specified, k: int, c: int):
+    """Checked S and Yp \\ S for one attack run, shared by every method.
+
+    S must be a non-empty subset of the instance's relevant labels Yp, and
+    the instance must pass the filter |Yp| >= k + |S|.
+    """
+    relevant = instance.relevant
+    spec, rest = _split_sets(specified, relevant, c)
+    if len(relevant) < k + len(spec):
+        raise ValueError(
+            f"instance filter violated: |Yp|={len(relevant)} < k+|S|={k + len(spec)}"
+        )
+    return spec, rest
+
+
+def _gaps(scores, spec, rest):
+    """Per-class gaps before the hinge: ``f_smax - f_i`` and ``f_j - f_ymin``.
+
+    ``smax`` is the best-scored label of S and ``ymin`` the worst-scored
+    label of Yp \\ S, ties broken by smallest index.
+    """
+    s_max = spec[int(np.argmax(scores[list(spec)]))]
+    y_min = rest[int(np.argmin(scores[list(rest)]))]
+    return s_max, y_min, scores[s_max] - scores, scores - scores[y_min]
+
+
 def _tkmia_terms(scores, eps, lam1: float, lam2: float, spec, rest, k: int,
                  alpha: float):
     """Objective value, score cotangent and lambda gradients at ``scores``.
@@ -189,11 +214,10 @@ def _tkmia_terms(scores, eps, lam1: float, lam2: float, spec, rest, k: int,
     adding ``alpha * eps`` gives the gradient with respect to eps.
     """
     c = scores.shape[0]
-    s_max = spec[int(np.argmax(scores[list(spec)]))]
-    y_min = rest[int(np.argmin(scores[list(rest)]))]
+    s_max, y_min, delta, delta_tilde = _gaps(scores, spec, rest)
 
-    gaps1 = scores[s_max] - scores - lam1
-    gaps2 = scores - scores[y_min] - lam2
+    gaps1 = delta - lam1
+    gaps2 = delta_tilde - lam2
     active1 = gaps1 > 0.0
     active2 = gaps2 > 0.0
     n1 = int(active1.sum())
@@ -294,8 +318,8 @@ def run_attack_loop(model: Scorer, instance: Instance, specified,
     ``residual`` (specified labels inside the first k of ``order``) comes
     from that ranking, and ``success_fn(scores, order, residual) -> bool``
     is the stopping test. While it fails and budget remains,
-    ``step_fn(scores, order, eps) -> (value, cotangent)`` evaluates the
-    loss at ``x_adv`` from the same scores and may advance its own
+    ``step_fn(scores, order, eps) -> cotangent`` gives the loss's score
+    cotangent at ``x_adv`` from the same scores and may advance its own
     auxiliary state; the loop pulls the cotangent back with one
     ``model.input_gradient(x_adv, cotangent)`` and adds
     ``config.alpha * eps``. The loop evaluates success before any update,
@@ -311,7 +335,6 @@ def run_attack_loop(model: Scorer, instance: Instance, specified,
     x = instance.x
     eps = np.zeros_like(x)
     velocity = np.zeros_like(x)
-    trace: list[float] = []
     success = False
 
     for it in range(config.max_iter + 1):
@@ -326,11 +349,10 @@ def run_attack_loop(model: Scorer, instance: Instance, specified,
             break
         if it == config.max_iter:
             break
-        value, cot = step_fn(scores, order, eps)
+        cot = step_fn(scores, order, eps)
         grad_eps = model.input_gradient(x_adv, cot) + config.alpha * eps
         if not np.isfinite(grad_eps).all():
             raise FloatingPointError(f"non-finite gradient at iteration {it}")
-        trace.append(value)
         velocity = config.momentum * velocity + grad_eps
         eps = eps - config.eta * velocity
         # Keep eps consistent with the projected adversarial input so the
@@ -346,7 +368,6 @@ def run_attack_loop(model: Scorer, instance: Instance, specified,
         residual=residual,
         lambda1=0.0,
         lambda2=0.0,
-        trace=trace,
         scores_before=scores_before,
         scores_after=scores,
     )
@@ -361,22 +382,17 @@ def tkmia_attack(model: Scorer, instance: Instance, specified,
     gradient signal) and take plain projected gradient steps with the same
     step size as epsilon; momentum applies to epsilon only.
     """
-    relevant = instance.relevant
-    spec, rest = _split_sets(specified, relevant, model.out_dim)
-    if len(relevant) < config.k + len(spec):
-        raise ValueError(
-            f"instance filter violated: |Yp|={len(relevant)} < k+|S|={config.k + len(spec)}"
-        )
+    spec, rest = attack_preconditions(instance, specified, config.k, model.out_dim)
     lam = [0.0, 0.0]
 
     def step(scores, order, eps):
-        value, cot, g1, g2 = _tkmia_terms(
+        _, cot, g1, g2 = _tkmia_terms(
             scores, eps, lam[0], lam[1], spec, rest, config.k, config.alpha)
         if not (np.isfinite(g1) and np.isfinite(g2)):
             raise FloatingPointError("non-finite lambda gradient")
         lam[0] = float(np.clip(lam[0] - config.eta * g1, 0.0, 1.0))
         lam[1] = float(np.clip(lam[1] - config.eta * g2, 0.0, 1.0))
-        return value, cot
+        return cot
 
     def succeeded(scores, order, residual):
         return _tkmia_success(scores, order, config.k, residual, rest, config.success_mode)

@@ -20,7 +20,7 @@ from typing import Literal
 
 import numpy as np
 
-from .attack import AttackConfig, AttackOutcome, run_attack_loop
+from .attack import AttackConfig, AttackOutcome, attack_preconditions, run_attack_loop
 from .core import Instance, top_k_indices
 from .model import Scorer
 
@@ -130,25 +130,18 @@ def run_baseline(model: Scorer, instance: Instance, specified,
     exceed it.
     """
     config = spec.config
-    relevant = instance.relevant
-    s = tuple(sorted(int(i) for i in specified))
-    if not s or not set(s) <= set(relevant):
-        raise ValueError("specified set must be a non-empty subset of the relevant labels")
-    if len(relevant) < config.k + len(s):
-        raise ValueError(
-            f"instance filter violated: |Yp|={len(relevant)} < k+|S|={config.k + len(s)}"
-        )
+    s, _ = attack_preconditions(instance, specified, config.k, model.out_dim)
     delta = config.delta_threshold if config.delta_threshold is not None else len(s)
     if delta > len(s):
         raise ValueError(f"delta threshold {delta} exceeds |S|={len(s)}")
-    rel, irr = _label_split(relevant, model.out_dim)
+    rel, irr = _label_split(instance.relevant, model.out_dim)
 
     if spec.method == "ml_cw_u":
         def step(scores, order, eps):
-            return _ml_cw_u_terms(scores, eps, rel, irr, config.alpha)
+            return _ml_cw_u_terms(scores, eps, rel, irr, config.alpha)[1]
     else:
         def step(scores, order, eps):
-            return _tkml_ap_u_terms(scores, order, eps, rel, config.k, config.alpha)
+            return _tkml_ap_u_terms(scores, order, eps, rel, config.k, config.alpha)[1]
 
     def succeeded(scores, order, residual):
         return len(s) - len(residual) >= delta

@@ -19,17 +19,19 @@ import json
 import sys
 
 from .attack import AttackConfig, select_random, tkmia_attack
-from .baselines import BASELINE_METHODS, BaselineSpec, run_baseline
+from .baselines import BaselineSpec, run_baseline
 from .checks import run_all_checks
 from .harness import (
+    METHODS,
     ExperimentConfig,
     SyntheticSpec,
     gen_synthetic,
     load_dataset,
     run_experiment,
     save_dataset,
+    train_victim,
 )
-from .model import TrainConfig, load_scorer, make_affine, make_mlp, save_scorer, train_bce
+from .model import load_scorer, save_scorer
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -68,7 +70,7 @@ def _build_parser() -> argparse.ArgumentParser:
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--specified", help="comma-separated class indices")
     group.add_argument("--m", type=int, help="draw this many relevant labels at random")
-    p.add_argument("--method", choices=("tkmia",) + BASELINE_METHODS, default="tkmia")
+    p.add_argument("--method", choices=METHODS, default="tkmia")
     p.add_argument("--eta", type=float, default=0.05)
     p.add_argument("--alpha", type=float, default=1e-4)
     p.add_argument("--momentum", type=float, default=0.9)
@@ -96,17 +98,11 @@ def _cmd_gen_data(args) -> int:
 
 
 def _cmd_train(args) -> int:
-    dataset = load_dataset(args.dataset)
-    d = dataset[0].x.shape[0]
-    c = dataset[0].n_classes
-    if args.arch == "affine":
-        init = make_affine(d, c, seed=args.seed)
-    else:
-        init = make_mlp(d, args.hidden, c, seed=args.seed, activation=args.activation)
-    config = TrainConfig(epochs=args.epochs, learning_rate=args.learning_rate,
-                         momentum=args.momentum, batch_size=args.batch_size,
-                         seed=args.seed)
-    save_scorer(train_bce(dataset, config, model=init), args.out)
+    victim = train_victim(load_dataset(args.dataset), arch=args.arch, hidden=args.hidden,
+                          activation=args.activation, epochs=args.epochs,
+                          learning_rate=args.learning_rate, momentum=args.momentum,
+                          batch_size=args.batch_size, seed=args.seed)
+    save_scorer(victim, args.out)
     print(f"wrote trained {args.arch} scorer to {args.out}")
     return 0
 

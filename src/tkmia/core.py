@@ -3,10 +3,13 @@
 Score vectors are post-sigmoid class relevancy scores, so every entry must
 lie in [0, 1]. Ties between scores are broken deterministically by smaller
 class index, which keeps every downstream ranking quantity reproducible.
-All functions here are pure and safe to call concurrently.
+All functions here are pure and safe to call concurrently, apart from
+:func:`atomic_write`, the one file writer the other modules share.
 """
 from __future__ import annotations
 
+import os
+import tempfile
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,8 +22,7 @@ __all__ = [
     "avg_top_k",
     "variational_top_k_sum",
     "hinge",
-    "delta_terms",
-    "delta_tilde_terms",
+    "atomic_write",
 ]
 
 
@@ -137,42 +139,19 @@ def hinge(a: float) -> float:
     return max(0.0, float(a))
 
 
-def _check_index_set(indices, c: int, name: str) -> tuple[int, ...]:
-    out = tuple(sorted(int(i) for i in indices))
-    if len(out) == 0:
-        raise ValueError(f"{name} must be non-empty")
-    if len(set(out)) != len(out):
-        raise ValueError(f"{name} contains duplicate indices")
-    if out[0] < 0 or out[-1] >= c:
-        raise ValueError(f"{name} has indices outside [0, {c})")
-    return out
+def atomic_write(path: str, text: str) -> None:
+    """Replace ``path`` with ``text`` by renaming a finished temp file over it.
 
-
-def delta_terms(scores, specified) -> np.ndarray:
-    """Per-class gaps ``max(0, max_{s in S} f_s - f_i)``.
-
-    The entry at the best-scored specified index is always 0. Entries are
-    returned in class order; sort on demand for ranked views.
+    The temp file lives in the target's directory, so the rename is atomic:
+    readers see the old file or the whole new one. If anything fails, the
+    temp file is removed and an existing target keeps its old bytes. Text is
+    written without newline translation.
     """
-    scores = as_scores(scores)
-    spec = _check_index_set(specified, scores.shape[0], "specified set")
-    smax = float(np.max(scores[list(spec)]))
-    return np.maximum(smax - scores, 0.0)
-
-
-def delta_tilde_terms(scores, relevant, specified) -> np.ndarray:
-    """Per-class gaps ``max(0, f_j - min_{y in Yp \\ S} f_y)``.
-
-    ``relevant`` is the full relevant-label index set; the reference score
-    is the minimum over relevant labels outside the specified set, so that
-    difference set must be non-empty.
-    """
-    scores = as_scores(scores)
-    c = scores.shape[0]
-    rel = _check_index_set(relevant, c, "relevant set")
-    spec = _check_index_set(specified, c, "specified set")
-    rest = sorted(set(rel) - set(spec))
-    if not rest:
-        raise ValueError("relevant set minus specified set is empty")
-    ref = float(np.min(scores[rest]))
-    return np.maximum(scores - ref, 0.0)
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w", newline="") as handle:
+            handle.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise

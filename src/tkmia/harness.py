@@ -11,10 +11,9 @@ are reproducible byte for byte.
 """
 from __future__ import annotations
 
+import inspect
 import json
-import os
-import tempfile
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields
 from statistics import NormalDist
 from typing import Sequence
 
@@ -30,16 +29,18 @@ from .attack import (
     tkmia_attack,
 )
 from .baselines import BASELINE_METHODS, BaselineSpec, run_baseline
-from .core import Instance
+from .core import Instance, atomic_write
 from .metrics import delta_report, evaluate_instance, write_report_csv
 from .model import Scorer, TrainConfig, load_scorer, make_affine, make_mlp, train_bce
 
 __all__ = [
+    "METHODS",
     "SyntheticSpec",
     "ExperimentConfig",
     "gen_synthetic",
     "save_dataset",
     "load_dataset",
+    "train_victim",
     "run_experiment",
 ]
 
@@ -104,39 +105,80 @@ def gen_synthetic(spec: SyntheticSpec) -> list[Instance]:
     return instances
 
 
-def _atomic_write(path: str, text: str) -> None:
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w") as handle:
-            handle.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
 def save_dataset(instances: Sequence[Instance], path: str) -> None:
     """One instance per line: {"x": [...], "y": [...]}."""
     lines = [
         json.dumps({"x": inst.x.tolist(), "y": inst.y.tolist()})
         for inst in instances
     ]
-    _atomic_write(path, "\n".join(lines) + "\n")
+    atomic_write(path, "\n".join(lines) + "\n")
 
 
 def load_dataset(path: str) -> list[Instance]:
+    """Read :func:`save_dataset`'s format, skipping blank lines.
+
+    Every instance must have the first one's ``len(x)`` and ``len(y)``.
+    Errors name the 1-based line number of the offending line.
+    """
     instances = []
     with open(path) as handle:
-        for line in handle:
+        for number, line in enumerate(handle, start=1):
             if not line.strip():
                 continue
-            record = json.loads(line)
-            instances.append(Instance(x=record["x"], y=record["y"]))
+            try:
+                record = json.loads(line)
+                if not isinstance(record, dict) or not {"x", "y"} <= record.keys():
+                    raise ValueError('expected an object with "x" and "y"')
+                inst = Instance(x=record["x"], y=record["y"])
+            except (ValueError, TypeError) as exc:
+                raise ValueError(f"{path} line {number}: {exc}") from None
+            if instances and (len(inst.x), len(inst.y)) != (len(instances[0].x),
+                                                             len(instances[0].y)):
+                raise ValueError(
+                    f"{path} line {number}: len(x)={len(inst.x)}, len(y)={len(inst.y)}, "
+                    f"but the first instance has {len(instances[0].x)}, {len(instances[0].y)}"
+                )
+            instances.append(inst)
     if not instances:
         raise ValueError(f"dataset file {path} is empty")
     return instances
+
+
+def train_victim(dataset: Sequence[Instance], arch: str = "affine", hidden: int = 32,
+                 activation: str = "tanh", epochs: int = 100, learning_rate: float = 0.5,
+                 momentum: float = 0.9, batch_size: int = 64, seed: int = 0) -> Scorer:
+    """Initialize an affine or MLP scorer sized to the dataset, then fit it.
+
+    The keyword arguments are the inline ``victim`` keys of an experiment
+    config, and the flags of ``tkmia train``.
+    """
+    d = dataset[0].x.shape[0]
+    c = dataset[0].n_classes
+    seed = int(seed)
+    if arch == "affine":
+        init = make_affine(d, c, seed=seed)
+    elif arch == "mlp":
+        init = make_mlp(d, int(hidden), c, seed=seed, activation=activation)
+    else:
+        raise ValueError(f"unknown victim arch {arch!r}")
+    train = TrainConfig(epochs=int(epochs), learning_rate=float(learning_rate),
+                        momentum=float(momentum), batch_size=int(batch_size), seed=seed)
+    return train_bce(dataset, train, model=init)
+
+
+METHODS = ("tkmia",) + BASELINE_METHODS
+# The keys each config block accepts; any other key is an error.
+_DATASET_KEYS = tuple(f.name for f in fields(SyntheticSpec))
+_VICTIM_KEYS = tuple(inspect.signature(train_victim).parameters)[1:]
+_ATTACK_KEYS = ("eta", "alpha", "momentum", "max_iter", "success_mode",
+                "delta_threshold", "clip_lo", "clip_hi")
+_SCHEME_KEYS = {"global": ("type", "categories"), "random": ("type", "m")}
+
+
+def _check_keys(level: str, block: dict, allowed) -> None:
+    for key in block:
+        if key not in allowed:
+            raise ValueError(f"{level}: unknown key {key!r}")
 
 
 @dataclass
@@ -146,7 +188,8 @@ class ExperimentConfig:
     ``dataset`` and ``victim`` are either {"path": ...} or inline specs
     (generator parameters, or a victim training recipe applied to the
     dataset). ``attack`` holds the shared attack hyperparameters;
-    ``attack_overrides`` may adjust them per method.
+    ``attack_overrides`` may adjust them per method. A key that no block
+    accepts is rejected with a ValueError naming the block and the key.
     """
 
     seed: int
@@ -169,18 +212,29 @@ class ExperimentConfig:
         if not self.methods:
             raise ValueError("method list must be non-empty")
         for method in self.methods:
-            if method not in ("tkmia", "kfool") + BASELINE_METHODS:
+            if method not in METHODS:
                 raise ValueError(f"unknown method {method!r}")
+        for level, block, allowed in (("dataset", self.dataset, _DATASET_KEYS),
+                                      ("victim", self.victim, _VICTIM_KEYS)):
+            _check_keys(level, block, ("path",) if "path" in block else allowed)
+        _check_keys("attack", self.attack, _ATTACK_KEYS)
+        overrides = self.attack_overrides or {}
+        _check_keys("attack_overrides", overrides, METHODS)
+        for method, block in overrides.items():
+            _check_keys(f"attack_overrides.{method}", block, _ATTACK_KEYS)
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
+        _check_keys("config", raw, [f.name for f in fields(cls)])
         scheme_raw = raw["scheme"]
-        if scheme_raw["type"] == "global":
+        kind = scheme_raw["type"]
+        if kind not in _SCHEME_KEYS:
+            raise ValueError(f"unknown scheme type {kind!r}")
+        _check_keys("scheme", scheme_raw, _SCHEME_KEYS[kind])
+        if kind == "global":
             scheme = GlobalScheme(tuple(scheme_raw["categories"]))
-        elif scheme_raw["type"] == "random":
-            scheme = RandomScheme(int(scheme_raw["m"]))
         else:
-            raise ValueError(f"unknown scheme type {scheme_raw['type']!r}")
+            scheme = RandomScheme(int(scheme_raw["m"]))
         return cls(
             seed=int(raw.get("seed", 0)),
             dataset=dict(raw["dataset"]),
@@ -208,28 +262,9 @@ def _resolve_dataset(config: ExperimentConfig) -> list[Instance]:
 
 
 def _resolve_victim(config: ExperimentConfig, dataset: Sequence[Instance]) -> Scorer:
-    spec = config.victim
-    if "path" in spec:
-        return load_scorer(spec["path"])
-    d = dataset[0].x.shape[0]
-    c = dataset[0].n_classes
-    arch = spec.get("arch", "affine")
-    seed = int(spec.get("seed", config.seed))
-    if arch == "affine":
-        init = make_affine(d, c, seed=seed)
-    elif arch == "mlp":
-        init = make_mlp(d, int(spec.get("hidden", 32)), c, seed=seed,
-                        activation=spec.get("activation", "tanh"))
-    else:
-        raise ValueError(f"unknown victim arch {arch!r}")
-    train = TrainConfig(
-        epochs=int(spec.get("epochs", 100)),
-        learning_rate=float(spec.get("learning_rate", 0.5)),
-        momentum=float(spec.get("momentum", 0.9)),
-        batch_size=int(spec.get("batch_size", 64)),
-        seed=seed,
-    )
-    return train_bce(dataset, train, model=init)
+    if "path" in config.victim:
+        return load_scorer(config.victim["path"])
+    return train_victim(dataset, **{"seed": config.seed, **config.victim})
 
 
 def _attack_config(config: ExperimentConfig, method: str, k: int) -> AttackConfig:
@@ -316,17 +351,6 @@ def run_experiment(config: ExperimentConfig):
             for idx, _ in pairs
         ]
         for method in config.methods:
-            if method == "kfool":
-                # external comparator, not implemented here; keep its row so
-                # tables stay comparable
-                rows.append({
-                    "k": k, "s_size": _scheme_s_size(config.scheme, pairs),
-                    "method": method, "delta_tk_acc": "not_run",
-                    "delta_p_at_k": "not_run", "delta_map_at_k": "not_run",
-                    "delta_ndcg_at_k": "not_run", "delta_l": "not_run",
-                    "aper": "not_run", "n": len(pairs),
-                })
-                continue
             cfg = _attack_config(config, method, k)
             outcomes = [
                 _run_method(method, model, dataset[idx], s, cfg)
@@ -358,7 +382,7 @@ def run_experiment(config: ExperimentConfig):
                 )))
 
     write_report_csv(config.out_csv, rows)
-    _atomic_write(config.out_outcomes, "\n".join(outcome_lines) + "\n")
+    atomic_write(config.out_outcomes, "\n".join(outcome_lines) + "\n")
     return rows
 
 

@@ -22,14 +22,13 @@ and over an attacked instance set:
 from __future__ import annotations
 
 import csv
-import os
-import tempfile
+import io
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .core import as_labels, as_scores, top_k_indices
+from .core import as_labels, as_scores, atomic_write, top_k_indices
 
 __all__ = [
     "UndefinedMetricError",
@@ -54,24 +53,48 @@ class UndefinedMetricError(ValueError):
     """A measure was requested where its definition does not apply."""
 
 
-def _ranked_labels(scores, labels, k: int) -> np.ndarray:
-    scores = as_scores(scores)
-    labels = as_labels(labels, scores.shape[0])
-    return labels[top_k_indices(scores, k)]
+def _top_k_labels(scores, labels, k: int) -> tuple[np.ndarray, int]:
+    """Labels of the top-k ranked classes and the number of relevant labels.
+
+    Validates the scores, k and the labels once and ranks once; every
+    per-instance measure is read from this pair.
+    """
+    top = top_k_indices(scores, k)
+    labels = as_labels(labels, len(scores))
+    return labels[top], int(labels.sum())
+
+
+def _ap(ranked: np.ndarray, n_relevant: int) -> float:
+    """Prefix-precision AP of ranked 0/1 labels, over min(len, n_relevant)."""
+    if n_relevant == 0:
+        raise UndefinedMetricError("AP@k undefined without relevant labels")
+    hits = 0
+    total = 0.0
+    for i, rel in enumerate(ranked.tolist(), start=1):
+        if rel:
+            hits += 1
+            total += hits / i
+    return total / min(len(ranked), n_relevant)
+
+
+def _ndcg(ranked: np.ndarray, n_relevant: int) -> float:
+    if n_relevant == 0:
+        raise UndefinedMetricError("NDCG@k undefined without relevant labels")
+    dcg = float((ranked / np.log2(np.arange(1, len(ranked) + 1) + 1)).sum())
+    ideal_len = min(len(ranked), n_relevant)
+    idcg = float((1.0 / np.log2(np.arange(1, ideal_len + 1) + 1)).sum())
+    return dcg / idcg
 
 
 def tk_acc(scores, labels, k: int) -> int:
     """1 iff the set of relevant labels is contained in the top-k classes."""
-    scores = as_scores(scores)
-    labels = as_labels(labels, scores.shape[0])
-    topk = set(int(i) for i in top_k_indices(scores, k))
-    relevant = set(int(i) for i in np.flatnonzero(labels == 1))
-    return int(relevant <= topk)
+    ranked, n_relevant = _top_k_labels(scores, labels, k)
+    return int(ranked.sum() == n_relevant)
 
 
 def precision_at_k(scores, labels, k: int) -> float:
     """Fraction of the top-k ranked classes that are relevant."""
-    ranked = _ranked_labels(scores, labels, k)
+    ranked, _ = _top_k_labels(scores, labels, k)
     return float(ranked.sum()) / k
 
 
@@ -81,18 +104,7 @@ def ap_at_k(scores, labels, k: int) -> float:
     Sums P@i at each relevant position i <= k and normalizes by
     N_k = min(k, number of relevant labels).
     """
-    labels = as_labels(labels)
-    n_relevant = int(labels.sum())
-    if n_relevant == 0:
-        raise UndefinedMetricError("AP@k undefined without relevant labels")
-    ranked = _ranked_labels(scores, labels, k)
-    hits = 0
-    total = 0.0
-    for i, rel in enumerate(ranked, start=1):
-        if rel:
-            hits += 1
-            total += hits / i
-    return total / min(k, n_relevant)
+    return _ap(*_top_k_labels(scores, labels, k))
 
 
 def map_at_k(samples: Sequence[tuple], k: int) -> float:
@@ -121,42 +133,21 @@ def map_at_k_per_category(samples: Sequence[tuple], k: int) -> float:
     n, c = score_mat.shape
     if k > n:
         raise ValueError(f"k={k} exceeds instance count {n}")
-    ap_values = []
-    for j in range(c):
-        if label_mat[:, j].sum() == 0:
-            continue
-        ap_values.append(_ap_over_items(score_mat[:, j], label_mat[:, j], k))
+    # Per column: instances ranked by their class-j score, ties by index.
+    order = np.argsort(-score_mat, axis=0, kind="stable")[:k]
+    ap_values = [
+        _ap(label_mat[order[:, j], j], int(label_mat[:, j].sum()))
+        for j in range(c)
+        if label_mat[:, j].any()
+    ]
     if not ap_values:
         raise UndefinedMetricError("no category has a relevant instance")
     return float(np.mean(ap_values))
 
 
-def _ap_over_items(item_scores: np.ndarray, item_labels: np.ndarray, k: int) -> float:
-    # Same prefix-precision AP, but the ranked items are instances and the
-    # scores need not be probabilities, so rank directly.
-    order = np.argsort(-item_scores, kind="stable")[:k]
-    ranked = item_labels[order]
-    hits = 0
-    total = 0.0
-    for i, rel in enumerate(ranked, start=1):
-        if rel:
-            hits += 1
-            total += hits / i
-    return total / min(k, int(item_labels.sum()))
-
-
 def ndcg_at_k(scores, labels, k: int) -> float:
     """Discounted cumulative gain over the top k, normalized by the ideal."""
-    labels = as_labels(labels)
-    n_relevant = int(labels.sum())
-    if n_relevant == 0:
-        raise UndefinedMetricError("NDCG@k undefined without relevant labels")
-    ranked = _ranked_labels(scores, labels, k)
-    positions = np.arange(1, k + 1)
-    dcg = float((ranked / np.log2(positions + 1)).sum())
-    ideal_len = min(k, n_relevant)
-    idcg = float((1.0 / np.log2(np.arange(1, ideal_len + 1) + 1)).sum())
-    return dcg / idcg
+    return _ndcg(*_top_k_labels(scores, labels, k))
 
 
 def delta_l(outcomes: Sequence) -> float:
@@ -194,13 +185,15 @@ class MetricsRecord:
 
 
 def evaluate_instance(scores, labels, k: int) -> MetricsRecord:
-    """All per-instance measures in one pass."""
+    """All per-instance measures from one validation and one ranking."""
+    ranked, n_relevant = _top_k_labels(scores, labels, k)
+    hits = int(ranked.sum())
     return MetricsRecord(
         k=int(k),
-        tk_acc=tk_acc(scores, labels, k),
-        p_at_k=precision_at_k(scores, labels, k),
-        ap_at_k=ap_at_k(scores, labels, k),
-        ndcg_at_k=ndcg_at_k(scores, labels, k),
+        tk_acc=int(hits == n_relevant),
+        p_at_k=float(hits) / k,
+        ap_at_k=_ap(ranked, n_relevant),
+        ndcg_at_k=_ndcg(ranked, n_relevant),
     )
 
 
@@ -306,16 +299,8 @@ def write_report_csv(path: str, rows: Sequence[dict]) -> None:
     Each row is a dict keyed by REPORT_COLUMNS. Floats serialize via repr
     so equal runs produce byte-identical files.
     """
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", newline="") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(REPORT_COLUMNS)
-            for row in rows:
-                writer.writerow([_fmt(row[col]) for col in REPORT_COLUMNS])
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    buffer = io.StringIO()
+    writer = csv.writer(buffer)
+    writer.writerow(REPORT_COLUMNS)
+    writer.writerows([_fmt(row[col]) for col in REPORT_COLUMNS] for row in rows)
+    atomic_write(path, buffer.getvalue())

@@ -14,11 +14,11 @@ concurrently. Training builds a new scorer.
 from __future__ import annotations
 
 import json
-import os
-import tempfile
 from dataclasses import dataclass
 
 import numpy as np
+
+from .core import atomic_write
 
 __all__ = [
     "Scorer",
@@ -309,16 +309,7 @@ def save_scorer(model: Scorer, path: str) -> None:
             "weight": w.ravel(order="C").tolist(),
             "bias": b.tolist(),
         }))
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w") as handle:
-            handle.write("\n".join(lines) + "\n")
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    atomic_write(path, "\n".join(lines) + "\n")
 
 
 def load_scorer(path: str) -> Scorer:

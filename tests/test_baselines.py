@@ -3,6 +3,7 @@ import pytest
 
 from tkmia.attack import AttackConfig, tkmia_attack
 from tkmia.baselines import (
+    BASELINE_METHODS,
     BaselineSpec,
     ml_cw_u_loss,
     run_baseline,
@@ -139,6 +140,19 @@ class TestRunBaseline:
                             AttackConfig(k=2, eta=0.1, delta_threshold=2))
         with pytest.raises(ValueError):
             run_baseline(model, inst, (0,), spec)
+
+    @pytest.mark.parametrize("specified, k", [((), 1), ((3,), 1), ((0,), 3)],
+                             ids=["empty", "outside-relevant", "filter"])
+    def test_preconditions_shared_with_main_attack(self, specified, k):
+        # S must be a non-empty subset of Yp and |Yp| >= k + |S|, for every method
+        model = constant_score_model([0.9, 0.8, 0.6, 0.1])
+        inst = Instance(x=np.zeros(3), y=[1, 1, 1, 0])
+        config = AttackConfig(k=k, eta=0.1)
+        for method in BASELINE_METHODS:
+            with pytest.raises(ValueError):
+                run_baseline(model, inst, specified, BaselineSpec(method, config))
+        with pytest.raises(ValueError):
+            tkmia_attack(model, inst, specified, config)
 
     def test_unknown_method_rejected(self):
         with pytest.raises(ValueError):

@@ -3,11 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tkmia.attack import _gaps, _split_sets
 from tkmia.core import (
     Instance,
+    atomic_write,
     avg_top_k,
-    delta_terms,
-    delta_tilde_terms,
     hinge,
     kth_largest,
     top_k_indices,
@@ -167,17 +167,32 @@ class TestHinge:
         assert hinge(hinge(a - x) - b) == hinge(a - x - b)
 
 
+def delta_terms(scores, specified, relevant):
+    """Hinged gaps ``[max_{s in S} f_s - f_i]_+`` as the objective forms them."""
+    scores = np.asarray(scores, dtype=np.float64)
+    spec, rest = _split_sets(specified, relevant, scores.shape[0])
+    return np.maximum(_gaps(scores, spec, rest)[2], 0.0)
+
+
+def delta_tilde_terms(scores, relevant, specified):
+    """Hinged gaps ``[f_j - min_{y in Yp \\ S} f_y]_+`` as the objective forms them."""
+    scores = np.asarray(scores, dtype=np.float64)
+    spec, rest = _split_sets(specified, relevant, scores.shape[0])
+    return np.maximum(_gaps(scores, spec, rest)[3], 0.0)
+
+
 class TestDeltaTerms:
     def test_single_specified(self):
-        out = delta_terms([0.8, 0.3, 0.6], [0])
+        out = delta_terms([0.8, 0.3, 0.6], [0], [0, 1])
         assert out.tolist() == pytest.approx([0.0, 0.5, 0.2], abs=1e-15)
 
     def test_zero_at_argmax_of_specified(self):
         rng = np.random.default_rng(8)
         for _ in range(50):
             scores = rng.uniform(0, 1, 9)
-            spec = sorted(rng.choice(9, size=3, replace=False).tolist())
-            out = delta_terms(scores, spec)
+            rel = sorted(rng.choice(9, size=4, replace=False).tolist())
+            spec = rel[:3]
+            out = delta_terms(scores, spec, rel)
             best = max(spec, key=lambda i: scores[i])
             assert out[best] == 0.0
 
@@ -188,16 +203,13 @@ class TestDeltaTerms:
         for _ in range(100):
             c = int(rng.integers(2, 12))
             scores = rng.uniform(0, 1, c)
-            spec = sorted(rng.choice(c, size=int(rng.integers(1, c + 1)), replace=False).tolist())
+            rel = sorted(rng.choice(c, size=int(rng.integers(2, c + 1)), replace=False).tolist())
+            spec = rel[: int(rng.integers(1, len(rel)))]
             smax = max(scores[spec])
             ascending = np.sort(scores)
             expected = [hinge(smax - ascending[i]) for i in range(c)]
-            got = np.sort(delta_terms(scores, spec))[::-1]
+            got = np.sort(delta_terms(scores, spec, rel))[::-1]
             assert got.tolist() == pytest.approx(expected, abs=1e-12)
-
-    def test_empty_specified_rejected(self):
-        with pytest.raises(ValueError):
-            delta_terms([0.5, 0.6], [])
 
 
 class TestDeltaTildeTerms:
@@ -242,3 +254,30 @@ class TestInstance:
     def test_rejects_non_finite_features(self):
         with pytest.raises(ValueError):
             Instance(x=[np.inf, 0.0], y=[1, 0])
+
+
+class TestAtomicWrite:
+    def test_replaces_target(self, tmp_path):
+        path = tmp_path / "out.txt"
+        path.write_bytes(b"old\n")
+        atomic_write(str(path), "new\r\nline\n")
+        assert path.read_bytes() == b"new\r\nline\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
+
+    @pytest.mark.parametrize("failure", ["write", "rename"])
+    def test_failure_keeps_old_bytes_and_no_temp_file(self, tmp_path, monkeypatch, failure):
+        path = tmp_path / "out.txt"
+        path.write_bytes(b"old\n")
+        if failure == "write":
+            text = "half written \udcff"  # a lone surrogate cannot be encoded
+            expected = UnicodeEncodeError
+        else:
+            def refuse(src, dst):
+                raise OSError("rename refused")
+
+            monkeypatch.setattr("tkmia.core.os.replace", refuse)
+            text, expected = "new\n", OSError
+        with pytest.raises(expected):
+            atomic_write(str(path), text)
+        assert path.read_bytes() == b"old\n"
+        assert not list(tmp_path.glob("*.tmp"))

@@ -94,6 +94,22 @@ class TestDatasetIO:
         with pytest.raises(ValueError):
             load_dataset(str(path))
 
+    @pytest.mark.parametrize("bad_line, message", [
+        ('{"x": [0.1, 0.2, 0.3], "y": [1, 0]}', "len(x)=3, len(y)=2, but the first instance has 2, 2"),
+        ('{"x": [0.1, 0.2], "y": [1, 0, 1]}', "len(x)=2, len(y)=3, but the first instance has 2, 2"),
+        ('{"x": [0.1, 0.2]}', 'expected an object with "x" and "y"'),
+        ('{"x": [0.1, 0.2], "y": [1, 0]', "Expecting"),
+        ('{"x": [0.1, 0.2], "y": [1, 2]}', "label entries must be 0 or 1"),
+    ])
+    def test_bad_line_named(self, tmp_path, bad_line, message):
+        good = '{"x": [0.5, -0.5], "y": [0, 1]}'
+        path = tmp_path / "data.jsonl"
+        path.write_text("\n".join([good, good, "", bad_line, good]) + "\n")
+        with pytest.raises(ValueError) as info:
+            load_dataset(str(path))
+        assert str(info.value).startswith(f"{path} line 4: ")
+        assert message in str(info.value)
+
 
 def small_config(tmp_path, scheme=None, methods=("tkmia", "ml_cw_u"), k_grid=(2,),
                  max_iter=60, max_instances=40):
@@ -185,15 +201,6 @@ class TestRunExperiment:
         assert rows[0]["n"] > 0
         assert 1.0 <= rows[0]["s_size"] <= 2.0
 
-    def test_kfool_rows_marked_not_run(self, tmp_path):
-        config = small_config(tmp_path, methods=("tkmia", "kfool"), max_instances=10)
-        run_experiment(config)
-        rows = read_csv_rows(config.out_csv)
-        kfool = [r for r in rows if r["method"] == "kfool"]
-        assert len(kfool) == 1
-        assert kfool[0]["delta_p_at_k"] == "not_run"
-        assert kfool[0]["aper"] == "not_run"
-
     def test_missing_victim_leaves_no_outputs(self, tmp_path):
         config = small_config(tmp_path)
         config.victim = {"path": str(tmp_path / "missing.jsonl")}
@@ -257,5 +264,43 @@ class TestExperimentConfig:
             ExperimentConfig(k_grid=(), methods=("tkmia",), **base)
         with pytest.raises(ValueError):
             ExperimentConfig(k_grid=(2,), methods=("deepfool",), **base)
+        with pytest.raises(ValueError, match="unknown method 'kfool'"):
+            ExperimentConfig(k_grid=(2,), methods=("tkmia", "kfool"), **base)
         with pytest.raises(ValueError):
             ExperimentConfig(k_grid=(2,), methods=("tkmia",), max_instances=0, **base)
+
+    @pytest.mark.parametrize("level, key, edit", [
+        ("config", "max_instance", lambda raw: raw.update(max_instance=5)),
+        ("dataset", "nn", lambda raw: raw["dataset"].update(nn=5)),
+        ("dataset", "n", lambda raw: raw.update(dataset={"path": "d.jsonl", "n": 5})),
+        ("victim", "epoch", lambda raw: raw["victim"].update(epoch=5)),
+        ("victim", "arch", lambda raw: raw.update(victim={"path": "v.jsonl", "arch": "mlp"})),
+        ("scheme", "m", lambda raw: raw["scheme"].update(m=1)),
+        ("attack", "max_iters", lambda raw: raw["attack"].update(max_iters=1)),
+        ("attack", "succes_mode", lambda raw: raw["attack"].update(succes_mode="strict")),
+        ("attack_overrides", "tkmai", lambda raw: raw["attack_overrides"].update(tkmai={})),
+        ("attack_overrides.tkmia", "max_iters",
+         lambda raw: raw["attack_overrides"]["tkmia"].update(max_iters=1)),
+    ])
+    def test_unknown_key_rejected_with_level_and_key(self, tmp_path, capsys, level, key, edit):
+        from tkmia.cli import main
+
+        raw = {
+            "seed": 0,
+            "dataset": {"n": 10, "d": 4, "c": 5, "mean_relevant": 2.0},
+            "victim": {"arch": "affine", "epochs": 1},
+            "k_grid": [1],
+            "scheme": {"type": "global", "categories": [0]},
+            "methods": ["tkmia"],
+            "attack": {"eta": 0.01, "max_iter": 5},
+            "attack_overrides": {"tkmia": {"alpha": 0.0}},
+            "out_csv": str(tmp_path / "r.csv"),
+            "out_outcomes": str(tmp_path / "o.jsonl"),
+        }
+        ExperimentConfig.from_dict(json.loads(json.dumps(raw)))  # valid before the edit
+        edit(raw)
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(raw))
+        assert main(["report", "--config", str(path)]) == 1
+        assert capsys.readouterr().err == f"error: {level}: unknown key {key!r}\n"
+        assert not (tmp_path / "r.csv").exists()

@@ -3,6 +3,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tkmia.metrics import (
     REPORT_COLUMNS,
@@ -185,6 +187,37 @@ class TestNdcgAtK:
     def test_undefined_without_relevant(self):
         with pytest.raises(UndefinedMetricError):
             ndcg_at_k([0.9, 0.1], [0, 0], 1)
+
+
+@st.composite
+def tied_instances(draw):
+    """Scores on a 0.1 grid, so several classes often share one score."""
+    c = draw(st.integers(2, 12))
+    scores = [level / 10 for level in draw(st.lists(st.integers(0, 10), min_size=c, max_size=c))]
+    y = draw(st.lists(st.integers(0, 1), min_size=c, max_size=c).filter(any))
+    return scores, y, draw(st.integers(1, c))
+
+
+class TestTiedScores:
+    @settings(max_examples=400, deadline=None)
+    @given(tied_instances())
+    def test_evaluate_instance_matches_tie_break_oracle(self, case):
+        scores, y, k = case
+        order = sorted(range(len(scores)), key=lambda i: (-scores[i], i))
+        ranked = [y[i] for i in order[:k]]
+        n_relevant = sum(y)
+        hits = 0
+        ap = 0.0
+        for i, rel in enumerate(ranked, start=1):
+            if rel:
+                hits += 1
+                ap += hits / i
+        # numpy sums, in the library's order, so that NDCG compares exactly
+        dcg = float(np.sum(np.array(ranked) / np.log2(np.arange(2, k + 2))))
+        idcg = float(np.sum(1.0 / np.log2(np.arange(2, min(k, n_relevant) + 2))))
+        expected = MetricsRecord(k=k, tk_acc=int(hits == n_relevant), p_at_k=hits / k,
+                                 ap_at_k=ap / min(k, n_relevant), ndcg_at_k=dcg / idcg)
+        assert evaluate_instance(scores, y, k) == expected
 
 
 class TestMonotoneInvariance:
