@@ -14,20 +14,21 @@ relaxations of the two ranking conditions ("all of S below position k",
 "other relevant labels fill the top k"), so no sort appears anywhere in
 the gradient path; only the success check ranks scores.
 
-Per iteration the loop scores the projected input once and ranks the
-scores once; that one ranking serves the success test, the residual set
-reported at the end and the (k+1)-th class of the tkml_ap_u baseline.
-Each loss is a function of the score vector: a method's step maps
-(scores, ranking, eps) to the score cotangent, and one vector-Jacobian
-product turns that cotangent into the epsilon gradient. The loop then
-takes plain gradient steps on the lambdas (projected back to [0, 1]), a
-momentum gradient step on epsilon, projects x+eps into the clip domain,
-and stops early once the success condition holds. Distinct instances
-never share state, so attacks parallelize freely over instances with a
-read-only scorer.
+Per iteration the loop runs one forward pass of the scorer at the
+projected input (:meth:`Scorer.vjp`) and ranks the scores once; that one
+ranking serves the success test, the residual set reported at the end and
+the (k+1)-th class of the tkml_ap_u baseline. Each loss is a function of
+the score vector: a method's step maps (scores, ranking) to the score
+cotangent, and the forward pass's pullback turns that cotangent into the
+epsilon gradient. The loop then takes plain gradient steps on the lambdas
+(projected back to [0, 1]), a momentum gradient step on epsilon, projects
+x+eps into the clip domain, and stops early once the success condition
+holds. Distinct instances never share state, so attacks parallelize freely
+over instances with a read-only scorer.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Callable, Literal, Sequence
 
@@ -197,44 +198,35 @@ def attack_preconditions(instance: Instance, specified, k: int, c: int):
 def _gaps(scores, spec, rest):
     """Per-class gaps before the hinge: ``f_smax - f_i`` and ``f_j - f_ymin``.
 
-    ``smax`` is the best-scored label of S and ``ymin`` the worst-scored
-    label of Yp \\ S, ties broken by smallest index.
+    ``spec`` and ``rest`` are index arrays of S and Yp \\ S. ``smax`` is
+    the best-scored label of S and ``ymin`` the worst-scored label of
+    Yp \\ S, ties broken by smallest index.
     """
-    s_max = spec[int(np.argmax(scores[list(spec)]))]
-    y_min = rest[int(np.argmin(scores[list(rest)]))]
+    s_max = spec[scores[spec].argmax()]
+    y_min = rest[scores[rest].argmin()]
     return s_max, y_min, scores[s_max] - scores, scores - scores[y_min]
 
 
-def _tkmia_terms(scores, eps, lam1: float, lam2: float, spec, rest, k: int,
-                 alpha: float):
-    """Objective value, score cotangent and lambda gradients at ``scores``.
+def _tkmia_terms(scores, lam1: float, lam2: float, spec, rest, k: int):
+    """Score cotangent and lambda gradients of the objective at ``scores``.
 
-    ``spec`` and ``rest`` are the checked label sets from
+    ``spec`` and ``rest`` are index arrays of the checked label sets from
     :func:`_split_sets`; pulling the cotangent back through the scorer and
     adding ``alpha * eps`` gives the gradient with respect to eps.
     """
     c = scores.shape[0]
     s_max, y_min, delta, delta_tilde = _gaps(scores, spec, rest)
-
-    gaps1 = delta - lam1
-    gaps2 = delta_tilde - lam2
-    active1 = gaps1 > 0.0
-    active2 = gaps2 > 0.0
+    active1 = delta - lam1 > 0.0
+    active2 = delta_tilde - lam2 > 0.0
     n1 = int(active1.sum())
     n2 = int(active2.sum())
-
-    value = (lam1 + lam2 + 0.5 * alpha * float(eps @ eps)
-             + float(gaps1[active1].sum()) / (c - k)
-             + float(gaps2[active2].sum()) / k)
-    grad_lam1 = 1.0 - n1 / (c - k)
-    grad_lam2 = 1.0 - n2 / k
 
     cot = np.zeros(c)
     cot[s_max] += n1 / (c - k)
     cot[active1] -= 1.0 / (c - k)
     cot[active2] += 1.0 / k
     cot[y_min] -= n2 / k
-    return value, cot, grad_lam1, grad_lam2
+    return cot, 1.0 - n1 / (c - k), 1.0 - n2 / k
 
 
 def tkmia_objective(model: Scorer, x, eps, lam1: float, lam2: float,
@@ -255,9 +247,16 @@ def tkmia_objective(model: Scorer, x, eps, lam1: float, lam2: float,
     if not (0.0 <= lam1 <= 1.0 and 0.0 <= lam2 <= 1.0):
         raise ValueError("lambdas must lie in [0, 1]")
     spec, rest = _split_sets(specified, relevant, c)
+    spec, rest = np.array(spec), np.array(rest)
     x_adv = x + eps
-    value, cot, grad_lam1, grad_lam2 = _tkmia_terms(
-        model.score(x_adv), eps, lam1, lam2, spec, rest, k, config.alpha)
+    scores = model.score(x_adv)
+    _, _, delta, delta_tilde = _gaps(scores, spec, rest)
+    gaps1 = delta - lam1
+    gaps2 = delta_tilde - lam2
+    value = (lam1 + lam2 + 0.5 * config.alpha * float(eps @ eps)
+             + float(gaps1[gaps1 > 0.0].sum()) / (c - k)
+             + float(gaps2[gaps2 > 0.0].sum()) / k)
+    cot, grad_lam1, grad_lam2 = _tkmia_terms(scores, lam1, lam2, spec, rest, k)
     grad_eps = model.input_gradient(x_adv, cot) + config.alpha * eps
     return value, grad_eps, grad_lam1, grad_lam2
 
@@ -272,14 +271,14 @@ def _tkmia_success(scores, order, k: int, residual, rest, mode) -> bool:
     """The success condition read from a ranking of ``scores``.
 
     ``order`` holds at least the first k classes of the ranking,
-    ``residual`` the specified labels among them and ``rest`` the checked
-    remaining-relevant set.
+    ``residual`` the specified labels among them and ``rest`` an index
+    array of the checked remaining-relevant set.
     """
     if residual:
         return False
     if mode == "c1_only":
         return True
-    return float(scores[order[k - 1]]) <= float(np.min(scores[list(rest)]))
+    return float(scores[order[k - 1]]) <= float(scores[rest].min())
 
 
 def success_check(scores, specified, relevant, k: int,
@@ -300,7 +299,7 @@ def success_check(scores, specified, relevant, k: int,
     if mode not in ("c1_only", "strict"):
         raise ValueError(f"unknown success mode {mode!r}")
     top = top_k_indices(scores, k)
-    return _tkmia_success(scores, top, k, _ranked_in(top, spec), rest, mode)
+    return _tkmia_success(scores, top, k, _ranked_in(top, spec), np.array(rest), mode)
 
 
 def residual_set(scores, specified, k: int) -> tuple[int, ...]:
@@ -313,33 +312,34 @@ def run_attack_loop(model: Scorer, instance: Instance, specified,
                     step_fn: Callable, success_fn: Callable) -> AttackOutcome:
     """Shared iterative engine for the attack and the baseline losses.
 
-    Each iteration scores the projected input ``x_adv`` once and ranks
-    the scores once with :func:`rank_order`, giving ``order``. The
-    ``residual`` (specified labels inside the first k of ``order``) comes
-    from that ranking, and ``success_fn(scores, order, residual) -> bool``
-    is the stopping test. While it fails and budget remains,
-    ``step_fn(scores, order, eps) -> cotangent`` gives the loss's score
-    cotangent at ``x_adv`` from the same scores and may advance its own
-    auxiliary state; the loop pulls the cotangent back with one
-    ``model.input_gradient(x_adv, cotangent)`` and adds
-    ``config.alpha * eps``. The loop evaluates success before any update,
-    so an instance that already satisfies it returns epsilon exactly 0
-    after zero iterations.
+    Each iteration runs one forward pass at the projected input ``x_adv``,
+    ``scores, pullback = model.vjp(x_adv)``, and ranks the scores once
+    with :func:`rank_order`, giving ``order``. The ``residual`` (specified
+    labels inside the first k of ``order``) comes from that ranking, and
+    ``success_fn(scores, order, residual) -> bool`` is the stopping test.
+    While it fails and budget remains, ``step_fn(scores, order) ->
+    cotangent`` gives the loss's score cotangent at ``x_adv`` from the same
+    scores and may advance its own auxiliary state; the loop turns the
+    cotangent into the epsilon gradient with one ``pullback(cotangent)``
+    plus ``config.alpha * eps``. No loss value is computed. The loop
+    evaluates success before any update, so an instance that already
+    satisfies it returns epsilon exactly 0 after zero iterations.
     """
     k = config.k
     c = model.out_dim
     if not 1 <= k < c:
         raise ValueError(f"k={k} out of range [1, {c - 1}]")
     lo, hi = config.clip_domain
+    alpha, eta, momentum, max_iter = config.alpha, config.eta, config.momentum, config.max_iter
     spec = tuple(sorted(int(i) for i in specified))
     x = instance.x
     eps = np.zeros_like(x)
     velocity = np.zeros_like(x)
     success = False
 
-    for it in range(config.max_iter + 1):
+    for it in range(max_iter + 1):
         x_adv = np.minimum(np.maximum(x + eps, lo), hi)
-        scores = model.score(x_adv)
+        scores, pullback = model.vjp(x_adv)
         order = rank_order(scores)
         residual = _ranked_in(order[:k], spec)
         if it == 0:
@@ -347,14 +347,13 @@ def run_attack_loop(model: Scorer, instance: Instance, specified,
         if success_fn(scores, order, residual):
             success = True
             break
-        if it == config.max_iter:
+        if it == max_iter:
             break
-        cot = step_fn(scores, order, eps)
-        grad_eps = model.input_gradient(x_adv, cot) + config.alpha * eps
+        grad_eps = pullback(step_fn(scores, order)) + alpha * eps
         if not np.isfinite(grad_eps).all():
             raise FloatingPointError(f"non-finite gradient at iteration {it}")
-        velocity = config.momentum * velocity + grad_eps
-        eps = eps - config.eta * velocity
+        velocity = momentum * velocity + grad_eps
+        eps = eps - eta * velocity
         # Keep eps consistent with the projected adversarial input so the
         # reported norm reflects the perturbation actually applied.
         eps = np.minimum(np.maximum(x + eps, lo), hi) - x
@@ -383,19 +382,20 @@ def tkmia_attack(model: Scorer, instance: Instance, specified,
     step size as epsilon; momentum applies to epsilon only.
     """
     spec, rest = attack_preconditions(instance, specified, config.k, model.out_dim)
+    spec_idx, rest_idx = np.array(spec), np.array(rest)
+    k, eta, mode = config.k, config.eta, config.success_mode
     lam = [0.0, 0.0]
 
-    def step(scores, order, eps):
-        _, cot, g1, g2 = _tkmia_terms(
-            scores, eps, lam[0], lam[1], spec, rest, config.k, config.alpha)
-        if not (np.isfinite(g1) and np.isfinite(g2)):
+    def step(scores, order):
+        cot, g1, g2 = _tkmia_terms(scores, lam[0], lam[1], spec_idx, rest_idx, k)
+        if not (math.isfinite(g1) and math.isfinite(g2)):
             raise FloatingPointError("non-finite lambda gradient")
-        lam[0] = float(np.clip(lam[0] - config.eta * g1, 0.0, 1.0))
-        lam[1] = float(np.clip(lam[1] - config.eta * g2, 0.0, 1.0))
+        lam[0] = min(max(lam[0] - eta * g1, 0.0), 1.0)
+        lam[1] = min(max(lam[1] - eta * g2, 0.0), 1.0)
         return cot
 
     def succeeded(scores, order, residual):
-        return _tkmia_success(scores, order, config.k, residual, rest, config.success_mode)
+        return _tkmia_success(scores, order, k, residual, rest_idx, mode)
 
     outcome = run_attack_loop(model, instance, spec, config, "tkmia", step, succeeded)
     return replace(outcome, lambda1=lam[0], lambda2=lam[1])

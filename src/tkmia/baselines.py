@@ -58,33 +58,30 @@ def _label_split(labels_or_relevant, c: int):
     return np.array(relevant), np.array(irrelevant)
 
 
-def _ml_cw_u_terms(scores, eps, rel, irr, alpha: float):
-    """ml_cw_u value and score cotangent at ``scores``."""
-    j_min = rel[int(np.argmin(scores[rel]))]
-    i_max = irr[int(np.argmax(scores[irr]))]
-    margin = float(scores[j_min] - scores[i_max])
-    value = max(0.0, margin) + 0.5 * alpha * float(eps @ eps)
-    cot = np.zeros(scores.shape[0])
-    if margin > 0.0:
-        cot[j_min] += 1.0
-        cot[i_max] -= 1.0
-    return value, cot
+def _ml_cw_u_pair(scores, rel, irr):
+    """ml_cw_u's hinge classes: the worst relevant and the best irrelevant."""
+    return rel[scores[rel].argmin()], irr[scores[irr].argmax()]
 
 
-def _tkml_ap_u_terms(scores, order, eps, rel, k: int, alpha: float):
-    """tkml_ap_u value and score cotangent at ``scores``.
+def _tkml_ap_u_pair(scores, order, rel, k: int):
+    """tkml_ap_u's hinge classes: the best relevant and the (k+1)-th ranked.
 
     ``order`` holds at least the first k+1 classes of the ranking.
     """
-    y_max = rel[int(np.argmax(scores[rel]))]
-    kp1 = order[k]
-    margin = float(scores[y_max] - scores[kp1])
-    value = max(0.0, margin) + 0.5 * alpha * float(eps @ eps)
+    return rel[scores[rel].argmax()], order[k]
+
+
+def _hinge_cot(scores, hi, lo):
+    """Score cotangent of the margin hinge ``[f_hi - f_lo]_+``."""
     cot = np.zeros(scores.shape[0])
-    if margin > 0.0:
-        cot[y_max] += 1.0
-        cot[kp1] -= 1.0
-    return value, cot
+    if scores[hi] - scores[lo] > 0.0:
+        cot[hi] += 1.0
+        cot[lo] -= 1.0
+    return cot
+
+
+def _hinge_value(scores, hi, lo, eps, alpha: float) -> float:
+    return max(0.0, float(scores[hi] - scores[lo])) + 0.5 * alpha * float(eps @ eps)
 
 
 def ml_cw_u_loss(model: Scorer, x, eps, relevant, alpha: float = 0.0):
@@ -98,8 +95,10 @@ def ml_cw_u_loss(model: Scorer, x, eps, relevant, alpha: float = 0.0):
     eps = np.asarray(eps, dtype=np.float64)
     rel, irr = _label_split(relevant, model.out_dim)
     x_adv = x + eps
-    value, cot = _ml_cw_u_terms(model.score(x_adv), eps, rel, irr, alpha)
-    return value, model.input_gradient(x_adv, cot) + alpha * eps
+    scores = model.score(x_adv)
+    hi, lo = _ml_cw_u_pair(scores, rel, irr)
+    grad = model.input_gradient(x_adv, _hinge_cot(scores, hi, lo)) + alpha * eps
+    return _hinge_value(scores, hi, lo, eps, alpha), grad
 
 
 def tkml_ap_u_loss(model: Scorer, x, eps, relevant, k: int, alpha: float = 0.0):
@@ -116,8 +115,9 @@ def tkml_ap_u_loss(model: Scorer, x, eps, relevant, k: int, alpha: float = 0.0):
     rel, _ = _label_split(relevant, c)
     x_adv = x + eps
     scores = model.score(x_adv)
-    value, cot = _tkml_ap_u_terms(scores, top_k_indices(scores, k + 1), eps, rel, k, alpha)
-    return value, model.input_gradient(x_adv, cot) + alpha * eps
+    hi, lo = _tkml_ap_u_pair(scores, top_k_indices(scores, k + 1), rel, k)
+    grad = model.input_gradient(x_adv, _hinge_cot(scores, hi, lo)) + alpha * eps
+    return _hinge_value(scores, hi, lo, eps, alpha), grad
 
 
 def run_baseline(model: Scorer, instance: Instance, specified,
@@ -135,13 +135,14 @@ def run_baseline(model: Scorer, instance: Instance, specified,
     if delta > len(s):
         raise ValueError(f"delta threshold {delta} exceeds |S|={len(s)}")
     rel, irr = _label_split(instance.relevant, model.out_dim)
+    k = config.k
 
     if spec.method == "ml_cw_u":
-        def step(scores, order, eps):
-            return _ml_cw_u_terms(scores, eps, rel, irr, config.alpha)[1]
+        def step(scores, order):
+            return _hinge_cot(scores, *_ml_cw_u_pair(scores, rel, irr))
     else:
-        def step(scores, order, eps):
-            return _tkml_ap_u_terms(scores, order, eps, rel, config.k, config.alpha)[1]
+        def step(scores, order):
+            return _hinge_cot(scores, *_tkml_ap_u_pair(scores, order, rel, k))
 
     def succeeded(scores, order, residual):
         return len(s) - len(residual) >= delta

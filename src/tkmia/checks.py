@@ -106,7 +106,12 @@ def check_metric_oracles(n_samples: int = 500, seed: int = 0):
     for _ in range(n_samples):
         c = int(rng.integers(2, 13))
         k = int(rng.integers(1, c + 1))
-        scores = rng.uniform(0.0, 1.0, c)
+        # Half the vectors come from a 0.1 grid, so that tied scores occur
+        # and the (-score, index) tie-break is checked.
+        if rng.random() < 0.5:
+            scores = rng.integers(0, 11, c) / 10.0
+        else:
+            scores = rng.uniform(0.0, 1.0, c)
         y = np.zeros(c, dtype=np.int64)
         y[rng.choice(c, size=int(rng.integers(1, c + 1)), replace=False)] = 1
         order = sorted(range(c), key=lambda i: (-scores[i], i))

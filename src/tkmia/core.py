@@ -34,9 +34,10 @@ def as_scores(values) -> np.ndarray:
     scores = np.asarray(values, dtype=np.float64)
     if scores.ndim != 1 or scores.shape[0] < 2:
         raise ValueError("score vector must be 1-D with at least 2 entries")
-    if not np.isfinite(scores).all():
-        raise ValueError("score vector contains non-finite entries")
-    if (scores < 0.0).any() or (scores > 1.0).any():
+    # One reduction on valid input: NaN and +-inf fail the range test too.
+    if not ((scores >= 0.0) & (scores <= 1.0)).all():
+        if not np.isfinite(scores).all():
+            raise ValueError("score vector contains non-finite entries")
         raise ValueError("score entries must lie in [0, 1]")
     return scores
 
@@ -97,7 +98,7 @@ def rank_order(scores) -> np.ndarray:
 
     Ties are broken by smaller class index (stable sort on negated scores).
     """
-    return np.argsort(-as_scores(scores), kind="stable")
+    return (-as_scores(scores)).argsort(kind="stable")
 
 
 def top_k_indices(scores, k: int) -> np.ndarray:

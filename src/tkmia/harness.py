@@ -173,12 +173,25 @@ _VICTIM_KEYS = tuple(inspect.signature(train_victim).parameters)[1:]
 _ATTACK_KEYS = ("eta", "alpha", "momentum", "max_iter", "success_mode",
                 "delta_threshold", "clip_lo", "clip_hi")
 _SCHEME_KEYS = {"global": ("type", "categories"), "random": ("type", "m")}
+# The keys a config must hold, with the JSON type of each value.
+_REQUIRED = {"scheme": dict, "dataset": dict, "victim": dict, "k_grid": list,
+             "methods": list, "attack": dict, "out_csv": str, "out_outcomes": str}
+_JSON_TYPES = {dict: "an object", list: "a list", str: "a string"}
 
 
-def _check_keys(level: str, block: dict, allowed) -> None:
+def _expect(level: str, value, kind) -> None:
+    if not isinstance(value, kind):
+        raise ValueError(f"{level}: expected {_JSON_TYPES[kind]}, got {type(value).__name__}")
+
+
+def _check_keys(level: str, block, allowed, required=()) -> None:
+    _expect(level, block, dict)
     for key in block:
         if key not in allowed:
             raise ValueError(f"{level}: unknown key {key!r}")
+    for key in required:
+        if key not in block:
+            raise ValueError(f"{level}: missing key {key!r}")
 
 
 @dataclass
@@ -189,7 +202,8 @@ class ExperimentConfig:
     (generator parameters, or a victim training recipe applied to the
     dataset). ``attack`` holds the shared attack hyperparameters;
     ``attack_overrides`` may adjust them per method. A key that no block
-    accepts is rejected with a ValueError naming the block and the key.
+    accepts, a missing required key and a value of the wrong JSON type are
+    rejected with a one-line ValueError naming the block and the key.
     """
 
     seed: int
@@ -218,19 +232,22 @@ class ExperimentConfig:
                                       ("victim", self.victim, _VICTIM_KEYS)):
             _check_keys(level, block, ("path",) if "path" in block else allowed)
         _check_keys("attack", self.attack, _ATTACK_KEYS)
-        overrides = self.attack_overrides or {}
+        overrides = {} if self.attack_overrides is None else self.attack_overrides
         _check_keys("attack_overrides", overrides, METHODS)
         for method, block in overrides.items():
             _check_keys(f"attack_overrides.{method}", block, _ATTACK_KEYS)
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
-        _check_keys("config", raw, [f.name for f in fields(cls)])
+        _check_keys("config", raw, [f.name for f in fields(cls)], _REQUIRED)
+        for key, kind in _REQUIRED.items():
+            _expect(key, raw[key], kind)
         scheme_raw = raw["scheme"]
+        _check_keys("scheme", scheme_raw, ("type", "categories", "m"), ("type",))
         kind = scheme_raw["type"]
-        if kind not in _SCHEME_KEYS:
+        if not isinstance(kind, str) or kind not in _SCHEME_KEYS:
             raise ValueError(f"unknown scheme type {kind!r}")
-        _check_keys("scheme", scheme_raw, _SCHEME_KEYS[kind])
+        _check_keys("scheme", scheme_raw, _SCHEME_KEYS[kind], _SCHEME_KEYS[kind])
         if kind == "global":
             scheme = GlobalScheme(tuple(scheme_raw["categories"]))
         else:

@@ -8,7 +8,7 @@ non-convex victim, and both admit hand-written forward/backward passes
 that can be validated against finite differences.
 
 A scorer is immutable after construction as far as callers are concerned:
-``score`` and ``input_gradient`` never mutate state and may run
+``score``, ``vjp`` and ``input_gradient`` never mutate state and may run
 concurrently. Training builds a new scorer.
 """
 from __future__ import annotations
@@ -45,11 +45,6 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     return 1.0 / (1.0 + np.exp(-np.minimum(np.maximum(z, -_LOGIT_CLIP), _LOGIT_CLIP)))
 
 
-def _sigmoid_grad(z: np.ndarray) -> np.ndarray:
-    p = _sigmoid(z)
-    return p * (1.0 - p) * (np.abs(z) < _LOGIT_CLIP)
-
-
 def _act(name: str, pre: np.ndarray) -> np.ndarray:
     if name == "tanh":
         return np.tanh(pre)
@@ -58,10 +53,10 @@ def _act(name: str, pre: np.ndarray) -> np.ndarray:
     return pre
 
 
-def _act_grad(name: str, pre: np.ndarray) -> np.ndarray:
+def _act_grad(name: str, pre: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Derivative of the activation at ``pre``, given ``out = _act(name, pre)``."""
     if name == "tanh":
-        t = np.tanh(pre)
-        return 1.0 - t * t
+        return 1.0 - out * out
     if name == "relu":
         return (pre > 0.0).astype(np.float64)
     return np.ones_like(pre)
@@ -119,18 +114,51 @@ class Scorer:
             raise ValueError("non-finite input")
         return x
 
-    def logits(self, x) -> np.ndarray:
-        """Pre-sigmoid outputs."""
+    def _forward(self, x):
+        """One validated forward pass: (scores, logits, pre-activations, hidden).
+
+        The last two are None for the affine family.
+        """
         x = self._check_input(x)
-        if self.arch == "affine":
-            return self.weights[0] @ x + self.biases[0]
-        hidden = _act(self.activation, self.weights[0] @ x + self.biases[0])
-        return self.weights[1] @ hidden + self.biases[1]
+        if len(self.weights) == 1:
+            pre = hidden = None
+            z = self.weights[0] @ x + self.biases[0]
+        else:
+            pre = self.weights[0] @ x + self.biases[0]
+            hidden = _act(self.activation, pre)
+            z = self.weights[1] @ hidden + self.biases[1]
+        return (_sigmoid(z) if self.sigmoid_output else z), z, pre, hidden
 
     def score(self, x) -> np.ndarray:
         """Deterministic forward pass; scores strictly inside (0, 1)."""
-        z = self.logits(x)
-        return _sigmoid(z) if self.sigmoid_output else z
+        return self._forward(x)[0]
+
+    def vjp(self, x):
+        """Scores at ``x`` and the pullback of a score cotangent to ``x``.
+
+        Runs one forward pass. ``pullback(cotangent)`` returns the gradient
+        of ``cotangent . score(x)`` with respect to ``x`` by exact chain
+        rule, reusing that pass's arrays; it is linear in the cotangent and
+        may be called any number of times.
+        """
+        scores, z, pre, hidden = self._forward(x)
+
+        def pullback(cotangent) -> np.ndarray:
+            cot = np.asarray(cotangent, dtype=np.float64)
+            if cot.shape != scores.shape:
+                raise ValueError(f"cotangent shape {cot.shape} != {scores.shape}")
+            if not np.isfinite(cot).all():
+                raise ValueError("non-finite cotangent")
+            if self.sigmoid_output:
+                # The sigmoid's derivative, zero where the logit clip is active.
+                cot = cot * (scores * (1.0 - scores) * (np.abs(z) < _LOGIT_CLIP))
+            if hidden is None:
+                return self.weights[0].T @ cot
+            g_hidden = self.weights[1].T @ cot
+            g_pre = g_hidden * _act_grad(self.activation, pre, hidden)
+            return self.weights[0].T @ g_pre
+
+        return scores, pullback
 
     def input_gradient(self, x, cotangent) -> np.ndarray:
         """Gradient of ``cotangent . score(x)`` with respect to ``x``.
@@ -138,23 +166,7 @@ class Scorer:
         A vector-Jacobian product by exact chain rule; linear in the
         cotangent.
         """
-        x = self._check_input(x)
-        cot = np.asarray(cotangent, dtype=np.float64)
-        if cot.shape != (self.out_dim,):
-            raise ValueError(f"cotangent shape {cot.shape} != ({self.out_dim},)")
-        if not np.isfinite(cot).all():
-            raise ValueError("non-finite cotangent")
-        if self.arch == "affine":
-            z = self.weights[0] @ x + self.biases[0]
-            g_z = cot * _sigmoid_grad(z) if self.sigmoid_output else cot
-            return self.weights[0].T @ g_z
-        pre = self.weights[0] @ x + self.biases[0]
-        hidden = _act(self.activation, pre)
-        z = self.weights[1] @ hidden + self.biases[1]
-        g_z = cot * _sigmoid_grad(z) if self.sigmoid_output else cot
-        g_hidden = self.weights[1].T @ g_z
-        g_pre = g_hidden * _act_grad(self.activation, pre)
-        return self.weights[0].T @ g_pre
+        return self.vjp(x)[1](cotangent)
 
 
 def _init_layer(rng: np.random.Generator, out_dim: int, in_dim: int):
@@ -264,7 +276,7 @@ def _bce_grads(model: Scorer, X: np.ndarray, Y: np.ndarray):
     dZ = (_sigmoid(Z) - Y) * (np.abs(Z) < _LOGIT_CLIP) / (b * c)
     dW2 = dZ.T @ H
     db2 = dZ.sum(axis=0)
-    dPre = (dZ @ model.weights[1]) * _act_grad(model.activation, Pre)
+    dPre = (dZ @ model.weights[1]) * _act_grad(model.activation, Pre, H)
     dW1 = dPre.T @ X
     db1 = dPre.sum(axis=0)
     return [dW1, dW2], [db1, db2]

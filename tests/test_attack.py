@@ -238,8 +238,9 @@ class TestTkmiaAttack:
         model = make_affine(3, 4, seed=1)
 
         class Broken(Scorer):
-            def input_gradient(self, x, cotangent):
-                return np.full(3, np.nan)
+            def vjp(self, x):
+                scores, _ = super().vjp(x)
+                return scores, lambda cotangent: np.full(3, np.nan)
 
         broken = Broken(model.weights, model.biases)
         inst = Instance(x=np.zeros(3), y=[1, 1, 1, 0])

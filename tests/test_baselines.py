@@ -123,6 +123,34 @@ class TestTkmlApULoss:
             tkml_ap_u_loss(model, np.zeros(3), np.zeros(3), (0,), k=3)
 
 
+class TestLossValues:
+    def test_values_match_margin_definitions(self):
+        rng = np.random.default_rng(12)
+        active = {"ml_cw_u": 0, "tkml_ap_u": 0}
+        for trial in range(200):
+            c = int(rng.integers(3, 9))
+            model = make_mlp(4, 5, c, seed=trial)
+            x = rng.uniform(-1.0, 1.0, 4)
+            eps = rng.uniform(-0.2, 0.2, 4)
+            alpha = float(rng.uniform(0.0, 2.0))
+            relevant = sorted(rng.choice(c, int(rng.integers(1, 3)), replace=False).tolist())
+            irrelevant = [i for i in range(c) if i not in relevant]
+            k = int(rng.integers(1, c))
+            scores = model.score(x + eps)
+            penalty = 0.5 * alpha * float(eps @ eps)
+
+            margin = float(min(scores[relevant]) - max(scores[irrelevant]))
+            value, _ = ml_cw_u_loss(model, x, eps, relevant, alpha)
+            assert value == max(0.0, margin) + penalty
+            active["ml_cw_u"] += margin > 0.0
+
+            margin = float(max(scores[relevant]) - np.sort(scores)[::-1][k])
+            value, _ = tkml_ap_u_loss(model, x, eps, relevant, k, alpha)
+            assert value == max(0.0, margin) + penalty
+            active["tkml_ap_u"] += margin > 0.0
+        assert all(10 <= n <= 190 for n in active.values()), active
+
+
 class TestRunBaseline:
     def test_immediate_success_when_already_outside(self):
         model = constant_score_model([0.9, 0.8, 0.1, 0.7])

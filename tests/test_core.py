@@ -171,14 +171,14 @@ def delta_terms(scores, specified, relevant):
     """Hinged gaps ``[max_{s in S} f_s - f_i]_+`` as the objective forms them."""
     scores = np.asarray(scores, dtype=np.float64)
     spec, rest = _split_sets(specified, relevant, scores.shape[0])
-    return np.maximum(_gaps(scores, spec, rest)[2], 0.0)
+    return np.maximum(_gaps(scores, np.array(spec), np.array(rest))[2], 0.0)
 
 
 def delta_tilde_terms(scores, relevant, specified):
     """Hinged gaps ``[f_j - min_{y in Yp \\ S} f_y]_+`` as the objective forms them."""
     scores = np.asarray(scores, dtype=np.float64)
     spec, rest = _split_sets(specified, relevant, scores.shape[0])
-    return np.maximum(_gaps(scores, spec, rest)[3], 0.0)
+    return np.maximum(_gaps(scores, np.array(spec), np.array(rest))[3], 0.0)
 
 
 class TestDeltaTerms:

@@ -221,6 +221,44 @@ class TestRunExperiment:
         assert rows
 
 
+def without(*path):
+    """A config edit that deletes the key at ``path``."""
+    def edit(raw):
+        for key in path[:-1]:
+            raw = raw[key]
+        del raw[path[-1]]
+    return edit
+
+
+def report_error(tmp_path, capsys, edit):
+    """stderr of ``tkmia report`` on a valid config changed by ``edit``.
+
+    ``edit`` changes the config in place, or returns a replacement for it.
+    The run must exit 1 without writing the report.
+    """
+    from tkmia.cli import main
+
+    raw = {
+        "seed": 0,
+        "dataset": {"n": 10, "d": 4, "c": 5, "mean_relevant": 2.0},
+        "victim": {"arch": "affine", "epochs": 1},
+        "k_grid": [1],
+        "scheme": {"type": "global", "categories": [0]},
+        "methods": ["tkmia"],
+        "attack": {"eta": 0.01, "max_iter": 5},
+        "attack_overrides": {"tkmia": {"alpha": 0.0}},
+        "out_csv": str(tmp_path / "r.csv"),
+        "out_outcomes": str(tmp_path / "o.jsonl"),
+    }
+    ExperimentConfig.from_dict(json.loads(json.dumps(raw)))  # valid before the edit
+    replaced = edit(raw)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(raw if replaced is None else replaced))
+    assert main(["report", "--config", str(path)]) == 1
+    assert not (tmp_path / "r.csv").exists()
+    return capsys.readouterr().err
+
+
 class TestExperimentConfig:
     def test_from_json_roundtrip(self, tmp_path):
         raw = {
@@ -283,24 +321,24 @@ class TestExperimentConfig:
          lambda raw: raw["attack_overrides"]["tkmia"].update(max_iters=1)),
     ])
     def test_unknown_key_rejected_with_level_and_key(self, tmp_path, capsys, level, key, edit):
-        from tkmia.cli import main
+        assert report_error(tmp_path, capsys, edit) == f"error: {level}: unknown key {key!r}\n"
 
-        raw = {
-            "seed": 0,
-            "dataset": {"n": 10, "d": 4, "c": 5, "mean_relevant": 2.0},
-            "victim": {"arch": "affine", "epochs": 1},
-            "k_grid": [1],
-            "scheme": {"type": "global", "categories": [0]},
-            "methods": ["tkmia"],
-            "attack": {"eta": 0.01, "max_iter": 5},
-            "attack_overrides": {"tkmia": {"alpha": 0.0}},
-            "out_csv": str(tmp_path / "r.csv"),
-            "out_outcomes": str(tmp_path / "o.jsonl"),
-        }
-        ExperimentConfig.from_dict(json.loads(json.dumps(raw)))  # valid before the edit
-        edit(raw)
-        path = tmp_path / "config.json"
-        path.write_text(json.dumps(raw))
-        assert main(["report", "--config", str(path)]) == 1
-        assert capsys.readouterr().err == f"error: {level}: unknown key {key!r}\n"
-        assert not (tmp_path / "r.csv").exists()
+    @pytest.mark.parametrize("message, edit", [
+        ("config: expected an object, got list", lambda raw: []),
+        ("k_grid: expected a list, got int", lambda raw: raw.update(k_grid=3)),
+        ("methods: expected a list, got str", lambda raw: raw.update(methods="tkmia")),
+        ("dataset: expected an object, got int", lambda raw: raw.update(dataset=3)),
+        ("out_csv: expected a string, got int", lambda raw: raw.update(out_csv=3)),
+        ("attack_overrides: expected an object, got list",
+         lambda raw: raw.update(attack_overrides=[])),
+        ("attack_overrides.tkmia: expected an object, got int",
+         lambda raw: raw["attack_overrides"].update(tkmia=3)),
+        ("scheme: missing key 'type'", without("scheme", "type")),
+        ("scheme: missing key 'categories'", without("scheme", "categories")),
+    ] + [
+        (f"config: missing key {key!r}", without(key))
+        for key in ("scheme", "dataset", "victim", "k_grid", "methods", "attack",
+                    "out_csv", "out_outcomes")
+    ])
+    def test_malformed_config_rejected_in_one_line(self, tmp_path, capsys, message, edit):
+        assert report_error(tmp_path, capsys, edit) == f"error: {message}\n"

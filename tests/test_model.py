@@ -106,6 +106,89 @@ class TestInputGradient:
         np.testing.assert_allclose(combined, split, atol=1e-10)
 
 
+def parent_input_gradient(model, x, cot):
+    """The input gradient as computed before ``Scorer.vjp``: a second forward pass."""
+    clip = 36.0
+    x = np.asarray(x, dtype=np.float64)
+    cot = np.asarray(cot, dtype=np.float64)
+
+    def sigmoid_grad(z):
+        p = 1.0 / (1.0 + np.exp(-np.minimum(np.maximum(z, -clip), clip)))
+        return p * (1.0 - p) * (np.abs(z) < clip)
+
+    def act(pre):
+        if model.activation == "tanh":
+            return np.tanh(pre)
+        if model.activation == "relu":
+            return np.maximum(pre, 0.0)
+        return pre
+
+    def act_grad(pre):
+        if model.activation == "tanh":
+            t = np.tanh(pre)
+            return 1.0 - t * t
+        if model.activation == "relu":
+            return (pre > 0.0).astype(np.float64)
+        return np.ones_like(pre)
+
+    if model.arch == "affine":
+        z = model.weights[0] @ x + model.biases[0]
+        g_z = cot * sigmoid_grad(z) if model.sigmoid_output else cot
+        return model.weights[0].T @ g_z
+    pre = model.weights[0] @ x + model.biases[0]
+    z = model.weights[1] @ act(pre) + model.biases[1]
+    g_z = cot * sigmoid_grad(z) if model.sigmoid_output else cot
+    return model.weights[0].T @ ((model.weights[1].T @ g_z) * act_grad(pre))
+
+
+def wide_logit_scorer(arch, activation, sigmoid_output):
+    """A scorer whose logits pass +-36 on inputs in [-1, 1]^5."""
+    base = (make_affine(5, 6, seed=1) if arch == "affine"
+            else make_mlp(5, 8, 6, seed=1, activation=activation))
+    return Scorer([40.0 * w for w in base.weights], [40.0 * b for b in base.biases],
+                  activation, sigmoid_output)
+
+
+class TestVjp:
+    @pytest.mark.parametrize("sigmoid_output", [True, False], ids=["sigmoid", "raw"])
+    @pytest.mark.parametrize("arch, activation", [
+        ("affine", "tanh"), ("mlp", "tanh"), ("mlp", "relu"), ("mlp", "identity")])
+    def test_matches_score_and_parent_gradient_bit_for_bit(self, arch, activation,
+                                                           sigmoid_output):
+        model = wide_logit_scorer(arch, activation, sigmoid_output)
+        logits = Scorer(model.weights, model.biases, activation, sigmoid_output=False)
+        rng = np.random.default_rng(8)
+        clipped = inside = 0
+        for _ in range(40):
+            x = rng.uniform(-1.0, 1.0, 5)
+            z = logits.score(x)
+            clipped += int((np.abs(z) > 36.0).sum())
+            inside += int((np.abs(z) < 36.0).sum())
+            scores, pullback = model.vjp(x)
+            assert scores.tobytes() == model.score(x).tobytes()
+            for _ in range(2):
+                cot = rng.normal(size=6)
+                expected = parent_input_gradient(model, x, cot).tobytes()
+                assert pullback(cot).tobytes() == expected
+                assert model.input_gradient(x, cot).tobytes() == expected
+        assert clipped > 0 and inside > 0
+
+    @pytest.mark.parametrize("cot", [
+        np.zeros(5), np.zeros((1, 6)), [0.0] * 5 + [np.nan], [np.inf] + [0.0] * 5,
+    ], ids=["short", "matrix", "nan", "inf"])
+    def test_bad_cotangent_rejected(self, cot):
+        _, pullback = make_mlp(5, 8, 6, seed=2).vjp(np.zeros(5))
+        with pytest.raises(ValueError, match="cotangent"):
+            pullback(cot)
+
+    def test_bad_input_rejected_before_any_pullback(self):
+        model = make_affine(5, 6, seed=2)
+        with pytest.raises(ValueError, match="non-finite input"):
+            model.vjp([0.0, np.nan, 0.0, 0.0, 0.0])
+        with pytest.raises(ValueError, match="input dimension"):
+            model.vjp(np.zeros(4))
+
+
 class TestFiniteDiffCheck:
     def test_affine_near_machine_precision(self):
         model = make_affine(6, 4, seed=5)
