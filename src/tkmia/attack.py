@@ -249,7 +249,7 @@ def tkmia_objective(model: Scorer, x, eps, lam1: float, lam2: float,
     spec, rest = _split_sets(specified, relevant, c)
     spec, rest = np.array(spec), np.array(rest)
     x_adv = x + eps
-    scores = model.score(x_adv)
+    scores, pullback = model.vjp(x_adv)
     _, _, delta, delta_tilde = _gaps(scores, spec, rest)
     gaps1 = delta - lam1
     gaps2 = delta_tilde - lam2
@@ -257,7 +257,7 @@ def tkmia_objective(model: Scorer, x, eps, lam1: float, lam2: float,
              + float(gaps1[gaps1 > 0.0].sum()) / (c - k)
              + float(gaps2[gaps2 > 0.0].sum()) / k)
     cot, grad_lam1, grad_lam2 = _tkmia_terms(scores, lam1, lam2, spec, rest, k)
-    grad_eps = model.input_gradient(x_adv, cot) + config.alpha * eps
+    grad_eps = pullback(cot) + config.alpha * eps
     return value, grad_eps, grad_lam1, grad_lam2
 
 

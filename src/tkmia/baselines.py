@@ -95,9 +95,9 @@ def ml_cw_u_loss(model: Scorer, x, eps, relevant, alpha: float = 0.0):
     eps = np.asarray(eps, dtype=np.float64)
     rel, irr = _label_split(relevant, model.out_dim)
     x_adv = x + eps
-    scores = model.score(x_adv)
+    scores, pullback = model.vjp(x_adv)
     hi, lo = _ml_cw_u_pair(scores, rel, irr)
-    grad = model.input_gradient(x_adv, _hinge_cot(scores, hi, lo)) + alpha * eps
+    grad = pullback(_hinge_cot(scores, hi, lo)) + alpha * eps
     return _hinge_value(scores, hi, lo, eps, alpha), grad
 
 
@@ -114,9 +114,9 @@ def tkml_ap_u_loss(model: Scorer, x, eps, relevant, k: int, alpha: float = 0.0):
         raise ValueError(f"k={k} out of range [1, {c - 1}]")
     rel, _ = _label_split(relevant, c)
     x_adv = x + eps
-    scores = model.score(x_adv)
+    scores, pullback = model.vjp(x_adv)
     hi, lo = _tkml_ap_u_pair(scores, top_k_indices(scores, k + 1), rel, k)
-    grad = model.input_gradient(x_adv, _hinge_cot(scores, hi, lo)) + alpha * eps
+    grad = pullback(_hinge_cot(scores, hi, lo)) + alpha * eps
     return _hinge_value(scores, hi, lo, eps, alpha), grad
 
 

@@ -11,9 +11,8 @@ are reproducible byte for byte.
 """
 from __future__ import annotations
 
-import inspect
 import json
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from statistics import NormalDist
 from typing import Sequence
 
@@ -167,28 +166,48 @@ def train_victim(dataset: Sequence[Instance], arch: str = "affine", hidden: int 
 
 
 METHODS = ("tkmia",) + BASELINE_METHODS
-# The keys each config block accepts; any other key is an error.
-_DATASET_KEYS = tuple(f.name for f in fields(SyntheticSpec))
-_VICTIM_KEYS = tuple(inspect.signature(train_victim).parameters)[1:]
-_ATTACK_KEYS = ("eta", "alpha", "momentum", "max_iter", "success_mode",
-                "delta_threshold", "clip_lo", "clip_hi")
-_SCHEME_KEYS = {"global": ("type", "categories"), "random": ("type", "m")}
-# The keys a config must hold, with the JSON type of each value.
-_REQUIRED = {"scheme": dict, "dataset": dict, "victim": dict, "k_grid": list,
-             "methods": list, "attack": dict, "out_csv": str, "out_outcomes": str}
-_JSON_TYPES = {dict: "an object", list: "a list", str: "a string"}
+_NUMBER = (int, float)
+# The keys each config block accepts, with the JSON type of each value; any
+# other key is an error. The top level's attack_overrides (None here) is
+# checked with the other blocks when the config is built.
+_CONFIG_KEYS = {"seed": int, "dataset": dict, "victim": dict, "k_grid": list,
+                "scheme": dict, "methods": list, "attack": dict, "out_csv": str,
+                "out_outcomes": str, "max_instances": int, "attack_overrides": None}
+_REQUIRED = ("scheme", "dataset", "victim", "k_grid", "methods", "attack", "out_csv",
+             "out_outcomes")
+_DATASET_KEYS = {"n": int, "d": int, "c": int, "mean_relevant": _NUMBER,
+                 "label_correlation": _NUMBER, "seed": int}
+_VICTIM_KEYS = {"arch": str, "hidden": int, "activation": str, "epochs": int,
+                "learning_rate": _NUMBER, "momentum": _NUMBER, "batch_size": int, "seed": int}
+_ATTACK_KEYS = {"eta": _NUMBER, "alpha": _NUMBER, "momentum": _NUMBER, "max_iter": int,
+                "success_mode": str, "delta_threshold": (int, type(None)),
+                "clip_lo": _NUMBER, "clip_hi": _NUMBER}
+_SCHEME_KEYS = {"type": str, "categories": list, "m": int}
+_SCHEME_TYPES = {"global": ("type", "categories"), "random": ("type", "m")}
+_JSON_TYPES = {dict: "an object", list: "a list", str: "a string", int: "an integer",
+               _NUMBER: "a number", (int, type(None)): "an integer or null"}
 
 
 def _expect(level: str, value, kind) -> None:
-    if not isinstance(value, kind):
+    # JSON true and false are no integers, though Python's bool is an int.
+    if isinstance(value, bool) or not isinstance(value, kind):
         raise ValueError(f"{level}: expected {_JSON_TYPES[kind]}, got {type(value).__name__}")
 
 
-def _check_keys(level: str, block, allowed, required=()) -> None:
+def _expect_items(level: str, values: list, kind) -> None:
+    for i, value in enumerate(values):
+        _expect(f"{level}[{i}]", value, kind)
+
+
+def _check_keys(level: str, block, kinds: dict, required=()) -> None:
+    """Check that ``block`` is an object whose keys are in ``kinds`` with
+    values of their kind, and that it holds the ``required`` keys."""
     _expect(level, block, dict)
-    for key in block:
-        if key not in allowed:
+    for key, value in block.items():
+        if key not in kinds:
             raise ValueError(f"{level}: unknown key {key!r}")
+        if kinds[key] is not None:
+            _expect(key if level == "config" else f"{level}.{key}", value, kinds[key])
     for key in required:
         if key not in block:
             raise ValueError(f"{level}: missing key {key!r}")
@@ -230,39 +249,40 @@ class ExperimentConfig:
                 raise ValueError(f"unknown method {method!r}")
         for level, block, allowed in (("dataset", self.dataset, _DATASET_KEYS),
                                       ("victim", self.victim, _VICTIM_KEYS)):
-            _check_keys(level, block, ("path",) if "path" in block else allowed)
-        _check_keys("attack", self.attack, _ATTACK_KEYS)
+            _check_keys(level, block, {"path": str} if "path" in block else allowed)
+        _check_keys("attack", self.attack, _ATTACK_KEYS, ("eta",))
         overrides = {} if self.attack_overrides is None else self.attack_overrides
-        _check_keys("attack_overrides", overrides, METHODS)
+        _check_keys("attack_overrides", overrides, dict.fromkeys(METHODS, dict))
         for method, block in overrides.items():
             _check_keys(f"attack_overrides.{method}", block, _ATTACK_KEYS)
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
-        _check_keys("config", raw, [f.name for f in fields(cls)], _REQUIRED)
-        for key, kind in _REQUIRED.items():
-            _expect(key, raw[key], kind)
+        _check_keys("config", raw, _CONFIG_KEYS, _REQUIRED)
+        _expect_items("k_grid", raw["k_grid"], int)
         scheme_raw = raw["scheme"]
-        _check_keys("scheme", scheme_raw, ("type", "categories", "m"), ("type",))
+        _check_keys("scheme", scheme_raw, _SCHEME_KEYS, ("type",))
         kind = scheme_raw["type"]
-        if not isinstance(kind, str) or kind not in _SCHEME_KEYS:
+        if kind not in _SCHEME_TYPES:
             raise ValueError(f"unknown scheme type {kind!r}")
-        _check_keys("scheme", scheme_raw, _SCHEME_KEYS[kind], _SCHEME_KEYS[kind])
+        keys = _SCHEME_TYPES[kind]
+        _check_keys("scheme", scheme_raw, {key: _SCHEME_KEYS[key] for key in keys}, keys)
         if kind == "global":
+            _expect_items("scheme.categories", scheme_raw["categories"], int)
             scheme = GlobalScheme(tuple(scheme_raw["categories"]))
         else:
-            scheme = RandomScheme(int(scheme_raw["m"]))
+            scheme = RandomScheme(scheme_raw["m"])
         return cls(
-            seed=int(raw.get("seed", 0)),
+            seed=raw.get("seed", 0),
             dataset=dict(raw["dataset"]),
             victim=dict(raw["victim"]),
-            k_grid=tuple(int(k) for k in raw["k_grid"]),
+            k_grid=tuple(raw["k_grid"]),
             scheme=scheme,
             methods=tuple(raw["methods"]),
             attack=dict(raw["attack"]),
             out_csv=raw["out_csv"],
             out_outcomes=raw["out_outcomes"],
-            max_instances=int(raw.get("max_instances", 1000)),
+            max_instances=raw.get("max_instances", 1000),
             attack_overrides=raw.get("attack_overrides"),
         )
 

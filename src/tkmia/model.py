@@ -14,6 +14,7 @@ concurrently. Training builds a new scorer.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -114,24 +115,28 @@ class Scorer:
             raise ValueError("non-finite input")
         return x
 
-    def _forward(self, x):
-        """One validated forward pass: (scores, logits, pre-activations, hidden).
-
-        The last two are None for the affine family.
+    def _forward(self, X):
+        """Logits of a validated (d,) vector or (N, d) batch, with the hidden
+        layer's pre-activation and output (both None for the affine family).
         """
-        x = self._check_input(x)
         if len(self.weights) == 1:
-            pre = hidden = None
-            z = self.weights[0] @ x + self.biases[0]
-        else:
-            pre = self.weights[0] @ x + self.biases[0]
-            hidden = _act(self.activation, pre)
-            z = self.weights[1] @ hidden + self.biases[1]
-        return (_sigmoid(z) if self.sigmoid_output else z), z, pre, hidden
+            return X @ self.weights[0].T + self.biases[0], None, None
+        pre = X @ self.weights[0].T + self.biases[0]
+        hidden = _act(self.activation, pre)
+        return hidden @ self.weights[1].T + self.biases[1], pre, hidden
+
+    def _backward(self, dz, pre, hidden):
+        """The first layer's output cotangent, given the logit cotangent ``dz``
+        and the pre-activation and hidden output of :meth:`_forward`.
+        """
+        if hidden is None:
+            return dz
+        return (dz @ self.weights[1]) * _act_grad(self.activation, pre, hidden)
 
     def score(self, x) -> np.ndarray:
         """Deterministic forward pass; scores strictly inside (0, 1)."""
-        return self._forward(x)[0]
+        z = self._forward(self._check_input(x))[0]
+        return _sigmoid(z) if self.sigmoid_output else z
 
     def vjp(self, x):
         """Scores at ``x`` and the pullback of a score cotangent to ``x``.
@@ -141,7 +146,8 @@ class Scorer:
         rule, reusing that pass's arrays; it is linear in the cotangent and
         may be called any number of times.
         """
-        scores, z, pre, hidden = self._forward(x)
+        z, pre, hidden = self._forward(self._check_input(x))
+        scores = _sigmoid(z) if self.sigmoid_output else z
 
         def pullback(cotangent) -> np.ndarray:
             cot = np.asarray(cotangent, dtype=np.float64)
@@ -152,11 +158,7 @@ class Scorer:
             if self.sigmoid_output:
                 # The sigmoid's derivative, zero where the logit clip is active.
                 cot = cot * (scores * (1.0 - scores) * (np.abs(z) < _LOGIT_CLIP))
-            if hidden is None:
-                return self.weights[0].T @ cot
-            g_hidden = self.weights[1].T @ cot
-            g_pre = g_hidden * _act_grad(self.activation, pre, hidden)
-            return self.weights[0].T @ g_pre
+            return self._backward(cot, pre, hidden) @ self.weights[0]
 
         return scores, pullback
 
@@ -220,11 +222,7 @@ def _stack_dataset(dataset) -> tuple[np.ndarray, np.ndarray]:
 def bce_loss(model: Scorer, dataset) -> float:
     """Mean binary cross-entropy of the scorer over a dataset."""
     X, Y = _stack_dataset(dataset)
-    if model.arch == "affine":
-        Z = X @ model.weights[0].T + model.biases[0]
-    else:
-        H = _act(model.activation, X @ model.weights[0].T + model.biases[0])
-        Z = H @ model.weights[1].T + model.biases[1]
+    Z = model._forward(X)[0]
     # Stable form of -[y log p + (1-y) log(1-p)] with p = sigmoid(z).
     return float(np.mean(np.logaddexp(0.0, Z) - Y * Z))
 
@@ -265,21 +263,11 @@ def train_bce(dataset, config: TrainConfig, model: Scorer | None = None) -> Scor
 
 
 def _bce_grads(model: Scorer, X: np.ndarray, Y: np.ndarray):
-    b, c = X.shape[0], model.out_dim
-    if model.arch == "affine":
-        Z = X @ model.weights[0].T + model.biases[0]
-        dZ = (_sigmoid(Z) - Y) * (np.abs(Z) < _LOGIT_CLIP) / (b * c)
-        return [dZ.T @ X], [dZ.sum(axis=0)]
-    Pre = X @ model.weights[0].T + model.biases[0]
-    H = _act(model.activation, Pre)
-    Z = H @ model.weights[1].T + model.biases[1]
-    dZ = (_sigmoid(Z) - Y) * (np.abs(Z) < _LOGIT_CLIP) / (b * c)
-    dW2 = dZ.T @ H
-    db2 = dZ.sum(axis=0)
-    dPre = (dZ @ model.weights[1]) * _act_grad(model.activation, Pre, H)
-    dW1 = dPre.T @ X
-    db1 = dPre.sum(axis=0)
-    return [dW1, dW2], [db1, db2]
+    Z, pre, H = model._forward(X)
+    dZ = (_sigmoid(Z) - Y) * (np.abs(Z) < _LOGIT_CLIP) / (X.shape[0] * model.out_dim)
+    # (output cotangent, input) of each layer; the affine family has only the first.
+    layers = [(model._backward(dZ, pre, H), X), (dZ, H)][:len(model.weights)]
+    return [g.T @ a for g, a in layers], [g.sum(axis=0) for g, _ in layers]
 
 
 def finite_diff_check(model: Scorer, x, tolerance: float,
@@ -325,19 +313,38 @@ def save_scorer(model: Scorer, path: str) -> None:
 
 
 def load_scorer(path: str) -> Scorer:
+    """Read :func:`save_scorer`'s format.
+
+    A malformed file raises a one-line ValueError that names the file, and
+    the 1-based layer number of a malformed layer line.
+    """
     with open(path) as handle:
         lines = [line for line in handle.read().splitlines() if line.strip()]
-    if not lines:
-        raise ValueError(f"empty scorer file {path}")
-    header = json.loads(lines[0])
-    if header.get("format") != FORMAT_TAG:
-        raise ValueError(f"unsupported scorer format {header.get('format')!r}")
-    shapes = [tuple(s) for s in header["shapes"]]
-    if len(lines) - 1 != len(shapes):
-        raise ValueError("layer count does not match header")
-    weights, biases = [], []
-    for shape, line in zip(shapes, lines[1:]):
-        layer = json.loads(line)
-        weights.append(np.asarray(layer["weight"], dtype=np.float64).reshape(shape))
-        biases.append(np.asarray(layer["bias"], dtype=np.float64))
-    return Scorer(weights, biases, header["activation"], header["sigmoid_output"])
+    try:
+        if not lines:
+            raise ValueError("empty scorer file")
+        header = json.loads(lines[0])
+        if not isinstance(header, dict):
+            raise ValueError("header: expected an object")
+        if header.get("format") != FORMAT_TAG:
+            raise ValueError(f"unsupported scorer format {header.get('format')!r}")
+        for key in ("shapes", "activation", "sigmoid_output"):
+            if key not in header:
+                raise ValueError(f"header: missing key {key!r}")
+        shapes = [tuple(s) for s in header["shapes"]]
+        if len(lines) - 1 != len(shapes):
+            raise ValueError("layer count does not match header")
+        weights, biases = [], []
+        for number, (shape, line) in enumerate(zip(shapes, lines[1:]), start=1):
+            layer = json.loads(line)
+            if not isinstance(layer, dict) or not {"weight", "bias"} <= layer.keys():
+                raise ValueError(f'layer {number}: expected an object with "weight" and "bias"')
+            weight = np.asarray(layer["weight"], dtype=np.float64)
+            if weight.size != math.prod(shape):
+                raise ValueError(f"layer {number}: {weight.size} weights do not fit "
+                                 f"shape {list(shape)}")
+            weights.append(weight.reshape(shape))
+            biases.append(np.asarray(layer["bias"], dtype=np.float64))
+        return Scorer(weights, biases, header["activation"], header["sigmoid_output"])
+    except (ValueError, TypeError) as exc:
+        raise ValueError(f"{path}: {exc}") from None

@@ -78,6 +78,43 @@ class TestTrainAndAttack:
         assert code == 1
 
 
+def drop_shapes(lines):
+    header = json.loads(lines[0])
+    del header["shapes"]
+    return [json.dumps(header)] + lines[1:]
+
+
+def short_weight(lines):
+    layer = json.loads(lines[1])
+    layer["weight"] = layer["weight"][:-1]
+    return [lines[0], json.dumps(layer)]
+
+
+class TestMalformedScorer:
+    @pytest.mark.parametrize("edit, message", [
+        (lambda lines: ["[]"], "header: expected an object"),
+        (drop_shapes, "header: missing key 'shapes'"),
+        (short_weight, "layer 1: 23 weights do not fit shape [6, 4]"),
+        (lambda lines: [lines[0], "[1]"],
+         'layer 1: expected an object with "weight" and "bias"'),
+        (lambda lines: lines[:1], "layer count does not match header"),
+        (lambda lines: [], "empty scorer file"),
+    ], ids=["list-header", "no-shapes", "short-weight", "list-layer", "no-layer", "empty"])
+    def test_attack_rejects_file_in_one_line(self, tmp_path, capsys, edit, message):
+        dataset = tmp_path / "data.jsonl"
+        victim = tmp_path / "victim.jsonl"
+        assert run_cli(["gen-data", "--n", "20", "--d", "4", "--c", "6",
+                        "--mean-relevant", "3.0", "--out", str(dataset)]) == 0
+        assert run_cli(["train", "--dataset", str(dataset), "--epochs", "1",
+                        "--out", str(victim)]) == 0
+        lines = edit(victim.read_text().splitlines())
+        victim.write_text("".join(line + "\n" for line in lines))
+        capsys.readouterr()
+        assert run_cli(["attack", "--dataset", str(dataset), "--victim", str(victim),
+                        "--index", "0", "--k", "1", "--m", "1"]) == 1
+        assert capsys.readouterr().err == f"error: {victim}: {message}\n"
+
+
 class TestReport:
     def test_missing_config_exits_one_no_partial_csv(self, tmp_path, capsys):
         assert run_cli(["report", "--config", str(tmp_path / "nope.json")]) == 1

@@ -335,6 +335,28 @@ class TestExperimentConfig:
          lambda raw: raw["attack_overrides"].update(tkmia=3)),
         ("scheme: missing key 'type'", without("scheme", "type")),
         ("scheme: missing key 'categories'", without("scheme", "categories")),
+        ("attack: missing key 'eta'", without("attack", "eta")),
+        ("scheme.categories: expected a list, got int",
+         lambda raw: raw["scheme"].update(categories=3)),
+        ("scheme.categories[0]: expected an integer, got str",
+         lambda raw: raw["scheme"].update(categories=["0"])),
+        ("scheme.m: expected an integer, got float",
+         lambda raw: raw.update(scheme={"type": "random", "m": 1.5})),
+        ("seed: expected an integer, got list", lambda raw: raw.update(seed=[])),
+        ("max_instances: expected an integer, got bool",
+         lambda raw: raw.update(max_instances=True)),
+        ("k_grid[0]: expected an integer, got list", lambda raw: raw.update(k_grid=[[1]])),
+        ("attack.eta: expected a number, got list",
+         lambda raw: raw["attack"].update(eta=[0.05])),
+        ("attack.delta_threshold: expected an integer or null, got float",
+         lambda raw: raw["attack"].update(delta_threshold=1.5)),
+        ("attack_overrides.tkmia.alpha: expected a number, got str",
+         lambda raw: raw["attack_overrides"]["tkmia"].update(alpha="0")),
+        ("victim.epochs: expected an integer, got str",
+         lambda raw: raw["victim"].update(epochs="x")),
+        ("victim.path: expected a string, got int", lambda raw: raw.update(victim={"path": 3})),
+        ("dataset.n: expected an integer, got float",
+         lambda raw: raw["dataset"].update(n=10.0)),
     ] + [
         (f"config: missing key {key!r}", without(key))
         for key in ("scheme", "dataset", "victim", "k_grid", "methods", "attack",

@@ -5,6 +5,7 @@ from tkmia.core import Instance
 from tkmia.model import (
     Scorer,
     TrainConfig,
+    _bce_grads,
     bce_loss,
     finite_diff_check,
     load_scorer,
@@ -187,6 +188,87 @@ class TestVjp:
             model.vjp([0.0, np.nan, 0.0, 0.0, 0.0])
         with pytest.raises(ValueError, match="input dimension"):
             model.vjp(np.zeros(4))
+
+
+def parent_activation(model, pre):
+    if model.activation == "tanh":
+        return np.tanh(pre)
+    if model.activation == "relu":
+        return np.maximum(pre, 0.0)
+    return pre
+
+
+def parent_bce_loss(model, X, Y):
+    """Mean BCE as computed before ``Scorer._forward`` served training."""
+    if model.arch == "affine":
+        Z = X @ model.weights[0].T + model.biases[0]
+    else:
+        H = parent_activation(model, X @ model.weights[0].T + model.biases[0])
+        Z = H @ model.weights[1].T + model.biases[1]
+    return float(np.mean(np.logaddexp(0.0, Z) - Y * Z))
+
+
+def parent_bce_grads(model, X, Y):
+    """Batch BCE gradients as computed before ``Scorer._backward`` served training."""
+    clip = 36.0
+
+    def sigmoid(z):
+        return 1.0 / (1.0 + np.exp(-np.minimum(np.maximum(z, -clip), clip)))
+
+    b, c = X.shape[0], model.out_dim
+    if model.arch == "affine":
+        Z = X @ model.weights[0].T + model.biases[0]
+        dZ = (sigmoid(Z) - Y) * (np.abs(Z) < clip) / (b * c)
+        return [dZ.T @ X], [dZ.sum(axis=0)]
+    Pre = X @ model.weights[0].T + model.biases[0]
+    H = parent_activation(model, Pre)
+    Z = H @ model.weights[1].T + model.biases[1]
+    dZ = (sigmoid(Z) - Y) * (np.abs(Z) < clip) / (b * c)
+    if model.activation == "tanh":
+        act_grad = 1.0 - H * H
+    elif model.activation == "relu":
+        act_grad = (Pre > 0.0).astype(np.float64)
+    else:
+        act_grad = np.ones_like(Pre)
+    dPre = (dZ @ model.weights[1]) * act_grad
+    return [dPre.T @ X, dZ.T @ H], [dPre.sum(axis=0), dZ.sum(axis=0)]
+
+
+ARCHS = [("affine", "tanh"), ("mlp", "tanh"), ("mlp", "relu"), ("mlp", "identity")]
+
+
+class TestBatchPasses:
+    @pytest.mark.parametrize("n", [1, 40])
+    @pytest.mark.parametrize("arch, activation", ARCHS)
+    def test_bce_matches_parent_bit_for_bit(self, arch, activation, n):
+        model = wide_logit_scorer(arch, activation, sigmoid_output=True)
+        rng = np.random.default_rng(10 + n)
+        data = [Instance(x=rng.uniform(-1.0, 1.0, 5), y=(rng.uniform(size=6) < 0.4).astype(int))
+                for _ in range(n)]
+        X = np.stack([inst.x for inst in data])
+        Y = np.stack([inst.y for inst in data]).astype(np.float64)
+        if n > 1:
+            logits = np.stack([Scorer(model.weights, model.biases, activation,
+                                      sigmoid_output=False).score(x) for x in X])
+            assert (np.abs(logits) > 36.0).any() and (np.abs(logits) < 36.0).any()
+        loss = bce_loss(model, data)
+        assert np.float64(loss).tobytes() == np.float64(parent_bce_loss(model, X, Y)).tobytes()
+        grads_w, grads_b = _bce_grads(model, X, Y)
+        expected_w, expected_b = parent_bce_grads(model, X, Y)
+        assert len(grads_w) == len(grads_b) == len(model.weights)
+        for got, want in zip(grads_w + grads_b, expected_w + expected_b):
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("arch, activation", ARCHS)
+    def test_batch_forward_matches_score_rows(self, arch, activation):
+        # A batch runs as one matrix product and a single input as a
+        # matrix-vector product, so rows agree to rounding, not bytewise.
+        model = wide_logit_scorer(arch, activation, sigmoid_output=False)
+        X = np.random.default_rng(11).uniform(-1.0, 1.0, (30, 5))
+        Z = model._forward(X)[0]
+        assert Z.shape == (30, 6)
+        for x, z in zip(X, Z):
+            np.testing.assert_allclose(z, model.score(x), rtol=1e-12, atol=1e-12)
 
 
 class TestFiniteDiffCheck:
