@@ -170,6 +170,8 @@ def _split_sets(specified, relevant, c: int):
     rel = tuple(sorted(int(i) for i in relevant))
     if not spec:
         raise ValueError("specified set must be non-empty")
+    if len(set(spec)) < len(spec):
+        raise ValueError(f"specified set {list(spec)} repeats a label")
     if any(i < 0 or i >= c for i in spec) or any(i < 0 or i >= c for i in rel):
         raise ValueError(f"label indices outside [0, {c})")
     if not set(spec) <= set(rel):
@@ -183,9 +185,12 @@ def _split_sets(specified, relevant, c: int):
 def attack_preconditions(instance: Instance, specified, k: int, c: int):
     """Checked S and Yp \\ S for one attack run, shared by every method.
 
-    S must be a non-empty subset of the instance's relevant labels Yp, and
-    the instance must pass the filter |Yp| >= k + |S|.
+    S must be a non-empty subset, without repeats, of the instance's
+    relevant labels Yp; the instance must have the victim's c classes and
+    pass the filter |Yp| >= k + |S|.
     """
+    if instance.n_classes != c:
+        raise ValueError(f"instance has {instance.n_classes} classes, but the victim scores {c}")
     relevant = instance.relevant
     spec, rest = _split_sets(specified, relevant, c)
     if len(relevant) < k + len(spec):

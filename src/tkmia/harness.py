@@ -29,7 +29,7 @@ from .attack import (
 )
 from .baselines import BASELINE_METHODS, BaselineSpec, run_baseline
 from .core import Instance, atomic_write
-from .metrics import delta_report, evaluate_instance, write_report_csv
+from .metrics import REPORT_COLUMNS, delta_report, evaluate_instance, write_report_csv
 from .model import Scorer, TrainConfig, load_scorer, make_affine, make_mlp, train_bce
 
 __all__ = [
@@ -177,6 +177,7 @@ _REQUIRED = ("scheme", "dataset", "victim", "k_grid", "methods", "attack", "out_
              "out_outcomes")
 _DATASET_KEYS = {"n": int, "d": int, "c": int, "mean_relevant": _NUMBER,
                  "label_correlation": _NUMBER, "seed": int}
+_DATASET_REQUIRED = ("n", "d", "c", "mean_relevant")
 _VICTIM_KEYS = {"arch": str, "hidden": int, "activation": str, "epochs": int,
                 "learning_rate": _NUMBER, "momentum": _NUMBER, "batch_size": int, "seed": int}
 _ATTACK_KEYS = {"eta": _NUMBER, "alpha": _NUMBER, "momentum": _NUMBER, "max_iter": int,
@@ -219,13 +220,13 @@ class ExperimentConfig:
 
     ``dataset`` and ``victim`` are either {"path": ...} or inline specs
     (generator parameters, or a victim training recipe applied to the
-    dataset). ``attack`` holds the shared attack hyperparameters;
-    ``attack_overrides`` may adjust them per method. A key that no block
-    accepts, a missing required key and a value of the wrong JSON type are
-    rejected with a one-line ValueError naming the block and the key.
+    dataset). ``attack`` holds the shared attack hyperparameters, which
+    ``attack_overrides`` may adjust per method; :class:`AttackConfig` holds
+    their defaults and ranges. Building the config checks every key, value
+    type and (k, method) cell, and rejects a bad one with a one-line
+    ValueError naming the block and the key, or the cell.
     """
 
-    seed: int
     dataset: dict
     victim: dict
     k_grid: tuple[int, ...]
@@ -234,6 +235,7 @@ class ExperimentConfig:
     attack: dict
     out_csv: str
     out_outcomes: str
+    seed: int = 0
     max_instances: int = 1000
     attack_overrides: dict | None = None
 
@@ -247,14 +249,43 @@ class ExperimentConfig:
         for method in self.methods:
             if method not in METHODS:
                 raise ValueError(f"unknown method {method!r}")
-        for level, block, allowed in (("dataset", self.dataset, _DATASET_KEYS),
-                                      ("victim", self.victim, _VICTIM_KEYS)):
-            _check_keys(level, block, {"path": str} if "path" in block else allowed)
+        for level, block, allowed, required in (
+                ("dataset", self.dataset, _DATASET_KEYS, _DATASET_REQUIRED),
+                ("victim", self.victim, _VICTIM_KEYS, ())):
+            if "path" in block:
+                allowed, required = {"path": str}, ()
+            _check_keys(level, block, allowed, required)
         _check_keys("attack", self.attack, _ATTACK_KEYS, ("eta",))
         overrides = {} if self.attack_overrides is None else self.attack_overrides
         _check_keys("attack_overrides", overrides, dict.fromkeys(METHODS, dict))
         for method, block in overrides.items():
             _check_keys(f"attack_overrides.{method}", block, _ATTACK_KEYS)
+        for k in self.k_grid:
+            for method in self.methods:
+                try:
+                    self.attack_config(method, k)
+                except ValueError as exc:
+                    raise ValueError(f"attack ({method}, k={k}): {exc}") from None
+        if "path" not in self.dataset:
+            self.check_classes(self.dataset["c"])
+
+    def attack_config(self, method: str, k: int) -> AttackConfig:
+        """The (k, method) cell's ``attack``, updated by the method's
+        ``attack_overrides`` entry; ``clip_lo``/``clip_hi`` form the clip domain."""
+        params = {**self.attack, **(self.attack_overrides or {}).get(method, {})}
+        lo, hi = AttackConfig.clip_domain
+        clip = (params.pop("clip_lo", lo), params.pop("clip_hi", hi))
+        return AttackConfig(k=k, clip_domain=clip, scheme=self.scheme, **params)
+
+    def check_classes(self, c: int) -> None:
+        """Reject a k or a global category that a c-class dataset cannot hold."""
+        for k in self.k_grid:
+            if k >= c:
+                raise ValueError(f"k_grid: k={k} must be smaller than c={c}")
+        if isinstance(self.scheme, GlobalScheme):
+            for i in self.scheme.categories:
+                if not 0 <= i < c:
+                    raise ValueError(f"scheme.categories: {i} outside [0, {c})")
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
@@ -272,19 +303,8 @@ class ExperimentConfig:
             scheme = GlobalScheme(tuple(scheme_raw["categories"]))
         else:
             scheme = RandomScheme(scheme_raw["m"])
-        return cls(
-            seed=raw.get("seed", 0),
-            dataset=dict(raw["dataset"]),
-            victim=dict(raw["victim"]),
-            k_grid=tuple(raw["k_grid"]),
-            scheme=scheme,
-            methods=tuple(raw["methods"]),
-            attack=dict(raw["attack"]),
-            out_csv=raw["out_csv"],
-            out_outcomes=raw["out_outcomes"],
-            max_instances=raw.get("max_instances", 1000),
-            attack_overrides=raw.get("attack_overrides"),
-        )
+        return cls(**{**raw, "k_grid": tuple(raw["k_grid"]), "scheme": scheme,
+                      "methods": tuple(raw["methods"])})
 
     @classmethod
     def from_json(cls, path: str) -> "ExperimentConfig":
@@ -302,25 +322,6 @@ def _resolve_victim(config: ExperimentConfig, dataset: Sequence[Instance]) -> Sc
     if "path" in config.victim:
         return load_scorer(config.victim["path"])
     return train_victim(dataset, **{"seed": config.seed, **config.victim})
-
-
-def _attack_config(config: ExperimentConfig, method: str, k: int) -> AttackConfig:
-    params = dict(config.attack)
-    overrides = (config.attack_overrides or {}).get(method, {})
-    params.update(overrides)
-    clip = (float(params.pop("clip_lo", -1.0)), float(params.pop("clip_hi", 1.0)))
-    delta = params.pop("delta_threshold", None)
-    return AttackConfig(
-        k=k,
-        eta=float(params["eta"]),
-        alpha=float(params.get("alpha", 0.0)),
-        momentum=float(params.get("momentum", 0.9)),
-        max_iter=int(params.get("max_iter", 300)),
-        success_mode=params.get("success_mode", "c1_only"),
-        delta_threshold=None if delta is None else int(delta),
-        clip_domain=clip,
-        scheme=config.scheme,
-    )
 
 
 def _cell_selection(config: ExperimentConfig, dataset, k: int):
@@ -364,31 +365,29 @@ def _metrics_dict(record) -> dict:
 def run_experiment(config: ExperimentConfig):
     """Run the full grid and write the CSV report plus outcome records.
 
-    Returns the report rows. Files are written atomically at the end, so
-    a failing run leaves no partial outputs.
+    Returns the report rows. A cell that the filter empties gives rows
+    with ``n = 0`` and no measures. Files are written atomically at the
+    end, so a failing run leaves no partial outputs.
     """
     dataset = _resolve_dataset(config)
+    d, c = dataset[0].x.shape[0], dataset[0].n_classes
+    config.check_classes(c)
     model = _resolve_victim(config, dataset)
+    if (model.in_dim, model.out_dim) != (d, c):
+        raise ValueError(f"victim has in_dim={model.in_dim}, out_dim={model.out_dim}, "
+                         f"but the dataset has d={d}, c={c}")
 
     rows = []
     outcome_lines = []
     for k in config.k_grid:
         pairs = _cell_selection(config, dataset, k)
-        if not pairs:
-            for method in config.methods:
-                rows.append({
-                    "k": k, "s_size": _scheme_s_size(config.scheme, pairs),
-                    "method": method, "delta_tk_acc": None, "delta_p_at_k": None,
-                    "delta_map_at_k": None, "delta_ndcg_at_k": None,
-                    "delta_l": None, "aper": None, "n": 0,
-                })
-            continue
         clean = [
             evaluate_instance(model.score(dataset[idx].x), dataset[idx].y, k)
             for idx, _ in pairs
         ]
+        cell = {"k": k, "s_size": _scheme_s_size(config.scheme, pairs), "n": len(pairs)}
         for method in config.methods:
-            cfg = _attack_config(config, method, k)
+            cfg = config.attack_config(method, k)
             outcomes = [
                 _run_method(method, model, dataset[idx], s, cfg)
                 for idx, s in pairs
@@ -397,19 +396,9 @@ def run_experiment(config: ExperimentConfig):
                 evaluate_instance(o.scores_after, dataset[idx].y, k)
                 for o, (idx, _) in zip(outcomes, pairs)
             ]
-            report = delta_report(clean, perturbed, outcomes)
-            rows.append({
-                "k": k,
-                "s_size": _scheme_s_size(config.scheme, pairs),
-                "method": method,
-                "delta_tk_acc": report.delta_tk_acc,
-                "delta_p_at_k": report.delta_p_at_k,
-                "delta_map_at_k": report.delta_map_at_k,
-                "delta_ndcg_at_k": report.delta_ndcg_at_k,
-                "delta_l": report.delta_l,
-                "aper": report.aper,
-                "n": report.n,
-            })
+            report = delta_report(clean, perturbed, outcomes) if pairs else None
+            row = {**cell, "method": method}
+            rows.append({col: row.get(col, getattr(report, col, None)) for col in REPORT_COLUMNS})
             for (idx, s), outcome, cl, pt in zip(pairs, outcomes, clean, perturbed):
                 outcome_lines.append(json.dumps(outcome.to_record(
                     instance=idx,

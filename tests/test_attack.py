@@ -12,6 +12,7 @@ from tkmia.attack import (
     tkmia_attack,
     tkmia_objective,
 )
+from tkmia.baselines import BASELINE_METHODS, BaselineSpec, run_baseline
 from tkmia.core import Instance, hinge
 from tkmia.model import Scorer, TrainConfig, make_affine, make_mlp, train_bce
 
@@ -233,6 +234,34 @@ class TestTkmiaAttack:
         inst = Instance(x=np.zeros(3), y=[1, 1, 1, 0])
         with pytest.raises(ValueError):
             tkmia_attack(model, inst, (3,), AttackConfig(k=1, eta=0.1))
+
+    def test_repeated_specified_label_rejected(self):
+        model = constant_score_model([0.9, 0.8, 0.6, 0.1])
+        inst = Instance(x=np.zeros(3), y=[1, 1, 1, 0])
+        cfg = AttackConfig(k=2, eta=0.1)
+        repeats = r"specified set \[0, 0\] repeats a label"
+        with pytest.raises(ValueError, match=repeats):
+            tkmia_attack(model, inst, (0, 0), cfg)
+        for method in BASELINE_METHODS:
+            with pytest.raises(ValueError, match=repeats):
+                run_baseline(model, inst, (0, 0), BaselineSpec(method, cfg))
+        with pytest.raises(ValueError, match=repeats):
+            tkmia_objective(model, inst.x, np.zeros(3), 0.0, 0.0, (0, 0), inst.relevant, cfg)
+        with pytest.raises(ValueError, match=repeats):
+            success_check(model.score(inst.x), (0, 0), inst.relevant, 2)
+        # |Yp| = 3 >= k + |S| holds for S = (0,), which names the same label
+        assert tkmia_attack(model, inst, (0,), cfg).specified == (0,)
+
+    def test_victim_class_count_must_match_instance(self):
+        model = constant_score_model([0.9, 0.8, 0.6, 0.1, 0.5])
+        inst = Instance(x=np.zeros(3), y=[1, 1, 1, 0])
+        cfg = AttackConfig(k=1, eta=0.1)
+        mismatch = "instance has 4 classes, but the victim scores 5"
+        with pytest.raises(ValueError, match=mismatch):
+            tkmia_attack(model, inst, (0,), cfg)
+        for method in BASELINE_METHODS:
+            with pytest.raises(ValueError, match=mismatch):
+                run_baseline(model, inst, (0,), BaselineSpec(method, cfg))
 
     def test_non_finite_gradient_reported_with_iteration(self):
         model = make_affine(3, 4, seed=1)

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from tkmia.cli import main
+from tkmia.model import make_affine, save_scorer
 
 
 def run_cli(argv):
@@ -76,6 +77,27 @@ class TestTrainAndAttack:
                         "--victim", str(victim), "--index", str(index),
                         "--k", "3", "--m", "1"])
         assert code == 1
+
+    def test_attack_rejects_repeated_specified_label(self, dataset_path, tmp_path, capsys):
+        victim = tmp_path / "victim.jsonl"
+        save_scorer(make_affine(10, 6, seed=1), str(victim))
+        data = [json.loads(line) for line in dataset_path.read_text().splitlines()]
+        index = next(i for i, rec in enumerate(data) if rec["y"][0] and sum(rec["y"]) >= 3)
+        code = run_cli(["attack", "--dataset", str(dataset_path), "--victim", str(victim),
+                        "--index", str(index), "--k", "1", "--specified", "0,0"])
+        assert code == 1
+        assert capsys.readouterr().err == "error: specified set [0, 0] repeats a label\n"
+
+    def test_attack_rejects_victim_with_other_class_count(self, dataset_path, tmp_path,
+                                                          capsys):
+        victim = tmp_path / "victim.jsonl"
+        save_scorer(make_affine(10, 7, seed=1), str(victim))
+        capsys.readouterr()
+        code = run_cli(["attack", "--dataset", str(dataset_path), "--victim", str(victim),
+                        "--index", "0", "--k", "1", "--m", "1"])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: instance has 6 classes, but the victim scores 7\n")
 
 
 def drop_shapes(lines):

@@ -1,9 +1,11 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
 from tkmia.attack import GlobalScheme, RandomScheme
+from tkmia.core import Instance
 from tkmia.harness import (
     ExperimentConfig,
     SyntheticSpec,
@@ -209,6 +211,73 @@ class TestRunExperiment:
         assert not (tmp_path / "report.csv").exists()
         assert not (tmp_path / "outcomes.jsonl").exists()
 
+    def test_victim_with_other_sizes_rejected_before_evaluation(self, tmp_path):
+        config = small_config(tmp_path)
+        data_path = tmp_path / "data.jsonl"
+        save_dataset(gen_synthetic(SyntheticSpec(**config.dataset)), str(data_path))
+        config.dataset = {"path": str(data_path)}
+        for d, c in ((12, 9), (11, 8)):
+            victim_path = tmp_path / f"victim{d}x{c}.jsonl"
+            save_scorer(make_affine(d, c, seed=3), str(victim_path))
+            config.victim = {"path": str(victim_path)}
+            message = (f"victim has in_dim={d}, out_dim={c}, "
+                       f"but the dataset has d=12, c=8")
+            with pytest.raises(ValueError, match=message):
+                run_experiment(config)
+        assert not (tmp_path / "report.csv").exists()
+
+    @pytest.mark.parametrize("k_grid, categories, message", [
+        ((8,), (0,), "k_grid: k=8 must be smaller than c=8"),
+        ((2,), (0, 99), r"scheme.categories: 99 outside \[0, 8\)"),
+        ((2,), (-1,), r"scheme.categories: -1 outside \[0, 8\)"),
+    ])
+    def test_dataset_file_grid_checked_before_training(self, tmp_path, k_grid, categories,
+                                                       message):
+        inline = small_config(tmp_path)
+        data_path = tmp_path / "data.jsonl"
+        save_dataset(gen_synthetic(SyntheticSpec(**inline.dataset)), str(data_path))
+        # a missing victim file would fail at the victim step, after the check
+        config = dataclasses.replace(
+            inline, dataset={"path": str(data_path)},
+            victim={"path": str(tmp_path / "missing.jsonl")},
+            scheme=GlobalScheme(categories), k_grid=k_grid)
+        with pytest.raises(ValueError, match=message):
+            run_experiment(config)
+
+    def test_category_without_instances_gets_zero_marker(self, tmp_path):
+        rng = np.random.default_rng(5)
+        data = [Instance(x=rng.uniform(-1, 1, 4), y=[1, 1, 1, 0, 0, 0]) for _ in range(20)]
+        data_path = tmp_path / "data.jsonl"
+        save_dataset(data, str(data_path))
+        config = small_config(tmp_path, scheme=GlobalScheme((5,)), k_grid=(1,))
+        config.dataset = {"path": str(data_path)}
+        config.victim = {"arch": "affine", "epochs": 2}
+        rows = run_experiment(config)
+        assert [(row["method"], row["n"], row["delta_p_at_k"]) for row in rows] == [
+            ("tkmia", 0, None), ("ml_cw_u", 0, None)]
+        assert rows[0]["s_size"] == 0
+
+    def test_attack_overrides_take_effect(self, tmp_path):
+        plain_dir, override_dir = tmp_path / "plain", tmp_path / "override"
+        plain_dir.mkdir()
+        override_dir.mkdir()
+        run_experiment(small_config(plain_dir, max_instances=15))
+        config = small_config(override_dir, max_instances=15)
+        config.attack_overrides = {"ml_cw_u": {"max_iter": 0}}
+        run_experiment(config)
+        assert config.attack_config("tkmia", 2).max_iter == 60
+        assert config.attack_config("ml_cw_u", 2).max_iter == 0
+
+        def lines(directory, method):
+            text = (directory / "outcomes.jsonl").read_text()
+            return [line for line in text.splitlines() if json.loads(line)["method"] == method]
+
+        ml_cw_u = [json.loads(line) for line in lines(override_dir, "ml_cw_u")]
+        assert len(ml_cw_u) == 15
+        assert all(r["iterations_used"] == 0 for r in ml_cw_u)
+        assert any(json.loads(line)["iterations_used"] > 0 for line in lines(plain_dir, "ml_cw_u"))
+        assert lines(override_dir, "tkmia") == lines(plain_dir, "tkmia")
+
     def test_victim_from_path(self, tmp_path):
         config = small_config(tmp_path, max_instances=10)
         data_path = tmp_path / "data.jsonl"
@@ -306,6 +375,12 @@ class TestExperimentConfig:
             ExperimentConfig(k_grid=(2,), methods=("tkmia", "kfool"), **base)
         with pytest.raises(ValueError):
             ExperimentConfig(k_grid=(2,), methods=("tkmia",), max_instances=0, **base)
+        # an inline dataset's class count bounds k and the categories at load
+        with pytest.raises(ValueError, match="k_grid: k=5 must be smaller than c=5"):
+            ExperimentConfig(k_grid=(5,), methods=("tkmia",), **base)
+        with pytest.raises(ValueError, match=r"scheme.categories: 5 outside \[0, 5\)"):
+            ExperimentConfig(k_grid=(2,), methods=("tkmia",),
+                             **{**base, "scheme": GlobalScheme((5,))})
 
     @pytest.mark.parametrize("level, key, edit", [
         ("config", "max_instance", lambda raw: raw.update(max_instance=5)),
@@ -357,6 +432,14 @@ class TestExperimentConfig:
         ("victim.path: expected a string, got int", lambda raw: raw.update(victim={"path": 3})),
         ("dataset.n: expected an integer, got float",
          lambda raw: raw["dataset"].update(n=10.0)),
+        ("k_grid: k=5 must be smaller than c=5", lambda raw: raw.update(k_grid=[1, 5])),
+        ("scheme.categories: 99 outside [0, 5)",
+         lambda raw: raw["scheme"].update(categories=[0, 99])),
+        ("scheme.categories: -1 outside [0, 5)",
+         lambda raw: raw["scheme"].update(categories=[-1])),
+    ] + [
+        (f"dataset: missing key {key!r}", without("dataset", key))
+        for key in ("n", "d", "c", "mean_relevant")
     ] + [
         (f"config: missing key {key!r}", without(key))
         for key in ("scheme", "dataset", "victim", "k_grid", "methods", "attack",
@@ -364,3 +447,26 @@ class TestExperimentConfig:
     ])
     def test_malformed_config_rejected_in_one_line(self, tmp_path, capsys, message, edit):
         assert report_error(tmp_path, capsys, edit) == f"error: {message}\n"
+
+    @pytest.mark.parametrize("message, edit", [
+        ("attack (tkmia, k=1): unknown success mode 'bogus'",
+         lambda raw: raw["attack"].update(success_mode="bogus")),
+        ("attack (tkmia, k=0): k must be positive", lambda raw: raw.update(k_grid=[0])),
+        ("attack (tkmia, k=1): clip domain must satisfy lo < hi",
+         lambda raw: raw["attack"].update(clip_lo=1.0, clip_hi=-1.0)),
+        ("attack (tkmia, k=1): random scheme requires m <= k",
+         lambda raw: raw.update(scheme={"type": "random", "m": 2})),
+        ("attack (ml_cw_u, k=1): max_iter must be >= 0",
+         lambda raw: raw.update(methods=["tkmia", "ml_cw_u"],
+                                attack_overrides={"ml_cw_u": {"max_iter": -1}})),
+        ("attack (tkmia, k=1): eta must be positive",
+         lambda raw: raw["attack_overrides"]["tkmia"].update(eta=0)),
+    ])
+    def test_attack_value_rejected_before_dataset_is_read(self, tmp_path, capsys, message,
+                                                          edit):
+        def edit_with_missing_dataset(raw):
+            raw["dataset"] = {"path": str(tmp_path / "missing.jsonl")}
+            edit(raw)
+
+        assert report_error(tmp_path, capsys, edit_with_missing_dataset) == (
+            f"error: {message}\n")
