@@ -142,10 +142,6 @@ class AttackOutcome:
     def epsilon_norm(self) -> float:
         return float(np.linalg.norm(self.epsilon))
 
-    @property
-    def expelled(self) -> int:
-        return len(self.specified) - len(self.residual)
-
     def to_record(self, **extra) -> dict:
         """Flat dict for line-delimited JSON serialization."""
         record = {

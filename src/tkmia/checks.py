@@ -14,13 +14,13 @@ from . import attack, baselines, core, metrics, model
 __all__ = ["run_all_checks", "CHECKS"]
 
 
-def check_variational_form(n_samples: int = 1000, seed: int = 0):
+def check_variational_form(seed: int = 0):
     """Top-k sums match the hinge variational form over a dense grid."""
     rng = np.random.default_rng(seed)
     grid = np.linspace(0.0, 1.0, 1001)
     worst_gap = -np.inf
     worst_at_opt = 0.0
-    for _ in range(n_samples):
+    for _ in range(1000):
         c = int(rng.integers(2, 21))
         k = int(rng.integers(1, c))
         scores = rng.uniform(0.0, 1.0, size=c)
@@ -33,12 +33,13 @@ def check_variational_form(n_samples: int = 1000, seed: int = 0):
     return ok, f"grid gap {worst_gap:.2e}, at-optimum gap {worst_at_opt:.2e}"
 
 
-def check_hinge_identity(n_samples: int = 100_000, seed: int = 0):
+def check_hinge_identity(seed: int = 0):
     """Nested hinge collapses to a single hinge for positive offsets."""
     rng = np.random.default_rng(seed)
-    a = rng.uniform(1e-12, 10.0, n_samples)
-    b = rng.uniform(1e-12, 10.0, n_samples)
-    x = rng.uniform(-10.0, 10.0, n_samples)
+    n = 100_000
+    a = rng.uniform(1e-12, 10.0, n)
+    b = rng.uniform(1e-12, 10.0, n)
+    x = rng.uniform(-10.0, 10.0, n)
     lhs = np.maximum(np.maximum(a - x, 0.0) - b, 0.0)
     rhs = np.maximum(a - x - b, 0.0)
     worst = float(np.max(np.abs(lhs - rhs)))
@@ -52,14 +53,14 @@ def _random_victims(seed: int):
     ]
 
 
-def check_objective_gradients(n_points: int = 50, seed: int = 0):
+def check_objective_gradients(seed: int = 0):
     """Attack and baseline gradients agree with central finite differences."""
     rng = np.random.default_rng(seed)
     step = 1e-5
     worst = 0.0
     for victim in _random_victims(seed):
         cfg = attack.AttackConfig(k=3, eta=0.01, alpha=0.1)
-        for _ in range(n_points):
+        for _ in range(50):
             x = rng.uniform(-0.8, 0.8, victim.in_dim)
             eps = rng.uniform(-0.05, 0.05, victim.in_dim)
             lam1, lam2 = rng.uniform(0.05, 0.6, 2)
@@ -99,11 +100,11 @@ def _fd_gap(fn, point: np.ndarray, analytic: np.ndarray, step: float) -> float:
     return float(np.linalg.norm(analytic - numeric)) / scale
 
 
-def check_metric_oracles(n_samples: int = 500, seed: int = 0):
+def check_metric_oracles(seed: int = 0):
     """Measures match brute-force definitional implementations."""
     rng = np.random.default_rng(seed)
     worst = 0.0
-    for _ in range(n_samples):
+    for _ in range(500):
         c = int(rng.integers(2, 13))
         k = int(rng.integers(1, c + 1))
         # Half the vectors come from a 0.1 grid, so that tied scores occur
@@ -135,12 +136,12 @@ def check_metric_oracles(n_samples: int = 500, seed: int = 0):
     return worst <= 1e-12, f"max metric gap {worst:.2e}"
 
 
-def check_model_gradients(n_points: int = 20, seed: int = 0):
+def check_model_gradients(seed: int = 0):
     """Scorer input gradients pass the finite-difference Jacobian check."""
     rng = np.random.default_rng(seed)
     worst = 0.0
     for victim in _random_victims(seed):
-        for _ in range(n_points):
+        for _ in range(20):
             x = rng.uniform(-0.9, 0.9, victim.in_dim)
             ok, err = model.finite_diff_check(victim, x, tolerance=1e-4)
             worst = max(worst, err)

@@ -23,6 +23,7 @@ from .baselines import BaselineSpec, run_baseline
 from .checks import run_all_checks
 from .harness import (
     METHODS,
+    VICTIM_ARCHS,
     ExperimentConfig,
     SyntheticSpec,
     gen_synthetic,
@@ -52,7 +53,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="train a victim scorer with BCE")
     p.add_argument("--dataset", required=True)
-    p.add_argument("--arch", choices=("affine", "mlp"), default="affine")
+    p.add_argument("--arch", choices=VICTIM_ARCHS, default="affine")
     p.add_argument("--hidden", type=int, default=32)
     p.add_argument("--activation", choices=("tanh", "relu"), default="tanh")
     p.add_argument("--epochs", type=int, default=200)

@@ -110,15 +110,13 @@ def top_k_indices(scores, k: int) -> np.ndarray:
 def kth_largest(scores, k: int) -> float:
     """The k-th largest score value."""
     scores = as_scores(scores)
-    k = _check_k(k, scores.shape[0])
-    return float(np.sort(scores)[::-1][k - 1])
+    return float(scores[top_k_indices(scores, k)[-1]])
 
 
 def avg_top_k(scores, k: int) -> float:
     """Mean of the k largest scores; an upper bound on the k-th largest."""
     scores = as_scores(scores)
-    k = _check_k(k, scores.shape[0])
-    return float(np.sort(scores)[::-1][:k].mean())
+    return float(scores[top_k_indices(scores, k)].mean())
 
 
 def variational_top_k_sum(scores, k: int, lam: float) -> float:

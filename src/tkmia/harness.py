@@ -29,11 +29,12 @@ from .attack import (
 )
 from .baselines import BASELINE_METHODS, BaselineSpec, run_baseline
 from .core import Instance, atomic_write
-from .metrics import REPORT_COLUMNS, delta_report, evaluate_instance, write_report_csv
-from .model import Scorer, TrainConfig, load_scorer, make_affine, make_mlp, train_bce
+from .metrics import MEASURES, REPORT_COLUMNS, delta_report, evaluate_instance, write_report_csv
+from .model import ACTIVATIONS, Scorer, TrainConfig, load_scorer, make_affine, make_mlp, train_bce
 
 __all__ = [
     "METHODS",
+    "VICTIM_ARCHS",
     "SyntheticSpec",
     "ExperimentConfig",
     "gen_synthetic",
@@ -166,6 +167,7 @@ def train_victim(dataset: Sequence[Instance], arch: str = "affine", hidden: int 
 
 
 METHODS = ("tkmia",) + BASELINE_METHODS
+VICTIM_ARCHS = ("affine", "mlp")
 _NUMBER = (int, float)
 # The keys each config block accepts, with the JSON type of each value; any
 # other key is an error. The top level's attack_overrides (None here) is
@@ -263,11 +265,27 @@ class ExperimentConfig:
         for k in self.k_grid:
             for method in self.methods:
                 try:
-                    self.attack_config(method, k)
+                    cfg = self.attack_config(method, k)
+                    # A baseline needs delta_threshold specified labels; tkmia ignores it.
+                    if (method != "tkmia" and isinstance(self.scheme, RandomScheme)
+                            and (cfg.delta_threshold or 0) > self.scheme.m):
+                        raise ValueError(f"delta threshold {cfg.delta_threshold} exceeds "
+                                         f"|S|={self.scheme.m}")
                 except ValueError as exc:
                     raise ValueError(f"attack ({method}, k={k}): {exc}") from None
         if "path" not in self.dataset:
-            self.check_classes(self.dataset["c"])
+            try:
+                spec = SyntheticSpec(**self.dataset)
+            except ValueError as exc:
+                raise ValueError(f"dataset: {exc}") from None
+            self.check_classes(spec.c)
+        if "path" not in self.victim:
+            # A key left out takes train_victim's default, which is valid.
+            arch, activation = self.victim.get("arch"), self.victim.get("activation")
+            if arch not in (None, *VICTIM_ARCHS):
+                raise ValueError(f"victim.arch: unknown arch {arch!r}")
+            if arch == "mlp" and activation not in (None, *ACTIVATIONS):
+                raise ValueError(f"victim.activation: unknown activation {activation!r}")
 
     def attack_config(self, method: str, k: int) -> AttackConfig:
         """The (k, method) cell's ``attack``, updated by the method's
@@ -353,15 +371,6 @@ def _run_method(method: str, model: Scorer, inst: Instance, s, cfg: AttackConfig
     return run_baseline(model, inst, s, BaselineSpec(method, cfg))
 
 
-def _metrics_dict(record) -> dict:
-    return {
-        "tk_acc": record.tk_acc,
-        "p_at_k": record.p_at_k,
-        "ap_at_k": record.ap_at_k,
-        "ndcg_at_k": record.ndcg_at_k,
-    }
-
-
 def run_experiment(config: ExperimentConfig):
     """Run the full grid and write the CSV report plus outcome records.
 
@@ -403,8 +412,8 @@ def run_experiment(config: ExperimentConfig):
                 outcome_lines.append(json.dumps(outcome.to_record(
                     instance=idx,
                     k=k,
-                    clean_metrics=_metrics_dict(cl),
-                    perturbed_metrics=_metrics_dict(pt),
+                    clean_metrics={name: getattr(cl, name) for name in MEASURES},
+                    perturbed_metrics={name: getattr(pt, name) for name in MEASURES},
                 )))
 
     write_report_csv(config.out_csv, rows)

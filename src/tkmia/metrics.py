@@ -32,6 +32,7 @@ from .core import as_labels, as_scores, atomic_write, top_k_indices
 
 __all__ = [
     "UndefinedMetricError",
+    "MEASURES",
     "MetricsRecord",
     "AggregateReport",
     "tk_acc",
@@ -173,6 +174,11 @@ def aper(perturbations: Iterable[np.ndarray]) -> float | None:
     return float(np.mean(norms))
 
 
+# The per-instance measures, as MetricsRecord names them, in the order the
+# outcome records and the report's delta columns list them.
+MEASURES = ("tk_acc", "p_at_k", "ap_at_k", "ndcg_at_k")
+
+
 @dataclass
 class MetricsRecord:
     """Per-instance measure values at a fixed k."""
@@ -199,28 +205,21 @@ def evaluate_instance(scores, labels, k: int) -> MetricsRecord:
 
 @dataclass
 class AggregateReport:
-    """Clean vs. perturbed means over one attacked instance set.
+    """One attacked instance set's report columns, apart from the cell's.
 
-    Deltas follow the clean-minus-perturbed convention, so a positive
-    delta means the attack degraded the measure. ``aper`` is None when no
-    attack in the set succeeded.
+    Each delta is a measure's clean mean minus its perturbed mean, one per
+    MEASURES entry and in its order, so a positive delta means the attack
+    degraded the measure. ``aper`` is None when no attack in the set
+    succeeded.
     """
 
-    n: int
-    clean_tk_acc: float
-    clean_p_at_k: float
-    clean_map_at_k: float
-    clean_ndcg_at_k: float
-    pert_tk_acc: float
-    pert_p_at_k: float
-    pert_map_at_k: float
-    pert_ndcg_at_k: float
     delta_tk_acc: float
     delta_p_at_k: float
     delta_map_at_k: float
     delta_ndcg_at_k: float
     delta_l: float
     aper: float | None
+    n: int
 
 
 def delta_report(
@@ -240,33 +239,14 @@ def delta_report(
     if len(ks) != 1:
         raise ValueError("mismatched k across records")
 
-    def mean(records, attr):
-        return float(np.mean([getattr(r, attr) for r in records]))
+    def mean(records, name):
+        return float(np.mean([getattr(r, name) for r in records]))
 
-    c_acc = mean(clean, "tk_acc")
-    c_p = mean(clean, "p_at_k")
-    c_map = mean(clean, "ap_at_k")
-    c_ndcg = mean(clean, "ndcg_at_k")
-    p_acc = mean(perturbed, "tk_acc")
-    p_p = mean(perturbed, "p_at_k")
-    p_map = mean(perturbed, "ap_at_k")
-    p_ndcg = mean(perturbed, "ndcg_at_k")
     return AggregateReport(
-        n=len(clean),
-        clean_tk_acc=c_acc,
-        clean_p_at_k=c_p,
-        clean_map_at_k=c_map,
-        clean_ndcg_at_k=c_ndcg,
-        pert_tk_acc=p_acc,
-        pert_p_at_k=p_p,
-        pert_map_at_k=p_map,
-        pert_ndcg_at_k=p_ndcg,
-        delta_tk_acc=c_acc - p_acc,
-        delta_p_at_k=c_p - p_p,
-        delta_map_at_k=c_map - p_map,
-        delta_ndcg_at_k=c_ndcg - p_ndcg,
+        *(mean(clean, name) - mean(perturbed, name) for name in MEASURES),
         delta_l=delta_l(outcomes),
         aper=aper([o.epsilon for o in outcomes if o.success]),
+        n=len(clean),
     )
 
 

@@ -39,7 +39,7 @@ FORMAT_TAG = "tkmia-scorer-v1"
 # logits so outputs stay strictly inside (0, 1).
 _LOGIT_CLIP = 36.0
 
-_ACTIVATIONS = ("tanh", "relu", "identity")
+ACTIVATIONS = ("tanh", "relu", "identity")
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -78,7 +78,7 @@ class Scorer:
         self.biases = [np.asarray(b, dtype=np.float64) for b in biases]
         if len(self.weights) not in (1, 2) or len(self.weights) != len(self.biases):
             raise ValueError("expected 1 (affine) or 2 (mlp) weight/bias layers")
-        if activation not in _ACTIVATIONS:
+        if activation not in ACTIVATIONS:
             raise ValueError(f"unknown activation {activation!r}")
         for w, b in zip(self.weights, self.biases):
             if w.ndim != 2 or b.ndim != 1 or w.shape[0] != b.shape[0]:

@@ -94,6 +94,18 @@ class TestAvgTopK:
             k = int(rng.integers(1, c + 1))
             assert avg_top_k(scores, k) >= kth_largest(scores, k) - 1e-15
 
+    def test_sorted_values_bit_for_bit_with_ties(self):
+        # Scores on a 0.1 grid tie often; tied classes have equal values, so
+        # the index ranking gives the sorted values exactly.
+        rng = np.random.default_rng(5)
+        for _ in range(500):
+            c = int(rng.integers(2, 12))
+            scores = rng.integers(0, 11, c) / 10.0
+            k = int(rng.integers(1, c + 1))
+            ranked = np.sort(scores)[::-1]
+            assert kth_largest(scores, k) == float(ranked[k - 1])
+            assert avg_top_k(scores, k) == float(ranked[:k].mean())
+
     def test_midpoint_convexity_of_topk_sum(self):
         # phi(u) = k * avg_top_k(u, k) is convex per component.
         rng = np.random.default_rng(5)

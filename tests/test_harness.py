@@ -1,5 +1,7 @@
 import dataclasses
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,7 +16,7 @@ from tkmia.harness import (
     run_experiment,
     save_dataset,
 )
-from tkmia.metrics import REPORT_COLUMNS
+from tkmia.metrics import MEASURES, REPORT_COLUMNS
 from tkmia.model import make_affine, save_scorer
 
 
@@ -169,6 +171,16 @@ class TestRunExperiment:
             by_method.setdefault(r["method"], []).append((r["instance"], r["clean_metrics"]))
         a, b = by_method["tkmia"], by_method["ml_cw_u"]
         assert a == b
+
+    def test_record_metric_keys_are_the_measures_in_order(self, tmp_path):
+        config = small_config(tmp_path, max_instances=5)
+        run_experiment(config)
+        with open(config.out_outcomes) as handle:
+            records = [json.loads(line) for line in handle if line.strip()]
+        assert records
+        for r in records:
+            assert tuple(r["clean_metrics"]) == MEASURES
+            assert tuple(r["perturbed_metrics"]) == MEASURES
 
     def test_methods_share_instances_and_specified_sets(self, tmp_path):
         config = small_config(tmp_path, scheme=RandomScheme(2), k_grid=(3,))
@@ -347,6 +359,13 @@ class TestExperimentConfig:
         assert config.k_grid == (2, 3)
         assert config.scheme == RandomScheme(1)
 
+    def test_readme_example_loads(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        section = readme.split("## Experiment config", 1)[1]
+        example = re.search(r"```json\n(.*?)```", section, re.DOTALL).group(1)
+        config = ExperimentConfig.from_dict(json.loads(example))
+        assert config.methods == ("tkmia", "ml_cw_u", "tkml_ap_u")
+
     def test_global_scheme_parse(self):
         raw = {
             "seed": 0,
@@ -432,6 +451,9 @@ class TestExperimentConfig:
         ("victim.path: expected a string, got int", lambda raw: raw.update(victim={"path": 3})),
         ("dataset.n: expected an integer, got float",
          lambda raw: raw["dataset"].update(n=10.0)),
+        ("dataset: n, d positive and c >= 2 required", lambda raw: raw["dataset"].update(n=0)),
+        ("dataset: mean_relevant must lie strictly between 0 and c",
+         lambda raw: raw["dataset"].update(mean_relevant=5.0)),
         ("k_grid: k=5 must be smaller than c=5", lambda raw: raw.update(k_grid=[1, 5])),
         ("scheme.categories: 99 outside [0, 5)",
          lambda raw: raw["scheme"].update(categories=[0, 99])),
@@ -461,6 +483,17 @@ class TestExperimentConfig:
                                 attack_overrides={"ml_cw_u": {"max_iter": -1}})),
         ("attack (tkmia, k=1): eta must be positive",
          lambda raw: raw["attack_overrides"]["tkmia"].update(eta=0)),
+        ("attack (ml_cw_u, k=1): delta threshold 2 exceeds |S|=1",
+         lambda raw: raw.update(scheme={"type": "random", "m": 1},
+                                methods=["tkmia", "ml_cw_u"],
+                                attack={"eta": 0.01, "delta_threshold": 2})),
+        ("attack (tkml_ap_u, k=2): delta threshold 3 exceeds |S|=2",
+         lambda raw: raw.update(scheme={"type": "random", "m": 2}, k_grid=[2],
+                                methods=["tkml_ap_u"],
+                                attack_overrides={"tkml_ap_u": {"delta_threshold": 3}})),
+        ("victim.arch: unknown arch 'afine'", lambda raw: raw["victim"].update(arch="afine")),
+        ("victim.activation: unknown activation 'sigmoid'",
+         lambda raw: raw["victim"].update(arch="mlp", activation="sigmoid")),
     ])
     def test_attack_value_rejected_before_dataset_is_read(self, tmp_path, capsys, message,
                                                           edit):
@@ -470,3 +503,23 @@ class TestExperimentConfig:
 
         assert report_error(tmp_path, capsys, edit_with_missing_dataset) == (
             f"error: {message}\n")
+
+    def test_values_that_need_no_check_still_run(self, tmp_path):
+        """tkmia ignores delta_threshold, and an affine victim its activation."""
+        from tkmia.cli import main
+
+        raw = {
+            "seed": 0,
+            "dataset": {"n": 40, "d": 4, "c": 6, "mean_relevant": 3.0},
+            "victim": {"arch": "affine", "activation": "sigmoid", "epochs": 2},
+            "k_grid": [1],
+            "scheme": {"type": "random", "m": 1},
+            "methods": ["tkmia"],
+            "attack": {"eta": 0.05, "max_iter": 5, "delta_threshold": 2},
+            "out_csv": str(tmp_path / "r.csv"),
+            "out_outcomes": str(tmp_path / "o.jsonl"),
+        }
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(raw))
+        assert main(["report", "--config", str(path)]) == 0
+        assert len(read_csv_rows(raw["out_csv"])) == 1

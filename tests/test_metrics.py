@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 from types import SimpleNamespace
 
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from tkmia.metrics import (
     REPORT_COLUMNS,
+    AggregateReport,
     MetricsRecord,
     UndefinedMetricError,
     ap_at_k,
@@ -322,6 +324,10 @@ class TestDeltaReport:
             delta_report([record()], [record(), record()], [outcome(), outcome()])
         with pytest.raises(ValueError):
             delta_report([record(k=2)], [record(k=3)], [outcome()])
+
+    def test_fields_are_the_csv_columns_of_a_cell(self):
+        names = [field.name for field in dataclasses.fields(AggregateReport)]
+        assert names == [col for col in REPORT_COLUMNS if col not in ("k", "s_size", "method")]
 
 
 class TestReportCsv:
