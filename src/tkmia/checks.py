@@ -101,9 +101,11 @@ def _fd_gap(fn, point: np.ndarray, analytic: np.ndarray, step: float) -> float:
 
 
 def check_metric_oracles(seed: int = 0):
-    """Measures match brute-force definitional implementations."""
+    """Measures match brute-force definitional implementations, one
+    instance at a time and stacked into one score matrix per (c, k)."""
     rng = np.random.default_rng(seed)
     worst = 0.0
+    stacks = {}
     for _ in range(500):
         c = int(rng.integers(2, 13))
         k = int(rng.integers(1, c + 1))
@@ -125,6 +127,8 @@ def check_metric_oracles(seed: int = 0):
         ap = sum(sum(ranked[:i]) / i for i in range(1, k + 1) if ranked[i - 1]) / nk
         dcg = sum(ranked[i] / np.log2(i + 2) for i in range(k))
         idcg = sum(1.0 / np.log2(i + 2) for i in range(nk))
+        expected = (acc, p, ap, dcg / idcg)
+        stacks.setdefault((c, k), []).append((scores, y, expected))
 
         worst = max(
             worst,
@@ -133,7 +137,13 @@ def check_metric_oracles(seed: int = 0):
             abs(metrics.ap_at_k(scores, y, k) - ap),
             abs(metrics.ndcg_at_k(scores, y, k) - dcg / idcg),
         )
-    return worst <= 1e-12, f"max metric gap {worst:.2e}"
+    for (c, k), cases in stacks.items():
+        records = metrics.evaluate_rows(np.stack([s for s, _, _ in cases]),
+                                        np.stack([y for _, y, _ in cases]), k)
+        for record, (_, _, expected) in zip(records, cases):
+            got = [getattr(record, name) for name in metrics.MEASURES]
+            worst = max(worst, *(abs(a - b) for a, b in zip(got, expected)))
+    return worst <= 1e-12, f"max metric gap {worst:.2e}, {len(stacks)} (c, k) score matrices"
 
 
 def check_model_gradients(seed: int = 0):

@@ -32,7 +32,7 @@ from .harness import (
     save_dataset,
     train_victim,
 )
-from .model import load_scorer, save_scorer
+from .model import ACTIVATIONS, load_scorer, save_scorer
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -55,7 +55,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dataset", required=True)
     p.add_argument("--arch", choices=VICTIM_ARCHS, default="affine")
     p.add_argument("--hidden", type=int, default=32)
-    p.add_argument("--activation", choices=("tanh", "relu"), default="tanh")
+    p.add_argument("--activation", choices=ACTIVATIONS, default="tanh")
     p.add_argument("--epochs", type=int, default=200)
     p.add_argument("--learning-rate", type=float, default=0.5)
     p.add_argument("--momentum", type=float, default=0.9)

@@ -11,6 +11,7 @@ from __future__ import annotations
 import os
 import tempfile
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -26,14 +27,16 @@ __all__ = [
 ]
 
 
-def as_scores(values) -> np.ndarray:
-    """Validate and return a score vector as a float64 array.
+def as_scores(values, ndim: int = 1) -> np.ndarray:
+    """Validate and return a score vector as a float64 array; with
+    ``ndim=2``, a matrix whose rows are score vectors.
 
-    Requires length >= 2 with every entry finite and inside [0, 1].
+    Requires at least 2 classes with every entry finite and inside [0, 1].
     """
     scores = np.asarray(values, dtype=np.float64)
-    if scores.ndim != 1 or scores.shape[0] < 2:
-        raise ValueError("score vector must be 1-D with at least 2 entries")
+    if scores.ndim != ndim or scores.shape[-1] < 2:
+        raise ValueError("score vector must be 1-D with at least 2 entries" if ndim == 1
+                         else "score matrix must be 2-D with at least 2 columns")
     # One reduction on valid input: NaN and +-inf fail the range test too.
     if not ((scores >= 0.0) & (scores <= 1.0)).all():
         if not np.isfinite(scores).all():
@@ -42,16 +45,17 @@ def as_scores(values) -> np.ndarray:
     return scores
 
 
-def as_labels(bits, n_classes: int | None = None) -> np.ndarray:
-    """Validate a binary label vector (1 = relevant, 0 = irrelevant)."""
+def as_labels(bits, n_classes: int | None = None, ndim: int = 1) -> np.ndarray:
+    """Validate a binary label vector (1 = relevant, 0 = irrelevant); with
+    ``ndim=2``, a matrix whose rows are label vectors."""
     labels = np.asarray(bits)
-    if labels.ndim != 1:
-        raise ValueError("label vector must be 1-D")
+    if labels.ndim != ndim:
+        raise ValueError("label vector must be 1-D" if ndim == 1 else "label matrix must be 2-D")
     if not np.all((labels == 0) | (labels == 1)):
         raise ValueError("label entries must be 0 or 1")
-    if n_classes is not None and labels.shape[0] != n_classes:
+    if n_classes is not None and labels.shape[-1] != n_classes:
         raise ValueError(
-            f"label vector length {labels.shape[0]} != score length {n_classes}"
+            f"label vector length {labels.shape[-1]} != score length {n_classes}"
         )
     return labels.astype(np.int64)
 
@@ -63,28 +67,36 @@ def _check_k(k: int, c: int) -> int:
     return k
 
 
-@dataclass
+@dataclass(frozen=True)
 class Instance:
-    """One multi-label sample: feature vector ``x`` and binary labels ``y``."""
+    """One multi-label sample: feature vector ``x`` and binary labels ``y``.
+
+    Frozen, with read-only labels, so the cached relevant set stays valid.
+    """
 
     x: np.ndarray
     y: np.ndarray
 
-    def __post_init__(self):
-        self.x = np.asarray(self.x, dtype=np.float64)
-        self.y = as_labels(self.y)
-        if self.x.ndim != 1:
+    # Written out, not generated: the generated frozen __init__ would set each
+    # field twice, and data sets build thousands of instances.
+    def __init__(self, x, y):
+        x = np.asarray(x, dtype=np.float64)
+        y = as_labels(y)
+        if x.ndim != 1:
             raise ValueError("x must be 1-D")
-        if not np.all(np.isfinite(self.x)):
+        if not np.all(np.isfinite(x)):
             raise ValueError("x contains non-finite entries")
+        y.setflags(write=False)
+        object.__setattr__(self, "x", x)
+        object.__setattr__(self, "y", y)
 
     @property
     def n_classes(self) -> int:
         return int(self.y.shape[0])
 
-    @property
+    @cached_property
     def relevant(self) -> tuple[int, ...]:
-        """Indices of relevant labels, ascending."""
+        """Indices of relevant labels, ascending; computed on first use."""
         return tuple(int(i) for i in np.flatnonzero(self.y == 1))
 
     @property

@@ -28,7 +28,9 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .core import as_labels, as_scores, atomic_write, top_k_indices
+from .core import _check_k, as_labels, as_scores, atomic_write
+# Unused here; perfbench's tracer test looks top_k_indices up in this namespace.
+from .core import top_k_indices  # noqa: F401
 
 __all__ = [
     "UndefinedMetricError",
@@ -44,6 +46,7 @@ __all__ = [
     "delta_l",
     "aper",
     "evaluate_instance",
+    "evaluate_rows",
     "delta_report",
     "write_report_csv",
     "REPORT_COLUMNS",
@@ -54,49 +57,65 @@ class UndefinedMetricError(ValueError):
     """A measure was requested where its definition does not apply."""
 
 
-def _top_k_labels(scores, labels, k: int) -> tuple[np.ndarray, int]:
-    """Labels of the top-k ranked classes and the number of relevant labels.
+def _checked_rows(scores, labels, k: int, ndim: int):
+    """Validated (N, c) scores and labels and k, from one check of each.
 
-    Validates the scores, k and the labels once and ranks once; every
-    per-instance measure is read from this pair.
+    ``ndim=1`` takes one score vector and its labels as a single row.
     """
-    top = top_k_indices(scores, k)
-    labels = as_labels(labels, len(scores))
-    return labels[top], int(labels.sum())
+    scores = as_scores(scores, ndim)
+    c = scores.shape[-1]
+    k = _check_k(k, c)
+    labels = as_labels(labels, c, ndim)
+    if labels.shape[:-1] != scores.shape[:-1]:
+        raise ValueError(f"{labels.shape[0]} label rows != {scores.shape[0]} score rows")
+    return np.atleast_2d(scores), np.atleast_2d(labels), k
 
 
-def _ap(ranked: np.ndarray, n_relevant: int) -> float:
-    """Prefix-precision AP of ranked 0/1 labels, over min(len, n_relevant)."""
-    if n_relevant == 0:
-        raise UndefinedMetricError("AP@k undefined without relevant labels")
-    hits = 0
-    total = 0.0
-    for i, rel in enumerate(ranked.tolist(), start=1):
-        if rel:
-            hits += 1
-            total += hits / i
-    return total / min(len(ranked), n_relevant)
+def _measure_rows(scores: np.ndarray, labels: np.ndarray, k: int) -> dict[str, np.ndarray]:
+    """Each of MEASURES as a vector over the rows of checked (N, c) arrays.
+
+    Ranks every row once, by a stable argsort of ``-scores``. AP@k and
+    NDCG@k are NaN in rows without relevant labels, where they are
+    undefined. AP adds ``hits/i`` at the relevant positions in position
+    order and NDCG sums each row with numpy, so a row's values do not
+    depend on the other rows.
+    """
+    order = np.argsort(-scores, axis=1, kind="stable")[:, :k]
+    ranked = np.take_along_axis(labels, order, axis=1)
+    hits = ranked.sum(axis=1)
+    n_relevant = labels.sum(axis=1)
+    positions = np.arange(1, k + 1)
+    # cumsum accumulates left to right, one position at a time.
+    ap_sum = np.cumsum(np.where(ranked == 1, ranked.cumsum(axis=1) / positions, 0.0),
+                       axis=1)[:, -1]
+    dcg = (ranked / np.log2(positions + 1)).sum(axis=1)
+    # IDCG@k of a row with m = min(k, |Yp|) relevant labels, for m = 0..k.
+    idcg = np.array([(1.0 / np.log2(np.arange(1, m + 1) + 1)).sum() for m in range(k + 1)])
+    ideal_len = np.minimum(n_relevant, k)
+    with np.errstate(invalid="ignore"):  # 0/0 in rows without relevant labels
+        return {"tk_acc": (hits == n_relevant).astype(np.int64), "p_at_k": hits / k,
+                "ap_at_k": ap_sum / ideal_len, "ndcg_at_k": dcg / idcg[ideal_len]}
 
 
-def _ndcg(ranked: np.ndarray, n_relevant: int) -> float:
-    if n_relevant == 0:
-        raise UndefinedMetricError("NDCG@k undefined without relevant labels")
-    dcg = float((ranked / np.log2(np.arange(1, len(ranked) + 1) + 1)).sum())
-    ideal_len = min(len(ranked), n_relevant)
-    idcg = float((1.0 / np.log2(np.arange(1, ideal_len + 1) + 1)).sum())
-    return dcg / idcg
+def _measures(scores, labels, k: int, ndim: int = 1) -> dict[str, np.ndarray]:
+    """The measures of each score row; ``ndim=1`` takes one score vector."""
+    return _measure_rows(*_checked_rows(scores, labels, k, ndim))
+
+
+def _defined(values: np.ndarray, name: str) -> np.ndarray:
+    if np.isnan(values).any():
+        raise UndefinedMetricError(f"{name} undefined without relevant labels")
+    return values
 
 
 def tk_acc(scores, labels, k: int) -> int:
     """1 iff the set of relevant labels is contained in the top-k classes."""
-    ranked, n_relevant = _top_k_labels(scores, labels, k)
-    return int(ranked.sum() == n_relevant)
+    return int(_measures(scores, labels, k)["tk_acc"][0])
 
 
 def precision_at_k(scores, labels, k: int) -> float:
     """Fraction of the top-k ranked classes that are relevant."""
-    ranked, _ = _top_k_labels(scores, labels, k)
-    return float(ranked.sum()) / k
+    return float(_measures(scores, labels, k)["p_at_k"][0])
 
 
 def ap_at_k(scores, labels, k: int) -> float:
@@ -105,7 +124,7 @@ def ap_at_k(scores, labels, k: int) -> float:
     Sums P@i at each relevant position i <= k and normalizes by
     N_k = min(k, number of relevant labels).
     """
-    return _ap(*_top_k_labels(scores, labels, k))
+    return float(_defined(_measures(scores, labels, k)["ap_at_k"], "AP@k")[0])
 
 
 def map_at_k(samples: Sequence[tuple], k: int) -> float:
@@ -131,24 +150,20 @@ def map_at_k_per_category(samples: Sequence[tuple], k: int) -> float:
         raise ValueError("empty sample list")
     score_mat = np.asarray([as_scores(s) for s, _ in samples])
     label_mat = np.asarray([as_labels(y, score_mat.shape[1]) for _, y in samples])
-    n, c = score_mat.shape
+    n = score_mat.shape[0]
     if k > n:
         raise ValueError(f"k={k} exceeds instance count {n}")
-    # Per column: instances ranked by their class-j score, ties by index.
-    order = np.argsort(-score_mat, axis=0, kind="stable")[:k]
-    ap_values = [
-        _ap(label_mat[order[:, j], j], int(label_mat[:, j].sum()))
-        for j in range(c)
-        if label_mat[:, j].any()
-    ]
-    if not ap_values:
+    # Category j is row j of the transposes: instances ranked by their class-j
+    # score, ties by index.
+    ap = _measure_rows(score_mat.T, label_mat.T, k)["ap_at_k"][label_mat.any(axis=0)]
+    if ap.size == 0:
         raise UndefinedMetricError("no category has a relevant instance")
-    return float(np.mean(ap_values))
+    return float(np.mean(ap))
 
 
 def ndcg_at_k(scores, labels, k: int) -> float:
     """Discounted cumulative gain over the top k, normalized by the ideal."""
-    return _ndcg(*_top_k_labels(scores, labels, k))
+    return float(_defined(_measures(scores, labels, k)["ndcg_at_k"], "NDCG@k")[0])
 
 
 def delta_l(outcomes: Sequence) -> float:
@@ -190,17 +205,25 @@ class MetricsRecord:
     ndcg_at_k: float
 
 
+def _records(scores, labels, k: int, ndim: int) -> list[MetricsRecord]:
+    values = _measures(scores, labels, k, ndim)
+    _defined(values["ap_at_k"], "AP@k")
+    return [MetricsRecord(int(k), *row)
+            for row in zip(*(values[name].tolist() for name in MEASURES))]
+
+
+def evaluate_rows(scores, labels, k: int) -> list[MetricsRecord]:
+    """Every per-instance measure for each row of an (N, c) score matrix
+    and its (N, c) labels, from one validation and one ranking.
+
+    Each record equals :func:`evaluate_instance` of its row.
+    """
+    return _records(scores, labels, k, 2)
+
+
 def evaluate_instance(scores, labels, k: int) -> MetricsRecord:
     """All per-instance measures from one validation and one ranking."""
-    ranked, n_relevant = _top_k_labels(scores, labels, k)
-    hits = int(ranked.sum())
-    return MetricsRecord(
-        k=int(k),
-        tk_acc=int(hits == n_relevant),
-        p_at_k=float(hits) / k,
-        ap_at_k=_ap(ranked, n_relevant),
-        ndcg_at_k=_ndcg(ranked, n_relevant),
-    )
+    return _records(scores, labels, k, 1)[0]
 
 
 @dataclass

@@ -107,10 +107,11 @@ class Scorer:
                       [b.copy() for b in self.biases],
                       self.activation, self.sigmoid_output)
 
-    def _check_input(self, x) -> np.ndarray:
+    def _check_input(self, x, ndims=(1,)) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
-        if x.ndim != 1 or x.shape[0] != self.in_dim:
-            raise ValueError(f"input dimension {x.shape} != ({self.in_dim},)")
+        if x.ndim not in ndims or x.shape[-1] != self.in_dim:
+            batch = f" or (N, {self.in_dim})" if 2 in ndims else ""
+            raise ValueError(f"input dimension {x.shape} != ({self.in_dim},){batch}")
         if not np.isfinite(x).all():
             raise ValueError("non-finite input")
         return x
@@ -134,8 +135,18 @@ class Scorer:
         return (dz @ self.weights[1]) * _act_grad(self.activation, pre, hidden)
 
     def score(self, x) -> np.ndarray:
-        """Deterministic forward pass; scores strictly inside (0, 1)."""
-        z = self._forward(self._check_input(x))[0]
+        """Deterministic forward pass; scores strictly inside (0, 1).
+
+        An (N, d) batch gives (N, c) scores. It runs as N stacked (1, d)
+        products, which give each row the bytes of the single-input
+        ``score``, whatever the other rows are; a plain matrix product
+        would not.
+        """
+        x = self._check_input(x, ndims=(1, 2))
+        if x.ndim == 1:
+            z = self._forward(x)[0]
+        else:
+            z = self._forward(x[:, None, :])[0][:, 0, :]
         return _sigmoid(z) if self.sigmoid_output else z
 
     def vjp(self, x):
@@ -186,6 +197,8 @@ def make_affine(in_dim: int, n_classes: int, seed: int = 0,
 
 def make_mlp(in_dim: int, hidden_dim: int, n_classes: int, seed: int = 0,
              activation: str = "tanh", sigmoid_output: bool = True) -> Scorer:
+    if hidden_dim < 1:
+        raise ValueError(f"hidden size must be >= 1, got {hidden_dim}")
     rng = np.random.default_rng(seed)
     w1, b1 = _init_layer(rng, hidden_dim, in_dim)
     w2, b2 = _init_layer(rng, n_classes, hidden_dim)

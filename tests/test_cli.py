@@ -50,6 +50,23 @@ class TestTrainAndAttack:
         assert record["method"] == "tkmia"
         assert set(record) >= {"success", "epsilon", "iterations_used", "residual"}
 
+    def test_train_rejects_mlp_without_hidden_units(self, dataset_path, tmp_path, capsys):
+        code = run_cli(["train", "--dataset", str(dataset_path), "--arch", "mlp",
+                        "--hidden", "0", "--out", str(tmp_path / "v.jsonl")])
+        assert code == 1
+        assert capsys.readouterr().err == "error: hidden size must be >= 1, got 0\n"
+        assert not (tmp_path / "v.jsonl").exists()
+
+    def test_train_accepts_every_activation(self, dataset_path, tmp_path, capsys):
+        from tkmia.model import ACTIVATIONS, load_scorer
+
+        for activation in ACTIVATIONS:
+            out = tmp_path / f"{activation}.jsonl"
+            assert run_cli(["train", "--dataset", str(dataset_path), "--arch", "mlp",
+                            "--hidden", "4", "--activation", activation, "--epochs", "2",
+                            "--out", str(out)]) == 0
+            assert load_scorer(str(out)).activation == activation
+
     def test_attack_with_explicit_specified_set(self, dataset_path, tmp_path, capsys):
         victim = tmp_path / "victim.jsonl"
         run_cli(["train", "--dataset", str(dataset_path), "--epochs", "40",

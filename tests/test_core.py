@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -262,6 +264,27 @@ class TestInstance:
     def test_rejects_non_binary_labels(self):
         with pytest.raises(ValueError):
             Instance(x=np.zeros(2), y=[0, 2])
+
+    def test_relevant_is_flatnonzero_computed_once(self):
+        rng = np.random.default_rng(5)
+        for _ in range(50):
+            y = (rng.uniform(size=int(rng.integers(1, 12))) < 0.5).astype(int)
+            inst = Instance(x=np.zeros(2), y=y)
+            assert "relevant" not in vars(inst)
+            assert inst.relevant == tuple(np.flatnonzero(y).tolist())
+            assert all(type(i) is int for i in inst.relevant)
+            assert inst.relevant is inst.relevant
+
+    def test_fields_cannot_change_under_the_cache(self):
+        inst = Instance(x=np.zeros(3), y=[1, 0, 1, 0])
+        assert inst.relevant == (0, 2)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            inst.y = np.array([0, 1, 0, 1])
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            inst.x = np.ones(3)
+        with pytest.raises(ValueError, match="read-only"):
+            inst.y[1] = 1
+        assert inst.relevant == (0, 2)
 
     def test_rejects_non_finite_features(self):
         with pytest.raises(ValueError):

@@ -201,6 +201,33 @@ class TestRunExperiment:
         assert (tmp_path / "report.csv").read_bytes() == csv_once
         assert (tmp_path / "outcomes.jsonl").read_bytes() == out_once
 
+    def test_block_size_does_not_change_the_bytes(self, tmp_path, monkeypatch):
+        from tkmia import harness
+
+        config = small_config(tmp_path, k_grid=(1, 2), max_instances=40)
+        run_experiment(config)
+        files = [(tmp_path / name).read_bytes() for name in ("report.csv", "outcomes.jsonl")]
+        monkeypatch.setattr(harness, "EVAL_BLOCK", 7)  # 40 rows: five blocks and a part
+        run_experiment(config)
+        assert [(tmp_path / name).read_bytes()
+                for name in ("report.csv", "outcomes.jsonl")] == files
+
+    def test_record_metrics_are_the_per_instance_evaluation(self, tmp_path):
+        from tkmia.metrics import evaluate_instance
+
+        config = small_config(tmp_path, k_grid=(1, 3))
+        run_experiment(config)
+        dataset = gen_synthetic(SyntheticSpec(**config.dataset))
+        with open(config.out_outcomes) as handle:
+            records = [json.loads(line) for line in handle if line.strip()]
+        assert records
+        for r in records:
+            y = dataset[r["instance"]].y
+            for side, scores in (("clean_metrics", r["scores_before"]),
+                                 ("perturbed_metrics", r["scores_after"])):
+                record = dataclasses.asdict(evaluate_instance(scores, y, r["k"]))
+                assert r[side] == {name: record[name] for name in MEASURES}
+
     def test_empty_cell_emits_zero_marker(self, tmp_path):
         # k + m exceeds every instance's relevant count
         config = small_config(tmp_path, scheme=RandomScheme(1), k_grid=(7,))
@@ -491,7 +518,19 @@ class TestExperimentConfig:
          lambda raw: raw.update(scheme={"type": "random", "m": 2}, k_grid=[2],
                                 methods=["tkml_ap_u"],
                                 attack_overrides={"tkml_ap_u": {"delta_threshold": 3}})),
+        ("attack (ml_cw_u, k=1): delta threshold 3 exceeds max |S|=2",
+         lambda raw: raw.update(scheme={"type": "global", "categories": [0, 1, 1]},
+                                methods=["tkmia", "ml_cw_u"],
+                                attack={"eta": 0.01, "delta_threshold": 3})),
         ("victim.arch: unknown arch 'afine'", lambda raw: raw["victim"].update(arch="afine")),
+        ("victim.hidden: hidden size must be >= 1, got 0",
+         lambda raw: raw["victim"].update(arch="mlp", hidden=0)),
+        ("victim: batch size must be positive",
+         lambda raw: raw["victim"].update(batch_size=0)),
+        ("victim: epochs must be >= 0", lambda raw: raw["victim"].update(epochs=-1)),
+        ("victim: learning rate must be positive",
+         lambda raw: raw["victim"].update(learning_rate=-1)),
+        ("victim: momentum must be in [0, 1)", lambda raw: raw["victim"].update(momentum=1)),
         ("victim.activation: unknown activation 'sigmoid'",
          lambda raw: raw["victim"].update(arch="mlp", activation="sigmoid")),
     ])
@@ -503,6 +542,19 @@ class TestExperimentConfig:
 
         assert report_error(tmp_path, capsys, edit_with_missing_dataset) == (
             f"error: {message}\n")
+
+    def test_global_delta_threshold_up_to_the_category_count_loads(self):
+        raw = {
+            "dataset": {"n": 10, "d": 4, "c": 5, "mean_relevant": 2.0},
+            "victim": {"arch": "affine"},
+            "k_grid": [1],
+            "scheme": {"type": "global", "categories": [0, 1]},
+            "methods": ["ml_cw_u"],
+            "attack": {"eta": 0.01, "delta_threshold": 2},
+            "out_csv": "r.csv",
+            "out_outcomes": "o.jsonl",
+        }
+        assert ExperimentConfig.from_dict(raw).attack_config("ml_cw_u", 1).delta_threshold == 2
 
     def test_values_that_need_no_check_still_run(self, tmp_path):
         """tkmia ignores delta_threshold, and an affine victim its activation."""

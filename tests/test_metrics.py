@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tkmia.core import as_labels, as_scores
 from tkmia.metrics import (
     REPORT_COLUMNS,
     AggregateReport,
@@ -17,6 +18,7 @@ from tkmia.metrics import (
     delta_l,
     delta_report,
     evaluate_instance,
+    evaluate_rows,
     map_at_k,
     map_at_k_per_category,
     ndcg_at_k,
@@ -220,6 +222,139 @@ class TestTiedScores:
         expected = MetricsRecord(k=k, tk_acc=int(hits == n_relevant), p_at_k=hits / k,
                                  ap_at_k=ap / min(k, n_relevant), ndcg_at_k=dcg / idcg)
         assert evaluate_instance(scores, y, k) == expected
+
+
+def parent_ranked(scores, labels, k):
+    """Labels of the top-k classes and the relevant count, as the
+    per-instance evaluation ranked them before the row-wise measures."""
+    scores = as_scores(scores)
+    labels = as_labels(labels, len(scores))
+    top = (-scores).argsort(kind="stable")[:k]
+    return labels[top], int(labels.sum())
+
+
+def parent_ap(ranked, n_relevant):
+    hits = 0
+    total = 0.0
+    for i, rel in enumerate(ranked.tolist(), start=1):
+        if rel:
+            hits += 1
+            total += hits / i
+    return total / min(len(ranked), n_relevant)
+
+
+def parent_ndcg(ranked, n_relevant):
+    dcg = float((ranked / np.log2(np.arange(1, len(ranked) + 1) + 1)).sum())
+    ideal_len = min(len(ranked), n_relevant)
+    idcg = float((1.0 / np.log2(np.arange(1, ideal_len + 1) + 1)).sum())
+    return dcg / idcg
+
+
+def parent_evaluate_instance(scores, labels, k):
+    """A frozen copy of the per-instance evaluation the report used before
+    it measured score matrices."""
+    ranked, n_relevant = parent_ranked(scores, labels, k)
+    hits = int(ranked.sum())
+    return MetricsRecord(k=int(k), tk_acc=int(hits == n_relevant), p_at_k=float(hits) / k,
+                         ap_at_k=parent_ap(ranked, n_relevant),
+                         ndcg_at_k=parent_ndcg(ranked, n_relevant))
+
+
+def parent_map_at_k_per_category(samples, k):
+    score_mat = np.asarray([as_scores(s) for s, _ in samples])
+    label_mat = np.asarray([as_labels(y, score_mat.shape[1]) for _, y in samples])
+    order = np.argsort(-score_mat, axis=0, kind="stable")[:k]
+    return float(np.mean([parent_ap(label_mat[order[:, j], j], int(label_mat[:, j].sum()))
+                          for j in range(score_mat.shape[1]) if label_mat[:, j].any()]))
+
+
+def as_bytes(record):
+    """A record's fields as (type, bytes) pairs: equal only if bit-equal."""
+    return [(type(v), np.float64(v).tobytes()) for v in dataclasses.astuple(record)]
+
+
+@st.composite
+def tied_matrices(draw):
+    """Up to 8 rows of 0.1-grid scores over c <= 20 classes, some k >= 8."""
+    c = draw(st.integers(2, 20))
+    n = draw(st.integers(1, 8))
+    level = st.integers(0, 10)
+    scores = [[v / 10 for v in draw(st.lists(level, min_size=c, max_size=c))]
+              for _ in range(n)]
+    labels = [draw(st.lists(st.integers(0, 1), min_size=c, max_size=c).filter(any))
+              for _ in range(n)]
+    return scores, labels, draw(st.integers(1, c))
+
+
+class TestEvaluateRows:
+    @settings(max_examples=300, deadline=None)
+    @given(tied_matrices())
+    def test_rows_equal_the_parent_evaluation_bit_for_bit(self, case):
+        scores, labels, k = case
+        records = evaluate_rows(scores, labels, k)
+        assert len(records) == len(scores)
+        for s, y, record in zip(scores, labels, records):
+            expected = as_bytes(parent_evaluate_instance(s, y, k))
+            assert as_bytes(record) == expected
+            assert as_bytes(evaluate_instance(s, y, k)) == expected
+
+    def test_wide_rows_cover_numpy_unrolled_sums(self):
+        # numpy's pairwise sum unrolls from 8 terms on; NDCG must still
+        # match the per-instance sum to the last bit.
+        rng = np.random.default_rng(12)
+        scores = rng.integers(0, 11, (200, 20)) / 10.0
+        labels = (rng.uniform(size=(200, 20)) < 0.5).astype(int)
+        labels[:, 0] = 1
+        for k in (8, 9, 13, 20):
+            for s, y, record in zip(scores, labels, evaluate_rows(scores, labels, k)):
+                assert as_bytes(record) == as_bytes(parent_evaluate_instance(s, y, k))
+
+    def test_values_are_plain_python_numbers(self):
+        (record,) = evaluate_rows([[0.9, 0.2, 0.5]], [[1, 0, 1]], 2)
+        assert [type(v) for v in dataclasses.astuple(record)] == [int, int, float, float, float]
+
+    @pytest.mark.parametrize("scores, labels, message", [
+        ([0.9, 0.1], [[1, 0]], "score matrix must be 2-D"),
+        ([[0.9], [0.1]], [[1], [0]], "score matrix must be 2-D with at least 2 columns"),
+        ([[0.9, np.nan]], [[1, 0]], "non-finite"),
+        ([[0.9, 1.5]], [[1, 0]], r"\[0, 1\]"),
+        ([[0.9, 0.1]], [1, 0], "label matrix must be 2-D"),
+        ([[0.9, 0.1]], [[1, 2]], "0 or 1"),
+        ([[0.9, 0.1, 0.3]], [[1, 0]], "label vector length 2 != score length 3"),
+        ([[0.9, 0.1], [0.2, 0.3]], [[1, 0]], "1 label rows != 2 score rows"),
+    ])
+    def test_bad_matrix_rejected(self, scores, labels, message):
+        with pytest.raises(ValueError, match=message):
+            evaluate_rows(scores, labels, 1)
+
+    def test_row_without_relevant_labels_undefined(self):
+        with pytest.raises(UndefinedMetricError, match="AP@k"):
+            evaluate_rows([[0.9, 0.1], [0.2, 0.3]], [[1, 0], [0, 0]], 1)
+
+    def test_measures_without_relevant_labels(self):
+        # top-k accuracy and P@k stay defined; AP@k and NDCG@k do not
+        assert tk_acc([0.9, 0.1], [0, 0], 1) == 1
+        assert precision_at_k([0.9, 0.1], [0, 0], 1) == 0.0
+        with pytest.raises(UndefinedMetricError, match="NDCG@k"):
+            ndcg_at_k([0.9, 0.1], [0, 0], 1)
+
+
+class TestMapAtKPerCategoryPinned:
+    @pytest.mark.parametrize("seed", range(5))
+    def test_equals_parent_formula_bit_for_bit(self, seed):
+        rng = np.random.default_rng(seed)
+        n, c = int(rng.integers(3, 40)), int(rng.integers(2, 12))
+        tied = rng.integers(0, 11, (n, c)) / 10.0
+        labels = (rng.uniform(size=(n, c)) < 0.3).astype(int)
+        for scores in (tied, rng.uniform(size=(n, c))):
+            samples = list(zip(scores, labels))
+            for k in {1, min(3, n), min(9, n), n}:
+                got = map_at_k_per_category(samples, k)
+                want = parent_map_at_k_per_category(samples, k)
+                assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+    def test_single_instance(self):
+        assert map_at_k_per_category([([0.9, 0.2], [1, 0])], 1) == 1.0
 
 
 class TestMonotoneInvariance:

@@ -271,6 +271,42 @@ class TestBatchPasses:
             np.testing.assert_allclose(z, model.score(x), rtol=1e-12, atol=1e-12)
 
 
+class TestBatchScore:
+    @pytest.mark.parametrize("sigmoid_output", [True, False], ids=["sigmoid", "raw"])
+    @pytest.mark.parametrize("victim", [
+        "affine", "mlp-tanh", "mlp-relu", "mlp-identity",
+        "wide-affine", "wide-mlp-tanh", "wide-mlp-relu", "wide-mlp-identity"])
+    def test_rows_equal_single_scores_bit_for_bit(self, victim, sigmoid_output):
+        # Pins the stacked product: a numpy or BLAS change that breaks it
+        # fails here instead of drifting the reports.
+        parts = victim.split("-")
+        if parts[0] == "wide":
+            model = wide_logit_scorer(parts[1], (parts + ["tanh"])[2], sigmoid_output)
+        else:
+            base = (make_affine(32, 10, seed=3) if parts[0] == "affine"
+                    else make_mlp(32, 16, 10, seed=3, activation=parts[1]))
+            model = Scorer(base.weights, base.biases, base.activation, sigmoid_output)
+        rng = np.random.default_rng(21)
+        X = rng.uniform(-1.0, 1.0, (300, model.in_dim))
+        single = [model.score(x).tobytes() for x in X]
+        for rows in (np.arange(300), rng.permutation(300), rng.permutation(300)[:37],
+                     rng.permutation(300)[:1], np.array([5, 5, 2])):
+            batch = model.score(X[rows])
+            assert batch.shape == (len(rows), model.out_dim)
+            assert [row.tobytes() for row in batch] == [single[i] for i in rows]
+
+    def test_bad_batch_rejected(self):
+        model = make_affine(5, 6, seed=2)
+        with pytest.raises(ValueError, match=r"input dimension \(3, 4\) != \(5,\) or \(N, 5\)"):
+            model.score(np.zeros((3, 4)))
+        with pytest.raises(ValueError, match="input dimension"):
+            model.score(np.zeros((2, 3, 5)))
+        with pytest.raises(ValueError, match="non-finite input"):
+            model.score([[0.0] * 5, [0.0, np.inf, 0.0, 0.0, 0.0]])
+        with pytest.raises(ValueError, match="input dimension"):
+            model.vjp(np.zeros((3, 5)))
+
+
 class TestFiniteDiffCheck:
     def test_affine_near_machine_precision(self):
         model = make_affine(6, 4, seed=5)
@@ -348,6 +384,10 @@ class TestTrainBce:
     def test_empty_dataset_rejected(self):
         with pytest.raises(ValueError):
             train_bce([], TrainConfig(epochs=1, learning_rate=0.1))
+
+    def test_mlp_needs_a_hidden_unit(self):
+        with pytest.raises(ValueError, match="hidden size must be >= 1, got 0"):
+            make_mlp(4, 0, 3)
 
     def test_mlp_training_runs(self):
         data = toy_separable(100, seed=5)
