@@ -34,7 +34,7 @@ from typing import Callable, Literal, Sequence
 
 import numpy as np
 
-from .core import Instance, rank_order, top_k_indices
+from .core import Instance, _rank, top_k_indices
 from .model import Scorer
 
 __all__ = [
@@ -314,8 +314,9 @@ def run_attack_loop(model: Scorer, instance: Instance, specified,
     """Shared iterative engine for the attack and the baseline losses.
 
     Each iteration runs one forward pass at the projected input ``x_adv``,
-    ``scores, pullback = model.vjp(x_adv)``, and ranks the scores once
-    with :func:`rank_order`, giving ``order``. The ``residual`` (specified
+    ``scores, pullback = model.vjp(x_adv)``, and ranks the scores once,
+    giving ``order``; ``vjp`` has checked the input, so the ranking takes
+    the scores unchecked, raw logits included. The ``residual`` (specified
     labels inside the first k of ``order``) comes from that ranking, and
     ``success_fn(scores, order, residual) -> bool`` is the stopping test.
     While it fails and budget remains, ``step_fn(scores, order) ->
@@ -341,7 +342,7 @@ def run_attack_loop(model: Scorer, instance: Instance, specified,
     for it in range(max_iter + 1):
         x_adv = np.minimum(np.maximum(x + eps, lo), hi)
         scores, pullback = model.vjp(x_adv)
-        order = rank_order(scores)
+        order = _rank(scores)
         residual = _ranked_in(order[:k], spec)
         if it == 0:
             scores_before = scores.copy()

@@ -82,8 +82,8 @@ class Instance:
     def __init__(self, x, y):
         x = np.asarray(x, dtype=np.float64)
         y = as_labels(y)
-        if x.ndim != 1:
-            raise ValueError("x must be 1-D")
+        if x.ndim != 1 or x.size == 0:
+            raise ValueError("x must be 1-D and non-empty")
         if not np.all(np.isfinite(x)):
             raise ValueError("x contains non-finite entries")
         y.setflags(write=False)
@@ -105,12 +105,15 @@ class Instance:
         return tuple(int(i) for i in np.flatnonzero(self.y == 0))
 
 
-def rank_order(scores) -> np.ndarray:
-    """Every class index, descending by score.
+def _rank(scores: np.ndarray) -> np.ndarray:
+    """Class indices by descending score along the last axis, ties by smaller
+    index; unchecked, so callers pass checked scores or a scorer's output."""
+    return np.argsort(-scores, axis=-1, kind="stable")
 
-    Ties are broken by smaller class index (stable sort on negated scores).
-    """
-    return (-as_scores(scores)).argsort(kind="stable")
+
+def rank_order(scores) -> np.ndarray:
+    """Every class index, descending by score, ties by smaller class index."""
+    return _rank(as_scores(scores))
 
 
 def top_k_indices(scores, k: int) -> np.ndarray:

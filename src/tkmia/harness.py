@@ -257,6 +257,10 @@ class ExperimentConfig:
             raise ValueError("max_instances must be positive")
         if not self.methods:
             raise ValueError("method list must be non-empty")
+        for key, values in (("k_grid", self.k_grid), ("methods", self.methods)):
+            for i, value in enumerate(values):
+                if value in values[:i]:
+                    raise ValueError(f"{key}: {value!r} is repeated")
         for method in self.methods:
             if method not in METHODS:
                 raise ValueError(f"unknown method {method!r}")
@@ -392,24 +396,9 @@ def _run_method(method: str, model: Scorer, inst: Instance, s, cfg: AttackConfig
     return run_baseline(model, inst, s, BaselineSpec(method, cfg))
 
 
-# Rows per evaluation call: large enough to amortize numpy's per-call cost,
-# small enough that no cell-sized array outlives its block.
-EVAL_BLOCK = 512
-
-
-def _evaluate_blocks(dataset, indices, k: int, scores) -> list:
-    """Measure records of ``dataset[i]`` for ``i`` in ``indices``, in order.
-
-    Works in blocks of positions into ``indices``: ``scores(block)`` gives
-    the block's (len(block), c) score matrix, and one call of
-    :func:`evaluate_rows` measures it.
-    """
-    records = []
-    for start in range(0, len(indices), EVAL_BLOCK):
-        block = range(start, min(start + EVAL_BLOCK, len(indices)))
-        labels = np.stack([dataset[indices[i]].y for i in block])
-        records += evaluate_rows(scores(block), labels, k)
-    return records
+def _matrix(rows, width: int) -> np.ndarray:
+    """``rows`` stacked as a (len(rows), width) array; no rows give (0, width)."""
+    return np.array(rows).reshape(len(rows), width)
 
 
 def run_experiment(config: ExperimentConfig):
@@ -431,9 +420,9 @@ def run_experiment(config: ExperimentConfig):
     outcome_lines = []
     for k in config.k_grid:
         pairs = _cell_selection(config, dataset, k)
-        indices = [idx for idx, _ in pairs]
-        clean = _evaluate_blocks(dataset, indices, k, lambda block: model.score(
-            np.stack([dataset[indices[i]].x for i in block])))
+        labels = _matrix([dataset[idx].y for idx, _ in pairs], c)
+        clean = evaluate_rows(model.score(_matrix([dataset[idx].x for idx, _ in pairs], d)),
+                              labels, k)
         cell = {"k": k, "s_size": _scheme_s_size(config.scheme, pairs), "n": len(pairs)}
         for method in config.methods:
             cfg = config.attack_config(method, k)
@@ -441,8 +430,7 @@ def run_experiment(config: ExperimentConfig):
                 _run_method(method, model, dataset[idx], s, cfg)
                 for idx, s in pairs
             ]
-            perturbed = _evaluate_blocks(dataset, indices, k, lambda block: np.stack(
-                [outcomes[i].scores_after for i in block]))
+            perturbed = evaluate_rows(_matrix([o.scores_after for o in outcomes], c), labels, k)
             report = delta_report(clean, perturbed, outcomes) if pairs else None
             row = {**cell, "method": method}
             rows.append({col: row.get(col, getattr(report, col, None)) for col in REPORT_COLUMNS})

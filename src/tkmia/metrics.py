@@ -28,7 +28,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .core import _check_k, as_labels, as_scores, atomic_write
+from .core import _check_k, _rank, as_labels, as_scores, atomic_write
 # Unused here; perfbench's tracer test looks top_k_indices up in this namespace.
 from .core import top_k_indices  # noqa: F401
 
@@ -74,13 +74,13 @@ def _checked_rows(scores, labels, k: int, ndim: int):
 def _measure_rows(scores: np.ndarray, labels: np.ndarray, k: int) -> dict[str, np.ndarray]:
     """Each of MEASURES as a vector over the rows of checked (N, c) arrays.
 
-    Ranks every row once, by a stable argsort of ``-scores``. AP@k and
+    Ranks every row once, with :func:`core._rank`. AP@k and
     NDCG@k are NaN in rows without relevant labels, where they are
     undefined. AP adds ``hits/i`` at the relevant positions in position
     order and NDCG sums each row with numpy, so a row's values do not
     depend on the other rows.
     """
-    order = np.argsort(-scores, axis=1, kind="stable")[:, :k]
+    order = _rank(scores)[:, :k]
     ranked = np.take_along_axis(labels, order, axis=1)
     hits = ranked.sum(axis=1)
     n_relevant = labels.sum(axis=1)

@@ -80,11 +80,11 @@ class Scorer:
             raise ValueError("expected 1 (affine) or 2 (mlp) weight/bias layers")
         if activation not in ACTIVATIONS:
             raise ValueError(f"unknown activation {activation!r}")
-        for w, b in zip(self.weights, self.biases):
+        for number, (w, b) in enumerate(zip(self.weights, self.biases), start=1):
             if w.ndim != 2 or b.ndim != 1 or w.shape[0] != b.shape[0]:
-                raise ValueError("layer shapes inconsistent")
+                raise ValueError(f"layer {number}: shapes inconsistent")
             if not (np.all(np.isfinite(w)) and np.all(np.isfinite(b))):
-                raise ValueError("non-finite parameters")
+                raise ValueError(f"layer {number}: non-finite parameters")
         if len(self.weights) == 2 and self.weights[0].shape[0] != self.weights[1].shape[1]:
             raise ValueError("hidden dimensions do not chain")
         self.activation = activation
@@ -329,7 +329,7 @@ def load_scorer(path: str) -> Scorer:
     """Read :func:`save_scorer`'s format.
 
     A malformed file raises a one-line ValueError that names the file, and
-    the 1-based layer number of a malformed layer line.
+    the 1-based layer number of a malformed or invalid layer line.
     """
     with open(path) as handle:
         lines = [line for line in handle.read().splitlines() if line.strip()]
@@ -349,15 +349,17 @@ def load_scorer(path: str) -> Scorer:
             raise ValueError("layer count does not match header")
         weights, biases = [], []
         for number, (shape, line) in enumerate(zip(shapes, lines[1:]), start=1):
-            layer = json.loads(line)
-            if not isinstance(layer, dict) or not {"weight", "bias"} <= layer.keys():
-                raise ValueError(f'layer {number}: expected an object with "weight" and "bias"')
-            weight = np.asarray(layer["weight"], dtype=np.float64)
-            if weight.size != math.prod(shape):
-                raise ValueError(f"layer {number}: {weight.size} weights do not fit "
-                                 f"shape {list(shape)}")
-            weights.append(weight.reshape(shape))
-            biases.append(np.asarray(layer["bias"], dtype=np.float64))
+            try:
+                layer = json.loads(line)
+                if not isinstance(layer, dict) or not {"weight", "bias"} <= layer.keys():
+                    raise ValueError('expected an object with "weight" and "bias"')
+                weight = np.asarray(layer["weight"], dtype=np.float64)
+                if weight.size != math.prod(shape):
+                    raise ValueError(f"{weight.size} weights do not fit shape {list(shape)}")
+                weights.append(weight.reshape(shape))
+                biases.append(np.asarray(layer["bias"], dtype=np.float64))
+            except (ValueError, TypeError) as exc:
+                raise ValueError(f"layer {number}: {exc}") from None
         return Scorer(weights, biases, header["activation"], header["sigmoid_output"])
     except (ValueError, TypeError) as exc:
         raise ValueError(f"{path}: {exc}") from None

@@ -10,7 +10,7 @@ from tkmia.baselines import (
     tkml_ap_u_loss,
 )
 from tkmia.core import Instance
-from tkmia.model import Scorer, make_mlp
+from tkmia.model import Scorer, make_affine, make_mlp
 
 
 def constant_score_model(values, in_dim=3):
@@ -240,3 +240,47 @@ class TestRunBaseline:
         for rec in records:
             assert isinstance(rec["success"], bool)
             assert isinstance(rec["epsilon"], list)
+
+
+class TestRawScorer:
+    """Attacks and losses run on raw affine logits, which leave [0, 1]."""
+
+    model = make_affine(6, 8, seed=3, sigmoid_output=False)
+    config = AttackConfig(k=2, eta=0.05, max_iter=60)
+
+    def cases(self):
+        """Instances with 4 relevant labels; S is the 2 best-scored of them."""
+        rng = np.random.default_rng(4)
+        for _ in range(20):
+            x = rng.uniform(-1.0, 1.0, 6)
+            rel = rng.choice(8, 4, replace=False)
+            scores = self.model.score(x)
+            spec = tuple(sorted(rel[np.argsort(-scores[rel], kind="stable")[:2]]))
+            yield Instance(x=x, y=np.isin(np.arange(8), rel).astype(int)), spec
+
+    @pytest.mark.parametrize("method", ("tkmia",) + BASELINE_METHODS)
+    def test_outcome_follows_the_tie_broken_ranking(self, method):
+        outside = 0
+        iterations = 0
+        for inst, spec in self.cases():
+            if method == "tkmia":
+                out = tkmia_attack(self.model, inst, spec, self.config)
+            else:
+                out = run_baseline(self.model, inst, spec, BaselineSpec(method, self.config))
+            after = out.scores_after
+            top = sorted(range(8), key=lambda i: (-after[i], i))[:self.config.k]
+            assert out.residual == tuple(i for i in spec if i in top)
+            assert out.success == (not out.residual)
+            outside += int(((after < 0.0) | (after > 1.0)).any())
+            iterations += out.iterations_used
+        assert outside > 0 and iterations > 0
+
+    def test_tkml_ap_u_loss_reads_the_k_plus_1_th_class(self):
+        rng = np.random.default_rng(5)
+        rel = (1, 4, 6)
+        for _ in range(50):
+            x, eps = rng.uniform(-1.0, 1.0, 6), rng.uniform(-0.1, 0.1, 6)
+            scores = self.model.score(x + eps)
+            kth = sorted(range(8), key=lambda i: (-scores[i], i))[2]
+            value, _ = tkml_ap_u_loss(self.model, x, eps, rel, k=2)
+            assert value == max(0.0, float(max(scores[list(rel)]) - scores[kth]))

@@ -116,6 +116,52 @@ class TestTrainAndAttack:
         assert capsys.readouterr().err == (
             "error: instance has 6 classes, but the victim scores 7\n")
 
+    def test_attack_runs_on_a_raw_scorer(self, dataset_path, tmp_path, capsys):
+        victim = tmp_path / "raw.jsonl"
+        save_scorer(make_affine(10, 6, seed=1, sigmoid_output=False), str(victim))
+        data = [json.loads(line) for line in dataset_path.read_text().splitlines()]
+        index = next(i for i, rec in enumerate(data) if sum(rec["y"]) >= 3)
+        for method in ("tkmia", "ml_cw_u", "tkml_ap_u"):
+            assert run_cli(["attack", "--dataset", str(dataset_path), "--victim", str(victim),
+                            "--index", str(index), "--k", "2", "--m", "1",
+                            "--method", method]) == 0
+            assert json.loads(capsys.readouterr().out)["method"] == method
+
+
+class TestEmptyFeatures:
+    """A dataset line with no features is named at load, before any training."""
+
+    @pytest.fixture
+    def dataset_path(self, tmp_path):
+        path = tmp_path / "data.jsonl"
+        path.write_text('{"x": [0.5], "y": [1, 0, 1]}\n{"x": [], "y": [0, 1, 1]}\n')
+        return path
+
+    def test_train_exits_one(self, dataset_path, tmp_path, capsys):
+        assert run_cli(["train", "--dataset", str(dataset_path),
+                        "--out", str(tmp_path / "v.jsonl")]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {dataset_path} line 2: x must be 1-D and non-empty\n")
+        assert not (tmp_path / "v.jsonl").exists()
+
+    def test_report_exits_one(self, dataset_path, tmp_path, capsys):
+        config = {
+            "dataset": {"path": str(dataset_path)},
+            "victim": {"arch": "affine"},
+            "k_grid": [1],
+            "scheme": {"type": "random", "m": 1},
+            "methods": ["tkmia"],
+            "attack": {"eta": 0.05},
+            "out_csv": str(tmp_path / "report.csv"),
+            "out_outcomes": str(tmp_path / "outcomes.jsonl"),
+        }
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        assert run_cli(["report", "--config", str(path)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {dataset_path} line 2: x must be 1-D and non-empty\n")
+        assert not (tmp_path / "report.csv").exists()
+
 
 def drop_shapes(lines):
     header = json.loads(lines[0])

@@ -104,6 +104,7 @@ class TestDatasetIO:
         ('{"x": [0.1, 0.2]}', 'expected an object with "x" and "y"'),
         ('{"x": [0.1, 0.2], "y": [1, 0]', "Expecting"),
         ('{"x": [0.1, 0.2], "y": [1, 2]}', "label entries must be 0 or 1"),
+        ('{"x": [], "y": [1, 0]}', "x must be 1-D and non-empty"),
     ])
     def test_bad_line_named(self, tmp_path, bad_line, message):
         good = '{"x": [0.5, -0.5], "y": [0, 1]}'
@@ -200,17 +201,6 @@ class TestRunExperiment:
         run_experiment(config)
         assert (tmp_path / "report.csv").read_bytes() == csv_once
         assert (tmp_path / "outcomes.jsonl").read_bytes() == out_once
-
-    def test_block_size_does_not_change_the_bytes(self, tmp_path, monkeypatch):
-        from tkmia import harness
-
-        config = small_config(tmp_path, k_grid=(1, 2), max_instances=40)
-        run_experiment(config)
-        files = [(tmp_path / name).read_bytes() for name in ("report.csv", "outcomes.jsonl")]
-        monkeypatch.setattr(harness, "EVAL_BLOCK", 7)  # 40 rows: five blocks and a part
-        run_experiment(config)
-        assert [(tmp_path / name).read_bytes()
-                for name in ("report.csv", "outcomes.jsonl")] == files
 
     def test_record_metrics_are_the_per_instance_evaluation(self, tmp_path):
         from tkmia.metrics import evaluate_instance
@@ -467,6 +457,11 @@ class TestExperimentConfig:
         ("max_instances: expected an integer, got bool",
          lambda raw: raw.update(max_instances=True)),
         ("k_grid[0]: expected an integer, got list", lambda raw: raw.update(k_grid=[[1]])),
+        ("k_grid: 1 is repeated", lambda raw: raw.update(k_grid=[1, 2, 1])),
+        ("k_grid: 1 is repeated",
+         lambda raw: raw.update(k_grid=[1, 1], methods=["tkmia", "tkmia"])),
+        ("methods: 'tkmia' is repeated",
+         lambda raw: raw.update(methods=["tkmia", "ml_cw_u", "tkmia"])),
         ("attack.eta: expected a number, got list",
          lambda raw: raw["attack"].update(eta=[0.05])),
         ("attack.delta_threshold: expected an integer or null, got float",
