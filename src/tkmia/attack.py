@@ -28,7 +28,6 @@ over instances with a read-only scorer.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 from typing import Callable, Literal, Sequence
 
@@ -313,6 +312,7 @@ def run_attack_loop(model: Scorer, instance: Instance, specified,
                     step_fn: Callable, success_fn: Callable) -> AttackOutcome:
     """Shared iterative engine for the attack and the baseline losses.
 
+    ``specified`` is the checked, sorted S of :func:`attack_preconditions`.
     Each iteration runs one forward pass at the projected input ``x_adv``,
     ``scores, pullback = model.vjp(x_adv)``, and ranks the scores once,
     giving ``order``; ``vjp`` has checked the input, so the ranking takes
@@ -333,7 +333,6 @@ def run_attack_loop(model: Scorer, instance: Instance, specified,
         raise ValueError(f"k={k} out of range [1, {c - 1}]")
     lo, hi = config.clip_domain
     alpha, eta, momentum, max_iter = config.alpha, config.eta, config.momentum, config.max_iter
-    spec = tuple(sorted(int(i) for i in specified))
     x = instance.x
     eps = np.zeros_like(x)
     velocity = np.zeros_like(x)
@@ -343,7 +342,7 @@ def run_attack_loop(model: Scorer, instance: Instance, specified,
         x_adv = np.minimum(np.maximum(x + eps, lo), hi)
         scores, pullback = model.vjp(x_adv)
         order = _rank(scores)
-        residual = _ranked_in(order[:k], spec)
+        residual = _ranked_in(order[:k], specified)
         if it == 0:
             scores_before = scores.copy()
         if success_fn(scores, order, residual):
@@ -365,7 +364,7 @@ def run_attack_loop(model: Scorer, instance: Instance, specified,
         epsilon=eps,
         iterations_used=it,
         success=success,
-        specified=spec,
+        specified=specified,
         residual=residual,
         lambda1=0.0,
         lambda2=0.0,
@@ -389,9 +388,8 @@ def tkmia_attack(model: Scorer, instance: Instance, specified,
     lam = [0.0, 0.0]
 
     def step(scores, order):
+        # Finite: the gradients are 1 - n1/(c-k) and 1 - n2/k, with 1 <= k < c.
         cot, g1, g2 = _tkmia_terms(scores, lam[0], lam[1], spec_idx, rest_idx, k)
-        if not (math.isfinite(g1) and math.isfinite(g2)):
-            raise FloatingPointError("non-finite lambda gradient")
         lam[0] = min(max(lam[0] - eta * g1, 0.0), 1.0)
         lam[1] = min(max(lam[1] - eta * g2, 0.0), 1.0)
         return cot

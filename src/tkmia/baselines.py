@@ -47,17 +47,21 @@ class BaselineSpec:
             raise ValueError(f"unknown baseline method {self.method!r}")
 
 
-def _label_split(labels_or_relevant, c: int):
-    """Checked relevant and irrelevant label sets as index arrays."""
-    relevant = tuple(sorted(int(i) for i in labels_or_relevant))
-    if not relevant:
+def _relevant(relevant, c: int) -> np.ndarray:
+    """A checked relevant label set as a sorted index array."""
+    rel = tuple(sorted(int(i) for i in relevant))
+    if not rel:
         raise ValueError("relevant set must be non-empty")
-    if relevant[0] < 0 or relevant[-1] >= c:
+    if rel[0] < 0 or rel[-1] >= c:
         raise ValueError(f"label indices outside [0, {c})")
-    irrelevant = tuple(sorted(set(range(c)) - set(relevant)))
+    return np.array(rel)
+
+
+def _irrelevant(irrelevant) -> np.ndarray:
+    """ml_cw_u's irrelevant label set as an index array; only ml_cw_u reads it."""
     if not irrelevant:
         raise ValueError("irrelevant set must be non-empty")
-    return np.array(relevant), np.array(irrelevant)
+    return np.array(irrelevant)
 
 
 def _ml_cw_u_pair(scores, rel, irr):
@@ -95,7 +99,8 @@ def ml_cw_u_loss(model: Scorer, x, eps, relevant, alpha: float = 0.0):
     """
     x = np.asarray(x, dtype=np.float64)
     eps = np.asarray(eps, dtype=np.float64)
-    rel, irr = _label_split(relevant, model.out_dim)
+    rel = _relevant(relevant, model.out_dim)
+    irr = _irrelevant(sorted(set(range(model.out_dim)) - set(rel.tolist())))
     x_adv = x + eps
     scores, pullback = model.vjp(x_adv)
     hi, lo = _ml_cw_u_pair(scores, rel, irr)
@@ -114,7 +119,7 @@ def tkml_ap_u_loss(model: Scorer, x, eps, relevant, k: int, alpha: float = 0.0):
     c = model.out_dim
     if not 1 <= k < c:
         raise ValueError(f"k={k} out of range [1, {c - 1}]")
-    rel, _ = _label_split(relevant, c)
+    rel = _relevant(relevant, c)
     x_adv = x + eps
     scores, pullback = model.vjp(x_adv)
     hi, lo = _tkml_ap_u_pair(scores, _rank(scores), rel, k)
@@ -129,17 +134,19 @@ def run_baseline(model: Scorer, instance: Instance, specified,
     Preconditions match the main attack (|Yp| >= k + |S|, S inside the
     relevant set); success requires at least ``delta`` specified labels
     expelled from the top k, where delta defaults to |S| and may not
-    exceed it.
+    exceed it. ml_cw_u also needs an irrelevant label; tkml_ap_u does not.
     """
     config = spec.config
     s, _ = attack_preconditions(instance, specified, config.k, model.out_dim)
     delta = config.delta_threshold if config.delta_threshold is not None else len(s)
     if delta > len(s):
         raise ValueError(f"delta threshold {delta} exceeds |S|={len(s)}")
-    rel, irr = _label_split(instance.relevant, model.out_dim)
+    rel = np.array(instance.relevant)  # checked by attack_preconditions
     k = config.k
 
     if spec.method == "ml_cw_u":
+        irr = _irrelevant(instance.irrelevant)
+
         def step(scores, order):
             return _hinge_cot(scores, *_ml_cw_u_pair(scores, rel, irr))
     else:

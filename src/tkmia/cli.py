@@ -18,14 +18,14 @@ import argparse
 import json
 import sys
 
-from .attack import AttackConfig, select_random, tkmia_attack
-from .baselines import BaselineSpec, run_baseline
+from .attack import AttackConfig, select_random
 from .checks import run_all_checks
 from .harness import (
     METHODS,
     VICTIM_ARCHS,
     ExperimentConfig,
     SyntheticSpec,
+    _run_method,
     gen_synthetic,
     load_dataset,
     run_experiment,
@@ -122,11 +122,7 @@ def _cmd_attack(args) -> int:
                           momentum=args.momentum, max_iter=args.max_iter,
                           success_mode=args.success_mode,
                           delta_threshold=args.delta)
-    if args.method == "tkmia":
-        outcome = tkmia_attack(victim, instance, specified, config)
-    else:
-        outcome = run_baseline(victim, instance, specified,
-                               BaselineSpec(args.method, config))
+    outcome = _run_method(args.method, victim, instance, specified, config)
     print(json.dumps(outcome.to_record(instance=args.index, k=args.k)))
     return 0
 

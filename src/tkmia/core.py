@@ -86,6 +86,8 @@ class Instance:
             raise ValueError("x must be 1-D and non-empty")
         if not np.all(np.isfinite(x)):
             raise ValueError("x contains non-finite entries")
+        if y.size == 0:
+            raise ValueError("y must be non-empty")
         y.setflags(write=False)
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "y", y)

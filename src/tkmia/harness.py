@@ -146,13 +146,6 @@ def load_dataset(path: str) -> list[Instance]:
     return instances
 
 
-def _train_config(epochs: int = 100, learning_rate: float = 0.5, momentum: float = 0.9,
-                  batch_size: int = 64, seed: int = 0) -> TrainConfig:
-    """The training part of a victim recipe, with :func:`train_victim`'s defaults."""
-    return TrainConfig(epochs=int(epochs), learning_rate=float(learning_rate),
-                       momentum=float(momentum), batch_size=int(batch_size), seed=int(seed))
-
-
 def train_victim(dataset: Sequence[Instance], arch: str = "affine", hidden: int = 32,
                  activation: str = "tanh", **train) -> Scorer:
     """Initialize an affine or MLP scorer sized to the dataset, then fit it.
@@ -163,7 +156,7 @@ def train_victim(dataset: Sequence[Instance], arch: str = "affine", hidden: int 
     ``batch_size`` (64) and ``seed`` (0), which also seeds the
     initialization.
     """
-    config = _train_config(**train)
+    config = TrainConfig(**train)
     d = dataset[0].x.shape[0]
     c = dataset[0].n_classes
     if arch == "affine":
@@ -307,8 +300,8 @@ class ExperimentConfig:
                 raise ValueError(f"victim.hidden: hidden size must be >= 1, "
                                  f"got {self.victim['hidden']}")
             try:
-                _train_config(**{key: value for key, value in self.victim.items()
-                                 if key not in ("arch", "hidden", "activation")})
+                TrainConfig(**{key: value for key, value in self.victim.items()
+                               if key not in ("arch", "hidden", "activation")})
             except ValueError as exc:
                 raise ValueError(f"victim: {exc}") from None
 
@@ -391,6 +384,7 @@ def _cell_selection(config: ExperimentConfig, dataset, k: int):
 
 
 def _run_method(method: str, model: Scorer, inst: Instance, s, cfg: AttackConfig):
+    """One attack of ``inst`` by ``method``: the one dispatch of reports and ``tkmia attack``."""
     if method == "tkmia":
         return tkmia_attack(model, inst, s, cfg)
     return run_baseline(model, inst, s, BaselineSpec(method, cfg))
@@ -405,13 +399,17 @@ def run_experiment(config: ExperimentConfig):
     """Run the full grid and write the CSV report plus outcome records.
 
     Returns the report rows. A cell that the filter empties gives rows
-    with ``n = 0`` and no measures. Files are written atomically at the
+    with ``n = 0`` and no measures. An attack that fails names its cell
+    and the instance's dataset index. Files are written atomically at the
     end, so a failing run leaves no partial outputs.
     """
     dataset = _resolve_dataset(config)
     d, c = dataset[0].x.shape[0], dataset[0].n_classes
     config.check_classes(c)
     model = _resolve_victim(config, dataset)
+    if not model.sigmoid_output:  # only a victim file can be raw
+        raise ValueError(f"victim {config.victim['path']}: sigmoid_output is false, "
+                         "but the report measures need scores in [0, 1]")
     if (model.in_dim, model.out_dim) != (d, c):
         raise ValueError(f"victim has in_dim={model.in_dim}, out_dim={model.out_dim}, "
                          f"but the dataset has d={d}, c={c}")
@@ -426,10 +424,12 @@ def run_experiment(config: ExperimentConfig):
         cell = {"k": k, "s_size": _scheme_s_size(config.scheme, pairs), "n": len(pairs)}
         for method in config.methods:
             cfg = config.attack_config(method, k)
-            outcomes = [
-                _run_method(method, model, dataset[idx], s, cfg)
-                for idx, s in pairs
-            ]
+            outcomes = []
+            for idx, s in pairs:
+                try:
+                    outcomes.append(_run_method(method, model, dataset[idx], s, cfg))
+                except (ValueError, FloatingPointError) as exc:
+                    raise type(exc)(f"attack ({method}, k={k}) instance {idx}: {exc}") from None
             perturbed = evaluate_rows(_matrix([o.scores_after for o in outcomes], c), labels, k)
             report = delta_report(clean, perturbed, outcomes) if pairs else None
             row = {**cell, "method": method}

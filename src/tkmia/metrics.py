@@ -57,20 +57,6 @@ class UndefinedMetricError(ValueError):
     """A measure was requested where its definition does not apply."""
 
 
-def _checked_rows(scores, labels, k: int, ndim: int):
-    """Validated (N, c) scores and labels and k, from one check of each.
-
-    ``ndim=1`` takes one score vector and its labels as a single row.
-    """
-    scores = as_scores(scores, ndim)
-    c = scores.shape[-1]
-    k = _check_k(k, c)
-    labels = as_labels(labels, c, ndim)
-    if labels.shape[:-1] != scores.shape[:-1]:
-        raise ValueError(f"{labels.shape[0]} label rows != {scores.shape[0]} score rows")
-    return np.atleast_2d(scores), np.atleast_2d(labels), k
-
-
 def _measure_rows(scores: np.ndarray, labels: np.ndarray, k: int) -> dict[str, np.ndarray]:
     """Each of MEASURES as a vector over the rows of checked (N, c) arrays.
 
@@ -98,8 +84,16 @@ def _measure_rows(scores: np.ndarray, labels: np.ndarray, k: int) -> dict[str, n
 
 
 def _measures(scores, labels, k: int, ndim: int = 1) -> dict[str, np.ndarray]:
-    """The measures of each score row; ``ndim=1`` takes one score vector."""
-    return _measure_rows(*_checked_rows(scores, labels, k, ndim))
+    """The measures of each row of (N, c) scores and labels, from one check
+    of each and of k; ``ndim=1`` takes one score vector and its labels as a
+    single row."""
+    scores = as_scores(scores, ndim)
+    c = scores.shape[-1]
+    k = _check_k(k, c)
+    labels = as_labels(labels, c, ndim)
+    if labels.shape[:-1] != scores.shape[:-1]:
+        raise ValueError(f"{labels.shape[0]} label rows != {scores.shape[0]} score rows")
+    return _measure_rows(np.atleast_2d(scores), np.atleast_2d(labels), k)
 
 
 def _defined(values: np.ndarray, name: str) -> np.ndarray:

@@ -137,16 +137,16 @@ class Scorer:
     def score(self, x) -> np.ndarray:
         """Deterministic forward pass; scores strictly inside (0, 1).
 
-        An (N, d) batch gives (N, c) scores. It runs as N stacked (1, d)
-        products, which give each row the bytes of the single-input
-        ``score``, whatever the other rows are; a plain matrix product
-        would not.
+        A (d,) vector gives (c,) scores and an (N, d) batch (N, c) scores.
+        Both run as stacked (1, d) products, which give each row the bytes
+        of the single-input ``score``, whatever the other rows are; a plain
+        matrix product would not.
         """
         x = self._check_input(x, ndims=(1, 2))
-        if x.ndim == 1:
-            z = self._forward(x)[0]
-        else:
-            z = self._forward(x[:, None, :])[0][:, 0, :]
+        return self._output(self._forward(x[..., None, :])[0][..., 0, :])
+
+    def _output(self, z):
+        """Scores from logits: their sigmoid, or the logits themselves."""
         return _sigmoid(z) if self.sigmoid_output else z
 
     def vjp(self, x):
@@ -158,7 +158,7 @@ class Scorer:
         may be called any number of times.
         """
         z, pre, hidden = self._forward(self._check_input(x))
-        scores = _sigmoid(z) if self.sigmoid_output else z
+        scores = self._output(z)
 
         def pullback(cotangent) -> np.ndarray:
             cot = np.asarray(cotangent, dtype=np.float64)
@@ -207,10 +207,12 @@ def make_mlp(in_dim: int, hidden_dim: int, n_classes: int, seed: int = 0,
 
 @dataclass
 class TrainConfig:
-    epochs: int
-    learning_rate: float
+    """Mini-batch BCE settings; the defaults are :func:`tkmia.harness.train_victim`'s."""
+
+    epochs: int = 100
+    learning_rate: float = 0.5
     momentum: float = 0.9
-    batch_size: int = 32
+    batch_size: int = 64
     seed: int = 0
 
     def __post_init__(self):
@@ -292,18 +294,14 @@ def finite_diff_check(model: Scorer, x, tolerance: float,
     error) where the error is normwise per class row.
     """
     x = np.asarray(x, dtype=np.float64)
+    # Row j holds the central differences of class j's score along each x_i.
+    numeric = np.stack([model.score(x + bump) - model.score(x - bump)
+                        for bump in step * np.eye(x.shape[0])], axis=1) / (2 * step)
     worst = 0.0
-    for j in range(model.out_dim):
-        cot = np.zeros(model.out_dim)
-        cot[j] = 1.0
+    for j, cot in enumerate(np.eye(model.out_dim)):
         analytic = model.input_gradient(x, cot)
-        numeric = np.zeros_like(x)
-        for i in range(x.shape[0]):
-            bump = np.zeros_like(x)
-            bump[i] = step
-            numeric[i] = (model.score(x + bump)[j] - model.score(x - bump)[j]) / (2 * step)
-        scale = max(float(np.linalg.norm(numeric)), 1e-12)
-        worst = max(worst, float(np.linalg.norm(analytic - numeric)) / scale)
+        scale = max(float(np.linalg.norm(numeric[j])), 1e-12)
+        worst = max(worst, float(np.linalg.norm(analytic - numeric[j])) / scale)
     return worst <= tolerance, worst
 
 

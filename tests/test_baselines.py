@@ -182,6 +182,21 @@ class TestRunBaseline:
         with pytest.raises(ValueError):
             tkmia_attack(model, inst, specified, config)
 
+    def test_only_ml_cw_u_needs_an_irrelevant_label(self):
+        # tkml_ap_u reads Yp and the (k+1)-th class; ml_cw_u also reads Yn
+        model = constant_score_model([0.9, 0.8, 0.6, 0.3])
+        inst = Instance(x=np.zeros(3), y=[1, 1, 1, 1])
+        config = AttackConfig(k=2, eta=0.1, max_iter=20)
+        out = run_baseline(model, inst, (0,), BaselineSpec("tkml_ap_u", config))
+        assert out.residual == (0,) and out.iterations_used == 20
+        value, grad = tkml_ap_u_loss(model, np.zeros(3), np.zeros(3), (0, 1, 2, 3), k=2)
+        assert value == pytest.approx(0.9 - 0.6)
+        np.testing.assert_array_equal(grad, np.zeros(3))
+        with pytest.raises(ValueError, match="irrelevant set must be non-empty"):
+            run_baseline(model, inst, (0,), BaselineSpec("ml_cw_u", config))
+        with pytest.raises(ValueError, match="irrelevant set must be non-empty"):
+            ml_cw_u_loss(model, np.zeros(3), np.zeros(3), (0, 1, 2, 3))
+
     def test_unknown_method_rejected(self):
         with pytest.raises(ValueError):
             BaselineSpec("kfool", AttackConfig(k=2, eta=0.1))

@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from tkmia.cli import main
@@ -160,6 +161,62 @@ class TestEmptyFeatures:
         assert run_cli(["report", "--config", str(path)]) == 1
         assert capsys.readouterr().err == (
             f"error: {dataset_path} line 2: x must be 1-D and non-empty\n")
+        assert not (tmp_path / "report.csv").exists()
+
+
+class TestEmptyLabels:
+    def test_train_exits_one(self, tmp_path, capsys):
+        path = tmp_path / "data.jsonl"
+        path.write_text('{"x": [0.5], "y": []}\n{"x": [0.2], "y": []}\n')
+        assert run_cli(["train", "--dataset", str(path),
+                        "--out", str(tmp_path / "v.jsonl")]) == 1
+        assert capsys.readouterr().err == f"error: {path} line 1: y must be non-empty\n"
+        assert not (tmp_path / "v.jsonl").exists()
+
+
+class TestReportOnAnAllRelevantInstance:
+    """Instance 2 of the dataset file has every label relevant."""
+
+    LABELS = [[1, 1, 0, 0], [0, 1, 1, 0], [1, 1, 1, 1], [1, 0, 1, 0], [0, 1, 0, 1]] * 4
+
+    def report(self, tmp_path, methods, scheme, attack=None):
+        rng = np.random.default_rng(2)
+        data = tmp_path / "data.jsonl"
+        data.write_text("".join(json.dumps({"x": rng.uniform(-1, 1, 3).tolist(), "y": y}) + "\n"
+                                for y in self.LABELS))
+        config = {
+            "dataset": {"path": str(data)},
+            "victim": {"arch": "affine", "epochs": 20},
+            "k_grid": [1],
+            "scheme": scheme,
+            "methods": methods,
+            "attack": {"eta": 0.05, "max_iter": 30, **(attack or {})},
+            "out_csv": str(tmp_path / "report.csv"),
+            "out_outcomes": str(tmp_path / "outcomes.jsonl"),
+        }
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        return run_cli(["report", "--config", str(path)])
+
+    def test_tkmia_and_tkml_ap_u_run(self, tmp_path, capsys):
+        assert self.report(tmp_path, ["tkmia", "tkml_ap_u"], {"type": "random", "m": 1}) == 0
+        records = [json.loads(line)
+                   for line in (tmp_path / "outcomes.jsonl").read_text().splitlines()]
+        assert {(r["method"], r["instance"]) for r in records} >= {("tkmia", 2),
+                                                                   ("tkml_ap_u", 2)}
+
+    def test_ml_cw_u_failure_names_cell_and_instance(self, tmp_path, capsys):
+        assert self.report(tmp_path, ["tkmia", "ml_cw_u"], {"type": "random", "m": 1}) == 1
+        assert capsys.readouterr().err == (
+            "error: attack (ml_cw_u, k=1) instance 2: irrelevant set must be non-empty\n")
+        assert not (tmp_path / "report.csv").exists()
+
+    def test_delta_threshold_above_s_names_cell_and_instance(self, tmp_path, capsys):
+        # instance 0 has S = {0} under the categories {0, 2}
+        assert self.report(tmp_path, ["tkml_ap_u"], {"type": "global", "categories": [0, 2]},
+                           {"delta_threshold": 2}) == 1
+        assert capsys.readouterr().err == (
+            "error: attack (tkml_ap_u, k=1) instance 0: delta threshold 2 exceeds |S|=1\n")
         assert not (tmp_path / "report.csv").exists()
 
 

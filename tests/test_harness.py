@@ -105,6 +105,7 @@ class TestDatasetIO:
         ('{"x": [0.1, 0.2], "y": [1, 0]', "Expecting"),
         ('{"x": [0.1, 0.2], "y": [1, 2]}', "label entries must be 0 or 1"),
         ('{"x": [], "y": [1, 0]}', "x must be 1-D and non-empty"),
+        ('{"x": [0.1, 0.2], "y": []}', "y must be non-empty"),
     ])
     def test_bad_line_named(self, tmp_path, bad_line, message):
         good = '{"x": [0.5, -0.5], "y": [0, 1]}'
@@ -306,6 +307,18 @@ class TestRunExperiment:
         assert all(r["iterations_used"] == 0 for r in ml_cw_u)
         assert any(json.loads(line)["iterations_used"] > 0 for line in lines(plain_dir, "ml_cw_u"))
         assert lines(override_dir, "tkmia") == lines(plain_dir, "tkmia")
+
+    def test_raw_victim_rejected_by_name(self, tmp_path):
+        config = small_config(tmp_path)
+        victim_path = tmp_path / "raw.jsonl"
+        save_scorer(make_affine(12, 8, seed=3, sigmoid_output=False), str(victim_path))
+        config.victim = {"path": str(victim_path)}
+        with pytest.raises(ValueError) as info:
+            run_experiment(config)
+        assert str(info.value) == (f"victim {victim_path}: sigmoid_output is false, "
+                                   "but the report measures need scores in [0, 1]")
+        assert not (tmp_path / "report.csv").exists()
+        assert not (tmp_path / "outcomes.jsonl").exists()
 
     def test_victim_from_path(self, tmp_path):
         config = small_config(tmp_path, max_instances=10)

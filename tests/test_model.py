@@ -329,6 +329,35 @@ class TestFiniteDiffCheck:
         ok, err = finite_diff_check(bad, np.linspace(-0.5, 0.5, 6), tolerance=1e-4)
         assert not ok and err > 1e-4
 
+    @pytest.mark.parametrize("arch", ["affine", "mlp"])
+    def test_equals_the_per_class_loop_bit_for_bit(self, arch):
+        def per_class_loop(model, x, tolerance, step=1e-5):
+            # finite_diff_check as it was: 2 * c * d score calls, one class at a time
+            x = np.asarray(x, dtype=np.float64)
+            worst = 0.0
+            for j in range(model.out_dim):
+                cot = np.zeros(model.out_dim)
+                cot[j] = 1.0
+                analytic = model.input_gradient(x, cot)
+                numeric = np.zeros_like(x)
+                for i in range(x.shape[0]):
+                    bump = np.zeros_like(x)
+                    bump[i] = step
+                    numeric[i] = (model.score(x + bump)[j] - model.score(x - bump)[j]) / (2 * step)
+                scale = max(float(np.linalg.norm(numeric)), 1e-12)
+                worst = max(worst, float(np.linalg.norm(analytic - numeric)) / scale)
+            return worst <= tolerance, worst
+
+        rng = np.random.default_rng(11)
+        for trial in range(10):
+            d, c = int(rng.integers(1, 9)), int(rng.integers(2, 9))
+            model = (make_affine(d, c, seed=trial) if arch == "affine"
+                     else make_mlp(d, int(rng.integers(1, 9)), c, seed=trial))
+            x = rng.uniform(-0.8, 0.8, d)
+            for tolerance, step in ((1e-4, 1e-5), (1e-9, 1e-3)):
+                assert (finite_diff_check(model, x, tolerance, step)
+                        == per_class_loop(model, x, tolerance, step))
+
 
 def toy_separable(n=200, seed=0):
     # Two classes, each relevant exactly when its own coordinate is
@@ -345,6 +374,20 @@ def toy_separable(n=200, seed=0):
 
 
 class TestTrainBce:
+    def test_default_config_is_train_victims(self):
+        from tkmia.harness import train_victim
+
+        assert TrainConfig() == TrainConfig(epochs=100, learning_rate=0.5, momentum=0.9,
+                                            batch_size=64, seed=0)
+        data = toy_separable(n=80)
+        trained = train_victim(data)
+        expected = train_bce(data, TrainConfig(epochs=100, learning_rate=0.5, momentum=0.9,
+                                               batch_size=64, seed=0),
+                             model=make_affine(2, 2, seed=0))
+        for got, want in zip(trained.weights + trained.biases,
+                             expected.weights + expected.biases):
+            np.testing.assert_array_equal(got, want)
+
     def test_zero_epochs_identity(self):
         data = toy_separable(50)
         init = make_affine(2, 2, seed=1)
