@@ -4,14 +4,16 @@ Score vectors are post-sigmoid class relevancy scores, so every entry must
 lie in [0, 1]. Ties between scores are broken deterministically by smaller
 class index, which keeps every downstream ranking quantity reproducible.
 All functions here are pure and safe to call concurrently, apart from
-:func:`atomic_write`, the one file writer the other modules share.
+:func:`atomic_write`, the one streaming file writer every output goes through.
 """
 from __future__ import annotations
 
 import os
 import tempfile
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Iterator, TextIO
 
 import numpy as np
 
@@ -155,18 +157,19 @@ def hinge(a: float) -> float:
     return max(0.0, float(a))
 
 
-def atomic_write(path: str, text: str) -> None:
-    """Replace ``path`` with ``text`` by renaming a finished temp file over it.
+@contextmanager
+def atomic_write(path: str) -> Iterator[TextIO]:
+    """Yield a text handle on a temp file that replaces ``path`` on a clean exit.
 
     The temp file lives in the target's directory, so the rename is atomic:
-    readers see the old file or the whole new one. If anything fails, the
-    temp file is removed and an existing target keeps its old bytes. Text is
-    written without newline translation.
+    readers see the old file or the whole new one. If the block or the rename
+    raises, the temp file is removed and an existing target keeps its old
+    bytes. Text is written without newline translation.
     """
     fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), suffix=".tmp")
     try:
         with os.fdopen(fd, "w", newline="") as handle:
-            handle.write(text)
+            yield handle
         os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)

@@ -12,6 +12,7 @@ are reproducible byte for byte.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass
 from statistics import NormalDist
 from typing import Sequence
@@ -109,11 +110,9 @@ def gen_synthetic(spec: SyntheticSpec) -> list[Instance]:
 
 def save_dataset(instances: Sequence[Instance], path: str) -> None:
     """One instance per line: {"x": [...], "y": [...]}."""
-    lines = [
-        json.dumps({"x": inst.x.tolist(), "y": inst.y.tolist()})
-        for inst in instances
-    ]
-    atomic_write(path, "\n".join(lines) + "\n")
+    with atomic_write(path) as handle:
+        for inst in instances:
+            handle.write(json.dumps({"x": inst.x.tolist(), "y": inst.y.tolist()}) + "\n")
 
 
 def load_dataset(path: str) -> list[Instance]:
@@ -257,6 +256,8 @@ class ExperimentConfig:
         for method in self.methods:
             if method not in METHODS:
                 raise ValueError(f"unknown method {method!r}")
+        if os.path.realpath(self.out_outcomes) == os.path.realpath(self.out_csv):
+            raise ValueError("out_outcomes: same file as out_csv")
         for level, block, allowed, required in (
                 ("dataset", self.dataset, _DATASET_KEYS, _DATASET_REQUIRED),
                 ("victim", self.victim, _VICTIM_KEYS, ())):
@@ -327,6 +328,7 @@ class ExperimentConfig:
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
         _check_keys("config", raw, _CONFIG_KEYS, _REQUIRED)
         _expect_items("k_grid", raw["k_grid"], int)
+        _expect_items("methods", raw["methods"], str)
         scheme_raw = raw["scheme"]
         _check_keys("scheme", scheme_raw, _SCHEME_KEYS, ("type",))
         kind = scheme_raw["type"]
@@ -336,16 +338,22 @@ class ExperimentConfig:
         _check_keys("scheme", scheme_raw, {key: _SCHEME_KEYS[key] for key in keys}, keys)
         if kind == "global":
             _expect_items("scheme.categories", scheme_raw["categories"], int)
-            scheme = GlobalScheme(tuple(scheme_raw["categories"]))
-        else:
-            scheme = RandomScheme(scheme_raw["m"])
+        try:
+            scheme = (GlobalScheme(tuple(scheme_raw["categories"])) if kind == "global"
+                      else RandomScheme(scheme_raw["m"]))
+        except ValueError as exc:
+            raise ValueError(f"scheme.{keys[1]}: {exc}") from None
         return cls(**{**raw, "k_grid": tuple(raw["k_grid"]), "scheme": scheme,
                       "methods": tuple(raw["methods"])})
 
     @classmethod
     def from_json(cls, path: str) -> "ExperimentConfig":
         with open(path) as handle:
-            return cls.from_dict(json.load(handle))
+            try:
+                raw = json.load(handle)
+            except json.JSONDecodeError as exc:
+                raise ValueError(f"{path}: {exc}") from None
+        return cls.from_dict(raw)
 
 
 def _resolve_dataset(config: ExperimentConfig) -> list[Instance]:
@@ -400,9 +408,14 @@ def run_experiment(config: ExperimentConfig):
 
     Returns the report rows. A cell that the filter empties gives rows
     with ``n = 0`` and no measures. An attack that fails names its cell
-    and the instance's dataset index. Files are written atomically at the
-    end, so a failing run leaves no partial outputs.
+    and the instance's dataset index. Outcome records stream to a temp file
+    as each cell is measured; after the last cell it replaces ``out_outcomes``
+    and the CSV is written, so a failing run leaves no partial outputs.
     """
+    for key in ("out_csv", "out_outcomes"):
+        directory = os.path.dirname(os.path.abspath(getattr(config, key)))
+        if not os.path.isdir(directory):
+            raise ValueError(f"{key}: directory {directory} does not exist")
     dataset = _resolve_dataset(config)
     d, c = dataset[0].x.shape[0], dataset[0].n_classes
     config.check_classes(c)
@@ -415,35 +428,35 @@ def run_experiment(config: ExperimentConfig):
                          f"but the dataset has d={d}, c={c}")
 
     rows = []
-    outcome_lines = []
-    for k in config.k_grid:
-        pairs = _cell_selection(config, dataset, k)
-        labels = _matrix([dataset[idx].y for idx, _ in pairs], c)
-        clean = evaluate_rows(model.score(_matrix([dataset[idx].x for idx, _ in pairs], d)),
-                              labels, k)
-        cell = {"k": k, "s_size": _scheme_s_size(config.scheme, pairs), "n": len(pairs)}
-        for method in config.methods:
-            cfg = config.attack_config(method, k)
-            outcomes = []
-            for idx, s in pairs:
+    with atomic_write(config.out_outcomes) as outcome_file:
+        for k in config.k_grid:
+            pairs = _cell_selection(config, dataset, k)
+            labels = _matrix([dataset[idx].y for idx, _ in pairs], c)
+            clean = evaluate_rows(model.score(_matrix([dataset[idx].x for idx, _ in pairs], d)),
+                                  labels, k)
+            cell = {"k": k, "s_size": _scheme_s_size(config.scheme, pairs), "n": len(pairs)}
+            for method in config.methods:
+                cfg = config.attack_config(method, k)
+                outcomes = []
                 try:
-                    outcomes.append(_run_method(method, model, dataset[idx], s, cfg))
+                    for idx, s in pairs:
+                        outcomes.append(_run_method(method, model, dataset[idx], s, cfg))
                 except (ValueError, FloatingPointError) as exc:
                     raise type(exc)(f"attack ({method}, k={k}) instance {idx}: {exc}") from None
-            perturbed = evaluate_rows(_matrix([o.scores_after for o in outcomes], c), labels, k)
-            report = delta_report(clean, perturbed, outcomes) if pairs else None
-            row = {**cell, "method": method}
-            rows.append({col: row.get(col, getattr(report, col, None)) for col in REPORT_COLUMNS})
-            for (idx, s), outcome, cl, pt in zip(pairs, outcomes, clean, perturbed):
-                outcome_lines.append(json.dumps(outcome.to_record(
-                    instance=idx,
-                    k=k,
-                    clean_metrics={name: getattr(cl, name) for name in MEASURES},
-                    perturbed_metrics={name: getattr(pt, name) for name in MEASURES},
-                )))
+                perturbed = evaluate_rows(_matrix([o.scores_after for o in outcomes], c),
+                                          labels, k)
+                report = delta_report(clean, perturbed, outcomes) if pairs else None
+                row = {**cell, "method": method}
+                rows.append({col: row.get(col, getattr(report, col, None))
+                             for col in REPORT_COLUMNS})
+                for (idx, s), outcome, cl, pt in zip(pairs, outcomes, clean, perturbed):
+                    outcome_file.write(json.dumps(outcome.to_record(
+                        instance=idx, k=k,
+                        clean_metrics={name: getattr(cl, name) for name in MEASURES},
+                        perturbed_metrics={name: getattr(pt, name) for name in MEASURES},
+                    )) + "\n")
 
     write_report_csv(config.out_csv, rows)
-    atomic_write(config.out_outcomes, "\n".join(outcome_lines) + "\n")
     return rows
 
 

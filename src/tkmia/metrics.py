@@ -22,7 +22,6 @@ and over an attacked instance set:
 from __future__ import annotations
 
 import csv
-import io
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -296,8 +295,7 @@ def write_report_csv(path: str, rows: Sequence[dict]) -> None:
     Each row is a dict keyed by REPORT_COLUMNS. Floats serialize via repr
     so equal runs produce byte-identical files.
     """
-    buffer = io.StringIO()
-    writer = csv.writer(buffer)
-    writer.writerow(REPORT_COLUMNS)
-    writer.writerows([_fmt(row[col]) for col in REPORT_COLUMNS] for row in rows)
-    atomic_write(path, buffer.getvalue())
+    with atomic_write(path) as handle:
+        writer = csv.writer(handle)
+        writer.writerow(REPORT_COLUMNS)
+        writer.writerows([_fmt(row[col]) for col in REPORT_COLUMNS] for row in rows)

@@ -314,13 +314,11 @@ def save_scorer(model: Scorer, path: str) -> None:
         "sigmoid_output": model.sigmoid_output,
         "shapes": [list(w.shape) for w in model.weights],
     }
-    lines = [json.dumps(header)]
-    for w, b in zip(model.weights, model.biases):
-        lines.append(json.dumps({
-            "weight": w.ravel(order="C").tolist(),
-            "bias": b.tolist(),
-        }))
-    atomic_write(path, "\n".join(lines) + "\n")
+    with atomic_write(path) as handle:
+        handle.write(json.dumps(header) + "\n")
+        for w, b in zip(model.weights, model.biases):
+            handle.write(json.dumps({"weight": w.ravel(order="C").tolist(),
+                                     "bias": b.tolist()}) + "\n")
 
 
 def load_scorer(path: str) -> Scorer:

@@ -211,6 +211,11 @@ class TestReportOnAnAllRelevantInstance:
             "error: attack (ml_cw_u, k=1) instance 2: irrelevant set must be non-empty\n")
         assert not (tmp_path / "report.csv").exists()
 
+    def test_failed_report_leaves_no_output_and_no_temp_file(self, tmp_path, capsys):
+        # tkmia's records stream into the temp file before ml_cw_u fails on instance 2.
+        assert self.report(tmp_path, ["tkmia", "ml_cw_u"], {"type": "random", "m": 1}) == 1
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "data.jsonl"]
+
     def test_delta_threshold_above_s_names_cell_and_instance(self, tmp_path, capsys):
         # instance 0 has S = {0} under the categories {0, 2}
         assert self.report(tmp_path, ["tkml_ap_u"], {"type": "global", "categories": [0, 2]},

@@ -295,24 +295,32 @@ class TestAtomicWrite:
     def test_replaces_target(self, tmp_path):
         path = tmp_path / "out.txt"
         path.write_bytes(b"old\n")
-        atomic_write(str(path), "new\r\nline\n")
+        with atomic_write(str(path)) as handle:
+            handle.write("new\r\n")
+            assert path.read_bytes() == b"old\n"  # nothing shows before the block ends
+            handle.write("line\n")
         assert path.read_bytes() == b"new\r\nline\n"
         assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
 
-    @pytest.mark.parametrize("failure", ["write", "rename"])
+    @pytest.mark.parametrize("failure", ["write", "rename", "raise"])
     def test_failure_keeps_old_bytes_and_no_temp_file(self, tmp_path, monkeypatch, failure):
         path = tmp_path / "out.txt"
         path.write_bytes(b"old\n")
         if failure == "write":
             text = "half written \udcff"  # a lone surrogate cannot be encoded
             expected = UnicodeEncodeError
-        else:
+        elif failure == "rename":
             def refuse(src, dst):
                 raise OSError("rename refused")
 
             monkeypatch.setattr("tkmia.core.os.replace", refuse)
             text, expected = "new\n", OSError
+        else:
+            text, expected = "new\n", KeyError
         with pytest.raises(expected):
-            atomic_write(str(path), text)
+            with atomic_write(str(path)) as handle:
+                handle.write(text)
+                if failure == "raise":
+                    raise KeyError("the caller fails mid-write")
         assert path.read_bytes() == b"old\n"
         assert not list(tmp_path.glob("*.tmp"))

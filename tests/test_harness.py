@@ -227,6 +227,12 @@ class TestRunExperiment:
         assert all(r["n"] == "0" for r in rows)
         assert all(r["delta_p_at_k"] == "nan" for r in rows)
 
+    def test_all_empty_cells_write_an_empty_outcome_file(self, tmp_path):
+        config = small_config(tmp_path, scheme=RandomScheme(1), k_grid=(7,))
+        rows = run_experiment(config)
+        assert rows and all(r["n"] == 0 for r in rows)
+        assert (tmp_path / "outcomes.jsonl").read_bytes() == b""
+
     def test_global_scheme_s_column_is_mean_size(self, tmp_path):
         config = small_config(tmp_path, scheme=GlobalScheme((0, 1)), k_grid=(2,))
         rows = run_experiment(config)
@@ -494,6 +500,11 @@ class TestExperimentConfig:
          lambda raw: raw["scheme"].update(categories=[0, 99])),
         ("scheme.categories: -1 outside [0, 5)",
          lambda raw: raw["scheme"].update(categories=[-1])),
+        ("scheme.categories: category set must be non-empty",
+         lambda raw: raw["scheme"].update(categories=[])),
+        ("scheme.m: m must be positive",
+         lambda raw: raw.update(scheme={"type": "random", "m": 0})),
+        ("methods[0]: expected a string, got int", lambda raw: raw.update(methods=[1])),
     ] + [
         (f"dataset: missing key {key!r}", without("dataset", key))
         for key in ("n", "d", "c", "mean_relevant")
@@ -550,6 +561,36 @@ class TestExperimentConfig:
 
         assert report_error(tmp_path, capsys, edit_with_missing_dataset) == (
             f"error: {message}\n")
+
+    @pytest.mark.parametrize("key", ["out_csv", "out_outcomes"])
+    def test_missing_output_directory_rejected_before_dataset_is_read(self, tmp_path, capsys,
+                                                                       key):
+        def edit(raw):
+            raw["dataset"] = {"path": str(tmp_path / "missing.jsonl")}
+            raw[key] = str(tmp_path / "nodir" / "out")
+
+        assert report_error(tmp_path, capsys, edit) == (
+            f"error: {key}: directory {tmp_path / 'nodir'} does not exist\n")
+        assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
+
+    def test_outcomes_over_the_csv_rejected_before_dataset_is_read(self, tmp_path, capsys):
+        def edit(raw):
+            raw["dataset"] = {"path": str(tmp_path / "missing.jsonl")}
+            raw["out_outcomes"] = f"{tmp_path}/./r.csv"
+
+        assert report_error(tmp_path, capsys, edit) == (
+            "error: out_outcomes: same file as out_csv\n")
+        assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
+
+    def test_malformed_json_names_the_file(self, tmp_path, capsys):
+        from tkmia.cli import main
+
+        path = tmp_path / "config.json"
+        path.write_text('{"seed": 1,,}')
+        assert main(["report", "--config", str(path)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {path}: Expecting property name enclosed in double quotes: "
+            "line 1 column 12 (char 11)\n")
 
     def test_global_delta_threshold_up_to_the_category_count_loads(self):
         raw = {
