@@ -20,11 +20,15 @@ ranking serves the success test, the residual set reported at the end and
 the (k+1)-th class of the tkml_ap_u baseline. Each loss is a function of
 the score vector: a method's step maps (scores, ranking) to the score
 cotangent, and the forward pass's pullback turns that cotangent into the
-epsilon gradient. The loop then takes plain gradient steps on the lambdas
-(projected back to [0, 1]), a momentum gradient step on epsilon, projects
-x+eps into the clip domain, and stops early once the success condition
-holds. Distinct instances never share state, so attacks parallelize freely
-over instances with a read-only scorer.
+epsilon gradient. A step may return None instead when its loss is flat
+at those scores (every hinge inactive); such an iteration runs the forward
+pass but no pullback, since the pullback of a zero cotangent depends only
+on the scorer's weights and is computed once per attack. The loop then
+takes plain gradient steps on the lambdas (projected back to [0, 1]), a
+momentum gradient step on epsilon, projects x+eps into the clip domain,
+and stops early once the success condition holds. Distinct instances
+never share state, so attacks parallelize freely over instances with a
+read-only scorer.
 """
 from __future__ import annotations
 
@@ -212,7 +216,8 @@ def _tkmia_terms(scores, lam1: float, lam2: float, spec, rest, k: int):
 
     ``spec`` and ``rest`` are index arrays of the checked label sets from
     :func:`_split_sets`; pulling the cotangent back through the scorer and
-    adding ``alpha * eps`` gives the gradient with respect to eps.
+    adding ``alpha * eps`` gives the gradient with respect to eps. The
+    cotangent is None when no hinge is active (n1 = n2 = 0): it would be zero.
     """
     c = scores.shape[0]
     s_max, y_min, delta, delta_tilde = _gaps(scores, spec, rest)
@@ -220,6 +225,8 @@ def _tkmia_terms(scores, lam1: float, lam2: float, spec, rest, k: int):
     active2 = delta_tilde - lam2 > 0.0
     n1 = int(active1.sum())
     n2 = int(active2.sum())
+    if n1 == n2 == 0:
+        return None, 1.0, 1.0
 
     cot = np.zeros(c)
     cot[s_max] += n1 / (c - k)
@@ -257,7 +264,7 @@ def tkmia_objective(model: Scorer, x, eps, lam1: float, lam2: float,
              + float(gaps1[gaps1 > 0.0].sum()) / (c - k)
              + float(gaps2[gaps2 > 0.0].sum()) / k)
     cot, grad_lam1, grad_lam2 = _tkmia_terms(scores, lam1, lam2, spec, rest, k)
-    grad_eps = pullback(cot) + config.alpha * eps
+    grad_eps = pullback(np.zeros(c) if cot is None else cot) + config.alpha * eps
     return value, grad_eps, grad_lam1, grad_lam2
 
 
@@ -323,9 +330,15 @@ def run_attack_loop(model: Scorer, instance: Instance, specified,
     cotangent`` gives the loss's score cotangent at ``x_adv`` from the same
     scores and may advance its own auxiliary state; the loop turns the
     cotangent into the epsilon gradient with one ``pullback(cotangent)``
-    plus ``config.alpha * eps``. No loss value is computed. The loop
-    evaluates success before any update, so an instance that already
-    satisfies it returns epsilon exactly 0 after zero iterations.
+    plus ``config.alpha * eps``. A step may return None for a flat loss
+    (a zero cotangent): that iteration runs the forward pass but no
+    pullback, and uses ``pullback(zeros)``, taken on the attack's first
+    flat iteration and reused after it. The reuse is exact, because the
+    pullback of a zero cotangent multiplies zeros by the weights and by
+    non-negative derivatives, so its bytes, signed zeros included, do not
+    depend on the input. No loss value is computed. The loop evaluates
+    success before any update, so an instance that already satisfies it
+    returns epsilon exactly 0 after zero iterations.
     """
     k = config.k
     c = model.out_dim
@@ -336,6 +349,7 @@ def run_attack_loop(model: Scorer, instance: Instance, specified,
     x = instance.x
     eps = np.zeros_like(x)
     velocity = np.zeros_like(x)
+    zero_pull = None
     success = False
 
     for it in range(max_iter + 1):
@@ -350,7 +364,13 @@ def run_attack_loop(model: Scorer, instance: Instance, specified,
             break
         if it == max_iter:
             break
-        grad_eps = pullback(step_fn(scores, order)) + alpha * eps
+        cot = step_fn(scores, order)
+        if cot is None:
+            if zero_pull is None:
+                zero_pull = pullback(np.zeros(c))
+            grad_eps = zero_pull + alpha * eps
+        else:
+            grad_eps = pullback(cot) + alpha * eps
         if not np.isfinite(grad_eps).all():
             raise FloatingPointError(f"non-finite gradient at iteration {it}")
         velocity = momentum * velocity + grad_eps
@@ -389,6 +409,7 @@ def tkmia_attack(model: Scorer, instance: Instance, specified,
 
     def step(scores, order):
         # Finite: the gradients are 1 - n1/(c-k) and 1 - n2/k, with 1 <= k < c.
+        # The lambdas move on a flat iteration too, whose cotangent is None.
         cot, g1, g2 = _tkmia_terms(scores, lam[0], lam[1], spec_idx, rest_idx, k)
         lam[0] = min(max(lam[0] - eta * g1, 0.0), 1.0)
         lam[1] = min(max(lam[1] - eta * g2, 0.0), 1.0)

@@ -78,12 +78,20 @@ def _tkml_ap_u_pair(scores, order, rel, k: int):
 
 
 def _hinge_cot(scores, hi, lo):
-    """Score cotangent of the margin hinge ``[f_hi - f_lo]_+``."""
+    """Score cotangent of the margin hinge ``[f_hi - f_lo]_+``; None where the
+    hinge is flat, for :func:`run_attack_loop` to skip the pullback."""
+    if not scores[hi] - scores[lo] > 0.0:
+        return None
     cot = np.zeros(scores.shape[0])
-    if scores[hi] - scores[lo] > 0.0:
-        cot[hi] += 1.0
-        cot[lo] -= 1.0
+    cot[hi] += 1.0
+    cot[lo] -= 1.0
     return cot
+
+
+def _hinge_grad(pullback, scores, hi, lo, eps, alpha: float) -> np.ndarray:
+    """The public losses' eps gradient: a flat hinge pulls back zeros."""
+    cot = _hinge_cot(scores, hi, lo)
+    return pullback(np.zeros(scores.shape[0]) if cot is None else cot) + alpha * eps
 
 
 def _hinge_value(scores, hi, lo, eps, alpha: float) -> float:
@@ -104,8 +112,8 @@ def ml_cw_u_loss(model: Scorer, x, eps, relevant, alpha: float = 0.0):
     x_adv = x + eps
     scores, pullback = model.vjp(x_adv)
     hi, lo = _ml_cw_u_pair(scores, rel, irr)
-    grad = pullback(_hinge_cot(scores, hi, lo)) + alpha * eps
-    return _hinge_value(scores, hi, lo, eps, alpha), grad
+    return (_hinge_value(scores, hi, lo, eps, alpha),
+            _hinge_grad(pullback, scores, hi, lo, eps, alpha))
 
 
 def tkml_ap_u_loss(model: Scorer, x, eps, relevant, k: int, alpha: float = 0.0):
@@ -123,8 +131,8 @@ def tkml_ap_u_loss(model: Scorer, x, eps, relevant, k: int, alpha: float = 0.0):
     x_adv = x + eps
     scores, pullback = model.vjp(x_adv)
     hi, lo = _tkml_ap_u_pair(scores, _rank(scores), rel, k)
-    grad = pullback(_hinge_cot(scores, hi, lo)) + alpha * eps
-    return _hinge_value(scores, hi, lo, eps, alpha), grad
+    return (_hinge_value(scores, hi, lo, eps, alpha),
+            _hinge_grad(pullback, scores, hi, lo, eps, alpha))
 
 
 def run_baseline(model: Scorer, instance: Instance, specified,

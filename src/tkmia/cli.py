@@ -25,6 +25,7 @@ from .harness import (
     VICTIM_ARCHS,
     ExperimentConfig,
     SyntheticSpec,
+    _check_output_directory,
     _run_method,
     gen_synthetic,
     load_dataset,
@@ -90,6 +91,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_gen_data(args) -> int:
+    _check_output_directory("--out", args.out)
     spec = SyntheticSpec(n=args.n, d=args.d, c=args.c,
                          mean_relevant=args.mean_relevant,
                          label_correlation=args.correlation, seed=args.seed)
@@ -99,6 +101,7 @@ def _cmd_gen_data(args) -> int:
 
 
 def _cmd_train(args) -> int:
+    _check_output_directory("--out", args.out)
     victim = train_victim(load_dataset(args.dataset), arch=args.arch, hidden=args.hidden,
                           activation=args.activation, epochs=args.epochs,
                           learning_rate=args.learning_rate, momentum=args.momentum,

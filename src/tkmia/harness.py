@@ -403,6 +403,14 @@ def _matrix(rows, width: int) -> np.ndarray:
     return np.array(rows).reshape(len(rows), width)
 
 
+def _check_output_directory(name: str, path: str) -> None:
+    """Reject an output path whose directory is missing, naming ``name``,
+    before any work is done for it."""
+    directory = os.path.dirname(os.path.abspath(path))
+    if not os.path.isdir(directory):
+        raise ValueError(f"{name}: directory {directory} does not exist")
+
+
 def run_experiment(config: ExperimentConfig):
     """Run the full grid and write the CSV report plus outcome records.
 
@@ -413,9 +421,7 @@ def run_experiment(config: ExperimentConfig):
     and the CSV is written, so a failing run leaves no partial outputs.
     """
     for key in ("out_csv", "out_outcomes"):
-        directory = os.path.dirname(os.path.abspath(getattr(config, key)))
-        if not os.path.isdir(directory):
-            raise ValueError(f"{key}: directory {directory} does not exist")
+        _check_output_directory(key, getattr(config, key))
     dataset = _resolve_dataset(config)
     d, c = dataset[0].x.shape[0], dataset[0].n_classes
     config.check_classes(c)

@@ -3,6 +3,7 @@ import pytest
 
 from tkmia.attack import (
     AttackConfig,
+    AttackOutcome,
     GlobalScheme,
     RandomScheme,
     filter_instances,
@@ -203,6 +204,52 @@ def trained_toy_victim(seed=0):
 
 
 class TestTkmiaAttack:
+    def test_step_is_none_exactly_when_no_hinge_is_active(self, monkeypatch):
+        # Drive tkmia's step with chosen score vectors: a loop that captures
+        # the step replaces the engine, and the outcome carries the lambdas.
+        c, k, eta = 6, 3, 0.03
+        spec, rest = [0], [1, 2, 3]
+        inst = Instance(x=np.zeros(3), y=[1, 1, 1, 1, 0, 0])
+        sequence = [
+            [0.9, 0.1, 0.5, 0.5, 0.6, 0.6],  # n1 = n2 = 5: both lambdas grow
+            [0.9, 0.1, 0.5, 0.5, 0.6, 0.6],
+            [0.9, 0.1, 0.5, 0.5, 0.6, 0.6],
+            [0.5, 0.48, 0.52, 0.5, 0.5, 0.5],  # every gap within its lambda
+            [0.5, 0.5, 0.9, 0.5, 0.5, 0.5],  # n1 = 0, n2 = 1
+            [0.9, 0.9, 0.9, 0.9, 0.9, 0.1],  # n1 = 1, n2 = 0
+            [0.5] * 6,  # all equal: flat at any lambdas
+        ]
+
+        def attack_with(prefix, returned):
+            def scripted_loop(model, instance, specified, config, method, step_fn,
+                              success_fn):
+                for scores in map(np.array, prefix):
+                    returned.append(step_fn(scores, np.argsort(-scores, kind="stable")))
+                return AttackOutcome(method, np.zeros(3), len(prefix), False, specified,
+                                     (), 0.0, 0.0, np.zeros(c), np.zeros(c))
+
+            monkeypatch.setattr("tkmia.attack.run_attack_loop", scripted_loop)
+            return tkmia_attack(make_affine(3, c, seed=0), inst, spec,
+                                AttackConfig(k=k, eta=eta, max_iter=10))
+
+        lam1 = lam2 = 0.0
+        flat = []
+        for n, scores in enumerate(map(np.array, sequence), start=1):
+            returned = []
+            out = attack_with(sequence[:n], returned)
+            s_max = scores[spec].max()
+            y_min = scores[rest].min()
+            n1 = int((s_max - scores - lam1 > 0.0).sum())
+            n2 = int((scores - y_min - lam2 > 0.0).sum())
+            assert (returned[-1] is None) == (n1 == n2 == 0)
+            flat.append(returned[-1] is None)
+            lam1 = min(max(lam1 - eta * (1.0 - n1 / (c - k)), 0.0), 1.0)
+            lam2 = min(max(lam2 - eta * (1.0 - n2 / k), 0.0), 1.0)
+            assert (out.lambda1, out.lambda2) == (lam1, lam2)
+            if n == 4:  # the flat step moved both lambdas down by eta
+                assert lam1 == pytest.approx(0.03) and lam2 == pytest.approx(0.03)
+        assert flat == [False, False, False, True, False, False, True]
+
     def test_already_successful_returns_zero_epsilon(self):
         model = constant_score_model([0.9, 0.8, 0.1, 0.7])
         inst = Instance(x=np.zeros(3), y=[1, 1, 1, 0])

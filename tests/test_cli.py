@@ -26,6 +26,16 @@ class TestGenData:
         assert code == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_missing_out_directory_rejected_before_generating(self, tmp_path, capsys):
+        # The spec is bad too: the directory check must come first.
+        code = run_cli(["gen-data", "--n", "10", "--d", "4", "--c", "5",
+                        "--mean-relevant", "9.0",
+                        "--out", str(tmp_path / "nodir" / "x.jsonl")])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: --out: directory {tmp_path / 'nodir'} does not exist\n")
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestTrainAndAttack:
     @pytest.fixture
@@ -50,6 +60,14 @@ class TestTrainAndAttack:
         record = json.loads(capsys.readouterr().out)
         assert record["method"] == "tkmia"
         assert set(record) >= {"success", "epsilon", "iterations_used", "residual"}
+
+    def test_train_rejects_missing_out_directory_before_reading(self, tmp_path, capsys):
+        code = run_cli(["train", "--dataset", str(tmp_path / "missing.jsonl"),
+                        "--out", str(tmp_path / "nodir" / "v.jsonl")])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: --out: directory {tmp_path / 'nodir'} does not exist\n")
+        assert list(tmp_path.iterdir()) == []
 
     def test_train_rejects_mlp_without_hidden_units(self, dataset_path, tmp_path, capsys):
         code = run_cli(["train", "--dataset", str(dataset_path), "--arch", "mlp",

@@ -174,6 +174,30 @@ class TestVjp:
                 assert model.input_gradient(x, cot).tobytes() == expected
         assert clipped > 0 and inside > 0
 
+    @pytest.mark.parametrize("sigmoid_output", [True, False], ids=["sigmoid", "raw"])
+    @pytest.mark.parametrize("arch, activation", [
+        ("affine", "tanh"), ("mlp", "tanh"), ("mlp", "relu"), ("mlp", "identity")])
+    def test_zero_cotangent_pulls_back_to_the_same_bytes_at_every_input(
+            self, arch, activation, sigmoid_output):
+        # The attack loop reuses one pullback of zeros per attack, so its bytes,
+        # signed zeros included, must not depend on the input.
+        model = wide_logit_scorer(arch, activation, sigmoid_output)
+        logits = Scorer(model.weights, model.biases, activation, sigmoid_output=False)
+        rng = np.random.default_rng(9)
+        expected = model.vjp(np.zeros(5))[1](np.zeros(6)).tobytes()
+        tanh_mlp = (arch, activation) == ("mlp", "tanh")
+        clipped = saturated = 0
+        for scale in (1.0, 20.0, 500.0):
+            for _ in range(20):
+                x = rng.uniform(-scale, scale, 5)
+                clipped += int((np.abs(logits.score(x)) > 36.0).sum())
+                if tanh_mlp:
+                    hidden = np.tanh(model.weights[0] @ x + model.biases[0])
+                    saturated += int((np.abs(hidden) == 1.0).sum())
+                assert model.vjp(x)[1](np.zeros(6)).tobytes() == expected
+        assert clipped > 0
+        assert saturated > 0 or not tanh_mlp
+
     @pytest.mark.parametrize("cot", [
         np.zeros(5), np.zeros((1, 6)), [0.0] * 5 + [np.nan], [np.inf] + [0.0] * 5,
     ], ids=["short", "matrix", "nan", "inf"])

@@ -5,8 +5,10 @@ shared one forward pass and one ranking per iteration: it scores x_adv
 for the success test, and each loss closure calls a public loss, which
 scores again and runs its own forward pass for the gradient. The engine
 must reproduce it bit for bit, and per iteration must run exactly one
-forward pass (``Scorer.vjp``) and one pullback of that pass, never
-``score`` or ``input_gradient``.
+forward pass (``Scorer.vjp``), never ``score`` or ``input_gradient``. An
+iteration whose loss is flat (a zero score cotangent) runs no pullback: the
+engine pulls back zeros once per attack, on its first flat iteration, and
+reuses that gradient; every other iteration runs one pullback.
 """
 from dataclasses import replace
 
@@ -169,7 +171,8 @@ def test_engine_matches_reference_loop(victim, case):
 class CountingScorer(Scorer):
     def __init__(self, model):
         super().__init__(model.weights, model.biases, model.activation, model.sigmoid_output)
-        self.calls = {"score": 0, "input_gradient": 0, "vjp": 0, "pullback": 0}
+        self.calls = {"score": 0, "input_gradient": 0, "vjp": 0, "pullback": 0,
+                      "zero_pullback": 0}
 
     def score(self, x):
         self.calls["score"] += 1
@@ -185,6 +188,7 @@ class CountingScorer(Scorer):
 
         def counted(cotangent):
             self.calls["pullback"] += 1
+            self.calls["zero_pullback"] += not np.any(cotangent)
             return pullback(cotangent)
 
         return scores, counted
@@ -194,12 +198,21 @@ class CountingScorer(Scorer):
 def test_one_forward_and_one_gradient_per_iteration(victim, case):
     method, config = CASES[case]
     model, pairs = victim
-    iterations = 0
+    iterations = pullbacks = 0
     for instance, spec in pairs:
+        # The reference pulls back every iteration's cotangent, zeros included,
+        # so its zero-cotangent pullbacks count the flat iterations.
+        reference = CountingScorer(model)
+        attack(method, reference, instance, spec, config, reference=True)
+        flat = reference.calls["zero_pullback"]
         counting = CountingScorer(model)
         out = attack(method, counting, instance, spec, config)
         assert counting.calls == {"score": 0, "input_gradient": 0,
                                   "vjp": out.iterations_used + 1,
-                                  "pullback": out.iterations_used}
+                                  "pullback": out.iterations_used - flat + min(flat, 1),
+                                  "zero_pullback": min(flat, 1)}
         iterations += out.iterations_used
+        pullbacks += counting.calls["pullback"]
     assert iterations > 0
+    if method == "ml_cw_u":
+        assert pullbacks < iterations
