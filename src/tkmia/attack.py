@@ -14,26 +14,25 @@ relaxations of the two ranking conditions ("all of S below position k",
 "other relevant labels fill the top k"), so no sort appears anywhere in
 the gradient path; only the success check ranks scores.
 
-Per iteration the loop runs one forward pass of the scorer at the
-projected input (:meth:`Scorer.vjp`) and ranks the scores once; that one
-ranking serves the success test, the residual set reported at the end and
-the (k+1)-th class of the tkml_ap_u baseline. Each loss is a function of
-the score vector: a method's step maps (scores, ranking) to the score
-cotangent, and the forward pass's pullback turns that cotangent into the
-epsilon gradient. A step may return None instead when its loss is flat
-at those scores (every hinge inactive); such an iteration runs the forward
-pass but no pullback, since the pullback of a zero cotangent depends only
-on the scorer's weights and is computed once per attack. The loop then
-takes plain gradient steps on the lambdas (projected back to [0, 1]), a
-momentum gradient step on epsilon, projects x+eps into the clip domain,
-and stops early once the success condition holds. Distinct instances
-never share state, so attacks parallelize freely over instances with a
-read-only scorer.
+Every method runs through one loop, :func:`run_attack_loop`, which takes
+the method by name and, per iteration, runs one forward pass of the scorer
+at the projected input (:meth:`Scorer.vjp`) and ranks the scores once;
+that ranking serves the stopping test, the residual set and the (k+1)-th
+class of the tkml_ap_u baseline. The method's terms map the scores to a
+score cotangent, which the forward pass's pullback turns into the epsilon
+gradient; a flat loss (every hinge inactive) gives None and no pullback,
+since the pullback of a zero cotangent depends only on the scorer's
+weights and is computed once per attack. The loop steps tkmia's lambdas
+(projected back to [0, 1]) and epsilon (with momentum), projects x+eps
+into the clip domain, and stops once enough specified labels have left
+the top k. What each method can attack is one rule, :func:`ineligible`.
+Distinct instances never share state, so attacks parallelize freely over
+instances with a read-only scorer.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Callable, Literal, Sequence
+from dataclasses import dataclass
+from typing import Literal, Sequence
 
 import numpy as np
 
@@ -47,6 +46,7 @@ __all__ = [
     "RandomScheme",
     "tkmia_objective",
     "success_check",
+    "ineligible",
     "tkmia_attack",
     "select_global",
     "select_random",
@@ -83,7 +83,7 @@ class AttackConfig:
 
     ``delta_threshold`` is the minimum number of expelled specified labels
     for a baseline run to count as successful; None means "all of S".
-    ``success_mode`` picks the stopping condition: ``c1_only`` stops once
+    ``success_mode`` picks tkmia's stopping condition: ``c1_only`` stops once
     every specified label ranks below position k, ``strict`` additionally
     requires the k-th score to be at most the lowest remaining-relevant
     score.
@@ -181,21 +181,38 @@ def _split_sets(specified, relevant, c: int):
     return spec, rest
 
 
-def attack_preconditions(instance: Instance, specified, k: int, c: int):
-    """Checked S and Yp \\ S for one attack run, shared by every method.
+def ineligible(instance: Instance, s_size: int, k: int, method: str,
+               delta: int | None) -> str | None:
+    """Why ``method`` cannot attack ``instance`` with |S| = ``s_size`` at k,
+    or None: the one rule of what each method can attack.
+
+    Every method needs |Yp| >= k + |S|; a baseline needs ``delta`` (its
+    threshold, None for all of S) at most |S|, and ml_cw_u an irrelevant label.
+    """
+    n_relevant = len(instance.relevant)
+    if n_relevant < k + s_size:
+        return f"instance filter violated: |Yp|={n_relevant} < k+|S|={k + s_size}"
+    if method != "tkmia" and delta is not None and delta > s_size:
+        return f"delta threshold {delta} exceeds |S|={s_size}"
+    if method == "ml_cw_u" and n_relevant == instance.n_classes:
+        return "irrelevant set must be non-empty"
+    return None
+
+
+def attack_preconditions(instance: Instance, specified, config: AttackConfig, c: int,
+                         method: str):
+    """Checked S and Yp \\ S for one attack run by ``method``.
 
     S must be a non-empty subset, without repeats, of the instance's
-    relevant labels Yp; the instance must have the victim's c classes and
-    pass the filter |Yp| >= k + |S|.
+    relevant labels Yp, and the instance must have the victim's c classes;
+    then :func:`ineligible` must accept the instance, or its reason is raised.
     """
     if instance.n_classes != c:
         raise ValueError(f"instance has {instance.n_classes} classes, but the victim scores {c}")
-    relevant = instance.relevant
-    spec, rest = _split_sets(specified, relevant, c)
-    if len(relevant) < k + len(spec):
-        raise ValueError(
-            f"instance filter violated: |Yp|={len(relevant)} < k+|S|={k + len(spec)}"
-        )
+    spec, rest = _split_sets(specified, instance.relevant, c)
+    reason = ineligible(instance, len(spec), config.k, method, config.delta_threshold)
+    if reason:
+        raise ValueError(reason)
     return spec, rest
 
 
@@ -236,6 +253,30 @@ def _tkmia_terms(scores, lam1: float, lam2: float, spec, rest, k: int):
     return cot, 1.0 - n1 / (c - k), 1.0 - n2 / k
 
 
+def _ml_cw_u_pair(scores, rel, irr):
+    """ml_cw_u's hinge classes: the worst relevant and the best irrelevant."""
+    return rel[scores[rel].argmin()], irr[scores[irr].argmax()]
+
+
+def _tkml_ap_u_pair(scores, order, rel, k: int):
+    """tkml_ap_u's hinge classes: the best relevant and the (k+1)-th ranked.
+
+    ``order`` holds at least the first k+1 classes of the ranking.
+    """
+    return rel[scores[rel].argmax()], order[k]
+
+
+def _hinge_cot(scores, hi, lo):
+    """Score cotangent of the margin hinge ``[f_hi - f_lo]_+``; None where the
+    hinge is flat, for :func:`run_attack_loop` to skip the pullback."""
+    if not scores[hi] - scores[lo] > 0.0:
+        return None
+    cot = np.zeros(scores.shape[0])
+    cot[hi] += 1.0
+    cot[lo] -= 1.0
+    return cot
+
+
 def tkmia_objective(model: Scorer, x, eps, lam1: float, lam2: float,
                     specified, relevant, config: AttackConfig):
     """Objective value and its gradients with respect to (eps, lam1, lam2).
@@ -274,18 +315,13 @@ def _ranked_in(top, labels) -> tuple[int, ...]:
     return tuple(i for i in labels if i in top)
 
 
-def _tkmia_success(scores, order, k: int, residual, rest, mode) -> bool:
-    """The success condition read from a ranking of ``scores``.
-
-    ``order`` holds at least the first k classes of the ranking,
-    ``residual`` the specified labels among them and ``rest`` an index
-    array of the checked remaining-relevant set.
-    """
-    if residual:
+def _succeeded(scores, order, k: int, expelled: int, delta: int, rest, strict: bool) -> bool:
+    """The stopping test: at least ``delta`` specified labels ``expelled``
+    from the first k of ``order``, a ranking of ``scores``; ``strict`` also
+    needs the k-th score at most the lowest over ``rest`` (Yp \\ S)."""
+    if expelled < delta:
         return False
-    if mode == "c1_only":
-        return True
-    return float(scores[order[k - 1]]) <= float(scores[rest].min())
+    return not strict or float(scores[order[k - 1]]) <= float(scores[rest].min())
 
 
 def success_check(scores, specified, relevant, k: int,
@@ -306,7 +342,8 @@ def success_check(scores, specified, relevant, k: int,
     if mode not in ("c1_only", "strict"):
         raise ValueError(f"unknown success mode {mode!r}")
     top = top_k_indices(scores, k)
-    return _tkmia_success(scores, top, k, _ranked_in(top, spec), np.array(rest), mode)
+    expelled = len(spec) - len(_ranked_in(top, spec))
+    return _succeeded(scores, top, k, expelled, len(spec), np.array(rest), mode == "strict")
 
 
 def residual_set(scores, specified, k: int) -> tuple[int, ...]:
@@ -314,31 +351,29 @@ def residual_set(scores, specified, k: int) -> tuple[int, ...]:
     return _ranked_in(top_k_indices(scores, k), specified)
 
 
-def run_attack_loop(model: Scorer, instance: Instance, specified,
-                    config: AttackConfig, method: str,
-                    step_fn: Callable, success_fn: Callable) -> AttackOutcome:
-    """Shared iterative engine for the attack and the baseline losses.
+def run_attack_loop(model: Scorer, instance: Instance, spec, rest,
+                    config: AttackConfig, method: str) -> AttackOutcome:
+    """The one iterative engine of the attack and the baseline losses.
 
-    ``specified`` is the checked, sorted S of :func:`attack_preconditions`.
-    Each iteration runs one forward pass at the projected input ``x_adv``,
-    ``scores, pullback = model.vjp(x_adv)``, and ranks the scores once,
-    giving ``order``; ``vjp`` has checked the input, so the ranking takes
-    the scores unchecked, raw logits included. The ``residual`` (specified
-    labels inside the first k of ``order``) comes from that ranking, and
-    ``success_fn(scores, order, residual) -> bool`` is the stopping test.
-    While it fails and budget remains, ``step_fn(scores, order) ->
-    cotangent`` gives the loss's score cotangent at ``x_adv`` from the same
-    scores and may advance its own auxiliary state; the loop turns the
-    cotangent into the epsilon gradient with one ``pullback(cotangent)``
-    plus ``config.alpha * eps``. A step may return None for a flat loss
-    (a zero cotangent): that iteration runs the forward pass but no
-    pullback, and uses ``pullback(zeros)``, taken on the attack's first
-    flat iteration and reused after it. The reuse is exact, because the
-    pullback of a zero cotangent multiplies zeros by the weights and by
-    non-negative derivatives, so its bytes, signed zeros included, do not
-    depend on the input. No loss value is computed. The loop evaluates
-    success before any update, so an instance that already satisfies it
-    returns epsilon exactly 0 after zero iterations.
+    ``spec`` and ``rest`` are the checked, sorted S and Yp \\ S of
+    :func:`attack_preconditions`; ``method`` names the loss: ``tkmia``,
+    ``ml_cw_u`` or ``tkml_ap_u``. Each iteration runs one forward pass at
+    the projected input, ``scores, pullback = model.vjp(x_adv)``, and ranks
+    the scores once (``vjp`` has checked the input, so the ranking takes
+    them unchecked, raw logits included). The attack stops once at least
+    delta labels of S have left the top k: delta is |S| for tkmia and
+    ``config.delta_threshold or |S|`` for a baseline, and tkmia's ``strict``
+    mode also needs the k-th score at most the lowest over Yp \\ S. Until
+    then the method's terms give the score cotangent: :func:`_tkmia_terms`,
+    which also steps both lambdas, or the margin hinge on the baseline's
+    class pair; one ``pullback(cotangent)`` plus ``config.alpha * eps`` is
+    the epsilon gradient. A flat loss has a None cotangent: that iteration
+    runs no pullback and reuses ``pullback(zeros)`` from the attack's first
+    flat iteration. The reuse is exact: the pullback of a zero cotangent
+    multiplies zeros by the weights and by non-negative derivatives, so its
+    bytes, signed zeros included, do not depend on the input. No loss value
+    is computed. Success is tested before any update, so an instance that
+    already satisfies it returns epsilon exactly 0 after zero iterations.
     """
     k = config.k
     c = model.out_dim
@@ -346,6 +381,16 @@ def run_attack_loop(model: Scorer, instance: Instance, specified,
         raise ValueError(f"k={k} out of range [1, {c - 1}]")
     lo, hi = config.clip_domain
     alpha, eta, momentum, max_iter = config.alpha, config.eta, config.momentum, config.max_iter
+    rest_idx = np.array(rest)
+    if method == "tkmia":
+        spec_idx = np.array(spec)
+        delta, strict = len(spec), config.success_mode == "strict"
+    else:
+        rel = np.array(instance.relevant)  # checked by attack_preconditions
+        if method == "ml_cw_u":
+            irr = np.array(instance.irrelevant)
+        delta, strict = config.delta_threshold or len(spec), False
+    lam1 = lam2 = 0.0
     x = instance.x
     eps = np.zeros_like(x)
     velocity = np.zeros_like(x)
@@ -356,15 +401,24 @@ def run_attack_loop(model: Scorer, instance: Instance, specified,
         x_adv = np.minimum(np.maximum(x + eps, lo), hi)
         scores, pullback = model.vjp(x_adv)
         order = _rank(scores)
-        residual = _ranked_in(order[:k], specified)
+        residual = _ranked_in(order[:k], spec)
         if it == 0:
             scores_before = scores.copy()
-        if success_fn(scores, order, residual):
+        if _succeeded(scores, order, k, len(spec) - len(residual), delta, rest_idx, strict):
             success = True
             break
         if it == max_iter:
             break
-        cot = step_fn(scores, order)
+        if method == "tkmia":
+            # Finite: the gradients are 1 - n1/(c-k) and 1 - n2/k, with 1 <= k < c.
+            # The lambdas move on a flat iteration too, whose cotangent is None.
+            cot, g1, g2 = _tkmia_terms(scores, lam1, lam2, spec_idx, rest_idx, k)
+            lam1 = min(max(lam1 - eta * g1, 0.0), 1.0)
+            lam2 = min(max(lam2 - eta * g2, 0.0), 1.0)
+        elif method == "ml_cw_u":
+            cot = _hinge_cot(scores, *_ml_cw_u_pair(scores, rel, irr))
+        else:
+            cot = _hinge_cot(scores, *_tkml_ap_u_pair(scores, order, rel, k))
         if cot is None:
             if zero_pull is None:
                 zero_pull = pullback(np.zeros(c))
@@ -384,10 +438,10 @@ def run_attack_loop(model: Scorer, instance: Instance, specified,
         epsilon=eps,
         iterations_used=it,
         success=success,
-        specified=specified,
+        specified=spec,
         residual=residual,
-        lambda1=0.0,
-        lambda2=0.0,
+        lambda1=lam1,
+        lambda2=lam2,
         scores_before=scores_before,
         scores_after=scores,
     )
@@ -402,24 +456,8 @@ def tkmia_attack(model: Scorer, instance: Instance, specified,
     gradient signal) and take plain projected gradient steps with the same
     step size as epsilon; momentum applies to epsilon only.
     """
-    spec, rest = attack_preconditions(instance, specified, config.k, model.out_dim)
-    spec_idx, rest_idx = np.array(spec), np.array(rest)
-    k, eta, mode = config.k, config.eta, config.success_mode
-    lam = [0.0, 0.0]
-
-    def step(scores, order):
-        # Finite: the gradients are 1 - n1/(c-k) and 1 - n2/k, with 1 <= k < c.
-        # The lambdas move on a flat iteration too, whose cotangent is None.
-        cot, g1, g2 = _tkmia_terms(scores, lam[0], lam[1], spec_idx, rest_idx, k)
-        lam[0] = min(max(lam[0] - eta * g1, 0.0), 1.0)
-        lam[1] = min(max(lam[1] - eta * g2, 0.0), 1.0)
-        return cot
-
-    def succeeded(scores, order, residual):
-        return _tkmia_success(scores, order, k, residual, rest_idx, mode)
-
-    outcome = run_attack_loop(model, instance, spec, config, "tkmia", step, succeeded)
-    return replace(outcome, lambda1=lam[0], lambda2=lam[1])
+    spec, rest = attack_preconditions(instance, specified, config, model.out_dim, "tkmia")
+    return run_attack_loop(model, instance, spec, rest, config, "tkmia")
 
 
 def select_global(dataset: Sequence[Instance], categories) -> list[tuple[int, tuple[int, ...]]]:

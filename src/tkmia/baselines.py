@@ -11,7 +11,9 @@ loop as the main attack (no lambda variables):
 
 Success for a baseline run is counted against the specified label set:
 the attack succeeds once at least ``delta`` specified labels have left
-the top k, with ``delta`` defaulting to all of them.
+the top k, with ``delta`` defaulting to all of them. The hinge terms, the
+loop and the rule of which instances each baseline can attack live in
+:mod:`tkmia.attack`; the public losses here evaluate the same terms once.
 """
 from __future__ import annotations
 
@@ -20,7 +22,8 @@ from typing import Literal
 
 import numpy as np
 
-from .attack import AttackConfig, AttackOutcome, attack_preconditions, run_attack_loop
+from .attack import (AttackConfig, AttackOutcome, _hinge_cot, _ml_cw_u_pair, _tkml_ap_u_pair,
+                     attack_preconditions, run_attack_loop)
 from .core import Instance, _rank
 # Unused here; perfbench's tracer test looks top_k_indices up in this namespace.
 from .core import top_k_indices  # noqa: F401
@@ -57,37 +60,6 @@ def _relevant(relevant, c: int) -> np.ndarray:
     return np.array(rel)
 
 
-def _irrelevant(irrelevant) -> np.ndarray:
-    """ml_cw_u's irrelevant label set as an index array; only ml_cw_u reads it."""
-    if not irrelevant:
-        raise ValueError("irrelevant set must be non-empty")
-    return np.array(irrelevant)
-
-
-def _ml_cw_u_pair(scores, rel, irr):
-    """ml_cw_u's hinge classes: the worst relevant and the best irrelevant."""
-    return rel[scores[rel].argmin()], irr[scores[irr].argmax()]
-
-
-def _tkml_ap_u_pair(scores, order, rel, k: int):
-    """tkml_ap_u's hinge classes: the best relevant and the (k+1)-th ranked.
-
-    ``order`` holds at least the first k+1 classes of the ranking.
-    """
-    return rel[scores[rel].argmax()], order[k]
-
-
-def _hinge_cot(scores, hi, lo):
-    """Score cotangent of the margin hinge ``[f_hi - f_lo]_+``; None where the
-    hinge is flat, for :func:`run_attack_loop` to skip the pullback."""
-    if not scores[hi] - scores[lo] > 0.0:
-        return None
-    cot = np.zeros(scores.shape[0])
-    cot[hi] += 1.0
-    cot[lo] -= 1.0
-    return cot
-
-
 def _hinge_grad(pullback, scores, hi, lo, eps, alpha: float) -> np.ndarray:
     """The public losses' eps gradient: a flat hinge pulls back zeros."""
     cot = _hinge_cot(scores, hi, lo)
@@ -108,10 +80,12 @@ def ml_cw_u_loss(model: Scorer, x, eps, relevant, alpha: float = 0.0):
     x = np.asarray(x, dtype=np.float64)
     eps = np.asarray(eps, dtype=np.float64)
     rel = _relevant(relevant, model.out_dim)
-    irr = _irrelevant(sorted(set(range(model.out_dim)) - set(rel.tolist())))
+    irr = sorted(set(range(model.out_dim)) - set(rel.tolist()))
+    if not irr:
+        raise ValueError("irrelevant set must be non-empty")
     x_adv = x + eps
     scores, pullback = model.vjp(x_adv)
-    hi, lo = _ml_cw_u_pair(scores, rel, irr)
+    hi, lo = _ml_cw_u_pair(scores, rel, np.array(irr))
     return (_hinge_value(scores, hi, lo, eps, alpha),
             _hinge_grad(pullback, scores, hi, lo, eps, alpha))
 
@@ -144,24 +118,5 @@ def run_baseline(model: Scorer, instance: Instance, specified,
     expelled from the top k, where delta defaults to |S| and may not
     exceed it. ml_cw_u also needs an irrelevant label; tkml_ap_u does not.
     """
-    config = spec.config
-    s, _ = attack_preconditions(instance, specified, config.k, model.out_dim)
-    delta = config.delta_threshold if config.delta_threshold is not None else len(s)
-    if delta > len(s):
-        raise ValueError(f"delta threshold {delta} exceeds |S|={len(s)}")
-    rel = np.array(instance.relevant)  # checked by attack_preconditions
-    k = config.k
-
-    if spec.method == "ml_cw_u":
-        irr = _irrelevant(instance.irrelevant)
-
-        def step(scores, order):
-            return _hinge_cot(scores, *_ml_cw_u_pair(scores, rel, irr))
-    else:
-        def step(scores, order):
-            return _hinge_cot(scores, *_tkml_ap_u_pair(scores, order, rel, k))
-
-    def succeeded(scores, order, residual):
-        return len(s) - len(residual) >= delta
-
-    return run_attack_loop(model, instance, s, config, spec.method, step, succeeded)
+    s, rest = attack_preconditions(instance, specified, spec.config, model.out_dim, spec.method)
+    return run_attack_loop(model, instance, s, rest, spec.config, spec.method)

@@ -24,6 +24,7 @@ from .attack import (
     GlobalScheme,
     RandomScheme,
     filter_instances,
+    ineligible,
     select_global,
     select_random,
     tkmia_attack,
@@ -371,24 +372,26 @@ def _resolve_victim(config: ExperimentConfig, dataset: Sequence[Instance]) -> Sc
 def _cell_selection(config: ExperimentConfig, dataset, k: int):
     """Instance indices and their specified sets for one grid cell.
 
-    The filter and cap run before any method does, and every method sees
-    this identical list. Under the random scheme each instance's set is
-    drawn from a seed derived from (seed, k, m, index), so reruns and
-    methods agree.
+    An instance is admitted only if :func:`ineligible` accepts it for every
+    configured method, so every method sees this identical list; the cap
+    applies to the admitted instances. Under the random scheme each
+    instance's set is drawn from a seed derived from (seed, k, m, index),
+    so reruns and methods agree.
     """
     if isinstance(config.scheme, GlobalScheme):
-        pairs = [
-            (idx, s)
-            for idx, s in select_global(dataset, config.scheme.categories)
-            if len(dataset[idx].relevant) >= k + len(s)
-        ]
+        pairs = select_global(dataset, config.scheme.categories)
     else:
         m = config.scheme.m
         pairs = [
             (idx, select_random(dataset[idx], m, seed=[config.seed, k, m, idx]))
             for idx in filter_instances(dataset, k, m)
         ]
-    return pairs[:config.max_instances]
+    deltas = [(method, config.attack_config(method, k).delta_threshold)
+              for method in config.methods]
+    admitted = [(idx, s) for idx, s in pairs
+                if not any(ineligible(dataset[idx], len(s), k, method, delta)
+                           for method, delta in deltas)]
+    return admitted[:config.max_instances]
 
 
 def _run_method(method: str, model: Scorer, inst: Instance, s, cfg: AttackConfig):
@@ -414,7 +417,7 @@ def _check_output_directory(name: str, path: str) -> None:
 def run_experiment(config: ExperimentConfig):
     """Run the full grid and write the CSV report plus outcome records.
 
-    Returns the report rows. A cell that the filter empties gives rows
+    Returns the report rows. A cell that the selection empties gives rows
     with ``n = 0`` and no measures. An attack that fails names its cell
     and the instance's dataset index. Outcome records stream to a temp file
     as each cell is measured; after the last cell it replaces ``out_outcomes``

@@ -3,10 +3,10 @@ import pytest
 
 from tkmia.attack import (
     AttackConfig,
-    AttackOutcome,
     GlobalScheme,
     RandomScheme,
     filter_instances,
+    ineligible,
     select_global,
     select_random,
     success_check,
@@ -204,9 +204,10 @@ def trained_toy_victim(seed=0):
 
 
 class TestTkmiaAttack:
-    def test_step_is_none_exactly_when_no_hinge_is_active(self, monkeypatch):
-        # Drive tkmia's step with chosen score vectors: a loop that captures
-        # the step replaces the engine, and the outcome carries the lambdas.
+    def test_step_is_none_exactly_when_no_hinge_is_active(self):
+        # Drive the real loop with chosen score vectors: the scorer's vjp
+        # returns the scripted scores of each iteration and records which
+        # iterations pull back a cotangent, and whether it is zero.
         c, k, eta = 6, 3, 0.03
         spec, rest = [0], [1, 2, 3]
         inst = Instance(x=np.zeros(3), y=[1, 1, 1, 1, 0, 0])
@@ -220,29 +221,37 @@ class TestTkmiaAttack:
             [0.5] * 6,  # all equal: flat at any lambdas
         ]
 
-        def attack_with(prefix, returned):
-            def scripted_loop(model, instance, specified, config, method, step_fn,
-                              success_fn):
-                for scores in map(np.array, prefix):
-                    returned.append(step_fn(scores, np.argsort(-scores, kind="stable")))
-                return AttackOutcome(method, np.zeros(3), len(prefix), False, specified,
-                                     (), 0.0, 0.0, np.zeros(c), np.zeros(c))
+        class Scripted(Scorer):
+            def vjp(self, x):
+                it = len(self.forward)
+                self.forward.append(it)
 
-            monkeypatch.setattr("tkmia.attack.run_attack_loop", scripted_loop)
-            return tkmia_attack(make_affine(3, c, seed=0), inst, spec,
-                                AttackConfig(k=k, eta=eta, max_iter=10))
+                def pullback(cotangent):
+                    self.pulled.append((it, bool(np.any(cotangent))))
+                    return np.zeros(3)
 
+                # specified label 0 stays in the top k, so no iteration succeeds
+                return np.array(self.script[min(it, len(self.script) - 1)]), pullback
+
+        base = make_affine(3, c, seed=0)
         lam1 = lam2 = 0.0
         flat = []
         for n, scores in enumerate(map(np.array, sequence), start=1):
-            returned = []
-            out = attack_with(sequence[:n], returned)
+            scorer = Scripted(base.weights, base.biases)
+            scorer.script, scorer.forward, scorer.pulled = sequence[:n], [], []
+            out = tkmia_attack(scorer, inst, spec, AttackConfig(k=k, eta=eta, max_iter=n))
+            assert (out.iterations_used, out.success) == (n, False)
             s_max = scores[spec].max()
             y_min = scores[rest].min()
             n1 = int((s_max - scores - lam1 > 0.0).sum())
             n2 = int((scores - y_min - lam2 > 0.0).sum())
-            assert (returned[-1] is None) == (n1 == n2 == 0)
-            flat.append(returned[-1] is None)
+            flat.append(n1 == n2 == 0)
+            # A non-zero cotangent is pulled back on every iteration whose loss
+            # is not flat; zeros are pulled back once, on the first flat one.
+            assert [it for it, nonzero in scorer.pulled if nonzero] == [
+                it for it in range(n) if not flat[it]]
+            assert [it for it, nonzero in scorer.pulled if not nonzero] == [
+                it for it in range(n) if flat[it]][:1]
             lam1 = min(max(lam1 - eta * (1.0 - n1 / (c - k)), 0.0), 1.0)
             lam2 = min(max(lam2 - eta * (1.0 - n2 / k), 0.0), 1.0)
             assert (out.lambda1, out.lambda2) == (lam1, lam2)
@@ -450,6 +459,47 @@ class TestFilterInstances:
         got = filter_instances(data, k=2, s_size=2)
         expected = [i for i, inst in enumerate(data) if inst.y.sum() >= 4]
         assert got == expected
+
+
+FILTER = "instance filter violated: |Yp|=2 < k+|S|=3"
+FILTER_4 = "instance filter violated: |Yp|=3 < k+|S|=4"
+DELTA = "delta threshold 2 exceeds |S|=1"
+NO_YN = "irrelevant set must be non-empty"
+
+
+class TestIneligible:
+    # (labels, S, k, delta_threshold) -> reason for tkmia, ml_cw_u, tkml_ap_u
+    CASES = [
+        ([1, 1, 1, 0], (0,), 1, None, (None, None, None)),
+        ([1, 1, 1, 0], (0, 1), 1, 2, (None, None, None)),
+        ([1, 1, 0, 0], (0,), 2, None, (FILTER, FILTER, FILTER)),
+        ([1, 1, 1, 0], (0, 1), 2, 3, (FILTER_4,) * 3),
+        ([1, 1, 0, 0], (0,), 1, 2, (None, DELTA, DELTA)),
+        ([1, 1, 1, 1], (0,), 1, None, (None, NO_YN, None)),
+        ([1, 1, 1, 1], (0,), 1, 2, (None, DELTA, DELTA)),
+        ([1, 1, 1, 1], (0, 1), 2, None, (None, NO_YN, None)),
+        ([1, 1, 1, 1], (0,), 3, None, (None, NO_YN, None)),
+        ([1, 1, 1, 1], (0, 1), 3, 3, ("instance filter violated: |Yp|=4 < k+|S|=5",) * 3),
+    ]
+
+    @pytest.mark.parametrize("labels, spec, k, delta, reasons", CASES)
+    def test_reason_is_what_the_attack_raises(self, labels, spec, k, delta, reasons):
+        model = constant_score_model([0.9, 0.8, 0.6, 0.3])
+        inst = Instance(x=np.zeros(3), y=labels)
+        config = AttackConfig(k=k, eta=0.1, max_iter=3, delta_threshold=delta)
+        for method, reason in zip(("tkmia", *BASELINE_METHODS), reasons):
+            assert ineligible(inst, len(spec), k, method, delta) == reason
+            if method == "tkmia":
+                run = lambda: tkmia_attack(model, inst, spec, config)  # noqa: E731
+            else:
+                run = lambda: run_baseline(model, inst, spec,  # noqa: E731
+                                           BaselineSpec(method, config))
+            if reason is None:
+                assert run().specified == spec
+            else:
+                with pytest.raises(ValueError) as raised:
+                    run()
+                assert str(raised.value) == reason
 
 
 class TestAttackConfig:

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from tkmia import harness
 from tkmia.cli import main
 from tkmia.model import make_affine, save_scorer
 
@@ -197,11 +198,11 @@ class TestReportOnAnAllRelevantInstance:
 
     LABELS = [[1, 1, 0, 0], [0, 1, 1, 0], [1, 1, 1, 1], [1, 0, 1, 0], [0, 1, 0, 1]] * 4
 
-    def report(self, tmp_path, methods, scheme, attack=None):
+    def report(self, tmp_path, methods, scheme, attack=None, labels=LABELS, **extra):
         rng = np.random.default_rng(2)
         data = tmp_path / "data.jsonl"
         data.write_text("".join(json.dumps({"x": rng.uniform(-1, 1, 3).tolist(), "y": y}) + "\n"
-                                for y in self.LABELS))
+                                for y in labels))
         config = {
             "dataset": {"path": str(data)},
             "victim": {"arch": "affine", "epochs": 20},
@@ -211,36 +212,66 @@ class TestReportOnAnAllRelevantInstance:
             "attack": {"eta": 0.05, "max_iter": 30, **(attack or {})},
             "out_csv": str(tmp_path / "report.csv"),
             "out_outcomes": str(tmp_path / "outcomes.jsonl"),
+            **extra,
         }
         path = tmp_path / "config.json"
         path.write_text(json.dumps(config))
         return run_cli(["report", "--config", str(path)])
 
+    def attacked(self, tmp_path):
+        """The attacked instance indices of each method, in record order."""
+        by_method = {}
+        for line in (tmp_path / "outcomes.jsonl").read_text().splitlines():
+            record = json.loads(line)
+            by_method.setdefault(record["method"], []).append(record["instance"])
+        return by_method
+
     def test_tkmia_and_tkml_ap_u_run(self, tmp_path, capsys):
         assert self.report(tmp_path, ["tkmia", "tkml_ap_u"], {"type": "random", "m": 1}) == 0
-        records = [json.loads(line)
-                   for line in (tmp_path / "outcomes.jsonl").read_text().splitlines()]
-        assert {(r["method"], r["instance"]) for r in records} >= {("tkmia", 2),
-                                                                   ("tkml_ap_u", 2)}
+        attacked = self.attacked(tmp_path)
+        assert 2 in attacked["tkmia"] and 2 in attacked["tkml_ap_u"]
 
-    def test_ml_cw_u_failure_names_cell_and_instance(self, tmp_path, capsys):
-        assert self.report(tmp_path, ["tkmia", "ml_cw_u"], {"type": "random", "m": 1}) == 1
+    def test_ml_cw_u_drops_the_instance_for_every_method(self, tmp_path, capsys):
+        # ml_cw_u's margin reads Yn, so no method attacks an instance without one.
+        assert self.report(tmp_path, ["tkmia", "ml_cw_u"], {"type": "random", "m": 1}) == 0
+        attacked = self.attacked(tmp_path)
+        assert attacked["tkmia"] == attacked["ml_cw_u"]
+        assert 1 in attacked["tkmia"] and 2 not in attacked["tkmia"]
+
+    def test_failed_report_leaves_no_output_and_no_temp_file(self, tmp_path, capsys,
+                                                             monkeypatch):
+        # tkmia's records stream into the temp file before tkml_ap_u fails on instance 2.
+        real = harness.run_baseline
+
+        def fails_on_all_relevant(model, instance, specified, spec):
+            if len(instance.relevant) == instance.n_classes:
+                raise FloatingPointError("non-finite gradient at iteration 0")
+            return real(model, instance, specified, spec)
+
+        monkeypatch.setattr(harness, "run_baseline", fails_on_all_relevant)
+        assert self.report(tmp_path, ["tkmia", "tkml_ap_u"], {"type": "random", "m": 1}) == 1
         assert capsys.readouterr().err == (
-            "error: attack (ml_cw_u, k=1) instance 2: irrelevant set must be non-empty\n")
-        assert not (tmp_path / "report.csv").exists()
-
-    def test_failed_report_leaves_no_output_and_no_temp_file(self, tmp_path, capsys):
-        # tkmia's records stream into the temp file before ml_cw_u fails on instance 2.
-        assert self.report(tmp_path, ["tkmia", "ml_cw_u"], {"type": "random", "m": 1}) == 1
+            "error: attack (tkml_ap_u, k=1) instance 2: non-finite gradient at iteration 0\n")
         assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "data.jsonl"]
 
-    def test_delta_threshold_above_s_names_cell_and_instance(self, tmp_path, capsys):
-        # instance 0 has S = {0} under the categories {0, 2}
-        assert self.report(tmp_path, ["tkml_ap_u"], {"type": "global", "categories": [0, 2]},
-                           {"delta_threshold": 2}) == 1
-        assert capsys.readouterr().err == (
-            "error: attack (tkml_ap_u, k=1) instance 0: delta threshold 2 exceeds |S|=1\n")
-        assert not (tmp_path / "report.csv").exists()
+    def test_delta_threshold_above_s_drops_the_instance(self, tmp_path, capsys):
+        # instance 0 has S = {0} under the categories {0, 2}; instance 2 has S = {0, 2}
+        assert self.report(tmp_path, ["tkmia", "tkml_ap_u"],
+                           {"type": "global", "categories": [0, 2]},
+                           {"delta_threshold": 2}) == 0
+        attacked = self.attacked(tmp_path)
+        assert attacked["tkmia"] == attacked["tkml_ap_u"]
+        assert 2 in attacked["tkmia"] and 0 not in attacked["tkmia"]
+
+    def test_cap_applies_to_the_admitted_instances(self, tmp_path, capsys):
+        # Instances 0 and 1 have every label relevant, and so has instance 4:
+        # ml_cw_u cannot attack them, so the first three admitted are 2, 3 and 5.
+        labels = [[1, 1, 1, 1]] * 2 + self.LABELS
+        assert self.report(tmp_path, ["tkmia", "ml_cw_u"], {"type": "random", "m": 1},
+                           labels=labels, max_instances=3) == 0
+        assert self.attacked(tmp_path) == {"tkmia": [2, 3, 5], "ml_cw_u": [2, 3, 5]}
+        rows = (tmp_path / "report.csv").read_text().splitlines()
+        assert [row.split(",")[-1] for row in rows[1:]] == ["3", "3"]
 
 
 def drop_shapes(lines):
