@@ -81,12 +81,10 @@ class RandomScheme:
 class AttackConfig:
     """Hyperparameters shared by the attack and the baseline losses.
 
-    ``delta_threshold`` is the minimum number of expelled specified labels
-    for a baseline run to count as successful; None means "all of S".
-    ``success_mode`` picks tkmia's stopping condition: ``c1_only`` stops once
-    every specified label ranks below position k, ``strict`` additionally
-    requires the k-th score to be at most the lowest remaining-relevant
-    score.
+    ``delta_threshold`` and ``success_mode`` define success for every method:
+    at least ``delta_threshold`` specified labels out of the top k (None: all
+    of S), and under ``strict`` also the k-th score at most the lowest
+    remaining-relevant score (``c1_only`` needs only the count).
     """
 
     k: int
@@ -186,13 +184,13 @@ def ineligible(instance: Instance, s_size: int, k: int, method: str,
     """Why ``method`` cannot attack ``instance`` with |S| = ``s_size`` at k,
     or None: the one rule of what each method can attack.
 
-    Every method needs |Yp| >= k + |S|; a baseline needs ``delta`` (its
-    threshold, None for all of S) at most |S|, and ml_cw_u an irrelevant label.
+    Every method needs |Yp| >= k + |S| and ``delta`` (the success threshold,
+    None for all of S) at most |S|; ml_cw_u also needs an irrelevant label.
     """
     n_relevant = len(instance.relevant)
     if n_relevant < k + s_size:
         return f"instance filter violated: |Yp|={n_relevant} < k+|S|={k + s_size}"
-    if method != "tkmia" and delta is not None and delta > s_size:
+    if delta is not None and delta > s_size:
         return f"delta threshold {delta} exceeds |S|={s_size}"
     if method == "ml_cw_u" and n_relevant == instance.n_classes:
         return "irrelevant set must be non-empty"
@@ -360,20 +358,20 @@ def run_attack_loop(model: Scorer, instance: Instance, spec, rest,
     ``ml_cw_u`` or ``tkml_ap_u``. Each iteration runs one forward pass at
     the projected input, ``scores, pullback = model.vjp(x_adv)``, and ranks
     the scores once (``vjp`` has checked the input, so the ranking takes
-    them unchecked, raw logits included). The attack stops once at least
-    delta labels of S have left the top k: delta is |S| for tkmia and
-    ``config.delta_threshold or |S|`` for a baseline, and tkmia's ``strict``
-    mode also needs the k-th score at most the lowest over Yp \\ S. Until
-    then the method's terms give the score cotangent: :func:`_tkmia_terms`,
-    which also steps both lambdas, or the margin hinge on the baseline's
-    class pair; one ``pullback(cotangent)`` plus ``config.alpha * eps`` is
-    the epsilon gradient. A flat loss has a None cotangent: that iteration
-    runs no pullback and reuses ``pullback(zeros)`` from the attack's first
-    flat iteration. The reuse is exact: the pullback of a zero cotangent
-    multiplies zeros by the weights and by non-negative derivatives, so its
-    bytes, signed zeros included, do not depend on the input. No loss value
-    is computed. Success is tested before any update, so an instance that
-    already satisfies it returns epsilon exactly 0 after zero iterations.
+    them unchecked, raw logits included). Every method stops once at least
+    ``config.delta_threshold or |S|`` labels of S have left the top k; the
+    ``strict`` mode also needs the k-th score at most the lowest over Yp \\ S.
+    Until then the method's terms give the score cotangent:
+    :func:`_tkmia_terms`, which also steps both lambdas, or the margin hinge
+    on the baseline's class pair; one ``pullback(cotangent)`` plus
+    ``config.alpha * eps`` is the epsilon gradient. A flat loss has a None
+    cotangent: that iteration runs no pullback and reuses ``pullback(zeros)``
+    from the attack's first flat iteration. The reuse is exact: the pullback
+    of a zero cotangent multiplies zeros by the weights and by non-negative
+    derivatives, so its bytes, signed zeros included, do not depend on the
+    input. No loss value is computed. Success is tested before any update,
+    so an instance that already satisfies it returns epsilon exactly 0 after
+    zero iterations.
     """
     k = config.k
     c = model.out_dim
@@ -382,14 +380,13 @@ def run_attack_loop(model: Scorer, instance: Instance, spec, rest,
     lo, hi = config.clip_domain
     alpha, eta, momentum, max_iter = config.alpha, config.eta, config.momentum, config.max_iter
     rest_idx = np.array(rest)
+    delta, strict = config.delta_threshold or len(spec), config.success_mode == "strict"
     if method == "tkmia":
         spec_idx = np.array(spec)
-        delta, strict = len(spec), config.success_mode == "strict"
     else:
         rel = np.array(instance.relevant)  # checked by attack_preconditions
         if method == "ml_cw_u":
             irr = np.array(instance.irrelevant)
-        delta, strict = config.delta_threshold or len(spec), False
     lam1 = lam2 = 0.0
     x = instance.x
     eps = np.zeros_like(x)

@@ -9,11 +9,11 @@ loop as the main attack (no lambda variables):
   tkml_ap_u  [ max over relevant f_y - f_(k+1) ]_+
              driving every relevant score below ranking position k
 
-Success for a baseline run is counted against the specified label set:
-the attack succeeds once at least ``delta`` specified labels have left
-the top k, with ``delta`` defaulting to all of them. The hinge terms, the
-loop and the rule of which instances each baseline can attack live in
-:mod:`tkmia.attack`; the public losses here evaluate the same terms once.
+Success is the main attack's rule, counted against the specified label
+set: ``delta_threshold`` and ``success_mode`` of the config mean the same
+for every method. The hinge terms, the loop, the stopping test and the rule
+of which instances each baseline can attack live in :mod:`tkmia.attack`;
+the public losses here evaluate the same terms once.
 """
 from __future__ import annotations
 
@@ -113,10 +113,10 @@ def run_baseline(model: Scorer, instance: Instance, specified,
                  spec: BaselineSpec) -> AttackOutcome:
     """Attack one instance with a baseline loss.
 
-    Preconditions match the main attack (|Yp| >= k + |S|, S inside the
-    relevant set); success requires at least ``delta`` specified labels
-    expelled from the top k, where delta defaults to |S| and may not
-    exceed it. ml_cw_u also needs an irrelevant label; tkml_ap_u does not.
+    Preconditions and success match the main attack: |Yp| >= k + |S|, S
+    inside the relevant set, ``delta_threshold`` (default |S|) at most |S|,
+    and the stopping test of ``success_mode``. ml_cw_u also needs an
+    irrelevant label; tkml_ap_u does not.
     """
     s, rest = attack_preconditions(instance, specified, spec.config, model.out_dim, spec.method)
     return run_attack_loop(model, instance, s, rest, spec.config, spec.method)

@@ -33,7 +33,7 @@ from .harness import (
     save_dataset,
     train_victim,
 )
-from .model import ACTIVATIONS, load_scorer, save_scorer
+from .model import ACTIVATIONS, TrainConfig, load_scorer, save_scorer
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -48,8 +48,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--c", type=int, required=True)
     p.add_argument("--mean-relevant", type=float, required=True)
-    p.add_argument("--correlation", type=float, default=0.0)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--correlation", type=float, default=SyntheticSpec.label_correlation)
+    p.add_argument("--seed", type=int, default=SyntheticSpec.seed)
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("train", help="train a victim scorer with BCE")
@@ -57,11 +57,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--arch", choices=VICTIM_ARCHS, default="affine")
     p.add_argument("--hidden", type=int, default=32)
     p.add_argument("--activation", choices=ACTIVATIONS, default="tanh")
-    p.add_argument("--epochs", type=int, default=200)
-    p.add_argument("--learning-rate", type=float, default=0.5)
-    p.add_argument("--momentum", type=float, default=0.9)
-    p.add_argument("--batch-size", type=int, default=64)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--epochs", type=int, default=200,
+                   help=f"default %(default)s, unlike a report victim's {TrainConfig.epochs}")
+    p.add_argument("--learning-rate", type=float, default=TrainConfig.learning_rate)
+    p.add_argument("--momentum", type=float, default=TrainConfig.momentum)
+    p.add_argument("--batch-size", type=int, default=TrainConfig.batch_size)
+    p.add_argument("--seed", type=int, default=TrainConfig.seed)
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("attack", help="attack one instance, print outcome JSON")
@@ -73,12 +74,14 @@ def _build_parser() -> argparse.ArgumentParser:
     group.add_argument("--specified", help="comma-separated class indices")
     group.add_argument("--m", type=int, help="draw this many relevant labels at random")
     p.add_argument("--method", choices=METHODS, default="tkmia")
-    p.add_argument("--eta", type=float, default=0.05)
-    p.add_argument("--alpha", type=float, default=1e-4)
-    p.add_argument("--momentum", type=float, default=0.9)
-    p.add_argument("--max-iter", type=int, default=300)
-    p.add_argument("--success-mode", choices=("c1_only", "strict"), default="c1_only")
-    p.add_argument("--delta", type=int, default=None)
+    p.add_argument("--eta", type=float, default=0.05, help="a report must set its own eta")
+    p.add_argument("--alpha", type=float, default=1e-4,
+                   help=f"default %(default)s, unlike a report's {AttackConfig.alpha}")
+    p.add_argument("--momentum", type=float, default=AttackConfig.momentum)
+    p.add_argument("--max-iter", type=int, default=AttackConfig.max_iter)
+    p.add_argument("--success-mode", choices=("c1_only", "strict"),
+                   default=AttackConfig.success_mode)
+    p.add_argument("--delta", type=int, default=AttackConfig.delta_threshold)
     p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("report", help="run an experiment config file")
@@ -121,9 +124,8 @@ def _cmd_attack(args) -> int:
         specified = tuple(int(i) for i in args.specified.split(","))
     else:
         specified = select_random(instance, args.m, seed=[args.seed, args.index])
-    config = AttackConfig(k=args.k, eta=args.eta, alpha=args.alpha,
-                          momentum=args.momentum, max_iter=args.max_iter,
-                          success_mode=args.success_mode,
+    config = AttackConfig(k=args.k, eta=args.eta, alpha=args.alpha, momentum=args.momentum,
+                          max_iter=args.max_iter, success_mode=args.success_mode,
                           delta_threshold=args.delta)
     outcome = _run_method(args.method, victim, instance, specified, config)
     print(json.dumps(outcome.to_record(instance=args.index, k=args.k)))

@@ -182,8 +182,9 @@ _REQUIRED = ("scheme", "dataset", "victim", "k_grid", "methods", "attack", "out_
 _DATASET_KEYS = {"n": int, "d": int, "c": int, "mean_relevant": _NUMBER,
                  "label_correlation": _NUMBER, "seed": int}
 _DATASET_REQUIRED = ("n", "d", "c", "mean_relevant")
-_VICTIM_KEYS = {"arch": str, "hidden": int, "activation": str, "epochs": int,
-                "learning_rate": _NUMBER, "momentum": _NUMBER, "batch_size": int, "seed": int}
+_VICTIM_KEYS = {"arch": str, "epochs": int, "learning_rate": _NUMBER, "momentum": _NUMBER,
+                "batch_size": int, "seed": int}
+_MLP_KEYS = {**_VICTIM_KEYS, "hidden": int, "activation": str}
 _ATTACK_KEYS = {"eta": _NUMBER, "alpha": _NUMBER, "momentum": _NUMBER, "max_iter": int,
                 "success_mode": str, "delta_threshold": (int, type(None)),
                 "clip_lo": _NUMBER, "clip_hi": _NUMBER}
@@ -225,7 +226,7 @@ class ExperimentConfig:
     ``dataset`` and ``victim`` are either {"path": ...} or inline specs
     (generator parameters, or a victim training recipe applied to the
     dataset). ``attack`` holds the shared attack hyperparameters, which
-    ``attack_overrides`` may adjust per method; :class:`AttackConfig` holds
+    ``attack_overrides`` may adjust per listed method; :class:`AttackConfig` holds
     their defaults and ranges. Building the config checks every key, value
     type and (k, method) cell, and rejects a bad one with a one-line
     ValueError naming the block and the key, or the cell.
@@ -259,15 +260,16 @@ class ExperimentConfig:
                 raise ValueError(f"unknown method {method!r}")
         if os.path.realpath(self.out_outcomes) == os.path.realpath(self.out_csv):
             raise ValueError("out_outcomes: same file as out_csv")
+        victim_keys = _MLP_KEYS if self.victim.get("arch") == "mlp" else _VICTIM_KEYS
         for level, block, allowed, required in (
                 ("dataset", self.dataset, _DATASET_KEYS, _DATASET_REQUIRED),
-                ("victim", self.victim, _VICTIM_KEYS, ())):
+                ("victim", self.victim, victim_keys, ())):
             if "path" in block:
                 allowed, required = {"path": str}, ()
             _check_keys(level, block, allowed, required)
         _check_keys("attack", self.attack, _ATTACK_KEYS, ("eta",))
         overrides = {} if self.attack_overrides is None else self.attack_overrides
-        _check_keys("attack_overrides", overrides, dict.fromkeys(METHODS, dict))
+        _check_keys("attack_overrides", overrides, dict.fromkeys(self.methods, dict))
         for method, block in overrides.items():
             _check_keys(f"attack_overrides.{method}", block, _ATTACK_KEYS)
         # The largest specified set the scheme gives any instance.
@@ -279,8 +281,7 @@ class ExperimentConfig:
             for method in self.methods:
                 try:
                     cfg = self.attack_config(method, k)
-                    # A baseline needs delta_threshold specified labels; tkmia ignores it.
-                    if method != "tkmia" and (cfg.delta_threshold or 0) > max_s:
+                    if (cfg.delta_threshold or 0) > max_s:
                         raise ValueError(f"delta threshold {cfg.delta_threshold} exceeds "
                                          f"{max_s_name}={max_s}")
                 except ValueError as exc:
@@ -296,9 +297,9 @@ class ExperimentConfig:
             arch, activation = self.victim.get("arch"), self.victim.get("activation")
             if arch not in (None, *VICTIM_ARCHS):
                 raise ValueError(f"victim.arch: unknown arch {arch!r}")
-            if arch == "mlp" and activation not in (None, *ACTIVATIONS):
+            if activation not in (None, *ACTIVATIONS):
                 raise ValueError(f"victim.activation: unknown activation {activation!r}")
-            if arch == "mlp" and self.victim.get("hidden", 1) < 1:
+            if self.victim.get("hidden", 1) < 1:
                 raise ValueError(f"victim.hidden: hidden size must be >= 1, "
                                  f"got {self.victim['hidden']}")
             try:

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -382,6 +384,28 @@ class TestTkmiaAttack:
         assert attacked >= 30
         assert succeeded / attacked >= 0.9
 
+    def test_delta_threshold_stops_once_that_many_labels_are_out(self):
+        # |S| = 2 and delta_threshold = 1: the attack stops at the first
+        # iteration with one label of S out of the top k, the other still in.
+        rng = np.random.default_rng(4)
+        model = make_mlp(8, 10, 7, seed=5)
+        cfg = AttackConfig(k=2, eta=0.1, alpha=1e-4, max_iter=200, delta_threshold=1)
+        stopped_with_one_left = 0
+        for _ in range(10):
+            x = rng.uniform(-0.9, 0.9, 8)
+            order = np.argsort(-model.score(x), kind="stable")
+            spec = tuple(sorted(int(i) for i in order[:2]))
+            inst = Instance(x=x, y=[1 if i in order[:5] else 0 for i in range(7)])
+            out = tkmia_attack(model, inst, spec, cfg)
+            assert out.success == (len(out.residual) <= 1)
+            if out.success:
+                # One iteration fewer leaves both labels in the top k.
+                short = tkmia_attack(model, inst, spec,
+                                     dataclasses.replace(cfg, max_iter=out.iterations_used - 1))
+                assert (short.success, short.residual) == (False, spec)
+            stopped_with_one_left += len(out.residual) == 1
+        assert stopped_with_one_left > 0
+
 
 class TestSelection:
     def test_global_intersection(self):
@@ -474,9 +498,9 @@ class TestIneligible:
         ([1, 1, 1, 0], (0, 1), 1, 2, (None, None, None)),
         ([1, 1, 0, 0], (0,), 2, None, (FILTER, FILTER, FILTER)),
         ([1, 1, 1, 0], (0, 1), 2, 3, (FILTER_4,) * 3),
-        ([1, 1, 0, 0], (0,), 1, 2, (None, DELTA, DELTA)),
+        ([1, 1, 0, 0], (0,), 1, 2, (DELTA,) * 3),
         ([1, 1, 1, 1], (0,), 1, None, (None, NO_YN, None)),
-        ([1, 1, 1, 1], (0,), 1, 2, (None, DELTA, DELTA)),
+        ([1, 1, 1, 1], (0,), 1, 2, (DELTA,) * 3),
         ([1, 1, 1, 1], (0, 1), 2, None, (None, NO_YN, None)),
         ([1, 1, 1, 1], (0,), 3, None, (None, NO_YN, None)),
         ([1, 1, 1, 1], (0, 1), 3, 3, ("instance filter violated: |Yp|=4 < k+|S|=5",) * 3),

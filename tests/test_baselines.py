@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from tkmia.attack import AttackConfig, tkmia_attack
+from tkmia.attack import AttackConfig, success_check, tkmia_attack
 from tkmia.baselines import (
     BASELINE_METHODS,
     BaselineSpec,
@@ -222,6 +222,27 @@ class TestRunBaseline:
                                 if rank_of(out.scores_after, s) > cfg.k]
                     assert len(expelled) >= len(out.specified)
         assert checked > 0
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_strict_mode_is_the_success_rule(self, k):
+        # Under success_mode="strict" a baseline succeeds exactly when its
+        # final scores pass the strict check, as tkmia does.
+        rng = np.random.default_rng(4)
+        model = make_mlp(8, 10, 7, seed=5)
+        cfg = AttackConfig(k=k, eta=0.1, alpha=1e-4, max_iter=200, success_mode="strict")
+        succeeded = dict.fromkeys(BASELINE_METHODS, 0)
+        for _ in range(40):
+            x = rng.uniform(-0.9, 0.9, 8)
+            order = np.argsort(-model.score(x), kind="stable")
+            rel = tuple(sorted(int(i) for i in order[:k + 1]))
+            spec_labels = (int(order[0]),)
+            inst = Instance(x=x, y=[1 if i in rel else 0 for i in range(7)])
+            for method in BASELINE_METHODS:
+                out = run_baseline(model, inst, spec_labels, BaselineSpec(method, cfg))
+                assert out.success == success_check(out.scores_after, spec_labels, rel, k,
+                                                    "strict")
+                succeeded[method] += out.success
+        assert succeeded["tkml_ap_u"] > 0
 
     def test_losses_nonnegative_zero_iff_hinge_satisfied(self):
         rng = np.random.default_rng(6)

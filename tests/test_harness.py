@@ -529,7 +529,7 @@ class TestExperimentConfig:
                                 attack_overrides={"ml_cw_u": {"max_iter": -1}})),
         ("attack (tkmia, k=1): eta must be positive",
          lambda raw: raw["attack_overrides"]["tkmia"].update(eta=0)),
-        ("attack (ml_cw_u, k=1): delta threshold 2 exceeds |S|=1",
+        ("attack (tkmia, k=1): delta threshold 2 exceeds |S|=1",
          lambda raw: raw.update(scheme={"type": "random", "m": 1},
                                 methods=["tkmia", "ml_cw_u"],
                                 attack={"eta": 0.01, "delta_threshold": 2})),
@@ -537,7 +537,7 @@ class TestExperimentConfig:
          lambda raw: raw.update(scheme={"type": "random", "m": 2}, k_grid=[2],
                                 methods=["tkml_ap_u"],
                                 attack_overrides={"tkml_ap_u": {"delta_threshold": 3}})),
-        ("attack (ml_cw_u, k=1): delta threshold 3 exceeds max |S|=2",
+        ("attack (tkmia, k=1): delta threshold 3 exceeds max |S|=2",
          lambda raw: raw.update(scheme={"type": "global", "categories": [0, 1, 1]},
                                 methods=["tkmia", "ml_cw_u"],
                                 attack={"eta": 0.01, "delta_threshold": 3})),
@@ -552,6 +552,9 @@ class TestExperimentConfig:
         ("victim: momentum must be in [0, 1)", lambda raw: raw["victim"].update(momentum=1)),
         ("victim.activation: unknown activation 'sigmoid'",
          lambda raw: raw["victim"].update(arch="mlp", activation="sigmoid")),
+        ("attack_overrides: unknown key 'ml_cw_u'",
+         lambda raw: raw["attack_overrides"].update(
+             ml_cw_u={"max_iter": -5, "success_mode": "bogus"})),
     ])
     def test_attack_value_rejected_before_dataset_is_read(self, tmp_path, capsys, message,
                                                           edit):
@@ -605,22 +608,25 @@ class TestExperimentConfig:
         }
         assert ExperimentConfig.from_dict(raw).attack_config("ml_cw_u", 1).delta_threshold == 2
 
-    def test_values_that_need_no_check_still_run(self, tmp_path):
-        """tkmia ignores delta_threshold, and an affine victim its activation."""
-        from tkmia.cli import main
-
+    @pytest.mark.parametrize("message, victim, attack", [
+        ("attack (tkmia, k=1): delta threshold 2 exceeds |S|=1",
+         {"arch": "affine", "epochs": 2}, {"eta": 0.05, "delta_threshold": 2}),
+        ("victim: unknown key 'activation'",
+         {"arch": "affine", "activation": "sigmoid", "epochs": 2}, {"eta": 0.05}),
+        ("victim: unknown key 'hidden'", {"hidden": 0, "epochs": 2}, {"eta": 0.05}),
+    ], ids=["tkmia-delta", "affine-activation", "default-arch-hidden"])
+    def test_settings_once_ignored_rejected_at_load(self, message, victim, attack):
+        """delta_threshold binds tkmia too; hidden and activation are MLP keys."""
         raw = {
-            "seed": 0,
             "dataset": {"n": 40, "d": 4, "c": 6, "mean_relevant": 3.0},
-            "victim": {"arch": "affine", "activation": "sigmoid", "epochs": 2},
+            "victim": victim,
             "k_grid": [1],
             "scheme": {"type": "random", "m": 1},
             "methods": ["tkmia"],
-            "attack": {"eta": 0.05, "max_iter": 5, "delta_threshold": 2},
-            "out_csv": str(tmp_path / "r.csv"),
-            "out_outcomes": str(tmp_path / "o.jsonl"),
+            "attack": attack,
+            "out_csv": "r.csv",
+            "out_outcomes": "o.jsonl",
         }
-        path = tmp_path / "config.json"
-        path.write_text(json.dumps(raw))
-        assert main(["report", "--config", str(path)]) == 0
-        assert len(read_csv_rows(raw["out_csv"])) == 1
+        with pytest.raises(ValueError) as raised:
+            ExperimentConfig.from_dict(raw)
+        assert str(raised.value) == message
