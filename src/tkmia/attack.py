@@ -32,16 +32,17 @@ instances with a read-only scorer.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Literal, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .core import Instance, _rank, top_k_indices
+from .core import Instance, _check_k, _rank, top_k_indices
 from .model import Scorer
 
 __all__ = [
     "AttackConfig",
     "AttackOutcome",
+    "SUCCESS_MODES",
     "GlobalScheme",
     "RandomScheme",
     "tkmia_objective",
@@ -52,6 +53,9 @@ __all__ = [
     "select_random",
     "filter_instances",
 ]
+
+
+SUCCESS_MODES = ("c1_only", "strict")
 
 
 @dataclass(frozen=True)
@@ -92,7 +96,7 @@ class AttackConfig:
     alpha: float = 0.0
     momentum: float = 0.9
     max_iter: int = 300
-    success_mode: Literal["c1_only", "strict"] = "c1_only"
+    success_mode: str = "c1_only"
     delta_threshold: int | None = None
     clip_domain: tuple[float, float] = (-1.0, 1.0)
     scheme: GlobalScheme | RandomScheme | None = None
@@ -108,7 +112,7 @@ class AttackConfig:
             raise ValueError("momentum must be in [0, 1)")
         if self.max_iter < 0:
             raise ValueError("max_iter must be >= 0")
-        if self.success_mode not in ("c1_only", "strict"):
+        if self.success_mode not in SUCCESS_MODES:
             raise ValueError(f"unknown success mode {self.success_mode!r}")
         if self.delta_threshold is not None and self.delta_threshold < 1:
             raise ValueError("delta threshold must be positive")
@@ -162,15 +166,23 @@ class AttackOutcome:
         return record
 
 
+def _labels(labels, c: int, name: str) -> tuple[int, ...]:
+    """The one label-set check: ``labels`` sorted, non-empty, without
+    repeats and inside [0, c); ``name`` names the set in the error."""
+    out = tuple(sorted(int(i) for i in labels))
+    if not out:
+        raise ValueError(f"{name} set must be non-empty")
+    if out[0] < 0 or out[-1] >= c:
+        raise ValueError(f"{name} set {list(out)} has a label outside [0, {c})")
+    if len(set(out)) < len(out):
+        raise ValueError(f"{name} set {list(out)} repeats a label")
+    return out
+
+
 def _split_sets(specified, relevant, c: int):
-    spec = tuple(sorted(int(i) for i in specified))
-    rel = tuple(sorted(int(i) for i in relevant))
-    if not spec:
-        raise ValueError("specified set must be non-empty")
-    if len(set(spec)) < len(spec):
-        raise ValueError(f"specified set {list(spec)} repeats a label")
-    if any(i < 0 or i >= c for i in spec) or any(i < 0 or i >= c for i in rel):
-        raise ValueError(f"label indices outside [0, {c})")
+    """Checked S and Yp \\ S: two :func:`_labels` sets, S inside Yp and Yp \\ S non-empty."""
+    spec = _labels(specified, c, "specified")
+    rel = _labels(relevant, c, "relevant")
     if not set(spec) <= set(rel):
         raise ValueError("specified set must be a subset of the relevant labels")
     rest = tuple(sorted(set(rel) - set(spec)))
@@ -275,6 +287,17 @@ def _hinge_cot(scores, hi, lo):
     return cot
 
 
+def _hinge_loss(model: Scorer, x, eps, alpha: float, pair):
+    """Value and eps gradient at ``x + eps`` of the margin hinge on the classes
+    ``pair(scores)`` plus ``(alpha/2) ||eps||^2``; a flat hinge pulls back zeros."""
+    eps = np.asarray(eps, dtype=np.float64)
+    scores, pullback = model.vjp(np.asarray(x, dtype=np.float64) + eps)
+    hi, lo = pair(scores)
+    cot = _hinge_cot(scores, hi, lo)
+    value = max(0.0, float(scores[hi] - scores[lo])) + 0.5 * alpha * float(eps @ eps)
+    return value, pullback(np.zeros(scores.shape[0]) if cot is None else cot) + alpha * eps
+
+
 def tkmia_objective(model: Scorer, x, eps, lam1: float, lam2: float,
                     specified, relevant, config: AttackConfig):
     """Objective value and its gradients with respect to (eps, lam1, lam2).
@@ -287,9 +310,7 @@ def tkmia_objective(model: Scorer, x, eps, lam1: float, lam2: float,
     x = np.asarray(x, dtype=np.float64)
     eps = np.asarray(eps, dtype=np.float64)
     c = model.out_dim
-    k = config.k
-    if not 1 <= k < c:
-        raise ValueError(f"k={k} out of range [1, {c - 1}] for the objective")
+    k = _check_k(config.k, c - 1)
     if not (0.0 <= lam1 <= 1.0 and 0.0 <= lam2 <= 1.0):
         raise ValueError("lambdas must lie in [0, 1]")
     spec, rest = _split_sets(specified, relevant, c)
@@ -322,8 +343,7 @@ def _succeeded(scores, order, k: int, expelled: int, delta: int, rest, strict: b
     return not strict or float(scores[order[k - 1]]) <= float(scores[rest].min())
 
 
-def success_check(scores, specified, relevant, k: int,
-                  mode: Literal["c1_only", "strict"] = "c1_only") -> bool:
+def success_check(scores, specified, relevant, k: int, mode: str = "c1_only") -> bool:
     """Whether the attack conditions hold for a score vector.
 
     ``c1_only``: every specified label ranks strictly below position k
@@ -334,10 +354,9 @@ def success_check(scores, specified, relevant, k: int,
     """
     scores = np.asarray(scores, dtype=np.float64)
     c = scores.shape[0]
-    if k >= c:
-        raise ValueError(f"k={k} must be smaller than c={c}")
+    k = _check_k(k, c - 1)
     spec, rest = _split_sets(specified, relevant, c)
-    if mode not in ("c1_only", "strict"):
+    if mode not in SUCCESS_MODES:
         raise ValueError(f"unknown success mode {mode!r}")
     top = top_k_indices(scores, k)
     expelled = len(spec) - len(_ranked_in(top, spec))
@@ -345,8 +364,9 @@ def success_check(scores, specified, relevant, k: int,
 
 
 def residual_set(scores, specified, k: int) -> tuple[int, ...]:
-    """Specified labels still ranked inside the top k."""
-    return _ranked_in(top_k_indices(scores, k), specified)
+    """Specified labels still ranked inside the top k, ascending."""
+    top = top_k_indices(scores, k)
+    return _ranked_in(top, _labels(specified, len(scores), "specified"))
 
 
 def run_attack_loop(model: Scorer, instance: Instance, spec, rest,
@@ -354,7 +374,8 @@ def run_attack_loop(model: Scorer, instance: Instance, spec, rest,
     """The one iterative engine of the attack and the baseline losses.
 
     ``spec`` and ``rest`` are the checked, sorted S and Yp \\ S of
-    :func:`attack_preconditions`; ``method`` names the loss: ``tkmia``,
+    :func:`attack_preconditions`, so 1 <= k < c (``config`` has k >= 1 and
+    :func:`ineligible` needs |Yp| >= k + |S|); ``method`` names the loss: ``tkmia``,
     ``ml_cw_u`` or ``tkml_ap_u``. Each iteration runs one forward pass at
     the projected input, ``scores, pullback = model.vjp(x_adv)``, and ranks
     the scores once (``vjp`` has checked the input, so the ranking takes
@@ -375,8 +396,6 @@ def run_attack_loop(model: Scorer, instance: Instance, spec, rest,
     """
     k = config.k
     c = model.out_dim
-    if not 1 <= k < c:
-        raise ValueError(f"k={k} out of range [1, {c - 1}]")
     lo, hi = config.clip_domain
     alpha, eta, momentum, max_iter = config.alpha, config.eta, config.momentum, config.max_iter
     rest_idx = np.array(rest)

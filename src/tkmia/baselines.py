@@ -22,9 +22,9 @@ from typing import Literal
 
 import numpy as np
 
-from .attack import (AttackConfig, AttackOutcome, _hinge_cot, _ml_cw_u_pair, _tkml_ap_u_pair,
-                     attack_preconditions, run_attack_loop)
-from .core import Instance, _rank
+from .attack import (AttackConfig, AttackOutcome, _hinge_loss, _labels, _ml_cw_u_pair,
+                     _tkml_ap_u_pair, attack_preconditions, run_attack_loop)
+from .core import Instance, _check_k, _rank
 # Unused here; perfbench's tracer test looks top_k_indices up in this namespace.
 from .core import top_k_indices  # noqa: F401
 from .model import Scorer
@@ -50,26 +50,6 @@ class BaselineSpec:
             raise ValueError(f"unknown baseline method {self.method!r}")
 
 
-def _relevant(relevant, c: int) -> np.ndarray:
-    """A checked relevant label set as a sorted index array."""
-    rel = tuple(sorted(int(i) for i in relevant))
-    if not rel:
-        raise ValueError("relevant set must be non-empty")
-    if rel[0] < 0 or rel[-1] >= c:
-        raise ValueError(f"label indices outside [0, {c})")
-    return np.array(rel)
-
-
-def _hinge_grad(pullback, scores, hi, lo, eps, alpha: float) -> np.ndarray:
-    """The public losses' eps gradient: a flat hinge pulls back zeros."""
-    cot = _hinge_cot(scores, hi, lo)
-    return pullback(np.zeros(scores.shape[0]) if cot is None else cot) + alpha * eps
-
-
-def _hinge_value(scores, hi, lo, eps, alpha: float) -> float:
-    return max(0.0, float(scores[hi] - scores[lo])) + 0.5 * alpha * float(eps @ eps)
-
-
 def ml_cw_u_loss(model: Scorer, x, eps, relevant, alpha: float = 0.0):
     """Margin hinge between worst relevant and best irrelevant score.
 
@@ -77,17 +57,12 @@ def ml_cw_u_loss(model: Scorer, x, eps, relevant, alpha: float = 0.0):
     minimum relevant score below the maximum irrelevant score; the
     argmin/argmax pick single elements with ties broken by smallest index.
     """
-    x = np.asarray(x, dtype=np.float64)
-    eps = np.asarray(eps, dtype=np.float64)
-    rel = _relevant(relevant, model.out_dim)
-    irr = sorted(set(range(model.out_dim)) - set(rel.tolist()))
-    if not irr:
+    c = model.out_dim
+    rel = np.array(_labels(relevant, c, "relevant"))
+    if len(rel) == c:
         raise ValueError("irrelevant set must be non-empty")
-    x_adv = x + eps
-    scores, pullback = model.vjp(x_adv)
-    hi, lo = _ml_cw_u_pair(scores, rel, np.array(irr))
-    return (_hinge_value(scores, hi, lo, eps, alpha),
-            _hinge_grad(pullback, scores, hi, lo, eps, alpha))
+    irr = np.delete(np.arange(c), rel)
+    return _hinge_loss(model, x, eps, alpha, lambda scores: _ml_cw_u_pair(scores, rel, irr))
 
 
 def tkml_ap_u_loss(model: Scorer, x, eps, relevant, k: int, alpha: float = 0.0):
@@ -96,17 +71,11 @@ def tkml_ap_u_loss(model: Scorer, x, eps, relevant, k: int, alpha: float = 0.0):
     The (k+1)-ranked class is found by the deterministic tie-break sort,
     and the gradient flows through that single class.
     """
-    x = np.asarray(x, dtype=np.float64)
-    eps = np.asarray(eps, dtype=np.float64)
     c = model.out_dim
-    if not 1 <= k < c:
-        raise ValueError(f"k={k} out of range [1, {c - 1}]")
-    rel = _relevant(relevant, c)
-    x_adv = x + eps
-    scores, pullback = model.vjp(x_adv)
-    hi, lo = _tkml_ap_u_pair(scores, _rank(scores), rel, k)
-    return (_hinge_value(scores, hi, lo, eps, alpha),
-            _hinge_grad(pullback, scores, hi, lo, eps, alpha))
+    k = _check_k(k, c - 1)
+    rel = np.array(_labels(relevant, c, "relevant"))
+    return _hinge_loss(model, x, eps, alpha,
+                       lambda scores: _tkml_ap_u_pair(scores, _rank(scores), rel, k))
 
 
 def run_baseline(model: Scorer, instance: Instance, specified,

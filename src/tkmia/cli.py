@@ -18,7 +18,7 @@ import argparse
 import json
 import sys
 
-from .attack import AttackConfig, select_random
+from .attack import SUCCESS_MODES, AttackConfig, RandomScheme, select_random
 from .checks import run_all_checks
 from .harness import (
     METHODS,
@@ -54,9 +54,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="train a victim scorer with BCE")
     p.add_argument("--dataset", required=True)
-    p.add_argument("--arch", choices=VICTIM_ARCHS, default="affine")
-    p.add_argument("--hidden", type=int, default=32)
-    p.add_argument("--activation", choices=ACTIVATIONS, default="tanh")
+    # Absent unless given, so that train_victim's defaults apply.
+    p.add_argument("--arch", choices=VICTIM_ARCHS, default=argparse.SUPPRESS)
+    p.add_argument("--hidden", type=int, default=argparse.SUPPRESS)
+    p.add_argument("--activation", choices=ACTIVATIONS, default=argparse.SUPPRESS)
     p.add_argument("--epochs", type=int, default=200,
                    help=f"default %(default)s, unlike a report victim's {TrainConfig.epochs}")
     p.add_argument("--learning-rate", type=float, default=TrainConfig.learning_rate)
@@ -79,8 +80,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help=f"default %(default)s, unlike a report's {AttackConfig.alpha}")
     p.add_argument("--momentum", type=float, default=AttackConfig.momentum)
     p.add_argument("--max-iter", type=int, default=AttackConfig.max_iter)
-    p.add_argument("--success-mode", choices=("c1_only", "strict"),
-                   default=AttackConfig.success_mode)
+    p.add_argument("--success-mode", choices=SUCCESS_MODES, default=AttackConfig.success_mode)
     p.add_argument("--delta", type=int, default=AttackConfig.delta_threshold)
     p.add_argument("--seed", type=int, default=0)
 
@@ -105,12 +105,12 @@ def _cmd_gen_data(args) -> int:
 
 def _cmd_train(args) -> int:
     _check_output_directory("--out", args.out)
-    victim = train_victim(load_dataset(args.dataset), arch=args.arch, hidden=args.hidden,
-                          activation=args.activation, epochs=args.epochs,
-                          learning_rate=args.learning_rate, momentum=args.momentum,
-                          batch_size=args.batch_size, seed=args.seed)
+    # Every other flag is a train_victim keyword; a suppressed one only when given.
+    flags = {key: value for key, value in vars(args).items()
+             if key not in ("command", "dataset", "out")}
+    victim = train_victim(load_dataset(args.dataset), **flags)
     save_scorer(victim, args.out)
-    print(f"wrote trained {args.arch} scorer to {args.out}")
+    print(f"wrote trained {victim.arch} scorer to {args.out}")
     return 0
 
 
@@ -120,13 +120,18 @@ def _cmd_attack(args) -> int:
     if not 0 <= args.index < len(dataset):
         raise ValueError(f"index {args.index} outside dataset of size {len(dataset)}")
     instance = dataset[args.index]
-    if args.specified is not None:
-        specified = tuple(int(i) for i in args.specified.split(","))
-    else:
-        specified = select_random(instance, args.m, seed=[args.seed, args.index])
     config = AttackConfig(k=args.k, eta=args.eta, alpha=args.alpha, momentum=args.momentum,
                           max_iter=args.max_iter, success_mode=args.success_mode,
-                          delta_threshold=args.delta)
+                          delta_threshold=args.delta,
+                          scheme=None if args.m is None else RandomScheme(args.m))
+    if args.m is not None:
+        specified = select_random(instance, args.m, seed=[args.seed, args.index])
+    else:
+        try:
+            specified = tuple(int(i) for i in args.specified.split(","))
+        except ValueError:
+            raise ValueError(f"--specified: expected comma-separated class indices, "
+                             f"got {args.specified!r}") from None
     outcome = _run_method(args.method, victim, instance, specified, config)
     print(json.dumps(outcome.to_record(instance=args.index, k=args.k)))
     return 0

@@ -171,11 +171,13 @@ def train_victim(dataset: Sequence[Instance], arch: str = "affine", hidden: int 
 METHODS = ("tkmia",) + BASELINE_METHODS
 VICTIM_ARCHS = ("affine", "mlp")
 _NUMBER = (int, float)
+_LIST = (list, tuple)
+_SCHEME = (GlobalScheme, RandomScheme)
 # The keys each config block accepts, with the JSON type of each value; any
-# other key is an error. The top level's attack_overrides (None here) is
-# checked with the other blocks when the config is built.
-_CONFIG_KEYS = {"seed": int, "dataset": dict, "victim": dict, "k_grid": list,
-                "scheme": dict, "methods": list, "attack": dict, "out_csv": str,
+# other key is an error. The top level's kinds are those of the built config's
+# fields, and its attack_overrides (None here) is checked with the other blocks.
+_CONFIG_KEYS = {"seed": int, "dataset": dict, "victim": dict, "k_grid": _LIST,
+                "scheme": _SCHEME, "methods": _LIST, "attack": dict, "out_csv": str,
                 "out_outcomes": str, "max_instances": int, "attack_overrides": None}
 _REQUIRED = ("scheme", "dataset", "victim", "k_grid", "methods", "attack", "out_csv",
              "out_outcomes")
@@ -188,10 +190,11 @@ _MLP_KEYS = {**_VICTIM_KEYS, "hidden": int, "activation": str}
 _ATTACK_KEYS = {"eta": _NUMBER, "alpha": _NUMBER, "momentum": _NUMBER, "max_iter": int,
                 "success_mode": str, "delta_threshold": (int, type(None)),
                 "clip_lo": _NUMBER, "clip_hi": _NUMBER}
-_SCHEME_KEYS = {"type": str, "categories": list, "m": int}
+_SCHEME_KEYS = {"type": str, "categories": _LIST, "m": int}
 _SCHEME_TYPES = {"global": ("type", "categories"), "random": ("type", "m")}
-_JSON_TYPES = {dict: "an object", list: "a list", str: "a string", int: "an integer",
-               _NUMBER: "a number", (int, type(None)): "an integer or null"}
+_JSON_TYPES = {dict: "an object", _LIST: "a list", str: "a string", int: "an integer",
+               _NUMBER: "a number", (int, type(None)): "an integer or null",
+               _SCHEME: "a GlobalScheme or RandomScheme"}
 
 
 def _expect(level: str, value, kind) -> None:
@@ -213,7 +216,7 @@ def _check_keys(level: str, block, kinds: dict, required=()) -> None:
         if key not in kinds:
             raise ValueError(f"{level}: unknown key {key!r}")
         if kinds[key] is not None:
-            _expect(key if level == "config" else f"{level}.{key}", value, kinds[key])
+            _expect(f"{level}.{key}", value, kinds[key])
     for key in required:
         if key not in block:
             raise ValueError(f"{level}: missing key {key!r}")
@@ -245,6 +248,12 @@ class ExperimentConfig:
     attack_overrides: dict | None = None
 
     def __post_init__(self):
+        for key, kind in _CONFIG_KEYS.items():
+            if kind is not None:
+                _expect(key, getattr(self, key), kind)
+        _expect_items("k_grid", self.k_grid, int)
+        _expect_items("methods", self.methods, str)
+        self.k_grid, self.methods = tuple(self.k_grid), tuple(self.methods)
         if not self.k_grid:
             raise ValueError("k grid must be non-empty")
         if self.max_instances < 1:
@@ -328,9 +337,7 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
-        _check_keys("config", raw, _CONFIG_KEYS, _REQUIRED)
-        _expect_items("k_grid", raw["k_grid"], int)
-        _expect_items("methods", raw["methods"], str)
+        _check_keys("config", raw, dict.fromkeys(_CONFIG_KEYS), _REQUIRED)
         scheme_raw = raw["scheme"]
         _check_keys("scheme", scheme_raw, _SCHEME_KEYS, ("type",))
         kind = scheme_raw["type"]
@@ -345,8 +352,7 @@ class ExperimentConfig:
                       else RandomScheme(scheme_raw["m"]))
         except ValueError as exc:
             raise ValueError(f"scheme.{keys[1]}: {exc}") from None
-        return cls(**{**raw, "k_grid": tuple(raw["k_grid"]), "scheme": scheme,
-                      "methods": tuple(raw["methods"])})
+        return cls(**{**raw, "scheme": scheme})
 
     @classmethod
     def from_json(cls, path: str) -> "ExperimentConfig":

@@ -9,13 +9,15 @@ from tkmia.attack import (
     RandomScheme,
     filter_instances,
     ineligible,
+    residual_set,
     select_global,
     select_random,
     success_check,
     tkmia_attack,
     tkmia_objective,
 )
-from tkmia.baselines import BASELINE_METHODS, BaselineSpec, run_baseline
+from tkmia.baselines import (BASELINE_METHODS, BaselineSpec, ml_cw_u_loss, run_baseline,
+                             tkml_ap_u_loss)
 from tkmia.core import Instance, hinge
 from tkmia.model import Scorer, TrainConfig, make_affine, make_mlp, train_bce
 
@@ -203,6 +205,49 @@ def trained_toy_victim(seed=0):
     model = train_bce(instances, TrainConfig(epochs=150, learning_rate=1.0,
                                              batch_size=64, seed=seed))
     return model, instances
+
+
+class TestOneLabelSetCheckAndKRule:
+    @pytest.mark.parametrize("specified, message", [
+        ((0, 0), r"specified set \[0, 0\] repeats a label"),
+        ((5,), r"specified set \[5\] has a label outside \[0, 4\)"),
+        ((-3,), r"specified set \[-3\] has a label outside \[0, 4\)"),
+        ((), "specified set must be non-empty"),
+    ], ids=["repeat", "above-c", "negative", "empty"])
+    def test_residual_set_checks_the_specified_set(self, specified, message):
+        with pytest.raises(ValueError, match=message):
+            residual_set([0.9, 0.8, 0.6, 0.1], specified, 2)
+
+    def test_residual_set_is_ascending(self):
+        assert residual_set([0.9, 0.8, 0.6, 0.1], (2, 1, 0), 2) == (0, 1)
+
+    def test_every_loss_rejects_a_repeated_relevant_label(self):
+        model = constant_score_model([0.9, 0.8, 0.6, 0.1])
+        zeros = np.zeros(3)
+        repeats = r"relevant set \[0, 0, 1, 2\] repeats a label"
+        with pytest.raises(ValueError, match=repeats):
+            tkmia_objective(model, zeros, zeros, 0.0, 0.0, (0,), (0, 0, 1, 2),
+                            AttackConfig(k=1, eta=0.1))
+        with pytest.raises(ValueError, match=repeats):
+            ml_cw_u_loss(model, zeros, zeros, (0, 0, 1, 2))
+        with pytest.raises(ValueError, match=repeats):
+            tkml_ap_u_loss(model, zeros, zeros, (0, 0, 1, 2), k=1)
+        with pytest.raises(ValueError, match=repeats):
+            success_check(model.score(zeros), (0,), (0, 0, 1, 2), 1)
+
+    def test_k_equal_to_c_rejected_with_one_message(self):
+        model = constant_score_model([0.9, 0.4, 0.2])
+        zeros = np.zeros(3)
+        calls = [
+            lambda: tkmia_objective(model, zeros, zeros, 0.0, 0.0, (0,), (0, 1),
+                                    AttackConfig(k=3, eta=0.1)),
+            lambda: tkml_ap_u_loss(model, zeros, zeros, (0,), k=3),
+            lambda: success_check(model.score(zeros), (0,), (0, 1), 3),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError) as raised:
+                call()
+            assert str(raised.value) == "k=3 out of range [1, 2]"
 
 
 class TestTkmiaAttack:

@@ -50,7 +50,12 @@ class TestTrainAndAttack:
         victim = tmp_path / "victim.jsonl"
         assert run_cli(["train", "--dataset", str(dataset_path), "--epochs", "40",
                         "--seed", "1", "--out", str(victim)]) == 0
-        capsys.readouterr()
+        assert capsys.readouterr().out == f"wrote trained affine scorer to {victim}\n"
+        # flags left out take train_victim's defaults
+        expected = tmp_path / "expected.jsonl"
+        save_scorer(harness.train_victim(harness.load_dataset(str(dataset_path)), epochs=40,
+                                         seed=1), str(expected))
+        assert victim.read_bytes() == expected.read_bytes()
 
         data = [json.loads(line) for line in dataset_path.read_text().splitlines()]
         index = next(i for i, rec in enumerate(data) if sum(rec["y"]) >= 3)
@@ -124,6 +129,22 @@ class TestTrainAndAttack:
                         "--index", str(index), "--k", "1", "--specified", "0,0"])
         assert code == 1
         assert capsys.readouterr().err == "error: specified set [0, 0] repeats a label\n"
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--m", "2", "--k", "1"], "random scheme requires m <= k"),
+        (["--specified", "0,,1", "--k", "1"],
+         "--specified: expected comma-separated class indices, got '0,,1'"),
+    ], ids=["m-above-k", "empty-specified-entry"])
+    def test_attack_rejects_bad_selection_in_one_line(self, dataset_path, tmp_path, capsys,
+                                                      flags, message):
+        victim = tmp_path / "victim.jsonl"
+        save_scorer(make_affine(10, 6, seed=1), str(victim))
+        data = [json.loads(line) for line in dataset_path.read_text().splitlines()]
+        index = next(i for i, rec in enumerate(data) if sum(rec["y"]) >= 4)
+        code = run_cli(["attack", "--dataset", str(dataset_path), "--victim", str(victim),
+                        "--index", str(index), *flags])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_attack_rejects_victim_with_other_class_count(self, dataset_path, tmp_path,
                                                           capsys):

@@ -347,6 +347,12 @@ def without(*path):
     return edit
 
 
+VALID_FIELDS = dict(
+    dataset={"n": 10, "d": 4, "c": 5, "mean_relevant": 2.0}, victim={"arch": "affine"},
+    k_grid=(1,), scheme=GlobalScheme((0,)), methods=("tkmia",), attack={"eta": 0.01},
+    out_csv="r.csv", out_outcomes="o.jsonl")
+
+
 def report_error(tmp_path, capsys, edit):
     """stderr of ``tkmia report`` on a valid config changed by ``edit``.
 
@@ -512,9 +518,26 @@ class TestExperimentConfig:
         (f"config: missing key {key!r}", without(key))
         for key in ("scheme", "dataset", "victim", "k_grid", "methods", "attack",
                     "out_csv", "out_outcomes")
+    ] + [
+        ("victim: expected an object, got int", lambda raw: raw.update(victim=3)),
+        # A dict edit is the keyword arguments of a config built directly,
+        # which must fail with the line a loaded config gives.
+        ("victim: expected an object, got int", {"victim": 3}),
+        ("dataset: expected an object, got int", {"dataset": 3}),
+        ("k_grid: expected a list, got int", {"k_grid": 3}),
+        ("methods: expected a list, got str", {"methods": "tkmia"}),
+        ("k_grid[1]: expected an integer, got str", {"k_grid": (1, "2")}),
+        ("max_instances: expected an integer, got bool", {"max_instances": True}),
+        ("scheme: expected a GlobalScheme or RandomScheme, got dict",
+         {"scheme": {"type": "random", "m": 1}}),
     ])
     def test_malformed_config_rejected_in_one_line(self, tmp_path, capsys, message, edit):
-        assert report_error(tmp_path, capsys, edit) == f"error: {message}\n"
+        if isinstance(edit, dict):
+            with pytest.raises(ValueError) as info:
+                ExperimentConfig(**{**VALID_FIELDS, **edit})
+            assert str(info.value) == message
+        else:
+            assert report_error(tmp_path, capsys, edit) == f"error: {message}\n"
 
     @pytest.mark.parametrize("message, edit", [
         ("attack (tkmia, k=1): unknown success mode 'bogus'",

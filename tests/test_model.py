@@ -299,20 +299,29 @@ class TestBatchScore:
     @pytest.mark.parametrize("sigmoid_output", [True, False], ids=["sigmoid", "raw"])
     @pytest.mark.parametrize("victim", [
         "affine", "mlp-tanh", "mlp-relu", "mlp-identity",
-        "wide-affine", "wide-mlp-tanh", "wide-mlp-relu", "wide-mlp-identity"])
+        "wide-affine", "wide-mlp-tanh", "wide-mlp-relu", "wide-mlp-identity",
+        "paper-affine-512-20", "paper-mlp-512-20", "paper-affine-2048-80",
+        "paper-mlp-2048-80", "paper-affine-2048-81", "paper-mlp-2048-81"])
     def test_rows_equal_single_scores_bit_for_bit(self, victim, sigmoid_output):
         # Pins the stacked product: a numpy or BLAS change that breaks it
-        # fails here instead of drifting the reports.
+        # fails here instead of drifting the reports. The paper-* victims have
+        # the paper's (d, c) shapes, and a 64-unit hidden layer for the MLP.
         parts = victim.split("-")
         if parts[0] == "wide":
             model = wide_logit_scorer(parts[1], (parts + ["tanh"])[2], sigmoid_output)
         else:
-            base = (make_affine(32, 10, seed=3) if parts[0] == "affine"
-                    else make_mlp(32, 16, 10, seed=3, activation=parts[1]))
+            if parts[0] == "paper":
+                arch, activation, d, hidden, c = parts[1], "tanh", int(parts[2]), 64, int(parts[3])
+            else:
+                arch, activation, d, hidden, c = parts[0], (parts + ["tanh"])[1], 32, 16, 10
+            base = (make_affine(d, c, seed=3) if arch == "affine"
+                    else make_mlp(d, hidden, c, seed=3, activation=activation))
             model = Scorer(base.weights, base.biases, base.activation, sigmoid_output)
         rng = np.random.default_rng(21)
         X = rng.uniform(-1.0, 1.0, (300, model.in_dim))
         single = [model.score(x).tobytes() for x in X]
+        # the attack loop's forward pass gives the same bytes as score
+        assert [model.vjp(x)[0].tobytes() for x in X] == single
         for rows in (np.arange(300), rng.permutation(300), rng.permutation(300)[:37],
                      rng.permutation(300)[:1], np.array([5, 5, 2])):
             batch = model.score(X[rows])
