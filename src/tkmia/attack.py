@@ -58,6 +58,17 @@ __all__ = [
 SUCCESS_MODES = ("c1_only", "strict")
 
 
+def _integers(labels, name: str) -> tuple[int, ...]:
+    """The one integer rule: non-empty ``labels``, Python or numpy integers but no bool."""
+    out = tuple(labels)
+    for i in out:
+        if isinstance(i, bool) or not isinstance(i, (int, np.integer)):
+            raise ValueError(f"{name} set has a non-integer label {i!r}")
+    if not out:
+        raise ValueError(f"{name} set must be non-empty")
+    return tuple(int(i) for i in out)
+
+
 @dataclass(frozen=True)
 class GlobalScheme:
     """Specify the same category list for every instance (scheme S1)."""
@@ -65,9 +76,7 @@ class GlobalScheme:
     categories: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "categories", tuple(int(i) for i in self.categories))
-        if not self.categories:
-            raise ValueError("category set must be non-empty")
+        object.__setattr__(self, "categories", _integers(self.categories, "category"))
 
 
 @dataclass(frozen=True)
@@ -167,11 +176,9 @@ class AttackOutcome:
 
 
 def _labels(labels, c: int, name: str) -> tuple[int, ...]:
-    """The one label-set check: ``labels`` sorted, non-empty, without
-    repeats and inside [0, c); ``name`` names the set in the error."""
-    out = tuple(sorted(int(i) for i in labels))
-    if not out:
-        raise ValueError(f"{name} set must be non-empty")
+    """The one label-set check: ``labels`` as :func:`_integers` takes them, sorted,
+    without repeats and inside [0, c); ``name`` names the set in the error."""
+    out = tuple(sorted(_integers(labels, name)))
     if out[0] < 0 or out[-1] >= c:
         raise ValueError(f"{name} set {list(out)} has a label outside [0, {c})")
     if len(set(out)) < len(out):
@@ -483,9 +490,7 @@ def select_global(dataset: Sequence[Instance], categories) -> list[tuple[int, tu
     instance's relevant labels and the category list; instances with an
     empty intersection are not attackable and are dropped.
     """
-    cats = set(int(i) for i in categories)
-    if not cats:
-        raise ValueError("category set must be non-empty")
+    cats = set(GlobalScheme(categories).categories)
     selected = []
     for idx, inst in enumerate(dataset):
         overlap = tuple(sorted(cats & set(inst.relevant)))

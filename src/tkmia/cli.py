@@ -54,7 +54,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="train a victim scorer with BCE")
     p.add_argument("--dataset", required=True)
-    # Absent unless given, so that train_victim's defaults apply.
+    # Absent unless given, so that VictimSpec's defaults apply.
     p.add_argument("--arch", choices=VICTIM_ARCHS, default=argparse.SUPPRESS)
     p.add_argument("--hidden", type=int, default=argparse.SUPPRESS)
     p.add_argument("--activation", choices=ACTIVATIONS, default=argparse.SUPPRESS)

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields, make_dataclass
 from statistics import NormalDist
 from typing import Sequence
 
@@ -40,6 +40,7 @@ __all__ = [
     "METHODS",
     "VICTIM_ARCHS",
     "SyntheticSpec",
+    "VictimSpec",
     "ExperimentConfig",
     "gen_synthetic",
     "save_dataset",
@@ -146,72 +147,79 @@ def load_dataset(path: str) -> list[Instance]:
     return instances
 
 
-def train_victim(dataset: Sequence[Instance], arch: str = "affine", hidden: int = 32,
-                 activation: str = "tanh", **train) -> Scorer:
+@dataclass
+class VictimSpec(TrainConfig):
+    """An inline victim: its architecture and the :class:`TrainConfig` that fits it."""
+
+    arch: str = "affine"
+    hidden: int = 32
+    activation: str = "tanh"
+
+    def __post_init__(self):
+        if self.arch not in VICTIM_ARCHS:
+            raise ValueError(f"unknown arch {self.arch!r}")
+        if self.activation not in ACTIVATIONS:
+            raise ValueError(f"unknown activation {self.activation!r}")
+        if self.hidden < 1:
+            raise ValueError(f"hidden size must be >= 1, got {self.hidden}")
+        super().__post_init__()
+
+
+def train_victim(dataset: Sequence[Instance], **victim) -> Scorer:
     """Initialize an affine or MLP scorer sized to the dataset, then fit it.
 
-    The keyword arguments are the inline ``victim`` keys of an experiment
-    config, and the flags of ``tkmia train``; ``train`` takes ``epochs``
-    (default 100), ``learning_rate`` (0.5), ``momentum`` (0.9),
-    ``batch_size`` (64) and ``seed`` (0), which also seeds the
-    initialization.
+    The keyword arguments, an inline ``victim`` block or the flags of ``tkmia
+    train``, are the fields of :class:`VictimSpec`, whose defaults fill in a
+    key left out; ``seed`` also seeds the initialization.
     """
-    config = TrainConfig(**train)
+    spec = _victim_spec(victim)
     d = dataset[0].x.shape[0]
     c = dataset[0].n_classes
-    if arch == "affine":
-        init = make_affine(d, c, seed=config.seed)
-    elif arch == "mlp":
-        init = make_mlp(d, int(hidden), c, seed=config.seed, activation=activation)
+    if spec.arch == "mlp":
+        init = make_mlp(d, spec.hidden, c, seed=spec.seed, activation=spec.activation)
     else:
-        raise ValueError(f"unknown victim arch {arch!r}")
-    return train_bce(dataset, config, model=init)
+        init = make_affine(d, c, seed=spec.seed)
+    return train_bce(dataset, spec, model=init)
 
 
 METHODS = ("tkmia",) + BASELINE_METHODS
 VICTIM_ARCHS = ("affine", "mlp")
-_NUMBER = (int, float)
-_LIST = (list, tuple)
-_SCHEME = (GlobalScheme, RandomScheme)
-# The keys each config block accepts, with the JSON type of each value; any
-# other key is an error. The top level's kinds are those of the built config's
-# fields, and its attack_overrides (None here) is checked with the other blocks.
-_CONFIG_KEYS = {"seed": int, "dataset": dict, "victim": dict, "k_grid": _LIST,
-                "scheme": _SCHEME, "methods": _LIST, "attack": dict, "out_csv": str,
-                "out_outcomes": str, "max_instances": int, "attack_overrides": None}
-_REQUIRED = ("scheme", "dataset", "victim", "k_grid", "methods", "attack", "out_csv",
-             "out_outcomes")
-_DATASET_KEYS = {"n": int, "d": int, "c": int, "mean_relevant": _NUMBER,
-                 "label_correlation": _NUMBER, "seed": int}
-_DATASET_REQUIRED = ("n", "d", "c", "mean_relevant")
-_VICTIM_KEYS = {"arch": str, "epochs": int, "learning_rate": _NUMBER, "momentum": _NUMBER,
-                "batch_size": int, "seed": int}
-_MLP_KEYS = {**_VICTIM_KEYS, "hidden": int, "activation": str}
-_ATTACK_KEYS = {"eta": _NUMBER, "alpha": _NUMBER, "momentum": _NUMBER, "max_iter": int,
-                "success_mode": str, "delta_threshold": (int, type(None)),
-                "clip_lo": _NUMBER, "clip_hi": _NUMBER}
-_SCHEME_KEYS = {"type": str, "categories": _LIST, "m": int}
-_SCHEME_TYPES = {"global": ("type", "categories"), "random": ("type", "m")}
-_JSON_TYPES = {dict: "an object", _LIST: "a list", str: "a string", int: "an integer",
-               _NUMBER: "a number", (int, type(None)): "an integer or null",
-               _SCHEME: "a GlobalScheme or RandomScheme"}
+# The JSON kind of each annotation that a config field has: the types its value
+# may have, their name in errors and, for a list, the annotation of its items.
+# A null attack_overrides stands for no overrides.
+_KINDS = {"dict": (dict, "an object"), "dict | None": ((dict, type(None)), "an object"),
+          "str": (str, "a string"), "int": (int, "an integer"),
+          "float": ((int, float), "a number"),
+          "int | None": ((int, type(None)), "an integer or null"),
+          "tuple[int, ...]": ((list, tuple), "a list", "int"),
+          "tuple[str, ...]": ((list, tuple), "a list", "str"),
+          "GlobalScheme | RandomScheme": ((GlobalScheme, RandomScheme),
+                                          "a GlobalScheme or RandomScheme")}
+_SCHEMES = {"global": GlobalScheme, "random": RandomScheme}
+# A dataset or victim block that names a file instead of a spec.
+_File = make_dataclass("_File", [("path", "str")], frozen=True)
 
 
-def _expect(level: str, value, kind) -> None:
+def _expect(level: str, value, annotation: str) -> None:
+    """Check that ``value`` has the JSON kind of ``annotation``, a list's items included."""
+    types, name, *items = _KINDS[annotation]
     # JSON true and false are no integers, though Python's bool is an int.
-    if isinstance(value, bool) or not isinstance(value, kind):
-        raise ValueError(f"{level}: expected {_JSON_TYPES[kind]}, got {type(value).__name__}")
+    if isinstance(value, bool) or not isinstance(value, types):
+        raise ValueError(f"{level}: expected {name}, got {type(value).__name__}")
+    for i, item in enumerate(value if items else ()):
+        _expect(f"{level}[{i}]", item, *items)
 
 
-def _expect_items(level: str, values: list, kind) -> None:
-    for i, value in enumerate(values):
-        _expect(f"{level}[{i}]", value, kind)
+def _schema(cls, *skip) -> tuple[dict, tuple]:
+    """The fields of ``cls`` less ``skip`` with their annotations, and those without a default."""
+    own = [f for f in fields(cls) if f.name not in skip]
+    return {f.name: f.type for f in own}, tuple(f.name for f in own if f.default is MISSING)
 
 
 def _check_keys(level: str, block, kinds: dict, required=()) -> None:
     """Check that ``block`` is an object whose keys are in ``kinds`` with
-    values of their kind, and that it holds the ``required`` keys."""
-    _expect(level, block, dict)
+    values of their kind (None: any), and that it holds the ``required`` keys."""
+    _expect(level, block, "dict")
     for key, value in block.items():
         if key not in kinds:
             raise ValueError(f"{level}: unknown key {key!r}")
@@ -222,17 +230,41 @@ def _check_keys(level: str, block, kinds: dict, required=()) -> None:
             raise ValueError(f"{level}: missing key {key!r}")
 
 
+def _decode(level: str, cls, block, *skip):
+    """``cls`` built from the JSON object ``block``, whose keys are :func:`_schema`'s;
+    ``cls``'s own ValueError is prefixed with ``level``."""
+    _check_keys(level, block, *_schema(cls, *skip))
+    # A class of one field can fail on that field only, so its error names the key.
+    prefix = level if len(fields(cls)) > 1 else f"{level}.{fields(cls)[0].name}"
+    try:
+        return cls(**block)
+    except ValueError as exc:
+        raise ValueError(f"{prefix}: {exc}") from None
+
+
+def _victim_spec(victim: dict) -> VictimSpec:
+    """The one decode of a victim recipe, whose hidden and activation are MLP keys."""
+    mlp_only = () if victim.get("arch") == "mlp" else ("hidden", "activation")
+    return _decode("victim", VictimSpec, victim, *mlp_only)
+
+
+# The attack block and each attack_overrides entry: AttackConfig's fields less
+# those that each (k, method) cell sets, with the clip domain as two numbers.
+_ATTACK_KEYS, _ATTACK_REQUIRED = _schema(AttackConfig, "k", "clip_domain", "scheme")
+_ATTACK_KEYS.update(clip_lo="float", clip_hi="float")
+
+
 @dataclass
 class ExperimentConfig:
     """Everything one report run needs, loadable from a JSON file.
 
-    ``dataset`` and ``victim`` are either {"path": ...} or inline specs
-    (generator parameters, or a victim training recipe applied to the
-    dataset). ``attack`` holds the shared attack hyperparameters, which
-    ``attack_overrides`` may adjust per listed method; :class:`AttackConfig` holds
-    their defaults and ranges. Building the config checks every key, value
-    type and (k, method) cell, and rejects a bad one with a one-line
-    ValueError naming the block and the key, or the cell.
+    ``dataset`` and ``victim`` are either {"path": ...} or inline blocks whose
+    keys are the fields of :class:`SyntheticSpec` and :class:`VictimSpec`.
+    ``attack`` holds the shared attack hyperparameters, which ``attack_overrides``
+    may adjust per listed method: the fields of :class:`AttackConfig` that no
+    cell sets. Building the config checks every key, value kind and (k, method)
+    cell, and rejects a bad one with a one-line ValueError naming the block and
+    the key, or the cell.
     """
 
     dataset: dict
@@ -248,11 +280,8 @@ class ExperimentConfig:
     attack_overrides: dict | None = None
 
     def __post_init__(self):
-        for key, kind in _CONFIG_KEYS.items():
-            if kind is not None:
-                _expect(key, getattr(self, key), kind)
-        _expect_items("k_grid", self.k_grid, int)
-        _expect_items("methods", self.methods, str)
+        for field in fields(self):
+            _expect(field.name, getattr(self, field.name), field.type)
         self.k_grid, self.methods = tuple(self.k_grid), tuple(self.methods)
         if not self.k_grid:
             raise ValueError("k grid must be non-empty")
@@ -269,16 +298,17 @@ class ExperimentConfig:
                 raise ValueError(f"unknown method {method!r}")
         if os.path.realpath(self.out_outcomes) == os.path.realpath(self.out_csv):
             raise ValueError("out_outcomes: same file as out_csv")
-        victim_keys = _MLP_KEYS if self.victim.get("arch") == "mlp" else _VICTIM_KEYS
-        for level, block, allowed, required in (
-                ("dataset", self.dataset, _DATASET_KEYS, _DATASET_REQUIRED),
-                ("victim", self.victim, victim_keys, ())):
-            if "path" in block:
-                allowed, required = {"path": str}, ()
-            _check_keys(level, block, allowed, required)
-        _check_keys("attack", self.attack, _ATTACK_KEYS, ("eta",))
+        if "path" in self.dataset:
+            _decode("dataset", _File, self.dataset)
+        else:
+            self.check_classes(_decode("dataset", SyntheticSpec, self.dataset).c)
+        if "path" in self.victim:
+            _decode("victim", _File, self.victim)
+        else:
+            _victim_spec(self.victim)
+        _check_keys("attack", self.attack, _ATTACK_KEYS, _ATTACK_REQUIRED)
         overrides = {} if self.attack_overrides is None else self.attack_overrides
-        _check_keys("attack_overrides", overrides, dict.fromkeys(self.methods, dict))
+        _check_keys("attack_overrides", overrides, dict.fromkeys(self.methods, "dict"))
         for method, block in overrides.items():
             _check_keys(f"attack_overrides.{method}", block, _ATTACK_KEYS)
         # The largest specified set the scheme gives any instance.
@@ -295,27 +325,6 @@ class ExperimentConfig:
                                          f"{max_s_name}={max_s}")
                 except ValueError as exc:
                     raise ValueError(f"attack ({method}, k={k}): {exc}") from None
-        if "path" not in self.dataset:
-            try:
-                spec = SyntheticSpec(**self.dataset)
-            except ValueError as exc:
-                raise ValueError(f"dataset: {exc}") from None
-            self.check_classes(spec.c)
-        if "path" not in self.victim:
-            # A key left out takes train_victim's default, which is valid.
-            arch, activation = self.victim.get("arch"), self.victim.get("activation")
-            if arch not in (None, *VICTIM_ARCHS):
-                raise ValueError(f"victim.arch: unknown arch {arch!r}")
-            if activation not in (None, *ACTIVATIONS):
-                raise ValueError(f"victim.activation: unknown activation {activation!r}")
-            if self.victim.get("hidden", 1) < 1:
-                raise ValueError(f"victim.hidden: hidden size must be >= 1, "
-                                 f"got {self.victim['hidden']}")
-            try:
-                TrainConfig(**{key: value for key, value in self.victim.items()
-                               if key not in ("arch", "hidden", "activation")})
-            except ValueError as exc:
-                raise ValueError(f"victim: {exc}") from None
 
     def attack_config(self, method: str, k: int) -> AttackConfig:
         """The (k, method) cell's ``attack``, updated by the method's
@@ -337,22 +346,18 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
-        _check_keys("config", raw, dict.fromkeys(_CONFIG_KEYS), _REQUIRED)
-        scheme_raw = raw["scheme"]
-        _check_keys("scheme", scheme_raw, _SCHEME_KEYS, ("type",))
-        kind = scheme_raw["type"]
-        if kind not in _SCHEME_TYPES:
+        kinds, required = _schema(cls)
+        # Only the keys here: building the config checks the kinds of its fields.
+        _check_keys("config", raw, dict.fromkeys(kinds), required)
+        _expect("scheme", raw["scheme"], "dict")
+        block = dict(raw["scheme"])
+        if "type" not in block:
+            raise ValueError("scheme: missing key 'type'")
+        kind = block.pop("type")
+        _expect("scheme.type", kind, "str")
+        if kind not in _SCHEMES:
             raise ValueError(f"unknown scheme type {kind!r}")
-        keys = _SCHEME_TYPES[kind]
-        _check_keys("scheme", scheme_raw, {key: _SCHEME_KEYS[key] for key in keys}, keys)
-        if kind == "global":
-            _expect_items("scheme.categories", scheme_raw["categories"], int)
-        try:
-            scheme = (GlobalScheme(tuple(scheme_raw["categories"])) if kind == "global"
-                      else RandomScheme(scheme_raw["m"]))
-        except ValueError as exc:
-            raise ValueError(f"scheme.{keys[1]}: {exc}") from None
-        return cls(**{**raw, "scheme": scheme})
+        return cls(**{**raw, "scheme": _decode("scheme", _SCHEMES[kind], block)})
 
     @classmethod
     def from_json(cls, path: str) -> "ExperimentConfig":

@@ -22,7 +22,7 @@ and over an attacked instance set:
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -266,18 +266,8 @@ def delta_report(
     )
 
 
-REPORT_COLUMNS = (
-    "k",
-    "s_size",
-    "method",
-    "delta_tk_acc",
-    "delta_p_at_k",
-    "delta_map_at_k",
-    "delta_ndcg_at_k",
-    "delta_l",
-    "aper",
-    "n",
-)
+# A report row: its cell's columns, then the AggregateReport of the cell.
+REPORT_COLUMNS = ("k", "s_size", "method") + tuple(f.name for f in fields(AggregateReport))
 
 
 def _fmt(value) -> str:

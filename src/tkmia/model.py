@@ -207,7 +207,7 @@ def make_mlp(in_dim: int, hidden_dim: int, n_classes: int, seed: int = 0,
 
 @dataclass
 class TrainConfig:
-    """Mini-batch BCE settings; the defaults are :func:`tkmia.harness.train_victim`'s."""
+    """Mini-batch BCE settings; the defaults are :class:`tkmia.harness.VictimSpec`'s."""
 
     epochs: int = 100
     learning_rate: float = 0.5

@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -590,3 +591,37 @@ class TestAttackConfig:
             AttackConfig(k=2, eta=0.1, success_mode="sometimes")
         with pytest.raises(ValueError):
             GlobalScheme(())
+
+
+class TestOneIntegerRule:
+    """Labels, categories and specified sets take integers only: Python or
+    numpy integers, never a float (which int() would truncate) or a bool."""
+
+    @pytest.mark.parametrize("label", [0.6, 1.0, np.float64(1.0), True, np.bool_(True), "1"],
+                             ids=["float", "integral-float", "numpy-float", "bool",
+                                  "numpy-bool", "str"])
+    def test_non_integer_label_rejected_everywhere(self, label):
+        scores = [0.9, 0.8, 0.6, 0.1]
+        message = f"set has a non-integer label {re.escape(repr(label))}"
+        with pytest.raises(ValueError, match=f"specified {message}"):
+            residual_set(scores, (label,), 1)
+        with pytest.raises(ValueError, match=f"specified {message}"):
+            success_check(scores, (label,), (0, 1, 2), 1)
+        with pytest.raises(ValueError, match=f"relevant {message}"):
+            success_check(scores, (0,), (0, label, 2), 1)
+        with pytest.raises(ValueError, match=f"category {message}"):
+            GlobalScheme((label,))
+        data = [Instance(x=np.zeros(2), y=[1, 1, 0, 0])]
+        with pytest.raises(ValueError, match=f"category {message}"):
+            select_global(data, [label])
+
+    def test_numpy_integers_accepted_as_python_ints(self):
+        categories = GlobalScheme(np.array([2, 0])).categories
+        assert categories == (2, 0) and all(type(i) is int for i in categories)
+        assert residual_set([0.9, 0.8, 0.6, 0.1], np.array([0, 3]), 2) == (0,)
+        data = [Instance(x=np.zeros(2), y=[1, 0, 1, 0])]
+        assert select_global(data, np.array([2, 3], dtype=np.int32)) == [(0, (2,))]
+
+    def test_select_global_rejects_an_empty_category_list_as_the_scheme_does(self):
+        with pytest.raises(ValueError, match="^category set must be non-empty$"):
+            select_global([], [])

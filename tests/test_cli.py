@@ -79,7 +79,7 @@ class TestTrainAndAttack:
         code = run_cli(["train", "--dataset", str(dataset_path), "--arch", "mlp",
                         "--hidden", "0", "--out", str(tmp_path / "v.jsonl")])
         assert code == 1
-        assert capsys.readouterr().err == "error: hidden size must be >= 1, got 0\n"
+        assert capsys.readouterr().err == "error: victim: hidden size must be >= 1, got 0\n"
         assert not (tmp_path / "v.jsonl").exists()
 
     def test_train_accepts_every_activation(self, dataset_path, tmp_path, capsys):
@@ -91,6 +91,42 @@ class TestTrainAndAttack:
                             "--hidden", "4", "--activation", activation, "--epochs", "2",
                             "--out", str(out)]) == 0
             assert load_scorer(str(out)).activation == activation
+
+    @pytest.mark.parametrize("flags, key", [
+        (["--hidden", "7", "--activation", "relu"], "hidden"),
+        (["--activation", "relu"], "activation"),
+        (["--arch", "affine", "--hidden", "7"], "hidden"),
+    ], ids=["default-arch-both", "default-arch-activation", "affine-hidden"])
+    def test_train_rejects_mlp_flags_on_an_affine_victim(self, dataset_path, tmp_path, capsys,
+                                                         flags, key):
+        """hidden and activation shape an MLP only, as in a report's victim block."""
+        out = tmp_path / "v.jsonl"
+        code = run_cli(["train", "--dataset", str(dataset_path), *flags, "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: victim: unknown key {key!r}\n"
+        assert not out.exists()
+
+    def test_report_victim_and_train_write_the_same_scorer(self, tmp_path, capsys):
+        """One recipe, one scorer: a report's inline MLP victim and ``tkmia
+        train`` with the same arch, hidden, activation, epochs and seed."""
+        spec = {"n": 60, "d": 5, "c": 4, "mean_relevant": 2.0, "seed": 4}
+        config = harness.ExperimentConfig.from_dict({
+            "seed": 2,  # the victim's seed, as its block sets none
+            "dataset": spec,
+            "victim": {"arch": "mlp", "hidden": 3, "activation": "relu", "epochs": 4},
+            "k_grid": [1], "scheme": {"type": "random", "m": 1}, "methods": ["tkmia"],
+            "attack": {"eta": 0.05},
+            "out_csv": str(tmp_path / "r.csv"), "out_outcomes": str(tmp_path / "o.jsonl"),
+        })
+        dataset = harness.gen_synthetic(harness.SyntheticSpec(**spec))
+        report_victim = tmp_path / "report_victim.jsonl"
+        save_scorer(harness._resolve_victim(config, dataset), str(report_victim))
+        data_path, trained = tmp_path / "data.jsonl", tmp_path / "trained.jsonl"
+        harness.save_dataset(dataset, str(data_path))
+        assert run_cli(["train", "--dataset", str(data_path), "--arch", "mlp",
+                        "--hidden", "3", "--activation", "relu", "--epochs", "4",
+                        "--seed", "2", "--out", str(trained)]) == 0
+        assert trained.read_bytes() == report_victim.read_bytes()
 
     def test_attack_with_explicit_specified_set(self, dataset_path, tmp_path, capsys):
         victim = tmp_path / "victim.jsonl"

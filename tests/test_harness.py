@@ -8,13 +8,17 @@ import pytest
 
 from tkmia.attack import GlobalScheme, RandomScheme
 from tkmia.core import Instance
+from tkmia.attack import AttackConfig
 from tkmia.harness import (
     ExperimentConfig,
     SyntheticSpec,
+    VictimSpec,
+    _victim_spec,
     gen_synthetic,
     load_dataset,
     run_experiment,
     save_dataset,
+    train_victim,
 )
 from tkmia.metrics import MEASURES, REPORT_COLUMNS
 from tkmia.model import make_affine, save_scorer
@@ -564,8 +568,8 @@ class TestExperimentConfig:
          lambda raw: raw.update(scheme={"type": "global", "categories": [0, 1, 1]},
                                 methods=["tkmia", "ml_cw_u"],
                                 attack={"eta": 0.01, "delta_threshold": 3})),
-        ("victim.arch: unknown arch 'afine'", lambda raw: raw["victim"].update(arch="afine")),
-        ("victim.hidden: hidden size must be >= 1, got 0",
+        ("victim: unknown arch 'afine'", lambda raw: raw["victim"].update(arch="afine")),
+        ("victim: hidden size must be >= 1, got 0",
          lambda raw: raw["victim"].update(arch="mlp", hidden=0)),
         ("victim: batch size must be positive",
          lambda raw: raw["victim"].update(batch_size=0)),
@@ -573,7 +577,7 @@ class TestExperimentConfig:
         ("victim: learning rate must be positive",
          lambda raw: raw["victim"].update(learning_rate=-1)),
         ("victim: momentum must be in [0, 1)", lambda raw: raw["victim"].update(momentum=1)),
-        ("victim.activation: unknown activation 'sigmoid'",
+        ("victim: unknown activation 'sigmoid'",
          lambda raw: raw["victim"].update(arch="mlp", activation="sigmoid")),
         ("attack_overrides: unknown key 'ml_cw_u'",
          lambda raw: raw["attack_overrides"].update(
@@ -653,3 +657,107 @@ class TestExperimentConfig:
         with pytest.raises(ValueError) as raised:
             ExperimentConfig.from_dict(raw)
         assert str(raised.value) == message
+
+
+# For every key of the dataset, victim and attack blocks: a valid value, a
+# value of the wrong JSON kind, and the kind that the error then names.
+KEY_CASES = {
+    "dataset": {
+        "n": (12, 10.0, "an integer, got float"),
+        "d": (3, "4", "an integer, got str"),
+        "c": (6, [5], "an integer, got list"),
+        "mean_relevant": (2.5, "2", "a number, got str"),
+        "label_correlation": (0.3, None, "a number, got NoneType"),
+        "seed": (3, True, "an integer, got bool"),
+    },
+    "victim": {
+        "arch": ("affine", 1, "a string, got int"),
+        "epochs": (2, 2.0, "an integer, got float"),
+        "learning_rate": (0.1, "0.1", "a number, got str"),
+        "momentum": (0.5, [0.5], "a number, got list"),
+        "batch_size": (8, 8.5, "an integer, got float"),
+        "seed": (1, None, "an integer, got NoneType"),
+    },
+    "attack": {
+        "eta": (0.02, "0.02", "a number, got str"),
+        "alpha": (0.1, [], "a number, got list"),
+        "momentum": (0.8, {}, "a number, got dict"),
+        "max_iter": (10, 10.5, "an integer, got float"),
+        "success_mode": ("strict", 1, "a string, got int"),
+        "delta_threshold": (1, 1.5, "an integer or null, got float"),
+        "clip_lo": (-0.5, "x", "a number, got str"),
+        "clip_hi": (0.5, True, "a number, got bool"),
+    },
+}
+KEY_CASES["victim-mlp"] = {
+    **KEY_CASES["victim"],
+    "arch": ("mlp", 1, "a string, got int"),
+    "hidden": (4, "4", "an integer, got str"),
+    "activation": ("relu", None, "a string, got NoneType"),
+}
+KEY_CASES["attack_overrides.tkmia"] = KEY_CASES["attack"]
+
+
+def names(cls, *skip):
+    return {field.name for field in dataclasses.fields(cls)} - set(skip)
+
+
+class TestOneSchemaPerBlock:
+    """Each block's keys are the fields of its dataclass (the attack block's
+    clip domain as clip_lo and clip_hi), each value of its field's kind."""
+
+    def test_the_cases_cover_every_field(self):
+        assert set(KEY_CASES["dataset"]) == names(SyntheticSpec)
+        assert set(KEY_CASES["victim"]) == names(VictimSpec, "hidden", "activation")
+        assert set(KEY_CASES["victim-mlp"]) == names(VictimSpec)
+        attack = names(AttackConfig, "k", "clip_domain", "scheme") | {"clip_lo", "clip_hi"}
+        assert set(KEY_CASES["attack"]) == attack
+
+    @pytest.mark.parametrize("block, key, valid, wrong, kind", [
+        pytest.param(block, key, *case, id=f"{block}.{key}")
+        for block, cases in KEY_CASES.items() for key, case in cases.items()
+    ])
+    def test_every_key_loads_and_rejects_a_wrong_kind(self, block, key, valid, wrong, kind):
+        raw = {
+            "dataset": {"n": 10, "d": 4, "c": 5, "mean_relevant": 2.0},
+            "victim": {"arch": "mlp" if block == "victim-mlp" else "affine"},
+            "k_grid": [1],
+            "scheme": {"type": "global", "categories": [0]},
+            "methods": ["tkmia"],
+            "attack": {"eta": 0.01},
+            "attack_overrides": {"tkmia": {}},
+            "out_csv": "r.csv",
+            "out_outcomes": "o.jsonl",
+        }
+        level = block.split("-")[0]
+        target = raw[level] if level in raw else raw["attack_overrides"]["tkmia"]
+        target[key] = valid
+        config = ExperimentConfig.from_dict(raw)
+        if level == "dataset":
+            assert getattr(SyntheticSpec(**config.dataset), key) == valid
+        elif level == "victim":
+            assert getattr(_victim_spec(config.victim), key) == valid
+        else:
+            cfg = config.attack_config("tkmia", 1)
+            clip = {"clip_lo": cfg.clip_domain[0], "clip_hi": cfg.clip_domain[1]}
+            assert clip.get(key, getattr(cfg, key, None)) == valid
+        target[key] = wrong
+        with pytest.raises(ValueError) as raised:
+            ExperimentConfig.from_dict(raw)
+        assert str(raised.value) == f"{level}.{key}: expected {kind}"
+
+    @pytest.mark.parametrize("route", ["load", "report", "train_victim"])
+    def test_an_mlp_key_on_an_affine_victim_fails_on_every_route(self, tmp_path, route):
+        victim = {"arch": "affine", "hidden": 7, "epochs": 1}
+        config = small_config(tmp_path)
+        with pytest.raises(ValueError) as raised:
+            if route == "load":
+                config.victim = victim
+                ExperimentConfig(**vars(config))
+            elif route == "report":
+                config.victim = victim  # assigned after the load checks ran
+                run_experiment(config)
+            else:
+                train_victim(gen_synthetic(SyntheticSpec(**config.dataset)), **victim)
+        assert str(raised.value) == "victim: unknown key 'hidden'"
+        assert not (tmp_path / "report.csv").exists()
