@@ -25,7 +25,8 @@ since the pullback of a zero cotangent depends only on the scorer's
 weights and is computed once per attack. The loop steps tkmia's lambdas
 (projected back to [0, 1]) and epsilon (with momentum), projects x+eps
 into the clip domain, and stops once enough specified labels have left
-the top k. What each method can attack is one rule, :func:`ineligible`.
+the top k, or at a fixed point: an update that changes no bit of the state.
+What each method can attack is one rule, :func:`ineligible`.
 Distinct instances never share state, so attacks parallelize freely over
 instances with a read-only scorer.
 """
@@ -36,7 +37,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import Instance, _check_k, _rank, top_k_indices
+from .core import Instance, _check_k, _integer, _rank, top_k_indices
 from .model import Scorer
 
 __all__ = [
@@ -59,14 +60,11 @@ SUCCESS_MODES = ("c1_only", "strict")
 
 
 def _integers(labels, name: str) -> tuple[int, ...]:
-    """The one integer rule: non-empty ``labels``, Python or numpy integers but no bool."""
-    out = tuple(labels)
-    for i in out:
-        if isinstance(i, bool) or not isinstance(i, (int, np.integer)):
-            raise ValueError(f"{name} set has a non-integer label {i!r}")
+    """Non-empty ``labels``, each an int by :func:`tkmia.core._integer`'s rule."""
+    out = tuple(_integer(i, f"{name} set has a non-integer label") for i in labels)
     if not out:
         raise ValueError(f"{name} set must be non-empty")
-    return tuple(int(i) for i in out)
+    return out
 
 
 @dataclass(frozen=True)
@@ -86,6 +84,7 @@ class RandomScheme:
     m: int
 
     def __post_init__(self):
+        object.__setattr__(self, "m", _integer(self.m, "m must be an integer, got"))
         if self.m < 1:
             raise ValueError("m must be positive")
 
@@ -111,6 +110,16 @@ class AttackConfig:
     scheme: GlobalScheme | RandomScheme | None = None
 
     def __post_init__(self):
+        self.k = _integer(self.k, "k must be an integer, got")
+        self.max_iter = _integer(self.max_iter, "max_iter must be an integer, got")
+        if self.delta_threshold is not None:
+            self.delta_threshold = _integer(self.delta_threshold,
+                                            "delta threshold must be an integer, got")
+        # json.load reads NaN and Infinity, which pass the range tests below.
+        for name, value in (("eta", self.eta), ("alpha", self.alpha),
+                            ("clip domain", self.clip_domain)):
+            if not np.isfinite(value).all():
+                raise ValueError(f"{name} must be finite, got {value!r}")
         if self.k < 1:
             raise ValueError("k must be positive")
         if self.eta <= 0:
@@ -400,6 +409,16 @@ def run_attack_loop(model: Scorer, instance: Instance, spec, rest,
     input. No loss value is computed. Success is tested before any update,
     so an instance that already satisfies it returns epsilon exactly 0 after
     zero iterations.
+
+    An iteration is a pure function of (eps, velocity, lambda1, lambda2):
+    the cached ``pullback(zeros)`` has the same bytes at every input. So an
+    update that leaves all four bitwise unchanged, signed zeros included, is
+    a fixed point: every later iteration would repeat it, and none would
+    succeed. The loop ends there with ``iterations_used = max_iter`` and the
+    outcome of the whole budget, bit for bit. ``iterations_used`` counts
+    budget iterations, the protocol's count; the forward passes run may be
+    fewer. Eps is compared first, so an iteration that moves it pays one
+    comparison.
     """
     k = config.k
     c = model.out_dim
@@ -432,6 +451,7 @@ def run_attack_loop(model: Scorer, instance: Instance, spec, rest,
             break
         if it == max_iter:
             break
+        before = eps, velocity, lam1, lam2
         if method == "tkmia":
             # Finite: the gradients are 1 - n1/(c-k) and 1 - n2/k, with 1 <= k < c.
             # The lambdas move on a flat iteration too, whose cotangent is None.
@@ -455,6 +475,11 @@ def run_attack_loop(model: Scorer, instance: Instance, spec, rest,
         # Keep eps consistent with the projected adversarial input so the
         # reported norm reflects the perturbation actually applied.
         eps = np.minimum(np.maximum(x + eps, lo), hi) - x
+        # A fixed point: every later iteration would repeat this one bit for bit.
+        if (eps.tobytes() == before[0].tobytes() and velocity.tobytes() == before[1].tobytes()
+                and lam1.hex() == before[2].hex() and lam2.hex() == before[3].hex()):
+            it = max_iter
+            break
 
     return AttackOutcome(
         method=method,

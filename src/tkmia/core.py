@@ -62,8 +62,17 @@ def as_labels(bits, n_classes: int | None = None, ndim: int = 1) -> np.ndarray:
     return labels.astype(np.int64)
 
 
+def _integer(value, message: str) -> int:
+    """The one integer rule: ``value`` as an int if it is a Python or numpy
+    integer, but not a bool (nor a float, which int() would truncate); else
+    ValueError(``message`` followed by the value's repr)."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{message} {value!r}")
+    return int(value)
+
+
 def _check_k(k: int, c: int) -> int:
-    k = int(k)
+    k = _integer(k, "k must be an integer, got")
     if not 1 <= k <= c:
         raise ValueError(f"k={k} out of range [1, {c}]")
     return k

@@ -218,6 +218,8 @@ class TrainConfig:
     def __post_init__(self):
         if self.epochs < 0:
             raise ValueError("epochs must be >= 0")
+        if not np.isfinite(self.learning_rate):
+            raise ValueError(f"learning rate must be finite, got {self.learning_rate!r}")
         if self.learning_rate <= 0:
             raise ValueError("learning rate must be positive")
         if not 0.0 <= self.momentum < 1.0:

@@ -22,6 +22,9 @@ from tkmia.baselines import (BASELINE_METHODS, BaselineSpec, ml_cw_u_loss, run_b
 from tkmia.core import Instance, hinge
 from tkmia.model import Scorer, TrainConfig, make_affine, make_mlp, train_bce
 
+from test_reference_loop import CountingScorer
+from test_reference_loop import attack as run_method
+
 
 def constant_score_model(values):
     """Affine scorer with zero weights whose scores are fixed by the bias."""
@@ -453,6 +456,108 @@ class TestTkmiaAttack:
         assert stopped_with_one_left > 0
 
 
+def assert_same_outcome(new, ref):
+    assert (new.success, new.iterations_used, new.residual) == (
+        ref.success, ref.iterations_used, ref.residual)
+    assert (new.lambda1.hex(), new.lambda2.hex()) == (ref.lambda1.hex(), ref.lambda2.hex())
+    for name in ("epsilon", "scores_before", "scores_after"):
+        assert getattr(new, name).tobytes() == getattr(ref, name).tobytes()
+
+
+class SwitchScorer(Scorer):
+    """Scores ``active`` at the input 0 and ``flat`` anywhere else; counts its
+    forward passes. A cotangent pulls back to its 1-norm in every input
+    coordinate, so zeros give zeros."""
+
+    def __init__(self, d, active, flat):
+        base = make_affine(d, len(active), seed=0)
+        super().__init__(base.weights, base.biases)
+        self.active, self.flat = np.array(active), np.array(flat)
+        self.forward = 0
+
+    def score(self, x):
+        return (self.flat if np.any(x) else self.active).copy()
+
+    def vjp(self, x):
+        self.forward += 1
+        d = self.in_dim
+        return self.score(x), lambda cot: np.full(d, float(np.abs(cot).sum()))
+
+
+def switch_scorer():
+    """ml_cw_u's hinge is active at the input 0 only; label 0 stays on top."""
+    return SwitchScorer(3, active=[0.9, 0.8, 0.7, 0.2], flat=[0.9, 0.8, 0.3, 0.5])
+
+
+class TestFixedPointExit:
+    """An iteration whose update leaves eps, velocity and both lambdas bitwise
+    unchanged ends the attack with the outcome of the whole budget, which the
+    reference loop runs iteration by iteration."""
+
+    @pytest.mark.parametrize("arch", ["affine", "mlp"])
+    @pytest.mark.parametrize("max_iter", [0, 1, 300])
+    @pytest.mark.parametrize("variant", ["c1_only", "delta1", "strict"])
+    def test_flat_ml_cw_u_hinge_runs_one_forward_pass(self, arch, max_iter, variant):
+        model = make_mlp(5, 8, 6, seed=3) if arch == "mlp" else make_affine(5, 6, seed=3)
+        x = np.random.default_rng(1).uniform(-0.5, 0.5, 5)
+        order = np.argsort(-model.score(x), kind="stable")
+        # The third-ranked class is irrelevant and outranks the fourth, which is
+        # relevant: the hinge (worst relevant minus best irrelevant) is flat.
+        y = np.zeros(6, dtype=np.int64)
+        y[order[[0, 1, 3, 4]]] = 1
+        inst = Instance(x=x, y=y)
+        spec = tuple(sorted(int(i) for i in order[:2 if variant == "delta1" else 1]))
+        cfg = AttackConfig(k=2, eta=0.05, alpha=1e-4, max_iter=max_iter,
+                           delta_threshold=1 if variant == "delta1" else None,
+                           success_mode="strict" if variant == "strict" else "c1_only")
+        counting = CountingScorer(model)
+        out = run_method("ml_cw_u", counting, inst, spec, cfg)
+        assert counting.calls["vjp"] == 1
+        assert (out.success, out.iterations_used) == (False, max_iter)
+        assert_same_outcome(out, run_method("ml_cw_u", model, inst, spec, cfg, reference=True))
+
+    @pytest.mark.parametrize("mode", ["c1_only", "strict"])
+    def test_tkmia_stops_once_the_lambdas_settle(self, mode):
+        # Zero weights: eps and velocity stay 0 from the start, while both
+        # lambdas climb until n1 = c - k and n2 = k make their gradients 0.
+        model = constant_score_model([0.9, 0.1, 0.5, 0.5, 0.6, 0.6])
+        inst = Instance(x=np.zeros(3), y=[1, 1, 1, 1, 0, 0])
+        cfg = AttackConfig(k=3, eta=0.03, max_iter=300, success_mode=mode)
+        counting = CountingScorer(model)
+        out = run_method("tkmia", counting, inst, (0,), cfg)
+        assert 2 < counting.calls["vjp"] < 300
+        assert 0.3 <= out.lambda1 < 0.4 and 0.4 <= out.lambda2 < 0.5
+        assert_same_outcome(out, run_method("tkmia", model, inst, (0,), cfg, reference=True))
+
+    def test_decaying_velocity_is_not_cut_short(self):
+        # One active step moves eps off 0; every later step is flat, and with
+        # alpha = 0 only the decaying velocity moves eps. Eps stops changing
+        # long before the velocity does, which keeps changing up to the budget.
+        inst = Instance(x=np.zeros(3), y=[1, 1, 1, 0])
+        cfg = AttackConfig(k=1, eta=0.01, alpha=0.0, max_iter=1000)
+        updates = []
+        ref = run_method("ml_cw_u", switch_scorer(), inst, (0,), cfg, reference=True,
+                         on_update=lambda before, after: updates.append((before, after)))
+        assert any(b[0] == a[0] and b[1] != a[1] for b, a in updates)
+        assert all(b != a for b, a in updates)
+        model = switch_scorer()
+        out = run_method("ml_cw_u", model, inst, (0,), cfg)
+        assert model.forward == 1001
+        assert np.all(out.epsilon != 0.0)
+        assert_same_outcome(out, ref)
+
+    def test_velocity_stuck_in_the_subnormals_is_a_fixed_point(self):
+        # Far enough into the decay, momentum * velocity rounds back to the
+        # same subnormal velocity, and eta * velocity to 0: a fixed point.
+        inst = Instance(x=np.zeros(3), y=[1, 1, 1, 0])
+        cfg = AttackConfig(k=1, eta=0.01, alpha=0.0, max_iter=8000)
+        model = switch_scorer()
+        out = run_method("ml_cw_u", model, inst, (0,), cfg)
+        assert 1001 < model.forward < 8000
+        assert_same_outcome(out, run_method("ml_cw_u", switch_scorer(), inst, (0,), cfg,
+                                            reference=True))
+
+
 class TestSelection:
     def test_global_intersection(self):
         data = [
@@ -592,6 +697,19 @@ class TestAttackConfig:
         with pytest.raises(ValueError):
             GlobalScheme(())
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("eta", float("nan"), "eta must be finite, got nan"),
+        ("eta", float("inf"), "eta must be finite, got inf"),
+        ("alpha", float("nan"), "alpha must be finite, got nan"),
+        ("alpha", float("inf"), "alpha must be finite, got inf"),
+        ("clip_domain", (-float("inf"), 1.0), "clip domain must be finite, got (-inf, 1.0)"),
+        ("clip_domain", (-1.0, float("nan")), "clip domain must be finite, got (-1.0, nan)"),
+    ])
+    def test_non_finite_numbers_rejected(self, field, value, message):
+        with pytest.raises(ValueError) as raised:
+            AttackConfig(**{"k": 2, "eta": 0.1, field: value})
+        assert str(raised.value) == message
+
 
 class TestOneIntegerRule:
     """Labels, categories and specified sets take integers only: Python or
@@ -621,6 +739,24 @@ class TestOneIntegerRule:
         assert residual_set([0.9, 0.8, 0.6, 0.1], np.array([0, 3]), 2) == (0,)
         data = [Instance(x=np.zeros(2), y=[1, 0, 1, 0])]
         assert select_global(data, np.array([2, 3], dtype=np.int32)) == [(0, (2,))]
+
+    @pytest.mark.parametrize("field, value", [
+        ("k", 1.5), ("k", 2.0), ("k", True), ("max_iter", 3.0), ("max_iter", False),
+        ("delta_threshold", 1.0), ("delta_threshold", np.float64(2.0)),
+    ])
+    def test_attack_config_counts_are_integers(self, field, value):
+        name = "delta threshold" if field == "delta_threshold" else field
+        with pytest.raises(ValueError) as raised:
+            AttackConfig(**{"k": 2, "eta": 0.1, field: value})
+        assert str(raised.value) == f"{name} must be an integer, got {value!r}"
+        with pytest.raises(ValueError, match="^m must be an integer, got 1.0$"):
+            RandomScheme(1.0)
+
+    def test_attack_config_stores_numpy_integers_as_ints(self):
+        cfg = AttackConfig(k=np.int64(2), eta=0.1, max_iter=np.int32(5),
+                           delta_threshold=np.int64(1), scheme=RandomScheme(np.int64(2)))
+        assert all(type(v) is int for v in (cfg.k, cfg.max_iter, cfg.delta_threshold,
+                                            cfg.scheme.m))
 
     def test_select_global_rejects_an_empty_category_list_as_the_scheme_does(self):
         with pytest.raises(ValueError, match="^category set must be non-empty$"):

@@ -170,7 +170,9 @@ class TestTrainAndAttack:
         (["--m", "2", "--k", "1"], "random scheme requires m <= k"),
         (["--specified", "0,,1", "--k", "1"],
          "--specified: expected comma-separated class indices, got '0,,1'"),
-    ], ids=["m-above-k", "empty-specified-entry"])
+        (["--m", "1", "--k", "1", "--eta", "nan"], "eta must be finite, got nan"),
+        (["--m", "1", "--k", "1", "--alpha", "inf"], "alpha must be finite, got inf"),
+    ], ids=["m-above-k", "empty-specified-entry", "nan-eta", "inf-alpha"])
     def test_attack_rejects_bad_selection_in_one_line(self, dataset_path, tmp_path, capsys,
                                                       flags, message):
         victim = tmp_path / "victim.jsonl"

@@ -50,6 +50,16 @@ class TestTopKIndices:
         with pytest.raises(ValueError):
             top_k_indices([0.1, 0.2, 0.3], k)
 
+    @pytest.mark.parametrize("k", [1.7, 2.0, np.float64(1.0), True, "1"])
+    def test_k_must_be_an_integer(self, k):
+        # int() would truncate 1.7 to 1 and read True as 1.
+        with pytest.raises(ValueError) as raised:
+            top_k_indices([0.9, 0.8, 0.1], k)
+        assert str(raised.value) == f"k must be an integer, got {k!r}"
+
+    def test_numpy_integer_k_accepted(self):
+        assert top_k_indices([0.9, 0.8, 0.1], np.int32(2)).tolist() == [0, 1]
+
     def test_rejects_bad_scores(self):
         with pytest.raises(ValueError):
             top_k_indices([0.5, 1.2], 1)

@@ -556,6 +556,14 @@ class TestExperimentConfig:
                                 attack_overrides={"ml_cw_u": {"max_iter": -1}})),
         ("attack (tkmia, k=1): eta must be positive",
          lambda raw: raw["attack_overrides"]["tkmia"].update(eta=0)),
+        # json.load reads NaN and Infinity; json.dumps writes them.
+        ("attack (tkmia, k=1): alpha must be finite, got nan",
+         lambda raw: raw.update(attack={"eta": 0.05, "alpha": float("nan")},
+                                attack_overrides=None)),
+        ("attack (tkmia, k=1): eta must be finite, got inf",
+         lambda raw: raw["attack_overrides"]["tkmia"].update(eta=float("inf"))),
+        ("attack (tkmia, k=1): clip domain must be finite, got (-1.0, inf)",
+         lambda raw: raw["attack"].update(clip_hi=float("inf"))),
         ("attack (tkmia, k=1): delta threshold 2 exceeds |S|=1",
          lambda raw: raw.update(scheme={"type": "random", "m": 1},
                                 methods=["tkmia", "ml_cw_u"],
@@ -576,6 +584,10 @@ class TestExperimentConfig:
         ("victim: epochs must be >= 0", lambda raw: raw["victim"].update(epochs=-1)),
         ("victim: learning rate must be positive",
          lambda raw: raw["victim"].update(learning_rate=-1)),
+        ("victim: learning rate must be finite, got nan",
+         lambda raw: raw["victim"].update(learning_rate=float("nan"))),
+        ("victim: learning rate must be finite, got inf",
+         lambda raw: raw["victim"].update(learning_rate=float("inf"))),
         ("victim: momentum must be in [0, 1)", lambda raw: raw["victim"].update(momentum=1)),
         ("victim: unknown activation 'sigmoid'",
          lambda raw: raw["victim"].update(arch="mlp", activation="sigmoid")),

@@ -8,7 +8,10 @@ must reproduce it bit for bit, and per iteration must run exactly one
 forward pass (``Scorer.vjp``), never ``score`` or ``input_gradient``. An
 iteration whose loss is flat (a zero score cotangent) runs no pullback: the
 engine pulls back zeros once per attack, on its first flat iteration, and
-reuses that gradient; every other iteration runs one pullback.
+reuses that gradient; every other iteration runs one pullback. The engine
+runs no iteration after the first one whose update leaves eps, velocity and
+the lambdas bitwise unchanged (a fixed point), and the reference, which runs
+the whole budget, gives the same outcome.
 """
 from dataclasses import replace
 
@@ -31,7 +34,10 @@ K = 2
 SPECIFIED = (0, 1)
 
 
-def reference_attack_loop(model, instance, specified, config, method, step_fn, success_fn):
+def reference_attack_loop(model, instance, specified, config, method, step_fn, success_fn,
+                          lams=lambda: (0.0, 0.0), on_update=None):
+    """``lams`` reads the lambdas that ``step_fn`` steps; ``on_update(before, after)``,
+    if given, sees the bytes of (eps, velocity, lambdas) around each update."""
     lo, hi = config.clip_domain
     x = instance.x
     eps = np.zeros_like(x)
@@ -40,6 +46,9 @@ def reference_attack_loop(model, instance, specified, config, method, step_fn, s
     scores = None
     success = False
     iterations = 0
+
+    def state():
+        return eps.tobytes(), velocity.tobytes(), *(float(lam).hex() for lam in lams())
 
     for it in range(config.max_iter + 1):
         x_adv = np.clip(x + eps, lo, hi)
@@ -53,12 +62,15 @@ def reference_attack_loop(model, instance, specified, config, method, step_fn, s
         if it == config.max_iter:
             iterations = it
             break
+        before = state()
         _, grad_eps = step_fn(x_adv, eps)
         if not np.all(np.isfinite(grad_eps)):
             raise FloatingPointError(f"non-finite gradient at iteration {it}")
         velocity = config.momentum * velocity + grad_eps
         eps = eps - config.eta * velocity
         eps = np.clip(x + eps, lo, hi) - x
+        if on_update is not None:
+            on_update(before, state())
 
     return AttackOutcome(
         method=method,
@@ -74,7 +86,7 @@ def reference_attack_loop(model, instance, specified, config, method, step_fn, s
     )
 
 
-def reference_tkmia(model, instance, specified, config):
+def reference_tkmia(model, instance, specified, config, on_update=None):
     relevant = instance.relevant
     spec = tuple(sorted(int(i) for i in specified))
     lam = [0.0, 0.0]
@@ -89,11 +101,12 @@ def reference_tkmia(model, instance, specified, config):
     def succeeded(scores):
         return success_check(scores, spec, relevant, config.k, config.success_mode)
 
-    outcome = reference_attack_loop(model, instance, spec, config, "tkmia", step, succeeded)
+    outcome = reference_attack_loop(model, instance, spec, config, "tkmia", step, succeeded,
+                                    lams=lambda: lam, on_update=on_update)
     return replace(outcome, lambda1=lam[0], lambda2=lam[1])
 
 
-def reference_baseline(model, instance, specified, spec):
+def reference_baseline(model, instance, specified, spec, on_update=None):
     config = spec.config
     relevant = instance.relevant
     s = tuple(sorted(int(i) for i in specified))
@@ -109,7 +122,8 @@ def reference_baseline(model, instance, specified, spec):
     def succeeded(scores):
         return len(s) - len(residual_set(scores, s, config.k)) >= delta
 
-    return reference_attack_loop(model, instance, s, config, spec.method, step, succeeded)
+    return reference_attack_loop(model, instance, s, config, spec.method, step, succeeded,
+                                 on_update=on_update)
 
 
 CONFIG = AttackConfig(k=K, eta=0.05, alpha=1e-4, momentum=0.9, max_iter=120)
@@ -123,12 +137,12 @@ CASES = {
 }
 
 
-def attack(method, model, instance, specified, config, reference=False):
+def attack(method, model, instance, specified, config, reference=False, **hooks):
     if method == "tkmia":
         run = reference_tkmia if reference else tkmia_attack
-        return run(model, instance, specified, config)
+        return run(model, instance, specified, config, **hooks)
     run = reference_baseline if reference else run_baseline
-    return run(model, instance, specified, BaselineSpec(method, config))
+    return run(model, instance, specified, BaselineSpec(method, config), **hooks)
 
 
 @pytest.fixture(scope="module", params=["affine", "mlp"])
@@ -198,21 +212,32 @@ class CountingScorer(Scorer):
 def test_one_forward_and_one_gradient_per_iteration(victim, case):
     method, config = CASES[case]
     model, pairs = victim
-    iterations = pullbacks = 0
+    iterations = pullbacks = fixed_points = 0
     for instance, spec in pairs:
-        # The reference pulls back every iteration's cotangent, zeros included,
-        # so its zero-cotangent pullbacks count the flat iterations.
+        # The reference runs the whole budget and pulls back every iteration's
+        # cotangent, zeros included: per update it records whether the state
+        # stayed bitwise the same, and its zero pullbacks so far (flat updates).
         reference = CountingScorer(model)
-        attack(method, reference, instance, spec, config, reference=True)
-        flat = reference.calls["zero_pullback"]
+        updates = []
+        ref = attack(method, reference, instance, spec, config, reference=True,
+                     on_update=lambda before, after: updates.append(
+                         (before == after, reference.calls["zero_pullback"])))
+        # The engine stops after the first update that leaves the state unchanged,
+        # without the forward pass at that unchanged state.
+        fixed = next((i for i, (same, _) in enumerate(updates) if same), None)
+        ran = ref.iterations_used if fixed is None else fixed + 1
+        flat = updates[ran - 1][1] if ran else 0
+        fixed_points += fixed is not None
         counting = CountingScorer(model)
         out = attack(method, counting, instance, spec, config)
+        assert out.iterations_used == ref.iterations_used
         assert counting.calls == {"score": 0, "input_gradient": 0,
-                                  "vjp": out.iterations_used + 1,
-                                  "pullback": out.iterations_used - flat + min(flat, 1),
+                                  "vjp": ran + (fixed is None),
+                                  "pullback": ran - flat + min(flat, 1),
                                   "zero_pullback": min(flat, 1)}
         iterations += out.iterations_used
         pullbacks += counting.calls["pullback"]
     assert iterations > 0
     if method == "ml_cw_u":
         assert pullbacks < iterations
+        assert fixed_points > 0
