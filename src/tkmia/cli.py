@@ -20,6 +20,7 @@ import sys
 
 from .attack import SUCCESS_MODES, AttackConfig, RandomScheme, select_random
 from .checks import run_all_checks
+from .core import _seed
 from .harness import (
     METHODS,
     VICTIM_ARCHS,
@@ -167,6 +168,8 @@ _COMMANDS = {
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        if "seed" in args:
+            _seed(args.seed, "--seed")
         return _COMMANDS[args.command](args)
     except (ValueError, OSError, KeyError, FloatingPointError) as exc:
         print(f"error: {exc}", file=sys.stderr)

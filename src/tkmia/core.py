@@ -71,6 +71,15 @@ def _integer(value, message: str) -> int:
     return int(value)
 
 
+def _seed(value, name: str = "seed") -> int:
+    """The one seed rule: the integer rule, and non-negative, as numpy's
+    generators require; errors begin with ``name``."""
+    seed = _integer(value, f"{name} must be an integer, got")
+    if seed < 0:
+        raise ValueError(f"{name} must be non-negative, got {seed}")
+    return seed
+
+
 def _check_k(k: int, c: int) -> int:
     k = _integer(k, "k must be an integer, got")
     if not 1 <= k <= c:

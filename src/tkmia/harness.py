@@ -30,7 +30,7 @@ from .attack import (
     tkmia_attack,
 )
 from .baselines import BASELINE_METHODS, BaselineSpec, run_baseline
-from .core import Instance, atomic_write
+from .core import Instance, _integer, _seed, atomic_write
 from .metrics import MEASURES, REPORT_COLUMNS, delta_report, evaluate_rows, write_report_csv
 # Unused here; perfbench's tracer test looks evaluate_instance up in this namespace.
 from .metrics import evaluate_instance  # noqa: F401
@@ -68,6 +68,10 @@ class SyntheticSpec:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("n", "d", "c"):
+            value = _integer(getattr(self, name), f"{name} must be an integer, got")
+            object.__setattr__(self, name, value)
+        object.__setattr__(self, "seed", _seed(self.seed))
         if self.n < 1 or self.d < 1 or self.c < 2:
             raise ValueError("n, d positive and c >= 2 required")
         if not 0.0 < self.mean_relevant < self.c:
@@ -160,6 +164,7 @@ class VictimSpec(TrainConfig):
             raise ValueError(f"unknown arch {self.arch!r}")
         if self.activation not in ACTIVATIONS:
             raise ValueError(f"unknown activation {self.activation!r}")
+        self.hidden = _integer(self.hidden, "hidden size must be an integer, got")
         if self.hidden < 1:
             raise ValueError(f"hidden size must be >= 1, got {self.hidden}")
         super().__post_init__()
@@ -283,6 +288,7 @@ class ExperimentConfig:
         for field in fields(self):
             _expect(field.name, getattr(self, field.name), field.type)
         self.k_grid, self.methods = tuple(self.k_grid), tuple(self.methods)
+        _seed(self.seed)
         if not self.k_grid:
             raise ValueError("k grid must be non-empty")
         if self.max_instances < 1:

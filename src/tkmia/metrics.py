@@ -143,9 +143,7 @@ def map_at_k_per_category(samples: Sequence[tuple], k: int) -> float:
         raise ValueError("empty sample list")
     score_mat = np.asarray([as_scores(s) for s, _ in samples])
     label_mat = np.asarray([as_labels(y, score_mat.shape[1]) for _, y in samples])
-    n = score_mat.shape[0]
-    if k > n:
-        raise ValueError(f"k={k} exceeds instance count {n}")
+    k = _check_k(k, score_mat.shape[0])
     # Category j is row j of the transposes: instances ranked by their class-j
     # score, ties by index.
     ap = _measure_rows(score_mat.T, label_mat.T, k)["ap_at_k"][label_mat.any(axis=0)]

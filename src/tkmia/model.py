@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import atomic_write
+from .core import _integer, _seed, atomic_write
 
 __all__ = [
     "Scorer",
@@ -216,6 +216,9 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
+        self.epochs = _integer(self.epochs, "epochs must be an integer, got")
+        self.batch_size = _integer(self.batch_size, "batch size must be an integer, got")
+        self.seed = _seed(self.seed)
         if self.epochs < 0:
             raise ValueError("epochs must be >= 0")
         if not np.isfinite(self.learning_rate):

@@ -1,5 +1,9 @@
 """Acceptance suite: one test per criterion, each printing a PASS line.
 
+Criteria 1, 2, 3 and 5 run the brute-force suites of :mod:`tkmia.checks`,
+the ones behind ``tkmia check``, at fixed seeds, and assert their own
+literal bounds on the worst errors the suites return.
+
 Run with ``pytest tests/test_acceptance.py -v`` (add ``-s`` to see the
 per-criterion lines while running).
 """
@@ -8,32 +12,15 @@ import time
 import numpy as np
 import pytest
 
-from tkmia.attack import (
-    AttackConfig,
-    filter_instances,
-    select_global,
-    tkmia_attack,
-    tkmia_objective,
-)
-from tkmia.baselines import BaselineSpec, ml_cw_u_loss, run_baseline, tkml_ap_u_loss
-from tkmia.core import (
-    Instance,
-    avg_top_k,
-    hinge,
-    kth_largest,
-    variational_top_k_sum,
-)
-from tkmia.harness import ExperimentConfig, RandomScheme, SyntheticSpec, gen_synthetic
-from tkmia.metrics import (
-    ap_at_k,
-    delta_report,
-    evaluate_instance,
-    ndcg_at_k,
-    precision_at_k,
-    tk_acc,
-)
-from tkmia.model import TrainConfig, make_affine, make_mlp, train_bce
-from tkmia.harness import run_experiment
+from tkmia import checks
+from tkmia.attack import (AttackConfig, filter_instances, select_global, tkmia_attack,
+                          tkmia_objective)
+from tkmia.baselines import BaselineSpec, run_baseline
+from tkmia.core import Instance
+from tkmia.harness import (ExperimentConfig, RandomScheme, SyntheticSpec, gen_synthetic,
+                           run_experiment)
+from tkmia.metrics import ap_at_k, delta_report, evaluate_instance, ndcg_at_k
+from tkmia.model import TrainConfig, make_affine, train_bce
 
 
 def announce(criterion, name):
@@ -48,28 +35,14 @@ def rank_of(scores, idx):
 class TestCriterion1VariationalForm:
     def test_variational_equivalence(self):
         start = time.time()
-        rng = np.random.default_rng(101)
-        grid = np.linspace(0.0, 1.0, 1001)
-        for _ in range(1000):
-            c = int(rng.integers(2, 21))
-            k = int(rng.integers(1, c))
-            scores = rng.uniform(0.0, 1.0, c)
-            target = k * avg_top_k(scores, k)
-            # grid evaluation of the variational formula, written out
-            values = k * grid + np.maximum(scores[None, :] - grid[:, None], 0.0).sum(axis=1)
-            # pure grid minimum never undercuts the true top-k sum
-            assert float(values.min()) >= target - 1e-6
-            # with the analytic optimum f_[k] included the minimum is exact
-            lam_star = kth_largest(scores, k)
-            at_opt = variational_top_k_sum(scores, k, lam_star)
-            assert abs(at_opt - target) <= 1e-9
-            assert abs(min(float(values.min()), at_opt) - target) <= 1e-6
-        # the library op agrees with the written-out formula on grid points
-        for lam in (0.0, 0.25, 0.5, 0.75, 1.0):
-            scores = rng.uniform(0.0, 1.0, 12)
-            formula = 4 * lam + np.maximum(scores - lam, 0.0).sum()
-            assert variational_top_k_sum(scores, 4, lam) == pytest.approx(formula, abs=1e-12)
+        worst = checks.check_variational_form(101)
         elapsed = time.time() - start
+        # the grid minimum never undercuts the true top-k sum
+        assert worst["grid undercut"] <= 1e-6
+        # with the analytic optimum f_[k] the library's form is exact
+        assert worst["at-optimum gap"] <= 1e-9
+        # the library op agrees with the written-out formula on grid points
+        assert worst["formula gap"] <= 1e-12
         assert elapsed < 5.0, f"variational suite took {elapsed:.2f}s"
         announce(1, "variational top-k equivalence")
 
@@ -77,96 +50,19 @@ class TestCriterion1VariationalForm:
 class TestCriterion2HingeIdentity:
     def test_nested_hinge_identity(self):
         start = time.time()
-        rng = np.random.default_rng(102)
-        n = 100_000
-        a = rng.uniform(1e-12, 50.0, n)
-        b = rng.uniform(1e-12, 50.0, n)
-        x = rng.uniform(-50.0, 50.0, n)
-        lhs = np.maximum(np.maximum(a - x, 0.0) - b, 0.0)
-        rhs = np.maximum(a - x - b, 0.0)
-        assert float(np.max(np.abs(lhs - rhs))) <= 1e-12
-        # scalar op agrees on a sample
-        for i in range(0, n, 10_000):
-            assert hinge(hinge(a[i] - x[i]) - b[i]) == hinge(a[i] - x[i] - b[i])
+        worst = checks.check_hinge_identity(102)
         elapsed = time.time() - start
+        assert worst["max violation"] <= 1e-12
+        # scalar op agrees exactly on a sample
+        assert worst["scalar violation"] == 0.0
         assert elapsed < 1.0, f"hinge suite took {elapsed:.2f}s"
         announce(2, "nested hinge identity")
 
 
-def fd_grad(fn, point, step=1e-5):
-    grad = np.zeros_like(point)
-    for i in range(point.shape[0]):
-        bump = np.zeros_like(point)
-        bump[i] = step
-        grad[i] = (fn(point + bump) - fn(point - bump)) / (2 * step)
-    return grad
-
-
-def rel_gap(analytic, numeric):
-    scale = max(float(np.linalg.norm(numeric)), 1e-8)
-    return float(np.linalg.norm(np.asarray(analytic) - numeric)) / scale
-
-
 class TestCriterion3Gradients:
-    N_POINTS = 200
-
-    @staticmethod
-    def victims():
-        return (make_affine(6, 8, seed=31), make_mlp(6, 7, 8, seed=32))
-
-    def draw_generic(self, rng, model, need_rank_gap=False, k=3):
-        spec, rel = (1, 4), (1, 2, 4, 6)
-        while True:
-            x = rng.uniform(-0.8, 0.8, model.in_dim)
-            eps = rng.uniform(-0.05, 0.05, model.in_dim)
-            lam1, lam2 = rng.uniform(0.02, 0.5, 2)
-            scores = model.score(x + eps)
-            smax = max(scores[list(spec)])
-            ymin = min(scores[i] for i in rel if i not in spec)
-            gaps = [smax - s - lam1 for s in scores]
-            gaps += [s - ymin - lam2 for s in scores]
-            irrelevant = [scores[i] for i in range(model.out_dim) if i not in rel]
-            gaps.append(min(scores[list(rel)]) - max(irrelevant))
-            gaps.append(max(scores[list(rel)]) - np.sort(scores)[::-1][k])
-            if need_rank_gap and np.min(np.abs(np.diff(np.sort(scores)))) < 1e-3:
-                continue
-            if np.min(np.abs(gaps)) > 1e-3:
-                return x, eps, lam1, lam2, spec, rel
-
     def test_objective_and_baseline_gradients(self):
         start = time.time()
-        worst = 0.0
-        for model in self.victims():
-            rng = np.random.default_rng(33)
-            cfg = AttackConfig(k=3, eta=0.01, alpha=0.2)
-            for _ in range(self.N_POINTS):
-                x, eps, lam1, lam2, spec, rel = self.draw_generic(rng, model)
-                _, g_eps, g1, g2 = tkmia_objective(model, x, eps, lam1, lam2, spec, rel, cfg)
-                num = fd_grad(lambda e: tkmia_objective(model, x, e, lam1, lam2,
-                                                        spec, rel, cfg)[0], eps)
-                worst = max(worst, rel_gap(g_eps, num))
-                step = 1e-5
-                for val, bump_fn in ((g1, lambda h: tkmia_objective(
-                        model, x, eps, lam1 + h, lam2, spec, rel, cfg)[0]),
-                        (g2, lambda h: tkmia_objective(
-                            model, x, eps, lam1, lam2 + h, spec, rel, cfg)[0])):
-                    fd = (bump_fn(step) - bump_fn(-step)) / (2 * step)
-                    worst = max(worst, abs(val - fd) / max(1.0, abs(fd)))
-
-            rng = np.random.default_rng(34)
-            for _ in range(self.N_POINTS):
-                x, eps, _, _, spec, rel = self.draw_generic(rng, model)
-                _, g = ml_cw_u_loss(model, x, eps, rel, alpha=0.2)
-                num = fd_grad(lambda e: ml_cw_u_loss(model, x, e, rel, alpha=0.2)[0], eps)
-                worst = max(worst, rel_gap(g, num))
-
-            rng = np.random.default_rng(35)
-            for _ in range(self.N_POINTS):
-                x, eps, _, _, spec, rel = self.draw_generic(rng, model, need_rank_gap=True)
-                _, g = tkml_ap_u_loss(model, x, eps, rel, k=3, alpha=0.2)
-                num = fd_grad(lambda e: tkml_ap_u_loss(model, x, e, rel, k=3, alpha=0.2)[0], eps)
-                worst = max(worst, rel_gap(g, num))
-
+        worst = checks.check_objective_gradients(31)["max relative error"]
         elapsed = time.time() - start
         assert worst <= 1e-4, f"max relative gradient error {worst:.2e}"
         assert elapsed < 30.0, f"gradient suite took {elapsed:.1f}s"
@@ -194,33 +90,9 @@ class TestCriterion4Convexity:
 
 class TestCriterion5MetricOracles:
     def test_metrics_match_bruteforce(self):
-        rng = np.random.default_rng(51)
-        for _ in range(1000):
-            c = int(rng.integers(2, 13))
-            k = int(rng.integers(1, c + 1))
-            scores = rng.uniform(0, 1, c)
-            y = np.zeros(c, dtype=np.int64)
-            y[rng.choice(c, size=int(rng.integers(1, c + 1)), replace=False)] = 1
-
-            order = sorted(range(c), key=lambda i: (-scores[i], i))
-            ranked = [int(y[i]) for i in order[:k]]
-            relevant = {i for i in range(c) if y[i] == 1}
-            nk = min(k, len(relevant))
-            acc = 1 if relevant <= set(order[:k]) else 0
-            p = sum(ranked) / k
-            ap = sum(sum(ranked[:i]) / i for i in range(1, k + 1) if ranked[i - 1]) / nk
-            dcg = sum(ranked[i - 1] / np.log2(i + 1) for i in range(1, k + 1))
-            idcg = sum(1.0 / np.log2(i + 1) for i in range(1, nk + 1))
-
-            assert abs(tk_acc(scores, y, k) - acc) <= 1e-12
-            assert abs(precision_at_k(scores, y, k) - p) <= 1e-12
-            assert abs(ap_at_k(scores, y, k) - ap) <= 1e-12
-            assert abs(ndcg_at_k(scores, y, k) - dcg / idcg) <= 1e-12
-
+        assert checks.check_metric_oracles(51)["max metric gap"] <= 1e-12
         # frozen hand case: ranked labels (1, 0, 1) at k=3
-        expected = 1.5 / (1.0 + 1.0 / np.log2(3.0))
-        assert ndcg_at_k([0.9, 0.5, 0.3], [1, 0, 1], 3) == pytest.approx(expected, abs=1e-12)
-        assert expected == pytest.approx(0.9197, abs=1e-4)
+        assert ndcg_at_k([0.9, 0.5, 0.3], [1, 0, 1], 3) == pytest.approx(0.9197, abs=1e-4)
         announce(5, "metric implementations vs brute-force oracles")
 
     def test_negative_deltas_representable(self):

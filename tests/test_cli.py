@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from tkmia import harness
+from tkmia import attack, core, harness, metrics
 from tkmia.cli import main
 from tkmia.model import make_affine, save_scorer
 
@@ -396,11 +396,51 @@ class TestReport:
         assert (tmp_path / "outcomes.jsonl").exists()
 
 
+def off_by(fn, nudge):
+    """``fn`` with ``nudge`` applied to its result."""
+    return lambda *args: nudge(fn(*args))
+
+
 class TestCheck:
-    def test_check_passes_on_fresh_build(self, capsys):
-        assert run_cli(["check"]) == 0
+    # At seeds 7, 70 and 71 a gradient suite that drew points near hinge kinks
+    # failed: a central difference on the MLP victim straddled one.
+    @pytest.mark.parametrize("seed", [0, 7, 70, 71])
+    def test_check_passes_on_fresh_build(self, capsys, seed):
+        assert run_cli(["check", "--seed", str(seed)]) == 0
         out = capsys.readouterr().out
-        assert "PASS" in out and "FAIL" not in out
+        assert "FAIL" not in out and out.endswith("5/5 suites passed\n")
+
+    @pytest.mark.parametrize("module, name, nudge, suite", [
+        (core, "variational_top_k_sum", lambda value: value + 1e-10, "variational-top-k"),
+        (core, "hinge", lambda value: value * (1.0 + 1e-9), "hinge-identity"),
+        (attack, "_tkmia_terms", lambda terms: (terms[0], terms[1] + 1e-3, terms[2]),
+         "objective-gradients"),
+        (attack, "_hinge_cot", lambda cot: None if cot is None else 1.01 * cot,
+         "objective-gradients"),
+        (metrics, "_measure_rows",
+         lambda rows: {**rows, "ndcg_at_k": rows["ndcg_at_k"] + 1e-10}, "metric-oracles"),
+    ], ids=["variational", "hinge", "tkmia-terms", "baseline-hinge", "measure-rows"])
+    def test_check_fails_on_a_slightly_wrong_library(self, capsys, monkeypatch, module, name,
+                                                     nudge, suite):
+        monkeypatch.setattr(module, name, off_by(getattr(module, name), nudge))
+        assert run_cli(["check"]) == 1
+        out = capsys.readouterr().out
+        assert [line.split(":")[0] for line in out.splitlines() if "FAIL" in line] == [suite]
+        assert out.endswith("4/5 suites passed\n")
+
+    @pytest.mark.parametrize("command", [
+        ["gen-data", "--n", "10", "--d", "4", "--c", "5", "--mean-relevant", "2.0",
+         "--out", "x.jsonl"],
+        ["train", "--dataset", "missing.jsonl", "--out", "v.jsonl"],
+        ["attack", "--dataset", "missing.jsonl", "--victim", "missing.jsonl", "--index", "0",
+         "--k", "1", "--m", "1"],
+        ["check"],
+    ], ids=["gen-data", "train", "attack", "check"])
+    def test_negative_seed_names_the_flag(self, tmp_path, capsys, monkeypatch, command):
+        monkeypatch.chdir(tmp_path)
+        assert run_cli(command + ["--seed", "-1"]) == 1
+        assert capsys.readouterr().err == "error: --seed must be non-negative, got -1\n"
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestUsage:

@@ -84,6 +84,23 @@ class TestGenSynthetic:
         with pytest.raises(ValueError):
             SyntheticSpec(n=0, d=4, c=5, mean_relevant=2.0)
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("n", 5.0, "n must be an integer, got 5.0"),
+        ("n", True, "n must be an integer, got True"),
+        ("d", 3.5, "d must be an integer, got 3.5"),
+        ("c", 4.0, "c must be an integer, got 4.0"),
+        ("seed", 1.5, "seed must be an integer, got 1.5"),
+        ("seed", -1, "seed must be non-negative, got -1"),
+    ])
+    def test_counts_and_seed_take_the_integer_rule(self, field, value, message):
+        with pytest.raises(ValueError) as raised:
+            SyntheticSpec(**{"n": 10, "d": 4, "c": 5, "mean_relevant": 2.0, field: value})
+        assert str(raised.value) == message
+
+    def test_victim_hidden_size_takes_the_integer_rule(self):
+        with pytest.raises(ValueError, match="^hidden size must be an integer, got 7.5$"):
+            VictimSpec(arch="mlp", hidden=7.5)
+
 
 class TestDatasetIO:
     def test_roundtrip(self, tmp_path):
@@ -503,6 +520,9 @@ class TestExperimentConfig:
         ("dataset.n: expected an integer, got float",
          lambda raw: raw["dataset"].update(n=10.0)),
         ("dataset: n, d positive and c >= 2 required", lambda raw: raw["dataset"].update(n=0)),
+        ("dataset: seed must be non-negative, got -1",
+         lambda raw: raw["dataset"].update(seed=-1)),
+        ("seed must be non-negative, got -1", lambda raw: raw.update(seed=-1)),
         ("dataset: mean_relevant must lie strictly between 0 and c",
          lambda raw: raw["dataset"].update(mean_relevant=5.0)),
         ("k_grid: k=5 must be smaller than c=5", lambda raw: raw.update(k_grid=[1, 5])),
@@ -532,6 +552,7 @@ class TestExperimentConfig:
         ("methods: expected a list, got str", {"methods": "tkmia"}),
         ("k_grid[1]: expected an integer, got str", {"k_grid": (1, "2")}),
         ("max_instances: expected an integer, got bool", {"max_instances": True}),
+        ("seed must be non-negative, got -1", {"seed": -1}),
         ("scheme: expected a GlobalScheme or RandomScheme, got dict",
          {"scheme": {"type": "random", "m": 1}}),
     ])
@@ -582,6 +603,7 @@ class TestExperimentConfig:
         ("victim: batch size must be positive",
          lambda raw: raw["victim"].update(batch_size=0)),
         ("victim: epochs must be >= 0", lambda raw: raw["victim"].update(epochs=-1)),
+        ("victim: seed must be non-negative, got -1", lambda raw: raw["victim"].update(seed=-1)),
         ("victim: learning rate must be positive",
          lambda raw: raw["victim"].update(learning_rate=-1)),
         ("victim: learning rate must be finite, got nan",

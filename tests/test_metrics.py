@@ -356,6 +356,21 @@ class TestMapAtKPerCategoryPinned:
     def test_single_instance(self):
         assert map_at_k_per_category([([0.9, 0.2], [1, 0])], 1) == 1.0
 
+    @pytest.mark.parametrize("k, message", [
+        (0, "k=0 out of range [1, 2]"),
+        (-1, "k=-1 out of range [1, 2]"),
+        (3, "k=3 out of range [1, 2]"),
+        (1.5, "k must be an integer, got 1.5"),
+        (True, "k must be an integer, got True"),
+    ])
+    def test_k_takes_the_one_k_rule(self, k, message):
+        # k counts instances here: it once failed with an IndexError at 0 and
+        # read True as 1.
+        samples = [([0.9, 0.2], [1, 0]), ([0.4, 0.7], [0, 1])]
+        with pytest.raises(ValueError) as raised:
+            map_at_k_per_category(samples, k)
+        assert str(raised.value) == message
+
 
 class TestMonotoneInvariance:
     def test_metrics_depend_only_on_ranking(self):

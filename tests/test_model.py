@@ -461,6 +461,24 @@ class TestTrainBce:
         with pytest.raises(ValueError):
             train_bce([], TrainConfig(epochs=1, learning_rate=0.1))
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("epochs", 2.5, "epochs must be an integer, got 2.5"),
+        ("epochs", True, "epochs must be an integer, got True"),
+        ("batch_size", 8.5, "batch size must be an integer, got 8.5"),
+        ("seed", 1.5, "seed must be an integer, got 1.5"),
+        ("seed", -1, "seed must be non-negative, got -1"),
+    ])
+    def test_counts_and_seed_take_the_integer_rule(self, field, value, message):
+        # A float epoch count or batch size once failed with a bare TypeError,
+        # and True trained one epoch.
+        with pytest.raises(ValueError) as raised:
+            TrainConfig(**{field: value})
+        assert str(raised.value) == message
+
+    def test_numpy_integers_stored_as_ints(self):
+        config = TrainConfig(epochs=np.int64(2), batch_size=np.int32(8), seed=np.uint8(3))
+        assert [type(v) for v in (config.epochs, config.batch_size, config.seed)] == [int] * 3
+
     def test_mlp_needs_a_hidden_unit(self):
         with pytest.raises(ValueError, match="hidden size must be >= 1, got 0"):
             make_mlp(4, 0, 3)
