@@ -18,10 +18,12 @@ from . import attack, baselines, core, metrics, model
 
 __all__ = ["run_all_checks", "CHECKS"]
 
-# The central-difference step, and the least distance from every hinge kink
-# of a gradient point, so that no difference straddles one.
+# The central-difference step, the least distance from every hinge kink of a
+# gradient point, so that no difference straddles one, and the draws allowed
+# per point (seeds 0-124 need at most 64).
 _STEP = 1e-5
 _KINK_MARGIN = 1e-3
+_TRIES = 1000
 # The k and the label sets S and Yp of every gradient point.
 _K, _SPEC, _REL = 3, (1, 4), (1, 2, 4, 6)
 
@@ -72,13 +74,13 @@ def _victims(seed: int):
     return model.make_affine(6, 8, seed=seed), model.make_mlp(6, 7, 8, seed=seed + 1)
 
 
-def _draw_generic(rng, victim, rank_gap: bool = False):
+def _draw_generic(rng, victim, seed: int, rank_gap: bool = False):
     """A point (x, eps, lam1, lam2) whose scores lie at least the kink margin
     from every kink of the tkmia hinges and of both baseline pairs; with
     ``rank_gap``, also with no two scores that close."""
     rest = [i for i in _REL if i not in _SPEC]
     irrelevant = [i for i in range(victim.out_dim) if i not in _REL]
-    while True:
+    for _ in range(_TRIES):
         x = rng.uniform(-0.8, 0.8, victim.in_dim)
         eps = rng.uniform(-0.05, 0.05, victim.in_dim)
         lam1, lam2 = rng.uniform(0.02, 0.5, 2)
@@ -90,6 +92,8 @@ def _draw_generic(rng, victim, rank_gap: bool = False):
         crowded = rank_gap and np.diff(ranked).min() < _KINK_MARGIN
         if np.abs(gaps).min() > _KINK_MARGIN and not crowded:
             return x, eps, lam1, lam2
+    raise ValueError(f"objective-gradients: no point {_KINK_MARGIN:g} from every hinge kink "
+                     f"in {_TRIES} draws at seed {seed}")
 
 
 def _fd_gap(fn, point: np.ndarray, analytic: np.ndarray) -> float:
@@ -113,7 +117,7 @@ def check_objective_gradients(seed: int):
     for victim in _victims(seed):
         rng = np.random.default_rng(seed + 2)
         for _ in range(200):
-            x, eps, lam1, lam2 = _draw_generic(rng, victim)
+            x, eps, lam1, lam2 = _draw_generic(rng, victim, seed)
 
             def value(e, l1=lam1, l2=lam2):
                 return attack.tkmia_objective(victim, x, e, l1, l2, _SPEC, _REL, cfg)[0]
@@ -132,7 +136,7 @@ def check_objective_gradients(seed: int):
                                         True)):
             rng = np.random.default_rng(seed + offset)
             for _ in range(200):
-                x, eps, _, _ = _draw_generic(rng, victim, rank_gap)
+                x, eps, _, _ = _draw_generic(rng, victim, seed, rank_gap)
                 _, g = loss(victim, x, eps, _REL)
                 worst = max(worst, _fd_gap(lambda e: loss(victim, x, e, _REL)[0], eps, g))
     return {"max relative error": worst}

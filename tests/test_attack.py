@@ -38,6 +38,30 @@ def rank_of(scores, idx):
     return order.index(idx) + 1
 
 
+def fd_grad(fn, point, step=1e-5):
+    grad = np.zeros_like(point)
+    for i in range(point.shape[0]):
+        bump = np.zeros_like(point)
+        bump[i] = step
+        grad[i] = (fn(point + bump) - fn(point - bump)) / (2 * step)
+    return grad
+
+
+def generic_objective_point(rng, model, spec, rel, cfg, margin=1e-3):
+    """Draw (x, eps, lam1, lam2) with every hinge argument away from 0."""
+    for _ in range(200):
+        x = rng.uniform(-0.8, 0.8, model.in_dim)
+        eps = rng.uniform(-0.05, 0.05, model.in_dim)
+        lam1, lam2 = rng.uniform(0.02, 0.5, 2)
+        scores = model.score(x + eps)
+        smax = max(scores[list(spec)])
+        ymin = min(scores[i] for i in rel if i not in spec)
+        gaps = np.concatenate([smax - scores - lam1, scores - ymin - lam2])
+        if np.min(np.abs(gaps)) > margin:
+            return x, eps, lam1, lam2
+    raise AssertionError("could not find a generic point")
+
+
 class TestObjectiveValue:
     def test_all_equal_scores_zero_objective(self):
         model = constant_score_model([0.5, 0.5, 0.5, 0.5])
@@ -88,6 +112,34 @@ class TestObjectiveValue:
         with pytest.raises(ValueError):
             tkmia_objective(model, np.zeros(3), np.zeros(3), 0.0, 0.0, (0,),
                             (0, 1), AttackConfig(k=3, eta=0.1))
+
+
+class TestObjectiveGradients:
+    @pytest.mark.parametrize("arch", ["affine", "mlp"])
+    def test_matches_finite_differences(self, arch):
+        rng = np.random.default_rng(0 if arch == "affine" else 1)
+        if arch == "affine":
+            model = make_affine(6, 8, seed=3)
+        else:
+            model = make_mlp(6, 7, 8, seed=4)
+        spec, rel = (1, 4), (1, 2, 4, 6)
+        cfg = AttackConfig(k=3, eta=0.1, alpha=0.2)
+        for _ in range(40):
+            x, eps, lam1, lam2 = generic_objective_point(rng, model, spec, rel, cfg)
+            value, g_eps, g1, g2 = tkmia_objective(model, x, eps, lam1, lam2,
+                                                   spec, rel, cfg)
+            num = fd_grad(lambda e: tkmia_objective(model, x, e, lam1, lam2,
+                                                    spec, rel, cfg)[0], eps)
+            scale = max(np.linalg.norm(num), 1e-8)
+            assert np.linalg.norm(g_eps - num) / scale <= 1e-4
+
+            step = 1e-5
+            fd1 = (tkmia_objective(model, x, eps, lam1 + step, lam2, spec, rel, cfg)[0]
+                   - tkmia_objective(model, x, eps, lam1 - step, lam2, spec, rel, cfg)[0]) / (2 * step)
+            fd2 = (tkmia_objective(model, x, eps, lam1, lam2 + step, spec, rel, cfg)[0]
+                   - tkmia_objective(model, x, eps, lam1, lam2 - step, spec, rel, cfg)[0]) / (2 * step)
+            assert abs(g1 - fd1) <= 1e-4 * max(1.0, abs(fd1))
+            assert abs(g2 - fd2) <= 1e-4 * max(1.0, abs(fd2))
 
 
 class TestObjectiveConvexity:

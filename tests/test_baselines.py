@@ -19,6 +19,15 @@ def constant_score_model(values, in_dim=3):
     return Scorer([np.zeros((len(values), in_dim))], [logits])
 
 
+def fd_grad(fn, point, step=1e-5):
+    grad = np.zeros_like(point)
+    for i in range(point.shape[0]):
+        bump = np.zeros_like(point)
+        bump[i] = step
+        grad[i] = (fn(point + bump) - fn(point - bump)) / (2 * step)
+    return grad
+
+
 def rank_of(scores, idx):
     order = sorted(range(len(scores)), key=lambda i: (-scores[i], i))
     return order.index(idx) + 1
@@ -44,6 +53,25 @@ class TestMlCwULoss:
         assert value == pytest.approx(float(eps @ eps), abs=1e-12)
         np.testing.assert_allclose(grad, 2.0 * eps, atol=1e-12)
 
+    def test_gradient_matches_finite_differences(self):
+        rng = np.random.default_rng(0)
+        model = make_mlp(5, 6, 7, seed=1)
+        rel = (0, 2, 5)
+        hits = 0
+        while hits < 30:
+            x = rng.uniform(-0.8, 0.8, 5)
+            eps = rng.uniform(-0.05, 0.05, 5)
+            scores = model.score(x + eps)
+            margin = min(scores[list(rel)]) - max(
+                scores[i] for i in range(7) if i not in rel)
+            if abs(margin) < 1e-3:
+                continue
+            hits += 1
+            _, grad = ml_cw_u_loss(model, x, eps, rel, alpha=0.2)
+            num = fd_grad(lambda e: ml_cw_u_loss(model, x, e, rel, alpha=0.2)[0], eps)
+            scale = max(np.linalg.norm(num), 1e-8)
+            assert np.linalg.norm(grad - num) / scale <= 1e-4
+
     def test_degenerate_sets_rejected(self):
         model = constant_score_model([0.2, 0.9])
         with pytest.raises(ValueError):
@@ -64,6 +92,30 @@ class TestTkmlApULoss:
         model = constant_score_model([0.9, 0.2, 0.1, 0.05])
         value, _ = tkml_ap_u_loss(model, np.zeros(3), np.zeros(3), (0,), k=2)
         assert value == pytest.approx(0.8, abs=1e-12)
+
+    def test_gradient_matches_finite_differences(self):
+        rng = np.random.default_rng(2)
+        model = make_mlp(5, 6, 7, seed=3)
+        rel = (1, 3, 4)
+        k = 2
+        hits = 0
+        while hits < 30:
+            x = rng.uniform(-0.8, 0.8, 5)
+            eps = rng.uniform(-0.05, 0.05, 5)
+            scores = model.score(x + eps)
+            # generic point: clear hinge margin and well-separated ranks so
+            # the (k+1)-th class is stable across the FD step
+            if np.min(np.abs(np.diff(np.sort(scores)))) < 1e-3:
+                continue
+            kp1 = np.sort(scores)[::-1][k]
+            if abs(max(scores[list(rel)]) - kp1) < 1e-3:
+                continue
+            hits += 1
+            _, grad = tkml_ap_u_loss(model, x, eps, rel, k=k, alpha=0.2)
+            num = fd_grad(
+                lambda e: tkml_ap_u_loss(model, x, e, rel, k=k, alpha=0.2)[0], eps)
+            scale = max(np.linalg.norm(num), 1e-8)
+            assert np.linalg.norm(grad - num) / scale <= 1e-4
 
     def test_k_range_checked(self):
         model = constant_score_model([0.9, 0.2, 0.1])

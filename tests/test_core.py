@@ -145,6 +145,23 @@ class TestVariationalForm:
             k = int(rng.integers(1, 8))
             assert variational_top_k_sum(scores, k, 1.0) == pytest.approx(k, abs=1e-12)
 
+    def test_grid_minimum_matches_topk_sum(self):
+        # Dense lambda grid oracle: the minimum over the grid can only sit
+        # above the true minimum, and adding the analytic optimum f_[k]
+        # recovers it exactly.
+        rng = np.random.default_rng(7)
+        grid = np.linspace(0.0, 1.0, 1001)
+        for _ in range(100):
+            c = int(rng.integers(2, 16))
+            k = int(rng.integers(1, c))
+            scores = rng.uniform(0, 1, c)
+            target = k * avg_top_k(scores, k)
+            grid_min = min(variational_top_k_sum(scores, k, lam) for lam in grid)
+            assert grid_min >= target - 1e-6
+            at_opt = variational_top_k_sum(scores, k, kth_largest(scores, k))
+            assert at_opt == pytest.approx(target, abs=1e-9)
+            assert min(grid_min, at_opt) == pytest.approx(target, abs=1e-9)
+
     def test_lam_out_of_range(self):
         with pytest.raises(ValueError):
             variational_top_k_sum([0.5, 0.6], 1, 1.5)
