@@ -98,11 +98,7 @@ def _draw_generic(rng, victim, seed: int, rank_gap: bool = False):
 
 def _fd_gap(fn, point: np.ndarray, analytic: np.ndarray) -> float:
     """Relative norm gap between ``analytic`` and central differences of ``fn``."""
-    numeric = np.zeros_like(point)
-    for i in range(point.shape[0]):
-        bump = np.zeros_like(point)
-        bump[i] = _STEP
-        numeric[i] = (fn(point + bump) - fn(point - bump)) / (2 * _STEP)
+    numeric = model._central_differences(fn, point, _STEP)
     scale = max(float(np.linalg.norm(numeric)), 1e-8)
     return float(np.linalg.norm(analytic - numeric)) / scale
 
@@ -125,11 +121,9 @@ def check_objective_gradients(seed: int):
             _, g_eps, g1, g2 = attack.tkmia_objective(victim, x, eps, lam1, lam2,
                                                       _SPEC, _REL, cfg)
             worst = max(worst, _fd_gap(value, eps, g_eps))
-            for analytic, fd in (
-                    (g1, value(eps, l1=lam1 + _STEP) - value(eps, l1=lam1 - _STEP)),
-                    (g2, value(eps, l2=lam2 + _STEP) - value(eps, l2=lam2 - _STEP))):
-                fd /= 2 * _STEP
-                worst = max(worst, abs(analytic - fd) / max(1.0, abs(fd)))
+            fd = model._central_differences(lambda lams: value(eps, *lams),
+                                            np.array([lam1, lam2]), _STEP)
+            worst = max(worst, *np.abs([g1, g2] - fd) / np.maximum(1.0, np.abs(fd)))
 
         for offset, loss, rank_gap in ((3, partial(baselines.ml_cw_u_loss, alpha=0.2), False),
                                        (4, partial(baselines.tkml_ap_u_loss, k=_K, alpha=0.2),

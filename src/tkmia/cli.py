@@ -126,7 +126,8 @@ def _cmd_attack(args) -> int:
                           delta_threshold=args.delta,
                           scheme=None if args.m is None else RandomScheme(args.m))
     if args.m is not None:
-        specified = select_random(instance, args.m, seed=[args.seed, args.index])
+        # The draw of a report's random scheme, so a report's attack can be re-run.
+        specified = select_random(instance, args.m, seed=[args.seed, args.k, args.m, args.index])
     else:
         try:
             specified = tuple(int(i) for i in args.specified.split(","))

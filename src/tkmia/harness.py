@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import MISSING, dataclass, fields, make_dataclass
+from dataclasses import MISSING, dataclass, fields
 from statistics import NormalDist
 from typing import Sequence
 
@@ -201,8 +201,6 @@ _KINDS = {"dict": (dict, "an object"), "dict | None": ((dict, type(None)), "an o
           "GlobalScheme | RandomScheme": ((GlobalScheme, RandomScheme),
                                           "a GlobalScheme or RandomScheme")}
 _SCHEMES = {"global": GlobalScheme, "random": RandomScheme}
-# A dataset or victim block that names a file instead of a spec.
-_File = make_dataclass("_File", [("path", "str")], frozen=True)
 
 
 def _expect(level: str, value, annotation: str) -> None:
@@ -304,12 +302,13 @@ class ExperimentConfig:
                 raise ValueError(f"unknown method {method!r}")
         if os.path.realpath(self.out_outcomes) == os.path.realpath(self.out_csv):
             raise ValueError("out_outcomes: same file as out_csv")
+        # A dataset or victim block that names a file instead of a spec.
         if "path" in self.dataset:
-            _decode("dataset", _File, self.dataset)
+            _check_keys("dataset", self.dataset, {"path": "str"}, ("path",))
         else:
             self.check_classes(_decode("dataset", SyntheticSpec, self.dataset).c)
         if "path" in self.victim:
-            _decode("victim", _File, self.victim)
+            _check_keys("victim", self.victim, {"path": "str"}, ("path",))
         else:
             _victim_spec(self.victim)
         _check_keys("attack", self.attack, _ATTACK_KEYS, _ATTACK_REQUIRED)

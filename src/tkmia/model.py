@@ -39,28 +39,20 @@ FORMAT_TAG = "tkmia-scorer-v1"
 # logits so outputs stay strictly inside (0, 1).
 _LOGIT_CLIP = 36.0
 
-ACTIVATIONS = ("tanh", "relu", "identity")
-
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
     return 1.0 / (1.0 + np.exp(-np.minimum(np.maximum(z, -_LOGIT_CLIP), _LOGIT_CLIP)))
 
 
-def _act(name: str, pre: np.ndarray) -> np.ndarray:
-    if name == "tanh":
-        return np.tanh(pre)
-    if name == "relu":
-        return np.maximum(pre, 0.0)
-    return pre
-
-
-def _act_grad(name: str, pre: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Derivative of the activation at ``pre``, given ``out = _act(name, pre)``."""
-    if name == "tanh":
-        return 1.0 - out * out
-    if name == "relu":
-        return (pre > 0.0).astype(np.float64)
-    return np.ones_like(pre)
+# Each hidden activation: its function of the pre-activation ``pre``, and its
+# derivative at ``pre`` given the function's output ``out`` there.
+_ACTIVATIONS = {
+    "tanh": (np.tanh, lambda pre, out: 1.0 - out * out),
+    "relu": (lambda pre: np.maximum(pre, 0.0),
+             lambda pre, out: (pre > 0.0).astype(np.float64)),
+    "identity": (lambda pre: pre, lambda pre, out: np.ones_like(pre)),
+}
+ACTIVATIONS = tuple(_ACTIVATIONS)
 
 
 class Scorer:
@@ -123,7 +115,7 @@ class Scorer:
         if len(self.weights) == 1:
             return X @ self.weights[0].T + self.biases[0], None, None
         pre = X @ self.weights[0].T + self.biases[0]
-        hidden = _act(self.activation, pre)
+        hidden = _ACTIVATIONS[self.activation][0](pre)
         return hidden @ self.weights[1].T + self.biases[1], pre, hidden
 
     def _backward(self, dz, pre, hidden):
@@ -132,7 +124,7 @@ class Scorer:
         """
         if hidden is None:
             return dz
-        return (dz @ self.weights[1]) * _act_grad(self.activation, pre, hidden)
+        return (dz @ self.weights[1]) * _ACTIVATIONS[self.activation][1](pre, hidden)
 
     def score(self, x) -> np.ndarray:
         """Deterministic forward pass; scores strictly inside (0, 1).
@@ -290,6 +282,13 @@ def _bce_grads(model: Scorer, X: np.ndarray, Y: np.ndarray):
     return [g.T @ a for g, a in layers], [g.sum(axis=0) for g, _ in layers]
 
 
+def _central_differences(fn, point: np.ndarray, step: float) -> np.ndarray:
+    """Central differences of ``fn`` at ``point`` along each coordinate,
+    stacked on the last axis."""
+    return np.stack([fn(point + bump) - fn(point - bump) for bump in step * np.eye(point.shape[0])],
+                    axis=-1) / (2 * step)
+
+
 def finite_diff_check(model: Scorer, x, tolerance: float,
                       step: float = 1e-5) -> tuple[bool, float]:
     """Compare input_gradient rows against central finite differences.
@@ -298,10 +297,8 @@ def finite_diff_check(model: Scorer, x, tolerance: float,
     point (no logit clipping active). Returns (passed, max relative
     error) where the error is normwise per class row.
     """
-    x = np.asarray(x, dtype=np.float64)
     # Row j holds the central differences of class j's score along each x_i.
-    numeric = np.stack([model.score(x + bump) - model.score(x - bump)
-                        for bump in step * np.eye(x.shape[0])], axis=1) / (2 * step)
+    numeric = _central_differences(model.score, np.asarray(x, dtype=np.float64), step)
     worst = 0.0
     for j, cot in enumerate(np.eye(model.out_dim)):
         analytic = model.input_gradient(x, cot)
@@ -342,9 +339,12 @@ def load_scorer(path: str) -> Scorer:
             raise ValueError("header: expected an object")
         if header.get("format") != FORMAT_TAG:
             raise ValueError(f"unsupported scorer format {header.get('format')!r}")
-        for key in ("shapes", "activation", "sigmoid_output"):
+        for key in ("arch", "shapes", "activation", "sigmoid_output"):
             if key not in header:
                 raise ValueError(f"header: missing key {key!r}")
+        if not isinstance(header["sigmoid_output"], bool):
+            raise ValueError(f"header: sigmoid_output must be true or false, "
+                             f"got {header['sigmoid_output']!r}")
         shapes = [tuple(s) for s in header["shapes"]]
         if len(lines) - 1 != len(shapes):
             raise ValueError("layer count does not match header")
@@ -361,6 +361,10 @@ def load_scorer(path: str) -> Scorer:
                 biases.append(np.asarray(layer["bias"], dtype=np.float64))
             except (ValueError, TypeError) as exc:
                 raise ValueError(f"layer {number}: {exc}") from None
-        return Scorer(weights, biases, header["activation"], header["sigmoid_output"])
+        model = Scorer(weights, biases, header["activation"], header["sigmoid_output"])
+        if header["arch"] != model.arch:
+            raise ValueError(f"header: arch {header['arch']!r} does not match "
+                             f"the layer count {len(weights)}")
+        return model
     except (ValueError, TypeError) as exc:
         raise ValueError(f"{path}: {exc}") from None

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from tkmia import attack, checks, core, harness, metrics
+from tkmia import attack, checks, core, harness, metrics, model
 from tkmia.cli import main
 from tkmia.model import make_affine, save_scorer
 
@@ -66,6 +66,32 @@ class TestTrainAndAttack:
         record = json.loads(capsys.readouterr().out)
         assert record["method"] == "tkmia"
         assert set(record) >= {"success", "epsilon", "iterations_used", "residual"}
+
+    def test_attack_with_m_reruns_a_report_attack(self, dataset_path, tmp_path, capsys):
+        """``--m`` draws S as a report's random scheme does, from (seed, k, m, index)."""
+        victim = tmp_path / "victim.jsonl"
+        assert run_cli(["train", "--dataset", str(dataset_path), "--epochs", "20",
+                        "--out", str(victim)]) == 0
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({
+            "seed": 3, "dataset": {"path": str(dataset_path)}, "victim": {"path": str(victim)},
+            "k_grid": [2], "scheme": {"type": "random", "m": 1}, "methods": ["tkmia"],
+            "attack": {"eta": 0.05, "alpha": 1e-4}, "max_instances": 8,
+            "out_csv": str(tmp_path / "report.csv"),
+            "out_outcomes": str(tmp_path / "outcomes.jsonl"),
+        }))
+        assert run_cli(["report", "--config", str(config)]) == 0
+        capsys.readouterr()
+        lines = (tmp_path / "outcomes.jsonl").read_text().splitlines()
+        assert len(lines) == 8
+        for line in lines:
+            record = json.loads(line)
+            assert run_cli(["attack", "--dataset", str(dataset_path), "--victim", str(victim),
+                            "--index", str(record["instance"]), "--k", "2", "--m", "1",
+                            "--seed", "3"]) == 0
+            printed = json.loads(capsys.readouterr().out)
+            del record["clean_metrics"], record["perturbed_metrics"]
+            assert printed == record
 
     def test_train_rejects_missing_out_directory_before_reading(self, tmp_path, capsys):
         code = run_cli(["train", "--dataset", str(tmp_path / "missing.jsonl"),
@@ -339,6 +365,10 @@ def drop_shapes(lines):
     return [json.dumps(header)] + lines[1:]
 
 
+def edit_header(**changes):
+    return lambda lines: [json.dumps({**json.loads(lines[0]), **changes})] + lines[1:]
+
+
 def short_weight(lines):
     layer = json.loads(lines[1])
     layer["weight"] = layer["weight"][:-1]
@@ -354,7 +384,12 @@ class TestMalformedScorer:
          'layer 1: expected an object with "weight" and "bias"'),
         (lambda lines: lines[:1], "layer count does not match header"),
         (lambda lines: [], "empty scorer file"),
-    ], ids=["list-header", "no-shapes", "short-weight", "list-layer", "no-layer", "empty"])
+        # Both loaded a scorer that the file does not hold.
+        (edit_header(sigmoid_output="false"),
+         "header: sigmoid_output must be true or false, got 'false'"),
+        (edit_header(arch="mlp"), "header: arch 'mlp' does not match the layer count 1"),
+    ], ids=["list-header", "no-shapes", "short-weight", "list-layer", "no-layer", "empty",
+            "string-sigmoid-output", "wrong-arch"])
     def test_attack_rejects_file_in_one_line(self, tmp_path, capsys, edit, message):
         dataset = tmp_path / "data.jsonl"
         victim = tmp_path / "victim.jsonl"
@@ -418,7 +453,9 @@ class TestCheck:
          "objective-gradients"),
         (metrics, "_measure_rows",
          lambda rows: {**rows, "ndcg_at_k": rows["ndcg_at_k"] + 1e-10}, "metric-oracles"),
-    ], ids=["variational", "hinge", "tkmia-terms", "baseline-hinge", "measure-rows"])
+        (model.Scorer, "input_gradient", lambda grad: grad + 1e-3, "model-gradients"),
+    ], ids=["variational", "hinge", "tkmia-terms", "baseline-hinge", "measure-rows",
+            "input-gradient"])
     def test_check_fails_on_a_slightly_wrong_library(self, capsys, monkeypatch, module, name,
                                                      nudge, suite):
         monkeypatch.setattr(module, name, off_by(getattr(module, name), nudge))
