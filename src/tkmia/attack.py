@@ -15,8 +15,9 @@ relaxations of the two ranking conditions ("all of S below position k",
 the gradient path; only the success check ranks scores.
 
 Every method runs through one loop, :func:`run_attack_loop`, which takes
-the method by name and, per iteration, runs one forward pass of the scorer
-at the projected input (:meth:`Scorer.vjp`) and ranks the scores once;
+the method by name, checks the input once, and per iteration runs one
+unchecked forward pass of the scorer at the projected input
+(:meth:`Scorer._vjp`) and ranks the scores once;
 that ranking serves the stopping test, the residual set and the (k+1)-th
 class of the tkml_ap_u baseline. The method's terms map the scores to a
 score cotangent, which the forward pass's pullback turns into the epsilon
@@ -264,10 +265,12 @@ def _tkmia_terms(scores, lam1: float, lam2: float, spec, rest, k: int):
     """
     c = scores.shape[0]
     s_max, y_min, delta, delta_tilde = _gaps(scores, spec, rest)
-    active1 = delta - lam1 > 0.0
-    active2 = delta_tilde - lam2 > 0.0
-    n1 = int(active1.sum())
-    n2 = int(active2.sum())
+    # The hinges' ``gap - lam > 0`` without the subtraction: for finite doubles
+    # with gradual underflow, fl(a - b) > 0 exactly when a > b.
+    active1 = delta > lam1
+    active2 = delta_tilde > lam2
+    n1 = np.count_nonzero(active1)
+    n2 = np.count_nonzero(active2)
     if n1 == n2 == 0:
         return None, 1.0, 1.0
 
@@ -392,10 +395,14 @@ def run_attack_loop(model: Scorer, instance: Instance, spec, rest,
     ``spec`` and ``rest`` are the checked, sorted S and Yp \\ S of
     :func:`attack_preconditions`, so 1 <= k < c (``config`` has k >= 1 and
     :func:`ineligible` needs |Yp| >= k + |S|); ``method`` names the loss: ``tkmia``,
-    ``ml_cw_u`` or ``tkml_ap_u``. Each iteration runs one forward pass at
-    the projected input, ``scores, pullback = model.vjp(x_adv)``, and ranks
-    the scores once (``vjp`` has checked the input, so the ranking takes
-    them unchecked, raw logits included). Every method stops once at least
+    ``ml_cw_u`` or ``tkml_ap_u``. The entry checks ``instance.x`` once with
+    ``model._check_input``, so a wrong-length input fails before any
+    iteration. Each iteration then runs one unchecked forward pass at the
+    projected input, ``scores, pullback = model._vjp(x_adv)``, and ranks the
+    scores once, raw logits included. No check is lost: ``x_adv`` is finite
+    by construction, since ``x`` is finite, the clip bounds are finite, eps
+    is projected after every update and every gradient is tested for
+    non-finite entries before it moves eps. Every method stops once at least
     ``config.delta_threshold or |S|`` labels of S have left the top k; the
     ``strict`` mode also needs the k-th score at most the lowest over Yp \\ S.
     Until then the method's terms give the score cotangent:
@@ -433,7 +440,7 @@ def run_attack_loop(model: Scorer, instance: Instance, spec, rest,
         if method == "ml_cw_u":
             irr = np.array(instance.irrelevant)
     lam1 = lam2 = 0.0
-    x = instance.x
+    x = model._check_input(instance.x)
     eps = np.zeros_like(x)
     velocity = np.zeros_like(x)
     zero_pull = None
@@ -441,12 +448,13 @@ def run_attack_loop(model: Scorer, instance: Instance, spec, rest,
 
     for it in range(max_iter + 1):
         x_adv = np.minimum(np.maximum(x + eps, lo), hi)
-        scores, pullback = model.vjp(x_adv)
+        scores, pullback = model._vjp(x_adv)
         order = _rank(scores)
-        residual = _ranked_in(order[:k], spec)
+        top = order[:k].tolist()
         if it == 0:
             scores_before = scores.copy()
-        if _succeeded(scores, order, k, len(spec) - len(residual), delta, rest_idx, strict):
+        if _succeeded(scores, order, k, sum(i not in top for i in spec), delta, rest_idx,
+                      strict):
             success = True
             break
         if it == max_iter:
@@ -468,7 +476,8 @@ def run_attack_loop(model: Scorer, instance: Instance, spec, rest,
             grad_eps = zero_pull + alpha * eps
         else:
             grad_eps = pullback(cot) + alpha * eps
-        if not np.isfinite(grad_eps).all():
+        # Counting the finite entries skips the Python wrapper of ``.all()``.
+        if np.count_nonzero(np.isfinite(grad_eps)) != grad_eps.size:
             raise FloatingPointError(f"non-finite gradient at iteration {it}")
         velocity = momentum * velocity + grad_eps
         eps = eps - eta * velocity
@@ -487,7 +496,7 @@ def run_attack_loop(model: Scorer, instance: Instance, spec, rest,
         iterations_used=it,
         success=success,
         specified=spec,
-        residual=residual,
+        residual=_ranked_in(order[:k], spec),
         lambda1=lam1,
         lambda2=lam2,
         scores_before=scores_before,

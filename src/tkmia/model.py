@@ -79,8 +79,10 @@ class Scorer:
                 raise ValueError(f"layer {number}: non-finite parameters")
         if len(self.weights) == 2 and self.weights[0].shape[0] != self.weights[1].shape[1]:
             raise ValueError("hidden dimensions do not chain")
+        if not isinstance(sigmoid_output, bool):
+            raise ValueError(f"sigmoid_output must be true or false, got {sigmoid_output!r}")
         self.activation = activation
-        self.sigmoid_output = bool(sigmoid_output)
+        self.sigmoid_output = sigmoid_output
 
     @property
     def arch(self) -> str:
@@ -147,10 +149,11 @@ class Scorer:
         Runs one forward pass. ``pullback(cotangent)`` returns the gradient
         of ``cotangent . score(x)`` with respect to ``x`` by exact chain
         rule, reusing that pass's arrays; it is linear in the cotangent and
-        may be called any number of times.
+        may be called any number of times. ``x`` must be a finite (d,)
+        vector and the cotangent a finite (c,) vector; :meth:`_vjp` does the
+        arithmetic after these checks.
         """
-        z, pre, hidden = self._forward(self._check_input(x))
-        scores = self._output(z)
+        scores, pull = self._vjp(self._check_input(x))
 
         def pullback(cotangent) -> np.ndarray:
             cot = np.asarray(cotangent, dtype=np.float64)
@@ -158,6 +161,20 @@ class Scorer:
                 raise ValueError(f"cotangent shape {cot.shape} != {scores.shape}")
             if not np.isfinite(cot).all():
                 raise ValueError("non-finite cotangent")
+            return pull(cot)
+
+        return scores, pullback
+
+    def _vjp(self, x):
+        """:meth:`vjp` without its checks, for a loop that checks once.
+
+        ``x`` is a finite float64 (d,) vector, such as :meth:`_check_input`
+        returns, and the pullback takes a float64 (c,) cotangent as it is.
+        """
+        z, pre, hidden = self._forward(x)
+        scores = self._output(z)
+
+        def pullback(cot) -> np.ndarray:
             if self.sigmoid_output:
                 # The sigmoid's derivative, zero where the logit clip is active.
                 cot = cot * (scores * (1.0 - scores) * (np.abs(z) < _LOGIT_CLIP))

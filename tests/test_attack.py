@@ -256,7 +256,7 @@ class TestOneLabelSetCheckAndKRule:
 
 class TestTkmiaAttack:
     def test_step_is_none_exactly_when_no_hinge_is_active(self):
-        # Drive the real loop with chosen score vectors: the scorer's vjp
+        # Drive the real loop with chosen score vectors: the scorer's _vjp
         # returns the scripted scores of each iteration and records which
         # iterations pull back a cotangent, and whether it is zero.
         c, k, eta = 6, 3, 0.03
@@ -273,7 +273,7 @@ class TestTkmiaAttack:
         ]
 
         class Scripted(Scorer):
-            def vjp(self, x):
+            def _vjp(self, x):
                 it = len(self.forward)
                 self.forward.append(it)
 
@@ -370,19 +370,26 @@ class TestTkmiaAttack:
             with pytest.raises(ValueError, match=mismatch):
                 run_baseline(model, inst, (0,), BaselineSpec(method, cfg))
 
-    def test_non_finite_gradient_reported_with_iteration(self):
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, 1e200])
+    def test_non_finite_gradient_reported_with_iteration(self, value):
         model = make_affine(3, 4, seed=1)
 
         class Broken(Scorer):
-            def vjp(self, x):
-                scores, _ = super().vjp(x)
-                return scores, lambda cotangent: np.full(3, np.nan)
+            def _vjp(self, x):
+                scores, _ = super()._vjp(x)
+                return scores, lambda cotangent: np.full(3, value)
 
         broken = Broken(model.weights, model.biases)
         inst = Instance(x=np.zeros(3), y=[1, 1, 1, 0])
         spec = (int(np.argmax(broken.score(inst.x)[:3])),)
-        with pytest.raises(FloatingPointError, match="iteration"):
-            tkmia_attack(broken, inst, spec, AttackConfig(k=1, eta=0.1, max_iter=5))
+        cfg = AttackConfig(k=1, eta=0.1, max_iter=5)
+        if np.isfinite(value):
+            # Finite, though its squared norm overflows: the attack runs its budget.
+            out = tkmia_attack(broken, inst, spec, cfg)
+            assert np.isfinite(out.epsilon).all()
+        else:
+            with pytest.raises(FloatingPointError, match="non-finite gradient at iteration 0"):
+                tkmia_attack(broken, inst, spec, cfg)
 
     def test_strict_mode_success_implies_both_conditions(self):
         model, instances = trained_toy_victim(seed=3)
@@ -478,7 +485,7 @@ class SwitchScorer(Scorer):
     def score(self, x):
         return (self.flat if np.any(x) else self.active).copy()
 
-    def vjp(self, x):
+    def _vjp(self, x):
         self.forward += 1
         d = self.in_dim
         return self.score(x), lambda cot: np.full(d, float(np.abs(cot).sum()))
@@ -556,6 +563,53 @@ class TestFixedPointExit:
         assert 1001 < model.forward < 8000
         assert_same_outcome(out, run_method("ml_cw_u", switch_scorer(), inst, (0,), cfg,
                                             reference=True))
+
+
+class EntryCounting(CountingScorer):
+    """Counts its input checks too."""
+
+    def __init__(self, model):
+        super().__init__(model)
+        self.checks = 0
+
+    def _check_input(self, x, ndims=(1,)):
+        self.checks += 1
+        return super()._check_input(x, ndims)
+
+
+class TestEntryCheck:
+    """Each attack checks its input once, at its entry, and each iteration
+    runs an unchecked forward pass."""
+
+    @pytest.mark.parametrize("arch", ["affine", "mlp"])
+    def test_input_checked_once_per_attack(self, arch):
+        model = make_mlp(5, 8, 6, seed=3) if arch == "mlp" else make_affine(5, 6, seed=3)
+        x = np.random.default_rng(1).uniform(-0.5, 0.5, 5)
+        order = np.argsort(-model.score(x), kind="stable")
+        # Flat: the third-ranked class is irrelevant and outranks the fourth,
+        # which is relevant. Active: the four best-ranked classes are relevant.
+        flat, active = np.zeros(6, dtype=np.int64), np.zeros(6, dtype=np.int64)
+        flat[order[[0, 1, 3, 4]]] = 1
+        active[order[:4]] = 1
+        spec = (int(order[0]),)
+        cfg = AttackConfig(k=2, eta=0.05, alpha=1e-4, max_iter=300)
+        cases = [("ml_cw_u", flat), ("ml_cw_u", active), ("tkml_ap_u", active),
+                 ("tkmia", active)]
+        for method, y in cases:
+            counting = EntryCounting(model)
+            run_method(method, counting, Instance(x=x, y=y), spec, cfg)
+            assert counting.checks == 1, method
+            # The flat hinge stops at its fixed point after one forward pass.
+            assert (counting.calls["vjp"] == 1) == (y is flat), method
+
+    @pytest.mark.parametrize("method", ["tkmia", *BASELINE_METHODS])
+    def test_wrong_length_instance_rejected_at_entry(self, method):
+        counting = EntryCounting(make_affine(4, 5, seed=0))
+        inst = Instance(x=np.zeros(3), y=[1, 1, 1, 0, 0])
+        with pytest.raises(ValueError) as raised:
+            run_method(method, counting, inst, (0,), AttackConfig(k=1, eta=0.1))
+        assert str(raised.value) == "input dimension (3,) != (4,)"
+        assert counting.calls["vjp"] == 0
 
 
 class TestSelection:

@@ -71,6 +71,12 @@ class TestScore:
         with pytest.raises(ValueError):
             model.score(np.array([0.0, np.nan, 0.0, 0.0]))
 
+    @pytest.mark.parametrize("flag", ["false", 0, 1, None])
+    def test_sigmoid_output_must_be_a_bool(self, flag):
+        with pytest.raises(ValueError) as raised:
+            Scorer([np.eye(2)], [np.zeros(2)], sigmoid_output=flag)
+        assert str(raised.value) == f"sigmoid_output must be true or false, got {flag!r}"
+
 
 class TestInputGradient:
     def test_zero_cotangent(self):

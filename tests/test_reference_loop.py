@@ -5,7 +5,7 @@ shared one forward pass and one ranking per iteration: it scores x_adv
 for the success test, and each loss closure calls a public loss, which
 scores again and runs its own forward pass for the gradient. The engine
 must reproduce it bit for bit, and per iteration must run exactly one
-forward pass (``Scorer.vjp``), never ``score`` or ``input_gradient``. An
+forward pass (``Scorer._vjp``), never ``score`` or ``input_gradient``. An
 iteration whose loss is flat (a zero score cotangent) runs no pullback: the
 engine pulls back zeros once per attack, on its first flat iteration, and
 reuses that gradient; every other iteration runs one pullback. The engine
@@ -196,9 +196,10 @@ class CountingScorer(Scorer):
         self.calls["input_gradient"] += 1
         return super().input_gradient(x, cotangent)
 
-    def vjp(self, x):
+    def _vjp(self, x):
+        # The one forward pass, behind the public vjp and the engine's loop alike.
         self.calls["vjp"] += 1
-        scores, pullback = super().vjp(x)
+        scores, pullback = super()._vjp(x)
 
         def counted(cotangent):
             self.calls["pullback"] += 1
