@@ -3,16 +3,20 @@
 from .attack import (
     AttackConfig,
     AttackOutcome,
+    BaselineSpec,
     GlobalScheme,
     RandomScheme,
     filter_instances,
+    ml_cw_u_loss,
+    run_baseline,
     select_global,
     select_random,
     success_check,
     tkmia_attack,
     tkmia_objective,
+    tkml_ap_u_loss,
 )
-from .baselines import BaselineSpec, ml_cw_u_loss, run_baseline, tkml_ap_u_loss
+from . import baselines  # noqa: F401  (binds tkmia.baselines, the benchmark's path)
 from .core import (
     Instance,
     avg_top_k,

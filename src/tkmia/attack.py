@@ -14,8 +14,13 @@ relaxations of the two ranking conditions ("all of S below position k",
 "other relevant labels fill the top k"), so no sort appears anywhere in
 the gradient path; only the success check ranks scores.
 
+The two untargeted baselines are margin hinges plus the same penalty and
+no lambdas: ml_cw_u minimizes [ min_{j in Yp} f_j - max_{i notin Yp} f_i ]_+
+(some relevant score below the best irrelevant one), and tkml_ap_u
+[ max_{y in Yp} f_y - f_(k+1) ]_+ (every relevant score below position k).
+
 Every method runs through one loop, :func:`run_attack_loop`, which takes
-the method by name, checks the input once, and per iteration runs one
+the method by name, checks its whole input once, and per iteration runs one
 unchecked forward pass of the scorer at the projected input
 (:meth:`Scorer._vjp`) and ranks the scores once;
 that ranking serves the stopping test, the residual set and the (k+1)-th
@@ -34,7 +39,7 @@ instances with a read-only scorer.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Literal, Sequence
 
 import numpy as np
 
@@ -42,8 +47,11 @@ from .core import Instance, _check_k, _integer, _rank, top_k_indices
 from .model import Scorer
 
 __all__ = [
+    "METHODS",
+    "BASELINE_METHODS",
     "AttackConfig",
     "AttackOutcome",
+    "BaselineSpec",
     "SUCCESS_MODES",
     "GlobalScheme",
     "RandomScheme",
@@ -51,12 +59,17 @@ __all__ = [
     "success_check",
     "ineligible",
     "tkmia_attack",
+    "ml_cw_u_loss",
+    "tkml_ap_u_loss",
+    "run_baseline",
     "select_global",
     "select_random",
     "filter_instances",
 ]
 
 
+METHODS = ("tkmia", "ml_cw_u", "tkml_ap_u")
+BASELINE_METHODS = METHODS[1:]
 SUCCESS_MODES = ("c1_only", "strict")
 
 
@@ -140,6 +153,16 @@ class AttackConfig:
             raise ValueError("clip domain must satisfy lo < hi")
         if isinstance(self.scheme, RandomScheme) and self.scheme.m > self.k:
             raise ValueError("random scheme requires m <= k")
+
+
+@dataclass(frozen=True)
+class BaselineSpec:
+    method: Literal["ml_cw_u", "tkml_ap_u"]
+    config: AttackConfig
+
+    def __post_init__(self):
+        if self.method not in BASELINE_METHODS:
+            raise ValueError(f"unknown baseline method {self.method!r}")
 
 
 @dataclass
@@ -226,23 +249,6 @@ def ineligible(instance: Instance, s_size: int, k: int, method: str,
     return None
 
 
-def attack_preconditions(instance: Instance, specified, config: AttackConfig, c: int,
-                         method: str):
-    """Checked S and Yp \\ S for one attack run by ``method``.
-
-    S must be a non-empty subset, without repeats, of the instance's
-    relevant labels Yp, and the instance must have the victim's c classes;
-    then :func:`ineligible` must accept the instance, or its reason is raised.
-    """
-    if instance.n_classes != c:
-        raise ValueError(f"instance has {instance.n_classes} classes, but the victim scores {c}")
-    spec, rest = _split_sets(specified, instance.relevant, c)
-    reason = ineligible(instance, len(spec), config.k, method, config.delta_threshold)
-    if reason:
-        raise ValueError(reason)
-    return spec, rest
-
-
 def _gaps(scores, spec, rest):
     """Per-class gaps before the hinge: ``f_smax - f_i`` and ``f_j - f_ymin``.
 
@@ -317,6 +323,34 @@ def _hinge_loss(model: Scorer, x, eps, alpha: float, pair):
     return value, pullback(np.zeros(scores.shape[0]) if cot is None else cot) + alpha * eps
 
 
+def ml_cw_u_loss(model: Scorer, x, eps, relevant, alpha: float = 0.0):
+    """Margin hinge between worst relevant and best irrelevant score.
+
+    Returns (value, gradient w.r.t. eps). Minimizing the value pushes the
+    minimum relevant score below the maximum irrelevant score; the
+    argmin/argmax pick single elements with ties broken by smallest index.
+    """
+    c = model.out_dim
+    rel = np.array(_labels(relevant, c, "relevant"))
+    if len(rel) == c:
+        raise ValueError("irrelevant set must be non-empty")
+    irr = np.delete(np.arange(c), rel)
+    return _hinge_loss(model, x, eps, alpha, lambda scores: _ml_cw_u_pair(scores, rel, irr))
+
+
+def tkml_ap_u_loss(model: Scorer, x, eps, relevant, k: int, alpha: float = 0.0):
+    """Hinge pushing the best relevant score below ranking position k.
+
+    The (k+1)-ranked class is found by the deterministic tie-break sort,
+    and the gradient flows through that single class.
+    """
+    c = model.out_dim
+    k = _check_k(k, c - 1)
+    rel = np.array(_labels(relevant, c, "relevant"))
+    return _hinge_loss(model, x, eps, alpha,
+                       lambda scores: _tkml_ap_u_pair(scores, _rank(scores), rel, k))
+
+
 def tkmia_objective(model: Scorer, x, eps, lam1: float, lam2: float,
                     specified, relevant, config: AttackConfig):
     """Objective value and its gradients with respect to (eps, lam1, lam2).
@@ -388,16 +422,18 @@ def residual_set(scores, specified, k: int) -> tuple[int, ...]:
     return _ranked_in(top, _labels(specified, len(scores), "specified"))
 
 
-def run_attack_loop(model: Scorer, instance: Instance, spec, rest,
+def run_attack_loop(model: Scorer, instance: Instance, specified,
                     config: AttackConfig, method: str) -> AttackOutcome:
-    """The one iterative engine of the attack and the baseline losses.
+    """The one checked entry and iterative engine of all three methods.
 
-    ``spec`` and ``rest`` are the checked, sorted S and Yp \\ S of
-    :func:`attack_preconditions`, so 1 <= k < c (``config`` has k >= 1 and
-    :func:`ineligible` needs |Yp| >= k + |S|); ``method`` names the loss: ``tkmia``,
-    ``ml_cw_u`` or ``tkml_ap_u``. The entry checks ``instance.x`` once with
-    ``model._check_input``, so a wrong-length input fails before any
-    iteration. Each iteration then runs one unchecked forward pass at the
+    ``method`` names the loss: ``tkmia``, ``ml_cw_u`` or ``tkml_ap_u``. The
+    entry checks the whole input once, before any iteration, in this order:
+    the instance has the victim's c classes; ``specified`` is S, a non-empty
+    subset without repeats of the relevant labels Yp, with Yp \\ S non-empty
+    (:func:`_split_sets`, which also sorts both); :func:`ineligible` accepts
+    the instance, or its reason is raised; and ``model._check_input`` accepts
+    ``instance.x``. So 1 <= k < c (``config`` has k >= 1 and |Yp| >= k + |S|).
+    Each iteration then runs one unchecked forward pass at the
     projected input, ``scores, pullback = model._vjp(x_adv)``, and ranks the
     scores once, raw logits included. No check is lost: ``x_adv`` is finite
     by construction, since ``x`` is finite, the clip bounds are finite, eps
@@ -429,6 +465,12 @@ def run_attack_loop(model: Scorer, instance: Instance, spec, rest,
     """
     k = config.k
     c = model.out_dim
+    if instance.n_classes != c:
+        raise ValueError(f"instance has {instance.n_classes} classes, but the victim scores {c}")
+    spec, rest = _split_sets(specified, instance.relevant, c)
+    reason = ineligible(instance, len(spec), k, method, config.delta_threshold)
+    if reason:
+        raise ValueError(reason)
     lo, hi = config.clip_domain
     alpha, eta, momentum, max_iter = config.alpha, config.eta, config.momentum, config.max_iter
     rest_idx = np.array(rest)
@@ -436,7 +478,7 @@ def run_attack_loop(model: Scorer, instance: Instance, spec, rest,
     if method == "tkmia":
         spec_idx = np.array(spec)
     else:
-        rel = np.array(instance.relevant)  # checked by attack_preconditions
+        rel = np.array(instance.relevant)  # checked by _split_sets
         if method == "ml_cw_u":
             irr = np.array(instance.irrelevant)
     lam1 = lam2 = 0.0
@@ -513,8 +555,15 @@ def tkmia_attack(model: Scorer, instance: Instance, specified,
     gradient signal) and take plain projected gradient steps with the same
     step size as epsilon; momentum applies to epsilon only.
     """
-    spec, rest = attack_preconditions(instance, specified, config, model.out_dim, "tkmia")
-    return run_attack_loop(model, instance, spec, rest, config, "tkmia")
+    return run_attack_loop(model, instance, specified, config, "tkmia")
+
+
+def run_baseline(model: Scorer, instance: Instance, specified,
+                 spec: BaselineSpec) -> AttackOutcome:
+    """Attack one instance with the baseline loss ``spec.method``; the entry
+    checks and the stopping test are the main attack's, and :func:`ineligible`
+    also needs an irrelevant label for ml_cw_u."""
+    return run_attack_loop(model, instance, specified, spec.config, spec.method)
 
 
 def select_global(dataset: Sequence[Instance], categories) -> list[tuple[int, tuple[int, ...]]]:

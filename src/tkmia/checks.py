@@ -14,7 +14,7 @@ from functools import partial
 
 import numpy as np
 
-from . import attack, baselines, core, metrics, model
+from . import attack, core, metrics, model
 
 __all__ = ["run_all_checks", "CHECKS"]
 
@@ -125,8 +125,8 @@ def check_objective_gradients(seed: int):
                                             np.array([lam1, lam2]), _STEP)
             worst = max(worst, *np.abs([g1, g2] - fd) / np.maximum(1.0, np.abs(fd)))
 
-        for offset, loss, rank_gap in ((3, partial(baselines.ml_cw_u_loss, alpha=0.2), False),
-                                       (4, partial(baselines.tkml_ap_u_loss, k=_K, alpha=0.2),
+        for offset, loss, rank_gap in ((3, partial(attack.ml_cw_u_loss, alpha=0.2), False),
+                                       (4, partial(attack.tkml_ap_u_loss, k=_K, alpha=0.2),
                                         True)):
             rng = np.random.default_rng(seed + offset)
             for _ in range(200):

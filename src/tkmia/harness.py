@@ -14,27 +14,30 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import MISSING, dataclass, fields
+from itertools import islice
 from statistics import NormalDist
 from typing import Sequence
 
 import numpy as np
 
 from .attack import (
+    METHODS,
     AttackConfig,
+    BaselineSpec,
     GlobalScheme,
     RandomScheme,
     filter_instances,
     ineligible,
+    run_baseline,
     select_global,
     select_random,
     tkmia_attack,
 )
-from .baselines import BASELINE_METHODS, BaselineSpec, run_baseline
 from .core import Instance, _integer, _seed, atomic_write
 from .metrics import MEASURES, REPORT_COLUMNS, delta_report, evaluate_rows, write_report_csv
 # Unused here; perfbench's tracer test looks evaluate_instance up in this namespace.
 from .metrics import evaluate_instance  # noqa: F401
-from .model import ACTIVATIONS, Scorer, TrainConfig, load_scorer, make_affine, make_mlp, train_bce
+from .model import ACTIVATIONS, Scorer, TrainConfig, load_scorer, make_mlp, train_bce
 
 __all__ = [
     "METHODS",
@@ -178,16 +181,13 @@ def train_victim(dataset: Sequence[Instance], **victim) -> Scorer:
     key left out; ``seed`` also seeds the initialization.
     """
     spec = _victim_spec(victim)
-    d = dataset[0].x.shape[0]
-    c = dataset[0].n_classes
+    init = None  # train_bce starts an affine victim from make_affine(d, c, seed=spec.seed)
     if spec.arch == "mlp":
+        d, c = dataset[0].x.shape[0], dataset[0].n_classes
         init = make_mlp(d, spec.hidden, c, seed=spec.seed, activation=spec.activation)
-    else:
-        init = make_affine(d, c, seed=spec.seed)
     return train_bce(dataset, spec, model=init)
 
 
-METHODS = ("tkmia",) + BASELINE_METHODS
 VICTIM_ARCHS = ("affine", "mlp")
 # The JSON kind of each annotation that a config field has: the types its value
 # may have, their name in errors and, for a list, the annotation of its items.
@@ -393,22 +393,20 @@ def _cell_selection(config: ExperimentConfig, dataset, k: int):
     configured method, so every method sees this identical list; the cap
     applies to the admitted instances. Under the random scheme each
     instance's set is drawn from a seed derived from (seed, k, m, index),
-    so reruns and methods agree.
+    so reruns and methods agree, and the draws stop once the cap is reached.
     """
     if isinstance(config.scheme, GlobalScheme):
         pairs = select_global(dataset, config.scheme.categories)
     else:
         m = config.scheme.m
-        pairs = [
-            (idx, select_random(dataset[idx], m, seed=[config.seed, k, m, idx]))
-            for idx in filter_instances(dataset, k, m)
-        ]
+        pairs = ((idx, select_random(dataset[idx], m, seed=[config.seed, k, m, idx]))
+                 for idx in filter_instances(dataset, k, m))
     deltas = [(method, config.attack_config(method, k).delta_threshold)
               for method in config.methods]
-    admitted = [(idx, s) for idx, s in pairs
+    admitted = ((idx, s) for idx, s in pairs
                 if not any(ineligible(dataset[idx], len(s), k, method, delta)
-                           for method, delta in deltas)]
-    return admitted[:config.max_instances]
+                           for method, delta in deltas))
+    return list(islice(admitted, config.max_instances))
 
 
 def _run_method(method: str, model: Scorer, inst: Instance, s, cfg: AttackConfig):

@@ -72,6 +72,8 @@ class Scorer:
             raise ValueError("expected 1 (affine) or 2 (mlp) weight/bias layers")
         if activation not in ACTIVATIONS:
             raise ValueError(f"unknown activation {activation!r}")
+        if len(self.weights) == 1 and activation != "tanh":
+            raise ValueError(f"affine scorer: activation must be 'tanh', got {activation!r}")
         for number, (w, b) in enumerate(zip(self.weights, self.biases), start=1):
             if w.ndim != 2 or b.ndim != 1 or w.shape[0] != b.shape[0]:
                 raise ValueError(f"layer {number}: shapes inconsistent")

@@ -79,6 +79,14 @@ class TestObjectiveValue:
             model, np.zeros(3), eps, 1.0, 1.0, (0,), (0, 3), cfg)
         assert value == pytest.approx(2.0 + 0.25 * float(eps @ eps), abs=1e-12)
 
+    @pytest.mark.parametrize("lam1, lam2", [(-0.1, 0.0), (0.0, 1.5)])
+    def test_lambdas_outside_the_unit_interval_rejected(self, lam1, lam2):
+        model = constant_score_model([0.9, 0.4, 0.2, 0.7])
+        with pytest.raises(ValueError) as raised:
+            tkmia_objective(model, np.zeros(3), np.zeros(3), lam1, lam2, (0,), (0, 3),
+                            AttackConfig(k=2, eta=0.1))
+        assert str(raised.value) == "lambdas must lie in [0, 1]"
+
     def test_hinge_sums_match_gap_definitions(self):
         # At lam1 = lam2 = 0, alpha = 0 the objective is the two gap sums
         # sum_i [f_smax - f_i]_+ / (c - k) and sum_j [f_j - f_ymin]_+ / k,
@@ -194,6 +202,11 @@ class TestSuccessCheck:
     def test_k_too_large(self):
         with pytest.raises(ValueError):
             success_check([0.9, 0.1, 0.8], (1,), (0, 1), 3)
+
+    def test_unknown_mode_rejected(self):
+        with pytest.raises(ValueError) as raised:
+            success_check([0.9, 0.1, 0.8], (1,), (0, 1), 2, mode="loose")
+        assert str(raised.value) == "unknown success mode 'loose'"
 
 
 def trained_toy_victim(seed=0):

@@ -67,6 +67,14 @@ class TestTrainAndAttack:
         assert record["method"] == "tkmia"
         assert set(record) >= {"success", "epsilon", "iterations_used", "residual"}
 
+    @pytest.mark.parametrize("index", [150, -1])
+    def test_index_outside_the_dataset_exits_one(self, dataset_path, tmp_path, capsys, index):
+        victim = tmp_path / "victim.jsonl"
+        save_scorer(make_affine(10, 6), str(victim))
+        assert run_cli(["attack", "--dataset", str(dataset_path), "--victim", str(victim),
+                        "--index", str(index), "--k", "1", "--m", "1"]) == 1
+        assert capsys.readouterr().err == f"error: index {index} outside dataset of size 150\n"
+
     def test_attack_with_m_reruns_a_report_attack(self, dataset_path, tmp_path, capsys):
         """``--m`` draws S as a report's random scheme does, from (seed, k, m, index)."""
         victim = tmp_path / "victim.jsonl"
@@ -369,6 +377,15 @@ def edit_header(**changes):
     return lambda lines: [json.dumps({**json.loads(lines[0]), **changes})] + lines[1:]
 
 
+def layers(count, **changes):
+    """An edit to ``count`` copies of the first layer, under a header that lists them."""
+    def edit(lines):
+        header = json.loads(lines[0])
+        header.update(shapes=header["shapes"] * count, **changes)
+        return [json.dumps(header)] + lines[1:2] * count
+    return edit
+
+
 def short_weight(lines):
     layer = json.loads(lines[1])
     layer["weight"] = layer["weight"][:-1]
@@ -384,12 +401,17 @@ class TestMalformedScorer:
          'layer 1: expected an object with "weight" and "bias"'),
         (lambda lines: lines[:1], "layer count does not match header"),
         (lambda lines: [], "empty scorer file"),
-        # Both loaded a scorer that the file does not hold.
+        # Each below once loaded a scorer that the file does not hold.
         (edit_header(sigmoid_output="false"),
          "header: sigmoid_output must be true or false, got 'false'"),
         (edit_header(arch="mlp"), "header: arch 'mlp' does not match the layer count 1"),
+        (edit_header(activation="relu"), "affine scorer: activation must be 'tanh', got 'relu'"),
+        (edit_header(activation="sigmoid"), "unknown activation 'sigmoid'"),
+        (layers(3), "expected 1 (affine) or 2 (mlp) weight/bias layers"),
+        (layers(2, arch="mlp"), "hidden dimensions do not chain"),
     ], ids=["list-header", "no-shapes", "short-weight", "list-layer", "no-layer", "empty",
-            "string-sigmoid-output", "wrong-arch"])
+            "string-sigmoid-output", "wrong-arch", "affine-activation", "unknown-activation",
+            "three-layers", "unchained-layers"])
     def test_attack_rejects_file_in_one_line(self, tmp_path, capsys, edit, message):
         dataset = tmp_path / "data.jsonl"
         victim = tmp_path / "victim.jsonl"

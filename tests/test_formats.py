@@ -36,7 +36,9 @@ def scorers(draw):
     dims = draw(st.lists(st.integers(1, 4), min_size=2, max_size=3))  # in, [hidden,] out
     weights = [np.array(draw(vectors(o * i))).reshape(o, i) for i, o in zip(dims, dims[1:])]
     biases = [np.array(draw(vectors(o))) for o in dims[1:]]
-    return Scorer(weights, biases, draw(st.sampled_from(ACTIVATIONS)), draw(st.booleans()))
+    # An affine scorer has no hidden activation; it always carries tanh.
+    activation = draw(st.sampled_from(ACTIVATIONS)) if len(weights) == 2 else "tanh"
+    return Scorer(weights, biases, activation, draw(st.booleans()))
 
 
 def save_load_save(save, load, obj):

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tkmia.attack import GlobalScheme, RandomScheme
+from tkmia.attack import GlobalScheme, RandomScheme, select_random
 from tkmia.core import Instance
 from tkmia.attack import AttackConfig
 from tkmia.harness import (
@@ -239,6 +239,22 @@ class TestRunExperiment:
                                  ("perturbed_metrics", r["scores_after"])):
                 record = dataclasses.asdict(evaluate_instance(scores, y, r["k"]))
                 assert r[side] == {name: record[name] for name in MEASURES}
+
+    def test_random_scheme_draws_stop_at_the_cap(self, tmp_path, monkeypatch):
+        from tkmia import harness
+
+        seeds = []
+
+        def counting(instance, m, seed):
+            seeds.append(seed)
+            return select_random(instance, m, seed)
+
+        monkeypatch.setattr(harness, "select_random", counting)
+        config = small_config(tmp_path, k_grid=(1, 2), max_instances=3)
+        config.dataset["n"] = 40
+        rows = run_experiment(config)
+        assert [r["n"] for r in rows] == [3] * 4
+        assert [seed[1] for seed in seeds] == [1] * 3 + [2] * 3
 
     def test_empty_cell_emits_zero_marker(self, tmp_path):
         # k + m exceeds every instance's relevant count
@@ -535,6 +551,8 @@ class TestExperimentConfig:
         ("scheme.m: m must be positive",
          lambda raw: raw.update(scheme={"type": "random", "m": 0})),
         ("methods[0]: expected a string, got int", lambda raw: raw.update(methods=[1])),
+        ("method list must be non-empty", lambda raw: raw.update(methods=[])),
+        ("unknown scheme type 'grid'", lambda raw: raw["scheme"].update(type="grid")),
     ] + [
         (f"dataset: missing key {key!r}", without("dataset", key))
         for key in ("n", "d", "c", "mean_relevant")
@@ -577,6 +595,10 @@ class TestExperimentConfig:
                                 attack_overrides={"ml_cw_u": {"max_iter": -1}})),
         ("attack (tkmia, k=1): eta must be positive",
          lambda raw: raw["attack_overrides"]["tkmia"].update(eta=0)),
+        ("attack (tkmia, k=1): alpha must be non-negative",
+         lambda raw: raw["attack_overrides"]["tkmia"].update(alpha=-0.1)),
+        ("attack (tkmia, k=1): delta threshold must be positive",
+         lambda raw: raw["attack"].update(delta_threshold=0)),
         # json.load reads NaN and Infinity; json.dumps writes them.
         ("attack (tkmia, k=1): alpha must be finite, got nan",
          lambda raw: raw.update(attack={"eta": 0.05, "alpha": float("nan")},

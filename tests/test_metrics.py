@@ -148,6 +148,16 @@ class TestMapAtK:
         with pytest.raises(ValueError):
             map_at_k([], 2)
 
+    def test_per_category_empty_rejected(self):
+        with pytest.raises(ValueError) as raised:
+            map_at_k_per_category([], 2)
+        assert str(raised.value) == "empty sample list"
+
+    def test_per_category_without_a_relevant_instance_undefined(self):
+        with pytest.raises(UndefinedMetricError) as raised:
+            map_at_k_per_category([([0.9, 0.2], [0, 0]), ([0.4, 0.3], [0, 0])], 1)
+        assert str(raised.value) == "no category has a relevant instance"
+
     def test_per_category_toy(self):
         # Category 0 ranks instances (0.9, 0.4, 0.7) against (1, 0, 1):
         # prefix (1, 1) -> AP 1. Category 1 ranks (0.2, 0.3, 0.6) against

@@ -467,6 +467,17 @@ class TestTrainBce:
         with pytest.raises(ValueError):
             train_bce([], TrainConfig(epochs=1, learning_rate=0.1))
 
+    def test_model_of_other_sizes_rejected(self):
+        with pytest.raises(ValueError) as raised:
+            train_bce(toy_separable(20), TrainConfig(epochs=1), model=make_affine(3, 2))
+        assert str(raised.value) == "model dimensions do not match dataset"
+
+    def test_raw_output_model_rejected(self):
+        with pytest.raises(ValueError) as raised:
+            train_bce(toy_separable(20), TrainConfig(epochs=1),
+                      model=make_affine(2, 2, sigmoid_output=False))
+        assert str(raised.value) == "BCE training requires a sigmoid output"
+
     @pytest.mark.parametrize("field, value, message", [
         ("epochs", 2.5, "epochs must be an integer, got 2.5"),
         ("epochs", True, "epochs must be an integer, got True"),
