@@ -32,6 +32,9 @@ weights and is computed once per attack. The loop steps tkmia's lambdas
 (projected back to [0, 1]) and epsilon (with momentum), projects x+eps
 into the clip domain, and stops once enough specified labels have left
 the top k, or at a fixed point: an update that changes no bit of the state.
+A baseline's flat update reads no score, so :func:`_flat_run` makes a flat
+stretch's updates outside the loop and scores them in stacked chunks of 1, 2,
+4, ... rows, up to the iteration at which the loop resumes.
 What each method can attack is one rule, :func:`ineligible`.
 Distinct instances never share state, so attacks parallelize freely over
 instances with a read-only scorer.
@@ -289,16 +292,13 @@ def _tkmia_terms(scores, lam1: float, lam2: float, spec, rest, k: int):
 
 
 def _ml_cw_u_pair(scores, rel, irr):
-    """ml_cw_u's hinge classes: the worst relevant and the best irrelevant."""
-    return rel[scores[rel].argmin()], irr[scores[irr].argmax()]
+    """ml_cw_u's hinge classes per score row: the worst relevant, the best irrelevant."""
+    return rel[scores[..., rel].argmin(-1)], irr[scores[..., irr].argmax(-1)]
 
 
 def _tkml_ap_u_pair(scores, order, rel, k: int):
-    """tkml_ap_u's hinge classes: the best relevant and the (k+1)-th ranked.
-
-    ``order`` holds at least the first k+1 classes of the ranking.
-    """
-    return rel[scores[rel].argmax()], order[k]
+    """tkml_ap_u's hinge classes per score row: the best relevant, the (k+1)-th in ``order``."""
+    return rel[scores[..., rel].argmax(-1)], order[..., k]
 
 
 def _hinge_cot(scores, hi, lo):
@@ -422,6 +422,76 @@ def residual_set(scores, specified, k: int) -> tuple[int, ...]:
     return _ranked_in(top, _labels(specified, len(scores), "specified"))
 
 
+def _step(x, eps, velocity, pulled, config: AttackConfig):
+    """The update by ``pulled``, a score cotangent's pullback: the gradient ``pulled
+    + alpha * eps``, the momentum step and the projection into the clip domain.
+    The new (eps, velocity), or None for a non-finite gradient, which must not move eps."""
+    lo, hi = config.clip_domain
+    grad_eps = pulled + config.alpha * eps
+    # Counting the finite entries skips the Python wrapper of ``.all()``.
+    if np.count_nonzero(np.isfinite(grad_eps)) != grad_eps.size:
+        return None
+    velocity = config.momentum * velocity + grad_eps
+    eps = eps - config.eta * velocity
+    # Keep eps consistent with the projected adversarial input so the
+    # reported norm reflects the perturbation actually applied.
+    return np.minimum(np.maximum(x + eps, lo), hi) - x, velocity
+
+
+def _same_state(before, after) -> bool:
+    """The fixed-point test: two (eps, velocity, lambda1, lambda2) states bitwise equal,
+    signed zeros included; eps first, so an update that moves it pays one comparison."""
+    return (after[0].tobytes() == before[0].tobytes() and after[1].tobytes() == before[1].tobytes()
+            and after[2].hex() == before[2].hex() and after[3].hex() == before[3].hex())
+
+
+def _flat_exits(scores, order, k: int, spec, delta: int, rest, strict: bool, pair):
+    """Which rows of stacked ``scores``, ranked by ``order``, end a flat stretch: those
+    that succeed by :func:`_succeeded`'s rule or whose hinge on ``pair(scores, order)``
+    is active by :func:`_hinge_cot`'s. Both are exact comparisons, so on rows with the
+    bytes of the loop's scores they agree with the loop's tests, ties included."""
+    rows = np.arange(scores.shape[0])
+    success = spec.size - np.count_nonzero(order[:, :k, None] == spec, axis=(1, 2)) >= delta
+    if strict:
+        success &= scores[rows, order[:, k - 1]] <= scores[:, rest].min(axis=1)
+    hi, lo = pair(scores, order)
+    return success | (scores[rows, hi] - scores[rows, lo] > 0.0)
+
+
+def _flat_run(model: Scorer, x, eps, velocity, it: int, zero_pull, config: AttackConfig,
+              tests):
+    """Fast-forward a baseline's flat stretch from iteration ``it``, at state (eps, velocity).
+
+    Each chunk of 1, 2, 4, ... iterations takes the loop's flat update by
+    ``zero_pull``, which reads no score, then scores its inputs with one
+    stacked forward pass (:meth:`Scorer._scores`) and one ranking, and tests
+    the rows by :func:`_flat_exits` with ``tests``. Returns (iteration, eps,
+    velocity) of the first iteration that succeeds, has an active hinge, would
+    repeat its state or meet a non-finite gradient, or is the budget end; the
+    loop resumes there. Doubling scores in vain at most about the rows it skips.
+    """
+    lo, hi = config.clip_domain
+    size = 1
+    while True:
+        chunk = []  # the states of iterations it, it + 1, ..., each after a flat one
+        while len(chunk) < size and it + len(chunk) < config.max_iter:
+            state = _step(x, eps, velocity, zero_pull, config)
+            if state is None or _same_state((eps, velocity, 0.0, 0.0), (*state, 0.0, 0.0)):
+                break
+            chunk.append((eps, velocity))
+            eps, velocity = state
+        if chunk:
+            x_adv = np.minimum(np.maximum(x + np.stack([e for e, _ in chunk]), lo), hi)
+            scores = model._scores(x_adv)
+            hit = np.flatnonzero(_flat_exits(scores, _rank(scores), *tests))
+            if hit.size:
+                return it + int(hit[0]), *chunk[hit[0]]
+        it += len(chunk)
+        if len(chunk) < size:
+            return it, eps, velocity
+        size *= 2
+
+
 def run_attack_loop(model: Scorer, instance: Instance, specified,
                     config: AttackConfig, method: str) -> AttackOutcome:
     """The one checked entry and iterative engine of all three methods.
@@ -433,9 +503,9 @@ def run_attack_loop(model: Scorer, instance: Instance, specified,
     (:func:`_split_sets`, which also sorts both); :func:`ineligible` accepts
     the instance, or its reason is raised; and ``model._check_input`` accepts
     ``instance.x``. So 1 <= k < c (``config`` has k >= 1 and |Yp| >= k + |S|).
-    Each iteration then runs one unchecked forward pass at the
-    projected input, ``scores, pullback = model._vjp(x_adv)``, and ranks the
-    scores once, raw logits included. No check is lost: ``x_adv`` is finite
+    Each iteration that the loop runs then runs one unchecked forward pass at
+    the projected input, ``scores, pullback = model._vjp(x_adv)``, and ranks
+    the scores once, raw logits included. No check is lost: ``x_adv`` is finite
     by construction, since ``x`` is finite, the clip bounds are finite, eps
     is projected after every update and every gradient is tested for
     non-finite entries before it moves eps. Every method stops once at least
@@ -444,24 +514,28 @@ def run_attack_loop(model: Scorer, instance: Instance, specified,
     Until then the method's terms give the score cotangent:
     :func:`_tkmia_terms`, which also steps both lambdas, or the margin hinge
     on the baseline's class pair; one ``pullback(cotangent)`` plus
-    ``config.alpha * eps`` is the epsilon gradient. A flat loss has a None
-    cotangent: that iteration runs no pullback and reuses ``pullback(zeros)``
-    from the attack's first flat iteration. The reuse is exact: the pullback
-    of a zero cotangent multiplies zeros by the weights and by non-negative
-    derivatives, so its bytes, signed zeros included, do not depend on the
-    input. No loss value is computed. Success is tested before any update,
-    so an instance that already satisfies it returns epsilon exactly 0 after
-    zero iterations.
+    ``config.alpha * eps`` is the epsilon gradient (:func:`_step`). A flat
+    loss has a None cotangent: that iteration runs no pullback and reuses
+    ``pullback(zeros)`` from the attack's first flat iteration. The reuse is
+    exact: the pullback of a zero cotangent multiplies zeros by the weights
+    and by non-negative derivatives, so its bytes, signed zeros included, do
+    not depend on the input. No loss value is computed. Success is tested
+    before any update, so an instance that already satisfies it returns
+    epsilon exactly 0 after zero iterations.
+
+    A baseline's flat iteration steps no lambda and its update reads no
+    score, so after one that moves the state :func:`_flat_run` runs the
+    stretch on stacked rows, and the loop resumes at the iteration that ends
+    it. tkmia's flat iterations step both lambdas and stay in the loop.
 
     An iteration is a pure function of (eps, velocity, lambda1, lambda2):
     the cached ``pullback(zeros)`` has the same bytes at every input. So an
-    update that leaves all four bitwise unchanged, signed zeros included, is
-    a fixed point: every later iteration would repeat it, and none would
+    update that leaves all four bitwise unchanged (:func:`_same_state`) is a
+    fixed point: every later iteration would repeat it, and none would
     succeed. The loop ends there with ``iterations_used = max_iter`` and the
     outcome of the whole budget, bit for bit. ``iterations_used`` counts
     budget iterations, the protocol's count; the forward passes run may be
-    fewer. Eps is compared first, so an iteration that moves it pays one
-    comparison.
+    fewer.
     """
     k = config.k
     c = model.out_dim
@@ -472,15 +546,16 @@ def run_attack_loop(model: Scorer, instance: Instance, specified,
     if reason:
         raise ValueError(reason)
     lo, hi = config.clip_domain
-    alpha, eta, momentum, max_iter = config.alpha, config.eta, config.momentum, config.max_iter
-    rest_idx = np.array(rest)
+    eta, max_iter = config.eta, config.max_iter
+    spec_idx, rest_idx = np.array(spec), np.array(rest)
     delta, strict = config.delta_threshold or len(spec), config.success_mode == "strict"
-    if method == "tkmia":
-        spec_idx = np.array(spec)
-    else:
+    if method != "tkmia":
         rel = np.array(instance.relevant)  # checked by _split_sets
         if method == "ml_cw_u":
             irr = np.array(instance.irrelevant)
+            pair = lambda scores, order: _ml_cw_u_pair(scores, rel, irr)  # noqa: E731
+        else:
+            pair = lambda scores, order: _tkml_ap_u_pair(scores, order, rel, k)  # noqa: E731
     lam1 = lam2 = 0.0
     x = model._check_input(instance.x)
     eps = np.zeros_like(x)
@@ -488,7 +563,8 @@ def run_attack_loop(model: Scorer, instance: Instance, specified,
     zero_pull = None
     success = False
 
-    for it in range(max_iter + 1):
+    it = 0
+    while True:
         x_adv = np.minimum(np.maximum(x + eps, lo), hi)
         scores, pullback = model._vjp(x_adv)
         order = _rank(scores)
@@ -508,29 +584,22 @@ def run_attack_loop(model: Scorer, instance: Instance, specified,
             cot, g1, g2 = _tkmia_terms(scores, lam1, lam2, spec_idx, rest_idx, k)
             lam1 = min(max(lam1 - eta * g1, 0.0), 1.0)
             lam2 = min(max(lam2 - eta * g2, 0.0), 1.0)
-        elif method == "ml_cw_u":
-            cot = _hinge_cot(scores, *_ml_cw_u_pair(scores, rel, irr))
         else:
-            cot = _hinge_cot(scores, *_tkml_ap_u_pair(scores, order, rel, k))
-        if cot is None:
-            if zero_pull is None:
-                zero_pull = pullback(np.zeros(c))
-            grad_eps = zero_pull + alpha * eps
-        else:
-            grad_eps = pullback(cot) + alpha * eps
-        # Counting the finite entries skips the Python wrapper of ``.all()``.
-        if np.count_nonzero(np.isfinite(grad_eps)) != grad_eps.size:
+            cot = _hinge_cot(scores, *pair(scores, order))
+        if cot is None and zero_pull is None:
+            zero_pull = pullback(np.zeros(c))
+        state = _step(x, eps, velocity, zero_pull if cot is None else pullback(cot), config)
+        if state is None:
             raise FloatingPointError(f"non-finite gradient at iteration {it}")
-        velocity = momentum * velocity + grad_eps
-        eps = eps - eta * velocity
-        # Keep eps consistent with the projected adversarial input so the
-        # reported norm reflects the perturbation actually applied.
-        eps = np.minimum(np.maximum(x + eps, lo), hi) - x
+        eps, velocity = state
         # A fixed point: every later iteration would repeat this one bit for bit.
-        if (eps.tobytes() == before[0].tobytes() and velocity.tobytes() == before[1].tobytes()
-                and lam1.hex() == before[2].hex() and lam2.hex() == before[3].hex()):
+        if _same_state(before, (eps, velocity, lam1, lam2)):
             it = max_iter
             break
+        it += 1
+        if cot is None and method != "tkmia":
+            it, eps, velocity = _flat_run(model, x, eps, velocity, it, zero_pull, config,
+                                          (k, spec_idx, delta, rest_idx, strict, pair))
 
     return AttackOutcome(
         method=method,

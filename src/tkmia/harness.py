@@ -183,6 +183,8 @@ def train_victim(dataset: Sequence[Instance], **victim) -> Scorer:
     spec = _victim_spec(victim)
     init = None  # train_bce starts an affine victim from make_affine(d, c, seed=spec.seed)
     if spec.arch == "mlp":
+        if not len(dataset):
+            raise ValueError("empty dataset")  # train_bce's message on the affine path
         d, c = dataset[0].x.shape[0], dataset[0].n_classes
         init = make_mlp(d, spec.hidden, c, seed=spec.seed, activation=spec.activation)
     return train_bce(dataset, spec, model=init)

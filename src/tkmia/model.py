@@ -138,8 +138,13 @@ class Scorer:
         of the single-input ``score``, whatever the other rows are; a plain
         matrix product would not.
         """
-        x = self._check_input(x, ndims=(1, 2))
-        return self._output(self._forward(x[..., None, :])[0][..., 0, :])
+        return self._scores(self._check_input(x, ndims=(1, 2)))
+
+    def _scores(self, X):
+        """:meth:`score` of a finite float64 (d,) or (N, d) ``X``, unchecked. Each row
+        has the bytes of ``_vjp(row)[0]``; a subclass that overrides :meth:`_vjp`
+        must override this too."""
+        return self._output(self._forward(X[..., None, :])[0][..., 0, :])
 
     def _output(self, z):
         """Scores from logits: their sigmoid, or the logits themselves."""

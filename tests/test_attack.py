@@ -486,8 +486,8 @@ def assert_same_outcome(new, ref):
 
 class SwitchScorer(Scorer):
     """Scores ``active`` at the input 0 and ``flat`` anywhere else; counts its
-    forward passes. A cotangent pulls back to its 1-norm in every input
-    coordinate, so zeros give zeros."""
+    forward passes, one per stacked row. A cotangent pulls back to its 1-norm
+    in every input coordinate, so zeros give zeros."""
 
     def __init__(self, d, active, flat):
         base = make_affine(d, len(active), seed=0)
@@ -502,6 +502,10 @@ class SwitchScorer(Scorer):
         self.forward += 1
         d = self.in_dim
         return self.score(x), lambda cot: np.full(d, float(np.abs(cot).sum()))
+
+    def _scores(self, X):
+        self.forward += len(X)
+        return np.array([self.score(x) for x in X])
 
 
 def switch_scorer():
@@ -576,6 +580,141 @@ class TestFixedPointExit:
         assert 1001 < model.forward < 8000
         assert_same_outcome(out, run_method("ml_cw_u", switch_scorer(), inst, (0,), cfg,
                                             reference=True))
+
+
+def path_norms(config, n):
+    """The 1-norms of the first n projected inputs of an attack on x = 0 in
+    three dimensions whose every score cotangent pulls back to ones."""
+    lo, hi = config.clip_domain
+    eps = velocity = np.zeros(3)
+    norms = []
+    for _ in range(n):
+        norms.append(np.abs(eps).sum())
+        velocity = config.momentum * velocity + (1.0 + config.alpha * eps)
+        eps = np.clip(eps - config.eta * velocity, lo, hi)
+    return np.array(norms)
+
+
+class PathScorer(Scorer):
+    """Scores ``script[n]`` at the n-th projected input of ``config``'s attack
+    on x = 0, and the last entry of the script past its end.
+
+    Every cotangent, zeros included, pulls back to ones, so the path of eps
+    does not depend on the scores and :func:`path_norms` finds it in advance.
+    The scorer tells the iterates apart by their 1-norm, in :meth:`_vjp` and
+    in each row of :meth:`_scores` alike; it counts both.
+    """
+
+    def __init__(self, script, config):
+        base = make_affine(3, 6, seed=0)
+        super().__init__(base.weights, base.biases)
+        self.script = [np.array(scores, dtype=float) for scores in script]
+        norms = path_norms(config, config.max_iter + 1)
+        self.bounds = (norms[1:] + norms[:-1]) / 2
+        self.forward = self.rows = 0
+
+    def score(self, x):
+        n = int(np.searchsorted(self.bounds, np.abs(x).sum()))
+        return self.script[min(n, len(self.script) - 1)].copy()
+
+    def _vjp(self, x):
+        self.forward += 1
+        return self.score(x), lambda cot: np.ones(3)
+
+    def _scores(self, X):
+        self.rows += len(X)
+        return np.array([self.score(x) for x in X])
+
+
+# Relevant labels 0-3, irrelevant 4 and 5, k = 2. Each baseline's hinge is
+# active at ACTIVE and flat at the rest. At k = 2 with S = (0,): COUNT expels
+# label 0, but its 2nd score is above the lowest of Yp \ S; STRICT expels
+# label 0 with its 2nd score tied with the lowest of Yp \ S. With S = (0, 1),
+# ONE expels label 1 only.
+ACTIVE = [0.9, 0.8, 0.7, 0.6, 0.2, 0.1]
+FLAT = [0.5] * 6
+COUNT = [0.3, 0.2, 0.25, 0.35, 0.9, 0.8]
+STRICT = [0.3, 0.5, 0.5, 0.5, 0.5, 0.5]
+ONE = [0.5, 0.3, 0.5, 0.5, 0.5, 0.5]
+PATH_INSTANCE = Instance(x=np.zeros(3), y=[1, 1, 1, 1, 0, 0])
+PATH_CONFIG = AttackConfig(k=2, eta=0.01, alpha=1e-3, max_iter=300, clip_domain=(-100.0, 100.0))
+
+
+@pytest.mark.parametrize("method", BASELINE_METHODS)
+class TestFlatStretch:
+    """A baseline's flat stretch is scored in stacked rows, and each way it ends
+    gives the reference loop's outcome bit for bit. Iteration 0 is active, so
+    the stretch starts at iteration 1 and the loop hands it over at 2."""
+
+    def run(self, method, script, config=PATH_CONFIG, spec=(0,), on_update=None):
+        scorer = PathScorer(script, config)
+        out = run_method(method, scorer, PATH_INSTANCE, spec, config)
+        ref = run_method(method, PathScorer(script, config), PATH_INSTANCE, spec, config,
+                         reference=True, on_update=on_update)
+        assert_same_outcome(out, ref)
+        return out, scorer
+
+    @pytest.mark.parametrize("length", [1, 2, 3, 7])
+    def test_hinge_turns_active(self, method, length):
+        script = ([ACTIVE] + [FLAT] * length) * 3 + [ACTIVE]
+        config = dataclasses.replace(PATH_CONFIG, max_iter=len(script) + 2)
+        out, scorer = self.run(method, script, config)
+        assert (out.success, out.iterations_used) == (False, config.max_iter)
+        # The loop runs each stretch's first iteration; the rest run no _vjp.
+        assert scorer.forward == config.max_iter + 1 - 3 * (length - 1)
+        assert scorer.forward + scorer.rows <= 3 * (config.max_iter + 1)
+
+    @pytest.mark.parametrize("length", [1, 2, 3, 7])
+    @pytest.mark.parametrize("mode", ["c1_only", "strict", "delta1"])
+    def test_success(self, method, length, mode):
+        # Under strict the stretch runs on through COUNT's rows.
+        ends = {"c1_only": [COUNT], "strict": [COUNT] * length + [STRICT], "delta1": [ONE]}
+        script = [ACTIVE] + [FLAT] * length + ends[mode]
+        config = dataclasses.replace(PATH_CONFIG, success_mode="strict" if mode == "strict"
+                                     else "c1_only",
+                                     delta_threshold=1 if mode == "delta1" else None)
+        out, scorer = self.run(method, script, config, spec=(0, 1) if mode == "delta1" else (0,))
+        assert (out.success, out.iterations_used) == (True, len(script) - 1)
+        assert scorer.forward <= 3
+
+    def test_fixed_point_inside_a_chunk(self, method):
+        # eps reaches the clip bound, and then the velocity settles on a fixed point.
+        config = dataclasses.replace(PATH_CONFIG, max_iter=1000, clip_domain=(-1.0, 1.0))
+        updates = []
+        out, scorer = self.run(method, [ACTIVE, FLAT], config,
+                               on_update=lambda before, after: updates.append(before == after))
+        fixed = updates.index(True)
+        # Chunks of 1, 2, 4, ... rows from iteration 2 span iterations 257-512 in turn.
+        assert 257 < fixed < 512
+        assert (out.success, out.iterations_used) == (False, 1000)
+        assert scorer.forward + scorer.rows <= fixed + 2
+
+    @pytest.mark.parametrize("length", [1, 2, 3, 7])
+    def test_budget_end(self, method, length):
+        config = dataclasses.replace(PATH_CONFIG, max_iter=length)
+        out, scorer = self.run(method, [ACTIVE, FLAT], config)
+        assert (out.success, out.iterations_used) == (False, length)
+        assert scorer.forward + scorer.rows <= length + 2
+
+    def test_non_finite_gradient_names_its_iteration(self, method):
+        # alpha * eta = 8 makes each flat step overshoot, so eps swings wider
+        # until alpha * eps overflows, hundreds of iterations into the stretch.
+        config = dataclasses.replace(PATH_CONFIG, alpha=1e299, eta=8e-299, max_iter=1000,
+                                     clip_domain=(-1e10, 1e10))
+        errors = []
+        for reference in (False, True):
+            with np.errstate(over="ignore"), pytest.raises(FloatingPointError) as raised:
+                run_method(method, SwitchScorer(3, ACTIVE, FLAT), PATH_INSTANCE, (0,), config,
+                           reference=reference)
+            errors.append(str(raised.value))
+        assert errors[0] == errors[1] == "non-finite gradient at iteration 398"
+
+    def test_alternating_hinge(self, method):
+        script = [ACTIVE, FLAT] * 20 + [ACTIVE, FLAT, FLAT] * 10
+        config = dataclasses.replace(PATH_CONFIG, max_iter=len(script) + 1)
+        out, scorer = self.run(method, script, config)
+        assert (out.success, out.iterations_used) == (False, config.max_iter)
+        assert scorer.forward + scorer.rows <= 3 * (config.max_iter + 1)
 
 
 class EntryCounting(CountingScorer):

@@ -817,3 +817,11 @@ class TestOneSchemaPerBlock:
                 train_victim(gen_synthetic(SyntheticSpec(**config.dataset)), **victim)
         assert str(raised.value) == "victim: unknown key 'hidden'"
         assert not (tmp_path / "report.csv").exists()
+
+
+class TestTrainVictim:
+    @pytest.mark.parametrize("arch", ["affine", "mlp"])
+    def test_empty_dataset_rejected_for_every_arch(self, arch):
+        with pytest.raises(ValueError) as raised:
+            train_victim([], arch=arch)
+        assert str(raised.value) == "empty dataset"
