@@ -87,11 +87,37 @@ def _check_k(k: int, c: int) -> int:
     return k
 
 
+def _rows(x, y) -> tuple[np.ndarray, np.ndarray]:
+    """The one instance rule, checked once for a block of N instances: row i of
+    ``x`` (N, d) and of ``y`` (N, c) are instance i's features and labels.
+
+    Each row's x must be non-empty and finite, and its y non-empty with entries
+    0 or 1. Returns x as float64 and y as a read-only int64 copy. The errors
+    are those of :class:`Instance`, which is the N = 1 case.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    if np.ndim(y) != 2:
+        raise ValueError("label vector must be 1-D")
+    y = as_labels(y, ndim=2)
+    if x.ndim != 2 or x.shape[1] == 0:
+        raise ValueError("x must be 1-D and non-empty")
+    if not np.isfinite(x).all():
+        raise ValueError("x contains non-finite entries")
+    if y.shape[1] == 0:
+        raise ValueError("y must be non-empty")
+    if len(x) != len(y):
+        raise ValueError(f"{len(x)} feature rows but {len(y)} label rows")
+    y.setflags(write=False)
+    return x, y
+
+
 @dataclass(frozen=True)
 class Instance:
     """One multi-label sample: feature vector ``x`` and binary labels ``y``.
 
     Frozen, with read-only labels, so the cached relevant set stays valid.
+    ``x`` and ``y`` may be rows of arrays that other instances share, as
+    :meth:`from_rows` makes them.
     """
 
     x: np.ndarray
@@ -100,17 +126,22 @@ class Instance:
     # Written out, not generated: the generated frozen __init__ would set each
     # field twice, and data sets build thousands of instances.
     def __init__(self, x, y):
-        x = np.asarray(x, dtype=np.float64)
-        y = as_labels(y)
-        if x.ndim != 1 or x.size == 0:
-            raise ValueError("x must be 1-D and non-empty")
-        if not np.all(np.isfinite(x)):
-            raise ValueError("x contains non-finite entries")
-        if y.size == 0:
-            raise ValueError("y must be non-empty")
-        y.setflags(write=False)
+        (x,), (y,) = _rows(np.asarray(x, dtype=np.float64)[None], np.asarray(y)[None])
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "y", y)
+
+    @classmethod
+    def from_rows(cls, x, y) -> list["Instance"]:
+        """The instances of the rows of ``x`` (N, d) and ``y`` (N, c), checked
+        once by the rule of :class:`Instance`; each instance views its rows."""
+        x, y = _rows(x, y)
+        instances = []
+        for xi, yi in zip(x, y):
+            inst = object.__new__(cls)
+            object.__setattr__(inst, "x", xi)
+            object.__setattr__(inst, "y", yi)
+            instances.append(inst)
+        return instances
 
     @property
     def n_classes(self) -> int:

@@ -57,6 +57,12 @@ __all__ = [
 # enough to count as well-trained, imperfect enough that attacks have
 # irrelevant labels to collide with near position k.
 FEATURE_NOISE = 0.28
+# The generator's pass sizes: instances built and checked per block, and label
+# attempt offsets tested per window of normals (more when d is large, so that
+# a window holds several kept instances). Bounded, so that a large n never
+# holds all of its draws at once.
+_BLOCK = 128
+_WINDOW = 2048
 
 
 @dataclass(frozen=True)
@@ -79,8 +85,9 @@ class SyntheticSpec:
             raise ValueError("n, d positive and c >= 2 required")
         if not 0.0 < self.mean_relevant < self.c:
             raise ValueError("mean_relevant must lie strictly between 0 and c")
-        if not 0.0 <= self.label_correlation <= 1.0:
-            raise ValueError("label_correlation must lie in [0, 1]")
+        # At 1 every label draw is all 0 or all 1, and would be redrawn forever.
+        if not 0.0 <= self.label_correlation < 1.0:
+            raise ValueError("label_correlation must lie in [0, 1)")
 
 
 def gen_synthetic(spec: SyntheticSpec) -> list[Instance]:
@@ -94,6 +101,12 @@ def gen_synthetic(spec: SyntheticSpec) -> list[Instance]:
     Degenerate label vectors (no relevant or no irrelevant label) are
     redrawn, matching real annotation data where every instance carries
     some but not all labels.
+
+    The normals are read in the order of one instance after another: each
+    label attempt takes one common and c individual normals, and a kept one
+    then takes d noise normals. They are drawn and tested a window at a
+    time, and the instances are built and checked a block at a time; each
+    instance's rows view its block's arrays.
     """
     rng = np.random.default_rng(spec.seed)
     prototypes = rng.uniform(-1.0, 1.0, size=(spec.c, spec.d))
@@ -102,19 +115,66 @@ def gen_synthetic(spec: SyntheticSpec) -> list[Instance]:
     rho = spec.label_correlation
     common_w = np.sqrt(rho)
     indiv_w = np.sqrt(1.0 - rho)
+    c, d = spec.c, spec.d
+    attempt, stride = 1 + c, 1 + c + d  # the normals of a label attempt, of a kept instance
+    label_at, noise_at = 1 + np.arange(c), attempt + np.arange(d)
+    window = max(_WINDOW, 8 * stride)  # attempt offsets per window
 
     instances = []
-    for _ in range(spec.n):
-        while True:
-            common = rng.standard_normal()
-            latent = common_w * common + indiv_w * rng.standard_normal(spec.c)
-            y = (latent < threshold).astype(np.int64)
-            if 0 < y.sum() < spec.c:
-                break
-        base = prototypes[y == 1].mean(axis=0)
-        x = np.tanh(base + FEATURE_NOISE * rng.standard_normal(spec.d))
-        instances.append(Instance(x=x, y=y))
+    labels, noise = [], []  # the current block's kept instances, a piece per window
+    z, o = np.empty(0), 0  # z[o:] is drawn but unread
+    while len(instances) < spec.n:
+        # A window of attempt offsets, each with room for a kept instance's noise.
+        z = np.concatenate([z[o:], rng.standard_normal(window + stride - 1 - (len(z) - o))])
+        # The attempt at offset o has latents common_w * z[o] + indiv_w * z[o+1:o+1+c],
+        # each a non-decreasing function of its own normal, rounding included
+        # (indiv_w > 0, as label_correlation < 1). So some latent is below the
+        # threshold iff the smallest normal's is, and some is not iff the largest
+        # normal's is not: every offset is tested with two sliding extremes.
+        lo, hi = _sliding_extremes(z[1:window + c], c)
+        common = common_w * z[:window]
+        keep = (indiv_w * lo + common < threshold) & (indiv_w * hi + common >= threshold)
+        starts, o = [], 0
+        while o < window:
+            if keep[o]:
+                starts.append(o)
+                o += stride
+            else:
+                o += attempt
+        starts = np.array(starts, dtype=np.intp)
+        labels.append(common_w * z[starts, None] + indiv_w * z[starts[:, None] + label_at]
+                      < threshold)
+        noise.append(z[starts[:, None] + noise_at])
+        if sum(map(len, labels)) < min(_BLOCK, spec.n - len(instances)):
+            continue
+        y = np.concatenate(labels)[:spec.n - len(instances)]
+        # The mean of the relevant prototypes, summed in class order from 0.0 as
+        # ``prototypes[y == 1].mean(axis=0)`` sums them.
+        base = np.zeros((len(y), d))
+        for j in range(c):
+            base[y[:, j]] += prototypes[j]
+        base /= y.sum(axis=1, keepdims=True)
+        # tanh(base + FEATURE_NOISE * noise), in place: float addition commutes.
+        x = np.concatenate(noise)[:len(y)]
+        x *= FEATURE_NOISE
+        x += base
+        instances += Instance.from_rows(np.tanh(x, out=x), y)
+        labels, noise = [], []
     return instances
+
+
+def _sliding_extremes(z: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray]:
+    """The minimum and maximum of each run of ``width`` consecutive entries of ``z``,
+    from runs of doubling length: about log2(width) passes over ``z``."""
+    lo = hi = z
+    run = 1
+    while 2 * run <= width:
+        lo, hi = np.minimum(lo[:-run], lo[run:]), np.maximum(hi[:-run], hi[run:])
+        run *= 2
+    # Two runs of length ``run``, ``width - run`` apart, cover a run of ``width``.
+    shift = width - run
+    return (np.minimum(lo[:len(lo) - shift], lo[shift:]),
+            np.maximum(hi[:len(hi) - shift], hi[shift:]))
 
 
 def save_dataset(instances: Sequence[Instance], path: str) -> None:

@@ -247,6 +247,10 @@ class TrainConfig:
             raise ValueError("batch size must be positive")
 
 
+# Training rows gathered per pass: bounded, so that no epoch copies the whole set.
+_GATHER_ROWS = 512
+
+
 def _stack_dataset(dataset) -> tuple[np.ndarray, np.ndarray]:
     if len(dataset) == 0:
         raise ValueError("empty dataset")
@@ -283,18 +287,25 @@ def train_bce(dataset, config: TrainConfig, model: Scorer | None = None) -> Scor
         raise ValueError("BCE training requires a sigmoid output")
 
     rng = np.random.default_rng(config.seed)
-    vel_w = [np.zeros_like(w) for w in model.weights]
-    vel_b = [np.zeros_like(b) for b in model.biases]
+    params = model.weights + model.biases  # updated in place, with their velocities
+    velocities = [np.zeros_like(p) for p in params]
+    # Each epoch's permuted rows are gathered _GATHER_ROWS or so at a time, and
+    # each batch is a slice of them, with the bytes of X[order[batch]]: fewer
+    # gathers than one per batch, and no second copy of the whole dataset.
+    span = config.batch_size * max(1, _GATHER_ROWS // config.batch_size)
+    momentum, rate = config.momentum, config.learning_rate
     for _ in range(config.epochs):
         order = rng.permutation(n)
-        for start in range(0, n, config.batch_size):
-            idx = order[start:start + config.batch_size]
-            grads_w, grads_b = _bce_grads(model, X[idx], Y[idx])
-            for i in range(len(model.weights)):
-                vel_w[i] = config.momentum * vel_w[i] + grads_w[i]
-                vel_b[i] = config.momentum * vel_b[i] + grads_b[i]
-                model.weights[i] -= config.learning_rate * vel_w[i]
-                model.biases[i] -= config.learning_rate * vel_b[i]
+        for lo in range(0, n, span):
+            rows = order[lo:lo + span]
+            X_rows, Y_rows = X[rows], Y[rows]
+            for start in range(0, len(rows), config.batch_size):
+                stop = start + config.batch_size
+                grads_w, grads_b = _bce_grads(model, X_rows[start:stop], Y_rows[start:stop])
+                for param, vel, grad in zip(params, velocities, grads_w + grads_b):
+                    vel *= momentum
+                    vel += grad
+                    param -= rate * vel
     return model
 
 
@@ -303,7 +314,7 @@ def _bce_grads(model: Scorer, X: np.ndarray, Y: np.ndarray):
     dZ = (_sigmoid(Z) - Y) * (np.abs(Z) < _LOGIT_CLIP) / (X.shape[0] * model.out_dim)
     # (output cotangent, input) of each layer; the affine family has only the first.
     layers = [(model._backward(dZ, pre, H), X), (dZ, H)][:len(model.weights)]
-    return [g.T @ a for g, a in layers], [g.sum(axis=0) for g, _ in layers]
+    return [g.T @ a for g, a in layers], [np.add.reduce(g, axis=0) for g, _ in layers]
 
 
 def _central_differences(fn, point: np.ndarray, step: float) -> np.ndarray:

@@ -27,6 +27,13 @@ class TestGenData:
         assert code == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_correlation_one_rejected_in_one_line(self, tmp_path, capsys):
+        code = run_cli(["gen-data", "--n", "1", "--d", "2", "--c", "3", "--mean-relevant", "1.0",
+                        "--correlation", "1", "--out", str(tmp_path / "x.jsonl")])
+        assert code == 1
+        assert capsys.readouterr().err == "error: label_correlation must lie in [0, 1)\n"
+        assert list(tmp_path.iterdir()) == []
+
     def test_missing_out_directory_rejected_before_generating(self, tmp_path, capsys):
         # The spec is bad too: the directory check must come first.
         code = run_cli(["gen-data", "--n", "10", "--d", "4", "--c", "5",

@@ -300,6 +300,51 @@ class TestInstance:
         with pytest.raises(ValueError):
             Instance(x=[np.inf, 0.0], y=[1, 0])
 
+    @pytest.mark.parametrize("x, y, message", [
+        ([0.5, np.nan], [1, 0], "x contains non-finite entries"),
+        ([0.5, np.inf], [1, 0], "x contains non-finite entries"),
+        ([0.5, 0.1], [1, 2], "label entries must be 0 or 1"),
+        ([0.5, 0.1], [], "y must be non-empty"),
+        ([[0.5], [0.1]], [1, 0], "x must be 1-D and non-empty"),
+        ([], [1, 0], "x must be 1-D and non-empty"),
+        ([0.5, 0.1], [[1, 0]], "label vector must be 1-D"),
+    ])
+    def test_a_block_and_one_instance_share_one_rule(self, x, y, message):
+        with pytest.raises(ValueError) as one:
+            Instance(x, y)
+        with pytest.raises(ValueError) as block:
+            Instance.from_rows([x, x], [y, y])
+        assert str(one.value) == str(block.value) == message
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("x", np.nan, "x contains non-finite entries"),
+        ("y", 2, "label entries must be 0 or 1"),
+    ])
+    def test_every_row_of_a_block_is_checked(self, field, value, message):
+        rng = np.random.default_rng(8)
+        block = {"x": rng.uniform(-1.0, 1.0, (5, 3)), "y": np.array([[1, 0]] * 5)}
+        block[field][3, 1] = value
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            Instance.from_rows(block["x"], block["y"])
+
+    def test_block_rows_equal_instances_built_one_by_one(self):
+        rng = np.random.default_rng(9)
+        x = rng.uniform(-1.0, 1.0, (6, 4))
+        y = (rng.uniform(size=(6, 3)) < 0.5).astype(np.int32)
+        rows = Instance.from_rows(x, y)
+        assert len(rows) == 6
+        for i, inst in enumerate(rows):
+            one = Instance(x[i], y[i])
+            assert inst.x.tobytes() == one.x.tobytes() and inst.x.dtype == np.float64
+            assert inst.y.tobytes() == one.y.tobytes() and inst.y.dtype == np.int64
+            assert not inst.y.flags.writeable and not one.y.flags.writeable
+            assert inst.relevant == one.relevant
+        # The labels are a read-only copy: the caller's arrays stay writable.
+        assert y.flags.writeable and x.flags.writeable
+        assert Instance.from_rows(np.empty((0, 4)), np.empty((0, 3))) == []
+        with pytest.raises(ValueError, match="^6 feature rows but 5 label rows$"):
+            Instance.from_rows(x, y[:5])
+
 
 class TestAtomicWrite:
     def test_replaces_target(self, tmp_path):

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import re
 from pathlib import Path
+from statistics import NormalDist
 
 import numpy as np
 import pytest
@@ -10,9 +11,11 @@ from tkmia.attack import GlobalScheme, RandomScheme, select_random
 from tkmia.core import Instance
 from tkmia.attack import AttackConfig
 from tkmia.harness import (
+    FEATURE_NOISE,
     ExperimentConfig,
     SyntheticSpec,
     VictimSpec,
+    _sliding_extremes,
     _victim_spec,
     gen_synthetic,
     load_dataset,
@@ -24,7 +27,46 @@ from tkmia.metrics import MEASURES, REPORT_COLUMNS
 from tkmia.model import make_affine, save_scorer
 
 
+def parent_gen_synthetic(spec):
+    """The generator as a loop over instances: a frozen copy of the former
+    ``gen_synthetic``, the oracle of the block generator."""
+    rng = np.random.default_rng(spec.seed)
+    prototypes = rng.uniform(-1.0, 1.0, size=(spec.c, spec.d))
+    threshold = NormalDist().inv_cdf(spec.mean_relevant / spec.c)
+    common_w = np.sqrt(spec.label_correlation)
+    indiv_w = np.sqrt(1.0 - spec.label_correlation)
+    instances = []
+    for _ in range(spec.n):
+        while True:
+            common = rng.standard_normal()
+            latent = common_w * common + indiv_w * rng.standard_normal(spec.c)
+            y = (latent < threshold).astype(np.int64)
+            if 0 < y.sum() < spec.c:
+                break
+        base = prototypes[y == 1].mean(axis=0)
+        x = np.tanh(base + FEATURE_NOISE * rng.standard_normal(spec.d))
+        instances.append(Instance(x=x, y=y))
+    return instances
+
+
 class TestGenSynthetic:
+    # (n, d, c, mean_relevant, label_correlation, seed): the benchmark's sets,
+    # c = 2, d = 1, n = 1, n not a multiple of the block size, several blocks,
+    # long runs of redrawn labels (few relevant labels, high correlation), and
+    # a d large enough to widen the window of attempt offsets.
+    @pytest.mark.parametrize("spec", [
+        (2000, 32, 10, 3.5, 0.5, 7), (10000, 32, 10, 3.5, 0.5, 7), (500, 32, 10, 3.5, 0.5, 3),
+        (300, 8, 6, 3, 0.3, 5), (50, 3, 2, 1, 0.9, 1), (1, 1, 2, 1, 0, 0),
+        (3000, 5, 7, 0.3, 0.95, 2), (1500, 40, 3, 2.9, 0, 4), (40, 300, 12, 2, 0.5, 6),
+    ])
+    def test_equals_the_per_instance_loop_bit_for_bit(self, spec):
+        spec = SyntheticSpec(*spec)
+        got, want = gen_synthetic(spec), parent_gen_synthetic(spec)
+        assert len(got) == spec.n
+        assert np.stack([i.x for i in got]).tobytes() == np.stack([i.x for i in want]).tobytes()
+        assert np.stack([i.y for i in got]).tobytes() == np.stack([i.y for i in want]).tobytes()
+        assert all(i.y.dtype == np.int64 and not i.y.flags.writeable for i in got)
+
     def test_deterministic_and_byte_identical(self, tmp_path):
         spec = SyntheticSpec(n=50, d=8, c=6, mean_relevant=2.0, seed=9)
         a = gen_synthetic(spec)
@@ -76,11 +118,22 @@ class TestGenSynthetic:
         corr = np.stack([i.y for i in gen_synthetic(SyntheticSpec(**base, label_correlation=0.8))])
         assert np.cov(corr.T)[~np.eye(8, dtype=bool)].mean() > np.cov(indep.T)[~np.eye(8, dtype=bool)].mean()
 
+    @pytest.mark.parametrize("width", [2, 3, 4, 5, 7, 8, 9, 10, 16, 17, 31])
+    def test_sliding_extremes_are_the_runs_min_and_max(self, width):
+        z = np.random.default_rng(width).standard_normal(100)
+        runs = np.lib.stride_tricks.sliding_window_view(z, width)
+        lo, hi = _sliding_extremes(z, width)
+        assert lo.tobytes() == runs.min(axis=1).tobytes()
+        assert hi.tobytes() == runs.max(axis=1).tobytes()
+
     def test_infeasible_spec_rejected(self):
         with pytest.raises(ValueError):
             SyntheticSpec(n=10, d=4, c=5, mean_relevant=5.0)
         with pytest.raises(ValueError):
             SyntheticSpec(n=10, d=4, c=5, mean_relevant=2.0, label_correlation=1.5)
+        # At 1 every label draw is all 0 or all 1, so the generator would redraw forever.
+        with pytest.raises(ValueError, match=r"^label_correlation must lie in \[0, 1\)$"):
+            SyntheticSpec(n=1, d=2, c=3, mean_relevant=1.0, label_correlation=1.0)
         with pytest.raises(ValueError):
             SyntheticSpec(n=0, d=4, c=5, mean_relevant=2.0)
 
@@ -541,6 +594,8 @@ class TestExperimentConfig:
         ("seed must be non-negative, got -1", lambda raw: raw.update(seed=-1)),
         ("dataset: mean_relevant must lie strictly between 0 and c",
          lambda raw: raw["dataset"].update(mean_relevant=5.0)),
+        ("dataset: label_correlation must lie in [0, 1)",
+         lambda raw: raw["dataset"].update(label_correlation=1.0)),
         ("k_grid: k=5 must be smaller than c=5", lambda raw: raw.update(k_grid=[1, 5])),
         ("scheme.categories: 99 outside [0, 5)",
          lambda raw: raw["scheme"].update(categories=[0, 99])),

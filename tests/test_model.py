@@ -412,7 +412,53 @@ def toy_separable(n=200, seed=0):
     return instances
 
 
+def parent_train_bce(dataset, config, model=None):
+    """Training as a loop that gathers each batch's rows: a frozen copy of the
+    former ``train_bce``, the oracle of the gathered-rows epoch."""
+    X = np.stack([inst.x for inst in dataset])
+    Y = np.stack([inst.y for inst in dataset]).astype(np.float64)
+    n, d = X.shape
+    model = make_affine(d, Y.shape[1], seed=config.seed) if model is None else model.copy()
+    rng = np.random.default_rng(config.seed)
+    vel_w = [np.zeros_like(w) for w in model.weights]
+    vel_b = [np.zeros_like(b) for b in model.biases]
+    for _ in range(config.epochs):
+        order = rng.permutation(n)
+        for start in range(0, n, config.batch_size):
+            idx = order[start:start + config.batch_size]
+            grads_w, grads_b = parent_bce_grads(model, X[idx], Y[idx])
+            for i in range(len(model.weights)):
+                vel_w[i] = config.momentum * vel_w[i] + grads_w[i]
+                vel_b[i] = config.momentum * vel_b[i] + grads_b[i]
+                model.weights[i] -= config.learning_rate * vel_w[i]
+                model.biases[i] -= config.learning_rate * vel_b[i]
+    return model
+
+
 class TestTrainBce:
+    # (victim, n, batch size, epochs): batch sizes that divide n, that do not,
+    # above n and above the rows gathered per pass; no epochs at all.
+    @pytest.mark.parametrize("victim, n, batch_size, epochs", [
+        (None, 300, 64, 4), ("affine", 300, 60, 4), ("affine", 300, 500, 6),
+        ("tanh", 1100, 48, 3), ("relu", 1500, 700, 4), ("tanh", 200, 64, 0), (None, 200, 64, 0),
+    ])
+    def test_equals_the_per_batch_loop_bit_for_bit(self, victim, n, batch_size, epochs):
+        from tkmia.harness import SyntheticSpec, gen_synthetic
+
+        data = gen_synthetic(SyntheticSpec(n=n, d=12, c=5, mean_relevant=2.0,
+                                           label_correlation=0.4, seed=n))
+        init = {None: None, "affine": make_affine(12, 5, seed=1),
+                "tanh": make_mlp(12, 9, 5, seed=2, activation="tanh"),
+                "relu": make_mlp(12, 9, 5, seed=3, activation="relu")}[victim]
+        config = TrainConfig(epochs=epochs, learning_rate=0.5, momentum=0.9,
+                             batch_size=batch_size, seed=4)
+        got, want = train_bce(data, config, model=init), parent_train_bce(data, config, init)
+        assert (got.arch, got.activation) == (want.arch, want.activation)
+        for a, b in zip(got.weights + got.biases, want.weights + want.biases):
+            assert a.tobytes() == b.tobytes()
+        if epochs:
+            assert bce_loss(got, data) < bce_loss(init or make_affine(12, 5, seed=4), data)
+
     def test_default_config_is_train_victims(self):
         from tkmia.harness import train_victim
 
