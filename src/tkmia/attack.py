@@ -41,6 +41,7 @@ instances with a read-only scorer.
 """
 from __future__ import annotations
 
+from contextlib import suppress
 from dataclasses import dataclass
 from typing import Literal, Sequence
 
@@ -422,20 +423,21 @@ def residual_set(scores, specified, k: int) -> tuple[int, ...]:
     return _ranked_in(top, _labels(specified, len(scores), "specified"))
 
 
-def _step(x, eps, velocity, pulled, config: AttackConfig):
-    """The update by ``pulled``, a score cotangent's pullback: the gradient ``pulled
-    + alpha * eps``, the momentum step and the projection into the clip domain.
-    The new (eps, velocity), or None for a non-finite gradient, which must not move eps."""
-    lo, hi = config.clip_domain
-    grad_eps = pulled + config.alpha * eps
-    # Counting the finite entries skips the Python wrapper of ``.all()``.
-    if np.count_nonzero(np.isfinite(grad_eps)) != grad_eps.size:
-        return None
-    velocity = config.momentum * velocity + grad_eps
-    eps = eps - config.eta * velocity
+def _step(x, eps, velocity, pulled, coefs, out) -> None:
+    """The update by ``pulled``, a score cotangent's pullback, unchecked: the gradient
+    ``pulled + alpha * eps``, the momentum step and the projection into the clip domain,
+    one operation at a time into ``out``, the new eps, velocity and gradient. ``coefs`` holds
+    alpha, momentum, eta and the clip bounds; ufuncs take them fastest as 0-d arrays, and
+    ``out`` fastest by position, which np.maximum and np.minimum do not allow."""
+    alpha, momentum, eta, lo, hi = coefs
+    new_eps, new_velocity, grad = out
+    np.add(pulled, np.multiply(alpha, eps, grad), grad)
+    np.add(np.multiply(momentum, velocity, new_velocity), grad, new_velocity)
+    np.subtract(eps, np.multiply(eta, new_velocity, new_eps), new_eps)
     # Keep eps consistent with the projected adversarial input so the
     # reported norm reflects the perturbation actually applied.
-    return np.minimum(np.maximum(x + eps, lo), hi) - x, velocity
+    np.maximum(np.add(x, new_eps, new_eps), lo, out=new_eps)
+    np.subtract(np.minimum(new_eps, hi, out=new_eps), x, new_eps)
 
 
 def _same_state(before, after) -> bool:
@@ -458,37 +460,46 @@ def _flat_exits(scores, order, k: int, spec, delta: int, rest, strict: bool, pai
     return success | (scores[rows, hi] - scores[rows, lo] > 0.0)
 
 
-def _flat_run(model: Scorer, x, eps, velocity, it: int, zero_pull, config: AttackConfig,
+def _flat_run(model: Scorer, x, eps, velocity, it: int, zero_pull, coefs, max_iter: int,
               tests):
     """Fast-forward a baseline's flat stretch from iteration ``it``, at state (eps, velocity).
 
-    Each chunk of 1, 2, 4, ... iterations takes the loop's flat update by
-    ``zero_pull``, which reads no score, then scores its inputs with one
-    stacked forward pass (:meth:`Scorer._scores`) and one ranking, and tests
-    the rows by :func:`_flat_exits` with ``tests``. Returns (iteration, eps,
-    velocity) of the first iteration that succeeds, has an active hinge, would
-    repeat its state or meet a non-finite gradient, or is the budget end; the
-    loop resumes there. Doubling scores in vain at most about the rows it skips.
+    Each chunk of 1, 2, 4, ... iterations fills its rows in place by the loop's flat
+    update (:func:`_step` by ``zero_pull``, which reads no score), cuts them at the first
+    update that would stop the loop (a non-finite gradient, no bit of the state changed,
+    or an error that the caller's ``np.errstate`` does not ignore), then scores them with
+    one stacked forward pass (:meth:`Scorer._scores`) and one ranking, and tests them by
+    :func:`_flat_exits` with ``tests``. Returns (iteration, eps, velocity) of the first
+    iteration that succeeds, has an active hinge, is cut or is ``max_iter``; the loop
+    resumes there. Doubling scores in vain at most about the rows it skips.
     """
-    lo, hi = config.clip_domain
+    lo, hi = coefs[3:]
+    errors = {kind: "raise" if mode != "ignore" else mode for kind, mode in np.geterr().items()}
     size = 1
     while True:
-        chunk = []  # the states of iterations it, it + 1, ..., each after a flat one
-        while len(chunk) < size and it + len(chunk) < config.max_iter:
-            state = _step(x, eps, velocity, zero_pull, config)
-            if state is None or _same_state((eps, velocity, 0.0, 0.0), (*state, 0.0, 0.0)):
-                break
-            chunk.append((eps, velocity))
-            eps, velocity = state
-        if chunk:
-            x_adv = np.minimum(np.maximum(x + np.stack([e for e, _ in chunk]), lo), hi)
-            scores = model._scores(x_adv)
+        n = min(size, max_iter - it)
+        # Row j of each: eps and velocity of iteration it + j, and the gradient that gave them.
+        E, V, G = np.empty((3, n + 1, x.shape[0]))
+        E[0], V[0] = eps, velocity
+        with np.errstate(**errors), suppress(FloatingPointError):
+            # done: the updates that ran without a floating-point error
+            for done, (e, v, out) in enumerate(zip(E, V, zip(E[1:], V[1:], G[1:]))):
+                _step(x, e, v, zero_pull, coefs, out)
+            done = n
+        # int64 bits compare as :func:`_same_state`'s bytes do: +0.0 and -0.0 differ.
+        e_bits, v_bits = E[:done + 1].view(np.int64), V[:done + 1].view(np.int64)
+        stuck = (e_bits[1:] == e_bits[:-1]).all(1) & (v_bits[1:] == v_bits[:-1]).all(1)
+        bad = stuck | ~np.isfinite(G[1:done + 1]).all(1)
+        cut = int(bad.argmax()) if bad.any() else done  # a Python int, as ``it`` is
+        if cut:
+            scores = model._scores(np.minimum(np.maximum(x + E[:cut], lo), hi))
             hit = np.flatnonzero(_flat_exits(scores, _rank(scores), *tests))
             if hit.size:
-                return it + int(hit[0]), *chunk[hit[0]]
-        it += len(chunk)
-        if len(chunk) < size:
-            return it, eps, velocity
+                return it + int(hit[0]), E[hit[0]].copy(), V[hit[0]].copy()
+        it += cut
+        if cut < size:
+            return it, E[cut].copy(), V[cut].copy()
+        eps, velocity = E[cut], V[cut]
         size *= 2
 
 
@@ -558,8 +569,9 @@ def run_attack_loop(model: Scorer, instance: Instance, specified,
             pair = lambda scores, order: _tkml_ap_u_pair(scores, order, rel, k)  # noqa: E731
     lam1 = lam2 = 0.0
     x = model._check_input(instance.x)
-    eps = np.zeros_like(x)
-    velocity = np.zeros_like(x)
+    d = x.shape[0]
+    eps, velocity = np.zeros(d), np.zeros(d)
+    coefs = tuple(np.array(c) for c in (config.alpha, config.momentum, eta, lo, hi))
     zero_pull = None
     success = False
 
@@ -588,17 +600,19 @@ def run_attack_loop(model: Scorer, instance: Instance, specified,
             cot = _hinge_cot(scores, *pair(scores, order))
         if cot is None and zero_pull is None:
             zero_pull = pullback(np.zeros(c))
-        state = _step(x, eps, velocity, zero_pull if cot is None else pullback(cot), config)
-        if state is None:
+        new = np.empty(d), np.empty(d), np.empty(d)  # eps, velocity, gradient
+        _step(x, eps, velocity, zero_pull if cot is None else pullback(cot), coefs, new)
+        # Counting the finite entries skips the Python wrapper of ``.all()``.
+        if np.count_nonzero(np.isfinite(new[2])) != d:
             raise FloatingPointError(f"non-finite gradient at iteration {it}")
-        eps, velocity = state
+        eps, velocity = new[:2]
         # A fixed point: every later iteration would repeat this one bit for bit.
         if _same_state(before, (eps, velocity, lam1, lam2)):
             it = max_iter
             break
         it += 1
         if cot is None and method != "tkmia":
-            it, eps, velocity = _flat_run(model, x, eps, velocity, it, zero_pull, config,
+            it, eps, velocity = _flat_run(model, x, eps, velocity, it, zero_pull, coefs, max_iter,
                                           (k, spec_idx, delta, rest_idx, strict, pair))
 
     return AttackOutcome(

@@ -150,12 +150,12 @@ class Instance:
     @cached_property
     def relevant(self) -> tuple[int, ...]:
         """Indices of relevant labels, ascending; computed on first use."""
-        return tuple(int(i) for i in np.flatnonzero(self.y == 1))
+        return tuple(self.y.nonzero()[0].tolist())
 
     @property
     def irrelevant(self) -> tuple[int, ...]:
         """Indices of irrelevant labels, ascending."""
-        return tuple(int(i) for i in np.flatnonzero(self.y == 0))
+        return tuple((self.y == 0).nonzero()[0].tolist())
 
 
 def _rank(scores: np.ndarray) -> np.ndarray:

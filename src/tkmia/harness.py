@@ -63,6 +63,9 @@ FEATURE_NOISE = 0.28
 # holds all of its draws at once.
 _BLOCK = 128
 _WINDOW = 2048
+# A spec whose label draws have both kinds of label with a lower probability is
+# rejected: the generator would draw each instance's labels 1 / probability times.
+MIN_KEPT_PROBABILITY = 1e-6
 
 
 @dataclass(frozen=True)
@@ -88,6 +91,18 @@ class SyntheticSpec:
         # At 1 every label draw is all 0 or all 1, and would be redrawn forever.
         if not 0.0 <= self.label_correlation < 1.0:
             raise ValueError("label_correlation must lie in [0, 1)")
+        # 1 - q^c - (1 - q)^c given the common factor u, q = P(relevant | u), averaged over
+        # the window of u where q moves (narrow as rho nears 1) by a 128-point midpoint rule.
+        c, rho = self.c, self.label_correlation
+        t, a, b = NormalDist().inv_cdf(self.mean_relevant / c), np.sqrt(rho), np.sqrt(1.0 - rho)
+        lo, hi = (max(-9.0, (t - 9 * b) / a), min(9.0, (t + 9 * b) / a)) if rho else (-9.0, 9.0)
+        u = lo + (hi - lo) / 128 * (np.arange(128) + 0.5)
+        q = np.array([NormalDist().cdf(z) for z in (t - a * u) / b])
+        kept = np.exp(-u * u / 2) @ (1 - q**c - (1 - q)**c) * (hi - lo) / 128 / np.sqrt(2 * np.pi)
+        if kept < MIN_KEPT_PROBABILITY:
+            raise ValueError(f"mean_relevant {self.mean_relevant!r} and label_correlation {rho!r}"
+                             f" give a label draw with some but not all labels relevant with "
+                             f"probability {kept:.3g} < {MIN_KEPT_PROBABILITY:g}")
 
 
 def gen_synthetic(spec: SyntheticSpec) -> list[Instance]:

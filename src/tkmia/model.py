@@ -40,8 +40,11 @@ FORMAT_TAG = "tkmia-scorer-v1"
 _LOGIT_CLIP = 36.0
 
 
-def _sigmoid(z: np.ndarray) -> np.ndarray:
-    return 1.0 / (1.0 + np.exp(-np.minimum(np.maximum(z, -_LOGIT_CLIP), _LOGIT_CLIP)))
+def _sigmoid(z: np.ndarray, out=None) -> np.ndarray:
+    """The clipped sigmoid in one buffer: ``out`` (which may be ``z``), or a new one."""
+    t = np.maximum(z, -_LOGIT_CLIP, out=out)
+    np.exp(np.negative(np.minimum(t, _LOGIT_CLIP, out=t), out=t), out=t)
+    return np.divide(1.0, np.add(t, 1.0, out=t), out=t)
 
 
 # Each hidden activation: its function of the pre-activation ``pre``, and its
@@ -254,8 +257,9 @@ _GATHER_ROWS = 512
 def _stack_dataset(dataset) -> tuple[np.ndarray, np.ndarray]:
     if len(dataset) == 0:
         raise ValueError("empty dataset")
-    X = np.stack([inst.x for inst in dataset])
-    Y = np.stack([inst.y for inst in dataset]).astype(np.float64)
+    # np.array with the dtype: the bytes of np.stack, with no int64 copy of Y first.
+    X = np.array([inst.x for inst in dataset])
+    Y = np.array([inst.y for inst in dataset], dtype=np.float64)
     return X, Y
 
 
@@ -282,39 +286,52 @@ def train_bce(dataset, config: TrainConfig, model: Scorer | None = None) -> Scor
     else:
         if model.in_dim != d or model.out_dim != c:
             raise ValueError("model dimensions do not match dataset")
-        model = model.copy()
     if not model.sigmoid_output:
         raise ValueError("BCE training requires a sigmoid output")
 
     rng = np.random.default_rng(config.seed)
-    params = model.weights + model.biases  # updated in place, with their velocities
-    velocities = [np.zeros_like(p) for p in params]
+    # Parameters and gradients are views of two flat vectors: one update per batch.
+    params = model.weights + model.biases
+    flat = np.concatenate([p.ravel() for p in params])
+    grad, velocity = np.empty_like(flat), np.zeros_like(flat)
+    cuts = np.cumsum([p.size for p in params])[:-1]
+    views, grads = ([part.reshape(p.shape) for part, p in zip(np.split(v, cuts), params)]
+                    for v in (flat, grad))
+    model = Scorer(views[:len(model.weights)], views[len(model.weights):], model.activation)
     # Each epoch's permuted rows are gathered _GATHER_ROWS or so at a time, and
     # each batch is a slice of them, with the bytes of X[order[batch]]: fewer
     # gathers than one per batch, and no second copy of the whole dataset.
     span = config.batch_size * max(1, _GATHER_ROWS // config.batch_size)
-    momentum, rate = config.momentum, config.learning_rate
+    # 0-d arrays, which ufuncs take faster than Python floats.
+    momentum, rate = np.array(config.momentum), np.array(config.learning_rate)
     for _ in range(config.epochs):
         order = rng.permutation(n)
         for lo in range(0, n, span):
             rows = order[lo:lo + span]
-            X_rows, Y_rows = X[rows], Y[rows]
+            # Every index is in range: take's "clip" mode gives X[rows] in about half the time.
+            X_rows, Y_rows = X.take(rows, 0, mode="clip"), Y.take(rows, 0, mode="clip")
             for start in range(0, len(rows), config.batch_size):
                 stop = start + config.batch_size
-                grads_w, grads_b = _bce_grads(model, X_rows[start:stop], Y_rows[start:stop])
-                for param, vel, grad in zip(params, velocities, grads_w + grads_b):
-                    vel *= momentum
-                    vel += grad
-                    param -= rate * vel
-    return model
+                _bce_grads(model, X_rows[start:stop], Y_rows[start:stop], grads)
+                velocity *= momentum
+                velocity += grad
+                flat -= rate * velocity
+    return model.copy()
 
 
-def _bce_grads(model: Scorer, X: np.ndarray, Y: np.ndarray):
+def _bce_grads(model: Scorer, X: np.ndarray, Y: np.ndarray, out=None):
+    """The batch's mean-BCE gradients, into ``out`` (weights, then biases) or new arrays."""
     Z, pre, H = model._forward(X)
-    dZ = (_sigmoid(Z) - Y) * (np.abs(Z) < _LOGIT_CLIP) / (X.shape[0] * model.out_dim)
+    inside = np.abs(Z) < _LOGIT_CLIP
+    dZ = np.subtract(_sigmoid(Z, out=Z), Y, out=Z)  # then * inside and / (B * c), in place
+    dZ *= inside
+    dZ /= X.shape[0] * model.out_dim
+    out, n = out or [np.empty_like(p) for p in model.weights + model.biases], len(model.weights)
     # (output cotangent, input) of each layer; the affine family has only the first.
-    layers = [(model._backward(dZ, pre, H), X), (dZ, H)][:len(model.weights)]
-    return [g.T @ a for g, a in layers], [np.add.reduce(g, axis=0) for g, _ in layers]
+    for (g, a), grad_w, grad_b in zip([(model._backward(dZ, pre, H), X), (dZ, H)], out, out[n:]):
+        np.matmul(g.T, a, out=grad_w)
+        np.add.reduce(g, axis=0, out=grad_b)
+    return out[:n], out[n:]
 
 
 def _central_differences(fn, point: np.ndarray, step: float) -> np.ndarray:

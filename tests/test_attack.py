@@ -1,5 +1,7 @@
 import dataclasses
+import json
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -8,6 +10,9 @@ from tkmia.attack import (
     AttackConfig,
     GlobalScheme,
     RandomScheme,
+    _flat_run,
+    _ml_cw_u_pair,
+    _tkml_ap_u_pair,
     filter_instances,
     ineligible,
     residual_set,
@@ -479,6 +484,8 @@ class TestTkmiaAttack:
 def assert_same_outcome(new, ref):
     assert (new.success, new.iterations_used, new.residual) == (
         ref.success, ref.iterations_used, ref.residual)
+    # A numpy integer would compare equal here and then fail to serialize.
+    assert type(new.iterations_used) is type(ref.iterations_used) is int
     assert (new.lambda1.hex(), new.lambda2.hex()) == (ref.lambda1.hex(), ref.lambda2.hex())
     for name in ("epsilon", "scores_before", "scores_after"):
         assert getattr(new, name).tobytes() == getattr(ref, name).tobytes()
@@ -715,6 +722,88 @@ class TestFlatStretch:
         out, scorer = self.run(method, script, config)
         assert (out.success, out.iterations_used) == (False, config.max_iter)
         assert scorer.forward + scorer.rows <= 3 * (config.max_iter + 1)
+
+    # The stretch starts at iteration 2, so its chunks of 16 rows cover 17-32.
+    @pytest.mark.parametrize("fixed", [17, 32], ids=["first-row", "last-row"])
+    def test_fixed_point_on_a_chunk_edge(self, method, fixed):
+        # eps sits on the clip bound from iteration 1, and the velocity, 2 - 2^-e at
+        # iteration 1, halves its distance to 2 exactly at each flat step (momentum
+        # 0.5, gradient 1) until it rounds to 2 at iteration 54 - e: the update there
+        # is the first that changes no bit.
+        config = AttackConfig(k=2, eta=1.0, alpha=0.0, momentum=0.5, max_iter=100)
+        updates = []
+        ref = run_method(method, ChunkEdgeScorer(2.0 - 2.0 ** (fixed - 54)), PATH_INSTANCE, (0,),
+                         config, reference=True,
+                         on_update=lambda before, after: updates.append(before == after))
+        assert updates.index(True) == fixed
+        scorer = ChunkEdgeScorer(2.0 - 2.0 ** (fixed - 54))
+        out = run_method(method, scorer, PATH_INSTANCE, (0,), config)
+        assert_same_outcome(out, ref)
+        assert (out.success, out.iterations_used) == (False, 100)
+        # Forward passes at iterations 0, 1 and the fixed point, and rows 2 to fixed - 1.
+        assert scorer.forward == fixed + 1
+
+    def test_floating_point_warning_is_reported_at_its_iteration(self, method):
+        # The velocity overflows at iteration 2, the stretch's first row, while the
+        # gradient stays finite: the loop warns there once and goes on.
+        config = AttackConfig(k=2, eta=1.0, alpha=0.0, momentum=0.9, max_iter=100)
+        runs = []
+        for reference in (False, True):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                out = run_method(method, ChunkEdgeScorer(1.0, flat_pull=1e308), PATH_INSTANCE,
+                                 (0,), config, reference=reference)
+            runs.append((out, [(w.category, str(w.message)) for w in caught]))
+        assert_same_outcome(runs[0][0], runs[1][0])
+        assert runs[0][1] == runs[1][1] == [(RuntimeWarning, "overflow encountered in add")]
+
+    def test_signed_zero_velocity_is_no_fixed_point(self, method):
+        # The first update turns the velocity's -0.0 into +0.0 and changes nothing
+        # else; only the second one changes no bit, as _same_state tells them apart.
+        x, eps, velocity = np.zeros(3), np.full(3, -1.0), np.array([-0.0, 2.0, 2.0])
+        coefs = tuple(np.array(c) for c in (0.0, 0.5, 1.0, -1.0, 1.0))  # alpha ... clip bounds
+        rel, irr = np.arange(4), np.arange(4, 6)
+        pair = {"ml_cw_u": lambda scores, order: _ml_cw_u_pair(scores, rel, irr),
+                "tkml_ap_u": lambda scores, order: _tkml_ap_u_pair(scores, order, rel, 2)}[method]
+        scorer = SwitchScorer(3, ACTIVE, FLAT)
+        it, eps_out, velocity_out = _flat_run(
+            scorer, x, eps, velocity, 5, np.array([0.0, 1.0, 1.0]), coefs, 100,
+            (2, np.array([0]), 1, np.array([1, 2, 3]), False, pair))
+        assert it == 6 and scorer.forward == 1
+        assert eps_out.tobytes() == eps.tobytes()
+        assert velocity_out.tobytes() == np.array([0.0, 2.0, 2.0]).tobytes()
+
+    def test_success_where_a_chunk_is_cut_at_a_fixed_point(self, method):
+        # The velocity sits on its fixed point 2 from iteration 1, so eps falls by 1/8
+        # an iteration and reaches the clip bound -1 at iteration 8, whose update is the
+        # first that changes no bit. The chunk over iterations 5-8 is cut there, and the
+        # loop resumes at iteration 8, which the stretch has not scored and which succeeds.
+        config = AttackConfig(k=2, eta=2.0 ** -4, alpha=0.0, momentum=0.5, max_iter=100)
+        out, ref = (run_method(method, ChunkEdgeScorer(2.0, at_bound=COUNT), PATH_INSTANCE,
+                               (0,), config, reference=reference) for reference in (False, True))
+        assert_same_outcome(out, ref)
+        assert (out.success, out.iterations_used) == (True, 8)
+        assert json.loads(json.dumps(out.to_record()))["iterations_used"] == 8
+
+
+class ChunkEdgeScorer(SwitchScorer):
+    """:class:`SwitchScorer` on ACTIVE and FLAT whose zero cotangent pulls back to
+    ``flat_pull`` in every coordinate, and any other to ``active_pull``; it scores
+    ``at_bound``, if given, where every input coordinate is -1."""
+
+    def __init__(self, active_pull, flat_pull=1.0, at_bound=None):
+        super().__init__(3, ACTIVE, FLAT)
+        self.active_pull, self.flat_pull, self.at_bound = active_pull, flat_pull, at_bound
+
+    def score(self, x):
+        if self.at_bound is not None and np.all(x == -1.0):
+            return np.array(self.at_bound, dtype=float)
+        return super().score(x)
+
+    def _vjp(self, x):
+        self.forward += 1
+        return self.score(x), lambda cot: np.full(3, self.active_pull if np.any(cot)
+                                                  else self.flat_pull)
 
 
 class EntryCounting(CountingScorer):

@@ -1,6 +1,8 @@
 import dataclasses
 import json
+import math
 import re
+import time
 from pathlib import Path
 from statistics import NormalDist
 
@@ -136,6 +138,49 @@ class TestGenSynthetic:
             SyntheticSpec(n=1, d=2, c=3, mean_relevant=1.0, label_correlation=1.0)
         with pytest.raises(ValueError):
             SyntheticSpec(n=0, d=4, c=5, mean_relevant=2.0)
+
+    @pytest.mark.parametrize("c, mean_relevant, correlation", [
+        (2, 1e-12, 0.0), (2, 2.0 - 1e-9, 0.0), (80, 1e-7, 0.5), (10, 3.5, 1.0 - 1e-13)])
+    def test_spec_that_would_redraw_forever_rejected_in_one_line(self, c, mean_relevant,
+                                                                   correlation):
+        # Almost no label draw has some but not all labels relevant; the first spec
+        # made gen_synthetic redraw forever. The spec itself now raises, so a
+        # regression fails here instead of hanging in the generator.
+        start = time.monotonic()
+        with pytest.raises(ValueError) as raised:
+            SyntheticSpec(n=1, d=2, c=c, mean_relevant=mean_relevant,
+                          label_correlation=correlation)
+        assert time.monotonic() - start < 1.0
+        message = str(raised.value)
+        assert "\n" not in message
+        assert message.startswith(f"mean_relevant {mean_relevant!r} and label_correlation "
+                                  f"{correlation!r} give a label draw ")
+
+    @pytest.mark.parametrize("correlation, mean_relevant, kept", [
+        # At c = 2 a draw is kept with probability 2p(1 - p) at correlation 0, and at
+        # p = 1/2 with 1/2 - arcsin(rho) / pi, about sqrt(2 (1 - rho)) / pi near 1.
+        (0.0, 1.02e-6, 1.02e-6 * (1 - 0.51e-6)),
+        (0.0, 0.98e-6, 0.98e-6 * (1 - 0.49e-6)),
+        (1.0 - 8e-12, 1.0, math.sqrt(2 * 8e-12) / math.pi),
+        (1.0 - 4e-12, 1.0, math.sqrt(2 * 4e-12) / math.pi),
+    ])
+    def test_spec_rejected_below_the_kept_probability_floor(self, correlation, mean_relevant,
+                                                            kept):
+        spec = dict(n=1, d=2, c=2, mean_relevant=mean_relevant, label_correlation=correlation)
+        if kept > 1e-6:
+            SyntheticSpec(**spec)
+            return
+        with pytest.raises(ValueError) as raised:
+            SyntheticSpec(**spec)
+        read = float(re.search(r"probability (\S+) <", str(raised.value)).group(1))
+        assert read == pytest.approx(kept, rel=1e-2)
+
+    def test_high_correlation_spec_generates(self):
+        # The kept draws have the common factor in a narrow window, which fixed
+        # Gauss-Hermite nodes over it miss: they read 1.6e-9 here for about 0.036.
+        data = gen_synthetic(SyntheticSpec(n=50, d=3, c=10, mean_relevant=3.5,
+                                           label_correlation=0.999, seed=1))
+        assert len(data) == 50 and all(0 < sum(inst.y) < 10 for inst in data)
 
     @pytest.mark.parametrize("field, value, message", [
         ("n", 5.0, "n must be an integer, got 5.0"),

@@ -459,6 +459,32 @@ class TestTrainBce:
         if epochs:
             assert bce_loss(got, data) < bce_loss(init or make_affine(12, 5, seed=4), data)
 
+    @pytest.mark.parametrize("victim", ["affine", "relu"])
+    def test_trained_scorer_owns_its_arrays_and_repeats_bit_for_bit(self, victim):
+        # Training updates views of one flat parameter vector; the scorer it
+        # returns holds copies, which share no memory with each other, with the
+        # initial model or with another training's scorer.
+        from tkmia.harness import SyntheticSpec, gen_synthetic
+
+        data = gen_synthetic(SyntheticSpec(n=300, d=12, c=5, mean_relevant=2.0,
+                                           label_correlation=0.4, seed=2))
+        init = (make_affine(12, 5, seed=1) if victim == "affine"
+                else make_mlp(12, 9, 5, seed=3, activation="relu"))
+        before = [p.tobytes() for p in init.weights + init.biases]
+        config = TrainConfig(epochs=3, learning_rate=0.5, momentum=0.9, batch_size=64, seed=4)
+        first, second = train_bce(data, config, model=init), train_bce(data, config, model=init)
+        params = first.weights + first.biases
+        others = init.weights + init.biases + second.weights + second.biases
+        for i, param in enumerate(params):
+            assert param.flags.owndata
+            for other in params[i + 1:] + others:
+                assert not np.shares_memory(param, other)
+                # Views of one flat vector share bounds, though not elements.
+                assert not np.may_share_memory(param, other)
+        assert [p.tobytes() for p in params] == [
+            p.tobytes() for p in second.weights + second.biases]
+        assert [p.tobytes() for p in init.weights + init.biases] == before
+
     def test_default_config_is_train_victims(self):
         from tkmia.harness import train_victim
 
