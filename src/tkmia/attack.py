@@ -34,7 +34,7 @@ into the clip domain, and stops once enough specified labels have left
 the top k, or at a fixed point: an update that changes no bit of the state.
 A baseline's flat update reads no score, so :func:`_flat_run` makes a flat
 stretch's updates outside the loop and scores them in stacked chunks of 1, 2,
-4, ... rows, up to the iteration at which the loop resumes.
+4, ... rows, at most 256, up to the iteration at which the loop resumes.
 What each method can attack is one rule, :func:`ineligible`.
 Distinct instances never share state, so attacks parallelize freely over
 instances with a read-only scorer.
@@ -224,15 +224,19 @@ def _labels(labels, c: int, name: str) -> tuple[int, ...]:
 
 
 def _split_sets(specified, relevant, c: int):
-    """Checked S and Yp \\ S: two :func:`_labels` sets, S inside Yp and Yp \\ S non-empty."""
+    """Checked S and Yp \\ S: two :func:`_labels` sets, then :func:`_rest`."""
     spec = _labels(specified, c, "specified")
-    rel = _labels(relevant, c, "relevant")
+    return spec, _rest(spec, _labels(relevant, c, "relevant"))
+
+
+def _rest(spec, rel) -> tuple[int, ...]:
+    """Yp \\ S, ascending, of two checked sets: S must lie inside Yp and leave Yp \\ S non-empty."""
     if not set(spec) <= set(rel):
         raise ValueError("specified set must be a subset of the relevant labels")
-    rest = tuple(sorted(set(rel) - set(spec)))
+    rest = tuple(i for i in rel if i not in spec)
     if not rest:
         raise ValueError("no relevant labels left outside the specified set")
-    return spec, rest
+    return rest
 
 
 def ineligible(instance: Instance, s_size: int, k: int, method: str,
@@ -284,10 +288,10 @@ def _tkmia_terms(scores, lam1: float, lam2: float, spec, rest, k: int):
     if n1 == n2 == 0:
         return None, 1.0, 1.0
 
-    cot = np.zeros(c)
+    # s_max is never in active1, nor y_min in active2 (gap 0, lambda >= 0), so each entry
+    # has at most two non-zero terms and the bytes of zeros and the four updates in turn.
+    cot = active2 * (1.0 / k) - active1 * (1.0 / (c - k))
     cot[s_max] += n1 / (c - k)
-    cot[active1] -= 1.0 / (c - k)
-    cot[active2] += 1.0 / k
     cot[y_min] -= n2 / k
     return cot, 1.0 - n1 / (c - k), 1.0 - n2 / k
 
@@ -460,18 +464,22 @@ def _flat_exits(scores, order, k: int, spec, delta: int, rest, strict: bool, pai
     return success | (scores[rows, hi] - scores[rows, lo] > 0.0)
 
 
+_MAX_CHUNK = 256  # a flat chunk's most iterations; a 300-iteration budget needs no more
+
+
 def _flat_run(model: Scorer, x, eps, velocity, it: int, zero_pull, coefs, max_iter: int,
               tests):
     """Fast-forward a baseline's flat stretch from iteration ``it``, at state (eps, velocity).
 
-    Each chunk of 1, 2, 4, ... iterations fills its rows in place by the loop's flat
-    update (:func:`_step` by ``zero_pull``, which reads no score), cuts them at the first
-    update that would stop the loop (a non-finite gradient, no bit of the state changed,
-    or an error that the caller's ``np.errstate`` does not ignore), then scores them with
-    one stacked forward pass (:meth:`Scorer._scores`) and one ranking, and tests them by
-    :func:`_flat_exits` with ``tests``. Returns (iteration, eps, velocity) of the first
-    iteration that succeeds, has an active hinge, is cut or is ``max_iter``; the loop
-    resumes there. Doubling scores in vain at most about the rows it skips.
+    Each chunk of 1, 2, 4, ... iterations, at most :data:`_MAX_CHUNK`, fills its rows in
+    place by the loop's flat update (:func:`_step` by ``zero_pull``, which reads no score),
+    cuts them at the first update that would stop the loop (a non-finite gradient, no bit
+    of the state changed, or an error that the caller's ``np.errstate`` does not ignore),
+    then scores them with one stacked forward pass (:meth:`Scorer._scores`) and one
+    ranking, and tests them by :func:`_flat_exits` with ``tests``. Returns (iteration, eps,
+    velocity) of the first iteration that succeeds, has an active hinge, is cut or is
+    ``max_iter``; the loop resumes there. Doubling scores in vain at most about the rows
+    it skips.
     """
     lo, hi = coefs[3:]
     errors = {kind: "raise" if mode != "ignore" else mode for kind, mode in np.geterr().items()}
@@ -500,7 +508,7 @@ def _flat_run(model: Scorer, x, eps, velocity, it: int, zero_pull, coefs, max_it
         if cut < size:
             return it, E[cut].copy(), V[cut].copy()
         eps, velocity = E[cut], V[cut]
-        size *= 2
+        size = min(2 * size, _MAX_CHUNK)
 
 
 def run_attack_loop(model: Scorer, instance: Instance, specified,
@@ -510,10 +518,13 @@ def run_attack_loop(model: Scorer, instance: Instance, specified,
     ``method`` names the loss: ``tkmia``, ``ml_cw_u`` or ``tkml_ap_u``. The
     entry checks the whole input once, before any iteration, in this order:
     the instance has the victim's c classes; ``specified`` is S, a non-empty
-    subset without repeats of the relevant labels Yp, with Yp \\ S non-empty
-    (:func:`_split_sets`, which also sorts both); :func:`ineligible` accepts
-    the instance, or its reason is raised; and ``model._check_input`` accepts
-    ``instance.x``. So 1 <= k < c (``config`` has k >= 1 and |Yp| >= k + |S|).
+    set of integer labels in [0, c) without repeats (:func:`_labels`, which
+    sorts it); S lies inside the relevant labels Yp, with Yp \\ S non-empty
+    (:func:`_rest`); :func:`ineligible` accepts the instance, or its reason is
+    raised; and ``model._check_input`` accepts ``instance.x``, which is writable.
+    Yp is ``instance.relevant`` as it is: :class:`Instance` makes it ascending,
+    distinct and inside [0, c). So 1 <= k < c (``config`` has k >= 1 and
+    |Yp| >= k + |S|).
     Each iteration that the loop runs then runs one unchecked forward pass at
     the projected input, ``scores, pullback = model._vjp(x_adv)``, and ranks
     the scores once, raw logits included. No check is lost: ``x_adv`` is finite
@@ -552,16 +563,16 @@ def run_attack_loop(model: Scorer, instance: Instance, specified,
     c = model.out_dim
     if instance.n_classes != c:
         raise ValueError(f"instance has {instance.n_classes} classes, but the victim scores {c}")
-    spec, rest = _split_sets(specified, instance.relevant, c)
+    spec = _labels(specified, c, "specified")
+    rest = _rest(spec, instance.relevant)  # checked by Instance's rule
     reason = ineligible(instance, len(spec), k, method, config.delta_threshold)
     if reason:
         raise ValueError(reason)
-    lo, hi = config.clip_domain
     eta, max_iter = config.eta, config.max_iter
     spec_idx, rest_idx = np.array(spec), np.array(rest)
     delta, strict = config.delta_threshold or len(spec), config.success_mode == "strict"
     if method != "tkmia":
-        rel = np.array(instance.relevant)  # checked by _split_sets
+        rel = np.array(instance.relevant)
         if method == "ml_cw_u":
             irr = np.array(instance.irrelevant)
             pair = lambda scores, order: _ml_cw_u_pair(scores, rel, irr)  # noqa: E731
@@ -571,7 +582,8 @@ def run_attack_loop(model: Scorer, instance: Instance, specified,
     x = model._check_input(instance.x)
     d = x.shape[0]
     eps, velocity = np.zeros(d), np.zeros(d)
-    coefs = tuple(np.array(c) for c in (config.alpha, config.momentum, eta, lo, hi))
+    coefs = tuple(np.array(c) for c in (config.alpha, config.momentum, eta, *config.clip_domain))
+    lo, hi = coefs[3:]
     zero_pull = None
     success = False
 

@@ -152,9 +152,9 @@ class Instance:
         """Indices of relevant labels, ascending; computed on first use."""
         return tuple(self.y.nonzero()[0].tolist())
 
-    @property
+    @cached_property
     def irrelevant(self) -> tuple[int, ...]:
-        """Indices of irrelevant labels, ascending."""
+        """Indices of irrelevant labels, ascending; computed on first use."""
         return tuple((self.y == 0).nonzero()[0].tolist())
 
 

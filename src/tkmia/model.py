@@ -38,13 +38,15 @@ FORMAT_TAG = "tkmia-scorer-v1"
 # Sigmoid saturates to exactly 0.0/1.0 in float64 beyond |z| ~ 36.7; clip
 # logits so outputs stay strictly inside (0, 1).
 _LOGIT_CLIP = 36.0
+# The clip bounds and 1.0 as 0-d arrays, which ufuncs take faster than Python floats.
+_CLIP_LO, _CLIP_HI, _ONE = np.array(-_LOGIT_CLIP), np.array(_LOGIT_CLIP), np.array(1.0)
 
 
 def _sigmoid(z: np.ndarray, out=None) -> np.ndarray:
     """The clipped sigmoid in one buffer: ``out`` (which may be ``z``), or a new one."""
-    t = np.maximum(z, -_LOGIT_CLIP, out=out)
-    np.exp(np.negative(np.minimum(t, _LOGIT_CLIP, out=t), out=t), out=t)
-    return np.divide(1.0, np.add(t, 1.0, out=t), out=t)
+    t = np.maximum(z, _CLIP_LO, out=out)
+    np.exp(np.negative(np.minimum(t, _CLIP_HI, out=t), t), t)
+    return np.divide(_ONE, np.add(t, _ONE, t), t)
 
 
 # Each hidden activation: its function of the pre-activation ``pre``, and its
@@ -111,7 +113,7 @@ class Scorer:
         if x.ndim not in ndims or x.shape[-1] != self.in_dim:
             batch = f" or (N, {self.in_dim})" if 2 in ndims else ""
             raise ValueError(f"input dimension {x.shape} != ({self.in_dim},){batch}")
-        if not np.isfinite(x).all():
+        if np.count_nonzero(np.isfinite(x)) != x.size:  # skips .all()'s Python wrapper
             raise ValueError("non-finite input")
         return x
 
@@ -186,8 +188,9 @@ class Scorer:
 
         def pullback(cot) -> np.ndarray:
             if self.sigmoid_output:
-                # The sigmoid's derivative, zero where the logit clip is active.
-                cot = cot * (scores * (1.0 - scores) * (np.abs(z) < _LOGIT_CLIP))
+                # The sigmoid's derivative, zero where the logit clip is active, times cot.
+                g = np.multiply(scores, np.subtract(_ONE, scores))
+                cot = np.multiply(cot, np.multiply(g, np.less(np.abs(z), _CLIP_HI), g), g)
             return self._backward(cot, pre, hidden) @ self.weights[0]
 
         return scores, pullback
@@ -322,7 +325,7 @@ def train_bce(dataset, config: TrainConfig, model: Scorer | None = None) -> Scor
 def _bce_grads(model: Scorer, X: np.ndarray, Y: np.ndarray, out=None):
     """The batch's mean-BCE gradients, into ``out`` (weights, then biases) or new arrays."""
     Z, pre, H = model._forward(X)
-    inside = np.abs(Z) < _LOGIT_CLIP
+    inside = np.abs(Z) < _CLIP_HI
     dZ = np.subtract(_sigmoid(Z, out=Z), Y, out=Z)  # then * inside and / (B * c), in place
     dZ *= inside
     dZ /= X.shape[0] * model.out_dim

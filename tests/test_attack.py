@@ -25,6 +25,7 @@ from tkmia.attack import (
 from tkmia.baselines import (BASELINE_METHODS, BaselineSpec, ml_cw_u_loss, run_baseline,
                              tkml_ap_u_loss)
 from tkmia.core import Instance, hinge
+from tkmia.harness import SyntheticSpec, gen_synthetic, load_dataset, save_dataset
 from tkmia.model import Scorer, TrainConfig, make_affine, make_mlp, train_bce
 
 from test_reference_loop import CountingScorer
@@ -354,11 +355,18 @@ class TestTkmiaAttack:
         with pytest.raises(ValueError):
             tkmia_attack(model, inst, (0,), AttackConfig(k=2, eta=0.1))
 
-    def test_specified_outside_relevant_rejected(self):
+    @pytest.mark.parametrize("method", ["tkmia", *BASELINE_METHODS])
+    @pytest.mark.parametrize("y, spec, message", [
+        ([1, 1, 1, 0], (3,), "specified set must be a subset of the relevant labels"),
+        ([1, 1, 1, 0], (0, 3), "specified set must be a subset of the relevant labels"),
+        ([1, 1, 0, 0], (0, 1), "no relevant labels left outside the specified set"),
+    ], ids=["outside", "partly-outside", "nothing-left"])
+    def test_specified_outside_relevant_rejected(self, method, y, spec, message):
         model = constant_score_model([0.9, 0.8, 0.6, 0.1])
-        inst = Instance(x=np.zeros(3), y=[1, 1, 1, 0])
-        with pytest.raises(ValueError):
-            tkmia_attack(model, inst, (3,), AttackConfig(k=1, eta=0.1))
+        inst = Instance(x=np.zeros(3), y=y)
+        with pytest.raises(ValueError) as raised:
+            run_method(method, model, inst, spec, AttackConfig(k=1, eta=0.1))
+        assert str(raised.value) == message
 
     def test_repeated_specified_label_rejected(self):
         model = constant_score_model([0.9, 0.8, 0.6, 0.1])
@@ -786,6 +794,31 @@ class TestFlatStretch:
         assert json.loads(json.dumps(out.to_record()))["iterations_used"] == 8
 
 
+    def test_long_stretch_is_scored_in_bounded_chunks(self, method):
+        # One active step moves eps off 0, and with alpha = 0 the decaying velocity
+        # keeps moving the state for the whole budget: one flat stretch of 4,999
+        # iterations, whose chunks stop doubling at 256 rows.
+        inst = Instance(x=np.zeros(3), y=[1, 1, 1, 1, 0, 0])
+        config = AttackConfig(k=2, eta=0.01, alpha=0.0, max_iter=5000)
+        model = WidestChunk(3, ACTIVE, FLAT)
+        out = run_method(method, model, inst, (0,), config)
+        assert_same_outcome(out, run_method(method, SwitchScorer(3, ACTIVE, FLAT), inst, (0,),
+                                            config, reference=True))
+        assert (out.success, out.iterations_used) == (False, 5000)
+        assert model.widest == 256
+        assert model.forward == 5001
+
+
+class WidestChunk(SwitchScorer):
+    """:class:`SwitchScorer` that records the most rows one stacked pass scores."""
+
+    widest = 0
+
+    def _scores(self, X):
+        self.widest = max(self.widest, len(X))
+        return super()._scores(X)
+
+
 class ChunkEdgeScorer(SwitchScorer):
     """:class:`SwitchScorer` on ACTIVE and FLAT whose zero cotangent pulls back to
     ``flat_pull`` in every coordinate, and any other to ``active_pull``; it scores
@@ -842,6 +875,27 @@ class TestEntryCheck:
             assert counting.checks == 1, method
             # The flat hinge stops at its fixed point after one forward pass.
             assert (counting.calls["vjp"] == 1) == (y is flat), method
+
+    def test_relevant_and_irrelevant_sets_are_checked_by_the_instance(self, tmp_path):
+        # The entry takes Yp from instance.relevant unchecked, so every way to
+        # build an instance must give ascending, distinct Python ints in [0, c),
+        # with the irrelevant labels their complement, and each set cached.
+        rng = np.random.default_rng(5)
+        y = (rng.uniform(size=(20, 7)) < 0.4).astype(np.int64)
+        x = rng.uniform(-1.0, 1.0, (20, 3))
+        data = gen_synthetic(SyntheticSpec(n=20, d=3, c=7, mean_relevant=3.0, seed=2))
+        save_dataset(data, str(tmp_path / "data.jsonl"))
+        built = ([Instance(x=xi, y=yi.tolist()) for xi, yi in zip(x, y)]
+                 + Instance.from_rows(x, y) + data + load_dataset(str(tmp_path / "data.jsonl")))
+        for inst in built:
+            relevant, irrelevant = inst.relevant, inst.irrelevant
+            for labels in (relevant, irrelevant):
+                assert type(labels) is tuple and all(type(i) is int for i in labels)
+                assert list(labels) == sorted(set(labels))
+            assert sorted(relevant + irrelevant) == list(range(inst.n_classes))
+            assert relevant == tuple(np.flatnonzero(inst.y).tolist())
+            assert inst.relevant is relevant and inst.irrelevant is irrelevant
+            assert {"relevant", "irrelevant"} <= vars(inst).keys()
 
     @pytest.mark.parametrize("method", ["tkmia", *BASELINE_METHODS])
     def test_wrong_length_instance_rejected_at_entry(self, method):

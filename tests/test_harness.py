@@ -54,12 +54,14 @@ def parent_gen_synthetic(spec):
 class TestGenSynthetic:
     # (n, d, c, mean_relevant, label_correlation, seed): the benchmark's sets,
     # c = 2, d = 1, n = 1, n not a multiple of the block size, several blocks,
-    # long runs of redrawn labels (few relevant labels, high correlation), and
-    # a d large enough to widen the window of attempt offsets.
+    # long runs of redrawn labels (few relevant labels, high correlation), a d
+    # large enough to widen the window of attempt offsets, and the paper's
+    # widest shape (d = 2048, c = 80) over several blocks.
     @pytest.mark.parametrize("spec", [
         (2000, 32, 10, 3.5, 0.5, 7), (10000, 32, 10, 3.5, 0.5, 7), (500, 32, 10, 3.5, 0.5, 3),
         (300, 8, 6, 3, 0.3, 5), (50, 3, 2, 1, 0.9, 1), (1, 1, 2, 1, 0, 0),
         (3000, 5, 7, 0.3, 0.95, 2), (1500, 40, 3, 2.9, 0, 4), (40, 300, 12, 2, 0.5, 6),
+        (300, 2048, 80, 3.5, 0.5, 7),
     ])
     def test_equals_the_per_instance_loop_bit_for_bit(self, spec):
         spec = SyntheticSpec(*spec)

@@ -6,6 +6,7 @@ from tkmia.model import (
     Scorer,
     TrainConfig,
     _bce_grads,
+    _sigmoid,
     bce_loss,
     finite_diff_check,
     load_scorer,
@@ -344,6 +345,53 @@ class TestBatchScore:
             model.score([[0.0] * 5, [0.0, np.inf, 0.0, 0.0, 0.0]])
         with pytest.raises(ValueError, match="input dimension"):
             model.vjp(np.zeros((3, 5)))
+
+
+def sigmoid_oracle(z):
+    """The clipped sigmoid as one plain expression, on an array of ``z``'s shape."""
+    return 1.0 / (1.0 + np.exp(-np.minimum(np.maximum(z, -36.0), 36.0)))
+
+
+# Logits beyond the clip, exactly on it, just inside it, both zeros and ordinary values.
+PINNED_LOGITS = [-1e3, -36.5, -36.0, -35.999, -2.25, -1e-300, -0.0, 0.0, 1e-300, 0.75, 35.999,
+                 36.0, 36.5, 1e3]
+
+
+class TestSigmoidBytes:
+    """Every path to the scores has the bytes of :func:`sigmoid_oracle` on its logits."""
+
+    @pytest.mark.parametrize("shape", [(14,), (5, 14)])
+    def test_sigmoid_in_place_and_new(self, shape):
+        Z = np.array(PINNED_LOGITS) * np.ones(shape)
+        if len(shape) == 2:  # each row a different order of the logits
+            Z = np.random.default_rng(3).permuted(Z, axis=1)
+        expected = sigmoid_oracle(Z).tobytes()
+        assert _sigmoid(Z.copy()).tobytes() == expected
+        buffer = Z.copy()
+        assert _sigmoid(buffer, out=buffer) is buffer
+        assert buffer.tobytes() == expected
+
+    @pytest.mark.parametrize("arch", ["affine", "mlp"])
+    def test_score_scores_and_vjp(self, arch):
+        # Zero last-layer weights put the pinned logits on every input; the
+        # 40-fold scorer reaches past +-36 on inputs in [-1, 1]^5.
+        c = len(PINNED_LOGITS)
+        pinned = (Scorer([np.zeros((c, 5))], [np.array(PINNED_LOGITS)]) if arch == "affine"
+                  else Scorer([np.ones((3, 5)), np.zeros((c, 3))],
+                              [np.zeros(3), np.array(PINNED_LOGITS)]))
+        X = np.random.default_rng(4).uniform(-1.0, 1.0, (6, 5))
+        for model in (pinned, wide_logit_scorer(arch, "tanh", sigmoid_output=True)):
+            logits = np.stack([model._forward(x)[0] for x in X])
+            expected = sigmoid_oracle(logits)
+            for x, z, row in zip(X, logits, expected):
+                assert sigmoid_oracle(z).tobytes() == row.tobytes()
+                assert model.score(x).tobytes() == row.tobytes()
+                assert model._scores(x).tobytes() == row.tobytes()
+                assert model._vjp(x)[0].tobytes() == row.tobytes()
+            assert model.score(X).tobytes() == expected.tobytes()
+            assert model._scores(X).tobytes() == expected.tobytes()
+        # Every pinned logit, though the sum x @ 0 + b may turn -0.0 into 0.0.
+        assert set(pinned._forward(X[0])[0].tolist()) == set(PINNED_LOGITS)
 
 
 class TestFiniteDiffCheck:
