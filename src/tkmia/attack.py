@@ -521,7 +521,9 @@ def run_attack_loop(model: Scorer, instance: Instance, specified,
     set of integer labels in [0, c) without repeats (:func:`_labels`, which
     sorts it); S lies inside the relevant labels Yp, with Yp \\ S non-empty
     (:func:`_rest`); :func:`ineligible` accepts the instance, or its reason is
-    raised; and ``model._check_input`` accepts ``instance.x``, which is writable.
+    raised; ``model._check_input`` accepts ``instance.x``, which is writable; and
+    ``instance.x`` lies inside ``config.clip_domain``, bounds included, so that
+    iteration 0 scores ``x`` itself.
     Yp is ``instance.relevant`` as it is: :class:`Instance` makes it ascending,
     distinct and inside [0, c). So 1 <= k < c (``config`` has k >= 1 and
     |Yp| >= k + |S|).
@@ -584,6 +586,9 @@ def run_attack_loop(model: Scorer, instance: Instance, specified,
     eps, velocity = np.zeros(d), np.zeros(d)
     coefs = tuple(np.array(c) for c in (config.alpha, config.momentum, eta, *config.clip_domain))
     lo, hi = coefs[3:]
+    # The domain is closed; a non-finite entry has failed _check_input already.
+    if np.count_nonzero((x >= lo) & (x <= hi)) != d:
+        raise ValueError("x lies outside the clip domain [{}, {}]".format(*config.clip_domain))
     zero_pull = None
     success = False
 

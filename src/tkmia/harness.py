@@ -26,7 +26,6 @@ from .attack import (
     BaselineSpec,
     GlobalScheme,
     RandomScheme,
-    filter_instances,
     ineligible,
     run_baseline,
     select_global,
@@ -464,26 +463,26 @@ def _resolve_victim(config: ExperimentConfig, dataset: Sequence[Instance]) -> Sc
 
 
 def _cell_selection(config: ExperimentConfig, dataset, k: int):
-    """Instance indices and their specified sets for one grid cell.
+    """The (index, S) pairs of one grid cell: the instances that :func:`ineligible`
+    accepts for every configured method, up to the cap, so that every method
+    attacks this one list. A random-scheme S is drawn from a seed of (seed, k,
+    m, index), so reruns and methods agree, and only for an admitted instance
+    before the cap."""
+    deltas = [(method, config.attack_config(method, k).delta_threshold)
+              for method in config.methods]
 
-    An instance is admitted only if :func:`ineligible` accepts it for every
-    configured method, so every method sees this identical list; the cap
-    applies to the admitted instances. Under the random scheme each
-    instance's set is drawn from a seed derived from (seed, k, m, index),
-    so reruns and methods agree, and the draws stop once the cap is reached.
-    """
+    def admitted(idx: int, s_size: int) -> bool:
+        return not any(ineligible(dataset[idx], s_size, k, method, delta)
+                       for method, delta in deltas)
+
     if isinstance(config.scheme, GlobalScheme):
-        pairs = select_global(dataset, config.scheme.categories)
+        pairs = ((idx, s) for idx, s in select_global(dataset, config.scheme.categories)
+                 if admitted(idx, len(s)))
     else:
         m = config.scheme.m
         pairs = ((idx, select_random(dataset[idx], m, seed=[config.seed, k, m, idx]))
-                 for idx in filter_instances(dataset, k, m))
-    deltas = [(method, config.attack_config(method, k).delta_threshold)
-              for method in config.methods]
-    admitted = ((idx, s) for idx, s in pairs
-                if not any(ineligible(dataset[idx], len(s), k, method, delta)
-                           for method, delta in deltas))
-    return list(islice(admitted, config.max_instances))
+                 for idx in range(len(dataset)) if admitted(idx, m))
+    return list(islice(pairs, config.max_instances))
 
 
 def _run_method(method: str, model: Scorer, inst: Instance, s, cfg: AttackConfig):

@@ -322,19 +322,18 @@ def train_bce(dataset, config: TrainConfig, model: Scorer | None = None) -> Scor
     return model.copy()
 
 
-def _bce_grads(model: Scorer, X: np.ndarray, Y: np.ndarray, out=None):
-    """The batch's mean-BCE gradients, into ``out`` (weights, then biases) or new arrays."""
+def _bce_grads(model: Scorer, X: np.ndarray, Y: np.ndarray, out) -> None:
+    """The batch's mean-BCE gradients, written into ``out``: the weights', then the biases'."""
     Z, pre, H = model._forward(X)
     inside = np.abs(Z) < _CLIP_HI
     dZ = np.subtract(_sigmoid(Z, out=Z), Y, out=Z)  # then * inside and / (B * c), in place
     dZ *= inside
     dZ /= X.shape[0] * model.out_dim
-    out, n = out or [np.empty_like(p) for p in model.weights + model.biases], len(model.weights)
+    n = len(model.weights)
     # (output cotangent, input) of each layer; the affine family has only the first.
     for (g, a), grad_w, grad_b in zip([(model._backward(dZ, pre, H), X), (dZ, H)], out, out[n:]):
         np.matmul(g.T, a, out=grad_w)
         np.add.reduce(g, axis=0, out=grad_b)
-    return out[:n], out[n:]
 
 
 def _central_differences(fn, point: np.ndarray, step: float) -> np.ndarray:

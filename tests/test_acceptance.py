@@ -15,21 +15,17 @@ import pytest
 from tkmia import checks
 from tkmia.attack import (AttackConfig, filter_instances, select_global, tkmia_attack,
                           tkmia_objective)
-from tkmia.baselines import BaselineSpec, run_baseline
 from tkmia.core import Instance
 from tkmia.harness import (ExperimentConfig, RandomScheme, SyntheticSpec, gen_synthetic,
                            run_experiment)
 from tkmia.metrics import ap_at_k, delta_report, evaluate_instance, ndcg_at_k
 from tkmia.model import TrainConfig, make_affine, train_bce
 
+from support import attack, constant_score_model, rank_of
+
 
 def announce(criterion, name):
     print(f"ACCEPTANCE {criterion} ({name}): PASS")
-
-
-def rank_of(scores, idx):
-    order = sorted(range(len(scores)), key=lambda i: (-scores[i], i))
-    return order.index(idx) + 1
 
 
 class TestCriterion1VariationalForm:
@@ -134,9 +130,7 @@ def efficacy_run():
              for i, _ in pairs]
     reports, outcomes = {}, {}
     for method in ("tkmia", "ml_cw_u", "tkml_ap_u"):
-        outs = [tkmia_attack(victim, dataset[i], s, config) if method == "tkmia"
-                else run_baseline(victim, dataset[i], s, BaselineSpec(method, config))
-                for i, s in pairs]
+        outs = [attack(method, victim, dataset[i], s, config) for i, s in pairs]
         pert = [evaluate_instance(o.scores_after, dataset[i].y, k)
                 for o, (i, _) in zip(outs, pairs)]
         reports[method] = delta_report(clean, pert, outs)
@@ -185,11 +179,7 @@ class TestCriterion7Directional:
 class TestCriterion8Boundaries:
     def test_already_outside_yields_identity(self):
         # class 2 relevant but ranked below k=2 from the start
-        logits = np.log(np.array([0.9, 0.8, 0.1, 0.7]) /
-                        (1 - np.array([0.9, 0.8, 0.1, 0.7])))
-        model = make_affine(3, 4, seed=81)
-        model.weights[0][:] = 0.0
-        model.biases[0][:] = logits
+        model = constant_score_model([0.9, 0.8, 0.1, 0.7])
         inst = Instance(x=np.zeros(3), y=[1, 1, 1, 0])
         out = tkmia_attack(model, inst, (2,), AttackConfig(k=2, eta=0.1, max_iter=100))
         assert out.success and out.iterations_used == 0

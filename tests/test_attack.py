@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 
 from tkmia.attack import (
+    BASELINE_METHODS,
     AttackConfig,
+    BaselineSpec,
     GlobalScheme,
     RandomScheme,
     _flat_run,
@@ -15,42 +17,21 @@ from tkmia.attack import (
     _tkml_ap_u_pair,
     filter_instances,
     ineligible,
+    ml_cw_u_loss,
     residual_set,
+    run_baseline,
     select_global,
     select_random,
     success_check,
+    tkml_ap_u_loss,
     tkmia_attack,
     tkmia_objective,
 )
-from tkmia.baselines import (BASELINE_METHODS, BaselineSpec, ml_cw_u_loss, run_baseline,
-                             tkml_ap_u_loss)
 from tkmia.core import Instance, hinge
 from tkmia.harness import SyntheticSpec, gen_synthetic, load_dataset, save_dataset
 from tkmia.model import Scorer, TrainConfig, make_affine, make_mlp, train_bce
 
-from test_reference_loop import CountingScorer
-from test_reference_loop import attack as run_method
-
-
-def constant_score_model(values):
-    """Affine scorer with zero weights whose scores are fixed by the bias."""
-    values = np.asarray(values, dtype=float)
-    logits = np.log(values / (1.0 - values))
-    return Scorer([np.zeros((len(values), 3))], [logits])
-
-
-def rank_of(scores, idx):
-    order = sorted(range(len(scores)), key=lambda i: (-scores[i], i))
-    return order.index(idx) + 1
-
-
-def fd_grad(fn, point, step=1e-5):
-    grad = np.zeros_like(point)
-    for i in range(point.shape[0]):
-        bump = np.zeros_like(point)
-        bump[i] = step
-        grad[i] = (fn(point + bump) - fn(point - bump)) / (2 * step)
-    return grad
+from support import CountingScorer, attack, constant_score_model, fd_grad, rank_of
 
 
 def generic_objective_point(rng, model, spec, rel, cfg, margin=1e-3):
@@ -365,7 +346,7 @@ class TestTkmiaAttack:
         model = constant_score_model([0.9, 0.8, 0.6, 0.1])
         inst = Instance(x=np.zeros(3), y=y)
         with pytest.raises(ValueError) as raised:
-            run_method(method, model, inst, spec, AttackConfig(k=1, eta=0.1))
+            attack(method, model, inst, spec, AttackConfig(k=1, eta=0.1))
         assert str(raised.value) == message
 
     def test_repeated_specified_label_rejected(self):
@@ -528,6 +509,7 @@ def switch_scorer():
     return SwitchScorer(3, active=[0.9, 0.8, 0.7, 0.2], flat=[0.9, 0.8, 0.3, 0.5])
 
 
+@pytest.mark.bitwise
 class TestFixedPointExit:
     """An iteration whose update leaves eps, velocity and both lambdas bitwise
     unchanged ends the attack with the outcome of the whole budget, which the
@@ -550,10 +532,10 @@ class TestFixedPointExit:
                            delta_threshold=1 if variant == "delta1" else None,
                            success_mode="strict" if variant == "strict" else "c1_only")
         counting = CountingScorer(model)
-        out = run_method("ml_cw_u", counting, inst, spec, cfg)
+        out = attack("ml_cw_u", counting, inst, spec, cfg)
         assert counting.calls["vjp"] == 1
         assert (out.success, out.iterations_used) == (False, max_iter)
-        assert_same_outcome(out, run_method("ml_cw_u", model, inst, spec, cfg, reference=True))
+        assert_same_outcome(out, attack("ml_cw_u", model, inst, spec, cfg, reference=True))
 
     @pytest.mark.parametrize("mode", ["c1_only", "strict"])
     def test_tkmia_stops_once_the_lambdas_settle(self, mode):
@@ -563,10 +545,10 @@ class TestFixedPointExit:
         inst = Instance(x=np.zeros(3), y=[1, 1, 1, 1, 0, 0])
         cfg = AttackConfig(k=3, eta=0.03, max_iter=300, success_mode=mode)
         counting = CountingScorer(model)
-        out = run_method("tkmia", counting, inst, (0,), cfg)
+        out = attack("tkmia", counting, inst, (0,), cfg)
         assert 2 < counting.calls["vjp"] < 300
         assert 0.3 <= out.lambda1 < 0.4 and 0.4 <= out.lambda2 < 0.5
-        assert_same_outcome(out, run_method("tkmia", model, inst, (0,), cfg, reference=True))
+        assert_same_outcome(out, attack("tkmia", model, inst, (0,), cfg, reference=True))
 
     def test_decaying_velocity_is_not_cut_short(self):
         # One active step moves eps off 0; every later step is flat, and with
@@ -575,12 +557,12 @@ class TestFixedPointExit:
         inst = Instance(x=np.zeros(3), y=[1, 1, 1, 0])
         cfg = AttackConfig(k=1, eta=0.01, alpha=0.0, max_iter=1000)
         updates = []
-        ref = run_method("ml_cw_u", switch_scorer(), inst, (0,), cfg, reference=True,
-                         on_update=lambda before, after: updates.append((before, after)))
+        ref = attack("ml_cw_u", switch_scorer(), inst, (0,), cfg, reference=True,
+                     on_update=lambda before, after: updates.append((before, after)))
         assert any(b[0] == a[0] and b[1] != a[1] for b, a in updates)
         assert all(b != a for b, a in updates)
         model = switch_scorer()
-        out = run_method("ml_cw_u", model, inst, (0,), cfg)
+        out = attack("ml_cw_u", model, inst, (0,), cfg)
         assert model.forward == 1001
         assert np.all(out.epsilon != 0.0)
         assert_same_outcome(out, ref)
@@ -591,10 +573,10 @@ class TestFixedPointExit:
         inst = Instance(x=np.zeros(3), y=[1, 1, 1, 0])
         cfg = AttackConfig(k=1, eta=0.01, alpha=0.0, max_iter=8000)
         model = switch_scorer()
-        out = run_method("ml_cw_u", model, inst, (0,), cfg)
+        out = attack("ml_cw_u", model, inst, (0,), cfg)
         assert 1001 < model.forward < 8000
-        assert_same_outcome(out, run_method("ml_cw_u", switch_scorer(), inst, (0,), cfg,
-                                            reference=True))
+        assert_same_outcome(out, attack("ml_cw_u", switch_scorer(), inst, (0,), cfg,
+                                        reference=True))
 
 
 def path_norms(config, n):
@@ -655,6 +637,7 @@ PATH_INSTANCE = Instance(x=np.zeros(3), y=[1, 1, 1, 1, 0, 0])
 PATH_CONFIG = AttackConfig(k=2, eta=0.01, alpha=1e-3, max_iter=300, clip_domain=(-100.0, 100.0))
 
 
+@pytest.mark.bitwise
 @pytest.mark.parametrize("method", BASELINE_METHODS)
 class TestFlatStretch:
     """A baseline's flat stretch is scored in stacked rows, and each way it ends
@@ -663,9 +646,9 @@ class TestFlatStretch:
 
     def run(self, method, script, config=PATH_CONFIG, spec=(0,), on_update=None):
         scorer = PathScorer(script, config)
-        out = run_method(method, scorer, PATH_INSTANCE, spec, config)
-        ref = run_method(method, PathScorer(script, config), PATH_INSTANCE, spec, config,
-                         reference=True, on_update=on_update)
+        out = attack(method, scorer, PATH_INSTANCE, spec, config)
+        ref = attack(method, PathScorer(script, config), PATH_INSTANCE, spec, config,
+                     reference=True, on_update=on_update)
         assert_same_outcome(out, ref)
         return out, scorer
 
@@ -719,8 +702,8 @@ class TestFlatStretch:
         errors = []
         for reference in (False, True):
             with np.errstate(over="ignore"), pytest.raises(FloatingPointError) as raised:
-                run_method(method, SwitchScorer(3, ACTIVE, FLAT), PATH_INSTANCE, (0,), config,
-                           reference=reference)
+                attack(method, SwitchScorer(3, ACTIVE, FLAT), PATH_INSTANCE, (0,), config,
+                       reference=reference)
             errors.append(str(raised.value))
         assert errors[0] == errors[1] == "non-finite gradient at iteration 398"
 
@@ -740,12 +723,12 @@ class TestFlatStretch:
         # is the first that changes no bit.
         config = AttackConfig(k=2, eta=1.0, alpha=0.0, momentum=0.5, max_iter=100)
         updates = []
-        ref = run_method(method, ChunkEdgeScorer(2.0 - 2.0 ** (fixed - 54)), PATH_INSTANCE, (0,),
-                         config, reference=True,
-                         on_update=lambda before, after: updates.append(before == after))
+        ref = attack(method, ChunkEdgeScorer(2.0 - 2.0 ** (fixed - 54)), PATH_INSTANCE, (0,),
+                     config, reference=True,
+                     on_update=lambda before, after: updates.append(before == after))
         assert updates.index(True) == fixed
         scorer = ChunkEdgeScorer(2.0 - 2.0 ** (fixed - 54))
-        out = run_method(method, scorer, PATH_INSTANCE, (0,), config)
+        out = attack(method, scorer, PATH_INSTANCE, (0,), config)
         assert_same_outcome(out, ref)
         assert (out.success, out.iterations_used) == (False, 100)
         # Forward passes at iterations 0, 1 and the fixed point, and rows 2 to fixed - 1.
@@ -759,8 +742,8 @@ class TestFlatStretch:
         for reference in (False, True):
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")
-                out = run_method(method, ChunkEdgeScorer(1.0, flat_pull=1e308), PATH_INSTANCE,
-                                 (0,), config, reference=reference)
+                out = attack(method, ChunkEdgeScorer(1.0, flat_pull=1e308), PATH_INSTANCE,
+                             (0,), config, reference=reference)
             runs.append((out, [(w.category, str(w.message)) for w in caught]))
         assert_same_outcome(runs[0][0], runs[1][0])
         assert runs[0][1] == runs[1][1] == [(RuntimeWarning, "overflow encountered in add")]
@@ -787,8 +770,8 @@ class TestFlatStretch:
         # first that changes no bit. The chunk over iterations 5-8 is cut there, and the
         # loop resumes at iteration 8, which the stretch has not scored and which succeeds.
         config = AttackConfig(k=2, eta=2.0 ** -4, alpha=0.0, momentum=0.5, max_iter=100)
-        out, ref = (run_method(method, ChunkEdgeScorer(2.0, at_bound=COUNT), PATH_INSTANCE,
-                               (0,), config, reference=reference) for reference in (False, True))
+        out, ref = (attack(method, ChunkEdgeScorer(2.0, at_bound=COUNT), PATH_INSTANCE,
+                           (0,), config, reference=reference) for reference in (False, True))
         assert_same_outcome(out, ref)
         assert (out.success, out.iterations_used) == (True, 8)
         assert json.loads(json.dumps(out.to_record()))["iterations_used"] == 8
@@ -801,9 +784,9 @@ class TestFlatStretch:
         inst = Instance(x=np.zeros(3), y=[1, 1, 1, 1, 0, 0])
         config = AttackConfig(k=2, eta=0.01, alpha=0.0, max_iter=5000)
         model = WidestChunk(3, ACTIVE, FLAT)
-        out = run_method(method, model, inst, (0,), config)
-        assert_same_outcome(out, run_method(method, SwitchScorer(3, ACTIVE, FLAT), inst, (0,),
-                                            config, reference=True))
+        out = attack(method, model, inst, (0,), config)
+        assert_same_outcome(out, attack(method, SwitchScorer(3, ACTIVE, FLAT), inst, (0,),
+                                        config, reference=True))
         assert (out.success, out.iterations_used) == (False, 5000)
         assert model.widest == 256
         assert model.forward == 5001
@@ -871,7 +854,7 @@ class TestEntryCheck:
                  ("tkmia", active)]
         for method, y in cases:
             counting = EntryCounting(model)
-            run_method(method, counting, Instance(x=x, y=y), spec, cfg)
+            attack(method, counting, Instance(x=x, y=y), spec, cfg)
             assert counting.checks == 1, method
             # The flat hinge stops at its fixed point after one forward pass.
             assert (counting.calls["vjp"] == 1) == (y is flat), method
@@ -902,9 +885,39 @@ class TestEntryCheck:
         counting = EntryCounting(make_affine(4, 5, seed=0))
         inst = Instance(x=np.zeros(3), y=[1, 1, 1, 0, 0])
         with pytest.raises(ValueError) as raised:
-            run_method(method, counting, inst, (0,), AttackConfig(k=1, eta=0.1))
+            attack(method, counting, inst, (0,), AttackConfig(k=1, eta=0.1))
         assert str(raised.value) == "input dimension (3,) != (4,)"
         assert counting.calls["vjp"] == 0
+
+
+    @pytest.mark.parametrize("method", ["tkmia", *BASELINE_METHODS])
+    def test_x_outside_the_clip_domain_rejected_at_entry(self, method):
+        # Iteration 0 would score clip(x), not x, and report an attack of the clipped copy.
+        config = AttackConfig(k=1, eta=0.1, clip_domain=(-0.5, 0.25))
+        for entry in (np.nextafter(-0.5, -1.0), np.nextafter(0.25, 1.0), 3.0):
+            counting = CountingScorer(make_affine(3, 5, seed=0))
+            inst = Instance(x=[0.0, entry, 0.1], y=[1, 1, 1, 0, 0])
+            with pytest.raises(ValueError) as raised:
+                attack(method, counting, inst, (0,), config)
+            assert str(raised.value) == "x lies outside the clip domain [-0.5, 0.25]"
+            assert counting.calls["vjp"] == 0
+
+    @pytest.mark.parametrize("method", ["tkmia", *BASELINE_METHODS])
+    def test_clip_domain_bounds_are_inside(self, method):
+        model = make_affine(3, 5, seed=0)
+        x = np.array([-0.5, 0.25, 0.0])
+        out = attack(method, model, Instance(x=x, y=[1, 1, 1, 0, 0]), (0,),
+                     AttackConfig(k=1, eta=0.1, max_iter=5, clip_domain=(-0.5, 0.25)))
+        assert out.scores_before.tobytes() == model.score(x).tobytes()
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_x_is_non_finite_input(self, value):
+        # Instance rejects a non-finite x, but its x is writable.
+        inst = Instance(x=np.zeros(3), y=[1, 1, 1, 0, 0])
+        inst.x[1] = value
+        for method in ("tkmia", *BASELINE_METHODS):
+            with pytest.raises(ValueError, match="^non-finite input$"):
+                attack(method, make_affine(3, 5, seed=0), inst, (0,), AttackConfig(k=1, eta=0.1))
 
 
 class TestSelection:
@@ -1013,16 +1026,11 @@ class TestIneligible:
         config = AttackConfig(k=k, eta=0.1, max_iter=3, delta_threshold=delta)
         for method, reason in zip(("tkmia", *BASELINE_METHODS), reasons):
             assert ineligible(inst, len(spec), k, method, delta) == reason
-            if method == "tkmia":
-                run = lambda: tkmia_attack(model, inst, spec, config)  # noqa: E731
-            else:
-                run = lambda: run_baseline(model, inst, spec,  # noqa: E731
-                                           BaselineSpec(method, config))
             if reason is None:
-                assert run().specified == spec
+                assert attack(method, model, inst, spec, config).specified == spec
             else:
                 with pytest.raises(ValueError) as raised:
-                    run()
+                    attack(method, model, inst, spec, config)
                 assert str(raised.value) == reason
 
 

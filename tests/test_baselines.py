@@ -1,36 +1,28 @@
 import numpy as np
 import pytest
 
-from tkmia.attack import AttackConfig, success_check, tkmia_attack
-from tkmia.baselines import (
+import tkmia
+from tkmia.attack import (
     BASELINE_METHODS,
+    AttackConfig,
     BaselineSpec,
     ml_cw_u_loss,
     run_baseline,
+    success_check,
     tkml_ap_u_loss,
+    tkmia_attack,
 )
 from tkmia.core import Instance
-from tkmia.model import Scorer, make_affine, make_mlp
+from tkmia.model import make_affine, make_mlp
+
+from support import attack, constant_score_model, fd_grad, rank_of, ranking
 
 
-def constant_score_model(values, in_dim=3):
-    values = np.asarray(values, dtype=float)
-    logits = np.log(values / (1.0 - values))
-    return Scorer([np.zeros((len(values), in_dim))], [logits])
-
-
-def fd_grad(fn, point, step=1e-5):
-    grad = np.zeros_like(point)
-    for i in range(point.shape[0]):
-        bump = np.zeros_like(point)
-        bump[i] = step
-        grad[i] = (fn(point + bump) - fn(point - bump)) / (2 * step)
-    return grad
-
-
-def rank_of(scores, idx):
-    order = sorted(range(len(scores)), key=lambda i: (-scores[i], i))
-    return order.index(idx) + 1
+def test_baselines_module_re_exports_the_attack_names():
+    # The benchmark patches and looks up these names under tkmia.baselines.
+    for name in tkmia.baselines.__all__:
+        assert getattr(tkmia.baselines, name) is getattr(tkmia.attack, name)
+    assert tkmia.baselines.top_k_indices is tkmia.core.top_k_indices
 
 
 class TestMlCwULoss:
@@ -299,12 +291,9 @@ class TestRawScorer:
         outside = 0
         iterations = 0
         for inst, spec in self.cases():
-            if method == "tkmia":
-                out = tkmia_attack(self.model, inst, spec, self.config)
-            else:
-                out = run_baseline(self.model, inst, spec, BaselineSpec(method, self.config))
+            out = attack(method, self.model, inst, spec, self.config)
             after = out.scores_after
-            top = sorted(range(8), key=lambda i: (-after[i], i))[:self.config.k]
+            top = ranking(after)[:self.config.k]
             assert out.residual == tuple(i for i in spec if i in top)
             assert out.success == (not out.residual)
             outside += int(((after < 0.0) | (after > 1.0)).any())
@@ -317,6 +306,6 @@ class TestRawScorer:
         for _ in range(50):
             x, eps = rng.uniform(-1.0, 1.0, 6), rng.uniform(-0.1, 0.1, 6)
             scores = self.model.score(x + eps)
-            kth = sorted(range(8), key=lambda i: (-scores[i], i))[2]
+            kth = ranking(scores)[2]
             value, _ = tkml_ap_u_loss(self.model, x, eps, rel, k=2)
             assert value == max(0.0, float(max(scores[list(rel)]) - scores[kth]))

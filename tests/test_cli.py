@@ -7,6 +7,8 @@ from tkmia import attack, checks, core, harness, metrics, model
 from tkmia.cli import main
 from tkmia.model import make_affine, save_scorer
 
+from support import read_jsonl
+
 
 def run_cli(argv):
     return main(argv)
@@ -64,7 +66,7 @@ class TestTrainAndAttack:
                                          seed=1), str(expected))
         assert victim.read_bytes() == expected.read_bytes()
 
-        data = [json.loads(line) for line in dataset_path.read_text().splitlines()]
+        data = read_jsonl(dataset_path)
         index = next(i for i, rec in enumerate(data) if sum(rec["y"]) >= 3)
         code = run_cli(["attack", "--dataset", str(dataset_path),
                         "--victim", str(victim), "--index", str(index),
@@ -97,10 +99,9 @@ class TestTrainAndAttack:
         }))
         assert run_cli(["report", "--config", str(config)]) == 0
         capsys.readouterr()
-        lines = (tmp_path / "outcomes.jsonl").read_text().splitlines()
-        assert len(lines) == 8
-        for line in lines:
-            record = json.loads(line)
+        records = read_jsonl(tmp_path / "outcomes.jsonl")
+        assert len(records) == 8
+        for record in records:
             assert run_cli(["attack", "--dataset", str(dataset_path), "--victim", str(victim),
                             "--index", str(record["instance"]), "--k", "2", "--m", "1",
                             "--seed", "3"]) == 0
@@ -174,7 +175,7 @@ class TestTrainAndAttack:
         run_cli(["train", "--dataset", str(dataset_path), "--epochs", "40",
                  "--seed", "1", "--out", str(victim)])
         capsys.readouterr()
-        data = [json.loads(line) for line in dataset_path.read_text().splitlines()]
+        data = read_jsonl(dataset_path)
         index, label = next((i, rec["y"].index(1)) for i, rec in enumerate(data)
                             if sum(rec["y"]) >= 3)
         code = run_cli(["attack", "--dataset", str(dataset_path),
@@ -190,7 +191,7 @@ class TestTrainAndAttack:
         victim = tmp_path / "victim.jsonl"
         run_cli(["train", "--dataset", str(dataset_path), "--epochs", "5",
                  "--seed", "1", "--out", str(victim)])
-        data = [json.loads(line) for line in dataset_path.read_text().splitlines()]
+        data = read_jsonl(dataset_path)
         index = next(i for i, rec in enumerate(data) if sum(rec["y"]) == 1)
         code = run_cli(["attack", "--dataset", str(dataset_path),
                         "--victim", str(victim), "--index", str(index),
@@ -200,7 +201,7 @@ class TestTrainAndAttack:
     def test_attack_rejects_repeated_specified_label(self, dataset_path, tmp_path, capsys):
         victim = tmp_path / "victim.jsonl"
         save_scorer(make_affine(10, 6, seed=1), str(victim))
-        data = [json.loads(line) for line in dataset_path.read_text().splitlines()]
+        data = read_jsonl(dataset_path)
         index = next(i for i, rec in enumerate(data) if rec["y"][0] and sum(rec["y"]) >= 3)
         code = run_cli(["attack", "--dataset", str(dataset_path), "--victim", str(victim),
                         "--index", str(index), "--k", "1", "--specified", "0,0"])
@@ -218,12 +219,22 @@ class TestTrainAndAttack:
                                                       flags, message):
         victim = tmp_path / "victim.jsonl"
         save_scorer(make_affine(10, 6, seed=1), str(victim))
-        data = [json.loads(line) for line in dataset_path.read_text().splitlines()]
+        data = read_jsonl(dataset_path)
         index = next(i for i, rec in enumerate(data) if sum(rec["y"]) >= 4)
         code = run_cli(["attack", "--dataset", str(dataset_path), "--victim", str(victim),
                         "--index", str(index), *flags])
         assert code == 1
         assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_attack_rejects_x_outside_the_clip_domain(self, tmp_path, capsys):
+        dataset = tmp_path / "wide.jsonl"
+        harness.save_dataset([core.Instance(x=[0.5, 1.5], y=[1, 1, 0])], str(dataset))
+        victim = tmp_path / "victim.jsonl"
+        save_scorer(make_affine(2, 3, seed=1), str(victim))
+        code = run_cli(["attack", "--dataset", str(dataset), "--victim", str(victim),
+                        "--index", "0", "--k", "1", "--specified", "0"])
+        assert code == 1
+        assert capsys.readouterr().err == "error: x lies outside the clip domain [-1.0, 1.0]\n"
 
     def test_attack_rejects_victim_with_other_class_count(self, dataset_path, tmp_path,
                                                           capsys):
@@ -239,7 +250,7 @@ class TestTrainAndAttack:
     def test_attack_runs_on_a_raw_scorer(self, dataset_path, tmp_path, capsys):
         victim = tmp_path / "raw.jsonl"
         save_scorer(make_affine(10, 6, seed=1, sigmoid_output=False), str(victim))
-        data = [json.loads(line) for line in dataset_path.read_text().splitlines()]
+        data = read_jsonl(dataset_path)
         index = next(i for i, rec in enumerate(data) if sum(rec["y"]) >= 3)
         for method in ("tkmia", "ml_cw_u", "tkml_ap_u"):
             assert run_cli(["attack", "--dataset", str(dataset_path), "--victim", str(victim),
@@ -321,8 +332,7 @@ class TestReportOnAnAllRelevantInstance:
     def attacked(self, tmp_path):
         """The attacked instance indices of each method, in record order."""
         by_method = {}
-        for line in (tmp_path / "outcomes.jsonl").read_text().splitlines():
-            record = json.loads(line)
+        for record in read_jsonl(tmp_path / "outcomes.jsonl"):
             by_method.setdefault(record["method"], []).append(record["instance"])
         return by_method
 
@@ -458,6 +468,26 @@ class TestReport:
         assert run_cli(["report", "--config", str(path)]) == 0
         assert (tmp_path / "report.csv").exists()
         assert (tmp_path / "outcomes.jsonl").exists()
+
+
+    def test_instance_outside_the_clip_domain_exits_one(self, tmp_path, capsys):
+        # Synthetic features fill (-1, 1), so some lie outside [-0.2, 0.2].
+        dataset = {"n": 300, "d": 8, "c": 6, "mean_relevant": 3.0, "seed": 1}
+        config = {
+            "dataset": dataset, "victim": {"arch": "affine", "epochs": 20}, "k_grid": [2],
+            "scheme": {"type": "global", "categories": [0]}, "methods": ["tkmia"],
+            "attack": {"eta": 0.05, "max_iter": 50, "clip_lo": -0.2, "clip_hi": 0.2},
+            "out_csv": str(tmp_path / "report.csv"),
+            "out_outcomes": str(tmp_path / "outcomes.jsonl"),
+        }
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        first = next(i for i, inst in enumerate(harness.gen_synthetic(
+            harness.SyntheticSpec(**dataset))) if 0 in inst.relevant and len(inst.relevant) >= 3)
+        assert run_cli(["report", "--config", str(path)]) == 1
+        assert capsys.readouterr().err == (f"error: attack (tkmia, k=2) instance {first}: "
+                                           "x lies outside the clip domain [-0.2, 0.2]\n")
+        assert list(tmp_path.iterdir()) == [path]
 
 
 def off_by(fn, nudge):

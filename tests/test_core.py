@@ -16,11 +16,7 @@ from tkmia.core import (
     variational_top_k_sum,
 )
 
-
-def sort_oracle(scores, k):
-    """Full-sort ranking with ties broken by smaller index."""
-    order = sorted(range(len(scores)), key=lambda i: (-scores[i], i))
-    return order[:k]
+from support import ranking
 
 
 class TestTopKIndices:
@@ -35,7 +31,7 @@ class TestTopKIndices:
         for _ in range(200):
             scores = rng.uniform(0, 1, 15)
             k = int(rng.integers(1, 16))
-            assert top_k_indices(scores, k).tolist() == sort_oracle(scores, k)
+            assert top_k_indices(scores, k).tolist() == ranking(scores)[:k]
 
     def test_matches_sort_oracle_with_ties(self):
         rng = np.random.default_rng(1)
@@ -43,7 +39,7 @@ class TestTopKIndices:
         for _ in range(200):
             scores = levels[rng.integers(0, 5, size=10)]
             k = int(rng.integers(1, 11))
-            assert top_k_indices(scores, k).tolist() == sort_oracle(scores, k)
+            assert top_k_indices(scores, k).tolist() == ranking(scores)[:k]
 
     @pytest.mark.parametrize("k", [0, -1, 4])
     def test_k_out_of_range(self, k):

@@ -9,9 +9,8 @@ from statistics import NormalDist
 import numpy as np
 import pytest
 
-from tkmia.attack import GlobalScheme, RandomScheme, select_random
+from tkmia.attack import AttackConfig, GlobalScheme, RandomScheme, ineligible, select_random
 from tkmia.core import Instance
-from tkmia.attack import AttackConfig
 from tkmia.harness import (
     FEATURE_NOISE,
     ExperimentConfig,
@@ -25,8 +24,10 @@ from tkmia.harness import (
     save_dataset,
     train_victim,
 )
-from tkmia.metrics import MEASURES, REPORT_COLUMNS
+from tkmia.metrics import MEASURES
 from tkmia.model import make_affine, save_scorer
+
+from support import read_jsonl
 
 
 def parent_gen_synthetic(spec):
@@ -57,6 +58,7 @@ class TestGenSynthetic:
     # long runs of redrawn labels (few relevant labels, high correlation), a d
     # large enough to widen the window of attempt offsets, and the paper's
     # widest shape (d = 2048, c = 80) over several blocks.
+    @pytest.mark.bitwise
     @pytest.mark.parametrize("spec", [
         (2000, 32, 10, 3.5, 0.5, 7), (10000, 32, 10, 3.5, 0.5, 7), (500, 32, 10, 3.5, 0.5, 3),
         (300, 8, 6, 3, 0.3, 5), (50, 3, 2, 1, 0.9, 1), (1, 1, 2, 1, 0, 0),
@@ -269,8 +271,7 @@ class TestRunExperiment:
         rows = run_experiment(config)
         csv_rows = read_csv_rows(config.out_csv)
         assert [r["method"] for r in csv_rows] == ["tkmia", "ml_cw_u"]
-        with open(config.out_outcomes) as handle:
-            records = [json.loads(line) for line in handle if line.strip()]
+        records = read_jsonl(config.out_outcomes)
         # recompute each delta column from the per-instance records
         for row in csv_rows:
             method = row["method"]
@@ -287,8 +288,7 @@ class TestRunExperiment:
     def test_clean_metrics_identical_across_methods(self, tmp_path):
         config = small_config(tmp_path)
         run_experiment(config)
-        with open(config.out_outcomes) as handle:
-            records = [json.loads(line) for line in handle if line.strip()]
+        records = read_jsonl(config.out_outcomes)
         by_method = {}
         for r in records:
             by_method.setdefault(r["method"], []).append((r["instance"], r["clean_metrics"]))
@@ -298,8 +298,7 @@ class TestRunExperiment:
     def test_record_metric_keys_are_the_measures_in_order(self, tmp_path):
         config = small_config(tmp_path, max_instances=5)
         run_experiment(config)
-        with open(config.out_outcomes) as handle:
-            records = [json.loads(line) for line in handle if line.strip()]
+        records = read_jsonl(config.out_outcomes)
         assert records
         for r in records:
             assert tuple(r["clean_metrics"]) == MEASURES
@@ -308,8 +307,7 @@ class TestRunExperiment:
     def test_methods_share_instances_and_specified_sets(self, tmp_path):
         config = small_config(tmp_path, scheme=RandomScheme(2), k_grid=(3,))
         run_experiment(config)
-        with open(config.out_outcomes) as handle:
-            records = [json.loads(line) for line in handle if line.strip()]
+        records = read_jsonl(config.out_outcomes)
         by_method = {}
         for r in records:
             by_method.setdefault(r["method"], []).append((r["instance"], tuple(r["specified"])))
@@ -330,8 +328,7 @@ class TestRunExperiment:
         config = small_config(tmp_path, k_grid=(1, 3))
         run_experiment(config)
         dataset = gen_synthetic(SyntheticSpec(**config.dataset))
-        with open(config.out_outcomes) as handle:
-            records = [json.loads(line) for line in handle if line.strip()]
+        records = read_jsonl(config.out_outcomes)
         assert records
         for r in records:
             y = dataset[r["instance"]].y
@@ -473,6 +470,67 @@ class TestRunExperiment:
         config.victim = {"path": str(victim_path)}
         rows = run_experiment(config)
         assert rows
+
+
+class TestCellSelection:
+    """A report attacks, in every cell, the (instance, S) pairs of a brute-force
+    selection: each instance's S under the scheme, kept if :func:`ineligible`
+    accepts it for every method, then the first ``max_instances``."""
+
+    CATEGORIES = (0, 1, 2)
+
+    @pytest.fixture(scope="class")
+    def files(self, tmp_path_factory):
+        # Instances 0 and 7 have every label relevant: only ml_cw_u refuses them.
+        data = gen_synthetic(SyntheticSpec(n=80, d=4, c=8, mean_relevant=4.5, seed=3))
+        for i in (0, 7):
+            data[i] = Instance(x=data[i].x, y=[1] * 8)
+        base = tmp_path_factory.mktemp("selection")
+        save_dataset(data, str(base / "data.jsonl"))
+        save_scorer(make_affine(4, 8, seed=3), str(base / "victim.jsonl"))
+        return base, data
+
+    def brute_force(self, config, data, k):
+        pairs = []
+        for i, inst in enumerate(data):
+            if isinstance(config.scheme, GlobalScheme):
+                s = tuple(sorted(set(config.scheme.categories) & set(inst.relevant)))
+            elif len(inst.relevant) >= config.scheme.m:
+                m = config.scheme.m
+                s = select_random(inst, m, seed=[config.seed, k, m, i])
+            else:
+                continue
+            if s and all(ineligible(inst, len(s), k, method,
+                                    config.attack_config(method, k).delta_threshold) is None
+                         for method in config.methods):
+                pairs.append((i, s))
+        return pairs
+
+    @pytest.mark.parametrize("scheme", [GlobalScheme(CATEGORIES), RandomScheme(2)],
+                             ids=["global", "random"])
+    @pytest.mark.parametrize("methods", [("tkmia", "tkml_ap_u"), ("tkmia", "ml_cw_u")])
+    @pytest.mark.parametrize("delta, max_instances", [(None, 1000), (2, 1000), (None, 12)],
+                             ids=["plain", "delta", "capped"])
+    def test_cells_attack_the_brute_force_selection(self, files, tmp_path, scheme, methods,
+                                                    delta, max_instances):
+        base, data = files
+        config = ExperimentConfig(
+            seed=5, dataset={"path": str(base / "data.jsonl")},
+            victim={"path": str(base / "victim.jsonl")}, k_grid=(2, 3), scheme=scheme,
+            methods=methods, attack={"eta": 0.05, "max_iter": 3, "delta_threshold": delta},
+            out_csv=str(tmp_path / "report.csv"), out_outcomes=str(tmp_path / "outcomes.jsonl"),
+            max_instances=max_instances)
+        run_experiment(config)
+        records = read_jsonl(config.out_outcomes)
+        for k in config.k_grid:
+            want = self.brute_force(config, data, k)
+            assert len(want) > 12 and (delta is None or min(map(len, dict(want).values())) >= 2)
+            # The all-relevant instances are admitted unless ml_cw_u is configured.
+            assert ({0, 7} <= dict(want).keys()) == ("ml_cw_u" not in methods)
+            for method in methods:
+                got = [(r["instance"], tuple(r["specified"])) for r in records
+                       if (r["k"], r["method"]) == (k, method)]
+                assert got == want[:max_instances]
 
 
 def without(*path):

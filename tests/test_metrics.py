@@ -27,14 +27,12 @@ from tkmia.metrics import (
     write_report_csv,
 )
 
-
-def rank_order(scores):
-    return sorted(range(len(scores)), key=lambda i: (-scores[i], i))
+from support import ranking
 
 
 def brute_force_metrics(scores, y, k):
     """Definitional implementations, independent of the library code."""
-    order = rank_order(scores)
+    order = ranking(scores)
     ranked = [int(y[i]) for i in order[:k]]
     relevant = {i for i in range(len(y)) if y[i] == 1}
     acc = 1 if relevant <= set(order[:k]) else 0
@@ -120,7 +118,7 @@ class TestApAtK:
         seen_one = seen_less = False
         for _ in range(400):
             scores, y, k = random_instance(rng)
-            ranked = [int(y[i]) for i in rank_order(scores)[:k]]
+            ranked = [int(y[i]) for i in ranking(scores)[:k]]
             nk = min(k, int(y.sum()))
             perfect = all(ranked[i] == 1 for i in range(nk))
             value = ap_at_k(scores, y, k)
@@ -195,7 +193,7 @@ class TestNdcgAtK:
         for _ in range(400):
             scores, y, k = random_instance(rng)
             nk = min(k, int(y.sum()))
-            ranked = [int(y[i]) for i in rank_order(scores)[:nk]]
+            ranked = [int(y[i]) for i in ranking(scores)[:nk]]
             assert (ndcg_at_k(scores, y, k) == pytest.approx(1.0, abs=1e-12)) == all(ranked)
 
     def test_undefined_without_relevant(self):
@@ -217,7 +215,7 @@ class TestTiedScores:
     @given(tied_instances())
     def test_evaluate_instance_matches_tie_break_oracle(self, case):
         scores, y, k = case
-        order = sorted(range(len(scores)), key=lambda i: (-scores[i], i))
+        order = ranking(scores)
         ranked = [y[i] for i in order[:k]]
         n_relevant = sum(y)
         hits = 0

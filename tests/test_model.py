@@ -284,7 +284,10 @@ class TestBatchPasses:
             assert (np.abs(logits) > 36.0).any() and (np.abs(logits) < 36.0).any()
         loss = bce_loss(model, data)
         assert np.float64(loss).tobytes() == np.float64(parent_bce_loss(model, X, Y)).tobytes()
-        grads_w, grads_b = _bce_grads(model, X, Y)
+        # NaN buffers: every entry must be written.
+        grads = [np.full_like(p, np.nan) for p in model.weights + model.biases]
+        _bce_grads(model, X, Y, grads)
+        grads_w, grads_b = grads[:len(model.weights)], grads[len(model.weights):]
         expected_w, expected_b = parent_bce_grads(model, X, Y)
         assert len(grads_w) == len(grads_b) == len(model.weights)
         for got, want in zip(grads_w + grads_b, expected_w + expected_b):
@@ -302,6 +305,7 @@ class TestBatchPasses:
             np.testing.assert_allclose(z, model.score(x), rtol=1e-12, atol=1e-12)
 
 
+@pytest.mark.bitwise
 class TestBatchScore:
     @pytest.mark.parametrize("sigmoid_output", [True, False], ids=["sigmoid", "raw"])
     @pytest.mark.parametrize("victim", [
@@ -357,6 +361,7 @@ PINNED_LOGITS = [-1e3, -36.5, -36.0, -35.999, -2.25, -1e-300, -0.0, 0.0, 1e-300,
                  36.0, 36.5, 1e3]
 
 
+@pytest.mark.bitwise
 class TestSigmoidBytes:
     """Every path to the scores has the bytes of :func:`sigmoid_oracle` on its logits."""
 
@@ -486,6 +491,7 @@ def parent_train_bce(dataset, config, model=None):
 class TestTrainBce:
     # (victim, n, batch size, epochs): batch sizes that divide n, that do not,
     # above n and above the rows gathered per pass; no epochs at all.
+    @pytest.mark.bitwise
     @pytest.mark.parametrize("victim, n, batch_size, epochs", [
         (None, 300, 64, 4), ("affine", 300, 60, 4), ("affine", 300, 500, 6),
         ("tanh", 1100, 48, 3), ("relu", 1500, 700, 4), ("tanh", 200, 64, 0), (None, 200, 64, 0),
@@ -507,6 +513,7 @@ class TestTrainBce:
         if epochs:
             assert bce_loss(got, data) < bce_loss(init or make_affine(12, 5, seed=4), data)
 
+    @pytest.mark.bitwise
     @pytest.mark.parametrize("victim", ["affine", "relu"])
     def test_trained_scorer_owns_its_arrays_and_repeats_bit_for_bit(self, victim):
         # Training updates views of one flat parameter vector; the scorer it
