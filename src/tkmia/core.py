@@ -19,7 +19,7 @@ import numpy as np
 
 __all__ = [
     "Instance",
-    "rank_order",
+    "Dataset",
     "top_k_indices",
     "kth_largest",
     "avg_top_k",
@@ -111,13 +111,13 @@ def _rows(x, y) -> tuple[np.ndarray, np.ndarray]:
     return x, y
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Instance:
     """One multi-label sample: feature vector ``x`` and binary labels ``y``.
 
     Frozen, with read-only labels, so the cached relevant set stays valid.
-    ``x`` and ``y`` may be rows of arrays that other instances share, as
-    :meth:`from_rows` makes them.
+    Equal and hashed by identity. ``x`` and ``y`` may be rows of a
+    :class:`Dataset`'s arrays.
     """
 
     x: np.ndarray
@@ -129,19 +129,6 @@ class Instance:
         (x,), (y,) = _rows(np.asarray(x, dtype=np.float64)[None], np.asarray(y)[None])
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "y", y)
-
-    @classmethod
-    def from_rows(cls, x, y) -> list["Instance"]:
-        """The instances of the rows of ``x`` (N, d) and ``y`` (N, c), checked
-        once by the rule of :class:`Instance`; each instance views its rows."""
-        x, y = _rows(x, y)
-        instances = []
-        for xi, yi in zip(x, y):
-            inst = object.__new__(cls)
-            object.__setattr__(inst, "x", xi)
-            object.__setattr__(inst, "y", yi)
-            instances.append(inst)
-        return instances
 
     @property
     def n_classes(self) -> int:
@@ -158,6 +145,37 @@ class Instance:
         return tuple((self.y == 0).nonzero()[0].tolist())
 
 
+class Dataset(tuple):
+    """The instances of the rows of ``X`` (n, d) and ``Y`` (n, c), checked once by
+    :class:`Instance`'s rule: item i views row i of float64 ``X`` and read-only int64 ``Y``."""
+
+    def __new__(cls, X, Y):
+        X, Y = _rows(X, Y)
+        self = super().__new__(cls, map(cls._view, X, Y))
+        self.X, self.Y = X, Y
+        return self
+
+    def __reduce__(self):  # copies and pickles are rebuilt from the two arrays
+        return type(self), (self.X, self.Y)
+
+    @staticmethod
+    def _view(x, y) -> Instance:
+        inst = object.__new__(Instance)
+        object.__setattr__(inst, "x", x)
+        object.__setattr__(inst, "y", y)
+        return inst
+
+    @classmethod
+    def of(cls, instances) -> "Dataset":
+        """``instances`` as a dataset: a :class:`Dataset` as it is, any other sequence
+        of instances with its rows stacked; an empty one is an error."""
+        if not len(instances):
+            raise ValueError("empty dataset")
+        if isinstance(instances, cls):
+            return instances
+        return cls([inst.x for inst in instances], [inst.y for inst in instances])
+
+
 def _rank(scores: np.ndarray) -> np.ndarray:
     """Class indices by descending score along the last axis, ties by smaller
     index; unchecked, so callers pass checked scores or a scorer's output.
@@ -165,14 +183,9 @@ def _rank(scores: np.ndarray) -> np.ndarray:
     return (-scores).argsort(axis=-1, kind="stable")
 
 
-def rank_order(scores) -> np.ndarray:
-    """Every class index, descending by score, ties by smaller class index."""
-    return _rank(as_scores(scores))
-
-
 def top_k_indices(scores, k: int) -> np.ndarray:
-    """Indices of the k largest scores: the first k of :func:`rank_order`."""
-    order = rank_order(scores)
+    """Indices of the k largest scores, descending, ties by smaller class index."""
+    order = _rank(as_scores(scores))
     return order[:_check_k(k, order.shape[0])]
 
 

@@ -32,7 +32,7 @@ from .attack import (
     select_random,
     tkmia_attack,
 )
-from .core import Instance, _integer, _seed, atomic_write
+from .core import Dataset, Instance, _integer, _seed, atomic_write
 from .metrics import MEASURES, REPORT_COLUMNS, delta_report, evaluate_rows, write_report_csv
 # Unused here; perfbench's tracer test looks evaluate_instance up in this namespace.
 from .metrics import evaluate_instance  # noqa: F401
@@ -104,7 +104,7 @@ class SyntheticSpec:
                              f"probability {kept:.3g} < {MIN_KEPT_PROBABILITY:g}")
 
 
-def gen_synthetic(spec: SyntheticSpec) -> list[Instance]:
+def gen_synthetic(spec: SyntheticSpec) -> Dataset:
     """Draw a synthetic dataset, deterministic under the seed.
 
     Each class gets a prototype vector; an instance's features are the
@@ -119,8 +119,7 @@ def gen_synthetic(spec: SyntheticSpec) -> list[Instance]:
     The normals are read in the order of one instance after another: each
     label attempt takes one common and c individual normals, and a kept one
     then takes d noise normals. They are drawn and tested a window at a
-    time, and the instances are built and checked a block at a time; each
-    instance's rows view its block's arrays.
+    time, and the rows are written a block at a time into one X and Y.
     """
     rng = np.random.default_rng(spec.seed)
     prototypes = rng.uniform(-1.0, 1.0, size=(spec.c, spec.d))
@@ -134,10 +133,11 @@ def gen_synthetic(spec: SyntheticSpec) -> list[Instance]:
     label_at, noise_at = 1 + np.arange(c), attempt + np.arange(d)
     window = max(_WINDOW, 8 * stride)  # attempt offsets per window
 
-    instances = []
+    X, Y = np.empty((spec.n, d)), np.empty((spec.n, c), dtype=bool)
+    done = 0  # rows written
     labels, noise = [], []  # the current block's kept instances, a piece per window
     z, o = np.empty(0), 0  # z[o:] is drawn but unread
-    while len(instances) < spec.n:
+    while done < spec.n:
         # A window of attempt offsets, each with room for a kept instance's noise.
         z = np.concatenate([z[o:], rng.standard_normal(window + stride - 1 - (len(z) - o))])
         # The attempt at offset o has latents common_w * z[o] + indiv_w * z[o+1:o+1+c],
@@ -159,9 +159,9 @@ def gen_synthetic(spec: SyntheticSpec) -> list[Instance]:
         labels.append(common_w * z[starts, None] + indiv_w * z[starts[:, None] + label_at]
                       < threshold)
         noise.append(z[starts[:, None] + noise_at])
-        if sum(map(len, labels)) < min(_BLOCK, spec.n - len(instances)):
+        if sum(map(len, labels)) < min(_BLOCK, spec.n - done):
             continue
-        y = np.concatenate(labels)[:spec.n - len(instances)]
+        y = np.concatenate(labels)[:spec.n - done]
         # The mean of the relevant prototypes, summed in class order from 0.0 as
         # ``prototypes[y == 1].mean(axis=0)`` sums them.
         base = np.zeros((len(y), d))
@@ -169,12 +169,12 @@ def gen_synthetic(spec: SyntheticSpec) -> list[Instance]:
             base[y[:, j]] += prototypes[j]
         base /= y.sum(axis=1, keepdims=True)
         # tanh(base + FEATURE_NOISE * noise), in place: float addition commutes.
-        x = np.concatenate(noise)[:len(y)]
-        x *= FEATURE_NOISE
-        x += base
-        instances += Instance.from_rows(np.tanh(x, out=x), y)
+        x = np.multiply(np.concatenate(noise)[:len(y)], FEATURE_NOISE, out=X[done:done + len(y)])
+        np.tanh(np.add(x, base, out=x), out=x)
+        Y[done:done + len(y)] = y
+        done += len(y)
         labels, noise = [], []
-    return instances
+    return Dataset(X, Y)
 
 
 def _sliding_extremes(z: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray]:
@@ -198,7 +198,7 @@ def save_dataset(instances: Sequence[Instance], path: str) -> None:
             handle.write(json.dumps({"x": inst.x.tolist(), "y": inst.y.tolist()}) + "\n")
 
 
-def load_dataset(path: str) -> list[Instance]:
+def load_dataset(path: str) -> Dataset:
     """Read :func:`save_dataset`'s format, skipping blank lines.
 
     Every instance must have the first one's ``len(x)`` and ``len(y)``.
@@ -225,7 +225,7 @@ def load_dataset(path: str) -> list[Instance]:
             instances.append(inst)
     if not instances:
         raise ValueError(f"dataset file {path} is empty")
-    return instances
+    return Dataset.of(instances)
 
 
 @dataclass
@@ -255,13 +255,12 @@ def train_victim(dataset: Sequence[Instance], **victim) -> Scorer:
     key left out; ``seed`` also seeds the initialization.
     """
     spec = _victim_spec(victim)
+    data = Dataset.of(dataset)
     init = None  # train_bce starts an affine victim from make_affine(d, c, seed=spec.seed)
     if spec.arch == "mlp":
-        if not len(dataset):
-            raise ValueError("empty dataset")  # train_bce's message on the affine path
-        d, c = dataset[0].x.shape[0], dataset[0].n_classes
-        init = make_mlp(d, spec.hidden, c, seed=spec.seed, activation=spec.activation)
-    return train_bce(dataset, spec, model=init)
+        init = make_mlp(data.X.shape[1], spec.hidden, data.Y.shape[1], seed=spec.seed,
+                        activation=spec.activation)
+    return train_bce(data, spec, model=init)
 
 
 VICTIM_ARCHS = ("affine", "mlp")
@@ -450,7 +449,7 @@ class ExperimentConfig:
         return cls.from_dict(raw)
 
 
-def _resolve_dataset(config: ExperimentConfig) -> list[Instance]:
+def _resolve_dataset(config: ExperimentConfig) -> Dataset:
     if "path" in config.dataset:
         return load_dataset(config.dataset["path"])
     return gen_synthetic(SyntheticSpec(**config.dataset))
@@ -492,11 +491,6 @@ def _run_method(method: str, model: Scorer, inst: Instance, s, cfg: AttackConfig
     return run_baseline(model, inst, s, BaselineSpec(method, cfg))
 
 
-def _matrix(rows, width: int) -> np.ndarray:
-    """``rows`` stacked as a (len(rows), width) array; no rows give (0, width)."""
-    return np.array(rows).reshape(len(rows), width)
-
-
 def _check_output_directory(name: str, path: str) -> None:
     """Reject an output path whose directory is missing, naming ``name``,
     before any work is done for it."""
@@ -517,7 +511,7 @@ def run_experiment(config: ExperimentConfig):
     for key in ("out_csv", "out_outcomes"):
         _check_output_directory(key, getattr(config, key))
     dataset = _resolve_dataset(config)
-    d, c = dataset[0].x.shape[0], dataset[0].n_classes
+    (_, d), (_, c) = dataset.X.shape, dataset.Y.shape
     config.check_classes(c)
     model = _resolve_victim(config, dataset)
     if not model.sigmoid_output:  # only a victim file can be raw
@@ -531,9 +525,9 @@ def run_experiment(config: ExperimentConfig):
     with atomic_write(config.out_outcomes) as outcome_file:
         for k in config.k_grid:
             pairs = _cell_selection(config, dataset, k)
-            labels = _matrix([dataset[idx].y for idx, _ in pairs], c)
-            clean = evaluate_rows(model.score(_matrix([dataset[idx].x for idx, _ in pairs], d)),
-                                  labels, k)
+            chosen = [idx for idx, _ in pairs]
+            labels = dataset.Y[chosen]
+            clean = evaluate_rows(model.score(dataset.X[chosen]), labels, k)
             cell = {"k": k, "s_size": _scheme_s_size(config.scheme, pairs), "n": len(pairs)}
             for method in config.methods:
                 cfg = config.attack_config(method, k)
@@ -543,8 +537,8 @@ def run_experiment(config: ExperimentConfig):
                         outcomes.append(_run_method(method, model, dataset[idx], s, cfg))
                 except (ValueError, FloatingPointError) as exc:
                     raise type(exc)(f"attack ({method}, k={k}) instance {idx}: {exc}") from None
-                perturbed = evaluate_rows(_matrix([o.scores_after for o in outcomes], c),
-                                          labels, k)
+                perturbed = evaluate_rows(
+                    np.reshape([o.scores_after for o in outcomes], (len(pairs), c)), labels, k)
                 report = delta_report(clean, perturbed, outcomes) if pairs else None
                 row = {**cell, "method": method}
                 rows.append({col: row.get(col, getattr(report, col, None))

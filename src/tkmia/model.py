@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _integer, _seed, atomic_write
+from .core import Dataset, _integer, _seed, atomic_write
 
 __all__ = [
     "Scorer",
@@ -257,38 +257,30 @@ class TrainConfig:
 _GATHER_ROWS = 512
 
 
-def _stack_dataset(dataset) -> tuple[np.ndarray, np.ndarray]:
-    if len(dataset) == 0:
-        raise ValueError("empty dataset")
-    # np.array with the dtype: the bytes of np.stack, with no int64 copy of Y first.
-    X = np.array([inst.x for inst in dataset])
-    Y = np.array([inst.y for inst in dataset], dtype=np.float64)
-    return X, Y
-
-
 def bce_loss(model: Scorer, dataset) -> float:
     """Mean binary cross-entropy of the scorer over a dataset."""
-    X, Y = _stack_dataset(dataset)
-    Z = model._forward(X)[0]
+    data = Dataset.of(dataset)
+    Z = model._forward(data.X)[0]
     # Stable form of -[y log p + (1-y) log(1-p)] with p = sigmoid(z).
-    return float(np.mean(np.logaddexp(0.0, Z) - Y * Z))
+    return float(np.mean(np.logaddexp(0.0, Z) - data.Y * Z))
 
 
 def train_bce(dataset, config: TrainConfig, model: Scorer | None = None) -> Scorer:
     """Mini-batch gradient descent with momentum on mean BCE.
 
-    Starts from ``model`` when given, otherwise from a seeded affine
-    initialization sized to the dataset. Identical (dataset, config,
-    model) always produce bit-identical parameters.
+    ``dataset`` is a :class:`~tkmia.core.Dataset` or any sequence of instances.
+    Training starts from ``model`` when given, otherwise from a seeded affine
+    initialization sized to the dataset. Identical (dataset, config, model)
+    always produce bit-identical parameters.
     """
-    X, Y = _stack_dataset(dataset)
+    data = Dataset.of(dataset)
+    X, Y = data.X, data.Y.astype(np.float64)
     n, d = X.shape
     c = Y.shape[1]
     if model is None:
         model = make_affine(d, c, seed=config.seed)
-    else:
-        if model.in_dim != d or model.out_dim != c:
-            raise ValueError("model dimensions do not match dataset")
+    elif model.in_dim != d or model.out_dim != c:
+        raise ValueError("model dimensions do not match dataset")
     if not model.sigmoid_output:
         raise ValueError("BCE training requires a sigmoid output")
 

@@ -27,7 +27,7 @@ from tkmia.attack import (
     tkmia_attack,
     tkmia_objective,
 )
-from tkmia.core import Instance, hinge
+from tkmia.core import Dataset, Instance, hinge
 from tkmia.harness import SyntheticSpec, gen_synthetic, load_dataset, save_dataset
 from tkmia.model import Scorer, TrainConfig, make_affine, make_mlp, train_bce
 
@@ -868,8 +868,8 @@ class TestEntryCheck:
         x = rng.uniform(-1.0, 1.0, (20, 3))
         data = gen_synthetic(SyntheticSpec(n=20, d=3, c=7, mean_relevant=3.0, seed=2))
         save_dataset(data, str(tmp_path / "data.jsonl"))
-        built = ([Instance(x=xi, y=yi.tolist()) for xi, yi in zip(x, y)]
-                 + Instance.from_rows(x, y) + data + load_dataset(str(tmp_path / "data.jsonl")))
+        built = [*(Instance(x=xi, y=yi.tolist()) for xi, yi in zip(x, y)),
+                 *Dataset(x, y), *data, *load_dataset(str(tmp_path / "data.jsonl"))]
         for inst in built:
             relevant, irrelevant = inst.relevant, inst.irrelevant
             for labels in (relevant, irrelevant):

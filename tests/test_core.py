@@ -1,4 +1,6 @@
+import copy
 import dataclasses
+import pickle
 
 import numpy as np
 import pytest
@@ -7,6 +9,7 @@ from hypothesis import strategies as st
 
 from tkmia.attack import _gaps, _split_sets
 from tkmia.core import (
+    Dataset,
     Instance,
     atomic_write,
     avg_top_k,
@@ -309,7 +312,7 @@ class TestInstance:
         with pytest.raises(ValueError) as one:
             Instance(x, y)
         with pytest.raises(ValueError) as block:
-            Instance.from_rows([x, x], [y, y])
+            Dataset([x, x], [y, y])
         assert str(one.value) == str(block.value) == message
 
     @pytest.mark.parametrize("field, value, message", [
@@ -321,13 +324,13 @@ class TestInstance:
         block = {"x": rng.uniform(-1.0, 1.0, (5, 3)), "y": np.array([[1, 0]] * 5)}
         block[field][3, 1] = value
         with pytest.raises(ValueError, match=f"^{message}$"):
-            Instance.from_rows(block["x"], block["y"])
+            Dataset(block["x"], block["y"])
 
     def test_block_rows_equal_instances_built_one_by_one(self):
         rng = np.random.default_rng(9)
         x = rng.uniform(-1.0, 1.0, (6, 4))
         y = (rng.uniform(size=(6, 3)) < 0.5).astype(np.int32)
-        rows = Instance.from_rows(x, y)
+        rows = Dataset(x, y)
         assert len(rows) == 6
         for i, inst in enumerate(rows):
             one = Instance(x[i], y[i])
@@ -337,9 +340,49 @@ class TestInstance:
             assert inst.relevant == one.relevant
         # The labels are a read-only copy: the caller's arrays stay writable.
         assert y.flags.writeable and x.flags.writeable
-        assert Instance.from_rows(np.empty((0, 4)), np.empty((0, 3))) == []
+        assert Dataset(np.empty((0, 4)), np.empty((0, 3))) == ()
         with pytest.raises(ValueError, match="^6 feature rows but 5 label rows$"):
-            Instance.from_rows(x, y[:5])
+            Dataset(x, y[:5])
+
+
+class TestDataset:
+    def test_rows_view_one_pair_of_arrays(self):
+        rng = np.random.default_rng(10)
+        x = rng.uniform(-1.0, 1.0, (5, 4))
+        data = Dataset(x, (rng.uniform(size=(5, 3)) < 0.5).astype(np.int8))
+        assert type(data) is Dataset and isinstance(data, tuple)
+        assert data.X is x and data.Y.dtype == np.int64 and not data.Y.flags.writeable
+        for i, inst in enumerate(data):
+            assert inst.x.base is data.X and inst.y.base is data.Y
+            assert inst.x.tobytes() == data.X[i].tobytes()
+            assert inst.y.tobytes() == data.Y[i].tobytes()
+
+    def test_of_passes_a_dataset_through_and_stacks_a_list(self):
+        rng = np.random.default_rng(11)
+        x = rng.uniform(-1.0, 1.0, (7, 4))
+        y = (rng.uniform(size=(7, 3)) < 0.5).astype(np.int64)
+        data = Dataset(x, y)
+        assert Dataset.of(data) is data
+        for instances in (list(data), [Instance(xi, yi) for xi, yi in zip(x, y)], tuple(data)):
+            stacked = Dataset.of(instances)
+            assert type(stacked) is Dataset and stacked is not data
+            assert stacked.X.tobytes() == x.tobytes() and stacked.X.dtype == np.float64
+            assert stacked.Y.tobytes() == y.tobytes() and stacked.Y.dtype == np.int64
+            assert [inst.relevant for inst in stacked] == [inst.relevant for inst in data]
+
+    def test_copies_and_pickles_rebuild_from_the_arrays(self):
+        rng = np.random.default_rng(12)
+        data = Dataset(rng.uniform(-1.0, 1.0, (4, 3)), [[1, 0], [0, 1], [1, 1], [0, 1]])
+        for other in (copy.copy(data), copy.deepcopy(data), pickle.loads(pickle.dumps(data))):
+            assert type(other) is Dataset and len(other) == 4
+            assert other.X.tobytes() == data.X.tobytes() and other.Y.tobytes() == data.Y.tobytes()
+            assert np.shares_memory(other[2].x, other.X) and np.shares_memory(other[2].y, other.Y)
+            assert other[2].relevant == (0, 1)
+
+    @pytest.mark.parametrize("empty", [[], (), Dataset(np.empty((0, 4)), np.empty((0, 3)))])
+    def test_of_rejects_an_empty_dataset(self, empty):
+        with pytest.raises(ValueError, match="^empty dataset$"):
+            Dataset.of(empty)
 
 
 class TestAtomicWrite:

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from tkmia.attack import AttackConfig, GlobalScheme, RandomScheme, ineligible, select_random
-from tkmia.core import Instance
+from tkmia.core import Dataset, Instance
 from tkmia.harness import (
     FEATURE_NOISE,
     ExperimentConfig,
@@ -72,6 +72,19 @@ class TestGenSynthetic:
         assert np.stack([i.x for i in got]).tobytes() == np.stack([i.x for i in want]).tobytes()
         assert np.stack([i.y for i in got]).tobytes() == np.stack([i.y for i in want]).tobytes()
         assert all(i.y.dtype == np.int64 and not i.y.flags.writeable for i in got)
+        # One pair of arrays, whose rows the instances view.
+        assert type(got) is Dataset and got[-1].x.base is got.X and got[-1].y.base is got.Y
+        assert got.X.tobytes() == np.stack([i.x for i in want]).tobytes()
+        assert got.Y.tobytes() == np.stack([i.y for i in want]).tobytes()
+        assert got.Y.dtype == np.int64 and not got.Y.flags.writeable
+
+    def test_instances_are_found_and_hashed_by_identity(self):
+        data = gen_synthetic(SyntheticSpec(n=20, d=3, c=4, mean_relevant=2.0, seed=1))
+        inst = data[7]
+        assert inst in data and data.index(inst) == 7 and data.count(inst) == 1
+        assert hash(inst) == hash(data[7]) and len(set(data)) == 20
+        twin = Instance(inst.x, inst.y)  # equal values, another instance
+        assert twin != inst and not twin == inst and twin not in data
 
     def test_deterministic_and_byte_identical(self, tmp_path):
         spec = SyntheticSpec(n=50, d=8, c=6, mean_relevant=2.0, seed=9)
@@ -214,6 +227,9 @@ class TestDatasetIO:
         for a, b in zip(data, loaded):
             np.testing.assert_array_equal(a.x, b.x)
             np.testing.assert_array_equal(a.y, b.y)
+        assert type(loaded) is Dataset
+        assert loaded.X.tobytes() == data.X.tobytes() and loaded.X.shape == data.X.shape
+        assert loaded.Y.tobytes() == data.Y.tobytes() and loaded.Y.dtype == np.int64
 
     def test_empty_file_rejected(self, tmp_path):
         path = tmp_path / "empty.jsonl"
@@ -482,7 +498,7 @@ class TestCellSelection:
     @pytest.fixture(scope="class")
     def files(self, tmp_path_factory):
         # Instances 0 and 7 have every label relevant: only ml_cw_u refuses them.
-        data = gen_synthetic(SyntheticSpec(n=80, d=4, c=8, mean_relevant=4.5, seed=3))
+        data = list(gen_synthetic(SyntheticSpec(n=80, d=4, c=8, mean_relevant=4.5, seed=3)))
         for i in (0, 7):
             data[i] = Instance(x=data[i].x, y=[1] * 8)
         base = tmp_path_factory.mktemp("selection")

@@ -507,9 +507,11 @@ class TestTrainBce:
         config = TrainConfig(epochs=epochs, learning_rate=0.5, momentum=0.9,
                              batch_size=batch_size, seed=4)
         got, want = train_bce(data, config, model=init), parent_train_bce(data, config, init)
+        listed = train_bce(list(data), config, model=init)  # the rows stacked again
         assert (got.arch, got.activation) == (want.arch, want.activation)
-        for a, b in zip(got.weights + got.biases, want.weights + want.biases):
-            assert a.tobytes() == b.tobytes()
+        for a, b, c in zip(got.weights + got.biases, want.weights + want.biases,
+                           listed.weights + listed.biases):
+            assert a.tobytes() == b.tobytes() == c.tobytes()
         if epochs:
             assert bce_loss(got, data) < bce_loss(init or make_affine(12, 5, seed=4), data)
 
