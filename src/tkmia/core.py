@@ -1,8 +1,8 @@
-"""Ranking primitives over bounded multi-label score vectors.
+"""Ranking primitives over multi-label score vectors.
 
-Score vectors are post-sigmoid class relevancy scores, so every entry must
-lie in [0, 1]. Ties between scores are broken deterministically by smaller
-class index, which keeps every downstream ranking quantity reproducible.
+A score vector is any finite vector (sigmoid outputs or raw logits): only
+its ranking is used, with ties broken deterministically by smaller class
+index, which keeps every downstream ranking quantity reproducible.
 All functions here are pure and safe to call concurrently, apart from
 :func:`atomic_write`, the one streaming file writer every output goes through.
 """
@@ -33,17 +33,14 @@ def as_scores(values, ndim: int = 1) -> np.ndarray:
     """Validate and return a score vector as a float64 array; with
     ``ndim=2``, a matrix whose rows are score vectors.
 
-    Requires at least 2 classes with every entry finite and inside [0, 1].
+    Requires at least 2 classes and every entry finite; the library only ranks.
     """
     scores = np.asarray(values, dtype=np.float64)
     if scores.ndim != ndim or scores.shape[-1] < 2:
         raise ValueError("score vector must be 1-D with at least 2 entries" if ndim == 1
                          else "score matrix must be 2-D with at least 2 columns")
-    # One reduction on valid input: NaN and +-inf fail the range test too.
-    if not ((scores >= 0.0) & (scores <= 1.0)).all():
-        if not np.isfinite(scores).all():
-            raise ValueError("score vector contains non-finite entries")
-        raise ValueError("score entries must lie in [0, 1]")
+    if not np.isfinite(scores).all():
+        raise ValueError("score vector contains non-finite entries")
     return scores
 
 
@@ -152,8 +149,13 @@ class Dataset(tuple):
     def __new__(cls, X, Y):
         X, Y = _rows(X, Y)
         self = super().__new__(cls, map(cls._view, X, Y))
-        self.X, self.Y = X, Y
+        object.__setattr__(self, "X", X)
+        object.__setattr__(self, "Y", Y)
         return self
+
+    def __setattr__(self, name, *value):  # every instance views X and Y, so neither moves
+        raise AttributeError(f"Dataset attribute {name!r} is read-only")
+    __delattr__ = __setattr__
 
     def __reduce__(self):  # copies and pickles are rebuilt from the two arrays
         return type(self), (self.X, self.Y)
@@ -202,10 +204,10 @@ def avg_top_k(scores, k: int) -> float:
 
 
 def variational_top_k_sum(scores, k: int, lam: float) -> float:
-    """Evaluate ``k*lam + sum_i max(0, f_i - lam)``.
+    """Evaluate ``k*lam + sum_i max(0, f_i - lam)``, for lam in [0, 1].
 
-    Minimized over lam in [0, 1] this equals the sum of the k largest
-    scores, and lam equal to the k-th largest score attains the minimum.
+    Minimized over all real lam it is the sum of the k largest scores (at lam =
+    the k-th largest); over lam in [0, 1] that needs the k-th largest in [0, 1].
     """
     scores = as_scores(scores)
     k = _check_k(k, scores.shape[0])

@@ -514,9 +514,6 @@ def run_experiment(config: ExperimentConfig):
     (_, d), (_, c) = dataset.X.shape, dataset.Y.shape
     config.check_classes(c)
     model = _resolve_victim(config, dataset)
-    if not model.sigmoid_output:  # only a victim file can be raw
-        raise ValueError(f"victim {config.victim['path']}: sigmoid_output is false, "
-                         "but the report measures need scores in [0, 1]")
     if (model.in_dim, model.out_dim) != (d, c):
         raise ValueError(f"victim has in_dim={model.in_dim}, out_dim={model.out_dim}, "
                          f"but the dataset has d={d}, c={c}")

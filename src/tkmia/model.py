@@ -1,9 +1,9 @@
 """Small differentiable multi-label scorers with exact input gradients.
 
 Two victim families are provided: an affine map and a one-hidden-layer
-MLP, both ending in a sigmoid so scores live in (0, 1). They are small on
-purpose: the affine family keeps the attack objective convex in the
-perturbation (with the sigmoid disabled), the MLP family gives a realistic
+MLP, whose scores are sigmoid outputs in (0, 1) or raw logits. They are
+small on purpose: the affine family keeps the attack objective convex in
+the perturbation on its logits, the MLP family gives a realistic
 non-convex victim, and both admit hand-written forward/backward passes
 that can be validated against finite differences.
 
@@ -65,8 +65,8 @@ class Scorer:
 
     ``weights``/``biases`` hold one (out, in)-shaped matrix and one bias
     vector per layer: a single layer for the affine family, two for the
-    MLP. The terminal sigmoid can be disabled (``sigmoid_output=False``)
-    for analyses that need raw affine outputs; normal victims keep it on.
+    MLP. With ``sigmoid_output=False`` the scores are the logits, on which an
+    affine victim's attack objective is convex; BCE training needs the sigmoid.
     """
 
     def __init__(self, weights, biases, activation: str = "tanh",
@@ -136,7 +136,7 @@ class Scorer:
         return (dz @ self.weights[1]) * _ACTIVATIONS[self.activation][1](pre, hidden)
 
     def score(self, x) -> np.ndarray:
-        """Deterministic forward pass; scores strictly inside (0, 1).
+        """Deterministic forward pass; scores strictly inside (0, 1), or logits.
 
         A (d,) vector gives (c,) scores and an (N, d) batch (N, c) scores.
         Both run as stacked (1, d) products, which give each row the bytes

@@ -11,6 +11,7 @@ the success test, and each loss closure calls a public loss, which scores
 again and runs its own forward pass for the gradient. It runs the whole
 budget and pulls back every iteration's cotangent, zeros included.
 """
+import hashlib
 import json
 from dataclasses import replace
 from pathlib import Path
@@ -59,6 +60,19 @@ def constant_score_model(values, in_dim=3):
 def read_jsonl(path):
     """The JSON value of each line of the file at ``path``."""
     return [json.loads(line) for line in Path(path).read_text().splitlines()]
+
+
+def outcome_digest(path):
+    """The first 16 hex digits of a sha256 over each outcome record of the file at
+    ``path``: its method, k, instance, success, iterations_used, residual and
+    measures. Unlike the file's bytes, these do not depend on the numeric stack
+    (the BLAS kernel and numpy's SIMD targets), so the digest compares machines."""
+    keys = ("method", "k", "instance", "success", "iterations_used", "residual",
+            "clean_metrics", "perturbed_metrics")
+    digest = hashlib.sha256()
+    for record in read_jsonl(path):
+        digest.update(json.dumps([record[key] for key in keys]).encode() + b"\n")
+    return digest.hexdigest()[:16]
 
 
 class CountingScorer(Scorer):

@@ -7,7 +7,13 @@ literal bounds on the worst errors the suites return.
 Run with ``pytest tests/test_acceptance.py -v`` (add ``-s`` to see the
 per-criterion lines while running).
 """
+import hashlib
+import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,12 +22,13 @@ from tkmia import checks
 from tkmia.attack import (AttackConfig, filter_instances, select_global, tkmia_attack,
                           tkmia_objective)
 from tkmia.core import Instance
-from tkmia.harness import (ExperimentConfig, RandomScheme, SyntheticSpec, gen_synthetic,
-                           run_experiment)
+from tkmia.harness import ExperimentConfig, SyntheticSpec, gen_synthetic, run_experiment
 from tkmia.metrics import ap_at_k, delta_report, evaluate_instance, ndcg_at_k
-from tkmia.model import TrainConfig, make_affine, train_bce
+from tkmia.model import Scorer, TrainConfig, make_affine, train_bce
 
-from support import attack, constant_score_model, rank_of
+from support import attack, constant_score_model, outcome_digest, rank_of
+
+REPO = Path(__file__).resolve().parents[1]
 
 
 def announce(criterion, name):
@@ -65,23 +72,53 @@ class TestCriterion3Gradients:
         announce(3, f"gradients vs finite differences, max rel err {worst:.2e}")
 
 
+def midpoint_gaps(model, cfg, draw, n, rng):
+    """The objective at the midpoint of two random (eps, lam1, lam2) points minus
+    the mean of its values there, for ``n`` draws; ``draw(rng)`` gives (x, S, Yp).
+    eps lies in [-0.5, 0.5] and both lambdas in [0, 1], the feasible set."""
+    gaps = np.empty(n)
+    for t in range(n):
+        x, spec, rel = draw(rng)
+        e1, e2 = rng.uniform(-0.5, 0.5, (2, x.shape[0]))
+        l1a, l1b, l2a, l2b = rng.uniform(0.0, 1.0, 4)
+
+        def value(eps, lam1, lam2):
+            return tkmia_objective(model, x, eps, lam1, lam2, spec, rel, cfg)[0]
+
+        mid = value((e1 + e2) / 2, (l1a + l1b) / 2, (l2a + l2b) / 2)
+        gaps[t] = mid - (value(e1, l1a, l2a) + value(e2, l1b, l2b)) / 2
+    return gaps
+
+
 class TestCriterion4Convexity:
     def test_midpoint_convexity_affine_no_sigmoid(self):
         model = make_affine(5, 7, seed=41, sigmoid_output=False)
         cfg = AttackConfig(k=2, eta=0.1, alpha=0.3)
-        spec, rel = (0, 3), (0, 2, 3, 5)
-        rng = np.random.default_rng(42)
-
-        def value(x, eps, lam1, lam2):
-            return tkmia_objective(model, x, eps, lam1, lam2, spec, rel, cfg)[0]
-
-        for _ in range(1000):
-            x = rng.uniform(-0.8, 0.8, 5)
-            e1, e2 = rng.uniform(-0.5, 0.5, (2, 5))
-            l1a, l1b, l2a, l2b = rng.uniform(0.0, 1.0, 4)
-            mid = value(x, (e1 + e2) / 2, (l1a + l1b) / 2, (l2a + l2b) / 2)
-            assert mid <= (value(x, e1, l1a, l2a) + value(x, e2, l1b, l2b)) / 2 + 1e-9
+        gaps = midpoint_gaps(model, cfg, lambda rng: (rng.uniform(-0.8, 0.8, 5), (0, 3),
+                                                      (0, 2, 3, 5)), 1000,
+                             np.random.default_rng(42))
+        assert gaps.max() <= 1e-9, f"worst midpoint excess {gaps.max():.3e}"
         announce(4, "objective midpoint convexity without sigmoid")
+
+    def test_midpoint_convexity_on_the_trained_victims_logits(self, efficacy_victim):
+        # The efficacy victim's attacked instances: convex on its logits, which a
+        # report attacks for a raw victim file; not on its sigmoid scores.
+        dataset, victim, pairs, _ = efficacy_victim
+        cfg = AttackConfig(k=3, eta=0.05, alpha=1e-4)
+
+        def draw(rng):
+            idx, spec = pairs[rng.integers(len(pairs))]
+            return dataset[idx].x, spec, dataset[idx].relevant
+
+        gaps = {}
+        for sigmoid in (False, True):
+            model = Scorer(victim.weights, victim.biases, victim.activation, sigmoid)
+            gaps[sigmoid] = midpoint_gaps(model, cfg, draw, 2000, np.random.default_rng(43))
+            print(f"criterion 4, trained victim, {'sigmoid' if sigmoid else 'logits'}: "
+                  f"{int((gaps[sigmoid] > 1e-9).sum())} of 2000 midpoints violate "
+                  f"convexity, worst excess {gaps[sigmoid].max():+.3e}")
+        assert gaps[False].max() <= 1e-9, f"worst midpoint excess {gaps[False].max():.3e}"
+        announce(4, "objective midpoint convexity on the trained victim's logits")
 
 
 class TestCriterion5MetricOracles:
@@ -111,20 +148,32 @@ class TestCriterion5MetricOracles:
 
 
 @pytest.fixture(scope="module")
-def efficacy_run():
-    """Shared end-to-end run for criteria 6 and 7."""
+def efficacy_victim():
+    """The trained victim of criteria 4, 6 and 7: its dataset, the victim, the
+    attacked (index, S) pairs at k = 3, and the seconds these took."""
     start = time.time()
     spec = SyntheticSpec(n=2000, d=32, c=10, mean_relevant=3.5,
                          label_correlation=0.5, seed=7)
     dataset = gen_synthetic(spec)
     victim = train_bce(dataset, TrainConfig(epochs=60, learning_rate=0.5,
                                             batch_size=64, seed=7))
+    pairs = [(i, s) for i, s in select_global(dataset, (0,))
+             if len(dataset[i].relevant) >= 3 + len(s)][:1000]
+    return dataset, victim, pairs, time.time() - start
+
+
+@pytest.fixture(scope="module", params=["sigmoid", "logits"])
+def efficacy_run(request, efficacy_victim):
+    """Shared end-to-end run for criteria 6 and 7, on the victim's sigmoid scores
+    and on its raw logits."""
+    start = time.time()
+    dataset, victim, pairs, setup = efficacy_victim
+    if request.param == "logits":
+        victim = Scorer(victim.weights, victim.biases, victim.activation, sigmoid_output=False)
     mean_ap = float(np.mean([ap_at_k(victim.score(inst.x), inst.y, 3)
                              for inst in dataset]))
 
     k = 3
-    pairs = [(i, s) for i, s in select_global(dataset, (0,))
-             if len(dataset[i].relevant) >= k + len(s)][:1000]
     config = AttackConfig(k=k, eta=0.05, alpha=1e-4, momentum=0.9, max_iter=300)
     clean = [evaluate_instance(victim.score(dataset[i].x), dataset[i].y, k)
              for i, _ in pairs]
@@ -140,8 +189,9 @@ def efficacy_run():
         "n_instances": len(pairs),
         "reports": reports,
         "outcomes": outcomes,
-        "elapsed": time.time() - start,
+        "elapsed": setup + time.time() - start,
         "k": k,
+        "output": request.param,
     }
 
 
@@ -158,7 +208,7 @@ class TestCriterion6Efficacy:
             if out.success:
                 for s in out.specified:
                     assert rank_of(out.scores_after, s) > run["k"]
-        announce(6, f"victim AP@3 {run['mean_ap']:.4f}, expulsion rate "
+        announce(6, f"{run['output']}: victim AP@3 {run['mean_ap']:.4f}, expulsion rate "
                     f"{rep.delta_l:.4f} over {run['n_instances']} instances")
 
 
@@ -172,8 +222,8 @@ class TestCriterion7Directional:
             assert ours.delta_map_at_k < other.delta_map_at_k, baseline
             assert ours.delta_ndcg_at_k < other.delta_ndcg_at_k, baseline
             assert ours.delta_l >= other.delta_l - 0.05, baseline
-        announce(7, "ranking-measure deltas strictly smaller than both baselines, "
-                    "expulsion within tolerance")
+        announce(7, f"{efficacy_run['output']}: ranking-measure deltas strictly smaller "
+                    "than both baselines, expulsion within tolerance")
 
 
 class TestCriterion8Boundaries:
@@ -200,28 +250,67 @@ class TestCriterion8Boundaries:
         announce(8, "early exit and instance filter boundaries")
 
 
+def criterion_9_config(base):
+    """Criterion 9's report config, as a config file holds it, writing into ``base``."""
+    return {
+        "seed": 91,
+        "dataset": {"n": 300, "d": 12, "c": 8, "mean_relevant": 3.0,
+                    "label_correlation": 0.4, "seed": 91},
+        "victim": {"arch": "affine", "epochs": 60, "seed": 91},
+        "k_grid": [2, 3],
+        "scheme": {"type": "random", "m": 1},
+        "methods": ["tkmia", "ml_cw_u", "tkml_ap_u"],
+        "attack": {"eta": 0.05, "alpha": 1e-4, "max_iter": 100},
+        "out_csv": str(base / "report.csv"),
+        "out_outcomes": str(base / "outcomes.jsonl"),
+        "max_instances": 50,
+    }
+
+
 class TestCriterion9Determinism:
     def test_report_pipeline_byte_identical(self, tmp_path):
-        def config(base):
-            return ExperimentConfig(
-                seed=91,
-                dataset={"n": 300, "d": 12, "c": 8, "mean_relevant": 3.0,
-                         "label_correlation": 0.4, "seed": 91},
-                victim={"arch": "affine", "epochs": 60, "seed": 91},
-                k_grid=(2, 3),
-                scheme=RandomScheme(1),
-                methods=("tkmia", "ml_cw_u", "tkml_ap_u"),
-                attack={"eta": 0.05, "alpha": 1e-4, "max_iter": 100},
-                out_csv=str(base / "report.csv"),
-                out_outcomes=str(base / "outcomes.jsonl"),
-                max_instances=50,
-            )
-
         first, second = tmp_path / "first", tmp_path / "second"
         first.mkdir()
         second.mkdir()
-        run_experiment(config(first))
-        run_experiment(config(second))
+        run_experiment(ExperimentConfig.from_dict(criterion_9_config(first)))
+        run_experiment(ExperimentConfig.from_dict(criterion_9_config(second)))
         assert (first / "report.csv").read_bytes() == (second / "report.csv").read_bytes()
         assert (first / "outcomes.jsonl").read_bytes() == (second / "outcomes.jsonl").read_bytes()
         announce(9, "byte-identical reports under fixed seeds")
+
+    def test_outcomes_do_not_depend_on_the_numeric_stack(self, tmp_path):
+        # The report bytes depend on the BLAS kernel and numpy's SIMD targets; the
+        # outcomes (successes, iterations, residual sets and measures) must not.
+        # The second stack is OpenBLAS's Prescott kernel with numpy's active
+        # dispatch targets disabled, as CI's second-stack step sets it.
+        probe = str(REPO / ".github" / "numeric_stack.py")
+        env = {name: value for name, value in os.environ.items()
+               if name not in ("OPENBLAS_CORETYPE", "NPY_DISABLE_CPU_FEATURES")}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(REPO / "src"),
+                                                          env.get("PYTHONPATH")]))
+        active = subprocess.run([sys.executable, probe, "--active-dispatch"], env=env,
+                                capture_output=True, text=True, check=True).stdout.strip()
+        stacks = {"default": env, "Prescott, no dispatch": {
+            **env, "OPENBLAS_CORETYPE": "Prescott", "NPY_DISABLE_CPU_FEATURES": active}}
+        seen = {}
+        for name, stack_env in stacks.items():
+            base = tmp_path / name.split(",")[0]
+            base.mkdir()
+            (base / "config.json").write_text(json.dumps(criterion_9_config(base)))
+            subprocess.run([sys.executable, "-m", "tkmia.cli", "report", "--config",
+                            str(base / "config.json")], env=stack_env, capture_output=True,
+                           check=True)
+            lines = subprocess.run([sys.executable, probe], env=stack_env, capture_output=True,
+                                   text=True, check=True).stdout.splitlines()
+            stack = "; ".join(line for line in lines
+                              if line.startswith(("OpenBLAS kernel:", "SIMD dispatch:")))
+            outcomes = (base / "outcomes.jsonl").read_bytes()
+            seen[name] = (stack, outcome_digest(base / "outcomes.jsonl"),
+                          hashlib.sha256(outcomes).hexdigest()[:16])
+            print(f"{name}: {stack}; outcome digest {seen[name][1]}, byte digest {seen[name][2]}")
+        (stack_a, outcome_a, _), (stack_b, outcome_b, _) = seen.values()
+        if stack_a == stack_b:
+            print("the second stack equals the default: numpy's OpenBLAS is not a "
+                  "DYNAMIC_ARCH build, or its kernel is unknown, and no dispatch target is active")
+        assert outcome_a == outcome_b
+        announce(9, f"outcome digest {outcome_a} on both numeric stacks")

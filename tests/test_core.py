@@ -60,8 +60,8 @@ class TestTopKIndices:
         assert top_k_indices([0.9, 0.8, 0.1], np.int32(2)).tolist() == [0, 1]
 
     def test_rejects_bad_scores(self):
-        with pytest.raises(ValueError):
-            top_k_indices([0.5, 1.2], 1)
+        # Any finite vector is a score vector: only its ranking is used.
+        assert top_k_indices([0.5, 1.2], 1).tolist() == [1]
         with pytest.raises(ValueError):
             top_k_indices([0.5, float("nan")], 1)
         with pytest.raises(ValueError):
@@ -378,6 +378,16 @@ class TestDataset:
             assert other.X.tobytes() == data.X.tobytes() and other.Y.tobytes() == data.Y.tobytes()
             assert np.shares_memory(other[2].x, other.X) and np.shares_memory(other[2].y, other.Y)
             assert other[2].relevant == (0, 1)
+
+    def test_arrays_cannot_be_rebound_or_deleted(self):
+        # Every instance views X and Y, so a rebound array would leave them stale.
+        data = Dataset(np.zeros((3, 2)), [[1, 0], [0, 1], [1, 1]])
+        X, Y = data.X, data.Y
+        for change in (lambda: setattr(data, "X", np.ones((5, 5))), lambda: delattr(data, "Y"),
+                       lambda: setattr(data, "Z", 1)):
+            with pytest.raises(AttributeError, match="read-only"):
+                change()
+        assert data.X is X and data.Y is Y and data[0].x.base is X
 
     @pytest.mark.parametrize("empty", [[], (), Dataset(np.empty((0, 4)), np.empty((0, 3)))])
     def test_of_rejects_an_empty_dataset(self, empty):

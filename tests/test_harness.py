@@ -25,7 +25,7 @@ from tkmia.harness import (
     train_victim,
 )
 from tkmia.metrics import MEASURES
-from tkmia.model import make_affine, save_scorer
+from tkmia.model import Scorer, make_affine, save_scorer
 
 from support import read_jsonl
 
@@ -464,17 +464,29 @@ class TestRunExperiment:
         assert any(json.loads(line)["iterations_used"] > 0 for line in lines(plain_dir, "ml_cw_u"))
         assert lines(override_dir, "tkmia") == lines(plain_dir, "tkmia")
 
-    def test_raw_victim_rejected_by_name(self, tmp_path):
-        config = small_config(tmp_path)
-        victim_path = tmp_path / "raw.jsonl"
-        save_scorer(make_affine(12, 8, seed=3, sigmoid_output=False), str(victim_path))
-        config.victim = {"path": str(victim_path)}
-        with pytest.raises(ValueError) as info:
-            run_experiment(config)
-        assert str(info.value) == (f"victim {victim_path}: sigmoid_output is false, "
-                                   "but the report measures need scores in [0, 1]")
-        assert not (tmp_path / "report.csv").exists()
-        assert not (tmp_path / "outcomes.jsonl").exists()
+    def test_raw_victim_file_is_reported_on_its_logits(self, tmp_path):
+        # A victim file with "sigmoid_output": false is attacked on its logits. The
+        # measures only rank, so its clean measures are those of the sigmoid copy.
+        from tkmia.cli import main
+
+        victim = make_affine(12, 8, seed=3)
+        records = {}
+        for sigmoid in (True, False):
+            base = tmp_path / ("sigmoid" if sigmoid else "raw")
+            base.mkdir()
+            save_scorer(Scorer(victim.weights, victim.biases, sigmoid_output=sigmoid),
+                        str(base / "victim.jsonl"))
+            config = {**dataclasses.asdict(small_config(base)),
+                      "victim": {"path": str(base / "victim.jsonl")},
+                      "scheme": {"type": "random", "m": 1}}
+            (base / "config.json").write_text(json.dumps(config))
+            assert main(["report", "--config", str(base / "config.json")]) == 0
+            records[sigmoid] = read_jsonl(base / "outcomes.jsonl")
+        assert len(records[False]) == len(records[True]) > 0
+        assert any(not 0.0 <= v <= 1.0 for rec in records[False] for v in rec["scores_before"])
+        for raw_rec, sig_rec in zip(records[False], records[True]):
+            keys = ("method", "k", "instance", "specified", "clean_metrics")
+            assert [raw_rec[key] for key in keys] == [sig_rec[key] for key in keys]
 
     def test_victim_from_path(self, tmp_path):
         config = small_config(tmp_path, max_instances=10)

@@ -325,7 +325,6 @@ class TestEvaluateRows:
         ([0.9, 0.1], [[1, 0]], "score matrix must be 2-D"),
         ([[0.9], [0.1]], [[1], [0]], "score matrix must be 2-D with at least 2 columns"),
         ([[0.9, np.nan]], [[1, 0]], "non-finite"),
-        ([[0.9, 1.5]], [[1, 0]], r"\[0, 1\]"),
         ([[0.9, 0.1]], [1, 0], "label matrix must be 2-D"),
         ([[0.9, 0.1]], [[1, 2]], "0 or 1"),
         ([[0.9, 0.1, 0.3]], [[1, 0]], "label vector length 2 != score length 3"),
@@ -387,6 +386,9 @@ class TestMonotoneInvariance:
             lambda s: np.sqrt(s),
             lambda s: 0.2 + 0.6 * s,
             lambda s: s ** 3,
+            # Maps that leave [0, 1]: a score is any finite vector.
+            lambda s: 5 * s - 2,
+            lambda s: np.exp(4 * s),
         ]
         rng = np.random.default_rng(7)
         for _ in range(100):
