@@ -43,11 +43,12 @@ from __future__ import annotations
 
 from contextlib import suppress
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Literal, Sequence
 
 import numpy as np
 
-from .core import Instance, _check_k, _integer, _rank, top_k_indices
+from .core import Dataset, Instance, _check_k, _integer, _rank, top_k_indices
 from .model import Scorer
 
 __all__ = [
@@ -107,14 +108,15 @@ class RandomScheme:
             raise ValueError("m must be positive")
 
 
-@dataclass
+@dataclass(frozen=True)
 class AttackConfig:
     """Hyperparameters shared by the attack and the baseline losses.
 
     ``delta_threshold`` and ``success_mode`` define success for every method:
     at least ``delta_threshold`` specified labels out of the top k (None: all
     of S), and under ``strict`` also the k-th score at most the lowest
-    remaining-relevant score (``c1_only`` needs only the count).
+    remaining-relevant score (``c1_only`` needs only the count). Frozen, so
+    that the cached :attr:`coefs` stay valid.
     """
 
     k: int
@@ -128,11 +130,12 @@ class AttackConfig:
     scheme: GlobalScheme | RandomScheme | None = None
 
     def __post_init__(self):
-        self.k = _integer(self.k, "k must be an integer, got")
-        self.max_iter = _integer(self.max_iter, "max_iter must be an integer, got")
+        object.__setattr__(self, "k", _integer(self.k, "k must be an integer, got"))
+        object.__setattr__(self, "max_iter",
+                           _integer(self.max_iter, "max_iter must be an integer, got"))
         if self.delta_threshold is not None:
-            self.delta_threshold = _integer(self.delta_threshold,
-                                            "delta threshold must be an integer, got")
+            object.__setattr__(self, "delta_threshold", _integer(
+                self.delta_threshold, "delta threshold must be an integer, got"))
         # json.load reads NaN and Infinity, which pass the range tests below.
         for name, value in (("eta", self.eta), ("alpha", self.alpha),
                             ("clip domain", self.clip_domain)):
@@ -157,6 +160,13 @@ class AttackConfig:
             raise ValueError("clip domain must satisfy lo < hi")
         if isinstance(self.scheme, RandomScheme) and self.scheme.m > self.k:
             raise ValueError("random scheme requires m <= k")
+
+    @cached_property
+    def coefs(self) -> tuple[np.ndarray, ...]:
+        """alpha, momentum, eta and the clip bounds as 0-d arrays, :func:`_step`'s
+        ``coefs``: built once per config, not once per attack."""
+        return tuple(np.array(c) for c in (self.alpha, self.momentum, self.eta,
+                                           *self.clip_domain))
 
 
 @dataclass(frozen=True)
@@ -283,8 +293,9 @@ def _tkmia_terms(scores, lam1: float, lam2: float, spec, rest, k: int):
     # with gradual underflow, fl(a - b) > 0 exactly when a > b.
     active1 = delta > lam1
     active2 = delta_tilde > lam2
-    n1 = np.count_nonzero(active1)
-    n2 = np.count_nonzero(active2)
+    # Python ints, so that the lambda gradients below and the lambdas are floats.
+    n1 = int(np.count_nonzero(active1))
+    n2 = int(np.count_nonzero(active2))
     if n1 == n2 == 0:
         return None, 1.0, 1.0
 
@@ -584,7 +595,7 @@ def run_attack_loop(model: Scorer, instance: Instance, specified,
     x = model._check_input(instance.x)
     d = x.shape[0]
     eps, velocity = np.zeros(d), np.zeros(d)
-    coefs = tuple(np.array(c) for c in (config.alpha, config.momentum, eta, *config.clip_domain))
+    coefs = config.coefs
     lo, hi = coefs[3:]
     # The domain is closed; a non-finite entry has failed _check_input already.
     if np.count_nonzero((x >= lo) & (x <= hi)) != d:
@@ -671,15 +682,19 @@ def select_global(dataset: Sequence[Instance], categories) -> list[tuple[int, tu
 
     Returns (dataset index, S) pairs with S the intersection of the
     instance's relevant labels and the category list; instances with an
-    empty intersection are not attackable and are dropped.
+    empty intersection are not attackable and are dropped. Both are read off
+    the label matrix's category columns; a category outside [0, c) matches
+    nothing.
     """
-    cats = set(GlobalScheme(categories).categories)
-    selected = []
-    for idx, inst in enumerate(dataset):
-        overlap = tuple(sorted(cats & set(inst.relevant)))
-        if overlap:
-            selected.append((idx, overlap))
-    return selected
+    cats = sorted(set(GlobalScheme(categories).categories))
+    if not len(dataset):
+        return []
+    Y = Dataset.of(dataset).Y
+    cats = [i for i in cats if 0 <= i < Y.shape[1]]
+    hits = Y[:, cats] != 0
+    rows = np.flatnonzero(hits.any(axis=1))
+    return [(idx, tuple(cat for cat, hit in zip(cats, row) if hit))
+            for idx, row in zip(rows.tolist(), hits[rows].tolist())]
 
 
 def select_random(instance: Instance, m: int, seed) -> tuple[int, ...]:

@@ -15,7 +15,6 @@ give identical outputs. Exit status is 0 on success, 1 on any error, and
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from .attack import SUCCESS_MODES, AttackConfig, RandomScheme, select_random
@@ -25,6 +24,7 @@ from .harness import (
     METHODS,
     VICTIM_ARCHS,
     ExperimentConfig,
+    OutcomeLines,
     SyntheticSpec,
     _check_output_directory,
     _run_method,
@@ -135,7 +135,7 @@ def _cmd_attack(args) -> int:
             raise ValueError(f"--specified: expected comma-separated class indices, "
                              f"got {args.specified!r}") from None
     outcome = _run_method(args.method, victim, instance, specified, config)
-    print(json.dumps(outcome.to_record(instance=args.index, k=args.k)))
+    print(OutcomeLines().line(outcome, outcome.epsilon_norm, args.index, args.k), end="")
     return 0
 
 

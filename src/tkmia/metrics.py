@@ -174,10 +174,15 @@ def aper(perturbations: Iterable[np.ndarray]) -> float | None:
     Returns None when there are no successes, the explicit
     undefined-metric marker.
     """
-    norms = [float(np.linalg.norm(np.asarray(e, dtype=np.float64))) for e in perturbations]
-    if not norms:
-        return None
-    return float(np.mean(norms))
+    return _mean_norm([_norm(e) for e in perturbations])
+
+
+def _norm(perturbation) -> float:
+    return float(np.linalg.norm(np.asarray(perturbation, dtype=np.float64)))
+
+
+def _mean_norm(norms: list[float]) -> float | None:
+    return float(np.mean(norms)) if norms else None
 
 
 # The per-instance measures, as MetricsRecord names them, in the order the
@@ -240,15 +245,19 @@ def delta_report(
     clean: Sequence[MetricsRecord],
     perturbed: Sequence[MetricsRecord],
     outcomes: Sequence,
+    norms: Sequence[float] | None = None,
 ) -> AggregateReport:
     """Aggregate one attacked instance set into a report row.
 
     ``clean`` and ``perturbed`` must describe the same instances in the
     same order (checked by length and k). The reported mAP@k is the
-    sample mean of AP@k. APer averages over successful outcomes only.
+    sample mean of AP@k. APer averages over successful outcomes only,
+    the L2 norms of their epsilons: ``norms``, one per outcome in order,
+    when the caller has them, else computed here.
     """
-    if not (len(clean) == len(perturbed) == len(outcomes)) or len(clean) == 0:
-        raise ValueError("clean, perturbed and outcomes must be non-empty and aligned")
+    if not (len(clean) == len(perturbed) == len(outcomes)) or len(clean) == 0 or (
+            norms is not None and len(norms) != len(outcomes)):
+        raise ValueError("clean, perturbed, outcomes and norms must be non-empty and aligned")
     ks = {r.k for r in clean} | {r.k for r in perturbed}
     if len(ks) != 1:
         raise ValueError("mismatched k across records")
@@ -259,7 +268,8 @@ def delta_report(
     return AggregateReport(
         *(mean(clean, name) - mean(perturbed, name) for name in MEASURES),
         delta_l=delta_l(outcomes),
-        aper=aper([o.epsilon for o in outcomes if o.success]),
+        aper=_mean_norm([_norm(o.epsilon) if norms is None else norms[i]
+                         for i, o in enumerate(outcomes) if o.success]),
         n=len(clean),
     )
 

@@ -436,6 +436,7 @@ class TestTkmiaAttack:
             assert np.all(inst.x + out.epsilon >= lo - 1e-12)
             assert np.all(inst.x + out.epsilon <= hi + 1e-12)
             assert 0.0 <= out.lambda1 <= 1.0 and 0.0 <= out.lambda2 <= 1.0
+            assert type(out.lambda1) is float and type(out.lambda2) is float
             assert set(out.residual) <= set(out.specified)
             if out.success:
                 succeeded += 1
@@ -947,6 +948,15 @@ class TestSelection:
         with pytest.raises(ValueError):
             select_global([], ())
 
+    def test_global_empty_dataset_gives_no_pairs(self):
+        assert select_global([], (0, 2)) == []
+
+    def test_global_category_outside_the_classes_matches_nothing(self):
+        data = [Instance(x=np.zeros(2), y=[1, 1, 0, 1]), Instance(x=np.zeros(2), y=[1, 0, 1, 0])]
+        assert select_global(data, (4, 9)) == []
+        assert select_global(data, (-1, 3, 4)) == [(0, (3,))]
+        assert select_global(Dataset.of(data), (2, 7)) == [(1, (2,))]
+
     def test_random_full_set(self):
         inst = Instance(x=np.zeros(2), y=[1, 0, 1, 1])
         assert select_random(inst, 3, seed=0) == (0, 2, 3)
@@ -1066,6 +1076,15 @@ class TestAttackConfig:
         with pytest.raises(ValueError) as raised:
             AttackConfig(**{"k": 2, "eta": 0.1, field: value})
         assert str(raised.value) == message
+
+    def test_coefs_are_built_once_from_a_frozen_config(self):
+        cfg = AttackConfig(k=2, eta=0.1, alpha=1e-3, momentum=0.5, clip_domain=(-2.0, 3.0))
+        assert cfg.coefs is cfg.coefs
+        assert [(c.shape, float(c)) for c in cfg.coefs] == [
+            ((), 1e-3), ((), 0.5), ((), 0.1), ((), -2.0), ((), 3.0)]
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cfg.eta = 0.2
+        assert dataclasses.replace(cfg, eta=0.2).coefs[2] == 0.2
 
 
 class TestOneIntegerRule:

@@ -76,6 +76,23 @@ class TestTrainAndAttack:
         assert record["method"] == "tkmia"
         assert set(record) >= {"success", "epsilon", "iterations_used", "residual"}
 
+    def test_attack_prints_the_outcome_record_dumped(self, dataset_path, tmp_path, capsys):
+        victim = tmp_path / "victim.jsonl"
+        assert run_cli(["train", "--dataset", str(dataset_path), "--epochs", "20",
+                        "--out", str(victim)]) == 0
+        capsys.readouterr()
+        data, scorer = harness.load_dataset(str(dataset_path)), model.load_scorer(str(victim))
+        index = next(i for i, inst in enumerate(data) if len(inst.relevant) >= 3)
+        specified = data[index].relevant[:1]
+        config = attack.AttackConfig(k=2, eta=0.05, alpha=1e-4)
+        for method in attack.METHODS:
+            assert run_cli(["attack", "--dataset", str(dataset_path), "--victim", str(victim),
+                            "--index", str(index), "--k", "2", "--method", method,
+                            "--specified", str(specified[0])]) == 0
+            outcome = harness._run_method(method, scorer, data[index], specified, config)
+            assert capsys.readouterr().out == json.dumps(
+                outcome.to_record(instance=index, k=2)) + "\n"
+
     @pytest.mark.parametrize("index", [150, -1])
     def test_index_outside_the_dataset_exits_one(self, dataset_path, tmp_path, capsys, index):
         victim = tmp_path / "victim.jsonl"

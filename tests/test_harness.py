@@ -9,11 +9,21 @@ from statistics import NormalDist
 import numpy as np
 import pytest
 
-from tkmia.attack import AttackConfig, GlobalScheme, RandomScheme, ineligible, select_random
+from tkmia import harness
+from tkmia.attack import (
+    METHODS,
+    AttackConfig,
+    AttackOutcome,
+    GlobalScheme,
+    RandomScheme,
+    ineligible,
+    select_random,
+)
 from tkmia.core import Dataset, Instance
 from tkmia.harness import (
     FEATURE_NOISE,
     ExperimentConfig,
+    OutcomeLines,
     SyntheticSpec,
     VictimSpec,
     _sliding_extremes,
@@ -24,7 +34,7 @@ from tkmia.harness import (
     save_dataset,
     train_victim,
 )
-from tkmia.metrics import MEASURES
+from tkmia.metrics import MEASURES, MetricsRecord
 from tkmia.model import Scorer, make_affine, save_scorer
 
 from support import read_jsonl
@@ -498,6 +508,85 @@ class TestRunExperiment:
         config.victim = {"path": str(victim_path)}
         rows = run_experiment(config)
         assert rows
+
+
+def dumped(outcome, instance, k, clean=None, perturbed=None):
+    """The reference text of an outcome line: its record dumped, then a newline."""
+    metrics = {} if clean is None else {
+        "clean_metrics": {name: getattr(clean, name) for name in MEASURES},
+        "perturbed_metrics": {name: getattr(perturbed, name) for name in MEASURES}}
+    return json.dumps(outcome.to_record(instance=instance, k=k, **metrics)) + "\n"
+
+
+def hand_outcome(**fields):
+    base = dict(method="tkmia", epsilon=np.array([0.25, -0.5, 0.125]), iterations_used=4,
+                success=True, specified=(1,), residual=(), lambda1=0.3125, lambda2=1.0,
+                scores_before=np.array([0.9, 0.8, 0.1, 0.4]),
+                scores_after=np.array([0.9, 0.3, 0.1, 0.4]))
+    return AttackOutcome(**{**base, **fields})
+
+
+class TestOutcomeLines:
+    @pytest.mark.parametrize("mode", ["c1_only", "strict"])
+    def test_every_report_line_is_its_record_dumped(self, tmp_path, monkeypatch, mode):
+        config = small_config(tmp_path, methods=METHODS, k_grid=(1, 3), max_instances=25)
+        config.attack = {**config.attack, "success_mode": mode}
+        expected = []
+        line = OutcomeLines.line
+
+        def spy(self, outcome, norm, instance, k, clean, perturbed):
+            assert norm.hex() == outcome.epsilon_norm.hex()
+            expected.append(dumped(outcome, instance, k, clean, perturbed))
+            return line(self, outcome, norm, instance, k, clean, perturbed)
+
+        monkeypatch.setattr(harness.OutcomeLines, "line", spy)
+        run_experiment(config)
+        assert (tmp_path / "outcomes.jsonl").read_text() == "".join(expected)
+        records = read_jsonl(tmp_path / "outcomes.jsonl")
+        assert {(r["method"], r["k"]) for r in records} == {
+            (m, k) for m in METHODS for k in (1, 3)}
+        # Both kinds of outcome, and lines whose epsilon and scores are reused and not.
+        assert {r["success"] for r in records} == {True, False}
+        assert {r["iterations_used"] == 0 for r in records} == {True, False}
+        assert {r["scores_after"] == r["scores_before"] for r in records} == {True, False}
+
+    def test_hand_built_outcomes_are_their_records_dumped(self):
+        lines = OutcomeLines()
+        zeros = np.zeros(3)
+        cases = [
+            hand_outcome(),
+            # -0.0 in epsilon, in the scores and as the only epsilon entry
+            hand_outcome(epsilon=np.array([0.0, -0.0, 0.5])),
+            hand_outcome(epsilon=np.array([-0.0, -0.0, -0.0])),
+            hand_outcome(scores_before=np.array([-0.0, 0.5, 0.25, 0.0]),
+                         scores_after=np.array([-0.0, 0.5, 0.25, 0.0])),
+            # equal values in other bytes: 0.0 after -0.0
+            hand_outcome(scores_before=np.array([0.5, -0.0, 0.25, 0.75]),
+                         scores_after=np.array([0.5, 0.0, 0.25, 0.75])),
+            # a zero-iteration success, and a zero epsilon of another d
+            hand_outcome(epsilon=zeros, iterations_used=0, lambda1=0.0, lambda2=0.0,
+                         scores_after=np.array([0.9, 0.8, 0.1, 0.4])),
+            hand_outcome(epsilon=np.zeros(5), success=False, residual=(1,), method="ml_cw_u",
+                         specified=(0, 1), lambda1=0.0, lambda2=0.0),
+            hand_outcome(lambda1=5e-324, lambda2=1e16, epsilon=np.array([1e-300, -2e22, 3.0])),
+            # non-finite floats, which json writes as Infinity and NaN
+            hand_outcome(scores_before=np.array([np.inf, 0.5, 0.25, 0.0]),
+                         scores_after=np.array([np.inf, 0.5, 0.25, 0.0])),
+            hand_outcome(scores_after=np.array([0.5, np.nan, 0.25, -np.inf])),
+            hand_outcome(epsilon=np.array([0.0, -np.inf, 0.5])),
+            hand_outcome(lambda2=float("nan")),
+        ]
+        # Measure sets that are equal in value, not in text.
+        measures = [MetricsRecord(2, 1, 0.0, 1.0, 1.0), MetricsRecord(2, 1, -0.0, 1.0, 1.0),
+                    MetricsRecord(2, 1, 0.0, 1, 1.0), MetricsRecord(2, True, 0.0, 1.0, 1.0),
+                    MetricsRecord(2, 0, 0.5, 0.75, 0.6131471927654584)]
+        for outcome in cases * 2:  # twice, so that reused text meets each case again
+            norm = outcome.epsilon_norm
+            assert lines.line(outcome, norm, 7, 2) == dumped(outcome, 7, 2)
+            for clean in measures:
+                for perturbed in measures:
+                    assert (lines.line(outcome, norm, 7, 2, clean, perturbed)
+                            == dumped(outcome, 7, 2, clean, perturbed))
 
 
 class TestCellSelection:

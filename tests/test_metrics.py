@@ -484,6 +484,19 @@ class TestDeltaReport:
             delta_report([record()], [record(), record()], [outcome(), outcome()])
         with pytest.raises(ValueError):
             delta_report([record(k=2)], [record(k=3)], [outcome()])
+        with pytest.raises(ValueError):
+            delta_report([record()], [record()], [outcome()], norms=[0.0, 0.0])
+
+    def test_caller_norms_give_the_same_report(self):
+        rng = np.random.default_rng(3)
+        outs = [outcome(success=bool(i % 3), residual=() if i % 3 else (1,),
+                        eps=rng.normal(size=5)) for i in range(12)]
+        clean, perturbed = [record()] * 12, [record(p=0.5)] * 12
+        norms = [float(np.linalg.norm(o.epsilon)) for o in outs]
+        assert (dataclasses.astuple(delta_report(clean, perturbed, outs, norms))
+                == dataclasses.astuple(delta_report(clean, perturbed, outs)))
+        # APer reads the given norms, of the successful outcomes only.
+        assert delta_report(clean, perturbed, outs, [1.0] * 12).aper == 1.0
 
     def test_fields_are_the_csv_columns_of_a_cell(self):
         names = [field.name for field in dataclasses.fields(AggregateReport)]
