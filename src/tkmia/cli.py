@@ -17,14 +17,13 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .attack import SUCCESS_MODES, AttackConfig, RandomScheme, select_random
+from .attack import SUCCESS_MODES, AttackConfig, OutcomeLines, RandomScheme, select_random
 from .checks import run_all_checks
 from .core import _seed
 from .harness import (
     METHODS,
     VICTIM_ARCHS,
     ExperimentConfig,
-    OutcomeLines,
     SyntheticSpec,
     _check_output_directory,
     _run_method,
@@ -135,7 +134,8 @@ def _cmd_attack(args) -> int:
             raise ValueError(f"--specified: expected comma-separated class indices, "
                              f"got {args.specified!r}") from None
     outcome = _run_method(args.method, victim, instance, specified, config)
-    print(OutcomeLines().line(outcome, outcome.epsilon_norm, args.index, args.k), end="")
+    print(OutcomeLines().line(outcome, outcome.epsilon_norm, instance=args.index, k=args.k),
+          end="")
     return 0
 
 

@@ -12,12 +12,9 @@ are reproducible byte for byte.
 from __future__ import annotations
 
 import json
-import math
 import os
 from dataclasses import MISSING, dataclass, fields
 from itertools import islice
-from json.encoder import encode_basestring_ascii
-from operator import attrgetter
 from statistics import NormalDist
 from typing import Sequence
 
@@ -26,9 +23,9 @@ import numpy as np
 from .attack import (
     METHODS,
     AttackConfig,
-    AttackOutcome,
     BaselineSpec,
     GlobalScheme,
+    OutcomeLines,
     RandomScheme,
     ineligible,
     run_baseline,
@@ -37,14 +34,7 @@ from .attack import (
     tkmia_attack,
 )
 from .core import Dataset, Instance, _integer, _seed, atomic_write
-from .metrics import (
-    MEASURES,
-    REPORT_COLUMNS,
-    MetricsRecord,
-    delta_report,
-    evaluate_rows,
-    write_report_csv,
-)
+from .metrics import MEASURES, REPORT_COLUMNS, delta_report, evaluate_rows, write_report_csv
 # Unused here; perfbench's tracer test looks evaluate_instance up in this namespace.
 from .metrics import evaluate_instance  # noqa: F401
 from .model import ACTIVATIONS, Scorer, TrainConfig, load_scorer, make_mlp, train_bce
@@ -502,79 +492,6 @@ def _run_method(method: str, model: Scorer, inst: Instance, s, cfg: AttackConfig
     return run_baseline(model, inst, s, BaselineSpec(method, cfg))
 
 
-_MEASURE_VALUES = attrgetter(*MEASURES)
-_ONES = (1.0,) * len(MEASURES)
-
-
-class OutcomeLines:
-    """The one encoder of outcome lines, for reports and ``tkmia attack``.
-
-    ``line(outcome, norm, instance, k)`` equals
-    ``json.dumps(outcome.to_record(instance=instance, k=k)) + "\\n"`` byte for
-    byte, and with ``clean`` and ``perturbed`` also the records'
-    ``clean_metrics`` and ``perturbed_metrics``, each ``{name: value}`` over
-    MEASURES; ``norm`` is ``outcome.epsilon_norm``, which the caller computes
-    once. :meth:`AttackOutcome.to_record` stays the record's definition.
-    Vectors are 1-D float64.
-
-    A list of finite floats has the same text as its repr, and the encoder
-    writes it so: every float must be finite. A report's are, since each
-    cell's :func:`evaluate_rows` has checked its scores and the loop keeps
-    epsilon and the lambdas finite; a line with a non-finite score, lambda or
-    norm (a non-finite epsilon entry makes the norm non-finite) is dumped
-    from its record. Text is reused, never formatted twice, where the bytes
-    agree: ``scores_after`` with the bytes of ``scores_before`` takes its
-    text, an epsilon of zero bytes takes one text per d, and each measure set
-    one text per encoder, keyed by values, types and signs, so that 0.0 and
-    -0.0, or 1 and 1.0, never share one. No vector text outlives its record.
-    """
-
-    def __init__(self):
-        self._zeros: dict[int, tuple[bytes, str]] = {}
-        self._measures: dict[tuple, str] = {}
-
-    def line(self, outcome: AttackOutcome, norm: float, instance: int, k: int,
-             clean: MetricsRecord | None = None, perturbed: MetricsRecord | None = None) -> str:
-        eps, before, after = outcome.epsilon, outcome.scores_before, outcome.scores_after
-        before_list = before.tolist()
-        after_list = None if after.tobytes() == before.tobytes() else after.tolist()
-        if not math.isfinite(outcome.lambda1 + outcome.lambda2 + norm + sum(before_list)
-                             + sum(after_list or ())):
-            metrics = {} if clean is None else {"clean_metrics": _measures(clean),
-                                                "perturbed_metrics": _measures(perturbed)}
-            return json.dumps(outcome.to_record(instance=instance, k=k, **metrics)) + "\n"
-        d = eps.shape[0]
-        if d not in self._zeros:
-            self._zeros[d] = bytes(8 * d), repr([0.0] * d)
-        zero_bytes, zero_text = self._zeros[d]
-        before_text = repr(before_list)
-        metrics = "" if clean is None else ', "clean_metrics": %s, "perturbed_metrics": %s' % (
-            self._measure_text(clean), self._measure_text(perturbed))
-        return ('{"method": %s, "success": %s, "iterations_used": %d, "specified": %r, '
-                '"residual": %r, "lambda1": %s, "lambda2": %s, "epsilon_norm": %s, '
-                '"epsilon": %s, "scores_before": %s, "scores_after": %s, "instance": %d, '
-                '"k": %d%s}\n') % (
-            encode_basestring_ascii(outcome.method), "true" if outcome.success else "false",
-            outcome.iterations_used, list(outcome.specified), list(outcome.residual),
-            float.__repr__(outcome.lambda1), float.__repr__(outcome.lambda2),
-            float.__repr__(norm),
-            zero_text if eps.tobytes() == zero_bytes else repr(eps.tolist()),
-            before_text, before_text if after_list is None else repr(after_list),
-            instance, k, metrics)
-
-    def _measure_text(self, record: MetricsRecord) -> str:
-        values = _MEASURE_VALUES(record)
-        key = values + tuple(map(type, values)) + tuple(map(math.copysign, _ONES, values))
-        if key not in self._measures:
-            self._measures[key] = json.dumps(_measures(record))
-        return self._measures[key]
-
-
-def _measures(record: MetricsRecord) -> dict:
-    """A record's measures as an outcome record holds them."""
-    return dict(zip(MEASURES, _MEASURE_VALUES(record)))
-
-
 def _check_output_directory(name: str, path: str) -> None:
     """Reject an output path whose directory is missing, naming ``name``,
     before any work is done for it."""
@@ -627,7 +544,11 @@ def run_experiment(config: ExperimentConfig):
                 rows.append({col: row.get(col, getattr(report, col, None))
                              for col in REPORT_COLUMNS})
                 for outcome, norm, idx, cl, pt in zip(outcomes, norms, chosen, clean, perturbed):
-                    outcome_file.write(lines.line(outcome, norm, idx, k, cl, pt))
+                    outcome_file.write(lines.line(
+                        outcome, norm, instance=idx, k=k,
+                        clean_metrics={name: getattr(cl, name) for name in MEASURES},
+                        perturbed_metrics={name: getattr(pt, name) for name in MEASURES},
+                    ))
 
     write_report_csv(config.out_csv, rows)
     return rows

@@ -174,15 +174,10 @@ def aper(perturbations: Iterable[np.ndarray]) -> float | None:
     Returns None when there are no successes, the explicit
     undefined-metric marker.
     """
-    return _mean_norm([_norm(e) for e in perturbations])
-
-
-def _norm(perturbation) -> float:
-    return float(np.linalg.norm(np.asarray(perturbation, dtype=np.float64)))
-
-
-def _mean_norm(norms: list[float]) -> float | None:
-    return float(np.mean(norms)) if norms else None
+    norms = [float(np.linalg.norm(np.asarray(e, dtype=np.float64))) for e in perturbations]
+    if not norms:
+        return None
+    return float(np.mean(norms))
 
 
 # The per-instance measures, as MetricsRecord names them, in the order the
@@ -245,18 +240,16 @@ def delta_report(
     clean: Sequence[MetricsRecord],
     perturbed: Sequence[MetricsRecord],
     outcomes: Sequence,
-    norms: Sequence[float] | None = None,
+    norms: Sequence[float],
 ) -> AggregateReport:
     """Aggregate one attacked instance set into a report row.
 
     ``clean`` and ``perturbed`` must describe the same instances in the
     same order (checked by length and k). The reported mAP@k is the
-    sample mean of AP@k. APer averages over successful outcomes only,
-    the L2 norms of their epsilons: ``norms``, one per outcome in order,
-    when the caller has them, else computed here.
+    sample mean of AP@k. ``norms`` holds each outcome's L2 epsilon norm, in
+    order; APer, as :func:`aper`, averages those of successful outcomes only.
     """
-    if not (len(clean) == len(perturbed) == len(outcomes)) or len(clean) == 0 or (
-            norms is not None and len(norms) != len(outcomes)):
+    if not (len(clean) == len(perturbed) == len(outcomes) == len(norms)) or len(clean) == 0:
         raise ValueError("clean, perturbed, outcomes and norms must be non-empty and aligned")
     ks = {r.k for r in clean} | {r.k for r in perturbed}
     if len(ks) != 1:
@@ -265,11 +258,11 @@ def delta_report(
     def mean(records, name):
         return float(np.mean([getattr(r, name) for r in records]))
 
+    succeeded = [norm for norm, o in zip(norms, outcomes) if o.success]
     return AggregateReport(
         *(mean(clean, name) - mean(perturbed, name) for name in MEASURES),
         delta_l=delta_l(outcomes),
-        aper=_mean_norm([_norm(o.epsilon) if norms is None else norms[i]
-                         for i, o in enumerate(outcomes) if o.success]),
+        aper=float(np.mean(succeeded)) if succeeded else None,
         n=len(clean),
     )
 

@@ -141,7 +141,7 @@ class TestCriterion5MetricOracles:
             success = False
             epsilon = np.zeros(2)
 
-        rep = delta_report(clean, pert, [Out(), Out()])
+        rep = delta_report(clean, pert, [Out(), Out()], [0.0, 0.0])
         assert rep.delta_tk_acc == pytest.approx(-0.5, abs=1e-12)
         assert rep.delta_tk_acc < 0
         announce(5, "negative deltas representable and exact")
@@ -182,7 +182,7 @@ def efficacy_run(request, efficacy_victim):
         outs = [attack(method, victim, dataset[i], s, config) for i, s in pairs]
         pert = [evaluate_instance(o.scores_after, dataset[i].y, k)
                 for o, (i, _) in zip(outs, pairs)]
-        reports[method] = delta_report(clean, pert, outs)
+        reports[method] = delta_report(clean, pert, outs, [o.epsilon_norm for o in outs])
         outcomes[method] = outs
     return {
         "mean_ap": mean_ap,
@@ -236,7 +236,7 @@ class TestCriterion8Boundaries:
         assert np.all(out.epsilon == 0.0)
         before = evaluate_instance(out.scores_before, inst.y, 2)
         after = evaluate_instance(out.scores_after, inst.y, 2)
-        rep = delta_report([before], [after], [out])
+        rep = delta_report([before], [after], [out], [out.epsilon_norm])
         assert rep.delta_p_at_k == 0.0 and rep.delta_ndcg_at_k == 0.0
         assert rep.aper == 0.0
 

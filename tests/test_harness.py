@@ -9,12 +9,12 @@ from statistics import NormalDist
 import numpy as np
 import pytest
 
-from tkmia import harness
 from tkmia.attack import (
     METHODS,
     AttackConfig,
     AttackOutcome,
     GlobalScheme,
+    OutcomeLines,
     RandomScheme,
     ineligible,
     select_random,
@@ -23,7 +23,6 @@ from tkmia.core import Dataset, Instance
 from tkmia.harness import (
     FEATURE_NOISE,
     ExperimentConfig,
-    OutcomeLines,
     SyntheticSpec,
     VictimSpec,
     _sliding_extremes,
@@ -510,12 +509,17 @@ class TestRunExperiment:
         assert rows
 
 
-def dumped(outcome, instance, k, clean=None, perturbed=None):
+def dumped(outcome, **extra):
     """The reference text of an outcome line: its record dumped, then a newline."""
-    metrics = {} if clean is None else {
-        "clean_metrics": {name: getattr(clean, name) for name in MEASURES},
-        "perturbed_metrics": {name: getattr(perturbed, name) for name in MEASURES}}
-    return json.dumps(outcome.to_record(instance=instance, k=k, **metrics)) + "\n"
+    return json.dumps(outcome.to_record(**extra)) + "\n"
+
+
+def text_or_error(write):
+    """The text ``write()`` returns, or the type of the error it raises."""
+    try:
+        return write()
+    except Exception as exc:
+        return type(exc)
 
 
 def hand_outcome(**fields):
@@ -526,6 +530,10 @@ def hand_outcome(**fields):
     return AttackOutcome(**{**base, **fields})
 
 
+def measures(record):
+    return {name: getattr(record, name) for name in MEASURES}
+
+
 class TestOutcomeLines:
     @pytest.mark.parametrize("mode", ["c1_only", "strict"])
     def test_every_report_line_is_its_record_dumped(self, tmp_path, monkeypatch, mode):
@@ -534,12 +542,15 @@ class TestOutcomeLines:
         expected = []
         line = OutcomeLines.line
 
-        def spy(self, outcome, norm, instance, k, clean, perturbed):
+        def spy(self, outcome, norm, **extra):
             assert norm.hex() == outcome.epsilon_norm.hex()
-            expected.append(dumped(outcome, instance, k, clean, perturbed))
-            return line(self, outcome, norm, instance, k, clean, perturbed)
+            expected.append(dumped(outcome, **extra))
+            # A report's outcomes all take the encoder's own path, not the record's.
+            with monkeypatch.context() as patch:
+                patch.delattr(AttackOutcome, "to_record")
+                return line(self, outcome, norm, **extra)
 
-        monkeypatch.setattr(harness.OutcomeLines, "line", spy)
+        monkeypatch.setattr(OutcomeLines, "line", spy)
         run_experiment(config)
         assert (tmp_path / "outcomes.jsonl").read_text() == "".join(expected)
         records = read_jsonl(tmp_path / "outcomes.jsonl")
@@ -575,18 +586,50 @@ class TestOutcomeLines:
             hand_outcome(scores_after=np.array([0.5, np.nan, 0.25, -np.inf])),
             hand_outcome(epsilon=np.array([0.0, -np.inf, 0.5])),
             hand_outcome(lambda2=float("nan")),
+            # values of other types than the loop's: an int lambda, a float
+            # count, numpy scalars (json writes np.float64, rejects np.int64
+            # and np.bool_) and vectors of other dtypes and shapes
+            hand_outcome(lambda1=0, lambda2=1),
+            hand_outcome(lambda1=True),
+            hand_outcome(lambda2=np.float32(0.5)),
+            hand_outcome(iterations_used=3.0),
+            hand_outcome(iterations_used=True),
+            hand_outcome(iterations_used=np.int64(3)),
+            hand_outcome(lambda1=np.float64(0.5)),
+            hand_outcome(specified=(np.int64(1),)),
+            hand_outcome(specified=(0, 1), residual=(np.int64(1),)),
+            hand_outcome(success=np.bool_(True)),
+            hand_outcome(specified=(True,)),
+            hand_outcome(method=np.str_("tkmia")),
+            hand_outcome(method=None),
+            hand_outcome(epsilon=np.zeros(3, dtype=np.int64)),
+            hand_outcome(epsilon=np.array([0.1, -0.2, 0.3], dtype=np.float32)),
+            hand_outcome(scores_before=np.array([True, False, True, False]),
+                         scores_after=np.array([True, False, True, False])),
+            hand_outcome(epsilon=np.zeros((3, 1)),
+                         scores_before=np.array([[0.9, 0.8], [0.1, 0.4]]),
+                         scores_after=np.array([0.9, 0.8, 0.1, 0.4])),
         ]
         # Measure sets that are equal in value, not in text.
-        measures = [MetricsRecord(2, 1, 0.0, 1.0, 1.0), MetricsRecord(2, 1, -0.0, 1.0, 1.0),
-                    MetricsRecord(2, 1, 0.0, 1, 1.0), MetricsRecord(2, True, 0.0, 1.0, 1.0),
-                    MetricsRecord(2, 0, 0.5, 0.75, 0.6131471927654584)]
+        sets = [measures(MetricsRecord(2, 1, 0.0, 1.0, 1.0)),
+                measures(MetricsRecord(2, 1, -0.0, 1.0, 1.0)),
+                measures(MetricsRecord(2, 1, 0.0, 1, 1.0)),
+                measures(MetricsRecord(2, True, 0.0, 1.0, 1.0)),
+                measures(MetricsRecord(2, 0, 0.5, 0.75, 0.6131471927654584))]
+        # Other extras: keys equal in value, not in text, values that are no
+        # plain numbers, and one that takes the place of a record key.
+        others = [{"instance": 7, "k": 2, "m": {1: 0.5}}, {"m": {True: 0.5}},
+                  {"m": {1.0: 0.5}}, {"m": {-0.0: 1}}, {"m": {0.0: 1}},
+                  {"m": {"a": [0.5]}}, {"m": {"a": 10 ** 400}}, {"m": {"a": "b"}},
+                  {"m": {"a": None}}, {"m": {"a": {"b": 1}}}, {"k": True},
+                  {"k": np.int64(2)}, {"k": 2.0}, {"method": "other", "k": 2}, {}]
         for outcome in cases * 2:  # twice, so that reused text meets each case again
             norm = outcome.epsilon_norm
-            assert lines.line(outcome, norm, 7, 2) == dumped(outcome, 7, 2)
-            for clean in measures:
-                for perturbed in measures:
-                    assert (lines.line(outcome, norm, 7, 2, clean, perturbed)
-                            == dumped(outcome, 7, 2, clean, perturbed))
+            extras = [{"instance": 7, "k": 2, "clean_metrics": clean, "perturbed_metrics": pert}
+                      for clean in sets for pert in sets] + others
+            for extra in extras:
+                assert (text_or_error(lambda: lines.line(outcome, norm, **extra))
+                        == text_or_error(lambda: dumped(outcome, **extra)))
 
 
 class TestCellSelection:

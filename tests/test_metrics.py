@@ -446,11 +446,15 @@ def outcome(specified=(1,), residual=(), success=True, eps=(0.0, 0.0)):
                            success=success, epsilon=np.asarray(eps))
 
 
+def norms(outs):
+    return [float(np.linalg.norm(o.epsilon)) for o in outs]
+
+
 class TestDeltaReport:
     def test_identical_sides_zero_deltas(self):
         clean = [record(), record(acc=0, p=0.5, ap=0.6, ndcg=0.7)]
         outs = [outcome(), outcome(success=False, residual=(1,))]
-        rep = delta_report(clean, clean, outs)
+        rep = delta_report(clean, clean, outs, norms(outs))
         assert rep.delta_tk_acc == 0.0
         assert rep.delta_p_at_k == 0.0
         assert rep.delta_map_at_k == 0.0
@@ -461,7 +465,7 @@ class TestDeltaReport:
         # A perturbation can improve a measure; the delta then goes negative.
         clean = [record(acc=0, p=0.5, ap=0.5, ndcg=0.5)]
         perturbed = [record(acc=1, p=1.0, ap=1.0, ndcg=1.0)]
-        rep = delta_report(clean, perturbed, [outcome()])
+        rep = delta_report(clean, perturbed, [outcome()], [0.0])
         assert rep.delta_tk_acc == pytest.approx(-1.0)
         assert rep.delta_p_at_k == pytest.approx(-0.5)
 
@@ -469,32 +473,32 @@ class TestDeltaReport:
         clean = [record(p=1.0), record(p=0.5)]
         perturbed = [record(p=0.5), record(p=0.5)]
         outs = [outcome(), outcome(success=False, residual=(1,), eps=(1.0, 0.0))]
-        rep = delta_report(clean, perturbed, outs)
+        rep = delta_report(clean, perturbed, outs, norms(outs))
         assert rep.delta_p_at_k == pytest.approx(0.25)
         assert rep.delta_l == pytest.approx(0.5)
         # only the successful outcome (zero epsilon) counts toward APer
         assert rep.aper == 0.0
 
     def test_no_success_aper_marker(self):
-        rep = delta_report([record()], [record()], [outcome(success=False, residual=(1,))])
+        rep = delta_report([record()], [record()], [outcome(success=False, residual=(1,))],
+                           [0.0])
         assert rep.aper is None
 
     def test_mismatched_sides_rejected(self):
         with pytest.raises(ValueError):
-            delta_report([record()], [record(), record()], [outcome(), outcome()])
+            delta_report([record()], [record(), record()], [outcome(), outcome()], [0.0, 0.0])
         with pytest.raises(ValueError):
-            delta_report([record(k=2)], [record(k=3)], [outcome()])
+            delta_report([record(k=2)], [record(k=3)], [outcome()], [0.0])
         with pytest.raises(ValueError):
-            delta_report([record()], [record()], [outcome()], norms=[0.0, 0.0])
+            delta_report([record()], [record()], [outcome()], [0.0, 0.0])
 
-    def test_caller_norms_give_the_same_report(self):
+    def test_aper_averages_the_norms_of_successes(self):
         rng = np.random.default_rng(3)
         outs = [outcome(success=bool(i % 3), residual=() if i % 3 else (1,),
                         eps=rng.normal(size=5)) for i in range(12)]
         clean, perturbed = [record()] * 12, [record(p=0.5)] * 12
-        norms = [float(np.linalg.norm(o.epsilon)) for o in outs]
-        assert (dataclasses.astuple(delta_report(clean, perturbed, outs, norms))
-                == dataclasses.astuple(delta_report(clean, perturbed, outs)))
+        rep = delta_report(clean, perturbed, outs, norms(outs))
+        assert rep.aper == aper([o.epsilon for o in outs if o.success])
         # APer reads the given norms, of the successful outcomes only.
         assert delta_report(clean, perturbed, outs, [1.0] * 12).aper == 1.0
 
