@@ -24,7 +24,9 @@ the method by name, checks its whole input once, and per iteration runs one
 unchecked forward pass of the scorer at the projected input
 (:meth:`Scorer._vjp`) and ranks the scores once;
 that ranking serves the stopping test, the residual set and the (k+1)-th
-class of the tkml_ap_u baseline. The method's terms map the scores to a
+class of the tkml_ap_u baseline. A report's iteration 0 reads its cell's
+clean row (``clean_scores``) instead, and runs the forward pass only if the
+attack goes on, for its pullback. The method's terms map the scores to a
 score cotangent, which the forward pass's pullback turns into the epsilon
 gradient; a flat loss (every hinge inactive) gives None and no pullback,
 since the pullback of a zero cotangent depends only on the scorer's
@@ -363,44 +365,47 @@ def ineligible(instance: Instance, s_size: int, k: int, method: str,
     return None
 
 
-def _gaps(scores, spec, rest):
-    """Per-class gaps before the hinge: ``f_smax - f_i`` and ``f_j - f_ymin``.
+def _extremes(vals, spec, rest) -> tuple[int, int]:
+    """``s_max``, the best-scored label of S, and ``y_min``, the worst-scored label
+    of Yp \\ S, in ``vals``, a list of scores; ties go to the smallest index, since
+    ``spec`` and ``rest`` (the checked sets of :func:`_split_sets`) ascend."""
+    return max(spec, key=vals.__getitem__), min(rest, key=vals.__getitem__)
 
-    ``spec`` and ``rest`` are index arrays of S and Yp \\ S. ``smax`` is
-    the best-scored label of S and ``ymin`` the worst-scored label of
-    Yp \\ S, ties broken by smallest index.
+
+def _tkmia_terms(vals, lam1: float, lam2: float, spec, rest, k: int):
+    """Score cotangent and lambda gradients of the objective at the scores ``vals``.
+
+    ``vals`` is the score vector as a list of floats, and ``spec`` and ``rest``
+    are the checked label sets of :func:`_split_sets`; pulling the cotangent
+    back through the scorer and adding ``alpha * eps`` gives the gradient with
+    respect to eps. The cotangent is None when no hinge is active (n1 = n2 =
+    0): it would be zero. Python floats round as float64 does, so one pass over
+    the list gives the bytes of the same arithmetic on arrays, in less time at
+    these sizes.
     """
-    s_max = spec[scores[spec].argmax()]
-    y_min = rest[scores[rest].argmin()]
-    return s_max, y_min, scores[s_max] - scores, scores - scores[y_min]
-
-
-def _tkmia_terms(scores, lam1: float, lam2: float, spec, rest, k: int):
-    """Score cotangent and lambda gradients of the objective at ``scores``.
-
-    ``spec`` and ``rest`` are index arrays of the checked label sets from
-    :func:`_split_sets`; pulling the cotangent back through the scorer and
-    adding ``alpha * eps`` gives the gradient with respect to eps. The
-    cotangent is None when no hinge is active (n1 = n2 = 0): it would be zero.
-    """
-    c = scores.shape[0]
-    s_max, y_min, delta, delta_tilde = _gaps(scores, spec, rest)
-    # The hinges' ``gap - lam > 0`` without the subtraction: for finite doubles
-    # with gradual underflow, fl(a - b) > 0 exactly when a > b.
-    active1 = delta > lam1
-    active2 = delta_tilde > lam2
+    c = len(vals)
+    s_max, y_min = _extremes(vals, spec, rest)
+    top, bottom = vals[s_max], vals[y_min]
+    w1, w2 = 1.0 / (c - k), 1.0 / k
     # Python ints, so that the lambda gradients below and the lambdas are floats.
-    n1 = int(np.count_nonzero(active1))
-    n2 = int(np.count_nonzero(active2))
+    n1 = n2 = 0
+    cot = []
+    for v in vals:
+        # The hinges' activity, ``gap - lam > 0``, as ``gap > lam``: for finite doubles
+        # with gradual underflow, fl(a - b) > 0 exactly when a > b.
+        active1 = top - v > lam1
+        active2 = v - bottom > lam2
+        n1 += active1
+        n2 += active2
+        cot.append(active2 * w2 - active1 * w1)
     if n1 == n2 == 0:
         return None, 1.0, 1.0
-
-    # s_max is never in active1, nor y_min in active2 (gap 0, lambda >= 0), so each entry
-    # has at most two non-zero terms and the bytes of zeros and the four updates in turn.
-    cot = active2 * (1.0 / k) - active1 * (1.0 / (c - k))
+    # s_max is never active in the first hinge, nor y_min in the second (gap 0, lambda >= 0),
+    # so each entry has at most two non-zero terms and the bytes of zeros and the four
+    # updates in turn.
     cot[s_max] += n1 / (c - k)
     cot[y_min] -= n2 / k
-    return cot, 1.0 - n1 / (c - k), 1.0 - n2 / k
+    return np.array(cot), 1.0 - n1 / (c - k), 1.0 - n2 / k
 
 
 def _ml_cw_u_pair(scores, rel, irr):
@@ -479,16 +484,16 @@ def tkmia_objective(model: Scorer, x, eps, lam1: float, lam2: float,
     if not (0.0 <= lam1 <= 1.0 and 0.0 <= lam2 <= 1.0):
         raise ValueError("lambdas must lie in [0, 1]")
     spec, rest = _split_sets(specified, relevant, c)
-    spec, rest = np.array(spec), np.array(rest)
     x_adv = x + eps
     scores, pullback = model.vjp(x_adv)
-    _, _, delta, delta_tilde = _gaps(scores, spec, rest)
-    gaps1 = delta - lam1
-    gaps2 = delta_tilde - lam2
+    vals = scores.tolist()
+    s_max, y_min = _extremes(vals, spec, rest)
+    gaps1 = scores[s_max] - scores - lam1
+    gaps2 = scores - scores[y_min] - lam2
     value = (lam1 + lam2 + 0.5 * config.alpha * float(eps @ eps)
              + float(gaps1[gaps1 > 0.0].sum()) / (c - k)
              + float(gaps2[gaps2 > 0.0].sum()) / k)
-    cot, grad_lam1, grad_lam2 = _tkmia_terms(scores, lam1, lam2, spec, rest, k)
+    cot, grad_lam1, grad_lam2 = _tkmia_terms(vals, lam1, lam2, spec, rest, k)
     grad_eps = pullback(np.zeros(c) if cot is None else cot) + config.alpha * eps
     return value, grad_eps, grad_lam1, grad_lam2
 
@@ -618,8 +623,8 @@ def _flat_run(model: Scorer, x, eps, velocity, it: int, zero_pull, coefs, max_it
         size = min(2 * size, _MAX_CHUNK)
 
 
-def run_attack_loop(model: Scorer, instance: Instance, specified,
-                    config: AttackConfig, method: str) -> AttackOutcome:
+def run_attack_loop(model: Scorer, instance: Instance, specified, config: AttackConfig,
+                    method: str, *, clean_scores=None) -> AttackOutcome:
     """The one checked entry and iterative engine of all three methods.
 
     ``method`` names the loss: ``tkmia``, ``ml_cw_u`` or ``tkml_ap_u``. The
@@ -630,13 +635,22 @@ def run_attack_loop(model: Scorer, instance: Instance, specified,
     (:func:`_rest`); :func:`ineligible` accepts the instance, or its reason is
     raised; ``model._check_input`` accepts ``instance.x``, which is writable; and
     ``instance.x`` lies inside ``config.clip_domain``, bounds included, so that
-    iteration 0 scores ``x`` itself.
+    iteration 0 scores ``x + 0.0``, which is ``x`` with its -0.0 entries made +0.0;
+    and ``clean_scores``, if given, is a finite (c,) vector.
     Yp is ``instance.relevant`` as it is: :class:`Instance` makes it ascending,
     distinct and inside [0, c). So 1 <= k < c (``config`` has k >= 1 and
     |Yp| >= k + |S|).
     Each iteration that the loop runs then runs one unchecked forward pass at
     the projected input, ``scores, pullback = model._vjp(x_adv)``, and ranks
-    the scores once, raw logits included. No check is lost: ``x_adv`` is finite
+    the scores once, raw logits included. ``clean_scores``, if given, are the
+    victim's scores at ``x + 0.0``, as a report's cell scores them for its
+    clean measures (a row of ``model.score(X + 0.0)`` has the bytes of
+    ``_vjp``'s scores). Iteration 0 then ranks a copy of them in place of its
+    scores, and runs its forward pass only if the attack goes on, for the
+    pullback; the outcome is the one without them, bit for bit, unless a clip
+    bound is -0.0, which can project a zero entry of ``x`` to -0.0. Their
+    bytes are the caller's promise: the entry checks their shape and
+    finiteness only. No check is lost: ``x_adv`` is finite
     by construction, since ``x`` is finite, the clip bounds are finite, eps
     is projected after every update and every gradient is tested for
     non-finite entries before it moves eps. Every method stops once at least
@@ -696,13 +710,20 @@ def run_attack_loop(model: Scorer, instance: Instance, specified,
     # The domain is closed; a non-finite entry has failed _check_input already.
     if np.count_nonzero((x >= lo) & (x <= hi)) != d:
         raise ValueError("x lies outside the clip domain [{}, {}]".format(*config.clip_domain))
+    if clean_scores is not None:
+        # A copy, so that the outcome owns its scores as it does without them.
+        clean_scores = np.array(clean_scores, dtype=np.float64)
+        if clean_scores.shape != (c,) or np.count_nonzero(np.isfinite(clean_scores)) != c:
+            raise ValueError(f"clean scores must be a finite ({c},) vector")
     zero_pull = None
     success = False
 
     it = 0
     while True:
-        x_adv = np.minimum(np.maximum(x + eps, lo), hi)
-        scores, pullback = model._vjp(x_adv)
+        if clean_scores is None:
+            scores, pullback = model._vjp(np.minimum(np.maximum(x + eps, lo), hi))
+        else:  # iteration 0, on the caller's clean row
+            scores, pullback, clean_scores = clean_scores, None, None
         order = _rank(scores)
         top = order[:k].tolist()
         if it == 0:
@@ -713,11 +734,13 @@ def run_attack_loop(model: Scorer, instance: Instance, specified,
             break
         if it == max_iter:
             break
+        if pullback is None:  # the attack goes on from the clean row: its forward pass
+            pullback = model._vjp(np.minimum(np.maximum(x + eps, lo), hi))[1]
         before = eps, velocity, lam1, lam2
         if method == "tkmia":
             # Finite: the gradients are 1 - n1/(c-k) and 1 - n2/k, with 1 <= k < c.
             # The lambdas move on a flat iteration too, whose cotangent is None.
-            cot, g1, g2 = _tkmia_terms(scores, lam1, lam2, spec_idx, rest_idx, k)
+            cot, g1, g2 = _tkmia_terms(scores.tolist(), lam1, lam2, spec, rest, k)
             lam1 = min(max(lam1 - eta * g1, 0.0), 1.0)
             lam2 = min(max(lam2 - eta * g2, 0.0), 1.0)
         else:
@@ -753,24 +776,28 @@ def run_attack_loop(model: Scorer, instance: Instance, specified,
     )
 
 
-def tkmia_attack(model: Scorer, instance: Instance, specified,
-                 config: AttackConfig) -> AttackOutcome:
+def tkmia_attack(model: Scorer, instance: Instance, specified, config: AttackConfig, *,
+                 clean_scores=None) -> AttackOutcome:
     """Run the measure-imperceptible attack on one instance.
 
     Requires the instance filter |Yp| >= k + |S| and S a subset of the
     relevant labels. Both lambdas start at 0 (every hinge active, maximal
     gradient signal) and take plain projected gradient steps with the same
-    step size as epsilon; momentum applies to epsilon only.
+    step size as epsilon; momentum applies to epsilon only. ``clean_scores``,
+    the victim's scores at ``instance.x + 0.0``, spare iteration 0 a forward
+    pass (see :func:`run_attack_loop`).
     """
-    return run_attack_loop(model, instance, specified, config, "tkmia")
+    return run_attack_loop(model, instance, specified, config, "tkmia",
+                           clean_scores=clean_scores)
 
 
-def run_baseline(model: Scorer, instance: Instance, specified,
-                 spec: BaselineSpec) -> AttackOutcome:
+def run_baseline(model: Scorer, instance: Instance, specified, spec: BaselineSpec, *,
+                 clean_scores=None) -> AttackOutcome:
     """Attack one instance with the baseline loss ``spec.method``; the entry
-    checks and the stopping test are the main attack's, and :func:`ineligible`
-    also needs an irrelevant label for ml_cw_u."""
-    return run_attack_loop(model, instance, specified, spec.config, spec.method)
+    checks, the stopping test and ``clean_scores`` are the main attack's, and
+    :func:`ineligible` also needs an irrelevant label for ml_cw_u."""
+    return run_attack_loop(model, instance, specified, spec.config, spec.method,
+                           clean_scores=clean_scores)
 
 
 def select_global(dataset: Sequence[Instance], categories) -> list[tuple[int, tuple[int, ...]]]:

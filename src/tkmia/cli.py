@@ -82,6 +82,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-iter", type=int, default=AttackConfig.max_iter)
     p.add_argument("--success-mode", choices=SUCCESS_MODES, default=AttackConfig.success_mode)
     p.add_argument("--delta", type=int, default=AttackConfig.delta_threshold)
+    p.add_argument("--clip-lo", type=float, default=AttackConfig.clip_domain[0])
+    p.add_argument("--clip-hi", type=float, default=AttackConfig.clip_domain[1])
     p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("report", help="run an experiment config file")
@@ -122,7 +124,7 @@ def _cmd_attack(args) -> int:
     instance = dataset[args.index]
     config = AttackConfig(k=args.k, eta=args.eta, alpha=args.alpha, momentum=args.momentum,
                           max_iter=args.max_iter, success_mode=args.success_mode,
-                          delta_threshold=args.delta,
+                          delta_threshold=args.delta, clip_domain=(args.clip_lo, args.clip_hi),
                           scheme=None if args.m is None else RandomScheme(args.m))
     if args.m is not None:
         # The draw of a report's random scheme, so a report's attack can be re-run.

@@ -485,11 +485,12 @@ def _cell_selection(config: ExperimentConfig, dataset, k: int):
     return list(islice(pairs, config.max_instances))
 
 
-def _run_method(method: str, model: Scorer, inst: Instance, s, cfg: AttackConfig):
+def _run_method(method: str, model: Scorer, inst: Instance, s, cfg: AttackConfig, *,
+                clean_scores=None):
     """One attack of ``inst`` by ``method``: the one dispatch of reports and ``tkmia attack``."""
     if method == "tkmia":
-        return tkmia_attack(model, inst, s, cfg)
-    return run_baseline(model, inst, s, BaselineSpec(method, cfg))
+        return tkmia_attack(model, inst, s, cfg, clean_scores=clean_scores)
+    return run_baseline(model, inst, s, BaselineSpec(method, cfg), clean_scores=clean_scores)
 
 
 def _check_output_directory(name: str, path: str) -> None:
@@ -525,14 +526,17 @@ def run_experiment(config: ExperimentConfig):
             pairs = _cell_selection(config, dataset, k)
             chosen = [idx for idx, _ in pairs]
             labels = dataset.Y[chosen]
-            clean = evaluate_rows(model.score(dataset.X[chosen]), labels, k)
+            # Each attack's iteration 0 reads its row: the scores at x + 0.0, as it scores them.
+            clean_scores = model.score(dataset.X[chosen] + 0.0)
+            clean = evaluate_rows(clean_scores, labels, k)
             cell = {"k": k, "s_size": _scheme_s_size(config.scheme, pairs), "n": len(pairs)}
             for method in config.methods:
                 cfg = config.attack_config(method, k)
                 outcomes = []
                 try:
-                    for idx, s in pairs:
-                        outcomes.append(_run_method(method, model, dataset[idx], s, cfg))
+                    for (idx, s), row in zip(pairs, clean_scores):
+                        outcomes.append(_run_method(method, model, dataset[idx], s, cfg,
+                                                    clean_scores=row))
                 except (ValueError, FloatingPointError) as exc:
                     raise type(exc)(f"attack ({method}, k={k}) instance {idx}: {exc}") from None
                 perturbed = evaluate_rows(

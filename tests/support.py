@@ -109,6 +109,26 @@ class CountingScorer(Scorer):
         return super()._scores(X)
 
 
+def numpy_tkmia_terms(scores, lam1, lam2, spec, rest, k):
+    """``tkmia.attack._tkmia_terms`` as it was on arrays: the score cotangent (None
+    when no hinge is active) and both lambda gradients of the tkmia objective at the
+    float64 vector ``scores``, with ``spec`` and ``rest`` the index arrays of S and
+    Yp \\ S. The library's version, on a list of floats, must give these bytes."""
+    c = scores.shape[0]
+    s_max = spec[scores[spec].argmax()]
+    y_min = rest[scores[rest].argmin()]
+    active1 = scores[s_max] - scores > lam1
+    active2 = scores - scores[y_min] > lam2
+    n1 = int(np.count_nonzero(active1))
+    n2 = int(np.count_nonzero(active2))
+    if n1 == n2 == 0:
+        return None, 1.0, 1.0
+    cot = active2 * (1.0 / k) - active1 * (1.0 / (c - k))
+    cot[s_max] += n1 / (c - k)
+    cot[y_min] -= n2 / k
+    return cot, 1.0 - n1 / (c - k), 1.0 - n2 / k
+
+
 def reference_attack_loop(model, instance, specified, config, method, step_fn,
                           lams=lambda: (0.0, 0.0), on_update=None):
     """``step_fn(x_adv, eps)`` gives the loss and its eps gradient; ``lams`` reads
@@ -211,7 +231,7 @@ def reference_baseline(model, instance, specified, spec, on_update=None):
 
 def attack(method, model, instance, specified, config, reference=False, **hooks):
     """Attack ``instance`` with ``method`` through the library's entry point, or
-    through the reference loop if ``reference``."""
+    through the reference loop if ``reference``; either takes ``hooks`` as keywords."""
     if method == "tkmia":
         run = reference_tkmia if reference else tkmia_attack
         return run(model, instance, specified, config, **hooks)

@@ -14,6 +14,7 @@ from tkmia.attack import (
     RandomScheme,
     _flat_run,
     _ml_cw_u_pair,
+    _tkmia_terms,
     _tkml_ap_u_pair,
     filter_instances,
     ineligible,
@@ -31,7 +32,14 @@ from tkmia.core import Dataset, Instance, hinge
 from tkmia.harness import SyntheticSpec, gen_synthetic, load_dataset, save_dataset
 from tkmia.model import Scorer, TrainConfig, make_affine, make_mlp, train_bce
 
-from support import CountingScorer, attack, constant_score_model, fd_grad, rank_of
+from support import (
+    CountingScorer,
+    attack,
+    constant_score_model,
+    fd_grad,
+    numpy_tkmia_terms,
+    rank_of,
+)
 
 
 def generic_objective_point(rng, model, spec, rel, cfg, margin=1e-3):
@@ -194,6 +202,49 @@ class TestSuccessCheck:
         with pytest.raises(ValueError) as raised:
             success_check([0.9, 0.1, 0.8], (1,), (0, 1), 2, mode="loose")
         assert str(raised.value) == "unknown success mode 'loose'"
+
+
+@pytest.mark.bitwise
+class TestTkmiaTermsOnFloats:
+    """``_tkmia_terms`` on a list of floats gives the bytes of the same arithmetic
+    on arrays, :func:`support.numpy_tkmia_terms`."""
+
+    def test_matches_the_array_terms(self):
+        rng = np.random.default_rng(30)
+        active = flat = 0
+        for c in range(3, 13):
+            for k in range(1, c):
+                for draw in range(8):
+                    # Uniform scores and logits, and scores with ties: few levels or rounded.
+                    scores = [rng.uniform(0.0, 1.0, c), rng.uniform(-4.0, 4.0, c),
+                              rng.integers(0, 3, c) / 2.0,
+                              np.round(rng.uniform(0.0, 1.0, c), 1)][draw % 4]
+                    labels = rng.permutation(c)
+                    n_spec = int(rng.integers(1, c))
+                    n_rest = int(rng.integers(1, c - n_spec + 1))
+                    spec = tuple(sorted(labels[:n_spec].tolist()))
+                    rest = tuple(sorted(labels[n_spec:n_spec + n_rest].tolist()))
+                    top, bottom = scores[list(spec)].max(), scores[list(rest)].min()
+                    # At 0, at 1, between, and at a gap, where its hinge turns off.
+                    gap1 = float(top - scores[int(rng.integers(c))])
+                    gap2 = float(scores[int(rng.integers(c))] - bottom)
+                    for lam1, lam2 in [(0.0, 0.0), (1.0, 1.0), (0.0, 1.0),
+                                       tuple(rng.uniform(0.0, 1.0, 2)),
+                                       (min(max(gap1, 0.0), 1.0), min(max(gap2, 0.0), 1.0))]:
+                        lam1, lam2 = float(lam1), float(lam2)
+                        got = _tkmia_terms(scores.tolist(), lam1, lam2, spec, rest, k)
+                        want = numpy_tkmia_terms(scores, lam1, lam2, np.array(spec),
+                                                 np.array(rest), k)
+                        assert (got[0] is None) == (want[0] is None)
+                        if got[0] is None:
+                            flat += 1
+                        else:
+                            active += 1
+                            assert got[0].dtype == np.float64
+                            assert got[0].tobytes() == want[0].tobytes()
+                        assert all(type(g) is float for g in got[1:])
+                        assert [g.hex() for g in got[1:]] == [g.hex() for g in want[1:]]
+        assert active > 0 and flat > 0
 
 
 def trained_toy_victim(seed=0):
@@ -902,6 +953,17 @@ class TestEntryCheck:
                 attack(method, counting, inst, (0,), config)
             assert str(raised.value) == "x lies outside the clip domain [-0.5, 0.25]"
             assert counting.calls["vjp"] == 0
+
+    @pytest.mark.parametrize("method", ["tkmia", *BASELINE_METHODS])
+    def test_clean_scores_of_another_shape_or_non_finite_rejected_at_entry(self, method):
+        counting = CountingScorer(make_affine(3, 5, seed=0))
+        inst = Instance(x=np.zeros(3), y=[1, 1, 1, 0, 0])
+        for row in (np.full(4, 0.5), np.full((1, 5), 0.5), [0.5, np.nan, 0.5, 0.5, 0.5],
+                    [0.5, 0.5, np.inf, 0.5, 0.5]):
+            with pytest.raises(ValueError, match=r"^clean scores must be a finite \(5,\) vector$"):
+                attack(method, counting, inst, (0,), AttackConfig(k=1, eta=0.1),
+                       clean_scores=row)
+        assert counting.calls["vjp"] == 0
 
     @pytest.mark.parametrize("method", ["tkmia", *BASELINE_METHODS])
     def test_clip_domain_bounds_are_inside(self, method):

@@ -253,6 +253,20 @@ class TestTrainAndAttack:
         assert code == 1
         assert capsys.readouterr().err == "error: x lies outside the clip domain [-1.0, 1.0]\n"
 
+    def test_attack_takes_the_clip_domain_flags(self, tmp_path, capsys):
+        dataset = tmp_path / "wide.jsonl"
+        harness.save_dataset([core.Instance(x=[0.5, 1.5], y=[1, 1, 0])], str(dataset))
+        victim = tmp_path / "victim.jsonl"
+        model = make_affine(2, 3, seed=1)
+        save_scorer(model, str(victim))
+        code = run_cli(["attack", "--dataset", str(dataset), "--victim", str(victim),
+                        "--index", "0", "--k", "1", "--specified", "0", "--clip-hi", "2"])
+        assert code == 0
+        record = json.loads(capsys.readouterr().out)
+        assert record["scores_before"] == model.score([0.5, 1.5]).tolist()
+        x_adv = np.add([0.5, 1.5], record["epsilon"])
+        assert np.all((x_adv >= -1.0) & (x_adv <= 2.0))
+
     def test_attack_rejects_victim_with_other_class_count(self, dataset_path, tmp_path,
                                                           capsys):
         victim = tmp_path / "victim.jsonl"
@@ -370,10 +384,10 @@ class TestReportOnAnAllRelevantInstance:
         # tkmia's records stream into the temp file before tkml_ap_u fails on instance 2.
         real = harness.run_baseline
 
-        def fails_on_all_relevant(model, instance, specified, spec):
+        def fails_on_all_relevant(model, instance, specified, spec, *, clean_scores=None):
             if len(instance.relevant) == instance.n_classes:
                 raise FloatingPointError("non-finite gradient at iteration 0")
-            return real(model, instance, specified, spec)
+            return real(model, instance, specified, spec, clean_scores=clean_scores)
 
         monkeypatch.setattr(harness, "run_baseline", fails_on_all_relevant)
         assert self.report(tmp_path, ["tkmia", "tkml_ap_u"], {"type": "random", "m": 1}) == 1

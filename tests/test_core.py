@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tkmia.attack import _gaps, _split_sets
+from tkmia.attack import _extremes, _split_sets
 from tkmia.core import (
     Dataset,
     Instance,
@@ -194,14 +194,16 @@ def delta_terms(scores, specified, relevant):
     """Hinged gaps ``[max_{s in S} f_s - f_i]_+`` as the objective forms them."""
     scores = np.asarray(scores, dtype=np.float64)
     spec, rest = _split_sets(specified, relevant, scores.shape[0])
-    return np.maximum(_gaps(scores, np.array(spec), np.array(rest))[2], 0.0)
+    s_max, _ = _extremes(scores.tolist(), spec, rest)
+    return np.maximum(scores[s_max] - scores, 0.0)
 
 
 def delta_tilde_terms(scores, relevant, specified):
     """Hinged gaps ``[f_j - min_{y in Yp \\ S} f_y]_+`` as the objective forms them."""
     scores = np.asarray(scores, dtype=np.float64)
     spec, rest = _split_sets(specified, relevant, scores.shape[0])
-    return np.maximum(_gaps(scores, np.array(spec), np.array(rest))[3], 0.0)
+    _, y_min = _extremes(scores.tolist(), spec, rest)
+    return np.maximum(scores - scores[y_min], 0.0)
 
 
 class TestDeltaTerms:

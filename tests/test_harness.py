@@ -362,6 +362,29 @@ class TestRunExperiment:
                 record = dataclasses.asdict(evaluate_instance(scores, y, r["k"]))
                 assert r[side] == {name: record[name] for name in MEASURES}
 
+    def test_each_attack_is_one_call_given_its_clean_row(self, tmp_path, monkeypatch):
+        from tkmia import harness
+
+        config = small_config(tmp_path, methods=METHODS, k_grid=(1, 3), max_instances=15)
+        run_experiment(config)
+        outputs = [Path(path).read_bytes() for path in (config.out_csv, config.out_outcomes)]
+        calls = []
+
+        def without_the_row(real):
+            def entry(model, instance, specified, spec, *, clean_scores):
+                calls.append((model, instance, clean_scores))
+                return real(model, instance, specified, spec)
+            return entry
+
+        for name in ("tkmia_attack", "run_baseline"):
+            monkeypatch.setattr(harness, name, without_the_row(getattr(harness, name)))
+        run_experiment(config)
+        assert [Path(path).read_bytes() for path in (config.out_csv, config.out_outcomes)] == (
+            outputs)
+        assert len(calls) == len(read_jsonl(config.out_outcomes)) > 0
+        for model, instance, row in calls:
+            assert row.tobytes() == model.score(instance.x + 0.0).tobytes()
+
     def test_random_scheme_draws_stop_at_the_cap(self, tmp_path, monkeypatch):
         from tkmia import harness
 

@@ -9,15 +9,19 @@ pulls back zeros once per attack, on its first flat iteration, and reuses
 that gradient; every other iteration runs one pullback. The engine runs no
 iteration after the first one whose update leaves eps, velocity and the
 lambdas bitwise unchanged (a fixed point), and the reference, which runs
-the whole budget, gives the same outcome.
+the whole budget, gives the same outcome. Given the victim's scores at
+``x + 0.0`` (``clean_scores``), iteration 0 ranks them in place of its
+forward pass, and the outcome is the one without them.
 """
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
-from tkmia.attack import AttackConfig
+from tkmia.attack import METHODS, AttackConfig
+from tkmia.core import Instance
 from tkmia.harness import SyntheticSpec, gen_synthetic
-from tkmia.model import TrainConfig, make_mlp, train_bce
+from tkmia.model import Scorer, TrainConfig, make_mlp, train_bce
 
 from support import CountingScorer, attack
 
@@ -117,3 +121,43 @@ def test_one_forward_and_one_gradient_per_iteration(victim, case):
         assert pullbacks < iterations
         assert forwards < iterations
         assert fixed_points > 0
+
+
+@pytest.mark.parametrize("method", METHODS)
+@pytest.mark.parametrize("variant", ["c1_only", "strict", "delta1"])
+@pytest.mark.parametrize("sigmoid", [True, False], ids=["sigmoid", "logit"])
+def test_clean_row_gives_the_outcome_without_it(victim, method, variant, sigmoid):
+    model, pairs = victim
+    if not sigmoid:
+        model = Scorer(model.weights, model.biases, model.activation, sigmoid_output=False)
+    config = replace(CONFIG, success_mode="strict" if variant == "strict" else "c1_only",
+                     delta_threshold=1 if variant == "delta1" else None)
+    # Every other instance has -0.0 entries, which the row's x + 0.0 makes +0.0.
+    instances = []
+    for n, (instance, _) in enumerate(pairs):
+        x = instance.x.copy()
+        if n % 2:
+            x[::3] = -0.0
+        instances.append(Instance(x=x, y=instance.y))
+    rows = model.score(np.stack([inst.x for inst in instances]) + 0.0)
+    at_zero = 0
+    for instance, (_, spec), row in zip(instances, pairs, rows):
+        if method == "ml_cw_u" and not instance.irrelevant:
+            continue
+        without, given = CountingScorer(model), CountingScorer(model)
+        ref = attack(method, without, instance, spec, config)
+        out = attack(method, given, instance, spec, config, clean_scores=row)
+        assert vars(out).keys() == vars(ref).keys()
+        for name, value in vars(ref).items():
+            if isinstance(value, np.ndarray):
+                assert getattr(out, name).tobytes() == value.tobytes(), name
+            else:
+                assert repr(getattr(out, name)) == repr(value), name
+        # The outcome owns its scores.
+        assert not np.shares_memory(out.scores_before, rows)
+        assert not np.shares_memory(out.scores_after, rows)
+        # One forward pass fewer for an attack that ends at iteration 0, none more otherwise.
+        ended = out.iterations_used == 0
+        at_zero += ended
+        assert given.calls == {**without.calls, "vjp": without.calls["vjp"] - ended}
+    assert 0 < at_zero < len(pairs)
