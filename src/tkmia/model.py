@@ -45,17 +45,25 @@ _CLIP_LO, _CLIP_HI, _ONE = np.array(-_LOGIT_CLIP), np.array(_LOGIT_CLIP), np.arr
 def _sigmoid(z: np.ndarray, out=None) -> np.ndarray:
     """The clipped sigmoid in one buffer: ``out`` (which may be ``z``), or a new one."""
     t = np.maximum(z, _CLIP_LO, out=out)
-    np.exp(np.negative(np.minimum(t, _CLIP_HI, out=t), t), t)
+    return _logistic(np.minimum(t, _CLIP_HI, out=t))
+
+
+def _logistic(t: np.ndarray) -> np.ndarray:
+    """1 / (1 + exp(-t)), written over ``t``: the sigmoid of logits inside the clip."""
+    np.exp(np.negative(t, t), t)
     return np.divide(_ONE, np.add(t, _ONE, t), t)
 
 
 # Each hidden activation: its function of the pre-activation ``pre``, and its
-# derivative at ``pre`` given the function's output ``out`` there.
+# derivative at ``pre`` given the function's output ``hidden`` there, as a factor
+# of the cotangent (relu's is boolean). Each writes into ``out`` when given, and
+# otherwise into a new array, except identity's: they return ``pre`` and 1.
 _ACTIVATIONS = {
-    "tanh": (np.tanh, lambda pre, out: 1.0 - out * out),
-    "relu": (lambda pre: np.maximum(pre, 0.0),
-             lambda pre, out: (pre > 0.0).astype(np.float64)),
-    "identity": (lambda pre: pre, lambda pre, out: np.ones_like(pre)),
+    "tanh": (np.tanh, lambda pre, hidden, out=None:
+             np.subtract(_ONE, np.multiply(hidden, hidden, out=out), out=out)),
+    "relu": (lambda pre, out=None: np.maximum(pre, 0.0, out=out),
+             lambda pre, hidden, out=None: np.greater(pre, 0.0, out=out)),
+    "identity": (lambda pre, out=None: pre, lambda pre, hidden, out=None: _ONE),
 }
 ACTIVATIONS = tuple(_ACTIVATIONS)
 
@@ -272,6 +280,10 @@ def train_bce(dataset, config: TrainConfig, model: Scorer | None = None) -> Scor
     Training starts from ``model`` when given, otherwise from a seeded affine
     initialization sized to the dataset. Identical (dataset, config, model)
     always produce bit-identical parameters.
+
+    The work arrays of a batch step are allocated once per training, and each
+    step writes into them: the parameters keep the bytes of a step that
+    allocates its arrays, since every product and sum runs in the same order.
     """
     data = Dataset.of(dataset)
     X, Y = data.X, data.Y.astype(np.float64)
@@ -288,7 +300,7 @@ def train_bce(dataset, config: TrainConfig, model: Scorer | None = None) -> Scor
     # Parameters and gradients are views of two flat vectors: one update per batch.
     params = model.weights + model.biases
     flat = np.concatenate([p.ravel() for p in params])
-    grad, velocity = np.empty_like(flat), np.zeros_like(flat)
+    grad, velocity, step = np.empty_like(flat), np.zeros_like(flat), np.empty_like(flat)
     cuts = np.cumsum([p.size for p in params])[:-1]
     views, grads = ([part.reshape(p.shape) for part, p in zip(np.split(v, cuts), params)]
                     for v in (flat, grad))
@@ -299,6 +311,7 @@ def train_bce(dataset, config: TrainConfig, model: Scorer | None = None) -> Scor
     span = config.batch_size * max(1, _GATHER_ROWS // config.batch_size)
     # 0-d arrays, which ufuncs take faster than Python floats.
     momentum, rate = np.array(config.momentum), np.array(config.learning_rate)
+    work = _bce_work(model, min(n, config.batch_size))
     for _ in range(config.epochs):
         order = rng.permutation(n)
         for lo in range(0, n, span):
@@ -307,23 +320,57 @@ def train_bce(dataset, config: TrainConfig, model: Scorer | None = None) -> Scor
             X_rows, Y_rows = X.take(rows, 0, mode="clip"), Y.take(rows, 0, mode="clip")
             for start in range(0, len(rows), config.batch_size):
                 stop = start + config.batch_size
-                _bce_grads(model, X_rows[start:stop], Y_rows[start:stop], grads)
+                _bce_grads(model, X_rows[start:stop], Y_rows[start:stop], grads, work)
                 velocity *= momentum
                 velocity += grad
-                flat -= rate * velocity
+                flat -= np.multiply(rate, velocity, out=step)
     return model.copy()
 
 
-def _bce_grads(model: Scorer, X: np.ndarray, Y: np.ndarray, out) -> None:
-    """The batch's mean-BCE gradients, written into ``out``: the weights', then the biases'."""
-    Z, pre, H = model._forward(X)
-    inside = np.abs(Z) < _CLIP_HI
-    dZ = np.subtract(_sigmoid(Z, out=Z), Y, out=Z)  # then * inside and / (B * c), in place
-    dZ *= inside
-    dZ /= X.shape[0] * model.out_dim
-    n = len(model.weights)
+def _bce_work(model: Scorer, rows: int) -> list:
+    """:func:`_bce_grads`' work arrays for batches of up to ``rows`` rows: the
+    divisor ``rows * c`` as a 0-d array, (rows, c) logits and their magnitudes,
+    then the hidden layer's (rows, h) pre-activation, output and cotangent
+    (Nones for the affine family)."""
+    c, h = model.out_dim, model.weights[0].shape[0]
+    hidden = [np.empty((rows, h)) if model.arch == "mlp" else None for _ in range(3)]
+    return [np.array(float(rows * c)), np.empty((rows, c)), np.empty((rows, c))] + hidden
+
+
+def _bce_grads(model: Scorer, X: np.ndarray, Y: np.ndarray, out, work) -> None:
+    """The batch's mean-BCE gradients, written into ``out``: the weights', then the biases'.
+
+    ``work`` is :func:`_bce_work`'s list for at least the batch's rows; what
+    its arrays hold on entry does not matter.
+    """
+    rows = len(X)
+    if rows != len(work[1]):  # a shorter batch, such as an epoch's last: leading rows
+        work = [np.array(float(rows * model.out_dim))] + [w if w is None else w[:rows]
+                                                          for w in work[1:]]
+    scale, Z, A, pre, H, G = work
+    W, b = model.weights, model.biases
+    # Scorer._forward's products and sums in its order, written into the work
+    # arrays; Scorer._forward keeps its operators, which the N = 1 attack path
+    # calls faster than ufuncs that take an out= keyword.
+    if H is not None:
+        activation, derivative = _ACTIVATIONS[model.activation]
+        H = activation(np.add(np.matmul(X, W[0].T, out=pre), b[0], out=pre), out=H)
+    np.add(np.matmul(X if H is None else H, W[-1].T, out=Z), b[-1], out=Z)
+    # (sigmoid(Z) - Y) * (|Z| < clip) / (B * c), in place. With every |Z| inside
+    # the clip, the clip leaves Z as it is and the mask is all True: x * True is
+    # x bit for bit, -0.0 included.
+    if np.maximum.reduce(np.abs(Z, out=A), axis=None) < _LOGIT_CLIP:
+        dZ = np.subtract(_logistic(Z), Y, out=Z)
+    else:
+        dZ = np.subtract(_sigmoid(Z, out=Z), Y, out=Z)
+        dZ *= np.less(A, _CLIP_HI, out=A)
+    dZ /= scale
     # (output cotangent, input) of each layer; the affine family has only the first.
-    for (g, a), grad_w, grad_b in zip([(model._backward(dZ, pre, H), X), (dZ, H)], out, out[n:]):
+    layers = [(dZ, X)]
+    if H is not None:  # Scorer._backward; the derivative overwrites pre, read no more
+        G = np.multiply(np.matmul(dZ, W[1], out=G), derivative(pre, H, out=pre), out=G)
+        layers = [(G, X), (dZ, H)]
+    for (g, a), grad_w, grad_b in zip(layers, out, out[len(layers):]):
         np.matmul(g.T, a, out=grad_w)
         np.add.reduce(g, axis=0, out=grad_b)
 

@@ -11,6 +11,7 @@ import pytest
 
 from tkmia.attack import (
     METHODS,
+    RECORD_KEYS,
     AttackConfig,
     AttackOutcome,
     GlobalScheme,
@@ -558,6 +559,16 @@ def measures(record):
 
 
 class TestOutcomeLines:
+    def test_record_keys_are_pinned(self):
+        # The outcome format: a change to these keys or their order is a change
+        # of every report's outcome bytes, and must show here.
+        assert RECORD_KEYS == ("method", "success", "iterations_used", "specified", "residual",
+                               "lambda1", "lambda2", "epsilon_norm", "epsilon", "scores_before",
+                               "scores_after")
+        outcome = hand_outcome()
+        line = OutcomeLines().line(outcome, outcome.epsilon_norm)
+        assert tuple(json.loads(line)) == RECORD_KEYS
+
     @pytest.mark.parametrize("mode", ["c1_only", "strict"])
     def test_every_report_line_is_its_record_dumped(self, tmp_path, monkeypatch, mode):
         config = small_config(tmp_path, methods=METHODS, k_grid=(1, 3), max_instances=25)

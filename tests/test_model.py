@@ -6,6 +6,7 @@ from tkmia.model import (
     Scorer,
     TrainConfig,
     _bce_grads,
+    _bce_work,
     _sigmoid,
     bce_loss,
     finite_diff_check,
@@ -269,29 +270,38 @@ ARCHS = [("affine", "tanh"), ("mlp", "tanh"), ("mlp", "relu"), ("mlp", "identity
 
 
 class TestBatchPasses:
+    @pytest.mark.bitwise
     @pytest.mark.parametrize("n", [1, 40])
     @pytest.mark.parametrize("arch, activation", ARCHS)
     def test_bce_matches_parent_bit_for_bit(self, arch, activation, n):
         model = wide_logit_scorer(arch, activation, sigmoid_output=True)
         rng = np.random.default_rng(10 + n)
-        data = [Instance(x=rng.uniform(-1.0, 1.0, 5), y=(rng.uniform(size=6) < 0.4).astype(int))
-                for _ in range(n)]
-        X = np.stack([inst.x for inst in data])
-        Y = np.stack([inst.y for inst in data]).astype(np.float64)
-        if n > 1:
-            logits = np.stack([Scorer(model.weights, model.biases, activation,
-                                      sigmoid_output=False).score(x) for x in X])
-            assert (np.abs(logits) > 36.0).any() and (np.abs(logits) < 36.0).any()
-        loss = bce_loss(model, data)
-        assert np.float64(loss).tobytes() == np.float64(parent_bce_loss(model, X, Y)).tobytes()
-        # NaN buffers: every entry must be written.
-        grads = [np.full_like(p, np.nan) for p in model.weights + model.biases]
-        _bce_grads(model, X, Y, grads)
-        grads_w, grads_b = grads[:len(model.weights)], grads[len(model.weights):]
-        expected_w, expected_b = parent_bce_grads(model, X, Y)
-        assert len(grads_w) == len(grads_b) == len(model.weights)
-        for got, want in zip(grads_w + grads_b, expected_w + expected_b):
-            assert got.tobytes() == want.tobytes()
+        work = _bce_work(model, n)
+        for array in work[1:]:  # NaN work arrays: no entry may be read before it is written
+            if array is not None:
+                array.fill(np.nan)
+        # A batch, then one more of its size and a shorter one on the same work
+        # arrays, which then hold the previous batch's values.
+        for size in ([n, n, 25] if n > 1 else [n, n]):
+            data = [Instance(x=rng.uniform(-1.0, 1.0, 5),
+                             y=(rng.uniform(size=6) < 0.4).astype(int)) for _ in range(size)]
+            X = np.stack([inst.x for inst in data])
+            Y = np.stack([inst.y for inst in data]).astype(np.float64)
+            if size > 1:
+                logits = np.stack([Scorer(model.weights, model.biases, activation,
+                                          sigmoid_output=False).score(x) for x in X])
+                assert (np.abs(logits) > 36.0).any() and (np.abs(logits) < 36.0).any()
+            loss = bce_loss(model, data)
+            assert (np.float64(loss).tobytes()
+                    == np.float64(parent_bce_loss(model, X, Y)).tobytes())
+            # NaN buffers: every entry must be written.
+            grads = [np.full_like(p, np.nan) for p in model.weights + model.biases]
+            _bce_grads(model, X, Y, grads, work)
+            grads_w, grads_b = grads[:len(model.weights)], grads[len(model.weights):]
+            expected_w, expected_b = parent_bce_grads(model, X, Y)
+            assert len(grads_w) == len(grads_b) == len(model.weights)
+            for got, want in zip(grads_w + grads_b, expected_w + expected_b):
+                assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("arch, activation", ARCHS)
     def test_batch_forward_matches_score_rows(self, arch, activation):
@@ -514,6 +524,34 @@ class TestTrainBce:
             assert a.tobytes() == b.tobytes() == c.tobytes()
         if epochs:
             assert bce_loss(got, data) < bce_loss(init or make_affine(12, 5, seed=4), data)
+
+    @pytest.mark.bitwise
+    @pytest.mark.parametrize("victim", ["affine", "tanh", "relu"])
+    def test_clipped_batches_equal_the_per_batch_loop_bit_for_bit(self, victim, monkeypatch):
+        # A 40-fold initial scorer puts some batches' logits past +-36, where the
+        # clip zeroes their gradient; the benchmark's victims stay inside it.
+        import tkmia.model
+        from tkmia.harness import SyntheticSpec, gen_synthetic
+
+        data = gen_synthetic(SyntheticSpec(n=300, d=12, c=5, mean_relevant=2.0,
+                                           label_correlation=0.4, seed=5))
+        base = {"affine": make_affine(12, 5, seed=1),
+                "tanh": make_mlp(12, 9, 5, seed=2, activation="tanh"),
+                "relu": make_mlp(12, 9, 5, seed=3, activation="relu")}[victim]
+        init = Scorer([40.0 * w for w in base.weights], [40.0 * b for b in base.biases],
+                      base.activation)
+        peaks = []  # each batch's largest logit magnitude
+
+        def recorded(model, X, Y, out, work):
+            peaks.append(np.abs(model._forward(X)[0]).max())
+            _bce_grads(model, X, Y, out, work)
+
+        monkeypatch.setattr(tkmia.model, "_bce_grads", recorded)
+        config = TrainConfig(epochs=3, learning_rate=0.5, momentum=0.9, batch_size=64, seed=4)
+        got, want = train_bce(data, config, model=init), parent_train_bce(data, config, init)
+        assert len(peaks) == 15 and max(peaks) >= 36.0
+        for a, b in zip(got.weights + got.biases, want.weights + want.biases):
+            assert a.tobytes() == b.tobytes()
 
     @pytest.mark.bitwise
     @pytest.mark.parametrize("victim", ["affine", "relu"])
