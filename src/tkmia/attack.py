@@ -23,20 +23,24 @@ Every method runs through one loop, :func:`run_attack_loop`, which takes
 the method by name, checks its whole input once, and per iteration runs one
 unchecked forward pass of the scorer at the projected input
 (:meth:`Scorer._vjp`) and ranks the scores once;
-that ranking serves the stopping test, the residual set and the (k+1)-th
-class of the tkml_ap_u baseline. A report's iteration 0 reads its cell's
-clean row (``clean_scores``) instead, and runs the forward pass only if the
-attack goes on, for its pullback. The method's terms map the scores to a
-score cotangent, which the forward pass's pullback turns into the epsilon
-gradient; a flat loss (every hinge inactive) gives None and no pullback,
-since the pullback of a zero cotangent depends only on the scorer's
-weights and is computed once per attack. The loop steps tkmia's lambdas
+that ranking serves the stopping test and the (k+1)-th class of the
+tkml_ap_u baseline, and the last one gives the outcome's residual set. A
+report's iteration 0 reads its cell's clean row (``clean_scores``) instead,
+and runs the forward pass only if the attack goes on, for its pullback.
+The method's terms map the scores to a score cotangent, which the forward
+pass's pullback turns into the epsilon gradient; a flat loss (every hinge
+inactive) gives None and no pullback, since the pullback of a zero
+cotangent depends only on the scorer's weights and is computed once per
+attack. The loop steps tkmia's lambdas
 (projected back to [0, 1]) and epsilon (with momentum), projects x+eps
 into the clip domain, and stops once enough specified labels have left
 the top k, or at a fixed point: an update that changes no bit of the state.
 A baseline's flat update reads no score, so :func:`_flat_run` makes a flat
 stretch's updates outside the loop and scores them in stacked chunks of 1, 2,
 4, ... rows, at most 256, up to the iteration at which the loop resumes.
+One function, :func:`_advance`, makes every update in place: the loop's
+into one of two preallocated (eps, velocity, gradient) triples that it
+writes in turn, and a chunk's into its rows, one after another.
 What each method can attack is one rule, :func:`ineligible`.
 Distinct instances never share state, so attacks parallelize freely over
 instances with a read-only scorer.
@@ -45,7 +49,6 @@ from __future__ import annotations
 
 import json
 import math
-from contextlib import suppress
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import repeat
@@ -171,7 +174,7 @@ class AttackConfig:
 
     @cached_property
     def coefs(self) -> tuple[np.ndarray, ...]:
-        """alpha, momentum, eta and the clip bounds as 0-d arrays, :func:`_step`'s
+        """alpha, momentum, eta and the clip bounds as 0-d arrays, :func:`_advance`'s
         ``coefs``: built once per config, not once per attack."""
         return tuple(np.array(c) for c in (self.alpha, self.momentum, self.eta,
                                            *self.clip_domain))
@@ -200,6 +203,13 @@ class AttackOutcome:
     ``residual`` holds the specified labels still ranked in the top k
     after the attack. ``scores_before`` and ``scores_after`` are the
     victim's scores at x and at the final projected x + epsilon.
+
+    The last three fields are :func:`run_attack_loop`'s accounting, which
+    the record does not hold: ``forward_passes``, its ``Scorer._vjp`` calls
+    plus the rows of its stacked ``Scorer._scores`` calls; ``pullbacks``,
+    the pullbacks it ran, its one pullback of zeros included; and ``stop``,
+    why it ended: ``success``, ``budget`` or ``fixed_point``. They are None
+    on an outcome made elsewhere.
     """
 
     method: str
@@ -212,6 +222,9 @@ class AttackOutcome:
     lambda2: float
     scores_before: np.ndarray
     scores_after: np.ndarray
+    forward_passes: int | None = None
+    pullbacks: int | None = None
+    stop: Literal["success", "budget", "fixed_point"] | None = None
 
     @property
     def epsilon_norm(self) -> float:
@@ -539,21 +552,26 @@ def residual_set(scores, specified, k: int) -> tuple[int, ...]:
     return _ranked_in(top, _labels(specified, len(scores), "specified"))
 
 
-def _step(x, eps, velocity, pulled, coefs, out) -> None:
-    """The update by ``pulled``, a score cotangent's pullback, unchecked: the gradient
-    ``pulled + alpha * eps``, the momentum step and the projection into the clip domain,
-    one operation at a time into ``out``, the new eps, velocity and gradient. ``coefs`` holds
-    alpha, momentum, eta and the clip bounds; ufuncs take them fastest as 0-d arrays, and
-    ``out`` fastest by position, which np.maximum and np.minimum do not allow."""
+def _advance(x, eps, velocity, rows, pulled, coefs) -> None:
+    """The update by ``pulled``, a score cotangent's pullback, unchecked, from (``eps``,
+    ``velocity``) through ``rows``: each (eps, velocity, gradient) triple of arrays that
+    ``rows`` yields is written with the update of the state before it. An update is the
+    gradient ``pulled + alpha * eps``, the momentum step and the projection into the clip
+    domain, one operation at a time into the triple. The loop's update is the case of one
+    triple; a flat stretch's chunk yields its rows in turn. ``coefs`` holds alpha, momentum,
+    eta and the clip bounds; ufuncs take them fastest as 0-d arrays, and ``out`` fastest by
+    position, which np.maximum and np.minimum do not allow."""
     alpha, momentum, eta, lo, hi = coefs
-    new_eps, new_velocity, grad = out
-    np.add(pulled, np.multiply(alpha, eps, grad), grad)
-    np.add(np.multiply(momentum, velocity, new_velocity), grad, new_velocity)
-    np.subtract(eps, np.multiply(eta, new_velocity, new_eps), new_eps)
-    # Keep eps consistent with the projected adversarial input so the
-    # reported norm reflects the perturbation actually applied.
-    np.maximum(np.add(x, new_eps, new_eps), lo, out=new_eps)
-    np.subtract(np.minimum(new_eps, hi, out=new_eps), x, new_eps)
+    add, multiply, subtract = np.add, np.multiply, np.subtract
+    for new_eps, new_velocity, grad in rows:
+        add(pulled, multiply(alpha, eps, grad), grad)
+        add(multiply(momentum, velocity, new_velocity), grad, new_velocity)
+        subtract(eps, multiply(eta, new_velocity, new_eps), new_eps)
+        # Keep eps consistent with the projected adversarial input so the
+        # reported norm reflects the perturbation actually applied.
+        np.maximum(add(x, new_eps, new_eps), lo, out=new_eps)
+        subtract(np.minimum(new_eps, hi, out=new_eps), x, new_eps)
+        eps, velocity = new_eps, new_velocity
 
 
 def _same_state(before, after) -> bool:
@@ -584,41 +602,43 @@ def _flat_run(model: Scorer, x, eps, velocity, it: int, zero_pull, coefs, max_it
     """Fast-forward a baseline's flat stretch from iteration ``it``, at state (eps, velocity).
 
     Each chunk of 1, 2, 4, ... iterations, at most :data:`_MAX_CHUNK`, fills its rows in
-    place by the loop's flat update (:func:`_step` by ``zero_pull``, which reads no score),
-    cuts them at the first update that would stop the loop (a non-finite gradient, no bit
-    of the state changed, or an error that the caller's ``np.errstate`` does not ignore),
-    then scores them with one stacked forward pass (:meth:`Scorer._scores`) and one
-    ranking, and tests them by :func:`_flat_exits` with ``tests``. Returns (iteration, eps,
-    velocity) of the first iteration that succeeds, has an active hinge, is cut or is
-    ``max_iter``; the loop resumes there. Doubling scores in vain at most about the rows
-    it skips.
+    place by the loop's flat update (:func:`_advance` by ``zero_pull``, which reads no
+    score, over the chunk's rows in turn), cuts them at the first update that would stop
+    the loop (a non-finite gradient or no bit of the state changed), then scores them with
+    one stacked forward pass (:meth:`Scorer._scores`) and one ranking, and tests them by
+    :func:`_flat_exits` with ``tests``. A chunk in which an update meets a floating-point
+    error that the caller's ``np.errstate`` does not ignore ends the stretch at its first
+    row, unscored. Returns (iteration, eps, velocity, rows scored) at the first iteration
+    that succeeds, has an active hinge, is cut, starts such a chunk or is ``max_iter``;
+    the loop resumes there. Doubling scores in vain at most about the rows it skips.
     """
     lo, hi = coefs[3:]
     errors = {kind: "raise" if mode != "ignore" else mode for kind, mode in np.geterr().items()}
-    size = 1
+    size, scored = 1, 0
     while True:
         n = min(size, max_iter - it)
         # Row j of each: eps and velocity of iteration it + j, and the gradient that gave them.
         E, V, G = np.empty((3, n + 1, x.shape[0]))
         E[0], V[0] = eps, velocity
-        with np.errstate(**errors), suppress(FloatingPointError):
-            # done: the updates that ran without a floating-point error
-            for done, (e, v, out) in enumerate(zip(E, V, zip(E[1:], V[1:], G[1:]))):
-                _step(x, e, v, zero_pull, coefs, out)
-            done = n
+        try:
+            with np.errstate(**errors):
+                _advance(x, eps, velocity, zip(E[1:], V[1:], G[1:]), zero_pull, coefs)
+        except FloatingPointError:  # the loop runs this iteration under the caller's errstate
+            return it, eps, velocity, scored
         # int64 bits compare as :func:`_same_state`'s bytes do: +0.0 and -0.0 differ.
-        e_bits, v_bits = E[:done + 1].view(np.int64), V[:done + 1].view(np.int64)
+        e_bits, v_bits = E.view(np.int64), V.view(np.int64)
         stuck = (e_bits[1:] == e_bits[:-1]).all(1) & (v_bits[1:] == v_bits[:-1]).all(1)
-        bad = stuck | ~np.isfinite(G[1:done + 1]).all(1)
-        cut = int(bad.argmax()) if bad.any() else done  # a Python int, as ``it`` is
+        bad = stuck | ~np.isfinite(G[1:]).all(1)
+        cut = int(bad.argmax()) if bad.any() else n  # a Python int, as ``it`` is
         if cut:
             scores = model._scores(np.minimum(np.maximum(x + E[:cut], lo), hi))
+            scored += cut
             hit = np.flatnonzero(_flat_exits(scores, _rank(scores), *tests))
             if hit.size:
-                return it + int(hit[0]), E[hit[0]].copy(), V[hit[0]].copy()
+                return it + int(hit[0]), E[hit[0]], V[hit[0]], scored
         it += cut
         if cut < size:
-            return it, E[cut].copy(), V[cut].copy()
+            return it, E[cut], V[cut], scored
         eps, velocity = E[cut], V[cut]
         size = min(2 * size, _MAX_CHUNK)
 
@@ -659,14 +679,20 @@ def run_attack_loop(model: Scorer, instance: Instance, specified, config: Attack
     Until then the method's terms give the score cotangent:
     :func:`_tkmia_terms`, which also steps both lambdas, or the margin hinge
     on the baseline's class pair; one ``pullback(cotangent)`` plus
-    ``config.alpha * eps`` is the epsilon gradient (:func:`_step`). A flat
+    ``config.alpha * eps`` is the epsilon gradient. :func:`_advance` makes the
+    update into one of two (eps, velocity, gradient) triples, allocated at the
+    first update and written in turn, so the state before an update survives it
+    for the fixed-point test; a row of them is copied into the outcome. A flat
     loss has a None cotangent: that iteration runs no pullback and reuses
     ``pullback(zeros)`` from the attack's first flat iteration. The reuse is
     exact: the pullback of a zero cotangent multiplies zeros by the weights
     and by non-negative derivatives, so its bytes, signed zeros included, do
     not depend on the input. No loss value is computed. Success is tested
     before any update, so an instance that already satisfies it returns
-    epsilon exactly 0 after zero iterations.
+    epsilon exactly 0 after zero iterations. The residual set is S's labels
+    in the top k of the last ranking, the one that ended the loop. The index
+    arrays of S and Yp \\ S are built only where numpy reads them: the strict
+    test, and a baseline's first flat stretch.
 
     A baseline's flat iteration steps no lambda and its update reads no
     score, so after one that moves the state :func:`_flat_run` runs the
@@ -680,7 +706,9 @@ def run_attack_loop(model: Scorer, instance: Instance, specified, config: Attack
     succeed. The loop ends there with ``iterations_used = max_iter`` and the
     outcome of the whole budget, bit for bit. ``iterations_used`` counts
     budget iterations, the protocol's count; the forward passes run may be
-    fewer.
+    fewer. The outcome's ``forward_passes`` and ``pullbacks`` count the work
+    run, and ``stop`` says which of success, the budget's end or a fixed
+    point ended it.
     """
     k = config.k
     c = model.out_dim
@@ -692,8 +720,10 @@ def run_attack_loop(model: Scorer, instance: Instance, specified, config: Attack
     if reason:
         raise ValueError(reason)
     eta, max_iter = config.eta, config.max_iter
-    spec_idx, rest_idx = np.array(spec), np.array(rest)
     delta, strict = config.delta_threshold or len(spec), config.success_mode == "strict"
+    # Index arrays of the sets only where numpy reads them: the strict test here, and
+    # (spec_idx too) a flat stretch's tests, built at the first stretch.
+    rest_idx = np.array(rest) if strict else None
     if method != "tkmia":
         rel = np.array(instance.relevant)
         if method == "ml_cw_u":
@@ -704,7 +734,7 @@ def run_attack_loop(model: Scorer, instance: Instance, specified, config: Attack
     lam1 = lam2 = 0.0
     x = model._check_input(instance.x)
     d = x.shape[0]
-    eps, velocity = np.zeros(d), np.zeros(d)
+    eps = velocity = np.zeros(d)
     coefs = config.coefs
     lo, hi = coefs[3:]
     # The domain is closed; a non-finite entry has failed _check_input already.
@@ -715,27 +745,30 @@ def run_attack_loop(model: Scorer, instance: Instance, specified, config: Attack
         clean_scores = np.array(clean_scores, dtype=np.float64)
         if clean_scores.shape != (c,) or np.count_nonzero(np.isfinite(clean_scores)) != c:
             raise ValueError(f"clean scores must be a finite ({c},) vector")
-    zero_pull = None
-    success = False
+    zero_pull = tests = None
+    success, stop = False, "budget"
+    forward = pullbacks = 0
 
     it = 0
     while True:
         if clean_scores is None:
             scores, pullback = model._vjp(np.minimum(np.maximum(x + eps, lo), hi))
+            forward += 1
         else:  # iteration 0, on the caller's clean row
             scores, pullback, clean_scores = clean_scores, None, None
         order = _rank(scores)
         top = order[:k].tolist()
+        residual = [i for i in spec if i in top]
         if it == 0:
             scores_before = scores.copy()
-        if _succeeded(scores, order, k, sum(i not in top for i in spec), delta, rest_idx,
-                      strict):
-            success = True
+        if _succeeded(scores, order, k, len(spec) - len(residual), delta, rest_idx, strict):
+            success, stop = True, "success"
             break
         if it == max_iter:
             break
         if pullback is None:  # the attack goes on from the clean row: its forward pass
             pullback = model._vjp(np.minimum(np.maximum(x + eps, lo), hi))[1]
+            forward += 1
         before = eps, velocity, lam1, lam2
         if method == "tkmia":
             # Finite: the gradients are 1 - n1/(c-k) and 1 - n2/k, with 1 <= k < c.
@@ -745,34 +778,49 @@ def run_attack_loop(model: Scorer, instance: Instance, specified, config: Attack
             lam2 = min(max(lam2 - eta * g2, 0.0), 1.0)
         else:
             cot = _hinge_cot(scores, *pair(scores, order))
-        if cot is None and zero_pull is None:
-            zero_pull = pullback(np.zeros(c))
-        new = np.empty(d), np.empty(d), np.empty(d)  # eps, velocity, gradient
-        _step(x, eps, velocity, zero_pull if cot is None else pullback(cot), coefs, new)
+        if cot is None:
+            if zero_pull is None:
+                zero_pull = pullback(np.zeros(c))
+                pullbacks += 1
+            pulled = zero_pull
+        else:
+            pulled = pullback(cot)
+            pullbacks += 1
+        if it == 0:  # the first update: two (eps, velocity, gradient) triples, written in turn
+            target, spare = (tuple(triple) for triple in np.empty((2, 3, d)))
+        _advance(x, eps, velocity, (target,), pulled, coefs)
+        eps, velocity, grad = target
+        target, spare = spare, target
         # Counting the finite entries skips the Python wrapper of ``.all()``.
-        if np.count_nonzero(np.isfinite(new[2])) != d:
+        if np.count_nonzero(np.isfinite(grad)) != d:
             raise FloatingPointError(f"non-finite gradient at iteration {it}")
-        eps, velocity = new[:2]
         # A fixed point: every later iteration would repeat this one bit for bit.
         if _same_state(before, (eps, velocity, lam1, lam2)):
-            it = max_iter
+            it, stop = max_iter, "fixed_point"
             break
         it += 1
         if cot is None and method != "tkmia":
-            it, eps, velocity = _flat_run(model, x, eps, velocity, it, zero_pull, coefs, max_iter,
-                                          (k, spec_idx, delta, rest_idx, strict, pair))
+            if tests is None:
+                tests = (k, np.array(spec), delta, rest_idx, strict, pair)
+            it, eps, velocity, rows = _flat_run(model, x, eps, velocity, it, zero_pull, coefs,
+                                                max_iter, tests)
+            forward += rows
 
     return AttackOutcome(
         method=method,
-        epsilon=eps,
+        # A row of the loop's triples or of a flat chunk is copied: the outcome owns it.
+        epsilon=eps if eps.base is None else eps.copy(),
         iterations_used=it,
         success=success,
         specified=spec,
-        residual=_ranked_in(order[:k], spec),
+        residual=tuple(residual),
         lambda1=lam1,
         lambda2=lam2,
         scores_before=scores_before,
         scores_after=scores,
+        forward_passes=forward,
+        pullbacks=pullbacks,
+        stop=stop,
     )
 
 

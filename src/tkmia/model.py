@@ -190,15 +190,29 @@ class Scorer:
 
         ``x`` is a finite float64 (d,) vector, such as :meth:`_check_input`
         returns, and the pullback takes a float64 (c,) cotangent as it is.
+        Whether any logit reaches the clip at ±36 is decided once, here. When
+        none does, the clip would leave the logits as they are and the
+        pullback's mask ``|z| < 36`` would be all True, and ``x * True`` is
+        ``x`` bit for bit, -0.0 included: so the sigmoid skips the clip and
+        the pullback the mask, with the bytes of the clipped, masked pass.
         """
         z, pre, hidden = self._forward(x)
-        scores = self._output(z)
+        scores, mask = z, None
+        if self.sigmoid_output:
+            # One pass over the logits as floats; z is this pass's own array.
+            if max(map(abs, z.tolist())) < _LOGIT_CLIP:
+                scores = _logistic(z)
+            else:
+                mask = np.less(np.abs(z), _CLIP_HI)
+                scores = _sigmoid(z, out=z)
 
         def pullback(cot) -> np.ndarray:
             if self.sigmoid_output:
                 # The sigmoid's derivative, zero where the logit clip is active, times cot.
                 g = np.multiply(scores, np.subtract(_ONE, scores))
-                cot = np.multiply(cot, np.multiply(g, np.less(np.abs(z), _CLIP_HI), g), g)
+                if mask is not None:
+                    np.multiply(g, mask, g)
+                cot = np.multiply(cot, g, g)
             return self._backward(cot, pre, hidden) @ self.weights[0]
 
         return scores, pullback

@@ -195,7 +195,23 @@ def efficacy_run(request, efficacy_victim):
     }
 
 
+# The efficacy cell's (attacks, successes, iterations) per method on the
+# victim's sigmoid scores: perfbench's efficacy-affine pins at seed 7, on the
+# same dataset and victim. They do not depend on the numeric stack.
+EFFICACY_COUNTS = {"tkmia": (641, 641, 1227), "ml_cw_u": (641, 359, 84991),
+                   "tkml_ap_u": (641, 641, 1524)}
+
+
 class TestCriterion6Efficacy:
+    def test_outcome_counts(self, efficacy_run):
+        counts = {method: (len(outs), sum(o.success for o in outs),
+                           sum(o.iterations_used for o in outs))
+                  for method, outs in efficacy_run["outcomes"].items()}
+        print(f"criterion 6, {efficacy_run['output']}: (attacks, successes, iterations) "
+              f"{counts}")
+        if efficacy_run["output"] == "sigmoid":
+            assert counts == EFFICACY_COUNTS
+
     def test_trained_victim_and_expulsion(self, efficacy_run):
         run = efficacy_run
         assert run["elapsed"] < 300.0, f"end-to-end run took {run['elapsed']:.0f}s"

@@ -585,8 +585,10 @@ class TestFixedPointExit:
                            success_mode="strict" if variant == "strict" else "c1_only")
         counting = CountingScorer(model)
         out = attack("ml_cw_u", counting, inst, spec, cfg)
-        assert counting.calls["vjp"] == 1
+        assert counting.calls["vjp"] == out.forward_passes == 1
         assert (out.success, out.iterations_used) == (False, max_iter)
+        # The first update leaves the state as it is; a budget of 0 makes none.
+        assert out.stop == ("fixed_point" if max_iter else "budget")
         assert_same_outcome(out, attack("ml_cw_u", model, inst, spec, cfg, reference=True))
 
     @pytest.mark.parametrize("mode", ["c1_only", "strict"])
@@ -599,6 +601,7 @@ class TestFixedPointExit:
         counting = CountingScorer(model)
         out = attack("tkmia", counting, inst, (0,), cfg)
         assert 2 < counting.calls["vjp"] < 300
+        assert out.stop == "fixed_point"
         assert 0.3 <= out.lambda1 < 0.4 and 0.4 <= out.lambda2 < 0.5
         assert_same_outcome(out, attack("tkmia", model, inst, (0,), cfg, reference=True))
 
@@ -616,6 +619,7 @@ class TestFixedPointExit:
         model = switch_scorer()
         out = attack("ml_cw_u", model, inst, (0,), cfg)
         assert model.forward == 1001
+        assert out.stop == "budget"
         assert np.all(out.epsilon != 0.0)
         assert_same_outcome(out, ref)
 
@@ -627,6 +631,7 @@ class TestFixedPointExit:
         model = switch_scorer()
         out = attack("ml_cw_u", model, inst, (0,), cfg)
         assert 1001 < model.forward < 8000
+        assert out.stop == "fixed_point"
         assert_same_outcome(out, attack("ml_cw_u", switch_scorer(), inst, (0,), cfg,
                                         reference=True))
 
@@ -786,19 +791,29 @@ class TestFlatStretch:
         # Forward passes at iterations 0, 1 and the fixed point, and rows 2 to fixed - 1.
         assert scorer.forward == fixed + 1
 
-    def test_floating_point_warning_is_reported_at_its_iteration(self, method):
-        # The velocity overflows at iteration 2, the stretch's first row, while the
+    # The stretch starts at iteration 2, so its chunk of 16 rows covers 17-32.
+    @pytest.mark.parametrize("flat_pull, at", [(1e308, 2), (2e307, 22)],
+                             ids=["first-row", "inside-a-chunk"])
+    def test_floating_point_warning_is_reported_at_its_iteration(self, method, flat_pull, at):
+        # The velocity overflows at iteration ``at`` of the stretch, while the
         # gradient stays finite: the loop warns there once and goes on.
         config = AttackConfig(k=2, eta=1.0, alpha=0.0, momentum=0.9, max_iter=100)
-        runs = []
+        runs, updates = [], []
         for reference in (False, True):
+            hooks = ({"on_update": lambda before, after: updates.append(after[1])}
+                     if reference else {})
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")
-                out = attack(method, ChunkEdgeScorer(1.0, flat_pull=1e308), PATH_INSTANCE,
-                             (0,), config, reference=reference)
+                out = attack(method, ChunkEdgeScorer(1.0, flat_pull=flat_pull), PATH_INSTANCE,
+                             (0,), config, reference=reference, **hooks)
             runs.append((out, [(w.category, str(w.message)) for w in caught]))
         assert_same_outcome(runs[0][0], runs[1][0])
         assert runs[0][1] == runs[1][1] == [(RuntimeWarning, "overflow encountered in add")]
+        assert [np.isinf(np.frombuffer(v)).any() for v in updates].index(True) == at
+        # One forward pass, in the loop or as a stacked row, for each iteration from
+        # 0 to at + 1, whose update changes no bit: a chunk that meets the overflow
+        # scores none of its rows, and the loop runs its first.
+        assert (runs[0][0].forward_passes, runs[0][0].stop) == (at + 2, "fixed_point")
 
     def test_signed_zero_velocity_is_no_fixed_point(self, method):
         # The first update turns the velocity's -0.0 into +0.0 and changes nothing
@@ -809,10 +824,10 @@ class TestFlatStretch:
         pair = {"ml_cw_u": lambda scores, order: _ml_cw_u_pair(scores, rel, irr),
                 "tkml_ap_u": lambda scores, order: _tkml_ap_u_pair(scores, order, rel, 2)}[method]
         scorer = SwitchScorer(3, ACTIVE, FLAT)
-        it, eps_out, velocity_out = _flat_run(
+        it, eps_out, velocity_out, rows = _flat_run(
             scorer, x, eps, velocity, 5, np.array([0.0, 1.0, 1.0]), coefs, 100,
             (2, np.array([0]), 1, np.array([1, 2, 3]), False, pair))
-        assert it == 6 and scorer.forward == 1
+        assert it == 6 and scorer.forward == rows == 1
         assert eps_out.tobytes() == eps.tobytes()
         assert velocity_out.tobytes() == np.array([0.0, 2.0, 2.0]).tobytes()
 

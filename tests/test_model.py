@@ -206,6 +206,33 @@ class TestVjp:
         assert clipped > 0
         assert saturated > 0 or not tanh_mlp
 
+    @pytest.mark.parametrize("arch", ["affine", "mlp-tanh", "mlp-identity"])
+    @pytest.mark.parametrize("on_clip", [[36.0], [-36.0], [36.0, -36.0], []],
+                             ids=["plus", "minus", "both", "none"])
+    def test_logits_exactly_on_the_clip_pull_back_nothing(self, arch, on_clip):
+        # At x = 0, with a zero first-layer bias, the logits are the last layer's
+        # bias, some of them exactly +-36: the mask zeroes their derivative, while
+        # the logits inside the clip, just below it included, pull back as ever.
+        inside = [35.999, -35.999, 2.0, -0.5, 0.0, 1e-300][:6 - len(on_clip)]
+        bias = np.array(on_clip + inside)
+        if arch == "affine":
+            model = Scorer([make_affine(5, 6, seed=4).weights[0]], [bias])
+        else:
+            base = make_mlp(5, 8, 6, seed=4, activation=arch[4:])
+            model = Scorer(base.weights, [np.zeros(8), bias], arch[4:])
+        x = np.zeros(5)
+        assert model._forward(x)[0].tobytes() == bias.tobytes()
+        scores, pullback = model.vjp(x)
+        n = len(on_clip)
+        on = np.zeros(6)
+        on[:n] = 1.0
+        assert np.all(pullback(on) == 0.0)
+        cot = np.random.default_rng(5).normal(size=6)
+        cot_inside = np.where(on == 1.0, 0.0, cot)
+        assert pullback(cot).tobytes() == pullback(cot_inside).tobytes()
+        assert np.any(pullback(cot_inside) != 0.0)
+        assert pullback(cot).tobytes() == parent_input_gradient(model, x, cot).tobytes()
+
     @pytest.mark.parametrize("cot", [
         np.zeros(5), np.zeros((1, 6)), [0.0] * 5 + [np.nan], [np.inf] + [0.0] * 5,
     ], ids=["short", "matrix", "nan", "inf"])

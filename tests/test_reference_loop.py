@@ -11,7 +11,9 @@ iteration after the first one whose update leaves eps, velocity and the
 lambdas bitwise unchanged (a fixed point), and the reference, which runs
 the whole budget, gives the same outcome. Given the victim's scores at
 ``x + 0.0`` (``clean_scores``), iteration 0 ranks them in place of its
-forward pass, and the outcome is the one without them.
+forward pass, and the outcome is the one without them. The outcome's
+``forward_passes`` and ``pullbacks`` count these calls, and its ``stop``
+says whether success, the budget's end or a fixed point ended the attack.
 """
 from dataclasses import replace
 
@@ -113,6 +115,11 @@ def test_one_forward_and_one_gradient_per_iteration(victim, case):
         if method == "tkmia":
             assert (calls["vjp"], calls["rows"]) == (ran + (fixed is None), 0)
         assert calls["vjp"] + calls["rows"] <= 3 * (out.iterations_used + 1)
+        # The outcome's own accounting: the counted calls, and why the attack stopped.
+        assert (out.forward_passes, out.pullbacks) == (calls["vjp"] + calls["rows"],
+                                                       calls["pullback"])
+        assert out.stop == ("success" if out.success else
+                            "budget" if fixed is None else "fixed_point")
         iterations += out.iterations_used
         pullbacks += calls["pullback"]
         forwards += calls["vjp"]
@@ -147,8 +154,13 @@ def test_clean_row_gives_the_outcome_without_it(victim, method, variant, sigmoid
         without, given = CountingScorer(model), CountingScorer(model)
         ref = attack(method, without, instance, spec, config)
         out = attack(method, given, instance, spec, config, clean_scores=row)
+        # One forward pass fewer for an attack that ends at iteration 0, none more
+        # otherwise, in the calls and in the outcome's count alike.
+        ended = out.iterations_used == 0
+        at_zero += ended
+        assert given.calls == {**without.calls, "vjp": without.calls["vjp"] - ended}
         assert vars(out).keys() == vars(ref).keys()
-        for name, value in vars(ref).items():
+        for name, value in vars(replace(ref, forward_passes=ref.forward_passes - ended)).items():
             if isinstance(value, np.ndarray):
                 assert getattr(out, name).tobytes() == value.tobytes(), name
             else:
@@ -156,8 +168,93 @@ def test_clean_row_gives_the_outcome_without_it(victim, method, variant, sigmoid
         # The outcome owns its scores.
         assert not np.shares_memory(out.scores_before, rows)
         assert not np.shares_memory(out.scores_after, rows)
-        # One forward pass fewer for an attack that ends at iteration 0, none more otherwise.
-        ended = out.iterations_used == 0
-        at_zero += ended
-        assert given.calls == {**without.calls, "vjp": without.calls["vjp"] - ended}
     assert 0 < at_zero < len(pairs)
+
+
+class ParentVjpScorer(Scorer):
+    """``Scorer._vjp`` as it was before it decided once per pass whether any logit
+    reaches the clip: the sigmoid always clips, and the pullback always masks."""
+
+    def _vjp(self, x):
+        z, pre, hidden = self._forward(x)
+        if not self.sigmoid_output:
+            return z, lambda cot: self._backward(cot, pre, hidden) @ self.weights[0]
+        scores = 1.0 / (1.0 + np.exp(-np.minimum(np.maximum(z, -36.0), 36.0)))
+
+        def pullback(cot):
+            cot = cot * (scores * (1.0 - scores) * (np.abs(z) < 36.0))
+            return self._backward(cot, pre, hidden) @ self.weights[0]
+
+        return scores, pullback
+
+
+class ClipCounter(Scorer):
+    """Counts the forward passes with and without a logit at or past +-36, in
+    ``_vjp`` and in the rows of ``_scores``."""
+
+    def __init__(self, model):
+        super().__init__(model.weights, model.biases, model.activation, model.sigmoid_output)
+        self.passes = {"vjp": [0, 0], "rows": [0, 0]}  # [inside the clip, reaching it]
+
+    def _count(self, name, Z):
+        reach = np.abs(np.atleast_2d(Z)).max(axis=1) >= 36.0
+        self.passes[name][0] += int((~reach).sum())
+        self.passes[name][1] += int(reach.sum())
+
+    def _vjp(self, x):
+        self._count("vjp", self._forward(x)[0])
+        return super()._vjp(x)
+
+    def _scores(self, X):
+        self._count("rows", self._forward(X)[0])
+        return super()._scores(X)
+
+
+def sides(counter):
+    """The passes of a :class:`ClipCounter` inside the clip and reaching it."""
+    return [sum(counts[side] for counts in counter.passes.values()) for side in (0, 1)]
+
+
+@pytest.fixture(scope="module")
+def clipping_victim():
+    """The affine victim of :func:`victim` with its parameters times 8, about a
+    fifth of whose clean rows have a logit past +-36, and 16 instances to attack
+    with S = {1}: under each method and mode, some attack's logits cross the clip."""
+    data = gen_synthetic(SyntheticSpec(n=400, d=12, c=7, mean_relevant=3.5,
+                                       label_correlation=0.5, seed=11))
+    base = train_bce(data, TrainConfig(epochs=30, learning_rate=0.5, batch_size=64, seed=5))
+    model = Scorer([8.0 * w for w in base.weights], [8.0 * b for b in base.biases])
+    pairs = [(inst, (1,)) for inst in data
+             if 1 in inst.relevant and len(inst.relevant) >= K + 1 and inst.irrelevant][:16]
+    assert len(pairs) == 16
+    return model, pairs
+
+
+@pytest.mark.parametrize("mode", ["c1_only", "strict"])
+@pytest.mark.parametrize("method", METHODS)
+def test_logits_past_the_clip_give_the_reference_outcome(clipping_victim, method, mode):
+    # The reference scores and pulls back through the always-clipped, always-masked
+    # pass, so the engine's passes that skip the clip and the mask, and those that
+    # keep them, must both give its bytes.
+    model, pairs = clipping_victim
+    config = replace(CONFIG, max_iter=60, success_mode=mode)
+    reference = ParentVjpScorer(model.weights, model.biases)
+    counter = ClipCounter(model)
+    crossed = 0
+    for instance, spec in pairs:
+        ref = attack(method, reference, instance, spec, config, reference=True)
+        before = sides(counter)
+        new = attack(method, counter, instance, spec, config)
+        assert (new.success, new.iterations_used, new.residual) == (
+            ref.success, ref.iterations_used, ref.residual)
+        assert (new.lambda1, new.lambda2) == (ref.lambda1, ref.lambda2)
+        for name in ("epsilon", "scores_before", "scores_after"):
+            assert getattr(new, name).tobytes() == getattr(ref, name).tobytes(), name
+        # An attack whose own passes fell on both sides of the clip.
+        crossed += all(now > then for now, then in zip(sides(counter), before))
+    assert crossed > 0
+    # Both branches ran in the loop, and a baseline's flat stretch scored
+    # rows past the clip.
+    assert min(counter.passes["vjp"]) > 0
+    if method == "ml_cw_u":
+        assert counter.passes["rows"][1] > 0
