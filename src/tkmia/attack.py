@@ -48,10 +48,8 @@ instances with a read-only scorer.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import repeat
 from json.encoder import encode_basestring_ascii
 from typing import Literal, Sequence
 
@@ -190,8 +188,8 @@ class BaselineSpec:
             raise ValueError(f"unknown baseline method {self.method!r}")
 
 
-# The keys of an outcome record, in order; AttackOutcome.to_record and
-# OutcomeLines both write them from this one list.
+# The keys of an outcome record, in order: AttackOutcome.to_record, whose dump
+# ``tkmia attack`` prints, and OutcomeLines, a report's writer, both use this list.
 RECORD_KEYS = ("method", "success", "iterations_used", "specified", "residual", "lambda1",
                "lambda2", "epsilon_norm", "epsilon", "scores_before", "scores_after")
 
@@ -232,7 +230,8 @@ class AttackOutcome:
 
     def to_record(self, **extra) -> dict:
         """Flat dict for line-delimited JSON serialization: RECORD_KEYS, then
-        ``extra``. :class:`OutcomeLines` writes it as a line of text."""
+        ``extra``. ``tkmia attack`` prints its ``json.dumps``, and
+        :class:`OutcomeLines` writes a report's records as the same text."""
         record = dict(zip(RECORD_KEYS, (
             self.method, self.success, self.iterations_used, list(self.specified),
             list(self.residual), self.lambda1, self.lambda2, self.epsilon_norm,
@@ -242,35 +241,22 @@ class AttackOutcome:
         return record
 
 
-_FLOAT64 = np.dtype(np.float64)
-_INT = frozenset({int})
-_STR = frozenset({str})
-_ONES = repeat(1.0)
-
-
 class OutcomeLines:
-    """The one writer of outcome lines, for reports and ``tkmia attack``.
+    """The one writer of a report's outcome lines.
 
     ``line(outcome, norm, **extra)``, with ``norm`` the outcome's
     ``epsilon_norm``, which the caller computes once, equals
-    ``json.dumps(outcome.to_record(**extra)) + "\\n"`` byte for byte for any
-    outcome and extras; where that raises, so does the line.
-    :meth:`AttackOutcome.to_record` stays the record's definition and the
-    reference; both write RECORD_KEYS.
-
-    A finite float's JSON text is its repr, and so is that of a list of
-    them. The encoder writes the record's values so only where this holds:
-    a str method, a bool success, int iterations and labels, float lambdas
-    and norm, 1-D float64 vectors, every float finite, and no extra that
-    repeats a record key. Outcomes of :func:`run_attack_loop` in a report
-    meet it, since each cell's ``evaluate_rows`` has checked the scores and
-    the loop keeps epsilon and the lambdas finite; any other line is dumped
-    from its record. Text is reused where the bytes agree: ``scores_after``
-    with the bytes of ``scores_before`` takes its text, an epsilon of zero
-    bytes one text per d, and a dict extra of numbers under str keys (a
-    measure set) one text per encoder, keyed by its keys, values, their types
-    and signs, so that 0.0 and -0.0, or 1 and 1.0, never share one. No
-    vector text outlives its record.
+    ``json.dumps(outcome.to_record(**extra)) + "\\n"`` byte for byte on what a
+    report writes, and checks none of it. Its outcomes have
+    :func:`run_attack_loop`'s types: a str method, a bool success, int counts
+    and labels, float lambdas and norm, 1-D float64 vectors. Its extras are ints
+    and measure sets (str keys, an int ``tk_acc``, non-negative floats) under
+    names that are not record keys. Every float is finite, so its JSON text is
+    its repr: each cell's ``evaluate_rows`` rejects non-finite clean and
+    perturbed scores before its lines are written, and the loop keeps epsilon
+    and the lambdas finite. Text is reused where the bytes agree: a
+    ``scores_after`` with the bytes of ``scores_before``, an all-zero epsilon
+    (one text per d) and a measure set (one text per distinct set).
     """
 
     # The record's keys, each with a %s for its value's text.
@@ -285,49 +271,27 @@ class OutcomeLines:
         o, names = outcome, tuple(extra)
         tail = self._tails.get(names)
         if tail is None:
-            # An extra that repeats a record key takes that key's place: no tail.
-            tail = self._tails[names] = "" if set(names) & set(RECORD_KEYS) else "".join(
+            tail = self._tails[names] = "".join(
                 f", {json.dumps(name)}: %s" for name in names) + "}\n"
-        eps, before, after, lam1, lam2 = (o.epsilon, o.scores_before, o.scores_after,
-                                          o.lambda1, o.lambda2)
-        if (not tail or type(o.method) is not str or type(o.success) is not bool
-                or type(o.iterations_used) is not int
-                or not set(map(type, (*o.specified, *o.residual))) <= _INT
-                or not type(lam1) is type(lam2) is type(norm) is float
-                or not eps.dtype is before.dtype is after.dtype is _FLOAT64
-                or not eps.ndim == before.ndim == after.ndim == 1):
-            return json.dumps(o.to_record(**extra)) + "\n"
-        before_list = before.tolist()
-        after_list = None if after.tobytes() == before.tobytes() else after.tolist()
-        # A non-finite norm is a non-finite epsilon entry.
-        if not math.isfinite(lam1 + lam2 + norm + sum(before_list) + sum(after_list or ())):
-            return json.dumps(o.to_record(**extra)) + "\n"
+        eps, before, after = o.epsilon, o.scores_before, o.scores_after
         d = eps.shape[0]
         if d not in self._zeros:
             self._zeros[d] = bytes(8 * d), repr([0.0] * d)
         zero_bytes, zero_text = self._zeros[d]
-        before_text = repr(before_list)
+        before_text = repr(before.tolist())
         return self._HEAD % (
             encode_basestring_ascii(o.method), "true" if o.success else "false",
-            o.iterations_used, list(o.specified), list(o.residual), lam1, lam2, norm,
-            zero_text if eps.tobytes() == zero_bytes else repr(eps.tolist()),
-            before_text, before_text if after_list is None else repr(after_list),
+            o.iterations_used, list(o.specified), list(o.residual), o.lambda1, o.lambda2, norm,
+            zero_text if eps.tobytes() == zero_bytes else repr(eps.tolist()), before_text,
+            before_text if after.tobytes() == before.tobytes() else repr(after.tolist()),
         ) + tail % tuple(map(self._text, extra.values()))
 
     def _text(self, value) -> str:
-        """An extra value's JSON text."""
+        """An extra value's JSON text: an int's repr, or a measure set's, once per set."""
         if type(value) is int:
             return repr(value)
-        if type(value) is not dict or not set(map(type, value)) <= _STR:
-            return json.dumps(value)
-        try:
-            # copysign takes numbers only, and ints only up to the float
-            # range; the lookup raises TypeError on an unhashable value.
-            key = (*value.items(), *map(type, value.values()),
-                   *map(math.copysign, _ONES, value.values()))
-            text = self._dicts.get(key)
-        except (TypeError, OverflowError):
-            return json.dumps(value)
+        key = tuple(value.items())
+        text = self._dicts.get(key)
         if text is None:
             text = self._dicts[key] = json.dumps(value)
         return text

@@ -15,11 +15,12 @@ give identical outputs. Exit status is 0 on success, 1 on any error, and
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 
-from .attack import SUCCESS_MODES, AttackConfig, OutcomeLines, RandomScheme, select_random
+from .attack import SUCCESS_MODES, AttackConfig, RandomScheme, select_random
 from .checks import run_all_checks
-from .core import _seed
+from .core import _seed, as_scores
 from .harness import (
     METHODS,
     VICTIM_ARCHS,
@@ -136,8 +137,9 @@ def _cmd_attack(args) -> int:
             raise ValueError(f"--specified: expected comma-separated class indices, "
                              f"got {args.specified!r}") from None
     outcome = _run_method(args.method, victim, instance, specified, config)
-    print(OutcomeLines().line(outcome, outcome.epsilon_norm, instance=args.index, k=args.k),
-          end="")
+    # The score contract, a finite vector: JSON has no text for other floats.
+    as_scores([outcome.scores_before, outcome.scores_after], ndim=2)
+    print(json.dumps(outcome.to_record(instance=args.index, k=args.k)))
     return 0
 
 

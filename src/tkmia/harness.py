@@ -501,14 +501,27 @@ def _check_output_directory(name: str, path: str) -> None:
         raise ValueError(f"{name}: directory {directory} does not exist")
 
 
+def _evaluate_cell(scores, labels, k: int, chosen, name: str):
+    """:func:`evaluate_rows`, whose error for a non-finite row i of ``scores`` names
+    ``name`` and the row's dataset instance ``chosen[i]``."""
+    try:
+        return evaluate_rows(scores, labels, k)
+    except ValueError as exc:
+        finite = np.isfinite(scores).all(axis=1)
+        if finite.all():
+            raise
+        raise ValueError(f"{name} instance {chosen[int(np.argmin(finite))]}: {exc}") from None
+
+
 def run_experiment(config: ExperimentConfig):
     """Run the full grid and write the CSV report plus outcome records.
 
     Returns the report rows. A cell that the selection empties gives rows
-    with ``n = 0`` and no measures. An attack that fails names its cell
-    and the instance's dataset index. Outcome records stream to a temp file
-    as each cell is measured; after the last cell it replaces ``out_outcomes``
-    and the CSV is written, so a failing run leaves no partial outputs.
+    with ``n = 0`` and no measures. A failed attack, or a non-finite row of
+    clean or perturbed scores, names its cell and the instance's dataset
+    index. Outcome records stream to a temp file as each cell is measured;
+    after the last cell it replaces ``out_outcomes`` and the CSV is written,
+    so a failing run leaves no partial outputs.
     """
     for key in ("out_csv", "out_outcomes"):
         _check_output_directory(key, getattr(config, key))
@@ -528,7 +541,7 @@ def run_experiment(config: ExperimentConfig):
             labels = dataset.Y[chosen]
             # Each attack's iteration 0 reads its row: the scores at x + 0.0, as it scores them.
             clean_scores = model.score(dataset.X[chosen] + 0.0)
-            clean = evaluate_rows(clean_scores, labels, k)
+            clean = _evaluate_cell(clean_scores, labels, k, chosen, f"clean scores (k={k})")
             cell = {"k": k, "s_size": _scheme_s_size(config.scheme, pairs), "n": len(pairs)}
             for method in config.methods:
                 cfg = config.attack_config(method, k)
@@ -539,8 +552,9 @@ def run_experiment(config: ExperimentConfig):
                                                     clean_scores=row))
                 except (ValueError, FloatingPointError) as exc:
                     raise type(exc)(f"attack ({method}, k={k}) instance {idx}: {exc}") from None
-                perturbed = evaluate_rows(
-                    np.reshape([o.scores_after for o in outcomes], (len(pairs), c)), labels, k)
+                perturbed = _evaluate_cell(
+                    np.reshape([o.scores_after for o in outcomes], (len(pairs), c)), labels, k,
+                    chosen, f"attack ({method}, k={k})")
                 # One norm per outcome: the record's epsilon_norm and the row's APer.
                 norms = [o.epsilon_norm for o in outcomes]
                 report = delta_report(clean, perturbed, outcomes, norms) if pairs else None

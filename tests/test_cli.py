@@ -475,6 +475,83 @@ class TestMalformedScorer:
         assert capsys.readouterr().err == f"error: {victim}: {message}\n"
 
 
+class ClassThreeInfinite(model.Scorer):
+    """A scorer double whose own forward passes score class 3 at +inf; the
+    clean scores, from ``_scores``, are the victim's."""
+
+    def _vjp(self, x):
+        scores, pullback = super()._vjp(x)
+        scores[3] = np.inf
+        return scores, pullback
+
+
+class TestNonFiniteScores:
+    """A score is a finite vector: an attack or report that meets another fails in
+    one line, writes nothing, and a report names the cell and the instance."""
+
+    # Instance 0 has too few relevant labels for S = {0} and k = 1, so a report
+    # attacks instances 1, 2 and 3 as its rows 0, 1 and 2.
+    ROWS = [([0.0, 0.0], [1, 0, 0, 0]), ([0.1, 0.2], [1, 1, 0, 0]),
+            ([0.8, -0.5], [1, 1, 0, 0]), ([-0.3, 0.1], [1, 1, 1, 0])]
+    WEIGHTS = [[0.5, -0.2], [0.1, 0.3], [-0.4, 0.2], [0.0, 0.0]]
+
+    @pytest.fixture
+    def files(self, tmp_path):
+        dataset = tmp_path / "data.jsonl"
+        dataset.write_text("".join(json.dumps({"x": x, "y": y}) + "\n" for x, y in self.ROWS))
+        # Class 3's logit, 1.7e308 * x[0] + 1e308, overflows at instance 2 only.
+        weights = self.WEIGHTS[:3] + [[1.7e308, 0.0]]
+        overflow = tmp_path / "overflow.jsonl"
+        save_scorer(model.Scorer([weights], [[0.0, 0.1, -0.1, 1e308]], sigmoid_output=False),
+                    str(overflow))
+        return dataset, overflow
+
+    def report(self, tmp_path, dataset, victim):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({
+            "dataset": {"path": str(dataset)}, "victim": {"path": str(victim)}, "k_grid": [1],
+            "scheme": {"type": "global", "categories": [0]}, "methods": ["tkmia"],
+            "attack": {"eta": 0.05, "max_iter": 20},
+            "out_csv": str(tmp_path / "report.csv"),
+            "out_outcomes": str(tmp_path / "outcomes.jsonl")}))
+        return run_cli(["report", "--config", str(config)])
+
+    def test_attack_on_overflowing_logits_exits_one(self, files, capsys):
+        # S = {0} is out of the top 1 at iteration 0, behind class 3's +inf: the
+        # attack succeeds, and its scores have no JSON text.
+        dataset, overflow = files
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            code = run_cli(["attack", "--dataset", str(dataset), "--victim", str(overflow),
+                            "--index", "2", "--k", "1", "--specified", "0"])
+        assert code == 1
+        assert capsys.readouterr() == ("", "error: score vector contains non-finite entries\n")
+
+    def test_report_names_the_instance_of_a_non_finite_clean_row(self, files, tmp_path,
+                                                                  capsys):
+        dataset, overflow = files
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            code = self.report(tmp_path, dataset, overflow)
+        assert code == 1
+        assert capsys.readouterr().err == ("error: clean scores (k=1) instance 2: "
+                                           "score vector contains non-finite entries\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "config.json", "data.jsonl", "overflow.jsonl"]
+
+    def test_report_names_the_instance_of_a_non_finite_perturbed_row(self, files, tmp_path,
+                                                                      capsys, monkeypatch):
+        # Clean, instance 1 ranks class 1 first and instance 2 class 0: instance 1's
+        # attack ends at iteration 0 on its clean row, instance 2's runs on.
+        dataset, _ = files
+        victim = ClassThreeInfinite([self.WEIGHTS], [[0.0, 0.1, -0.1, -1.0]],
+                                    sigmoid_output=False)
+        # The report gets the double in place of the victim file, which it never reads.
+        monkeypatch.setattr(harness, "_resolve_victim", lambda config, data: victim)
+        assert self.report(tmp_path, dataset, tmp_path / "unread.jsonl") == 1
+        assert capsys.readouterr().err == ("error: attack (tkmia, k=1) instance 2: "
+                                           "score vector contains non-finite entries\n")
+        assert not (tmp_path / "outcomes.jsonl").exists()
+
+
 class TestReport:
     def test_missing_config_exits_one_no_partial_csv(self, tmp_path, capsys):
         assert run_cli(["report", "--config", str(tmp_path / "nope.json")]) == 1
