@@ -47,10 +47,8 @@ instances with a read-only scorer.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import cached_property
-from json.encoder import encode_basestring_ascii
 from typing import Literal, Sequence
 
 import numpy as np
@@ -63,7 +61,6 @@ __all__ = [
     "BASELINE_METHODS",
     "AttackConfig",
     "AttackOutcome",
-    "OutcomeLines",
     "RECORD_KEYS",
     "BaselineSpec",
     "SUCCESS_MODES",
@@ -189,7 +186,8 @@ class BaselineSpec:
 
 
 # The keys of an outcome record, in order: AttackOutcome.to_record, whose dump
-# ``tkmia attack`` prints, and OutcomeLines, a report's writer, both use this list.
+# ``tkmia attack`` prints, and harness.OutcomeLines, whose report lines add the
+# instance, k and measure sets after them, both use this list.
 RECORD_KEYS = ("method", "success", "iterations_used", "specified", "residual", "lambda1",
                "lambda2", "epsilon_norm", "epsilon", "scores_before", "scores_after")
 
@@ -230,8 +228,9 @@ class AttackOutcome:
 
     def to_record(self, **extra) -> dict:
         """Flat dict for line-delimited JSON serialization: RECORD_KEYS, then
-        ``extra``. ``tkmia attack`` prints its ``json.dumps``, and
-        :class:`OutcomeLines` writes a report's records as the same text."""
+        ``extra``. ``tkmia attack`` prints its ``json.dumps`` with the instance
+        and k, and a report's line, which :class:`tkmia.harness.OutcomeLines`
+        writes, is its dump with those and the two measure sets."""
         record = dict(zip(RECORD_KEYS, (
             self.method, self.success, self.iterations_used, list(self.specified),
             list(self.residual), self.lambda1, self.lambda2, self.epsilon_norm,
@@ -239,62 +238,6 @@ class AttackOutcome:
         ), strict=True))
         record.update(extra)
         return record
-
-
-class OutcomeLines:
-    """The one writer of a report's outcome lines.
-
-    ``line(outcome, norm, **extra)``, with ``norm`` the outcome's
-    ``epsilon_norm``, which the caller computes once, equals
-    ``json.dumps(outcome.to_record(**extra)) + "\\n"`` byte for byte on what a
-    report writes, and checks none of it. Its outcomes have
-    :func:`run_attack_loop`'s types: a str method, a bool success, int counts
-    and labels, float lambdas and norm, 1-D float64 vectors. Its extras are ints
-    and measure sets (str keys, an int ``tk_acc``, non-negative floats) under
-    names that are not record keys. Every float is finite, so its JSON text is
-    its repr: each cell's ``evaluate_rows`` rejects non-finite clean and
-    perturbed scores before its lines are written, and the loop keeps epsilon
-    and the lambdas finite. Text is reused where the bytes agree: a
-    ``scores_after`` with the bytes of ``scores_before``, an all-zero epsilon
-    (one text per d) and a measure set (one text per distinct set).
-    """
-
-    # The record's keys, each with a %s for its value's text.
-    _HEAD = "{" + ", ".join(f"{json.dumps(key)}: %s" for key in RECORD_KEYS)
-
-    def __init__(self):
-        self._tails: dict[tuple[str, ...], str] = {}
-        self._zeros: dict[int, tuple[bytes, str]] = {}
-        self._dicts: dict[tuple, str] = {}
-
-    def line(self, outcome: AttackOutcome, norm: float, **extra) -> str:
-        o, names = outcome, tuple(extra)
-        tail = self._tails.get(names)
-        if tail is None:
-            tail = self._tails[names] = "".join(
-                f", {json.dumps(name)}: %s" for name in names) + "}\n"
-        eps, before, after = o.epsilon, o.scores_before, o.scores_after
-        d = eps.shape[0]
-        if d not in self._zeros:
-            self._zeros[d] = bytes(8 * d), repr([0.0] * d)
-        zero_bytes, zero_text = self._zeros[d]
-        before_text = repr(before.tolist())
-        return self._HEAD % (
-            encode_basestring_ascii(o.method), "true" if o.success else "false",
-            o.iterations_used, list(o.specified), list(o.residual), o.lambda1, o.lambda2, norm,
-            zero_text if eps.tobytes() == zero_bytes else repr(eps.tolist()), before_text,
-            before_text if after.tobytes() == before.tobytes() else repr(after.tolist()),
-        ) + tail % tuple(map(self._text, extra.values()))
-
-    def _text(self, value) -> str:
-        """An extra value's JSON text: an int's repr, or a measure set's, once per set."""
-        if type(value) is int:
-            return repr(value)
-        key = tuple(value.items())
-        text = self._dicts.get(key)
-        if text is None:
-            text = self._dicts[key] = json.dumps(value)
-        return text
 
 
 def _labels(labels, c: int, name: str) -> tuple[int, ...]:

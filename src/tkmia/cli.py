@@ -18,6 +18,8 @@ import argparse
 import json
 import sys
 
+import numpy as np
+
 from .attack import SUCCESS_MODES, AttackConfig, RandomScheme, select_random
 from .checks import run_all_checks
 from .core import _seed, as_scores
@@ -117,6 +119,13 @@ def _cmd_train(args) -> int:
     return 0
 
 
+# attack and report end a score that overflows with their one-line error, which
+# numpy's RuntimeWarning would otherwise precede. check keeps numpy's defaults,
+# so that ``python -W error -m tkmia.cli check`` still fails on any warning.
+_QUIET = np.errstate(over="ignore", invalid="ignore")
+
+
+@_QUIET
 def _cmd_attack(args) -> int:
     dataset = load_dataset(args.dataset)
     victim = load_scorer(args.victim)
@@ -137,12 +146,19 @@ def _cmd_attack(args) -> int:
             raise ValueError(f"--specified: expected comma-separated class indices, "
                              f"got {args.specified!r}") from None
     outcome = _run_method(args.method, victim, instance, specified, config)
-    # The score contract, a finite vector: JSON has no text for other floats.
-    as_scores([outcome.scores_before, outcome.scores_after], ndim=2)
+    # The score contract, a finite vector: JSON has no text for other floats. The
+    # error names the instance behind a report's prefix for the same scores.
+    for scores, name in ((outcome.scores_before, f"clean scores (k={args.k})"),
+                         (outcome.scores_after, f"attack ({args.method}, k={args.k})")):
+        try:
+            as_scores(scores)
+        except ValueError as exc:
+            raise ValueError(f"{name} instance {args.index}: {exc}") from None
     print(json.dumps(outcome.to_record(instance=args.index, k=args.k)))
     return 0
 
 
+@_QUIET
 def _cmd_report(args) -> int:
     config = ExperimentConfig.from_json(args.config)
     rows = run_experiment(config)

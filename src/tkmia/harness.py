@@ -15,6 +15,8 @@ import json
 import os
 from dataclasses import MISSING, dataclass, fields
 from itertools import islice
+from json.encoder import encode_basestring_ascii
+from operator import attrgetter
 from statistics import NormalDist
 from typing import Sequence
 
@@ -22,10 +24,10 @@ import numpy as np
 
 from .attack import (
     METHODS,
+    RECORD_KEYS,
     AttackConfig,
     BaselineSpec,
     GlobalScheme,
-    OutcomeLines,
     RandomScheme,
     ineligible,
     run_baseline,
@@ -49,6 +51,7 @@ __all__ = [
     "save_dataset",
     "load_dataset",
     "train_victim",
+    "OutcomeLines",
     "run_experiment",
 ]
 
@@ -513,6 +516,49 @@ def _evaluate_cell(scores, labels, k: int, chosen, name: str):
         raise ValueError(f"{name} instance {chosen[int(np.argmin(finite))]}: {exc}") from None
 
 
+class OutcomeLines:
+    """The one writer of a report's outcome lines, for a dataset of d features.
+
+    ``line(outcome, norm, instance, k, clean, perturbed)``, with ``norm`` the outcome's
+    ``epsilon_norm`` and ``clean`` and ``perturbed`` the instance's measure records, equals
+    ``json.dumps(outcome.to_record(instance=instance, k=k, clean_metrics=...,
+    perturbed_metrics=...)) + "\\n"`` byte for byte on what :func:`run_experiment` writes,
+    and checks none of it. Its outcomes have the attack loop's types and finite floats,
+    whose text is their repr: the loop keeps epsilon and the lambdas finite, and
+    :func:`_evaluate_cell` rejects non-finite scores before a cell's lines are written. A
+    measure set (an int ``tk_acc``, non-negative floats) takes one text per distinct set,
+    the all-zero epsilon one per report, and ``scores_after`` reuses the text of
+    ``scores_before`` when their bytes agree.
+    """
+
+    # The line's keys, each with a %s for its value's text.
+    _FORMAT = "{" + ", ".join(f"{json.dumps(key)}: %s" for key in (
+        *RECORD_KEYS, "instance", "k", "clean_metrics", "perturbed_metrics")) + "}\n"
+    _values = attrgetter(*MEASURES)
+
+    def __init__(self, d: int):
+        self._zero = bytes(8 * d), repr([0.0] * d)
+        self._sets: dict[tuple, str] = {}
+
+    def line(self, outcome, norm, instance, k, clean, perturbed) -> str:
+        o, (zero_bytes, zero_text) = outcome, self._zero
+        eps, before, after = o.epsilon, o.scores_before, o.scores_after
+        before_text = repr(before.tolist())
+        return self._FORMAT % (
+            encode_basestring_ascii(o.method), "true" if o.success else "false",
+            o.iterations_used, list(o.specified), list(o.residual), o.lambda1, o.lambda2, norm,
+            zero_text if eps.tobytes() == zero_bytes else repr(eps.tolist()), before_text,
+            before_text if after.tobytes() == before.tobytes() else repr(after.tolist()),
+            instance, k, self._text(clean), self._text(perturbed))
+
+    def _text(self, record) -> str:
+        """A measure set's JSON text, once per distinct set."""
+        values = self._values(record)
+        if values not in self._sets:
+            self._sets[values] = json.dumps(dict(zip(MEASURES, values)))
+        return self._sets[values]
+
+
 def run_experiment(config: ExperimentConfig):
     """Run the full grid and write the CSV report plus outcome records.
 
@@ -533,7 +579,7 @@ def run_experiment(config: ExperimentConfig):
         raise ValueError(f"victim has in_dim={model.in_dim}, out_dim={model.out_dim}, "
                          f"but the dataset has d={d}, c={c}")
 
-    rows, lines = [], OutcomeLines()
+    rows, lines = [], OutcomeLines(d)
     with atomic_write(config.out_outcomes) as outcome_file:
         for k in config.k_grid:
             pairs = _cell_selection(config, dataset, k)
@@ -562,11 +608,7 @@ def run_experiment(config: ExperimentConfig):
                 rows.append({col: row.get(col, getattr(report, col, None))
                              for col in REPORT_COLUMNS})
                 for outcome, norm, idx, cl, pt in zip(outcomes, norms, chosen, clean, perturbed):
-                    outcome_file.write(lines.line(
-                        outcome, norm, instance=idx, k=k,
-                        clean_metrics={name: getattr(cl, name) for name in MEASURES},
-                        perturbed_metrics={name: getattr(pt, name) for name in MEASURES},
-                    ))
+                    outcome_file.write(lines.line(outcome, norm, idx, k, cl, pt))
 
     write_report_csv(config.out_csv, rows)
     return rows

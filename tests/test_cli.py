@@ -1,9 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from tkmia import attack, checks, core, harness, metrics, model
+from tkmia import attack, checks, cli, core, harness, metrics, model
 from tkmia.cli import main
 from tkmia.model import make_affine, save_scorer
 
@@ -485,6 +489,18 @@ class ClassThreeInfinite(model.Scorer):
         return scores, pullback
 
 
+class ClassThreeInfiniteAfterAStep(model.Scorer):
+    """A scorer double whose forward passes score class 3 at +inf at any input but
+    the first one that it scores."""
+
+    def _vjp(self, x):
+        scores, pullback = super()._vjp(x)
+        if getattr(self, "stepped", False):
+            scores[3] = np.inf
+        self.stepped = True
+        return scores, pullback
+
+
 class TestNonFiniteScores:
     """A score is a finite vector: an attack or report that meets another fails in
     one line, writes nothing, and a report names the cell and the instance."""
@@ -518,19 +534,46 @@ class TestNonFiniteScores:
 
     def test_attack_on_overflowing_logits_exits_one(self, files, capsys):
         # S = {0} is out of the top 1 at iteration 0, behind class 3's +inf: the
-        # attack succeeds, and its scores have no JSON text.
+        # attack succeeds, and its scores have no JSON text. numpy's overflow
+        # warning, an error under this suite's warning filter, is not raised.
         dataset, overflow = files
-        with pytest.warns(RuntimeWarning, match="overflow"):
-            code = run_cli(["attack", "--dataset", str(dataset), "--victim", str(overflow),
-                            "--index", "2", "--k", "1", "--specified", "0"])
+        code = run_cli(["attack", "--dataset", str(dataset), "--victim", str(overflow),
+                        "--index", "2", "--k", "1", "--specified", "0"])
         assert code == 1
-        assert capsys.readouterr() == ("", "error: score vector contains non-finite entries\n")
+        assert capsys.readouterr() == ("", "error: clean scores (k=1) instance 2: "
+                                           "score vector contains non-finite entries\n")
+
+    def test_attack_names_the_instance_of_non_finite_perturbed_scores(self, files, capsys,
+                                                                       monkeypatch):
+        # Instance 2's clean scores rank class 0 first, so the attack steps once;
+        # at x + eps class 3 scores +inf and pushes S = {0} out of the top 1.
+        dataset, _ = files
+        victim = ClassThreeInfiniteAfterAStep([self.WEIGHTS], [[0.0, 0.1, -0.1, -1.0]],
+                                              sigmoid_output=False)
+        monkeypatch.setattr(cli, "load_scorer", lambda path: victim)
+        code = run_cli(["attack", "--dataset", str(dataset), "--victim", "unread.jsonl",
+                        "--index", "2", "--k", "1", "--specified", "0"])
+        assert code == 1
+        assert capsys.readouterr() == ("", "error: attack (tkmia, k=1) instance 2: "
+                                           "score vector contains non-finite entries\n")
+
+    def test_overflow_error_is_the_only_stderr_line(self, files):
+        # A process of its own, under numpy's and Python's default warning handling.
+        dataset, overflow = files
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [
+            str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")]))}
+        result = subprocess.run(
+            [sys.executable, "-m", "tkmia.cli", "attack", "--dataset", str(dataset), "--victim",
+             str(overflow), "--index", "2", "--k", "1", "--specified", "0"],
+            env=env, capture_output=True, text=True)
+        assert (result.returncode, result.stdout, result.stderr) == (
+            1, "", "error: clean scores (k=1) instance 2: "
+                   "score vector contains non-finite entries\n")
 
     def test_report_names_the_instance_of_a_non_finite_clean_row(self, files, tmp_path,
                                                                   capsys):
         dataset, overflow = files
-        with pytest.warns(RuntimeWarning, match="overflow"):
-            code = self.report(tmp_path, dataset, overflow)
+        code = self.report(tmp_path, dataset, overflow)
         assert code == 1
         assert capsys.readouterr().err == ("error: clean scores (k=1) instance 2: "
                                            "score vector contains non-finite entries\n")

@@ -15,7 +15,6 @@ from tkmia.attack import (
     AttackConfig,
     AttackOutcome,
     GlobalScheme,
-    OutcomeLines,
     RandomScheme,
     ineligible,
     select_random,
@@ -24,6 +23,7 @@ from tkmia.core import Dataset, Instance
 from tkmia.harness import (
     FEATURE_NOISE,
     ExperimentConfig,
+    OutcomeLines,
     SyntheticSpec,
     VictimSpec,
     _sliding_extremes,
@@ -533,9 +533,12 @@ class TestRunExperiment:
         assert rows
 
 
-def dumped(outcome, **extra):
-    """The reference text of an outcome line: its record dumped, then a newline."""
-    return json.dumps(outcome.to_record(**extra)) + "\n"
+def dumped(outcome, instance, k, clean, perturbed):
+    """The reference text of a report's outcome line: its record dumped with the
+    instance, k and both measure sets, then a newline."""
+    sets = [{name: getattr(record, name) for name in MEASURES} for record in (clean, perturbed)]
+    return json.dumps(outcome.to_record(instance=instance, k=k, clean_metrics=sets[0],
+                                        perturbed_metrics=sets[1])) + "\n"
 
 
 def hand_outcome(**fields):
@@ -546,10 +549,6 @@ def hand_outcome(**fields):
     return AttackOutcome(**{**base, **fields})
 
 
-def measures(record):
-    return {name: getattr(record, name) for name in MEASURES}
-
-
 class TestOutcomeLines:
     def test_record_keys_are_pinned(self):
         # The outcome format: a change to these keys or their order is a change
@@ -557,9 +556,10 @@ class TestOutcomeLines:
         assert RECORD_KEYS == ("method", "success", "iterations_used", "specified", "residual",
                                "lambda1", "lambda2", "epsilon_norm", "epsilon", "scores_before",
                                "scores_after")
-        outcome = hand_outcome()
-        line = OutcomeLines().line(outcome, outcome.epsilon_norm)
-        assert tuple(json.loads(line)) == RECORD_KEYS
+        outcome, record = hand_outcome(), MetricsRecord(2, 1, 0.5, 1.0, 1.0)
+        line = OutcomeLines(3).line(outcome, outcome.epsilon_norm, 7, 2, record, record)
+        assert tuple(json.loads(line)) == (*RECORD_KEYS, "instance", "k", "clean_metrics",
+                                           "perturbed_metrics")
 
     @pytest.mark.parametrize("output", ["sigmoid", "logits"])
     @pytest.mark.parametrize("mode", ["c1_only", "strict"])
@@ -576,10 +576,10 @@ class TestOutcomeLines:
         expected = []
         line = OutcomeLines.line
 
-        def spy(self, outcome, norm, **extra):
+        def spy(self, outcome, norm, instance, k, clean, perturbed):
             assert norm.hex() == outcome.epsilon_norm.hex()
-            expected.append(dumped(outcome, **extra))
-            return line(self, outcome, norm, **extra)
+            expected.append(dumped(outcome, instance, k, clean, perturbed))
+            return line(self, outcome, norm, instance, k, clean, perturbed)
 
         def reject(constant):
             raise ValueError(f"{constant} is not JSON")
@@ -599,8 +599,8 @@ class TestOutcomeLines:
             assert min(min(r["scores_before"]) for r in records) < 0
 
     def test_hand_built_outcomes_are_their_records_dumped(self):
-        # Outcomes and extras of a report's types, every float finite.
-        lines = OutcomeLines()
+        # Outcomes and measure sets of a report's types, every float finite.
+        lines = OutcomeLines(3)
         zeros = np.zeros(3)
         cases = [
             hand_outcome(),
@@ -622,15 +622,15 @@ class TestOutcomeLines:
                          scores_before=np.array([-1.7976931348623157e308, 2.5e-308, 0.1, 1e300])),
         ]
         # Report measure sets: an int tk_acc and non-negative floats.
-        sets = [measures(MetricsRecord(2, 1, 0.0, 1.0, 1.0)),
-                measures(MetricsRecord(2, 0, 0.5, 0.75, 0.6131471927654584)),
-                measures(MetricsRecord(2, 2, 1.0, 1.0, 1.0))]
+        sets = [MetricsRecord(2, 1, 0.0, 1.0, 1.0),
+                MetricsRecord(2, 0, 0.5, 0.75, 0.6131471927654584),
+                MetricsRecord(2, 2, 1.0, 1.0, 1.0)]
         for outcome in cases * 2:  # twice, so that reused text meets each case again
             norm = outcome.epsilon_norm
-            extras = [{"instance": 7, "k": 2, "clean_metrics": clean, "perturbed_metrics": pert}
-                      for clean in sets for pert in sets] + [{"instance": 7, "k": 2}, {}]
-            for extra in extras:
-                assert lines.line(outcome, norm, **extra) == dumped(outcome, **extra)
+            for clean in sets:
+                for pert in sets:
+                    assert (lines.line(outcome, norm, 7, 2, clean, pert)
+                            == dumped(outcome, 7, 2, clean, pert))
 
 
 class TestCellSelection:
