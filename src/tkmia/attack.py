@@ -198,7 +198,8 @@ class AttackOutcome:
 
     ``residual`` holds the specified labels still ranked in the top k
     after the attack. ``scores_before`` and ``scores_after`` are the
-    victim's scores at x and at the final projected x + epsilon.
+    victim's scores at x and at the final projected x + epsilon; for an
+    attack that ends at iteration 0 they are one array.
 
     The last three fields are :func:`run_attack_loop`'s accounting, which
     the record does not hold: ``forward_passes``, its ``Scorer._vjp`` calls
@@ -664,10 +665,9 @@ def run_attack_loop(model: Scorer, instance: Instance, specified, config: Attack
         else:  # iteration 0, on the caller's clean row
             scores, pullback, clean_scores = clean_scores, None, None
         order = _rank(scores)
-        top = order[:k].tolist()
-        residual = [i for i in spec if i in top]
-        if it == 0:
-            scores_before = scores.copy()
+        residual = _ranked_in(order[:k], spec)
+        if it == 0:  # the loop's own array, which nothing writes: the entry's copy or _vjp's
+            scores_before = scores
         if _succeeded(scores, order, k, len(spec) - len(residual), delta, rest_idx, strict):
             success, stop = True, "success"
             break
@@ -720,7 +720,7 @@ def run_attack_loop(model: Scorer, instance: Instance, specified, config: Attack
         iterations_used=it,
         success=success,
         specified=spec,
-        residual=tuple(residual),
+        residual=residual,
         lambda1=lam1,
         lambda2=lam2,
         scores_before=scores_before,
@@ -786,5 +786,6 @@ def select_random(instance: Instance, m: int, seed) -> tuple[int, ...]:
 
 
 def filter_instances(dataset: Sequence[Instance], k: int, s_size: int) -> list[int]:
-    """Indices of instances with at least k + s_size relevant labels."""
-    return [i for i, inst in enumerate(dataset) if len(inst.relevant) >= k + s_size]
+    """Indices of instances with at least k + s_size relevant labels: those that
+    :func:`ineligible` accepts for tkmia with no success threshold."""
+    return [i for i, inst in enumerate(dataset) if not ineligible(inst, s_size, k, "tkmia", None)]

@@ -28,8 +28,8 @@ from .harness import (
     VICTIM_ARCHS,
     ExperimentConfig,
     SyntheticSpec,
+    _attack_cell,
     _check_output_directory,
-    _run_method,
     gen_synthetic,
     load_dataset,
     run_experiment,
@@ -145,15 +145,15 @@ def _cmd_attack(args) -> int:
         except ValueError:
             raise ValueError(f"--specified: expected comma-separated class indices, "
                              f"got {args.specified!r}") from None
-    outcome = _run_method(args.method, victim, instance, specified, config)
-    # The score contract, a finite vector: JSON has no text for other floats. The
-    # error names the instance behind a report's prefix for the same scores.
-    for scores, name in ((outcome.scores_before, f"clean scores (k={args.k})"),
-                         (outcome.scores_after, f"attack ({args.method}, k={args.k})")):
-        try:
-            as_scores(scores)
-        except ValueError as exc:
-            raise ValueError(f"{name} instance {args.index}: {exc}") from None
+    # A report cell of one instance: its clean row first, whose non-finite entry is named
+    # as a report names it, then the cell's attack, whose errors carry the cell's prefix.
+    clean = victim.score(instance.x + 0.0)
+    try:
+        as_scores(clean)
+    except ValueError as exc:
+        raise ValueError(f"clean scores (k={args.k}) instance {args.index}: {exc}") from None
+    (outcome,), _ = _attack_cell(victim, dataset, [(args.index, specified)], [clean],
+                                 args.method, config)
     print(json.dumps(outcome.to_record(instance=args.index, k=args.k)))
     return 0
 

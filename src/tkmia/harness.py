@@ -488,14 +488,6 @@ def _cell_selection(config: ExperimentConfig, dataset, k: int):
     return list(islice(pairs, config.max_instances))
 
 
-def _run_method(method: str, model: Scorer, inst: Instance, s, cfg: AttackConfig, *,
-                clean_scores=None):
-    """One attack of ``inst`` by ``method``: the one dispatch of reports and ``tkmia attack``."""
-    if method == "tkmia":
-        return tkmia_attack(model, inst, s, cfg, clean_scores=clean_scores)
-    return run_baseline(model, inst, s, BaselineSpec(method, cfg), clean_scores=clean_scores)
-
-
 def _check_output_directory(name: str, path: str) -> None:
     """Reject an output path whose directory is missing, naming ``name``,
     before any work is done for it."""
@@ -514,6 +506,27 @@ def _evaluate_cell(scores, labels, k: int, chosen, name: str):
         if finite.all():
             raise
         raise ValueError(f"{name} instance {chosen[int(np.argmin(finite))]}: {exc}") from None
+
+
+def _attack_cell(model: Scorer, dataset: Dataset, pairs, clean_scores, method: str,
+                 cfg: AttackConfig):
+    """Attack each (index, S) of ``pairs`` by ``method`` from its row of ``clean_scores``,
+    with one :func:`tkmia_attack` or :func:`run_baseline` call each: the one attack path of
+    reports and ``tkmia attack``. Returns the outcomes and their perturbed measure records.
+    An attack's error, or a non-finite perturbed row, names the cell and the instance's
+    dataset index."""
+    name, chosen = f"attack ({method}, k={cfg.k})", [idx for idx, _ in pairs]
+    baseline = None if method == "tkmia" else BaselineSpec(method, cfg)
+    outcomes = []
+    try:
+        for (idx, s), row in zip(pairs, clean_scores):
+            outcomes.append(tkmia_attack(model, dataset[idx], s, cfg, clean_scores=row)
+                            if baseline is None else
+                            run_baseline(model, dataset[idx], s, baseline, clean_scores=row))
+    except (ValueError, FloatingPointError) as exc:
+        raise type(exc)(f"{name} instance {idx}: {exc}") from None
+    after = np.reshape([o.scores_after for o in outcomes], (len(pairs), model.out_dim))
+    return outcomes, _evaluate_cell(after, dataset.Y[chosen], cfg.k, chosen, name)
 
 
 class OutcomeLines:
@@ -584,23 +597,14 @@ def run_experiment(config: ExperimentConfig):
         for k in config.k_grid:
             pairs = _cell_selection(config, dataset, k)
             chosen = [idx for idx, _ in pairs]
-            labels = dataset.Y[chosen]
             # Each attack's iteration 0 reads its row: the scores at x + 0.0, as it scores them.
             clean_scores = model.score(dataset.X[chosen] + 0.0)
-            clean = _evaluate_cell(clean_scores, labels, k, chosen, f"clean scores (k={k})")
+            clean = _evaluate_cell(clean_scores, dataset.Y[chosen], k, chosen,
+                                   f"clean scores (k={k})")
             cell = {"k": k, "s_size": _scheme_s_size(config.scheme, pairs), "n": len(pairs)}
             for method in config.methods:
-                cfg = config.attack_config(method, k)
-                outcomes = []
-                try:
-                    for (idx, s), row in zip(pairs, clean_scores):
-                        outcomes.append(_run_method(method, model, dataset[idx], s, cfg,
-                                                    clean_scores=row))
-                except (ValueError, FloatingPointError) as exc:
-                    raise type(exc)(f"attack ({method}, k={k}) instance {idx}: {exc}") from None
-                perturbed = _evaluate_cell(
-                    np.reshape([o.scores_after for o in outcomes], (len(pairs), c)), labels, k,
-                    chosen, f"attack ({method}, k={k})")
+                outcomes, perturbed = _attack_cell(model, dataset, pairs, clean_scores, method,
+                                                   config.attack_config(method, k))
                 # One norm per outcome: the record's epsilon_norm and the row's APer.
                 norms = [o.epsilon_norm for o in outcomes]
                 report = delta_report(clean, perturbed, outcomes, norms) if pairs else None
@@ -609,6 +613,8 @@ def run_experiment(config: ExperimentConfig):
                              for col in REPORT_COLUMNS})
                 for outcome, norm, idx, cl, pt in zip(outcomes, norms, chosen, clean, perturbed):
                     outcome_file.write(lines.line(outcome, norm, idx, k, cl, pt))
+                # Written: freed now, not while the next cell's attacks run.
+                del outcomes, perturbed
 
     write_report_csv(config.out_csv, rows)
     return rows

@@ -93,7 +93,9 @@ class TestTrainAndAttack:
             assert run_cli(["attack", "--dataset", str(dataset_path), "--victim", str(victim),
                             "--index", str(index), "--k", "2", "--method", method,
                             "--specified", str(specified[0])]) == 0
-            outcome = harness._run_method(method, scorer, data[index], specified, config)
+            row = scorer.score(data[index].x + 0.0)
+            (outcome,), _ = harness._attack_cell(scorer, data, [(index, specified)], [row],
+                                                 method, config)
             assert capsys.readouterr().out == json.dumps(
                 outcome.to_record(instance=index, k=2)) + "\n"
 
@@ -105,15 +107,18 @@ class TestTrainAndAttack:
                         "--index", str(index), "--k", "1", "--m", "1"]) == 1
         assert capsys.readouterr().err == f"error: index {index} outside dataset of size 150\n"
 
-    def test_attack_with_m_reruns_a_report_attack(self, dataset_path, tmp_path, capsys):
-        """``--m`` draws S as a report's random scheme does, from (seed, k, m, index)."""
+    @pytest.mark.parametrize("method", attack.METHODS)
+    def test_attack_with_m_reruns_a_report_attack(self, dataset_path, tmp_path, capsys,
+                                                  method):
+        """``--m`` draws S as a report's random scheme does, from (seed, k, m, index),
+        and the attack runs a report cell's code on that one instance."""
         victim = tmp_path / "victim.jsonl"
         assert run_cli(["train", "--dataset", str(dataset_path), "--epochs", "20",
                         "--out", str(victim)]) == 0
         config = tmp_path / "config.json"
         config.write_text(json.dumps({
             "seed": 3, "dataset": {"path": str(dataset_path)}, "victim": {"path": str(victim)},
-            "k_grid": [2], "scheme": {"type": "random", "m": 1}, "methods": ["tkmia"],
+            "k_grid": [2], "scheme": {"type": "random", "m": 1}, "methods": [method],
             "attack": {"eta": 0.05, "alpha": 1e-4}, "max_instances": 8,
             "out_csv": str(tmp_path / "report.csv"),
             "out_outcomes": str(tmp_path / "outcomes.jsonl"),
@@ -125,7 +130,7 @@ class TestTrainAndAttack:
         for record in records:
             assert run_cli(["attack", "--dataset", str(dataset_path), "--victim", str(victim),
                             "--index", str(record["instance"]), "--k", "2", "--m", "1",
-                            "--seed", "3"]) == 0
+                            "--seed", "3", "--method", method]) == 0
             printed = json.loads(capsys.readouterr().out)
             del record["clean_metrics"], record["perturbed_metrics"]
             assert printed == record
@@ -227,7 +232,8 @@ class TestTrainAndAttack:
         code = run_cli(["attack", "--dataset", str(dataset_path), "--victim", str(victim),
                         "--index", str(index), "--k", "1", "--specified", "0,0"])
         assert code == 1
-        assert capsys.readouterr().err == "error: specified set [0, 0] repeats a label\n"
+        assert capsys.readouterr().err == (
+            f"error: attack (tkmia, k=1) instance {index}: specified set [0, 0] repeats a label\n")
 
     @pytest.mark.parametrize("flags, message", [
         (["--m", "2", "--k", "1"], "random scheme requires m <= k"),
@@ -255,7 +261,8 @@ class TestTrainAndAttack:
         code = run_cli(["attack", "--dataset", str(dataset), "--victim", str(victim),
                         "--index", "0", "--k", "1", "--specified", "0"])
         assert code == 1
-        assert capsys.readouterr().err == "error: x lies outside the clip domain [-1.0, 1.0]\n"
+        assert capsys.readouterr().err == (
+            "error: attack (tkmia, k=1) instance 0: x lies outside the clip domain [-1.0, 1.0]\n")
 
     def test_attack_takes_the_clip_domain_flags(self, tmp_path, capsys):
         dataset = tmp_path / "wide.jsonl"
@@ -280,7 +287,32 @@ class TestTrainAndAttack:
                         "--index", "0", "--k", "1", "--m", "1"])
         assert code == 1
         assert capsys.readouterr().err == (
-            "error: instance has 6 classes, but the victim scores 7\n")
+            "error: attack (tkmia, k=1) instance 0: instance has 6 classes, but the victim "
+            "scores 7\n")
+
+    @pytest.mark.parametrize("method", attack.METHODS)
+    @pytest.mark.parametrize("index, k, specified, classes, message", [
+        (0, 1, "0", 4, "x lies outside the clip domain [-1.0, 1.0]"),
+        (1, 2, "0", 4, "instance filter violated: |Yp|=2 < k+|S|=3"),
+        (1, 1, "3", 4, "specified set must be a subset of the relevant labels"),
+        (1, 1, "0,0", 4, "specified set [0, 0] repeats a label"),
+        (1, 1, "0", 5, "instance has 4 classes, but the victim scores 5"),
+    ], ids=["clip-domain", "filter", "not-a-subset", "repeated-label", "class-count"])
+    def test_attack_entry_errors_carry_the_report_prefix(self, tmp_path, capsys, method, index,
+                                                         k, specified, classes, message):
+        """Each entry error of the attack loop names the cell and the instance, as a
+        report names it."""
+        dataset = tmp_path / "data.jsonl"
+        harness.save_dataset([core.Instance(x=[0.5, 1.5], y=[1, 1, 1, 0]),
+                              core.Instance(x=[0.1, -0.2], y=[1, 1, 0, 0])], str(dataset))
+        victim = tmp_path / "victim.jsonl"
+        save_scorer(make_affine(2, classes, seed=1), str(victim))
+        code = run_cli(["attack", "--dataset", str(dataset), "--victim", str(victim),
+                        "--index", str(index), "--k", str(k), "--specified", specified,
+                        "--method", method])
+        assert code == 1
+        assert capsys.readouterr() == (
+            "", f"error: attack ({method}, k={k}) instance {index}: {message}\n")
 
     def test_attack_runs_on_a_raw_scorer(self, dataset_path, tmp_path, capsys):
         victim = tmp_path / "raw.jsonl"
