@@ -185,9 +185,9 @@ class BaselineSpec:
             raise ValueError(f"unknown baseline method {self.method!r}")
 
 
-# The keys of an outcome record, in order: AttackOutcome.to_record, whose dump
-# ``tkmia attack`` prints, and harness.OutcomeLines, whose report lines add the
-# instance, k and measure sets after them, both use this list.
+# The keys of an outcome record, in order: AttackOutcome.to_record, the record's
+# definition, and harness.OutcomeLines, whose lines add the instance, k and
+# measure sets after them, both use this list.
 RECORD_KEYS = ("method", "success", "iterations_used", "specified", "residual", "lambda1",
                "lambda2", "epsilon_norm", "epsilon", "scores_before", "scores_after")
 
@@ -229,9 +229,10 @@ class AttackOutcome:
 
     def to_record(self, **extra) -> dict:
         """Flat dict for line-delimited JSON serialization: RECORD_KEYS, then
-        ``extra``. ``tkmia attack`` prints its ``json.dumps`` with the instance
-        and k, and a report's line, which :class:`tkmia.harness.OutcomeLines`
-        writes, is its dump with those and the two measure sets."""
+        ``extra``. No command writes it: each outcome line, which
+        :class:`tkmia.harness.OutcomeLines` writes for reports and ``tkmia
+        attack``, equals its dump with the instance, k and the two measure
+        sets, and the tests dump it as that line's reference."""
         record = dict(zip(RECORD_KEYS, (
             self.method, self.success, self.iterations_used, list(self.specified),
             list(self.residual), self.lambda1, self.lambda2, self.epsilon_norm,

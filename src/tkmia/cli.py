@@ -4,7 +4,7 @@ Subcommands:
 
   gen-data   draw a synthetic dataset and write it as JSON lines
   train      fit a victim scorer on a dataset with BCE
-  attack     attack one instance and print the outcome record as JSON
+  attack     attack one instance and print a report's outcome line for it
   report     run a full experiment config and write CSV + outcomes
   check      run the built-in verification suites
 
@@ -15,21 +15,22 @@ give identical outputs. Exit status is 0 on success, 1 on any error, and
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 import numpy as np
 
 from .attack import SUCCESS_MODES, AttackConfig, RandomScheme, select_random
 from .checks import run_all_checks
-from .core import _seed, as_scores
+from .core import _seed
 from .harness import (
     METHODS,
     VICTIM_ARCHS,
     ExperimentConfig,
+    OutcomeLines,
     SyntheticSpec,
     _attack_cell,
     _check_output_directory,
+    _open_cell,
     gen_synthetic,
     load_dataset,
     run_experiment,
@@ -69,7 +70,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=TrainConfig.seed)
     p.add_argument("--out", required=True)
 
-    p = sub.add_parser("attack", help="attack one instance, print outcome JSON")
+    p = sub.add_parser("attack", help="attack one instance, print its outcome line")
     p.add_argument("--dataset", required=True)
     p.add_argument("--victim", required=True)
     p.add_argument("--index", type=int, required=True)
@@ -145,16 +146,12 @@ def _cmd_attack(args) -> int:
         except ValueError:
             raise ValueError(f"--specified: expected comma-separated class indices, "
                              f"got {args.specified!r}") from None
-    # A report cell of one instance: its clean row first, whose non-finite entry is named
-    # as a report names it, then the cell's attack, whose errors carry the cell's prefix.
-    clean = victim.score(instance.x + 0.0)
-    try:
-        as_scores(clean)
-    except ValueError as exc:
-        raise ValueError(f"clean scores (k={args.k}) instance {args.index}: {exc}") from None
-    (outcome,), _ = _attack_cell(victim, dataset, [(args.index, specified)], [clean],
-                                 args.method, config)
-    print(json.dumps(outcome.to_record(instance=args.index, k=args.k)))
+    # A report cell of one instance, whose errors and line are the report's.
+    pairs = [(args.index, specified)]
+    scores, (clean,) = _open_cell(victim, dataset, pairs, args.k)
+    (outcome,), (perturbed,) = _attack_cell(victim, dataset, pairs, scores, args.method, config)
+    sys.stdout.write(OutcomeLines(dataset.X.shape[1]).line(
+        outcome, outcome.epsilon_norm, args.index, args.k, clean, perturbed))
     return 0
 
 

@@ -508,6 +508,21 @@ def _evaluate_cell(scores, labels, k: int, chosen, name: str):
         raise ValueError(f"{name} instance {chosen[int(np.argmin(finite))]}: {exc}") from None
 
 
+def _open_cell(model: Scorer, dataset: Dataset, pairs, k: int):
+    """The clean side of a k cell of (index, S) ``pairs``, which reports and ``tkmia attack``
+    both open: the victim's (in_dim, out_dim) checked against the dataset's (d, c), then the
+    chosen rows' clean scores and their measure records. A non-finite row names the cell's
+    ``clean scores (k=K)`` prefix and the instance's dataset index."""
+    (_, d), (_, c) = dataset.X.shape, dataset.Y.shape
+    if (model.in_dim, model.out_dim) != (d, c):
+        raise ValueError(f"victim has in_dim={model.in_dim}, out_dim={model.out_dim}, "
+                         f"but the dataset has d={d}, c={c}")
+    chosen = [idx for idx, _ in pairs]
+    # Each attack's iteration 0 reads its row: the scores at x + 0.0, as it scores them.
+    scores = model.score(dataset.X[chosen] + 0.0)
+    return scores, _evaluate_cell(scores, dataset.Y[chosen], k, chosen, f"clean scores (k={k})")
+
+
 def _attack_cell(model: Scorer, dataset: Dataset, pairs, clean_scores, method: str,
                  cfg: AttackConfig):
     """Attack each (index, S) of ``pairs`` by ``method`` from its row of ``clean_scores``,
@@ -530,18 +545,20 @@ def _attack_cell(model: Scorer, dataset: Dataset, pairs, clean_scores, method: s
 
 
 class OutcomeLines:
-    """The one writer of a report's outcome lines, for a dataset of d features.
+    """The one writer of outcome lines, for a dataset of d features: each line of a
+    report's outcome file, written by :func:`run_experiment`, and the one line that
+    ``tkmia attack`` prints for its instance, from the same cell functions.
 
     ``line(outcome, norm, instance, k, clean, perturbed)``, with ``norm`` the outcome's
     ``epsilon_norm`` and ``clean`` and ``perturbed`` the instance's measure records, equals
     ``json.dumps(outcome.to_record(instance=instance, k=k, clean_metrics=...,
-    perturbed_metrics=...)) + "\\n"`` byte for byte on what :func:`run_experiment` writes,
-    and checks none of it. Its outcomes have the attack loop's types and finite floats,
-    whose text is their repr: the loop keeps epsilon and the lambdas finite, and
-    :func:`_evaluate_cell` rejects non-finite scores before a cell's lines are written. A
-    measure set (an int ``tk_acc``, non-negative floats) takes one text per distinct set,
-    the all-zero epsilon one per report, and ``scores_after`` reuses the text of
-    ``scores_before`` when their bytes agree.
+    perturbed_metrics=...)) + "\\n"`` byte for byte on what these write, and checks none
+    of it. Its outcomes have the attack loop's types and finite floats, whose text is
+    their repr: the loop keeps epsilon and the lambdas finite, and :func:`_evaluate_cell`
+    rejects non-finite scores before a cell's lines are written. A measure set (an int
+    ``tk_acc``, non-negative floats) takes one text per distinct set, the all-zero epsilon
+    one per report, and ``scores_after`` reuses the text of ``scores_before`` when their
+    bytes agree.
     """
 
     # The line's keys, each with a %s for its value's text.
@@ -585,22 +602,14 @@ def run_experiment(config: ExperimentConfig):
     for key in ("out_csv", "out_outcomes"):
         _check_output_directory(key, getattr(config, key))
     dataset = _resolve_dataset(config)
-    (_, d), (_, c) = dataset.X.shape, dataset.Y.shape
-    config.check_classes(c)
+    config.check_classes(dataset.Y.shape[1])
     model = _resolve_victim(config, dataset)
-    if (model.in_dim, model.out_dim) != (d, c):
-        raise ValueError(f"victim has in_dim={model.in_dim}, out_dim={model.out_dim}, "
-                         f"but the dataset has d={d}, c={c}")
 
-    rows, lines = [], OutcomeLines(d)
+    rows, lines = [], OutcomeLines(dataset.X.shape[1])
     with atomic_write(config.out_outcomes) as outcome_file:
         for k in config.k_grid:
             pairs = _cell_selection(config, dataset, k)
-            chosen = [idx for idx, _ in pairs]
-            # Each attack's iteration 0 reads its row: the scores at x + 0.0, as it scores them.
-            clean_scores = model.score(dataset.X[chosen] + 0.0)
-            clean = _evaluate_cell(clean_scores, dataset.Y[chosen], k, chosen,
-                                   f"clean scores (k={k})")
+            clean_scores, clean = _open_cell(model, dataset, pairs, k)
             cell = {"k": k, "s_size": _scheme_s_size(config.scheme, pairs), "n": len(pairs)}
             for method in config.methods:
                 outcomes, perturbed = _attack_cell(model, dataset, pairs, clean_scores, method,
@@ -611,7 +620,8 @@ def run_experiment(config: ExperimentConfig):
                 row = {**cell, "method": method}
                 rows.append({col: row.get(col, getattr(report, col, None))
                              for col in REPORT_COLUMNS})
-                for outcome, norm, idx, cl, pt in zip(outcomes, norms, chosen, clean, perturbed):
+                for outcome, norm, (idx, _), cl, pt in zip(outcomes, norms, pairs, clean,
+                                                           perturbed):
                     outcome_file.write(lines.line(outcome, norm, idx, k, cl, pt))
                 # Written: freed now, not while the next cell's attacks run.
                 del outcomes, perturbed

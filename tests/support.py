@@ -13,7 +13,7 @@ budget and pulls back every iteration's cotangent, zeros included.
 """
 import hashlib
 import json
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -73,6 +73,15 @@ def outcome_digest(path):
     for record in read_jsonl(path):
         digest.update(json.dumps([record[key] for key in keys]).encode() + b"\n")
     return digest.hexdigest()[:16]
+
+
+def dumped(outcome, instance, k, clean, perturbed):
+    """The reference text of a report's outcome line: its record dumped with the
+    instance, k and both measure records (less their k), then a newline."""
+    sets = [{name: value for name, value in asdict(record).items() if name != "k"}
+            for record in (clean, perturbed)]
+    return json.dumps(outcome.to_record(instance=instance, k=k, clean_metrics=sets[0],
+                                        perturbed_metrics=sets[1])) + "\n"
 
 
 class CountingScorer(Scorer):

@@ -11,7 +11,8 @@ from tkmia import attack, checks, cli, core, harness, metrics, model
 from tkmia.cli import main
 from tkmia.model import make_affine, save_scorer
 
-from support import read_jsonl
+from support import attack as library_attack
+from support import dumped, read_jsonl
 
 
 def run_cli(argv):
@@ -78,9 +79,12 @@ class TestTrainAndAttack:
         assert code == 0
         record = json.loads(capsys.readouterr().out)
         assert record["method"] == "tkmia"
-        assert set(record) >= {"success", "epsilon", "iterations_used", "residual"}
+        assert set(record) >= {"success", "epsilon", "iterations_used", "residual",
+                               "clean_metrics", "perturbed_metrics"}
 
     def test_attack_prints_the_outcome_record_dumped(self, dataset_path, tmp_path, capsys):
+        """The printed line is the record of the library's attack dumped with the instance,
+        k and the measures of its clean and perturbed scores."""
         victim = tmp_path / "victim.jsonl"
         assert run_cli(["train", "--dataset", str(dataset_path), "--epochs", "20",
                         "--out", str(victim)]) == 0
@@ -93,11 +97,10 @@ class TestTrainAndAttack:
             assert run_cli(["attack", "--dataset", str(dataset_path), "--victim", str(victim),
                             "--index", str(index), "--k", "2", "--method", method,
                             "--specified", str(specified[0])]) == 0
-            row = scorer.score(data[index].x + 0.0)
-            (outcome,), _ = harness._attack_cell(scorer, data, [(index, specified)], [row],
-                                                 method, config)
-            assert capsys.readouterr().out == json.dumps(
-                outcome.to_record(instance=index, k=2)) + "\n"
+            outcome = library_attack(method, scorer, data[index], specified, config)
+            clean, perturbed = (metrics.evaluate_instance(scores, data[index].y, 2)
+                                for scores in (outcome.scores_before, outcome.scores_after))
+            assert capsys.readouterr().out == dumped(outcome, index, 2, clean, perturbed)
 
     @pytest.mark.parametrize("index", [150, -1])
     def test_index_outside_the_dataset_exits_one(self, dataset_path, tmp_path, capsys, index):
@@ -110,30 +113,39 @@ class TestTrainAndAttack:
     @pytest.mark.parametrize("method", attack.METHODS)
     def test_attack_with_m_reruns_a_report_attack(self, dataset_path, tmp_path, capsys,
                                                   method):
-        """``--m`` draws S as a report's random scheme does, from (seed, k, m, index),
-        and the attack runs a report cell's code on that one instance."""
+        """``--m`` draws S as a report's random scheme does, from (seed, k, m, index), and
+        ``--specified`` names a global scheme's S: either way the attack runs a report cell's
+        code on that one instance and prints the report's line for it, byte for byte."""
         victim = tmp_path / "victim.jsonl"
         assert run_cli(["train", "--dataset", str(dataset_path), "--epochs", "20",
                         "--out", str(victim)]) == 0
-        config = tmp_path / "config.json"
-        config.write_text(json.dumps({
-            "seed": 3, "dataset": {"path": str(dataset_path)}, "victim": {"path": str(victim)},
-            "k_grid": [2], "scheme": {"type": "random", "m": 1}, "methods": [method],
-            "attack": {"eta": 0.05, "alpha": 1e-4}, "max_instances": 8,
-            "out_csv": str(tmp_path / "report.csv"),
-            "out_outcomes": str(tmp_path / "outcomes.jsonl"),
-        }))
-        assert run_cli(["report", "--config", str(config)]) == 0
-        capsys.readouterr()
-        records = read_jsonl(tmp_path / "outcomes.jsonl")
-        assert len(records) == 8
-        for record in records:
-            assert run_cli(["attack", "--dataset", str(dataset_path), "--victim", str(victim),
-                            "--index", str(record["instance"]), "--k", "2", "--m", "1",
-                            "--seed", "3", "--method", method]) == 0
-            printed = json.loads(capsys.readouterr().out)
-            del record["clean_metrics"], record["perturbed_metrics"]
-            assert printed == record
+        attack_args = ["attack", "--dataset", str(dataset_path), "--victim", str(victim),
+                       "--k", "2", "--method", method]
+
+        def report_lines(scheme):
+            config = tmp_path / "config.json"
+            config.write_text(json.dumps({
+                "seed": 3, "dataset": {"path": str(dataset_path)},
+                "victim": {"path": str(victim)}, "k_grid": [2], "scheme": scheme,
+                "methods": [method], "attack": {"eta": 0.05, "alpha": 1e-4},
+                "max_instances": 8, "out_csv": str(tmp_path / "report.csv"),
+                "out_outcomes": str(tmp_path / "outcomes.jsonl"),
+            }))
+            assert run_cli(["report", "--config", str(config)]) == 0
+            capsys.readouterr()
+            return (tmp_path / "outcomes.jsonl").read_text().splitlines(keepends=True)
+
+        lines = report_lines({"type": "random", "m": 1})
+        assert len(lines) == 8
+        for line in lines:
+            index = json.loads(line)["instance"]
+            assert run_cli([*attack_args, "--index", str(index), "--m", "1", "--seed", "3"]) == 0
+            assert capsys.readouterr().out == line
+        line = report_lines({"type": "global", "categories": [0]})[0]
+        assert json.loads(line)["specified"] == [0]
+        index = json.loads(line)["instance"]
+        assert run_cli([*attack_args, "--index", str(index), "--specified", "0"]) == 0
+        assert capsys.readouterr().out == line
 
     def test_train_rejects_missing_out_directory_before_reading(self, tmp_path, capsys):
         code = run_cli(["train", "--dataset", str(tmp_path / "missing.jsonl"),
@@ -241,7 +253,8 @@ class TestTrainAndAttack:
          "--specified: expected comma-separated class indices, got '0,,1'"),
         (["--m", "1", "--k", "1", "--eta", "nan"], "eta must be finite, got nan"),
         (["--m", "1", "--k", "1", "--alpha", "inf"], "alpha must be finite, got inf"),
-    ], ids=["m-above-k", "empty-specified-entry", "nan-eta", "inf-alpha"])
+        (["--m", "1", "--k", "7"], "k=7 out of range [1, 6]"),
+    ], ids=["m-above-k", "empty-specified-entry", "nan-eta", "inf-alpha", "k-above-c"])
     def test_attack_rejects_bad_selection_in_one_line(self, dataset_path, tmp_path, capsys,
                                                       flags, message):
         victim = tmp_path / "victim.jsonl"
@@ -287,26 +300,45 @@ class TestTrainAndAttack:
                         "--index", "0", "--k", "1", "--m", "1"])
         assert code == 1
         assert capsys.readouterr().err == (
-            "error: attack (tkmia, k=1) instance 0: instance has 6 classes, but the victim "
-            "scores 7\n")
+            "error: victim has in_dim=10, out_dim=7, but the dataset has d=10, c=6\n")
 
     @pytest.mark.parametrize("method", attack.METHODS)
-    @pytest.mark.parametrize("index, k, specified, classes, message", [
-        (0, 1, "0", 4, "x lies outside the clip domain [-1.0, 1.0]"),
-        (1, 2, "0", 4, "instance filter violated: |Yp|=2 < k+|S|=3"),
-        (1, 1, "3", 4, "specified set must be a subset of the relevant labels"),
-        (1, 1, "0,0", 4, "specified set [0, 0] repeats a label"),
-        (1, 1, "0", 5, "instance has 4 classes, but the victim scores 5"),
-    ], ids=["clip-domain", "filter", "not-a-subset", "repeated-label", "class-count"])
+    def test_attack_rejects_a_victim_of_other_sizes_as_a_report_does(self, dataset_path,
+                                                                     tmp_path, capsys, method):
+        """A victim whose in_dim or out_dim is not the dataset's d or c ends ``tkmia
+        attack`` with the report's error, before any attack, and nothing is printed."""
+        victim, config = tmp_path / "victim.jsonl", tmp_path / "config.json"
+        config.write_text(json.dumps({
+            "dataset": {"path": str(dataset_path)}, "victim": {"path": str(victim)},
+            "k_grid": [1], "scheme": {"type": "random", "m": 1}, "methods": [method],
+            "attack": {"eta": 0.05}, "out_csv": str(tmp_path / "report.csv"),
+            "out_outcomes": str(tmp_path / "outcomes.jsonl"),
+        }))
+        for d, c in ((11, 6), (10, 7)):
+            save_scorer(make_affine(d, c, seed=1), str(victim))
+            message = f"error: victim has in_dim={d}, out_dim={c}, but the dataset has d=10, c=6\n"
+            assert run_cli(["report", "--config", str(config)]) == 1
+            assert capsys.readouterr() == ("", message)
+            assert run_cli(["attack", "--dataset", str(dataset_path), "--victim", str(victim),
+                            "--index", "0", "--k", "1", "--m", "1", "--method", method]) == 1
+            assert capsys.readouterr() == ("", message)
+
+    @pytest.mark.parametrize("method", attack.METHODS)
+    @pytest.mark.parametrize("index, k, specified, message", [
+        (0, 1, "0", "x lies outside the clip domain [-1.0, 1.0]"),
+        (1, 2, "0", "instance filter violated: |Yp|=2 < k+|S|=3"),
+        (1, 1, "3", "specified set must be a subset of the relevant labels"),
+        (1, 1, "0,0", "specified set [0, 0] repeats a label"),
+    ], ids=["clip-domain", "filter", "not-a-subset", "repeated-label"])
     def test_attack_entry_errors_carry_the_report_prefix(self, tmp_path, capsys, method, index,
-                                                         k, specified, classes, message):
+                                                         k, specified, message):
         """Each entry error of the attack loop names the cell and the instance, as a
         report names it."""
         dataset = tmp_path / "data.jsonl"
         harness.save_dataset([core.Instance(x=[0.5, 1.5], y=[1, 1, 1, 0]),
                               core.Instance(x=[0.1, -0.2], y=[1, 1, 0, 0])], str(dataset))
         victim = tmp_path / "victim.jsonl"
-        save_scorer(make_affine(2, classes, seed=1), str(victim))
+        save_scorer(make_affine(2, 4, seed=1), str(victim))
         code = run_cli(["attack", "--dataset", str(dataset), "--victim", str(victim),
                         "--index", str(index), "--k", str(k), "--specified", specified,
                         "--method", method])

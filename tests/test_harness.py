@@ -37,7 +37,7 @@ from tkmia.harness import (
 from tkmia.metrics import MEASURES, MetricsRecord
 from tkmia.model import Scorer, make_affine, save_scorer
 
-from support import read_jsonl
+from support import dumped, read_jsonl
 
 
 def parent_gen_synthetic(spec):
@@ -443,7 +443,10 @@ class TestRunExperiment:
                        f"but the dataset has d=12, c=8")
             with pytest.raises(ValueError, match=message):
                 run_experiment(config)
+        # The check runs in the outcome file's block, whose temp file goes with the error.
         assert not (tmp_path / "report.csv").exists()
+        assert not (tmp_path / "outcomes.jsonl").exists()
+        assert list(tmp_path.glob("*.tmp")) == []
 
     @pytest.mark.parametrize("k_grid, categories, message", [
         ((8,), (0,), "k_grid: k=8 must be smaller than c=8"),
@@ -531,14 +534,6 @@ class TestRunExperiment:
         config.victim = {"path": str(victim_path)}
         rows = run_experiment(config)
         assert rows
-
-
-def dumped(outcome, instance, k, clean, perturbed):
-    """The reference text of a report's outcome line: its record dumped with the
-    instance, k and both measure sets, then a newline."""
-    sets = [{name: getattr(record, name) for name in MEASURES} for record in (clean, perturbed)]
-    return json.dumps(outcome.to_record(instance=instance, k=k, clean_metrics=sets[0],
-                                        perturbed_metrics=sets[1])) + "\n"
 
 
 def hand_outcome(**fields):
