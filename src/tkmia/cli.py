@@ -4,13 +4,13 @@ Subcommands:
 
   gen-data   draw a synthetic dataset and write it as JSON lines
   train      fit a victim scorer on a dataset with BCE
-  attack     attack one instance and print a report's outcome line for it
+  attack     re-run one instance of a report config and print its outcome lines
   report     run a full experiment config and write CSV + outcomes
   check      run the built-in verification suites
 
-Every command takes --seed where randomness is involved; identical seeds
-give identical outputs. Exit status is 0 on success, 1 on any error, and
-2 on usage problems.
+gen-data, train and check take --seed, and report and attack the config's
+seed; identical seeds give identical outputs. Exit status is 0 on success,
+1 on any error, and 2 on usage problems.
 """
 from __future__ import annotations
 
@@ -19,25 +19,25 @@ import sys
 
 import numpy as np
 
-from .attack import SUCCESS_MODES, AttackConfig, RandomScheme, select_random
 from .checks import run_all_checks
 from .core import _seed
 from .harness import (
-    METHODS,
     VICTIM_ARCHS,
     ExperimentConfig,
     OutcomeLines,
     SyntheticSpec,
     _attack_cell,
+    _cell_selection,
     _check_output_directory,
     _open_cell,
+    _resolve,
     gen_synthetic,
     load_dataset,
     run_experiment,
     save_dataset,
     train_victim,
 )
-from .model import ACTIVATIONS, TrainConfig, load_scorer, save_scorer
+from .model import ACTIVATIONS, save_scorer
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -56,39 +56,25 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=SyntheticSpec.seed)
     p.add_argument("--out", required=True)
 
-    p = sub.add_parser("train", help="train a victim scorer with BCE")
+    # A flag left out is absent from the arguments, so that VictimSpec's default applies.
+    p = sub.add_parser("train", help="train a victim scorer with BCE",
+                       description="A flag left out takes the default of VictimSpec, the "
+                                   "recipe of a report's inline victim.",
+                       argument_default=argparse.SUPPRESS)
     p.add_argument("--dataset", required=True)
-    # Absent unless given, so that VictimSpec's defaults apply.
-    p.add_argument("--arch", choices=VICTIM_ARCHS, default=argparse.SUPPRESS)
-    p.add_argument("--hidden", type=int, default=argparse.SUPPRESS)
-    p.add_argument("--activation", choices=ACTIVATIONS, default=argparse.SUPPRESS)
-    p.add_argument("--epochs", type=int, default=200,
-                   help=f"default %(default)s, unlike a report victim's {TrainConfig.epochs}")
-    p.add_argument("--learning-rate", type=float, default=TrainConfig.learning_rate)
-    p.add_argument("--momentum", type=float, default=TrainConfig.momentum)
-    p.add_argument("--batch-size", type=int, default=TrainConfig.batch_size)
-    p.add_argument("--seed", type=int, default=TrainConfig.seed)
+    p.add_argument("--arch", choices=VICTIM_ARCHS)
+    p.add_argument("--hidden", type=int)
+    p.add_argument("--activation", choices=ACTIVATIONS)
+    p.add_argument("--epochs", type=int)
+    p.add_argument("--learning-rate", type=float)
+    p.add_argument("--momentum", type=float)
+    p.add_argument("--batch-size", type=int)
+    p.add_argument("--seed", type=int)
     p.add_argument("--out", required=True)
 
-    p = sub.add_parser("attack", help="attack one instance, print its outcome line")
-    p.add_argument("--dataset", required=True)
-    p.add_argument("--victim", required=True)
-    p.add_argument("--index", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--specified", help="comma-separated class indices")
-    group.add_argument("--m", type=int, help="draw this many relevant labels at random")
-    p.add_argument("--method", choices=METHODS, default="tkmia")
-    p.add_argument("--eta", type=float, default=0.05, help="a report must set its own eta")
-    p.add_argument("--alpha", type=float, default=1e-4,
-                   help=f"default %(default)s, unlike a report's {AttackConfig.alpha}")
-    p.add_argument("--momentum", type=float, default=AttackConfig.momentum)
-    p.add_argument("--max-iter", type=int, default=AttackConfig.max_iter)
-    p.add_argument("--success-mode", choices=SUCCESS_MODES, default=AttackConfig.success_mode)
-    p.add_argument("--delta", type=int, default=AttackConfig.delta_threshold)
-    p.add_argument("--clip-lo", type=float, default=AttackConfig.clip_domain[0])
-    p.add_argument("--clip-hi", type=float, default=AttackConfig.clip_domain[1])
-    p.add_argument("--seed", type=int, default=0)
+    p = sub.add_parser("attack", help="re-run one instance of a report, print its outcome lines")
+    p.add_argument("--config", required=True, help="the report's config file")
+    p.add_argument("--index", type=int, required=True, help="the instance's dataset index")
 
     p = sub.add_parser("report", help="run an experiment config file")
     p.add_argument("--config", required=True)
@@ -128,30 +114,21 @@ _QUIET = np.errstate(over="ignore", invalid="ignore")
 
 @_QUIET
 def _cmd_attack(args) -> int:
-    dataset = load_dataset(args.dataset)
-    victim = load_scorer(args.victim)
-    if not 0 <= args.index < len(dataset):
-        raise ValueError(f"index {args.index} outside dataset of size {len(dataset)}")
-    instance = dataset[args.index]
-    config = AttackConfig(k=args.k, eta=args.eta, alpha=args.alpha, momentum=args.momentum,
-                          max_iter=args.max_iter, success_mode=args.success_mode,
-                          delta_threshold=args.delta, clip_domain=(args.clip_lo, args.clip_hi),
-                          scheme=None if args.m is None else RandomScheme(args.m))
-    if args.m is not None:
-        # The draw of a report's random scheme, so a report's attack can be re-run.
-        specified = select_random(instance, args.m, seed=[args.seed, args.k, args.m, args.index])
-    else:
-        try:
-            specified = tuple(int(i) for i in args.specified.split(","))
-        except ValueError:
-            raise ValueError(f"--specified: expected comma-separated class indices, "
-                             f"got {args.specified!r}") from None
-    # A report cell of one instance, whose errors and line are the report's.
-    pairs = [(args.index, specified)]
-    scores, (clean,) = _open_cell(victim, dataset, pairs, args.k)
-    (outcome,), (perturbed,) = _attack_cell(victim, dataset, pairs, scores, args.method, config)
-    sys.stdout.write(OutcomeLines(dataset.X.shape[1]).line(
-        outcome, outcome.epsilon_norm, args.index, args.k, clean, perturbed))
+    config = ExperimentConfig.from_json(args.config)
+    dataset, victim = _resolve(config)
+    # The report's cells cut to the instance: their errors and lines are the report's.
+    lines, text = OutcomeLines(dataset.X.shape[1]), []
+    for k in config.k_grid:
+        pairs = [pair for pair in _cell_selection(config, dataset, k) if pair[0] == args.index]
+        clean_scores, clean = _open_cell(victim, dataset, pairs, k)
+        for method in config.methods:
+            outcomes, perturbed = _attack_cell(victim, dataset, pairs, clean_scores, method,
+                                               config.attack_config(method, k))
+            text += [lines.line(o, o.epsilon_norm, args.index, k, cl, pt)
+                     for o, cl, pt in zip(outcomes, clean, perturbed)]
+    if not text:
+        raise ValueError(f"--index: instance {args.index} is in no cell of the report")
+    sys.stdout.write("".join(text))
     return 0
 
 

@@ -453,16 +453,18 @@ class ExperimentConfig:
         return cls.from_dict(raw)
 
 
-def _resolve_dataset(config: ExperimentConfig) -> Dataset:
+def _resolve(config: ExperimentConfig) -> tuple[Dataset, Scorer]:
+    """The config's dataset, read or generated, checked against its k grid and
+    categories, and its victim, read or trained on it: the set-up of a report and
+    of ``tkmia attack``."""
     if "path" in config.dataset:
-        return load_dataset(config.dataset["path"])
-    return gen_synthetic(SyntheticSpec(**config.dataset))
-
-
-def _resolve_victim(config: ExperimentConfig, dataset: Sequence[Instance]) -> Scorer:
+        dataset = load_dataset(config.dataset["path"])
+    else:
+        dataset = gen_synthetic(SyntheticSpec(**config.dataset))
+    config.check_classes(dataset.Y.shape[1])
     if "path" in config.victim:
-        return load_scorer(config.victim["path"])
-    return train_victim(dataset, **{"seed": config.seed, **config.victim})
+        return dataset, load_scorer(config.victim["path"])
+    return dataset, train_victim(dataset, **{"seed": config.seed, **config.victim})
 
 
 def _cell_selection(config: ExperimentConfig, dataset, k: int):
@@ -546,8 +548,8 @@ def _attack_cell(model: Scorer, dataset: Dataset, pairs, clean_scores, method: s
 
 class OutcomeLines:
     """The one writer of outcome lines, for a dataset of d features: each line of a
-    report's outcome file, written by :func:`run_experiment`, and the one line that
-    ``tkmia attack`` prints for its instance, from the same cell functions.
+    report's outcome file, written by :func:`run_experiment`, and the lines of one
+    instance that ``tkmia attack`` prints, from the same cell functions.
 
     ``line(outcome, norm, instance, k, clean, perturbed)``, with ``norm`` the outcome's
     ``epsilon_norm`` and ``clean`` and ``perturbed`` the instance's measure records, equals
@@ -601,9 +603,7 @@ def run_experiment(config: ExperimentConfig):
     """
     for key in ("out_csv", "out_outcomes"):
         _check_output_directory(key, getattr(config, key))
-    dataset = _resolve_dataset(config)
-    config.check_classes(dataset.Y.shape[1])
-    model = _resolve_victim(config, dataset)
+    dataset, model = _resolve(config)
 
     rows, lines = [], OutcomeLines(dataset.X.shape[1])
     with atomic_write(config.out_outcomes) as outcome_file:

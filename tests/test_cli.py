@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -7,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tkmia import attack, checks, cli, core, harness, metrics, model
+from tkmia import attack, checks, core, harness, metrics, model
 from tkmia.cli import main
 from tkmia.model import make_affine, save_scorer
 
@@ -17,6 +18,23 @@ from support import dumped, read_jsonl
 
 def run_cli(argv):
     return main(argv)
+
+
+def write_config(path, **fields):
+    """Write the config ``fields`` as JSON to ``path``, and return ``path``."""
+    path.write_text(json.dumps(fields))
+    return path
+
+
+def run_command(command, config, index):
+    """``tkmia report`` on the config file, or ``tkmia attack`` on its instance ``index``."""
+    if command == "report":
+        return run_cli(["report", "--config", str(config)])
+    return run_cli(["attack", "--config", str(config), "--index", str(index)])
+
+
+# The two commands that run a config's cells, whose errors are the same lines.
+COMMANDS = pytest.mark.parametrize("command", ["report", "attack"])
 
 
 class TestGenData:
@@ -60,6 +78,18 @@ class TestTrainAndAttack:
                  "--mean-relevant", "3.0", "--seed", "1", "--out", str(path)])
         return path
 
+    def config(self, tmp_path, dataset_path, victim, **fields):
+        """A report config on the dataset file and the victim, a file path or an
+        inline block; ``fields`` replace its keys."""
+        if not isinstance(victim, dict):
+            victim = {"path": str(victim)}
+        return write_config(tmp_path / "config.json", **{
+            "seed": 3, "dataset": {"path": str(dataset_path)}, "victim": victim,
+            "k_grid": [2], "scheme": {"type": "random", "m": 1}, "methods": list(attack.METHODS),
+            "attack": {"eta": 0.05, "alpha": 1e-4}, "max_instances": 8,
+            "out_csv": str(tmp_path / "report.csv"),
+            "out_outcomes": str(tmp_path / "outcomes.jsonl"), **fields})
+
     def test_train_then_attack_prints_outcome_json(self, dataset_path, tmp_path, capsys):
         victim = tmp_path / "victim.jsonl"
         assert run_cli(["train", "--dataset", str(dataset_path), "--epochs", "40",
@@ -72,80 +102,91 @@ class TestTrainAndAttack:
         assert victim.read_bytes() == expected.read_bytes()
 
         data = read_jsonl(dataset_path)
-        index = next(i for i, rec in enumerate(data) if sum(rec["y"]) >= 3)
-        code = run_cli(["attack", "--dataset", str(dataset_path),
-                        "--victim", str(victim), "--index", str(index),
-                        "--k", "2", "--m", "1", "--seed", "3"])
-        assert code == 0
-        record = json.loads(capsys.readouterr().out)
-        assert record["method"] == "tkmia"
-        assert set(record) >= {"success", "epsilon", "iterations_used", "residual",
-                               "clean_metrics", "perturbed_metrics"}
+        index = next(i for i, rec in enumerate(data) if 3 <= sum(rec["y"]) < 6)
+        config = self.config(tmp_path, dataset_path, victim)
+        assert run_cli(["attack", "--config", str(config), "--index", str(index)]) == 0
+        records = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+        assert [record["method"] for record in records] == list(attack.METHODS)
+        for record in records:
+            assert set(record) >= {"success", "epsilon", "iterations_used", "residual",
+                                   "instance", "k", "clean_metrics", "perturbed_metrics"}
+
+    def test_train_without_flags_fits_the_report_victim(self, dataset_path, tmp_path, capsys):
+        """Every training flag left out takes VictimSpec's default, epochs included, so
+        ``tkmia train`` fits the victim of a report whose victim block is empty."""
+        victim, expected = tmp_path / "victim.jsonl", tmp_path / "expected.jsonl"
+        assert run_cli(["train", "--dataset", str(dataset_path), "--out", str(victim)]) == 0
+        save_scorer(harness.train_victim(harness.load_dataset(str(dataset_path))), str(expected))
+        assert victim.read_bytes() == expected.read_bytes()
 
     def test_attack_prints_the_outcome_record_dumped(self, dataset_path, tmp_path, capsys):
-        """The printed line is the record of the library's attack dumped with the instance,
-        k and the measures of its clean and perturbed scores."""
+        """Each printed line is the record of the library's attack dumped with the
+        instance, k and the measures of its clean and perturbed scores."""
         victim = tmp_path / "victim.jsonl"
         assert run_cli(["train", "--dataset", str(dataset_path), "--epochs", "20",
                         "--out", str(victim)]) == 0
         capsys.readouterr()
         data, scorer = harness.load_dataset(str(dataset_path)), model.load_scorer(str(victim))
-        index = next(i for i, inst in enumerate(data) if len(inst.relevant) >= 3)
-        specified = data[index].relevant[:1]
-        config = attack.AttackConfig(k=2, eta=0.05, alpha=1e-4)
+        # The first instance that the cell admits under the categories {0}.
+        index = next(i for i, inst in enumerate(data)
+                     if 0 in inst.relevant and 3 <= len(inst.relevant) < 6)
+        config = self.config(tmp_path, dataset_path, victim,
+                             scheme={"type": "global", "categories": [0]})
+        assert run_cli(["attack", "--config", str(config), "--index", str(index)]) == 0
+        expected = ""
         for method in attack.METHODS:
-            assert run_cli(["attack", "--dataset", str(dataset_path), "--victim", str(victim),
-                            "--index", str(index), "--k", "2", "--method", method,
-                            "--specified", str(specified[0])]) == 0
-            outcome = library_attack(method, scorer, data[index], specified, config)
+            outcome = library_attack(method, scorer, data[index], (0,),
+                                     attack.AttackConfig(k=2, eta=0.05, alpha=1e-4))
             clean, perturbed = (metrics.evaluate_instance(scores, data[index].y, 2)
                                 for scores in (outcome.scores_before, outcome.scores_after))
-            assert capsys.readouterr().out == dumped(outcome, index, 2, clean, perturbed)
+            expected += dumped(outcome, index, 2, clean, perturbed)
+        assert capsys.readouterr().out == expected
 
-    @pytest.mark.parametrize("index", [150, -1])
-    def test_index_outside_the_dataset_exits_one(self, dataset_path, tmp_path, capsys, index):
+    @pytest.mark.parametrize("case", ["outside", "negative", "filtered", "past-cap"])
+    def test_index_in_no_cell_exits_one(self, dataset_path, tmp_path, capsys, case):
+        """An index that no cell of the report attacks prints nothing and one line."""
         victim = tmp_path / "victim.jsonl"
         save_scorer(make_affine(10, 6), str(victim))
-        assert run_cli(["attack", "--dataset", str(dataset_path), "--victim", str(victim),
-                        "--index", str(index), "--k", "1", "--m", "1"]) == 1
-        assert capsys.readouterr().err == f"error: index {index} outside dataset of size 150\n"
+        config = self.config(tmp_path, dataset_path, victim)
+        data = harness.load_dataset(str(dataset_path))
+        # The cell's selection under a cap of 9: its ninth instance is past the cap of 8.
+        uncapped = dataclasses.replace(harness.ExperimentConfig.from_json(str(config)),
+                                       max_instances=9)
+        index = {"outside": 150, "negative": -1,
+                 "filtered": next(i for i, inst in enumerate(data) if len(inst.relevant) < 3),
+                 "past-cap": harness._cell_selection(uncapped, data, 2)[8][0]}[case]
+        assert run_cli(["attack", "--config", str(config), "--index", str(index)]) == 1
+        assert capsys.readouterr() == (
+            "", f"error: --index: instance {index} is in no cell of the report\n")
 
-    @pytest.mark.parametrize("method", attack.METHODS)
-    def test_attack_with_m_reruns_a_report_attack(self, dataset_path, tmp_path, capsys,
-                                                  method):
-        """``--m`` draws S as a report's random scheme does, from (seed, k, m, index), and
-        ``--specified`` names a global scheme's S: either way the attack runs a report cell's
-        code on that one instance and prints the report's line for it, byte for byte."""
-        victim = tmp_path / "victim.jsonl"
-        assert run_cli(["train", "--dataset", str(dataset_path), "--epochs", "20",
-                        "--out", str(victim)]) == 0
-        attack_args = ["attack", "--dataset", str(dataset_path), "--victim", str(victim),
-                       "--k", "2", "--method", method]
-
-        def report_lines(scheme):
-            config = tmp_path / "config.json"
-            config.write_text(json.dumps({
-                "seed": 3, "dataset": {"path": str(dataset_path)},
-                "victim": {"path": str(victim)}, "k_grid": [2], "scheme": scheme,
-                "methods": [method], "attack": {"eta": 0.05, "alpha": 1e-4},
-                "max_instances": 8, "out_csv": str(tmp_path / "report.csv"),
-                "out_outcomes": str(tmp_path / "outcomes.jsonl"),
-            }))
-            assert run_cli(["report", "--config", str(config)]) == 0
-            capsys.readouterr()
-            return (tmp_path / "outcomes.jsonl").read_text().splitlines(keepends=True)
-
-        lines = report_lines({"type": "random", "m": 1})
-        assert len(lines) == 8
+    @pytest.mark.parametrize("victim, fields", [
+        ({"arch": "affine", "epochs": 20},
+         {"k_grid": [2, 3], "scheme": {"type": "global", "categories": [0, 1]}}),
+        ({"arch": "mlp", "hidden": 4, "epochs": 20},
+         {"k_grid": [1, 2], "attack_overrides": {"ml_cw_u": {"max_iter": 40, "eta": 0.02}}}),
+    ], ids=["global-affine", "random-mlp-overrides"])
+    def test_attack_prints_the_report_lines_of_its_instance(self, dataset_path, tmp_path,
+                                                             capsys, victim, fields):
+        """``tkmia attack`` prints the lines of the report's outcome file for its
+        instance, byte for byte, at the first and last instance of each cell, and
+        writes no report file."""
+        config = self.config(tmp_path, dataset_path, victim, **fields)
+        assert run_cli(["report", "--config", str(config)]) == 0
+        capsys.readouterr()
+        lines = (tmp_path / "outcomes.jsonl").read_text().splitlines(keepends=True)
+        for path in (tmp_path / "report.csv", tmp_path / "outcomes.jsonl"):
+            path.unlink()
+        cells = {}
         for line in lines:
-            index = json.loads(line)["instance"]
-            assert run_cli([*attack_args, "--index", str(index), "--m", "1", "--seed", "3"]) == 0
-            assert capsys.readouterr().out == line
-        line = report_lines({"type": "global", "categories": [0]})[0]
-        assert json.loads(line)["specified"] == [0]
-        index = json.loads(line)["instance"]
-        assert run_cli([*attack_args, "--index", str(index), "--specified", "0"]) == 0
-        assert capsys.readouterr().out == line
+            record = json.loads(line)
+            cells.setdefault(record["k"], []).append(record["instance"])
+        assert sorted(cells) == fields["k_grid"]
+        for instances in cells.values():
+            for index in (instances[0], instances[-1]):
+                assert run_cli(["attack", "--config", str(config), "--index", str(index)]) == 0
+                assert capsys.readouterr().out == "".join(
+                    line for line in lines if json.loads(line)["instance"] == index)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "data.jsonl"]
 
     def test_train_rejects_missing_out_directory_before_reading(self, tmp_path, capsys):
         code = run_cli(["train", "--dataset", str(tmp_path / "missing.jsonl"),
@@ -198,9 +239,9 @@ class TestTrainAndAttack:
             "attack": {"eta": 0.05},
             "out_csv": str(tmp_path / "r.csv"), "out_outcomes": str(tmp_path / "o.jsonl"),
         })
-        dataset = harness.gen_synthetic(harness.SyntheticSpec(**spec))
+        dataset, victim = harness._resolve(config)
         report_victim = tmp_path / "report_victim.jsonl"
-        save_scorer(harness._resolve_victim(config, dataset), str(report_victim))
+        save_scorer(victim, str(report_victim))
         data_path, trained = tmp_path / "data.jsonl", tmp_path / "trained.jsonl"
         harness.save_dataset(dataset, str(data_path))
         assert run_cli(["train", "--dataset", str(data_path), "--arch", "mlp",
@@ -208,154 +249,47 @@ class TestTrainAndAttack:
                         "--seed", "2", "--out", str(trained)]) == 0
         assert trained.read_bytes() == report_victim.read_bytes()
 
-    def test_attack_with_explicit_specified_set(self, dataset_path, tmp_path, capsys):
-        victim = tmp_path / "victim.jsonl"
-        run_cli(["train", "--dataset", str(dataset_path), "--epochs", "40",
-                 "--seed", "1", "--out", str(victim)])
-        capsys.readouterr()
-        data = read_jsonl(dataset_path)
-        index, label = next((i, rec["y"].index(1)) for i, rec in enumerate(data)
-                            if sum(rec["y"]) >= 3)
-        code = run_cli(["attack", "--dataset", str(dataset_path),
-                        "--victim", str(victim), "--index", str(index),
-                        "--k", "2", "--specified", str(label),
-                        "--method", "tkml_ap_u"])
-        assert code == 0
-        record = json.loads(capsys.readouterr().out)
-        assert record["method"] == "tkml_ap_u"
-        assert record["specified"] == [label]
-
-    def test_attack_filter_violation_exits_one(self, dataset_path, tmp_path, capsys):
-        victim = tmp_path / "victim.jsonl"
-        run_cli(["train", "--dataset", str(dataset_path), "--epochs", "5",
-                 "--seed", "1", "--out", str(victim)])
-        data = read_jsonl(dataset_path)
-        index = next(i for i, rec in enumerate(data) if sum(rec["y"]) == 1)
-        code = run_cli(["attack", "--dataset", str(dataset_path),
-                        "--victim", str(victim), "--index", str(index),
-                        "--k", "3", "--m", "1"])
-        assert code == 1
-
-    def test_attack_rejects_repeated_specified_label(self, dataset_path, tmp_path, capsys):
-        victim = tmp_path / "victim.jsonl"
-        save_scorer(make_affine(10, 6, seed=1), str(victim))
-        data = read_jsonl(dataset_path)
-        index = next(i for i, rec in enumerate(data) if rec["y"][0] and sum(rec["y"]) >= 3)
-        code = run_cli(["attack", "--dataset", str(dataset_path), "--victim", str(victim),
-                        "--index", str(index), "--k", "1", "--specified", "0,0"])
-        assert code == 1
-        assert capsys.readouterr().err == (
-            f"error: attack (tkmia, k=1) instance {index}: specified set [0, 0] repeats a label\n")
-
-    @pytest.mark.parametrize("flags, message", [
-        (["--m", "2", "--k", "1"], "random scheme requires m <= k"),
-        (["--specified", "0,,1", "--k", "1"],
-         "--specified: expected comma-separated class indices, got '0,,1'"),
-        (["--m", "1", "--k", "1", "--eta", "nan"], "eta must be finite, got nan"),
-        (["--m", "1", "--k", "1", "--alpha", "inf"], "alpha must be finite, got inf"),
-        (["--m", "1", "--k", "7"], "k=7 out of range [1, 6]"),
-    ], ids=["m-above-k", "empty-specified-entry", "nan-eta", "inf-alpha", "k-above-c"])
-    def test_attack_rejects_bad_selection_in_one_line(self, dataset_path, tmp_path, capsys,
-                                                      flags, message):
-        victim = tmp_path / "victim.jsonl"
-        save_scorer(make_affine(10, 6, seed=1), str(victim))
-        data = read_jsonl(dataset_path)
-        index = next(i for i, rec in enumerate(data) if sum(rec["y"]) >= 4)
-        code = run_cli(["attack", "--dataset", str(dataset_path), "--victim", str(victim),
-                        "--index", str(index), *flags])
-        assert code == 1
-        assert capsys.readouterr().err == f"error: {message}\n"
-
-    def test_attack_rejects_x_outside_the_clip_domain(self, tmp_path, capsys):
-        dataset = tmp_path / "wide.jsonl"
-        harness.save_dataset([core.Instance(x=[0.5, 1.5], y=[1, 1, 0])], str(dataset))
-        victim = tmp_path / "victim.jsonl"
-        save_scorer(make_affine(2, 3, seed=1), str(victim))
-        code = run_cli(["attack", "--dataset", str(dataset), "--victim", str(victim),
-                        "--index", "0", "--k", "1", "--specified", "0"])
-        assert code == 1
-        assert capsys.readouterr().err == (
-            "error: attack (tkmia, k=1) instance 0: x lies outside the clip domain [-1.0, 1.0]\n")
-
-    def test_attack_takes_the_clip_domain_flags(self, tmp_path, capsys):
-        dataset = tmp_path / "wide.jsonl"
+    def test_attack_takes_the_clip_domain_of_the_config(self, tmp_path, capsys):
+        dataset = tmp_path / "data.jsonl"
         harness.save_dataset([core.Instance(x=[0.5, 1.5], y=[1, 1, 0])], str(dataset))
         victim = tmp_path / "victim.jsonl"
         model = make_affine(2, 3, seed=1)
         save_scorer(model, str(victim))
-        code = run_cli(["attack", "--dataset", str(dataset), "--victim", str(victim),
-                        "--index", "0", "--k", "1", "--specified", "0", "--clip-hi", "2"])
-        assert code == 0
+        config = self.config(tmp_path, dataset, victim, k_grid=[1], methods=["tkmia"],
+                             scheme={"type": "global", "categories": [0]},
+                             attack={"eta": 0.05, "alpha": 1e-4, "clip_hi": 2.0})
+        assert run_cli(["attack", "--config", str(config), "--index", "0"]) == 0
         record = json.loads(capsys.readouterr().out)
         assert record["scores_before"] == model.score([0.5, 1.5]).tolist()
         x_adv = np.add([0.5, 1.5], record["epsilon"])
         assert np.all((x_adv >= -1.0) & (x_adv <= 2.0))
 
-    def test_attack_rejects_victim_with_other_class_count(self, dataset_path, tmp_path,
-                                                          capsys):
+    @COMMANDS
+    def test_victim_of_other_sizes_rejected_in_one_line(self, dataset_path, tmp_path, capsys,
+                                                        command):
+        """A victim whose in_dim or out_dim is not the dataset's d or c ends the run
+        before any attack, and nothing is printed or written."""
         victim = tmp_path / "victim.jsonl"
-        save_scorer(make_affine(10, 7, seed=1), str(victim))
-        capsys.readouterr()
-        code = run_cli(["attack", "--dataset", str(dataset_path), "--victim", str(victim),
-                        "--index", "0", "--k", "1", "--m", "1"])
-        assert code == 1
-        assert capsys.readouterr().err == (
-            "error: victim has in_dim=10, out_dim=7, but the dataset has d=10, c=6\n")
-
-    @pytest.mark.parametrize("method", attack.METHODS)
-    def test_attack_rejects_a_victim_of_other_sizes_as_a_report_does(self, dataset_path,
-                                                                     tmp_path, capsys, method):
-        """A victim whose in_dim or out_dim is not the dataset's d or c ends ``tkmia
-        attack`` with the report's error, before any attack, and nothing is printed."""
-        victim, config = tmp_path / "victim.jsonl", tmp_path / "config.json"
-        config.write_text(json.dumps({
-            "dataset": {"path": str(dataset_path)}, "victim": {"path": str(victim)},
-            "k_grid": [1], "scheme": {"type": "random", "m": 1}, "methods": [method],
-            "attack": {"eta": 0.05}, "out_csv": str(tmp_path / "report.csv"),
-            "out_outcomes": str(tmp_path / "outcomes.jsonl"),
-        }))
+        config = self.config(tmp_path, dataset_path, victim)
+        index = harness._cell_selection(harness.ExperimentConfig.from_json(str(config)),
+                                        harness.load_dataset(str(dataset_path)), 2)[0][0]
         for d, c in ((11, 6), (10, 7)):
             save_scorer(make_affine(d, c, seed=1), str(victim))
             message = f"error: victim has in_dim={d}, out_dim={c}, but the dataset has d=10, c=6\n"
-            assert run_cli(["report", "--config", str(config)]) == 1
+            assert run_command(command, config, index) == 1
             assert capsys.readouterr() == ("", message)
-            assert run_cli(["attack", "--dataset", str(dataset_path), "--victim", str(victim),
-                            "--index", "0", "--k", "1", "--m", "1", "--method", method]) == 1
-            assert capsys.readouterr() == ("", message)
-
-    @pytest.mark.parametrize("method", attack.METHODS)
-    @pytest.mark.parametrize("index, k, specified, message", [
-        (0, 1, "0", "x lies outside the clip domain [-1.0, 1.0]"),
-        (1, 2, "0", "instance filter violated: |Yp|=2 < k+|S|=3"),
-        (1, 1, "3", "specified set must be a subset of the relevant labels"),
-        (1, 1, "0,0", "specified set [0, 0] repeats a label"),
-    ], ids=["clip-domain", "filter", "not-a-subset", "repeated-label"])
-    def test_attack_entry_errors_carry_the_report_prefix(self, tmp_path, capsys, method, index,
-                                                         k, specified, message):
-        """Each entry error of the attack loop names the cell and the instance, as a
-        report names it."""
-        dataset = tmp_path / "data.jsonl"
-        harness.save_dataset([core.Instance(x=[0.5, 1.5], y=[1, 1, 1, 0]),
-                              core.Instance(x=[0.1, -0.2], y=[1, 1, 0, 0])], str(dataset))
-        victim = tmp_path / "victim.jsonl"
-        save_scorer(make_affine(2, 4, seed=1), str(victim))
-        code = run_cli(["attack", "--dataset", str(dataset), "--victim", str(victim),
-                        "--index", str(index), "--k", str(k), "--specified", specified,
-                        "--method", method])
-        assert code == 1
-        assert capsys.readouterr() == (
-            "", f"error: attack ({method}, k={k}) instance {index}: {message}\n")
+            assert sorted(p.name for p in tmp_path.iterdir()) == [
+                "config.json", "data.jsonl", "victim.jsonl"]
 
     def test_attack_runs_on_a_raw_scorer(self, dataset_path, tmp_path, capsys):
         victim = tmp_path / "raw.jsonl"
         save_scorer(make_affine(10, 6, seed=1, sigmoid_output=False), str(victim))
         data = read_jsonl(dataset_path)
-        index = next(i for i, rec in enumerate(data) if sum(rec["y"]) >= 3)
-        for method in ("tkmia", "ml_cw_u", "tkml_ap_u"):
-            assert run_cli(["attack", "--dataset", str(dataset_path), "--victim", str(victim),
-                            "--index", str(index), "--k", "2", "--m", "1",
-                            "--method", method]) == 0
-            assert json.loads(capsys.readouterr().out)["method"] == method
+        index = next(i for i, rec in enumerate(data) if 3 <= sum(rec["y"]) < 6)
+        config = self.config(tmp_path, dataset_path, victim)
+        assert run_cli(["attack", "--config", str(config), "--index", str(index)]) == 0
+        records = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+        assert [record["method"] for record in records] == list(attack.METHODS)
 
 
 class TestEmptyFeatures:
@@ -408,7 +342,8 @@ class TestReportOnAnAllRelevantInstance:
 
     LABELS = [[1, 1, 0, 0], [0, 1, 1, 0], [1, 1, 1, 1], [1, 0, 1, 0], [0, 1, 0, 1]] * 4
 
-    def report(self, tmp_path, methods, scheme, attack=None, labels=LABELS, **extra):
+    def report(self, tmp_path, methods, scheme, attack=None, labels=LABELS, command="report",
+               index=None, **extra):
         rng = np.random.default_rng(2)
         data = tmp_path / "data.jsonl"
         data.write_text("".join(json.dumps({"x": rng.uniform(-1, 1, 3).tolist(), "y": y}) + "\n"
@@ -426,7 +361,7 @@ class TestReportOnAnAllRelevantInstance:
         }
         path = tmp_path / "config.json"
         path.write_text(json.dumps(config))
-        return run_cli(["report", "--config", str(path)])
+        return run_command(command, path, index)
 
     def attacked(self, tmp_path):
         """The attacked instance indices of each method, in record order."""
@@ -447,9 +382,11 @@ class TestReportOnAnAllRelevantInstance:
         assert attacked["tkmia"] == attacked["ml_cw_u"]
         assert 1 in attacked["tkmia"] and 2 not in attacked["tkmia"]
 
+    @COMMANDS
     def test_failed_report_leaves_no_output_and_no_temp_file(self, tmp_path, capsys,
-                                                             monkeypatch):
-        # tkmia's records stream into the temp file before tkml_ap_u fails on instance 2.
+                                                             monkeypatch, command):
+        # tkmia's records stream into the temp file, or attack's tkmia line is made,
+        # before tkml_ap_u's later cell fails on instance 2.
         real = harness.run_baseline
 
         def fails_on_all_relevant(model, instance, specified, spec, *, clean_scores=None):
@@ -458,9 +395,10 @@ class TestReportOnAnAllRelevantInstance:
             return real(model, instance, specified, spec, clean_scores=clean_scores)
 
         monkeypatch.setattr(harness, "run_baseline", fails_on_all_relevant)
-        assert self.report(tmp_path, ["tkmia", "tkml_ap_u"], {"type": "random", "m": 1}) == 1
-        assert capsys.readouterr().err == (
-            "error: attack (tkml_ap_u, k=1) instance 2: non-finite gradient at iteration 0\n")
+        assert self.report(tmp_path, ["tkmia", "tkml_ap_u"], {"type": "random", "m": 1},
+                           command=command, index=2) == 1
+        assert capsys.readouterr() == (
+            "", "error: attack (tkml_ap_u, k=1) instance 2: non-finite gradient at iteration 0\n")
         assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "data.jsonl"]
 
     def test_delta_threshold_above_s_drops_the_instance(self, tmp_path, capsys):
@@ -528,7 +466,8 @@ class TestMalformedScorer:
     ], ids=["list-header", "no-shapes", "short-weight", "list-layer", "no-layer", "empty",
             "string-sigmoid-output", "wrong-arch", "affine-activation", "unknown-activation",
             "three-layers", "unchained-layers"])
-    def test_attack_rejects_file_in_one_line(self, tmp_path, capsys, edit, message):
+    @COMMANDS
+    def test_rejects_file_in_one_line(self, tmp_path, capsys, command, edit, message):
         dataset = tmp_path / "data.jsonl"
         victim = tmp_path / "victim.jsonl"
         assert run_cli(["gen-data", "--n", "20", "--d", "4", "--c", "6",
@@ -538,9 +477,15 @@ class TestMalformedScorer:
         lines = edit(victim.read_text().splitlines())
         victim.write_text("".join(line + "\n" for line in lines))
         capsys.readouterr()
-        assert run_cli(["attack", "--dataset", str(dataset), "--victim", str(victim),
-                        "--index", "0", "--k", "1", "--m", "1"]) == 1
-        assert capsys.readouterr().err == f"error: {victim}: {message}\n"
+        config = write_config(
+            tmp_path / "config.json", dataset={"path": str(dataset)},
+            victim={"path": str(victim)}, k_grid=[1], scheme={"type": "random", "m": 1},
+            methods=["tkmia"], attack={"eta": 0.05}, out_csv=str(tmp_path / "report.csv"),
+            out_outcomes=str(tmp_path / "outcomes.jsonl"))
+        assert run_command(command, config, 0) == 1
+        assert capsys.readouterr() == ("", f"error: {victim}: {message}\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "config.json", "data.jsonl", "victim.jsonl"]
 
 
 class ClassThreeInfinite(model.Scorer):
@@ -553,21 +498,9 @@ class ClassThreeInfinite(model.Scorer):
         return scores, pullback
 
 
-class ClassThreeInfiniteAfterAStep(model.Scorer):
-    """A scorer double whose forward passes score class 3 at +inf at any input but
-    the first one that it scores."""
-
-    def _vjp(self, x):
-        scores, pullback = super()._vjp(x)
-        if getattr(self, "stepped", False):
-            scores[3] = np.inf
-        self.stepped = True
-        return scores, pullback
-
-
 class TestNonFiniteScores:
-    """A score is a finite vector: an attack or report that meets another fails in
-    one line, writes nothing, and a report names the cell and the instance."""
+    """A score is a finite vector: a report or attack that meets another fails in
+    one line, writes nothing, and names the cell and the instance."""
 
     # Instance 0 has too few relevant labels for S = {0} and k = 1, so a report
     # attacks instances 1, 2 and 3 as its rows 0, 1 and 2.
@@ -586,77 +519,58 @@ class TestNonFiniteScores:
                     str(overflow))
         return dataset, overflow
 
-    def report(self, tmp_path, dataset, victim):
-        config = tmp_path / "config.json"
-        config.write_text(json.dumps({
-            "dataset": {"path": str(dataset)}, "victim": {"path": str(victim)}, "k_grid": [1],
-            "scheme": {"type": "global", "categories": [0]}, "methods": ["tkmia"],
-            "attack": {"eta": 0.05, "max_iter": 20},
-            "out_csv": str(tmp_path / "report.csv"),
-            "out_outcomes": str(tmp_path / "outcomes.jsonl")}))
-        return run_cli(["report", "--config", str(config)])
+    def config(self, tmp_path, dataset, victim):
+        return write_config(
+            tmp_path / "config.json", dataset={"path": str(dataset)},
+            victim={"path": str(victim)}, k_grid=[1],
+            scheme={"type": "global", "categories": [0]}, methods=["tkmia"],
+            attack={"eta": 0.05, "max_iter": 20}, out_csv=str(tmp_path / "report.csv"),
+            out_outcomes=str(tmp_path / "outcomes.jsonl"))
 
-    def test_attack_on_overflowing_logits_exits_one(self, files, capsys):
-        # S = {0} is out of the top 1 at iteration 0, behind class 3's +inf: the
-        # attack succeeds, and its scores have no JSON text. numpy's overflow
-        # warning, an error under this suite's warning filter, is not raised.
+    @COMMANDS
+    def test_names_the_instance_of_a_non_finite_clean_row(self, files, tmp_path, capsys,
+                                                          command):
+        # S = {0} is out of the top 1 at instance 2's clean scores, behind class 3's
+        # +inf, which has no JSON text. numpy's overflow warning, an error under this
+        # suite's warning filter, is not raised.
         dataset, overflow = files
-        code = run_cli(["attack", "--dataset", str(dataset), "--victim", str(overflow),
-                        "--index", "2", "--k", "1", "--specified", "0"])
-        assert code == 1
+        assert run_command(command, self.config(tmp_path, dataset, overflow), 2) == 1
         assert capsys.readouterr() == ("", "error: clean scores (k=1) instance 2: "
                                            "score vector contains non-finite entries\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "config.json", "data.jsonl", "overflow.jsonl"]
 
-    def test_attack_names_the_instance_of_non_finite_perturbed_scores(self, files, capsys,
-                                                                       monkeypatch):
-        # Instance 2's clean scores rank class 0 first, so the attack steps once;
-        # at x + eps class 3 scores +inf and pushes S = {0} out of the top 1.
-        dataset, _ = files
-        victim = ClassThreeInfiniteAfterAStep([self.WEIGHTS], [[0.0, 0.1, -0.1, -1.0]],
-                                              sigmoid_output=False)
-        monkeypatch.setattr(cli, "load_scorer", lambda path: victim)
-        code = run_cli(["attack", "--dataset", str(dataset), "--victim", "unread.jsonl",
-                        "--index", "2", "--k", "1", "--specified", "0"])
-        assert code == 1
-        assert capsys.readouterr() == ("", "error: attack (tkmia, k=1) instance 2: "
-                                           "score vector contains non-finite entries\n")
-
-    def test_overflow_error_is_the_only_stderr_line(self, files):
+    @COMMANDS
+    def test_overflow_error_is_the_only_stderr_line(self, files, tmp_path, command):
         # A process of its own, under numpy's and Python's default warning handling.
         dataset, overflow = files
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [
             str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")]))}
+        config = self.config(tmp_path, dataset, overflow)
         result = subprocess.run(
-            [sys.executable, "-m", "tkmia.cli", "attack", "--dataset", str(dataset), "--victim",
-             str(overflow), "--index", "2", "--k", "1", "--specified", "0"],
+            [sys.executable, "-m", "tkmia.cli", command, "--config", str(config),
+             *(["--index", "2"] if command == "attack" else [])],
             env=env, capture_output=True, text=True)
         assert (result.returncode, result.stdout, result.stderr) == (
             1, "", "error: clean scores (k=1) instance 2: "
                    "score vector contains non-finite entries\n")
 
-    def test_report_names_the_instance_of_a_non_finite_clean_row(self, files, tmp_path,
-                                                                  capsys):
-        dataset, overflow = files
-        code = self.report(tmp_path, dataset, overflow)
-        assert code == 1
-        assert capsys.readouterr().err == ("error: clean scores (k=1) instance 2: "
-                                           "score vector contains non-finite entries\n")
-        assert sorted(p.name for p in tmp_path.iterdir()) == [
-            "config.json", "data.jsonl", "overflow.jsonl"]
-
-    def test_report_names_the_instance_of_a_non_finite_perturbed_row(self, files, tmp_path,
-                                                                      capsys, monkeypatch):
+    @COMMANDS
+    def test_names_the_instance_of_a_non_finite_perturbed_row(self, files, tmp_path, capsys,
+                                                              monkeypatch, command):
         # Clean, instance 1 ranks class 1 first and instance 2 class 0: instance 1's
         # attack ends at iteration 0 on its clean row, instance 2's runs on.
         dataset, _ = files
         victim = ClassThreeInfinite([self.WEIGHTS], [[0.0, 0.1, -0.1, -1.0]],
                                     sigmoid_output=False)
-        # The report gets the double in place of the victim file, which it never reads.
-        monkeypatch.setattr(harness, "_resolve_victim", lambda config, data: victim)
-        assert self.report(tmp_path, dataset, tmp_path / "unread.jsonl") == 1
-        assert capsys.readouterr().err == ("error: attack (tkmia, k=1) instance 2: "
+        # The run gets the double in place of the victim file, which it never reads.
+        monkeypatch.setattr(harness, "load_scorer", lambda path: victim)
+        config = self.config(tmp_path, dataset, tmp_path / "unread.jsonl")
+        assert run_command(command, config, 2) == 1
+        assert capsys.readouterr() == ("", "error: attack (tkmia, k=1) instance 2: "
                                            "score vector contains non-finite entries\n")
-        assert not (tmp_path / "outcomes.jsonl").exists()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "data.jsonl",
+                                                              "overflow.jsonl"]
 
 
 class TestReport:
@@ -685,7 +599,8 @@ class TestReport:
         assert (tmp_path / "outcomes.jsonl").exists()
 
 
-    def test_instance_outside_the_clip_domain_exits_one(self, tmp_path, capsys):
+    @COMMANDS
+    def test_instance_outside_the_clip_domain_exits_one(self, tmp_path, capsys, command):
         # Synthetic features fill (-1, 1), so some lie outside [-0.2, 0.2].
         dataset = {"n": 300, "d": 8, "c": 6, "mean_relevant": 3.0, "seed": 1}
         config = {
@@ -699,8 +614,8 @@ class TestReport:
         path.write_text(json.dumps(config))
         first = next(i for i, inst in enumerate(harness.gen_synthetic(
             harness.SyntheticSpec(**dataset))) if 0 in inst.relevant and len(inst.relevant) >= 3)
-        assert run_cli(["report", "--config", str(path)]) == 1
-        assert capsys.readouterr().err == (f"error: attack (tkmia, k=2) instance {first}: "
+        assert run_command(command, path, first) == 1
+        assert capsys.readouterr() == ("", f"error: attack (tkmia, k=2) instance {first}: "
                                            "x lies outside the clip domain [-0.2, 0.2]\n")
         assert list(tmp_path.iterdir()) == [path]
 
@@ -748,10 +663,8 @@ class TestCheck:
         ["gen-data", "--n", "10", "--d", "4", "--c", "5", "--mean-relevant", "2.0",
          "--out", "x.jsonl"],
         ["train", "--dataset", "missing.jsonl", "--out", "v.jsonl"],
-        ["attack", "--dataset", "missing.jsonl", "--victim", "missing.jsonl", "--index", "0",
-         "--k", "1", "--m", "1"],
         ["check"],
-    ], ids=["gen-data", "train", "attack", "check"])
+    ], ids=["gen-data", "train", "check"])
     def test_negative_seed_names_the_flag(self, tmp_path, capsys, monkeypatch, command):
         monkeypatch.chdir(tmp_path)
         assert run_cli(command + ["--seed", "-1"]) == 1
