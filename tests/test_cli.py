@@ -188,6 +188,87 @@ class TestTrainAndAttack:
                     line for line in lines if json.loads(line)["instance"] == index)
         assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "data.jsonl"]
 
+    def attack_and_report_lines(self, config, index, capsys):
+        """``tkmia attack``'s stdout on ``index``, and the report's outcome lines."""
+        assert run_cli(["attack", "--config", str(config), "--index", str(index)]) == 0
+        out = capsys.readouterr().out
+        assert run_cli(["report", "--config", str(config)]) == 0
+        capsys.readouterr()
+        path = harness.ExperimentConfig.from_json(str(config)).out_outcomes
+        return out, Path(path).read_text().splitlines(keepends=True)
+
+    def test_attack_prints_only_the_cells_that_hold_its_instance(self, dataset_path, tmp_path,
+                                                                 capsys):
+        """An instance with three relevant labels is in the k=2 cell of an m=1 report
+        but fails the filter |Yp| >= k + |S| at k=3: only its k=2 lines are printed."""
+        victim = tmp_path / "victim.jsonl"
+        save_scorer(make_affine(10, 6, seed=1), str(victim))
+        config = self.config(tmp_path, dataset_path, victim, k_grid=[2, 3], max_instances=150)
+        data = harness.load_dataset(str(dataset_path))
+        index = next(i for i, inst in enumerate(data) if len(inst.relevant) == 3)
+        out, lines = self.attack_and_report_lines(config, index, capsys)
+        records = [json.loads(line) for line in out.splitlines()]
+        assert [(r["k"], r["method"]) for r in records] == [(2, m) for m in attack.METHODS]
+        assert out == "".join(line for line in lines if json.loads(line)["instance"] == index)
+
+    def test_attack_prints_its_lines_in_the_order_of_the_report_file(self, dataset_path,
+                                                                      tmp_path, capsys):
+        """The lines follow the config's k grid and methods, not their sorted order."""
+        victim = tmp_path / "victim.jsonl"
+        save_scorer(make_affine(10, 6, seed=1), str(victim))
+        methods = list(reversed(attack.METHODS))
+        config = self.config(tmp_path, dataset_path, victim, k_grid=[3, 2], methods=methods,
+                             scheme={"type": "global", "categories": [0]})
+        index = harness._cell_selection(harness.ExperimentConfig.from_json(str(config)),
+                                        harness.load_dataset(str(dataset_path)), 3)[0][0]
+        out, lines = self.attack_and_report_lines(config, index, capsys)
+        records = [json.loads(line) for line in out.splitlines()]
+        assert [(r["k"], r["method"]) for r in records] == [
+            (k, m) for k in (3, 2) for m in methods]
+        assert out == "".join(line for line in lines if json.loads(line)["instance"] == index)
+
+    def test_attack_needs_no_output_directory(self, dataset_path, tmp_path, capsys):
+        """``tkmia attack`` writes no file, so a config whose output directories are
+        missing runs, where a report on it exits 1 before any work."""
+        victim = tmp_path / "victim.jsonl"
+        save_scorer(make_affine(10, 6, seed=1), str(victim))
+        nodir = tmp_path / "nodir"
+        config = self.config(tmp_path, dataset_path, victim,
+                             out_csv=str(nodir / "report.csv"),
+                             out_outcomes=str(nodir / "outcomes.jsonl"))
+        index = harness._cell_selection(harness.ExperimentConfig.from_json(str(config)),
+                                        harness.load_dataset(str(dataset_path)), 2)[0][0]
+        assert run_cli(["attack", "--config", str(config), "--index", str(index)]) == 0
+        out = capsys.readouterr().out
+        assert [json.loads(line)["method"] for line in out.splitlines()] == list(attack.METHODS)
+        assert run_cli(["report", "--config", str(config)]) == 1
+        assert capsys.readouterr() == ("", f"error: out_csv: directory {nodir} does not exist\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "config.json", "data.jsonl", "victim.jsonl"]
+
+    @COMMANDS
+    @pytest.mark.parametrize("case", ["missing-file", "negative-seed", "k-above-c", "nan-eta"])
+    def test_malformed_config_rejected_in_one_line(self, dataset_path, tmp_path, capsys,
+                                                   command, case):
+        """A config that a report rejects, ``tkmia attack`` rejects with the same line,
+        printing and writing nothing."""
+        victim = tmp_path / "victim.jsonl"
+        save_scorer(make_affine(10, 6, seed=1), str(victim))
+        fields = {"missing-file": {}, "negative-seed": {"seed": -1}, "k-above-c": {"k_grid": [6]},
+                  # json.dumps writes NaN, and json.load reads it.
+                  "nan-eta": {"attack": {"eta": float("nan")}}}[case]
+        config = self.config(tmp_path, dataset_path, victim, **fields)
+        if case == "missing-file":
+            config.unlink()
+        message = {"missing-file": f"[Errno 2] No such file or directory: '{config}'",
+                   "negative-seed": "seed must be non-negative, got -1",
+                   "k-above-c": "k_grid: k=6 must be smaller than c=6",
+                   "nan-eta": "attack (tkmia, k=2): eta must be finite, got nan"}[case]
+        assert run_command(command, config, 0) == 1
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+            ["data.jsonl", "victim.jsonl"] + ([] if case == "missing-file" else ["config.json"]))
+
     def test_train_rejects_missing_out_directory_before_reading(self, tmp_path, capsys):
         code = run_cli(["train", "--dataset", str(tmp_path / "missing.jsonl"),
                         "--out", str(tmp_path / "nodir" / "v.jsonl")])
@@ -682,3 +763,11 @@ class TestUsage:
         with pytest.raises(SystemExit) as info:
             run_cli([])
         assert info.value.code == 2
+
+    def test_attack_help_lists_only_config_and_index(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            run_cli(["attack", "--help"])
+        assert info.value.code == 0
+        flags = {word.strip("[],") for word in capsys.readouterr().out.split()
+                 if word.strip("[],").startswith("-")}
+        assert flags == {"-h", "--help", "--config", "--index"}
