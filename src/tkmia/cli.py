@@ -2,15 +2,15 @@
 
 Subcommands:
 
-  gen-data   draw a synthetic dataset and write it as JSON lines
-  train      fit a victim scorer on a dataset with BCE
+  gen-data   write the dataset of a report config as JSON lines
+  train      write the victim scorer of a report config, read or trained on its dataset
   attack     re-run one instance of a report config and print its outcome lines
   report     run a full experiment config and write CSV + outcomes
   check      run the built-in verification suites
 
-gen-data, train and check take --seed, and report and attack the config's
-seed; identical seeds give identical outputs. Exit status is 0 on success,
-1 on any error, and 2 on usage problems.
+gen-data, train, attack and report read one experiment config and take every
+seed from it; check takes --seed. Identical inputs give identical outputs. Exit
+status is 0 on success, 1 on any error, and 2 on usage problems.
 """
 from __future__ import annotations
 
@@ -22,22 +22,18 @@ import numpy as np
 from .checks import run_all_checks
 from .core import _seed
 from .harness import (
-    VICTIM_ARCHS,
     ExperimentConfig,
     OutcomeLines,
-    SyntheticSpec,
     _attack_cell,
     _cell_selection,
     _check_output_directory,
     _open_cell,
     _resolve,
-    gen_synthetic,
-    load_dataset,
+    _resolve_dataset,
     run_experiment,
     save_dataset,
-    train_victim,
 )
-from .model import ACTIVATIONS, save_scorer
+from .model import save_scorer
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -47,30 +43,13 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("gen-data", help="generate a synthetic dataset")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--c", type=int, required=True)
-    p.add_argument("--mean-relevant", type=float, required=True)
-    p.add_argument("--correlation", type=float, default=SyntheticSpec.label_correlation)
-    p.add_argument("--seed", type=int, default=SyntheticSpec.seed)
-    p.add_argument("--out", required=True)
+    p = sub.add_parser("gen-data", help="write the dataset of a report config")
+    p.add_argument("--config", required=True, help="the report's config file")
+    p.add_argument("--out", required=True, help="the dataset file to write")
 
-    # A flag left out is absent from the arguments, so that VictimSpec's default applies.
-    p = sub.add_parser("train", help="train a victim scorer with BCE",
-                       description="A flag left out takes the default of VictimSpec, the "
-                                   "recipe of a report's inline victim.",
-                       argument_default=argparse.SUPPRESS)
-    p.add_argument("--dataset", required=True)
-    p.add_argument("--arch", choices=VICTIM_ARCHS)
-    p.add_argument("--hidden", type=int)
-    p.add_argument("--activation", choices=ACTIVATIONS)
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--learning-rate", type=float)
-    p.add_argument("--momentum", type=float)
-    p.add_argument("--batch-size", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--out", required=True)
+    p = sub.add_parser("train", help="write the victim of a report config")
+    p.add_argument("--config", required=True, help="the report's config file")
+    p.add_argument("--out", required=True, help="the victim file to write")
 
     p = sub.add_parser("attack", help="re-run one instance of a report, print its outcome lines")
     p.add_argument("--config", required=True, help="the report's config file")
@@ -87,22 +66,17 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cmd_gen_data(args) -> int:
     _check_output_directory("--out", args.out)
-    spec = SyntheticSpec(n=args.n, d=args.d, c=args.c,
-                         mean_relevant=args.mean_relevant,
-                         label_correlation=args.correlation, seed=args.seed)
-    save_dataset(gen_synthetic(spec), args.out)
-    print(f"wrote {args.n} instances to {args.out}")
+    dataset = _resolve_dataset(ExperimentConfig.from_json(args.config))
+    save_dataset(dataset, args.out)
+    print(f"wrote {len(dataset)} instances to {args.out}")
     return 0
 
 
 def _cmd_train(args) -> int:
     _check_output_directory("--out", args.out)
-    # Every other flag is a train_victim keyword; a suppressed one only when given.
-    flags = {key: value for key, value in vars(args).items()
-             if key not in ("command", "dataset", "out")}
-    victim = train_victim(load_dataset(args.dataset), **flags)
+    _, victim = _resolve(ExperimentConfig.from_json(args.config))
     save_scorer(victim, args.out)
-    print(f"wrote trained {victim.arch} scorer to {args.out}")
+    print(f"wrote {victim.arch} scorer to {args.out}")
     return 0
 
 
@@ -141,7 +115,7 @@ def _cmd_report(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    results = run_all_checks(seed=args.seed)
+    results = run_all_checks(seed=_seed(args.seed, "--seed"))
     failed = 0
     for name, ok, detail in results:
         status = "PASS" if ok else "FAIL"
@@ -163,8 +137,6 @@ _COMMANDS = {
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        if "seed" in args:
-            _seed(args.seed, "--seed")
         return _COMMANDS[args.command](args)
     except (ValueError, OSError, KeyError, FloatingPointError) as exc:
         print(f"error: {exc}", file=sys.stderr)

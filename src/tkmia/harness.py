@@ -254,9 +254,9 @@ class VictimSpec(TrainConfig):
 def train_victim(dataset: Sequence[Instance], **victim) -> Scorer:
     """Initialize an affine or MLP scorer sized to the dataset, then fit it.
 
-    The keyword arguments, an inline ``victim`` block or the flags of ``tkmia
-    train``, are the fields of :class:`VictimSpec`, whose defaults fill in a
-    key left out; ``seed`` also seeds the initialization.
+    The keyword arguments, an inline ``victim`` block, are the fields of
+    :class:`VictimSpec`, whose defaults fill in a key left out; ``seed`` also
+    seeds the initialization.
     """
     spec = _victim_spec(victim)
     data = Dataset.of(dataset)
@@ -453,18 +453,30 @@ class ExperimentConfig:
         return cls.from_dict(raw)
 
 
-def _resolve(config: ExperimentConfig) -> tuple[Dataset, Scorer]:
+def _resolve_dataset(config: ExperimentConfig) -> Dataset:
     """The config's dataset, read or generated, checked against its k grid and
-    categories, and its victim, read or trained on it: the set-up of a report and
-    of ``tkmia attack``."""
+    categories: what ``tkmia gen-data`` writes."""
     if "path" in config.dataset:
         dataset = load_dataset(config.dataset["path"])
     else:
         dataset = gen_synthetic(SyntheticSpec(**config.dataset))
     config.check_classes(dataset.Y.shape[1])
-    if "path" in config.victim:
-        return dataset, load_scorer(config.victim["path"])
-    return dataset, train_victim(dataset, **{"seed": config.seed, **config.victim})
+    return dataset
+
+
+def _resolve(config: ExperimentConfig) -> tuple[Dataset, Scorer]:
+    """:func:`_resolve_dataset`, and the config's victim, read or trained on it: the
+    set-up of a report, of ``tkmia attack`` and of ``tkmia train``. A victim read from
+    a file must have the dataset's (d, c) as its (in_dim, out_dim)."""
+    dataset = _resolve_dataset(config)
+    if "path" not in config.victim:
+        return dataset, train_victim(dataset, **{"seed": config.seed, **config.victim})
+    model = load_scorer(config.victim["path"])
+    (_, d), (_, c) = dataset.X.shape, dataset.Y.shape
+    if (model.in_dim, model.out_dim) != (d, c):
+        raise ValueError(f"victim has in_dim={model.in_dim}, out_dim={model.out_dim}, "
+                         f"but the dataset has d={d}, c={c}")
+    return dataset, model
 
 
 def _cell_selection(config: ExperimentConfig, dataset, k: int):
@@ -512,13 +524,8 @@ def _evaluate_cell(scores, labels, k: int, chosen, name: str):
 
 def _open_cell(model: Scorer, dataset: Dataset, pairs, k: int):
     """The clean side of a k cell of (index, S) ``pairs``, which reports and ``tkmia attack``
-    both open: the victim's (in_dim, out_dim) checked against the dataset's (d, c), then the
-    chosen rows' clean scores and their measure records. A non-finite row names the cell's
-    ``clean scores (k=K)`` prefix and the instance's dataset index."""
-    (_, d), (_, c) = dataset.X.shape, dataset.Y.shape
-    if (model.in_dim, model.out_dim) != (d, c):
-        raise ValueError(f"victim has in_dim={model.in_dim}, out_dim={model.out_dim}, "
-                         f"but the dataset has d={d}, c={c}")
+    both open: the chosen rows' clean scores and their measure records. A non-finite row
+    names the cell's ``clean scores (k=K)`` prefix and the instance's dataset index."""
     chosen = [idx for idx, _ in pairs]
     # Each attack's iteration 0 reads its row: the scores at x + 0.0, as it scores them.
     scores = model.score(dataset.X[chosen] + 0.0)

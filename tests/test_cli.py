@@ -26,47 +26,66 @@ def write_config(path, **fields):
     return path
 
 
-def run_command(command, config, index):
-    """``tkmia report`` on the config file, or ``tkmia attack`` on its instance ``index``."""
+def run_command(command, config, index=None, out=None):
+    """``tkmia report`` on the config file, ``tkmia attack`` on its instance ``index``,
+    or ``tkmia gen-data`` or ``tkmia train`` writing ``out``."""
     if command == "report":
         return run_cli(["report", "--config", str(config)])
-    return run_cli(["attack", "--config", str(config), "--index", str(index)])
+    if command == "attack":
+        return run_cli(["attack", "--config", str(config), "--index", str(index)])
+    return run_cli([command, "--config", str(config), "--out", str(out)])
 
 
 # The two commands that run a config's cells, whose errors are the same lines.
 COMMANDS = pytest.mark.parametrize("command", ["report", "attack"])
+# The two commands that write a config's dataset or victim.
+EXPORTS = pytest.mark.parametrize("command", ["gen-data", "train"])
+
+
+def base_config(tmp_path, **fields):
+    """A small config's fields, updated by ``fields``: its dataset and victim blocks are
+    left to the caller, and its report files are under ``tmp_path``."""
+    return {"k_grid": [1], "scheme": {"type": "random", "m": 1}, "methods": ["tkmia"],
+            "attack": {"eta": 0.05}, "out_csv": str(tmp_path / "report.csv"),
+            "out_outcomes": str(tmp_path / "outcomes.jsonl"), **fields}
 
 
 class TestGenData:
+    def gen_data(self, tmp_path, out, **dataset):
+        """``tkmia gen-data`` on a config of the inline ``dataset`` block."""
+        config = write_config(tmp_path / "config.json",
+                              **base_config(tmp_path, dataset=dataset, victim={}))
+        return run_command("gen-data", config, out=out)
+
     def test_deterministic_files(self, tmp_path, capsys):
         a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
-        args = ["gen-data", "--n", "40", "--d", "6", "--c", "5",
-                "--mean-relevant", "2.0", "--seed", "7"]
-        assert run_cli(args + ["--out", str(a)]) == 0
-        assert run_cli(args + ["--out", str(b)]) == 0
+        spec = {"n": 40, "d": 6, "c": 5, "mean_relevant": 2.0, "seed": 7}
+        assert self.gen_data(tmp_path, a, **spec) == 0
+        assert self.gen_data(tmp_path, b, **spec) == 0
+        assert capsys.readouterr().out == f"wrote 40 instances to {a}\nwrote 40 instances to {b}\n"
         assert a.read_bytes() == b.read_bytes()
 
     def test_bad_spec_exits_one(self, tmp_path, capsys):
-        code = run_cli(["gen-data", "--n", "10", "--d", "4", "--c", "5",
-                        "--mean-relevant", "9.0", "--out", str(tmp_path / "x.jsonl")])
+        code = self.gen_data(tmp_path, tmp_path / "x.jsonl", n=10, d=4, c=5, mean_relevant=9.0)
         assert code == 1
-        assert "error:" in capsys.readouterr().err
+        assert capsys.readouterr() == (
+            "", "error: dataset: mean_relevant must lie strictly between 0 and c\n")
+        assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
 
     def test_correlation_one_rejected_in_one_line(self, tmp_path, capsys):
-        code = run_cli(["gen-data", "--n", "1", "--d", "2", "--c", "3", "--mean-relevant", "1.0",
-                        "--correlation", "1", "--out", str(tmp_path / "x.jsonl")])
+        code = self.gen_data(tmp_path, tmp_path / "x.jsonl", n=1, d=2, c=3, mean_relevant=1.0,
+                             label_correlation=1)
         assert code == 1
-        assert capsys.readouterr().err == "error: label_correlation must lie in [0, 1)\n"
-        assert list(tmp_path.iterdir()) == []
+        assert capsys.readouterr().err == "error: dataset: label_correlation must lie in [0, 1)\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
 
-    def test_missing_out_directory_rejected_before_generating(self, tmp_path, capsys):
-        # The spec is bad too: the directory check must come first.
-        code = run_cli(["gen-data", "--n", "10", "--d", "4", "--c", "5",
-                        "--mean-relevant", "9.0",
-                        "--out", str(tmp_path / "nodir" / "x.jsonl")])
+    @EXPORTS
+    def test_missing_out_directory_rejected_before_set_up(self, tmp_path, capsys, command):
+        # The config is missing too: the directory check must come first.
+        code = run_command(command, tmp_path / "config.json", out=tmp_path / "nodir" / "x.jsonl")
         assert code == 1
-        assert capsys.readouterr().err == (
-            f"error: --out: directory {tmp_path / 'nodir'} does not exist\n")
+        assert capsys.readouterr() == (
+            "", f"error: --out: directory {tmp_path / 'nodir'} does not exist\n")
         assert list(tmp_path.iterdir()) == []
 
 
@@ -74,8 +93,8 @@ class TestTrainAndAttack:
     @pytest.fixture
     def dataset_path(self, tmp_path):
         path = tmp_path / "data.jsonl"
-        run_cli(["gen-data", "--n", "150", "--d", "10", "--c", "6",
-                 "--mean-relevant", "3.0", "--seed", "1", "--out", str(path)])
+        harness.save_dataset(harness.gen_synthetic(harness.SyntheticSpec(
+            n=150, d=10, c=6, mean_relevant=3.0, seed=1)), str(path))
         return path
 
     def config(self, tmp_path, dataset_path, victim, **fields):
@@ -90,12 +109,15 @@ class TestTrainAndAttack:
             "out_csv": str(tmp_path / "report.csv"),
             "out_outcomes": str(tmp_path / "outcomes.jsonl"), **fields})
 
+    def train(self, tmp_path, dataset_path, victim, out):
+        """``tkmia train`` on a config of the dataset file and the inline ``victim``."""
+        return run_command("train", self.config(tmp_path, dataset_path, victim), out=out)
+
     def test_train_then_attack_prints_outcome_json(self, dataset_path, tmp_path, capsys):
         victim = tmp_path / "victim.jsonl"
-        assert run_cli(["train", "--dataset", str(dataset_path), "--epochs", "40",
-                        "--seed", "1", "--out", str(victim)]) == 0
-        assert capsys.readouterr().out == f"wrote trained affine scorer to {victim}\n"
-        # flags left out take train_victim's defaults
+        assert self.train(tmp_path, dataset_path, {"epochs": 40, "seed": 1}, victim) == 0
+        assert capsys.readouterr().out == f"wrote affine scorer to {victim}\n"
+        # keys left out take train_victim's defaults
         expected = tmp_path / "expected.jsonl"
         save_scorer(harness.train_victim(harness.load_dataset(str(dataset_path)), epochs=40,
                                          seed=1), str(expected))
@@ -111,20 +133,20 @@ class TestTrainAndAttack:
             assert set(record) >= {"success", "epsilon", "iterations_used", "residual",
                                    "instance", "k", "clean_metrics", "perturbed_metrics"}
 
-    def test_train_without_flags_fits_the_report_victim(self, dataset_path, tmp_path, capsys):
-        """Every training flag left out takes VictimSpec's default, epochs included, so
-        ``tkmia train`` fits the victim of a report whose victim block is empty."""
+    def test_empty_victim_block_fits_the_report_victim(self, dataset_path, tmp_path, capsys):
+        """An empty victim block takes VictimSpec's defaults, epochs included, and the
+        config's seed 3, as the victim of a report on that config does."""
         victim, expected = tmp_path / "victim.jsonl", tmp_path / "expected.jsonl"
-        assert run_cli(["train", "--dataset", str(dataset_path), "--out", str(victim)]) == 0
-        save_scorer(harness.train_victim(harness.load_dataset(str(dataset_path))), str(expected))
+        assert self.train(tmp_path, dataset_path, {}, victim) == 0
+        save_scorer(harness.train_victim(harness.load_dataset(str(dataset_path)), seed=3),
+                    str(expected))
         assert victim.read_bytes() == expected.read_bytes()
 
     def test_attack_prints_the_outcome_record_dumped(self, dataset_path, tmp_path, capsys):
         """Each printed line is the record of the library's attack dumped with the
         instance, k and the measures of its clean and perturbed scores."""
         victim = tmp_path / "victim.jsonl"
-        assert run_cli(["train", "--dataset", str(dataset_path), "--epochs", "20",
-                        "--out", str(victim)]) == 0
+        assert self.train(tmp_path, dataset_path, {"epochs": 20}, victim) == 0
         capsys.readouterr()
         data, scorer = harness.load_dataset(str(dataset_path)), model.load_scorer(str(victim))
         # The first instance that the cell admits under the categories {0}.
@@ -246,12 +268,12 @@ class TestTrainAndAttack:
         assert sorted(p.name for p in tmp_path.iterdir()) == [
             "config.json", "data.jsonl", "victim.jsonl"]
 
-    @COMMANDS
+    @pytest.mark.parametrize("command", ["report", "attack", "gen-data", "train"])
     @pytest.mark.parametrize("case", ["missing-file", "negative-seed", "k-above-c", "nan-eta"])
     def test_malformed_config_rejected_in_one_line(self, dataset_path, tmp_path, capsys,
                                                    command, case):
-        """A config that a report rejects, ``tkmia attack`` rejects with the same line,
-        printing and writing nothing."""
+        """A config that a report rejects, ``tkmia attack``, ``gen-data`` and ``train``
+        reject with the same line, printing and writing nothing."""
         victim = tmp_path / "victim.jsonl"
         save_scorer(make_affine(10, 6, seed=1), str(victim))
         fields = {"missing-file": {}, "negative-seed": {"seed": -1}, "k-above-c": {"k_grid": [6]},
@@ -264,71 +286,39 @@ class TestTrainAndAttack:
                    "negative-seed": "seed must be non-negative, got -1",
                    "k-above-c": "k_grid: k=6 must be smaller than c=6",
                    "nan-eta": "attack (tkmia, k=2): eta must be finite, got nan"}[case]
-        assert run_command(command, config, 0) == 1
+        out = tmp_path / "out.jsonl"
+        assert run_command(command, config, 0, out) == 1
         assert capsys.readouterr() == ("", f"error: {message}\n")
         assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
             ["data.jsonl", "victim.jsonl"] + ([] if case == "missing-file" else ["config.json"]))
 
-    def test_train_rejects_missing_out_directory_before_reading(self, tmp_path, capsys):
-        code = run_cli(["train", "--dataset", str(tmp_path / "missing.jsonl"),
-                        "--out", str(tmp_path / "nodir" / "v.jsonl")])
-        assert code == 1
-        assert capsys.readouterr().err == (
-            f"error: --out: directory {tmp_path / 'nodir'} does not exist\n")
-        assert list(tmp_path.iterdir()) == []
-
     def test_train_rejects_mlp_without_hidden_units(self, dataset_path, tmp_path, capsys):
-        code = run_cli(["train", "--dataset", str(dataset_path), "--arch", "mlp",
-                        "--hidden", "0", "--out", str(tmp_path / "v.jsonl")])
-        assert code == 1
+        out = tmp_path / "v.jsonl"
+        assert self.train(tmp_path, dataset_path, {"arch": "mlp", "hidden": 0}, out) == 1
         assert capsys.readouterr().err == "error: victim: hidden size must be >= 1, got 0\n"
-        assert not (tmp_path / "v.jsonl").exists()
+        assert not out.exists()
 
     def test_train_accepts_every_activation(self, dataset_path, tmp_path, capsys):
         from tkmia.model import ACTIVATIONS, load_scorer
 
         for activation in ACTIVATIONS:
             out = tmp_path / f"{activation}.jsonl"
-            assert run_cli(["train", "--dataset", str(dataset_path), "--arch", "mlp",
-                            "--hidden", "4", "--activation", activation, "--epochs", "2",
-                            "--out", str(out)]) == 0
+            victim = {"arch": "mlp", "hidden": 4, "activation": activation, "epochs": 2}
+            assert self.train(tmp_path, dataset_path, victim, out) == 0
             assert load_scorer(str(out)).activation == activation
 
-    @pytest.mark.parametrize("flags, key", [
-        (["--hidden", "7", "--activation", "relu"], "hidden"),
-        (["--activation", "relu"], "activation"),
-        (["--arch", "affine", "--hidden", "7"], "hidden"),
+    @pytest.mark.parametrize("victim, key", [
+        ({"hidden": 7, "activation": "relu"}, "hidden"),
+        ({"activation": "relu"}, "activation"),
+        ({"arch": "affine", "hidden": 7}, "hidden"),
     ], ids=["default-arch-both", "default-arch-activation", "affine-hidden"])
     def test_train_rejects_mlp_flags_on_an_affine_victim(self, dataset_path, tmp_path, capsys,
-                                                         flags, key):
+                                                         victim, key):
         """hidden and activation shape an MLP only, as in a report's victim block."""
         out = tmp_path / "v.jsonl"
-        code = run_cli(["train", "--dataset", str(dataset_path), *flags, "--out", str(out)])
-        assert code == 1
+        assert self.train(tmp_path, dataset_path, victim, out) == 1
         assert capsys.readouterr().err == f"error: victim: unknown key {key!r}\n"
         assert not out.exists()
-
-    def test_report_victim_and_train_write_the_same_scorer(self, tmp_path, capsys):
-        """One recipe, one scorer: a report's inline MLP victim and ``tkmia
-        train`` with the same arch, hidden, activation, epochs and seed."""
-        spec = {"n": 60, "d": 5, "c": 4, "mean_relevant": 2.0, "seed": 4}
-        config = harness.ExperimentConfig.from_dict({
-            "seed": 2,  # the victim's seed, as its block sets none
-            "dataset": spec,
-            "victim": {"arch": "mlp", "hidden": 3, "activation": "relu", "epochs": 4},
-            "k_grid": [1], "scheme": {"type": "random", "m": 1}, "methods": ["tkmia"],
-            "attack": {"eta": 0.05},
-            "out_csv": str(tmp_path / "r.csv"), "out_outcomes": str(tmp_path / "o.jsonl"),
-        })
-        dataset, victim = harness._resolve(config)
-        report_victim = tmp_path / "report_victim.jsonl"
-        save_scorer(victim, str(report_victim))
-        data_path, trained = tmp_path / "data.jsonl", tmp_path / "trained.jsonl"
-        harness.save_dataset(dataset, str(data_path))
-        assert run_cli(["train", "--dataset", str(data_path), "--arch", "mlp",
-                        "--hidden", "3", "--activation", "relu", "--epochs", "4",
-                        "--seed", "2", "--out", str(trained)]) == 0
-        assert trained.read_bytes() == report_victim.read_bytes()
 
     def test_attack_takes_the_clip_domain_of_the_config(self, tmp_path, capsys):
         dataset = tmp_path / "data.jsonl"
@@ -345,11 +335,12 @@ class TestTrainAndAttack:
         x_adv = np.add([0.5, 1.5], record["epsilon"])
         assert np.all((x_adv >= -1.0) & (x_adv <= 2.0))
 
-    @COMMANDS
+    @pytest.mark.parametrize("command", ["report", "attack", "train"])
     def test_victim_of_other_sizes_rejected_in_one_line(self, dataset_path, tmp_path, capsys,
                                                         command):
         """A victim whose in_dim or out_dim is not the dataset's d or c ends the run
-        before any attack, and nothing is printed or written."""
+        before any attack, and nothing is printed or written: ``train`` writes no
+        victim that a report on its config would refuse."""
         victim = tmp_path / "victim.jsonl"
         config = self.config(tmp_path, dataset_path, victim)
         index = harness._cell_selection(harness.ExperimentConfig.from_json(str(config)),
@@ -357,7 +348,7 @@ class TestTrainAndAttack:
         for d, c in ((11, 6), (10, 7)):
             save_scorer(make_affine(d, c, seed=1), str(victim))
             message = f"error: victim has in_dim={d}, out_dim={c}, but the dataset has d=10, c=6\n"
-            assert run_command(command, config, index) == 1
+            assert run_command(command, config, index, out=tmp_path / "out.jsonl") == 1
             assert capsys.readouterr() == ("", message)
             assert sorted(p.name for p in tmp_path.iterdir()) == [
                 "config.json", "data.jsonl", "victim.jsonl"]
@@ -373,6 +364,39 @@ class TestTrainAndAttack:
         assert [record["method"] for record in records] == list(attack.METHODS)
 
 
+class TestRoundTrip:
+    """``gen-data`` and ``train`` write the dataset and the victim that a report on
+    their config attacks."""
+
+    def report(self, tmp_path, name, **fields):
+        """The CSV and outcome bytes of a report on ``fields``, its config ``name``."""
+        config = write_config(tmp_path / name, **fields)
+        assert run_cli(["report", "--config", str(config)]) == 0
+        return [Path(fields[key]).read_bytes() for key in ("out_csv", "out_outcomes")]
+
+    @pytest.mark.parametrize("victim", [
+        {"arch": "affine", "epochs": 20},
+        {"arch": "mlp", "hidden": 4, "activation": "relu", "epochs": 20},
+    ], ids=["affine", "mlp"])
+    def test_report_on_the_written_files_is_the_inline_report(self, tmp_path, capsys, victim):
+        # The victim block sets no seed: it fits at the config's seed 3.
+        inline = base_config(
+            tmp_path, seed=3, k_grid=[2], methods=list(attack.METHODS), max_instances=10,
+            dataset={"n": 120, "d": 8, "c": 6, "mean_relevant": 2.5, "seed": 5},
+            victim=victim, attack={"eta": 0.05, "alpha": 1e-4, "max_iter": 50})
+        expected = self.report(tmp_path, "inline.json", **inline)
+        data, scorer = tmp_path / "data.jsonl", tmp_path / "victim.jsonl"
+        assert run_command("gen-data", tmp_path / "inline.json", out=data) == 0
+        assert run_command("train", tmp_path / "inline.json", out=scorer) == 0
+        paths = {**inline, "dataset": {"path": str(data)}, "victim": {"path": str(scorer)}}
+        assert self.report(tmp_path, "paths.json", **paths) == expected
+        # From a config of path blocks, the two commands write the files again.
+        for command, written in (("gen-data", data), ("train", scorer)):
+            again = tmp_path / f"again-{written.name}"
+            assert run_command(command, tmp_path / "paths.json", out=again) == 0
+            assert again.read_bytes() == written.read_bytes()
+
+
 class TestEmptyFeatures:
     """A dataset line with no features is named at load, before any training."""
 
@@ -383,8 +407,9 @@ class TestEmptyFeatures:
         return path
 
     def test_train_exits_one(self, dataset_path, tmp_path, capsys):
-        assert run_cli(["train", "--dataset", str(dataset_path),
-                        "--out", str(tmp_path / "v.jsonl")]) == 1
+        config = write_config(tmp_path / "config.json", **base_config(
+            tmp_path, dataset={"path": str(dataset_path)}, victim={}))
+        assert run_command("train", config, out=tmp_path / "v.jsonl") == 1
         assert capsys.readouterr().err == (
             f"error: {dataset_path} line 2: x must be 1-D and non-empty\n")
         assert not (tmp_path / "v.jsonl").exists()
@@ -412,8 +437,9 @@ class TestEmptyLabels:
     def test_train_exits_one(self, tmp_path, capsys):
         path = tmp_path / "data.jsonl"
         path.write_text('{"x": [0.5], "y": []}\n{"x": [0.2], "y": []}\n')
-        assert run_cli(["train", "--dataset", str(path),
-                        "--out", str(tmp_path / "v.jsonl")]) == 1
+        config = write_config(tmp_path / "config.json", **base_config(
+            tmp_path, dataset={"path": str(path)}, victim={}))
+        assert run_command("train", config, out=tmp_path / "v.jsonl") == 1
         assert capsys.readouterr().err == f"error: {path} line 1: y must be non-empty\n"
         assert not (tmp_path / "v.jsonl").exists()
 
@@ -551,18 +577,16 @@ class TestMalformedScorer:
     def test_rejects_file_in_one_line(self, tmp_path, capsys, command, edit, message):
         dataset = tmp_path / "data.jsonl"
         victim = tmp_path / "victim.jsonl"
-        assert run_cli(["gen-data", "--n", "20", "--d", "4", "--c", "6",
-                        "--mean-relevant", "3.0", "--out", str(dataset)]) == 0
-        assert run_cli(["train", "--dataset", str(dataset), "--epochs", "1",
-                        "--out", str(victim)]) == 0
+        config = write_config(tmp_path / "config.json", **base_config(
+            tmp_path, dataset={"n": 20, "d": 4, "c": 6, "mean_relevant": 3.0},
+            victim={"epochs": 1}))
+        assert run_command("gen-data", config, out=dataset) == 0
+        assert run_command("train", config, out=victim) == 0
         lines = edit(victim.read_text().splitlines())
         victim.write_text("".join(line + "\n" for line in lines))
         capsys.readouterr()
-        config = write_config(
-            tmp_path / "config.json", dataset={"path": str(dataset)},
-            victim={"path": str(victim)}, k_grid=[1], scheme={"type": "random", "m": 1},
-            methods=["tkmia"], attack={"eta": 0.05}, out_csv=str(tmp_path / "report.csv"),
-            out_outcomes=str(tmp_path / "outcomes.jsonl"))
+        config = write_config(config, **base_config(
+            tmp_path, dataset={"path": str(dataset)}, victim={"path": str(victim)}))
         assert run_command(command, config, 0) == 1
         assert capsys.readouterr() == ("", f"error: {victim}: {message}\n")
         assert sorted(p.name for p in tmp_path.iterdir()) == [
@@ -740,16 +764,10 @@ class TestCheck:
         assert capsys.readouterr().err == ("error: objective-gradients: no point 10 from every "
                                            "hinge kink in 1000 draws at seed 3\n")
 
-    @pytest.mark.parametrize("command", [
-        ["gen-data", "--n", "10", "--d", "4", "--c", "5", "--mean-relevant", "2.0",
-         "--out", "x.jsonl"],
-        ["train", "--dataset", "missing.jsonl", "--out", "v.jsonl"],
-        ["check"],
-    ], ids=["gen-data", "train", "check"])
-    def test_negative_seed_names_the_flag(self, tmp_path, capsys, monkeypatch, command):
+    def test_negative_seed_names_the_flag(self, tmp_path, capsys, monkeypatch):
         monkeypatch.chdir(tmp_path)
-        assert run_cli(command + ["--seed", "-1"]) == 1
-        assert capsys.readouterr().err == "error: --seed must be non-negative, got -1\n"
+        assert run_cli(["check", "--seed", "-1"]) == 1
+        assert capsys.readouterr() == ("", "error: --seed must be non-negative, got -1\n")
         assert list(tmp_path.iterdir()) == []
 
 
@@ -764,10 +782,17 @@ class TestUsage:
             run_cli([])
         assert info.value.code == 2
 
-    def test_attack_help_lists_only_config_and_index(self, capsys):
+    def help_flags(self, command, capsys):
+        """The flags that ``command``'s help names."""
         with pytest.raises(SystemExit) as info:
-            run_cli(["attack", "--help"])
+            run_cli([command, "--help"])
         assert info.value.code == 0
-        flags = {word.strip("[],") for word in capsys.readouterr().out.split()
-                 if word.strip("[],").startswith("-")}
-        assert flags == {"-h", "--help", "--config", "--index"}
+        return {word.strip("[],") for word in capsys.readouterr().out.split()
+                if word.strip("[],").startswith("-")}
+
+    def test_attack_help_lists_only_config_and_index(self, capsys):
+        assert self.help_flags("attack", capsys) == {"-h", "--help", "--config", "--index"}
+
+    @EXPORTS
+    def test_export_help_lists_only_config_and_out(self, capsys, command):
+        assert self.help_flags(command, capsys) == {"-h", "--help", "--config", "--out"}

@@ -443,7 +443,7 @@ class TestRunExperiment:
                        f"but the dataset has d=12, c=8")
             with pytest.raises(ValueError, match=message):
                 run_experiment(config)
-        # The check runs in the outcome file's block, whose temp file goes with the error.
+        # The check runs in the set-up, before the outcome file's block opens a temp file.
         assert not (tmp_path / "report.csv").exists()
         assert not (tmp_path / "outcomes.jsonl").exists()
         assert list(tmp_path.glob("*.tmp")) == []
