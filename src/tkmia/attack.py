@@ -53,7 +53,7 @@ from typing import Literal, Sequence
 
 import numpy as np
 
-from .core import Dataset, Instance, _check_k, _integer, _rank, top_k_indices
+from .core import Dataset, Instance, _check_k, _integer, _l2_norm, _rank, top_k_indices
 from .model import Scorer
 
 __all__ = [
@@ -225,7 +225,7 @@ class AttackOutcome:
 
     @property
     def epsilon_norm(self) -> float:
-        return float(np.linalg.norm(self.epsilon))
+        return _l2_norm(self.epsilon)
 
     def to_record(self, **extra) -> dict:
         """Flat dict for line-delimited JSON serialization: RECORD_KEYS, then
@@ -276,6 +276,8 @@ def ineligible(instance: Instance, s_size: int, k: int, method: str,
 
     Every method needs |Yp| >= k + |S| and ``delta`` (the success threshold,
     None for all of S) at most |S|; ml_cw_u also needs an irrelevant label.
+    Of ``instance`` it reads only |Yp| and c, so its answer holds for every
+    instance of a dataset with the same |Yp| and |S|.
     """
     n_relevant = len(instance.relevant)
     if n_relevant < k + s_size:
@@ -763,7 +765,7 @@ def select_global(dataset: Sequence[Instance], categories) -> list[tuple[int, tu
     instance's relevant labels and the category list; instances with an
     empty intersection are not attackable and are dropped. Both are read off
     the label matrix's category columns; a category outside [0, c) matches
-    nothing.
+    nothing. Each distinct S is one tuple, shared by the pairs that have it.
     """
     cats = sorted(set(GlobalScheme(categories).categories))
     if not len(dataset):
@@ -772,8 +774,10 @@ def select_global(dataset: Sequence[Instance], categories) -> list[tuple[int, tu
     cats = [i for i in cats if 0 <= i < Y.shape[1]]
     hits = Y[:, cats] != 0
     rows = np.flatnonzero(hits.any(axis=1))
-    return [(idx, tuple(cat for cat, hit in zip(cats, row) if hit))
-            for idx, row in zip(rows.tolist(), hits[rows].tolist())]
+    # Each kept row's hits as bytes, one 0/1 byte per category: the key of its S.
+    keys = hits[rows].view(np.dtype((np.void, len(cats)))).ravel().tolist()
+    sets = {key: tuple(cat for cat, hit in zip(cats, key) if hit) for key in set(keys)}
+    return list(zip(rows.tolist(), map(sets.__getitem__, keys)))
 
 
 def select_random(instance: Instance, m: int, seed) -> tuple[int, ...]:

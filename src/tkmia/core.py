@@ -8,6 +8,7 @@ All functions here are pure and safe to call concurrently, apart from
 """
 from __future__ import annotations
 
+import math
 import os
 import tempfile
 from contextlib import contextmanager
@@ -183,6 +184,12 @@ def _rank(scores: np.ndarray) -> np.ndarray:
     index; unchecked, so callers pass checked scores or a scorer's output.
     The method call skips the Python wrapper of ``np.argsort``; same bytes."""
     return (-scores).argsort(axis=-1, kind="stable")
+
+
+def _l2_norm(v: np.ndarray) -> float:
+    """``float(np.linalg.norm(v))`` of a 1-D float64 array by linalg's own arithmetic,
+    ``v.dot(v)`` and then a correctly rounded square root, without its wrapper; same bytes."""
+    return math.sqrt(v.dot(v))
 
 
 def top_k_indices(scores, k: int) -> np.ndarray:

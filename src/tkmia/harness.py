@@ -479,18 +479,25 @@ def _resolve(config: ExperimentConfig) -> tuple[Dataset, Scorer]:
     return dataset, model
 
 
-def _cell_selection(config: ExperimentConfig, dataset, k: int):
+def _cell_selection(config: ExperimentConfig, dataset: Dataset, k: int):
     """The (index, S) pairs of one grid cell: the instances that :func:`ineligible`
-    accepts for every configured method, up to the cap, so that every method
-    attacks this one list. A random-scheme S is drawn from a seed of (seed, k,
-    m, index), so reruns and methods agree, and only for an admitted instance
-    before the cap."""
+    accepts for every configured method, in dataset order up to the cap, so that
+    every method attacks this one list. The rule reads only |Yp| and c of an
+    instance, so it runs once per distinct (|Yp|, |S|) pair of the cell, on the
+    first instance with that pair; |Yp| is a row sum of the label matrix. A
+    random-scheme S is drawn from a seed of (seed, k, m, index), so reruns and
+    methods agree, and only for an admitted instance before the cap."""
     deltas = [(method, config.attack_config(method, k).delta_threshold)
               for method in config.methods]
+    n_relevant = dataset.Y.sum(axis=1).tolist()
+    rules: dict[tuple[int, int], bool] = {}
 
     def admitted(idx: int, s_size: int) -> bool:
-        return not any(ineligible(dataset[idx], s_size, k, method, delta)
-                       for method, delta in deltas)
+        pair = (n_relevant[idx], s_size)
+        if pair not in rules:
+            rules[pair] = not any(ineligible(dataset[idx], s_size, k, method, delta)
+                                  for method, delta in deltas)
+        return rules[pair]
 
     if isinstance(config.scheme, GlobalScheme):
         pairs = ((idx, s) for idx, s in select_global(dataset, config.scheme.categories)
@@ -562,12 +569,15 @@ class OutcomeLines:
     ``epsilon_norm`` and ``clean`` and ``perturbed`` the instance's measure records, equals
     ``json.dumps(outcome.to_record(instance=instance, k=k, clean_metrics=...,
     perturbed_metrics=...)) + "\\n"`` byte for byte on what these write, and checks none
-    of it. Its outcomes have the attack loop's types and finite floats, whose text is
-    their repr: the loop keeps epsilon and the lambdas finite, and :func:`_evaluate_cell`
-    rejects non-finite scores before a cell's lines are written. A measure set (an int
-    ``tk_acc``, non-negative floats) takes one text per distinct set, the all-zero epsilon
-    one per report, and ``scores_after`` reuses the text of ``scores_before`` when their
-    bytes agree.
+    of it. Its outcomes have the attack loop's types, float64 arrays among them, and
+    finite floats, whose text is their repr: the loop keeps epsilon and the lambdas
+    finite, and :func:`_evaluate_cell` rejects non-finite scores before a cell's lines
+    are written. A measure set (an int ``tk_acc``, non-negative floats) takes one text
+    per distinct set and the all-zero epsilon one per writer. A ``scores_before`` takes
+    one text per distinct row of bytes, kept for the writer's life (one report or one
+    ``tkmia attack``) and reused across its cells and methods; rows that differ only in
+    a signed zero differ in bytes, so they never share text. ``scores_after`` reuses
+    the text of ``scores_before`` when their bytes agree.
     """
 
     # The line's keys, each with a %s for its value's text.
@@ -578,16 +588,20 @@ class OutcomeLines:
     def __init__(self, d: int):
         self._zero = bytes(8 * d), repr([0.0] * d)
         self._sets: dict[tuple, str] = {}
+        self._rows: dict[bytes, str] = {}
 
     def line(self, outcome, norm, instance, k, clean, perturbed) -> str:
         o, (zero_bytes, zero_text) = outcome, self._zero
         eps, before, after = o.epsilon, o.scores_before, o.scores_after
-        before_text = repr(before.tolist())
+        before_bytes = before.tobytes()
+        before_text = self._rows.get(before_bytes)
+        if before_text is None:
+            before_text = self._rows[before_bytes] = repr(before.tolist())
         return self._FORMAT % (
             encode_basestring_ascii(o.method), "true" if o.success else "false",
             o.iterations_used, list(o.specified), list(o.residual), o.lambda1, o.lambda2, norm,
             zero_text if eps.tobytes() == zero_bytes else repr(eps.tolist()), before_text,
-            before_text if after.tobytes() == before.tobytes() else repr(after.tolist()),
+            before_text if after.tobytes() == before_bytes else repr(after.tolist()),
             instance, k, self._text(clean), self._text(perturbed))
 
     def _text(self, record) -> str:

@@ -27,7 +27,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .core import _check_k, _rank, as_labels, as_scores, atomic_write
+from .core import _check_k, _l2_norm, _rank, as_labels, as_scores, atomic_write
 # Unused here; perfbench's tracer test looks top_k_indices up in this namespace.
 from .core import top_k_indices  # noqa: F401
 
@@ -172,9 +172,10 @@ def aper(perturbations: Iterable[np.ndarray]) -> float | None:
     """Mean L2 norm over successful-attack perturbations.
 
     Returns None when there are no successes, the explicit
-    undefined-metric marker.
+    undefined-metric marker. Each norm is ``np.linalg.norm``'s, by the
+    arithmetic of ``AttackOutcome.epsilon_norm``.
     """
-    norms = [float(np.linalg.norm(np.asarray(e, dtype=np.float64))) for e in perturbations]
+    norms = [_l2_norm(np.asarray(e, dtype=np.float64).ravel(order="K")) for e in perturbations]
     if not norms:
         return None
     return float(np.mean(norms))

@@ -17,6 +17,7 @@ from tkmia.attack import (
     GlobalScheme,
     RandomScheme,
     ineligible,
+    select_global,
     select_random,
 )
 from tkmia.core import Dataset, Instance
@@ -26,6 +27,7 @@ from tkmia.harness import (
     OutcomeLines,
     SyntheticSpec,
     VictimSpec,
+    _cell_selection,
     _sliding_extremes,
     _victim_spec,
     gen_synthetic,
@@ -627,6 +629,34 @@ class TestOutcomeLines:
                     assert (lines.line(outcome, norm, 7, 2, clean, pert)
                             == dumped(outcome, 7, 2, clean, pert))
 
+    @pytest.mark.bitwise
+    def test_clean_text_is_reused_across_cells(self):
+        # One writer, as a report keeps it, fed the lines of three cells in turn. A
+        # logit victim's clean rows: two that differ only in a signed zero, each
+        # met again as another array of the same bytes in every cell.
+        rows = [np.array([-0.0, 1.5, -2.25, 0.125]), np.array([0.0, 1.5, -2.25, 0.125]),
+                np.array([-3.0, -0.0, 0.0, 7.5e-300])]
+        cells = [(1, "tkmia"), (2, "ml_cw_u"), (2, "tkml_ap_u")]
+        record = MetricsRecord(2, 1, 0.5, 1.0, 1.0)
+        lines, seen = OutcomeLines(3), set()
+        for turn in range(4):
+            for i, row in enumerate(rows):
+                for k, method in cells:
+                    before = row.copy()
+                    after = [
+                        before,  # an attack that ends at iteration 0: the one array
+                        before + 1.0,
+                        before.copy(),  # equal bytes, another array
+                        rows[1 - i] if i < 2 else -before,  # its signed-zero twin, or -row
+                    ][turn]
+                    outcome = hand_outcome(method=method, scores_before=before,
+                                           scores_after=after, iterations_used=turn)
+                    assert (lines.line(outcome, outcome.epsilon_norm, i, k, record, record)
+                            == dumped(outcome, i, k, record, record))
+                    seen.add(before.tobytes())
+        # One kept text per distinct clean row of bytes, the signed-zero twins apart.
+        assert len(seen) == len(lines._rows) == len(rows)
+
 
 class TestCellSelection:
     """A report attacks, in every cell, the (instance, S) pairs of a brute-force
@@ -687,6 +717,56 @@ class TestCellSelection:
                 got = [(r["instance"], tuple(r["specified"])) for r in records
                        if (r["k"], r["method"]) == (k, method)]
                 assert got == want[:max_instances]
+
+    C = 6
+
+    @classmethod
+    def random_dataset(cls, seed, n=120):
+        """Labels of a random density per instance, six instances with all relevant."""
+        rng = np.random.default_rng(seed)
+        Y = rng.random((n, cls.C)) < rng.uniform(0.1, 0.9, size=(n, 1))
+        Y[rng.choice(n, 6, replace=False)] = True
+        return Dataset(rng.uniform(-1, 1, (n, 3)), Y.astype(int))
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_select_global_is_the_per_row_definition(self, seed):
+        data = self.random_dataset(seed)
+        for categories in [(0,), (4, 1, 1, 4), (0, 0, 2, 11, -1, 5), (7, -2), tuple(range(6))]:
+            got = select_global(data, categories)
+            assert got == [(i, s) for i, inst in enumerate(data)
+                           if (s := tuple(sorted(set(categories) & set(inst.relevant))))]
+            # Each distinct S is one tuple.
+            assert len({id(s) for _, s in got}) == len({s for _, s in got})
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("scheme", [GlobalScheme((0, 0, 2, 11, -1, 4)), GlobalScheme((3,)),
+                                        RandomScheme(1), RandomScheme(2)],
+                             ids=["global-many", "global-one", "random-1", "random-2"])
+    def test_selection_is_the_brute_force_on_random_datasets(self, tmp_path, seed, scheme):
+        # _cell_selection runs the rule once per (|Yp|, |S|) pair of a cell.
+        data = self.random_dataset(seed)
+        max_s = scheme.m if isinstance(scheme, RandomScheme) else len(set(scheme.categories))
+        capped = all_relevant = 0
+        for methods in [("tkmia",), ("tkmia", "ml_cw_u"), ("ml_cw_u", "tkml_ap_u")]:
+            for delta in (None, 1, 2)[:max_s + 1]:
+                for max_instances in (1000, 9):
+                    config = ExperimentConfig(
+                        seed=seed, dataset={"path": "data.jsonl"}, victim={"path": "v.jsonl"},
+                        k_grid=tuple(range(getattr(scheme, "m", 1), 4)), scheme=scheme,
+                        methods=methods, attack={"eta": 0.05, "delta_threshold": delta},
+                        out_csv=str(tmp_path / "r.csv"), out_outcomes=str(tmp_path / "o.jsonl"),
+                        max_instances=max_instances)
+                    for k in config.k_grid:
+                        want = self.brute_force(config, data, k)
+                        assert _cell_selection(config, data, k) == want[:max_instances]
+                        capped += len(want) > max_instances
+                        relevant = [len(data[i].relevant) for i, _ in want]
+                        # ml_cw_u refuses the all-relevant instances; the others admit some.
+                        if "ml_cw_u" in methods:
+                            assert max(relevant, default=0) < self.C
+                        else:
+                            all_relevant += self.C in relevant
+        assert capped and all_relevant
 
 
 def without(*path):

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tkmia.attack import AttackOutcome
 from tkmia.core import as_labels, as_scores
 from tkmia.metrics import (
     REPORT_COLUMNS,
@@ -435,6 +436,26 @@ class TestAper:
         vecs = [rng.normal(size=6) for _ in range(20)]
         expected = sum(np.sqrt((v ** 2).sum()) for v in vecs) / len(vecs)
         assert aper(vecs) == pytest.approx(expected, abs=1e-12)
+
+    @pytest.mark.bitwise
+    def test_norms_are_linalg_norms_bit_for_bit(self):
+        # aper and AttackOutcome.epsilon_norm share one norm, np.linalg.norm's
+        # arithmetic without its wrapper: the same bytes on every kind of vector.
+        rng = np.random.default_rng(3)
+        vectors = [np.zeros(5), -np.zeros(3), np.array([-0.0]), np.array([5e-324, -5e-324]),
+                   np.full(7, 2.5e-308), rng.normal(size=32), rng.normal(size=1000) * 1e-3,
+                   np.array([1e150, -3e150]), np.array([-1.3e154, 1.0])]
+        for v in vectors:
+            want = float(np.linalg.norm(v)).hex()
+            outcome = AttackOutcome("tkmia", v, 1, True, (0,), (), 0.0, 0.0, v, v)
+            assert outcome.epsilon_norm.hex() == want
+            assert aper([v]).hex() == want
+        # A perturbation of another shape or layout is flattened as linalg flattens it.
+        grid = rng.normal(size=(6, 5))
+        for v in (grid, grid.T, grid[:, 1], grid[::2, ::-1], grid.astype(np.float32)):
+            assert aper([v]).hex() == float(np.linalg.norm(np.asarray(v, np.float64))).hex()
+        assert aper(vectors).hex() == float(
+            np.mean([np.linalg.norm(v) for v in vectors])).hex()
 
 
 def record(k=2, acc=1, p=1.0, ap=1.0, ndcg=1.0):
