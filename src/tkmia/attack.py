@@ -49,7 +49,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Literal, Sequence
+from typing import Callable, Literal, Sequence
 
 import numpy as np
 
@@ -790,7 +790,28 @@ def select_random(instance: Instance, m: int, seed) -> tuple[int, ...]:
     return tuple(sorted(relevant[i] for i in picked))
 
 
+def _admission(dataset: Dataset, k: int, deltas) -> Callable[[int, int], bool]:
+    """``admitted(i, s_size)``: whether :func:`ineligible` accepts row i of ``dataset``
+    at k with |S| = ``s_size`` for every (method, delta) pair of ``deltas``. The rule
+    reads only |Yp| and c of an instance, so it runs once per distinct (|Yp|, |S|)
+    pair, on the first row asked about with that pair; |Yp| is a row sum of ``Y``."""
+    n_relevant = dataset.Y.sum(axis=1).tolist()
+    rules: dict[tuple[int, int], bool] = {}
+
+    def admitted(i: int, s_size: int) -> bool:
+        pair = (n_relevant[i], s_size)
+        if pair not in rules:
+            rules[pair] = not any(ineligible(dataset[i], s_size, k, method, delta)
+                                  for method, delta in deltas)
+        return rules[pair]
+
+    return admitted
+
+
 def filter_instances(dataset: Sequence[Instance], k: int, s_size: int) -> list[int]:
     """Indices of instances with at least k + s_size relevant labels: those that
-    :func:`ineligible` accepts for tkmia with no success threshold."""
-    return [i for i, inst in enumerate(dataset) if not ineligible(inst, s_size, k, "tkmia", None)]
+    :func:`ineligible` accepts for tkmia with no success threshold, by :func:`_admission`."""
+    if not len(dataset):
+        return []
+    admitted = _admission(Dataset.of(dataset), k, [("tkmia", None)])
+    return [i for i in range(len(dataset)) if admitted(i, s_size)]

@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 import os
 import tempfile
+from collections.abc import Sequence
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
@@ -143,15 +144,25 @@ class Instance:
         return tuple((self.y == 0).nonzero()[0].tolist())
 
 
-class Dataset(tuple):
+class Dataset(Sequence):
     """The instances of the rows of ``X`` (n, d) and ``Y`` (n, c), checked once by
-    :class:`Instance`'s rule: item i views row i of float64 ``X`` and read-only int64 ``Y``."""
+    :class:`Instance`'s rule: item i views row i of float64 ``X`` and read-only int64 ``Y``.
+
+    A read-only sequence that builds row i's instance on first access and keeps it,
+    so ``data[i] is data[i]``, also when threads first access a row at once; building
+    a dataset builds no instance. A slice is a tuple of the row instances. ``in``,
+    :meth:`index` and :meth:`count` find an instance by identity, as instances compare,
+    among the rows built so far: any other instance is not a row. Equal and hashed
+    by identity.
+    """
+
+    __slots__ = ("X", "Y", "_views")
 
     def __new__(cls, X, Y):
         X, Y = _rows(X, Y)
-        self = super().__new__(cls, map(cls._view, X, Y))
-        object.__setattr__(self, "X", X)
-        object.__setattr__(self, "Y", Y)
+        self = super().__new__(cls)
+        for name, value in (("X", X), ("Y", Y), ("_views", {})):
+            object.__setattr__(self, name, value)
         return self
 
     def __setattr__(self, name, *value):  # every instance views X and Y, so neither moves
@@ -160,6 +171,43 @@ class Dataset(tuple):
 
     def __reduce__(self):  # copies and pickles are rebuilt from the two arrays
         return type(self), (self.X, self.Y)
+
+    def __len__(self) -> int:
+        return len(self.Y)
+
+    def __getitem__(self, index):
+        # A built row is one lookup (a report reads one per attack); the keys are
+        # the rows' non-negative int positions.
+        if type(index) is int and (view := self._views.get(index)) is not None:
+            return view
+        if isinstance(index, slice):
+            return tuple(map(self.__getitem__, range(len(self.Y))[index]))
+        try:
+            i = range(len(self.Y))[index]
+        except IndexError:
+            raise IndexError("Dataset index out of range") from None
+        view = self._views.get(i)
+        if view is None:
+            # setdefault keeps the first instance stored, so racing threads share it.
+            view = self._views.setdefault(i, self._view(self.X[i], self.Y[i]))
+        return view
+
+    def _find(self, value) -> int | None:
+        """The row whose instance is ``value``, or None; it searches a copy of the rows
+        built so far, which other threads may add to meanwhile."""
+        return next((i for i, view in list(self._views.items()) if view is value), None)
+
+    def __contains__(self, value) -> bool:
+        return self._find(value) is not None
+
+    def index(self, value, start: int = 0, stop: int | None = None) -> int:
+        i = self._find(value)
+        if i is None or i not in range(len(self))[start:stop]:
+            raise ValueError("instance is not in the dataset")
+        return i
+
+    def count(self, value) -> int:
+        return int(value in self)
 
     @staticmethod
     def _view(x, y) -> Instance:

@@ -29,7 +29,7 @@ from .attack import (
     BaselineSpec,
     GlobalScheme,
     RandomScheme,
-    ineligible,
+    _admission,
     run_baseline,
     select_global,
     select_random,
@@ -196,10 +196,13 @@ def _sliding_extremes(z: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray
 
 
 def save_dataset(instances: Sequence[Instance], path: str) -> None:
-    """One instance per line: {"x": [...], "y": [...]}."""
+    """One instance per line: {"x": [...], "y": [...]}, written from the rows of
+    :meth:`Dataset.of`'s arrays, so a dataset builds no instance; an empty one is an
+    error, as :func:`load_dataset` rejects an empty file."""
+    data = Dataset.of(instances)
     with atomic_write(path) as handle:
-        for inst in instances:
-            handle.write(json.dumps({"x": inst.x.tolist(), "y": inst.y.tolist()}) + "\n")
+        for x, y in zip(data.X, data.Y):
+            handle.write(json.dumps({"x": x.tolist(), "y": y.tolist()}) + "\n")
 
 
 def load_dataset(path: str) -> Dataset:
@@ -482,23 +485,12 @@ def _resolve(config: ExperimentConfig) -> tuple[Dataset, Scorer]:
 def _cell_selection(config: ExperimentConfig, dataset: Dataset, k: int):
     """The (index, S) pairs of one grid cell: the instances that :func:`ineligible`
     accepts for every configured method, in dataset order up to the cap, so that
-    every method attacks this one list. The rule reads only |Yp| and c of an
-    instance, so it runs once per distinct (|Yp|, |S|) pair of the cell, on the
-    first instance with that pair; |Yp| is a row sum of the label matrix. A
-    random-scheme S is drawn from a seed of (seed, k, m, index), so reruns and
-    methods agree, and only for an admitted instance before the cap."""
-    deltas = [(method, config.attack_config(method, k).delta_threshold)
-              for method in config.methods]
-    n_relevant = dataset.Y.sum(axis=1).tolist()
-    rules: dict[tuple[int, int], bool] = {}
-
-    def admitted(idx: int, s_size: int) -> bool:
-        pair = (n_relevant[idx], s_size)
-        if pair not in rules:
-            rules[pair] = not any(ineligible(dataset[idx], s_size, k, method, delta)
-                                  for method, delta in deltas)
-        return rules[pair]
-
+    every method attacks this one list; :func:`~tkmia.attack._admission` runs the
+    rule once per distinct (|Yp|, |S|) pair of the cell. A random-scheme S is drawn
+    from a seed of (seed, k, m, index), so reruns and methods agree, and only for
+    an admitted instance before the cap."""
+    admitted = _admission(dataset, k, [(method, config.attack_config(method, k).delta_threshold)
+                                       for method in config.methods])
     if isinstance(config.scheme, GlobalScheme):
         pairs = ((idx, s) for idx, s in select_global(dataset, config.scheme.categories)
                  if admitted(idx, len(s)))

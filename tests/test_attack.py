@@ -1084,6 +1084,22 @@ class TestFilterInstances:
         expected = [i for i, inst in enumerate(data) if inst.y.sum() >= 4]
         assert got == expected
 
+    def test_rule_runs_once_per_relevant_count(self, monkeypatch):
+        data = gen_synthetic(SyntheticSpec(n=300, d=3, c=8, mean_relevant=3.0, seed=4))
+        instances = [Instance(inst.x, inst.y) for inst in data]
+        counts = set(data.Y.sum(axis=1).tolist())
+        calls = []
+        monkeypatch.setattr("tkmia.attack.ineligible",
+                            lambda *args: calls.append(args) or ineligible(*args))
+        for k, s_size in ((1, 1), (2, 2), (3, 1), (5, 3), (8, 1)):
+            for dataset in (data, instances):
+                calls.clear()
+                got = filter_instances(dataset, k=k, s_size=s_size)
+                assert got == [i for i, inst in enumerate(dataset)
+                               if not ineligible(inst, s_size, k, "tkmia", None)]
+                assert len(calls) == len(counts)
+        assert filter_instances([], k=1, s_size=1) == []
+
 
 FILTER = "instance filter violated: |Yp|=2 < k+|S|=3"
 FILTER_4 = "instance filter violated: |Yp|=3 < k+|S|=4"

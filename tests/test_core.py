@@ -1,6 +1,10 @@
+import collections.abc
 import copy
 import dataclasses
 import pickle
+import sys
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -342,7 +346,8 @@ class TestInstance:
             assert inst.relevant == one.relevant
         # The labels are a read-only copy: the caller's arrays stay writable.
         assert y.flags.writeable and x.flags.writeable
-        assert Dataset(np.empty((0, 4)), np.empty((0, 3))) == ()
+        empty = Dataset(np.empty((0, 4)), np.empty((0, 3)))
+        assert len(empty) == 0 and tuple(empty) == ()
         with pytest.raises(ValueError, match="^6 feature rows but 5 label rows$"):
             Dataset(x, y[:5])
 
@@ -352,7 +357,7 @@ class TestDataset:
         rng = np.random.default_rng(10)
         x = rng.uniform(-1.0, 1.0, (5, 4))
         data = Dataset(x, (rng.uniform(size=(5, 3)) < 0.5).astype(np.int8))
-        assert type(data) is Dataset and isinstance(data, tuple)
+        assert type(data) is Dataset and isinstance(data, collections.abc.Sequence)
         assert data.X is x and data.Y.dtype == np.int64 and not data.Y.flags.writeable
         for i, inst in enumerate(data):
             assert inst.x.base is data.X and inst.y.base is data.Y
@@ -380,6 +385,121 @@ class TestDataset:
             assert other.X.tobytes() == data.X.tobytes() and other.Y.tobytes() == data.Y.tobytes()
             assert np.shares_memory(other[2].x, other.X) and np.shares_memory(other[2].y, other.Y)
             assert other[2].relevant == (0, 1)
+
+    def test_copies_and_pickles_build_their_own_rows_on_access(self):
+        rng = np.random.default_rng(13)
+        data = Dataset(rng.uniform(-1.0, 1.0, (4, 3)), [[1, 0], [0, 1], [1, 1], [0, 1]])
+        rows = list(data)
+        for other in (copy.copy(data), copy.deepcopy(data), pickle.loads(pickle.dumps(data))):
+            assert not other._views  # nothing is built until a row is read
+            for i, inst in enumerate(other):
+                assert inst is not rows[i] and inst is other[i]
+                assert np.shares_memory(inst.x, other.X) and np.shares_memory(inst.y, other.Y)
+                assert rows[i] not in other and inst not in data
+
+    def test_building_allocates_no_row_objects(self, monkeypatch):
+        rng = np.random.default_rng(14)
+        X = rng.uniform(-1.0, 1.0, (10_000, 32))
+        Y = (rng.uniform(size=(10_000, 10)) < 0.3).astype(np.int64)
+        built = []
+        view = Dataset._view
+        monkeypatch.setattr(Dataset, "_view",
+                            staticmethod(lambda x, y: built.append(1) or view(x, y)))
+        tracemalloc.start()
+        try:
+            data = Dataset(X, Y)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # The read-only int64 copy of Y is 0.8 MB; a view per row was 3.2 MB more.
+        assert peak < 1.5e6 and built == []
+        assert data[9_999] is data[-1] and data[-1] is data[9_999] and len(built) == 1
+
+    def test_index_out_of_range_raises_index_error(self):
+        data = Dataset(np.zeros((3, 2)), [[1, 0], [0, 1], [1, 1]])
+        for index in (3, -4, np.int64(3), 10**20):
+            with pytest.raises(IndexError, match="^Dataset index out of range$"):
+                data[index]
+        assert data[np.int64(-3)] is data[0] and data[True] is data[1]
+        with pytest.raises(TypeError):
+            data["0"]
+
+    def test_slices_and_iteration_give_the_indexed_row_objects(self):
+        data = Dataset(np.arange(12.0).reshape(6, 2), np.eye(6, 3, dtype=int))
+        for window in (slice(1, 4), slice(None, None, -2), slice(-2, None), slice(5, 1),
+                       slice(0, 99)):
+            got = data[window]
+            assert type(got) is tuple
+            assert [id(inst) for inst in got] == [id(data[i]) for i in range(6)[window]]
+        assert [id(inst) for inst in data] == [id(data[i]) for i in range(6)]
+        assert [id(inst) for inst in reversed(data)] == [id(data[i]) for i in range(5, -1, -1)]
+
+    def test_membership_index_and_count_go_by_identity(self):
+        data = Dataset(np.zeros((5, 2)), np.ones((5, 2), dtype=int))
+        inst = data[3]
+        assert inst in data and data.index(inst) == 3 and data.count(inst) == 1
+        assert data.index(inst, 2) == 3 and data.index(inst, -2, 4) == 3
+        for start, stop in ((4, None), (0, 3), (-1, None)):
+            with pytest.raises(ValueError, match="^instance is not in the dataset$"):
+                data.index(inst, start, stop)
+        twin = Instance(inst.x, inst.y)
+        assert twin not in data and data.count(twin) == 0 and 3 not in data
+        with pytest.raises(ValueError, match="^instance is not in the dataset$"):
+            data.index(twin)
+        # Equal and hashed by identity, as a tuple of the same rows is not.
+        other = Dataset(data.X, data.Y)
+        assert data != other and data == data and hash(data) != hash(other)
+        with pytest.raises(TypeError):
+            data + data
+
+    def test_threads_reading_a_new_row_at_once_get_one_object(self, monkeypatch):
+        data = Dataset(np.zeros((4, 2)), np.ones((4, 2), dtype=int))
+        # Both threads build a view before either stores one; one of them must win.
+        barrier = threading.Barrier(2, timeout=5)
+        view = Dataset._view
+
+        def slow_view(x, y):
+            try:
+                barrier.wait()
+            except threading.BrokenBarrierError:  # a design that builds once under a lock
+                pass
+            return view(x, y)
+
+        monkeypatch.setattr(Dataset, "_view", staticmethod(slow_view))
+        got = [None, None]
+
+        def read(slot):
+            got[slot] = data[2]
+
+        threads = [threading.Thread(target=read, args=(slot,)) for slot in (0, 1)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=10)
+            assert not thread.is_alive()
+        assert got[0] is got[1] is data[2]
+
+    def test_many_threads_share_each_row_object(self):
+        data = Dataset(np.zeros((300, 2)), np.ones((300, 2), dtype=int))
+        seen = [None] * 8
+
+        def read(slot):
+            seen[slot] = [id(inst) for inst in data] + [id(data[i]) for i in range(299, -1, -1)]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=read, args=(slot,)) for slot in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        rows = [id(data[i]) for i in range(300)]
+        assert all(ids == rows + rows[::-1] for ids in seen)
+        assert len(data._views) == 300
 
     def test_arrays_cannot_be_rebound_or_deleted(self):
         # Every instance views X and Y, so a rebound array would leave them stale.

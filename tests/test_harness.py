@@ -243,6 +243,25 @@ class TestDatasetIO:
         assert loaded.X.tobytes() == data.X.tobytes() and loaded.X.shape == data.X.shape
         assert loaded.Y.tobytes() == data.Y.tobytes() and loaded.Y.dtype == np.int64
 
+    def test_lines_are_the_per_instance_json_lines(self, tmp_path):
+        path = tmp_path / "data.jsonl"
+        data = gen_synthetic(SyntheticSpec(n=40, d=5, c=4, mean_relevant=1.5, seed=3))
+        save_dataset(data, str(path))
+        assert not data._views  # written from the arrays: no instance was built
+        odd = [Instance(x=[-0.0, 5e-324, 1e308, 0.1, 1 / 3], y=[1, 0, 0, 1]),
+               Instance(x=np.float32([0.1, -2.5, 7.0, 1e-40, 3.0]), y=np.int8([0, 1, 1, 0]))]
+        for instances in (data, list(data) + odd, odd):
+            save_dataset(instances, str(path))
+            assert path.read_text() == "".join(
+                json.dumps({"x": inst.x.tolist(), "y": inst.y.tolist()}) + "\n"
+                for inst in instances)
+
+    def test_empty_dataset_not_written(self, tmp_path):
+        path = tmp_path / "data.jsonl"
+        with pytest.raises(ValueError, match="^empty dataset$"):
+            save_dataset([], str(path))
+        assert list(tmp_path.iterdir()) == []
+
     def test_empty_file_rejected(self, tmp_path):
         path = tmp_path / "empty.jsonl"
         path.write_text("")
