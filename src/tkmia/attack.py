@@ -53,7 +53,8 @@ from typing import Callable, Literal, Sequence
 
 import numpy as np
 
-from .core import Dataset, Instance, _check_k, _integer, _l2_norm, _rank, top_k_indices
+from .core import (Dataset, Instance, _check_k, _finite, _integer, _l2_norm, _rank,
+                   top_k_indices)
 from .model import Scorer
 
 __all__ = [
@@ -142,11 +143,11 @@ class AttackConfig:
         if self.delta_threshold is not None:
             object.__setattr__(self, "delta_threshold", _integer(
                 self.delta_threshold, "delta threshold must be an integer, got"))
-        # json.load reads NaN and Infinity, which pass the range tests below.
+        # json.load reads NaN and Infinity, which pass the range tests below, and
+        # integers beyond the float range.
         for name, value in (("eta", self.eta), ("alpha", self.alpha),
                             ("clip domain", self.clip_domain)):
-            if not np.isfinite(value).all():
-                raise ValueError(f"{name} must be finite, got {value!r}")
+            _finite(value, f"{name} must be finite, got")
         if self.k < 1:
             raise ValueError("k must be positive")
         if self.eta <= 0:
@@ -171,8 +172,8 @@ class AttackConfig:
     def coefs(self) -> tuple[np.ndarray, ...]:
         """alpha, momentum, eta and the clip bounds as 0-d arrays, :func:`_advance`'s
         ``coefs``: built once per config, not once per attack."""
-        return tuple(np.array(c) for c in (self.alpha, self.momentum, self.eta,
-                                           *self.clip_domain))
+        return tuple(np.array(c, dtype=np.float64) for c in (self.alpha, self.momentum,
+                                                             self.eta, *self.clip_domain))
 
 
 @dataclass(frozen=True)

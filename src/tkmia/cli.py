@@ -23,13 +23,10 @@ from .checks import run_all_checks
 from .core import _seed
 from .harness import (
     ExperimentConfig,
-    OutcomeLines,
-    _attack_cell,
-    _cell_selection,
     _check_output_directory,
-    _open_cell,
     _resolve,
     _resolve_dataset,
+    _run_cells,
     run_experiment,
     save_dataset,
 )
@@ -89,17 +86,9 @@ _QUIET = np.errstate(over="ignore", invalid="ignore")
 @_QUIET
 def _cmd_attack(args) -> int:
     config = ExperimentConfig.from_json(args.config)
-    dataset, victim = _resolve(config)
     # The report's cells cut to the instance: their errors and lines are the report's.
-    lines, text = OutcomeLines(dataset.X.shape[1]), []
-    for k in config.k_grid:
-        pairs = [pair for pair in _cell_selection(config, dataset, k) if pair[0] == args.index]
-        clean_scores, clean = _open_cell(victim, dataset, pairs, k)
-        for method in config.methods:
-            outcomes, perturbed = _attack_cell(victim, dataset, pairs, clean_scores, method,
-                                               config.attack_config(method, k))
-            text += [lines.line(o, o.epsilon_norm, args.index, k, cl, pt)
-                     for o, cl, pt in zip(outcomes, clean, perturbed)]
+    text = []
+    _run_cells(config, *_resolve(config), text.append, index=args.index)
     if not text:
         raise ValueError(f"--index: instance {args.index} is in no cell of the report")
     sys.stdout.write("".join(text))

@@ -79,6 +79,18 @@ def _seed(value, name: str = "seed") -> int:
     return seed
 
 
+def _finite(value, message: str) -> None:
+    """The one finiteness rule for a number or a sequence of numbers, each checked as
+    the float it denotes: else ValueError(``message`` followed by the value's repr).
+    A Python integer beyond the float range, which numpy cannot convert, is not finite."""
+    try:
+        finite = np.isfinite(np.asarray(value, dtype=np.float64)).all()
+    except OverflowError:
+        finite = False
+    if not finite:
+        raise ValueError(f"{message} {value!r}")
+
+
 def _check_k(k: int, c: int) -> int:
     k = _integer(k, "k must be an integer, got")
     if not 1 <= k <= c:

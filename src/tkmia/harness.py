@@ -36,7 +36,8 @@ from .attack import (
     tkmia_attack,
 )
 from .core import Dataset, Instance, _integer, _seed, atomic_write
-from .metrics import MEASURES, REPORT_COLUMNS, delta_report, evaluate_rows, write_report_csv
+from .metrics import (MEASURES, REPORT_COLUMNS, AggregateReport, _aggregate, evaluate_rows,
+                      write_report_csv)
 # Unused here; perfbench's tracer test looks evaluate_instance up in this namespace.
 from .metrics import evaluate_instance  # noqa: F401
 from .model import ACTIVATIONS, Scorer, TrainConfig, load_scorer, make_mlp, train_bce
@@ -66,6 +67,9 @@ FEATURE_NOISE = 0.28
 # holds all of its draws at once.
 _BLOCK = 128
 _WINDOW = 2048
+# The (index, S) pairs of a report cell attacked, evaluated and written per pass, so
+# that a report holds one block of attack outcomes at a time.
+_CELL_BLOCK = 256
 # A spec whose label draws have both kinds of label with a lower probability is
 # rejected: the generator would draw each instance's labels 1 / probability times.
 MIN_KEPT_PROBABILITY = 1e-6
@@ -209,9 +213,10 @@ def load_dataset(path: str) -> Dataset:
     """Read :func:`save_dataset`'s format, skipping blank lines.
 
     Every instance must have the first one's ``len(x)`` and ``len(y)``.
-    Errors name the 1-based line number of the offending line.
+    The lines' ``x`` and ``y`` are checked once, as one block by :class:`Dataset`;
+    errors name the 1-based line number of the first offending line.
     """
-    instances = []
+    numbers, xs, ys = [], [], []
     with open(path) as handle:
         for number, line in enumerate(handle, start=1):
             if not line.strip():
@@ -220,19 +225,38 @@ def load_dataset(path: str) -> Dataset:
                 record = json.loads(line)
                 if not isinstance(record, dict) or not {"x", "y"} <= record.keys():
                     raise ValueError('expected an object with "x" and "y"')
-                inst = Instance(x=record["x"], y=record["y"])
-            except (ValueError, TypeError) as exc:
+            except ValueError as exc:
+                _first_bad_line(path, numbers, xs, ys)
                 raise ValueError(f"{path} line {number}: {exc}") from None
-            if instances and (len(inst.x), len(inst.y)) != (len(instances[0].x),
-                                                             len(instances[0].y)):
-                raise ValueError(
-                    f"{path} line {number}: len(x)={len(inst.x)}, len(y)={len(inst.y)}, "
-                    f"but the first instance has {len(instances[0].x)}, {len(instances[0].y)}"
-                )
-            instances.append(inst)
-    if not instances:
+            numbers.append(number)
+            xs.append(record["x"])
+            ys.append(record["y"])
+    if not xs:
         raise ValueError(f"dataset file {path} is empty")
-    return Dataset.of(instances)
+    try:
+        return Dataset(xs, ys)
+    except (ValueError, TypeError):
+        _first_bad_line(path, numbers, xs, ys)
+        raise
+
+
+def _first_bad_line(path: str, numbers, xs, ys) -> None:
+    """Raise the error of the first of the lines ``numbers`` of ``path``, with their
+    ``xs`` and ``ys``, whose instance fails :class:`Instance`'s rule or has other
+    lengths than the first line's; return if there is none."""
+    first = None
+    for number, x, y in zip(numbers, xs, ys):
+        try:
+            inst = Instance(x=x, y=y)
+        except (ValueError, TypeError) as exc:
+            raise ValueError(f"{path} line {number}: {exc}") from None
+        if first is None:
+            first = inst
+        if (len(inst.x), len(inst.y)) != (len(first.x), len(first.y)):
+            raise ValueError(
+                f"{path} line {number}: len(x)={len(inst.x)}, len(y)={len(inst.y)}, "
+                f"but the first instance has {len(first.x)}, {len(first.y)}"
+            )
 
 
 @dataclass
@@ -522,8 +546,8 @@ def _evaluate_cell(scores, labels, k: int, chosen, name: str):
 
 
 def _open_cell(model: Scorer, dataset: Dataset, pairs, k: int):
-    """The clean side of a k cell of (index, S) ``pairs``, which reports and ``tkmia attack``
-    both open: the chosen rows' clean scores and their measure records. A non-finite row
+    """The clean side of a k cell of (index, S) ``pairs``, opened once for all its methods:
+    the chosen rows' clean scores and their measure records. A non-finite row
     names the cell's ``clean scores (k=K)`` prefix and the instance's dataset index."""
     chosen = [idx for idx, _ in pairs]
     # Each attack's iteration 0 reads its row: the scores at x + 0.0, as it scores them.
@@ -533,11 +557,12 @@ def _open_cell(model: Scorer, dataset: Dataset, pairs, k: int):
 
 def _attack_cell(model: Scorer, dataset: Dataset, pairs, clean_scores, method: str,
                  cfg: AttackConfig):
-    """Attack each (index, S) of ``pairs`` by ``method`` from its row of ``clean_scores``,
-    with one :func:`tkmia_attack` or :func:`run_baseline` call each: the one attack path of
-    reports and ``tkmia attack``. Returns the outcomes and their perturbed measure records.
-    An attack's error, or a non-finite perturbed row, names the cell and the instance's
-    dataset index."""
+    """Attack each (index, S) of ``pairs``, a block of a cell, by ``method`` from its row of
+    ``clean_scores``, with one :func:`tkmia_attack` or :func:`run_baseline` call each: the
+    one attack path of :func:`_run_cell`. Returns the outcomes and their perturbed measure
+    records. An attack's error, or a non-finite perturbed row, names the cell and the
+    instance's dataset index; the block is attacked before its rows are evaluated, so an
+    attack's error comes first."""
     name, chosen = f"attack ({method}, k={cfg.k})", [idx for idx, _ in pairs]
     baseline = None if method == "tkmia" else BaselineSpec(method, cfg)
     outcomes = []
@@ -554,8 +579,8 @@ def _attack_cell(model: Scorer, dataset: Dataset, pairs, clean_scores, method: s
 
 class OutcomeLines:
     """The one writer of outcome lines, for a dataset of d features: each line of a
-    report's outcome file, written by :func:`run_experiment`, and the lines of one
-    instance that ``tkmia attack`` prints, from the same cell functions.
+    report's outcome file and the lines of one instance that ``tkmia attack`` prints,
+    which :func:`_run_cells` writes a block of a cell at a time.
 
     ``line(outcome, norm, instance, k, clean, perturbed)``, with ``norm`` the outcome's
     ``epsilon_norm`` and ``clean`` and ``perturbed`` the instance's measure records, equals
@@ -563,7 +588,7 @@ class OutcomeLines:
     perturbed_metrics=...)) + "\\n"`` byte for byte on what these write, and checks none
     of it. Its outcomes have the attack loop's types, float64 arrays among them, and
     finite floats, whose text is their repr: the loop keeps epsilon and the lambdas
-    finite, and :func:`_evaluate_cell` rejects non-finite scores before a cell's lines
+    finite, and :func:`_evaluate_cell` rejects non-finite scores before a block's lines
     are written. A measure set (an int ``tk_acc``, non-negative floats) takes one text
     per distinct set and the all-zero epsilon one per writer. A ``scores_before`` takes
     one text per distinct row of bytes, kept for the writer's life (one report or one
@@ -604,41 +629,70 @@ class OutcomeLines:
         return self._sets[values]
 
 
+def _run_cell(model: Scorer, dataset: Dataset, pairs, clean_scores, clean, method: str,
+              cfg: AttackConfig, lines: OutcomeLines, write) -> AggregateReport | None:
+    """Attack, evaluate and write the (k, method) cell of (index, S) ``pairs``, whose
+    clean side :func:`_open_cell` gives, ``_CELL_BLOCK`` pairs at a time: each block
+    goes through :func:`_attack_cell`, ``write`` takes its outcome lines, and its
+    outcomes are freed before the next block is attacked. Only the per-row values of
+    the cell's report row are kept. Returns that row's :class:`AggregateReport`, None
+    for no pairs."""
+    perturbed, expelled, success, norms = [], [], [], []
+    for start in range(0, len(pairs), _CELL_BLOCK):
+        block = slice(start, start + _CELL_BLOCK)
+        outcomes, after = _attack_cell(model, dataset, pairs[block], clean_scores[block],
+                                       method, cfg)
+        for outcome, (idx, _), cl, pt in zip(outcomes, pairs[block], clean[block], after):
+            # One norm per outcome: the line's epsilon_norm and the row's APer.
+            norm = outcome.epsilon_norm
+            write(lines.line(outcome, norm, idx, cfg.k, cl, pt))
+            expelled.append(len(outcome.specified) - len(outcome.residual))
+            success.append(outcome.success)
+            norms.append(norm)
+        perturbed += after
+        # Written: freed now, not while the next block's attacks run.
+        del outcomes, outcome
+    return _aggregate(clean, perturbed, expelled, success, norms) if pairs else None
+
+
+def _run_cells(config: ExperimentConfig, dataset: Dataset, model: Scorer, write,
+               index: int | None = None) -> list[dict]:
+    """Run every (k, method) cell of the config's grid in order through :func:`_run_cell`,
+    with one :class:`OutcomeLines`: the one cell runner of reports and ``tkmia attack``.
+    ``write`` takes each outcome line; returns the report rows. With ``index``, every cell
+    is cut to that dataset instance, so its errors and lines are the report's."""
+    rows, lines = [], OutcomeLines(dataset.X.shape[1])
+    for k in config.k_grid:
+        pairs = _cell_selection(config, dataset, k)
+        if index is not None:
+            pairs = [pair for pair in pairs if pair[0] == index]
+        clean_scores, clean = _open_cell(model, dataset, pairs, k)
+        cell = {"k": k, "s_size": _scheme_s_size(config.scheme, pairs), "n": len(pairs)}
+        for method in config.methods:
+            report = _run_cell(model, dataset, pairs, clean_scores, clean, method,
+                               config.attack_config(method, k), lines, write)
+            row = {**cell, "method": method}
+            rows.append({col: row.get(col, getattr(report, col, None)) for col in REPORT_COLUMNS})
+    return rows
+
+
 def run_experiment(config: ExperimentConfig):
     """Run the full grid and write the CSV report plus outcome records.
 
     Returns the report rows. A cell that the selection empties gives rows
     with ``n = 0`` and no measures. A failed attack, or a non-finite row of
     clean or perturbed scores, names its cell and the instance's dataset
-    index. Outcome records stream to a temp file as each cell is measured;
-    after the last cell it replaces ``out_outcomes`` and the CSV is written,
-    so a failing run leaves no partial outputs.
+    index. Each cell is attacked, evaluated and written in blocks of
+    ``_CELL_BLOCK`` instances, so the first error in block order is the one
+    reported. Outcome records stream to a temp file block by block; after
+    the last cell it replaces ``out_outcomes`` and the CSV is written, so a
+    failing run leaves no partial outputs.
     """
     for key in ("out_csv", "out_outcomes"):
         _check_output_directory(key, getattr(config, key))
     dataset, model = _resolve(config)
-
-    rows, lines = [], OutcomeLines(dataset.X.shape[1])
     with atomic_write(config.out_outcomes) as outcome_file:
-        for k in config.k_grid:
-            pairs = _cell_selection(config, dataset, k)
-            clean_scores, clean = _open_cell(model, dataset, pairs, k)
-            cell = {"k": k, "s_size": _scheme_s_size(config.scheme, pairs), "n": len(pairs)}
-            for method in config.methods:
-                outcomes, perturbed = _attack_cell(model, dataset, pairs, clean_scores, method,
-                                                   config.attack_config(method, k))
-                # One norm per outcome: the record's epsilon_norm and the row's APer.
-                norms = [o.epsilon_norm for o in outcomes]
-                report = delta_report(clean, perturbed, outcomes, norms) if pairs else None
-                row = {**cell, "method": method}
-                rows.append({col: row.get(col, getattr(report, col, None))
-                             for col in REPORT_COLUMNS})
-                for outcome, norm, (idx, _), cl, pt in zip(outcomes, norms, pairs, clean,
-                                                           perturbed):
-                    outcome_file.write(lines.line(outcome, norm, idx, k, cl, pt))
-                # Written: freed now, not while the next cell's attacks run.
-                del outcomes, perturbed
-
+        rows = _run_cells(config, dataset, model, outcome_file.write)
     write_report_csv(config.out_csv, rows)
     return rows
 

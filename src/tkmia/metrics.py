@@ -186,9 +186,10 @@ def aper(perturbations: Iterable[np.ndarray]) -> float | None:
 MEASURES = ("tk_acc", "p_at_k", "ap_at_k", "ndcg_at_k")
 
 
-@dataclass
+@dataclass(slots=True)
 class MetricsRecord:
-    """Per-instance measure values at a fixed k."""
+    """Per-instance measure values at a fixed k; slotted, as a report keeps one per
+    attacked row of a cell."""
 
     k: int
     tk_acc: int
@@ -255,14 +256,24 @@ def delta_report(
     ks = {r.k for r in clean} | {r.k for r in perturbed}
     if len(ks) != 1:
         raise ValueError("mismatched k across records")
+    return _aggregate(clean, perturbed, [len(o.specified) - len(o.residual) for o in outcomes],
+                      [o.success for o in outcomes], norms)
+
+
+def _aggregate(clean, perturbed, expelled, success, norms) -> AggregateReport:
+    """:func:`delta_report`'s row from its aligned, non-empty per-row values: the
+    ``clean`` and ``perturbed`` records, each outcome's count of specified labels
+    expelled from the top k, its success flag and its epsilon norm. Each mean is
+    ``np.mean`` over all rows in their order, so a report that attacks a cell in
+    blocks of rows gets the bytes of one pass."""
 
     def mean(records, name):
         return float(np.mean([getattr(r, name) for r in records]))
 
-    succeeded = [norm for norm, o in zip(norms, outcomes) if o.success]
+    succeeded = [norm for norm, ok in zip(norms, success) if ok]
     return AggregateReport(
         *(mean(clean, name) - mean(perturbed, name) for name in MEASURES),
-        delta_l=delta_l(outcomes),
+        delta_l=float(np.mean(expelled)),
         aper=float(np.mean(succeeded)) if succeeded else None,
         n=len(clean),
     )

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Dataset, _integer, _seed, atomic_write
+from .core import Dataset, _finite, _integer, _seed, atomic_write
 
 __all__ = [
     "Scorer",
@@ -265,8 +265,7 @@ class TrainConfig:
         self.seed = _seed(self.seed)
         if self.epochs < 0:
             raise ValueError("epochs must be >= 0")
-        if not np.isfinite(self.learning_rate):
-            raise ValueError(f"learning rate must be finite, got {self.learning_rate!r}")
+        _finite(self.learning_rate, "learning rate must be finite, got")
         if self.learning_rate <= 0:
             raise ValueError("learning rate must be positive")
         if not 0.0 <= self.momentum < 1.0:
@@ -324,7 +323,8 @@ def train_bce(dataset, config: TrainConfig, model: Scorer | None = None) -> Scor
     # gathers than one per batch, and no second copy of the whole dataset.
     span = config.batch_size * max(1, _GATHER_ROWS // config.batch_size)
     # 0-d arrays, which ufuncs take faster than Python floats.
-    momentum, rate = np.array(config.momentum), np.array(config.learning_rate)
+    momentum, rate = (np.array(v, dtype=np.float64)
+                      for v in (config.momentum, config.learning_rate))
     work = _bce_work(model, min(n, config.batch_size))
     for _ in range(config.epochs):
         order = rng.permutation(n)

@@ -268,25 +268,45 @@ class TestTrainAndAttack:
         assert sorted(p.name for p in tmp_path.iterdir()) == [
             "config.json", "data.jsonl", "victim.jsonl"]
 
+    # Integers beyond int64 in a float field, which numpy takes only as floats: 10**30 runs,
+    # and 10**400, which no float holds, is not finite.
+    HUGE = {"eta1e30": {"attack": {"eta": 10**30}}, "eta-1e30": {"attack": {"eta": -10**30}},
+            "eta1e400": {"attack": {"eta": 10**400}},
+            "lr1e30": {"victim": {"learning_rate": 10**30}},
+            "lr-1e30": {"victim": {"learning_rate": -10**30}},
+            "lr1e400": {"victim": {"learning_rate": 10**400}}}
+
     @pytest.mark.parametrize("command", ["report", "attack", "gen-data", "train"])
-    @pytest.mark.parametrize("case", ["missing-file", "negative-seed", "k-above-c", "nan-eta"])
+    @pytest.mark.parametrize("case", ["missing-file", "negative-seed", "k-above-c", "nan-eta",
+                                      *HUGE])
     def test_malformed_config_rejected_in_one_line(self, dataset_path, tmp_path, capsys,
                                                    command, case):
         """A config that a report rejects, ``tkmia attack``, ``gen-data`` and ``train``
-        reject with the same line, printing and writing nothing."""
+        reject with the same line, printing and writing nothing. A number in a float
+        field is checked as the float it denotes: 10**30 runs in every command."""
         victim = tmp_path / "victim.jsonl"
         save_scorer(make_affine(10, 6, seed=1), str(victim))
-        fields = {"missing-file": {}, "negative-seed": {"seed": -1}, "k-above-c": {"k_grid": [6]},
-                  # json.dumps writes NaN, and json.load reads it.
-                  "nan-eta": {"attack": {"eta": float("nan")}}}[case]
-        config = self.config(tmp_path, dataset_path, victim, **fields)
+        fields = dict({"missing-file": {}, "negative-seed": {"seed": -1},
+                       "k-above-c": {"k_grid": [6]},
+                       # json.dumps writes NaN, and json.load reads it.
+                       "nan-eta": {"attack": {"eta": float("nan")}}, **self.HUGE}[case])
+        config = self.config(tmp_path, dataset_path, fields.pop("victim", victim), **fields)
         if case == "missing-file":
             config.unlink()
         message = {"missing-file": f"[Errno 2] No such file or directory: '{config}'",
                    "negative-seed": "seed must be non-negative, got -1",
                    "k-above-c": "k_grid: k=6 must be smaller than c=6",
-                   "nan-eta": "attack (tkmia, k=2): eta must be finite, got nan"}[case]
+                   "nan-eta": "attack (tkmia, k=2): eta must be finite, got nan",
+                   "eta-1e30": "attack (tkmia, k=2): eta must be positive",
+                   "eta1e400": f"attack (tkmia, k=2): eta must be finite, got {10**400}",
+                   "lr-1e30": "victim: learning rate must be positive",
+                   "lr1e400": f"victim: learning rate must be finite, got {10**400}",
+                   }.get(case)
         out = tmp_path / "out.jsonl"
+        if message is None:
+            assert run_command(command, config, 0, out) == 0
+            assert capsys.readouterr().err == ""
+            return
         assert run_command(command, config, 0, out) == 1
         assert capsys.readouterr() == ("", f"error: {message}\n")
         assert sorted(p.name for p in tmp_path.iterdir()) == sorted(

@@ -3,6 +3,7 @@ import json
 import math
 import re
 import time
+import weakref
 from pathlib import Path
 from statistics import NormalDist
 
@@ -286,6 +287,24 @@ class TestDatasetIO:
         assert str(info.value).startswith(f"{path} line 4: ")
         assert message in str(info.value)
 
+    @pytest.mark.parametrize("bad_line, message", [
+        ('{"x": [NaN, 0.2], "y": [1, 0]}', "x contains non-finite entries"),
+        ('{"x": [0.1, 0.2], "y": [1, 2]}', "label entries must be 0 or 1"),
+    ])
+    @pytest.mark.parametrize("later", ['{"x": [0.5, -0.5], "y": [0, 1]}',
+                                       '{"x": [Infinity, 0.2], "y": [1, 0]}',
+                                       '{"x": [0.5, -0.5], "y": [0, 1, 0]}', '{"x": [0.5'])
+    def test_first_bad_line_named_after_the_block_check(self, tmp_path, bad_line, message,
+                                                        later):
+        # The lines are checked as one block; a failed check names the first bad line,
+        # also before a later bad one and a later line that is no JSON.
+        good = '{"x": [0.5, -0.5], "y": [0, 1]}'
+        path = tmp_path / "data.jsonl"
+        path.write_text("\n".join([good, good, bad_line, good, later]) + "\n")
+        with pytest.raises(ValueError) as info:
+            load_dataset(str(path))
+        assert str(info.value) == f"{path} line 3: {message}"
+
 
 def small_config(tmp_path, scheme=None, methods=("tkmia", "ml_cw_u"), k_grid=(2,),
                  max_iter=60, max_instances=40):
@@ -555,6 +574,62 @@ class TestRunExperiment:
         config.victim = {"path": str(victim_path)}
         rows = run_experiment(config)
         assert rows
+
+
+class TestCellBlocks:
+    """A report attacks, evaluates and writes each (k, method) cell in blocks of
+    ``_CELL_BLOCK`` pairs, and frees each block's outcomes once they are written."""
+
+    def config(self, tmp_path, mode="c1_only"):
+        config = small_config(tmp_path, methods=METHODS, k_grid=(1, 3), max_instances=23)
+        config.attack = {**config.attack, "success_mode": mode}
+        return config
+
+    @pytest.mark.bitwise
+    @pytest.mark.parametrize("mode", ["c1_only", "strict"])
+    def test_block_boundaries_change_no_byte(self, tmp_path, monkeypatch, capsys, mode):
+        from tkmia import harness
+        from tkmia.cli import main
+
+        config = self.config(tmp_path, mode)
+        paths = [Path(config.out_csv), Path(config.out_outcomes)]
+        assert [row["n"] for row in run_experiment(config)] == [23] * 6
+        expected = [path.read_bytes() for path in paths]
+        for block in (1, 2, 7):
+            monkeypatch.setattr(harness, "_CELL_BLOCK", block)
+            run_experiment(config)
+            assert [path.read_bytes() for path in paths] == expected
+        # tkmia attack on the k = 1 cell's 22nd instance, in its fourth block of 7.
+        lines = expected[1].decode().splitlines(keepends=True)
+        index = json.loads(lines[21])["instance"]
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({**dataclasses.asdict(config),
+                                    "scheme": {"type": "random", "m": 1}}))
+        assert main(["attack", "--config", str(path), "--index", str(index)]) == 0
+        assert capsys.readouterr().out == "".join(
+            line for line in lines if json.loads(line)["instance"] == index)
+
+    def test_a_report_holds_one_block_of_outcomes(self, tmp_path, monkeypatch):
+        from tkmia import attack, harness
+
+        made, alive = [], []
+        loop, line = attack.run_attack_loop, OutcomeLines.line
+
+        def recorded(*args, **kwargs):
+            outcome = loop(*args, **kwargs)
+            made.append(weakref.ref(outcome))
+            return outcome
+
+        def counted(self, *args):
+            alive.append(sum(ref() is not None for ref in made))
+            return line(self, *args)
+
+        monkeypatch.setattr(attack, "run_attack_loop", recorded)
+        monkeypatch.setattr(OutcomeLines, "line", counted)
+        monkeypatch.setattr(harness, "_CELL_BLOCK", 5)
+        rows = run_experiment(self.config(tmp_path))
+        assert len(alive) == len(made) == sum(row["n"] for row in rows) == 6 * 23
+        assert max(alive) <= 5
 
 
 def hand_outcome(**fields):
