@@ -2,7 +2,7 @@
 
 Subcommands:
 
-  gen-data   write the dataset of a report config as JSON lines
+  gen-data   write the dataset of a report config as an .npz archive of X and Y
   train      write the victim scorer of a report config, read or trained on its dataset
   attack     re-run one instance of a report config and print its outcome lines
   report     run a full experiment config and write CSV + outcomes

@@ -15,7 +15,7 @@ from collections.abc import Sequence
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator, TextIO
+from typing import IO, Iterator
 
 import numpy as np
 
@@ -290,8 +290,9 @@ def hinge(a: float) -> float:
 
 
 @contextmanager
-def atomic_write(path: str) -> Iterator[TextIO]:
-    """Yield a text handle on a temp file that replaces ``path`` on a clean exit.
+def atomic_write(path: str, binary: bool = False) -> Iterator[IO]:
+    """Yield a handle on a temp file that replaces ``path`` on a clean exit: a text
+    handle, or with ``binary`` a bytes handle.
 
     The temp file lives in the target's directory, so the rename is atomic:
     readers see the old file or the whole new one. If the block or the rename
@@ -300,7 +301,7 @@ def atomic_write(path: str) -> Iterator[TextIO]:
     """
     fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), suffix=".tmp")
     try:
-        with os.fdopen(fd, "w", newline="") as handle:
+        with os.fdopen(fd, "wb") if binary else os.fdopen(fd, "w", newline="") as handle:
             yield handle
         os.replace(tmp, path)
     except BaseException:

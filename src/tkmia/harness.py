@@ -13,6 +13,8 @@ from __future__ import annotations
 
 import json
 import os
+import zipfile
+import zlib
 from dataclasses import MISSING, dataclass, fields
 from itertools import islice
 from json.encoder import encode_basestring_ascii
@@ -200,63 +202,38 @@ def _sliding_extremes(z: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray
 
 
 def save_dataset(instances: Sequence[Instance], path: str) -> None:
-    """One instance per line: {"x": [...], "y": [...]}, written from the rows of
-    :meth:`Dataset.of`'s arrays, so a dataset builds no instance; an empty one is an
-    error, as :func:`load_dataset` rejects an empty file."""
+    """An uncompressed ``.npz`` archive at exactly ``path`` of :meth:`Dataset.of`'s
+    float64 ``X`` and int64 ``Y``, so a dataset builds no instance; an empty one is an
+    error. numpy dates each entry 1980-01-01, so equal datasets give equal bytes."""
     data = Dataset.of(instances)
-    with atomic_write(path) as handle:
-        for x, y in zip(data.X, data.Y):
-            handle.write(json.dumps({"x": x.tolist(), "y": y.tolist()}) + "\n")
+    with atomic_write(path, binary=True) as handle:
+        np.savez(handle, X=data.X, Y=data.Y)
 
 
 def load_dataset(path: str) -> Dataset:
-    """Read :func:`save_dataset`'s format, skipping blank lines.
-
-    Every instance must have the first one's ``len(x)`` and ``len(y)``.
-    The lines' ``x`` and ``y`` are checked once, as one block by :class:`Dataset`;
-    errors name the 1-based line number of the first offending line.
-    """
-    numbers, xs, ys = [], [], []
-    with open(path) as handle:
-        for number, line in enumerate(handle, start=1):
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-                if not isinstance(record, dict) or not {"x", "y"} <= record.keys():
-                    raise ValueError('expected an object with "x" and "y"')
-            except ValueError as exc:
-                _first_bad_line(path, numbers, xs, ys)
-                raise ValueError(f"{path} line {number}: {exc}") from None
-            numbers.append(number)
-            xs.append(record["x"])
-            ys.append(record["y"])
-    if not xs:
-        raise ValueError(f"dataset file {path} is empty")
-    try:
-        return Dataset(xs, ys)
-    except (ValueError, TypeError):
-        _first_bad_line(path, numbers, xs, ys)
-        raise
-
-
-def _first_bad_line(path: str, numbers, xs, ys) -> None:
-    """Raise the error of the first of the lines ``numbers`` of ``path``, with their
-    ``xs`` and ``ys``, whose instance fails :class:`Instance`'s rule or has other
-    lengths than the first line's; return if there is none."""
-    first = None
-    for number, x, y in zip(numbers, xs, ys):
+    """Read :func:`save_dataset`'s format: a zip archive of exactly the numeric arrays
+    ``X`` and ``Y``, checked once by :class:`Dataset`. Any other file, or an empty
+    dataset, raises one ValueError line that begins with ``path``."""
+    with open(path, "rb") as handle:
         try:
-            inst = Instance(x=x, y=y)
-        except (ValueError, TypeError) as exc:
-            raise ValueError(f"{path} line {number}: {exc}") from None
-        if first is None:
-            first = inst
-        if (len(inst.x), len(inst.y)) != (len(first.x), len(first.y)):
-            raise ValueError(
-                f"{path} line {number}: len(x)={len(inst.x)}, len(y)={len(inst.y)}, "
-                f"but the first instance has {len(first.x)}, {len(first.y)}"
-            )
+            if handle.read(4) != b"PK\x03\x04":  # np.load would read a .npy or a pickle
+                raise ValueError("not a dataset archive (a zip of the arrays X and Y)")
+            handle.seek(0)
+            with np.load(handle, allow_pickle=False) as archive:
+                if sorted(archive.files) != ["X", "Y"]:
+                    raise ValueError(f"expected the arrays X and Y, got {archive.files}")
+                # asarray: numpy gives an entry that holds no .npy data as bytes.
+                X, Y = np.asarray(archive["X"]), np.asarray(archive["Y"])
+            for name, array in (("X", X), ("Y", Y)):
+                if array.dtype.kind not in "biuf" or array.ndim != 2:
+                    raise ValueError(f"{name} must be a 2-D numeric array, "
+                                     f"got {array.ndim}-D {array.dtype}")
+            return Dataset.of(Dataset(X, Y))
+        # What numpy and zipfile raise on a damaged archive, an encrypted or unknown
+        # compression among them (RuntimeError), besides the checks' ValueError.
+        except (ValueError, EOFError, OSError, RuntimeError, zipfile.BadZipFile,
+                zlib.error) as exc:
+            raise ValueError(f"{path}: {exc}") from None
 
 
 @dataclass
@@ -475,7 +452,8 @@ class ExperimentConfig:
         with open(path) as handle:
             try:
                 raw = json.load(handle)
-            except json.JSONDecodeError as exc:
+            # Bad JSON, bytes that are not UTF-8, or arrays nested past the recursion limit.
+            except (ValueError, RecursionError) as exc:
                 raise ValueError(f"{path}: {exc}") from None
         return cls.from_dict(raw)
 

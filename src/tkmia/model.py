@@ -436,9 +436,9 @@ def load_scorer(path: str) -> Scorer:
     A malformed file raises a one-line ValueError that names the file, and
     the 1-based layer number of a malformed or invalid layer line.
     """
-    with open(path) as handle:
-        lines = [line for line in handle.read().splitlines() if line.strip()]
-    try:
+    try:  # a missing file's OSError names it; bytes that are not UTF-8 do not
+        with open(path) as handle:
+            lines = [line for line in handle.read().splitlines() if line.strip()]
         if not lines:
             raise ValueError("empty scorer file")
         header = json.loads(lines[0])
@@ -466,12 +466,12 @@ def load_scorer(path: str) -> Scorer:
                     raise ValueError(f"{weight.size} weights do not fit shape {list(shape)}")
                 weights.append(weight.reshape(shape))
                 biases.append(np.asarray(layer["bias"], dtype=np.float64))
-            except (ValueError, TypeError) as exc:
+            except (ValueError, TypeError, RecursionError) as exc:
                 raise ValueError(f"layer {number}: {exc}") from None
         model = Scorer(weights, biases, header["activation"], header["sigmoid_output"])
         if header["arch"] != model.arch:
             raise ValueError(f"header: arch {header['arch']!r} does not match "
                              f"the layer count {len(weights)}")
         return model
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError, RecursionError) as exc:
         raise ValueError(f"{path}: {exc}") from None

@@ -12,6 +12,7 @@ again and runs its own forward pass for the gradient. It runs the whole
 budget and pulls back every iteration's cotangent, zeros included.
 """
 import hashlib
+import io
 import json
 from dataclasses import asdict, replace
 from pathlib import Path
@@ -60,6 +61,54 @@ def constant_score_model(values, in_dim=3):
 def read_jsonl(path):
     """The JSON value of each line of the file at ``path``."""
     return [json.loads(line) for line in Path(path).read_text().splitlines()]
+
+
+def archive_bytes(save=np.savez, **arrays):
+    """The bytes of the ``.npz`` archive of ``arrays``, or with ``save=np.save`` of the
+    ``.npy`` file of the one array."""
+    buffer = io.BytesIO()
+    save(buffer, **arrays)
+    return buffer.getvalue()
+
+
+def encrypted(content):
+    """The archive ``content`` with its first entry flagged as encrypted."""
+    at = content.index(b"PK\x01\x02") + 8  # the central directory entry's flag bits
+    return content[:at] + bytes([content[at] | 1]) + content[at + 1:]
+
+
+# The arrays of a good dataset, from which each bad dataset file is made.
+_X = np.array([[0.5, -0.5], [0.1, 0.2], [-0.3, 0.9]])
+_Y = np.array([[1, 0, 1], [0, 1, 1], [1, 1, 0]])
+_NOT_AN_ARCHIVE = "not a dataset archive (a zip of the arrays X and Y)"
+# Each case of a file that ``load_dataset`` rejects: the file's bytes, and the end of
+# the one-line error that names it.
+BAD_DATASET_FILES = {
+    "empty file": (b"", _NOT_AN_ARCHIVE),
+    "JSON lines": (b'{"x": [0.5, -0.5], "y": [1, 0, 1]}\n', _NOT_AN_ARCHIVE),
+    ".npy file": (archive_bytes(np.save, arr=_X), _NOT_AN_ARCHIVE),
+    "truncated archive": (archive_bytes(X=_X, Y=_Y)[:300], "File is not a zip file"),
+    "encrypted entry": (encrypted(archive_bytes(X=_X, Y=_Y)),
+                        "File 'X.npy' is encrypted, password required for extraction"),
+    "object X": (archive_bytes(X=_X.astype(object), Y=_Y),
+                 "Object arrays cannot be loaded when allow_pickle=False"),
+    "string X": (archive_bytes(X=_X.astype("U8"), Y=_Y),
+                 "X must be a 2-D numeric array, got 2-D <U8"),
+    "complex Y": (archive_bytes(X=_X, Y=_Y.astype(complex)),
+                  "Y must be a 2-D numeric array, got 2-D complex128"),
+    "no X": (archive_bytes(Y=_Y), "expected the arrays X and Y, got ['Y']"),
+    "no Y": (archive_bytes(X=_X), "expected the arrays X and Y, got ['X']"),
+    "a third array": (archive_bytes(X=_X, Y=_Y, Z=_Y),
+                      "expected the arrays X and Y, got ['X', 'Y', 'Z']"),
+    "1-D X": (archive_bytes(X=_X[0], Y=_Y), "X must be a 2-D numeric array, got 1-D float64"),
+    "3-D Y": (archive_bytes(X=_X, Y=_Y[None]), "Y must be a 2-D numeric array, got 3-D int64"),
+    "unequal rows": (archive_bytes(X=_X[:2], Y=_Y), "2 feature rows but 3 label rows"),
+    "non-finite X": (archive_bytes(X=_X * [[1, np.inf]], Y=_Y), "x contains non-finite entries"),
+    "label 2": (archive_bytes(X=_X, Y=_Y * [[1, 1, 2]]), "label entries must be 0 or 1"),
+    "no features": (archive_bytes(X=_X[:, :0], Y=_Y), "x must be 1-D and non-empty"),
+    "no labels": (archive_bytes(X=_X, Y=_Y[:, :0]), "y must be non-empty"),
+    "no rows": (archive_bytes(X=_X[:0], Y=_Y[:0]), "empty dataset"),
+}
 
 
 def outcome_digest(path):

@@ -13,7 +13,7 @@ from tkmia.cli import main
 from tkmia.model import make_affine, save_scorer
 
 from support import attack as library_attack
-from support import dumped, read_jsonl
+from support import BAD_DATASET_FILES, archive_bytes, dumped, read_jsonl
 
 
 def run_cli(argv):
@@ -58,7 +58,7 @@ class TestGenData:
         return run_command("gen-data", config, out=out)
 
     def test_deterministic_files(self, tmp_path, capsys):
-        a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
+        a, b = tmp_path / "a.npz", tmp_path / "b.npz"
         spec = {"n": 40, "d": 6, "c": 5, "mean_relevant": 2.0, "seed": 7}
         assert self.gen_data(tmp_path, a, **spec) == 0
         assert self.gen_data(tmp_path, b, **spec) == 0
@@ -66,14 +66,14 @@ class TestGenData:
         assert a.read_bytes() == b.read_bytes()
 
     def test_bad_spec_exits_one(self, tmp_path, capsys):
-        code = self.gen_data(tmp_path, tmp_path / "x.jsonl", n=10, d=4, c=5, mean_relevant=9.0)
+        code = self.gen_data(tmp_path, tmp_path / "x.npz", n=10, d=4, c=5, mean_relevant=9.0)
         assert code == 1
         assert capsys.readouterr() == (
             "", "error: dataset: mean_relevant must lie strictly between 0 and c\n")
         assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
 
     def test_correlation_one_rejected_in_one_line(self, tmp_path, capsys):
-        code = self.gen_data(tmp_path, tmp_path / "x.jsonl", n=1, d=2, c=3, mean_relevant=1.0,
+        code = self.gen_data(tmp_path, tmp_path / "x.npz", n=1, d=2, c=3, mean_relevant=1.0,
                              label_correlation=1)
         assert code == 1
         assert capsys.readouterr().err == "error: dataset: label_correlation must lie in [0, 1)\n"
@@ -89,10 +89,23 @@ class TestGenData:
         assert list(tmp_path.iterdir()) == []
 
 
+def error_of(read, value):
+    """The message of the error that ``read(value)`` raises."""
+    with pytest.raises((ValueError, RecursionError)) as info:
+        read(value)
+    return str(info.value)
+
+
+# The errors that a JSON text nested past the recursion limit and a byte that is not
+# UTF-8 give on this interpreter.
+RECURSION = error_of(json.loads, "[" * 100_000)
+UNDECODABLE = error_of(bytes.decode, b"\xff")
+
+
 class TestTrainAndAttack:
     @pytest.fixture
     def dataset_path(self, tmp_path):
-        path = tmp_path / "data.jsonl"
+        path = tmp_path / "data.npz"
         harness.save_dataset(harness.gen_synthetic(harness.SyntheticSpec(
             n=150, d=10, c=6, mean_relevant=3.0, seed=1)), str(path))
         return path
@@ -123,8 +136,8 @@ class TestTrainAndAttack:
                                          seed=1), str(expected))
         assert victim.read_bytes() == expected.read_bytes()
 
-        data = read_jsonl(dataset_path)
-        index = next(i for i, rec in enumerate(data) if 3 <= sum(rec["y"]) < 6)
+        relevant = harness.load_dataset(str(dataset_path)).Y.sum(axis=1)
+        index = next(i for i, count in enumerate(relevant) if 3 <= count < 6)
         config = self.config(tmp_path, dataset_path, victim)
         assert run_cli(["attack", "--config", str(config), "--index", str(index)]) == 0
         records = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
@@ -208,7 +221,7 @@ class TestTrainAndAttack:
                 assert run_cli(["attack", "--config", str(config), "--index", str(index)]) == 0
                 assert capsys.readouterr().out == "".join(
                     line for line in lines if json.loads(line)["instance"] == index)
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "data.jsonl"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "data.npz"]
 
     def attack_and_report_lines(self, config, index, capsys):
         """``tkmia attack``'s stdout on ``index``, and the report's outcome lines."""
@@ -266,7 +279,7 @@ class TestTrainAndAttack:
         assert run_cli(["report", "--config", str(config)]) == 1
         assert capsys.readouterr() == ("", f"error: out_csv: directory {nodir} does not exist\n")
         assert sorted(p.name for p in tmp_path.iterdir()) == [
-            "config.json", "data.jsonl", "victim.jsonl"]
+            "config.json", "data.npz", "victim.jsonl"]
 
     # Integers beyond int64 in a float field, which numpy takes only as floats: 10**30 runs,
     # and 10**400, which no float holds, is not finite.
@@ -276,9 +289,13 @@ class TestTrainAndAttack:
             "lr-1e30": {"victim": {"learning_rate": -10**30}},
             "lr1e400": {"victim": {"learning_rate": 10**400}}}
 
+    # Config files that json cannot read: arrays nested past the recursion limit, and a
+    # byte that is not UTF-8.
+    UNREADABLE = {"deep": (b"[" * 100_000, RECURSION), "not-utf-8": (b"\xff{}", UNDECODABLE)}
+
     @pytest.mark.parametrize("command", ["report", "attack", "gen-data", "train"])
     @pytest.mark.parametrize("case", ["missing-file", "negative-seed", "k-above-c", "nan-eta",
-                                      *HUGE])
+                                      *HUGE, *UNREADABLE])
     def test_malformed_config_rejected_in_one_line(self, dataset_path, tmp_path, capsys,
                                                    command, case):
         """A config that a report rejects, ``tkmia attack``, ``gen-data`` and ``train``
@@ -286,13 +303,14 @@ class TestTrainAndAttack:
         field is checked as the float it denotes: 10**30 runs in every command."""
         victim = tmp_path / "victim.jsonl"
         save_scorer(make_affine(10, 6, seed=1), str(victim))
-        fields = dict({"missing-file": {}, "negative-seed": {"seed": -1},
-                       "k-above-c": {"k_grid": [6]},
+        fields = dict({"negative-seed": {"seed": -1}, "k-above-c": {"k_grid": [6]},
                        # json.dumps writes NaN, and json.load reads it.
-                       "nan-eta": {"attack": {"eta": float("nan")}}, **self.HUGE}[case])
+                       "nan-eta": {"attack": {"eta": float("nan")}}, **self.HUGE}.get(case, {}))
         config = self.config(tmp_path, dataset_path, fields.pop("victim", victim), **fields)
         if case == "missing-file":
             config.unlink()
+        elif case in self.UNREADABLE:
+            config.write_bytes(self.UNREADABLE[case][0])
         message = {"missing-file": f"[Errno 2] No such file or directory: '{config}'",
                    "negative-seed": "seed must be non-negative, got -1",
                    "k-above-c": "k_grid: k=6 must be smaller than c=6",
@@ -301,6 +319,7 @@ class TestTrainAndAttack:
                    "eta1e400": f"attack (tkmia, k=2): eta must be finite, got {10**400}",
                    "lr-1e30": "victim: learning rate must be positive",
                    "lr1e400": f"victim: learning rate must be finite, got {10**400}",
+                   **{name: f"{config}: {error}" for name, (_, error) in self.UNREADABLE.items()},
                    }.get(case)
         out = tmp_path / "out.jsonl"
         if message is None:
@@ -310,7 +329,7 @@ class TestTrainAndAttack:
         assert run_command(command, config, 0, out) == 1
         assert capsys.readouterr() == ("", f"error: {message}\n")
         assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
-            ["data.jsonl", "victim.jsonl"] + ([] if case == "missing-file" else ["config.json"]))
+            ["data.npz", "victim.jsonl"] + ([] if case == "missing-file" else ["config.json"]))
 
     def test_train_rejects_mlp_without_hidden_units(self, dataset_path, tmp_path, capsys):
         out = tmp_path / "v.jsonl"
@@ -341,7 +360,7 @@ class TestTrainAndAttack:
         assert not out.exists()
 
     def test_attack_takes_the_clip_domain_of_the_config(self, tmp_path, capsys):
-        dataset = tmp_path / "data.jsonl"
+        dataset = tmp_path / "data.npz"
         harness.save_dataset([core.Instance(x=[0.5, 1.5], y=[1, 1, 0])], str(dataset))
         victim = tmp_path / "victim.jsonl"
         model = make_affine(2, 3, seed=1)
@@ -371,13 +390,13 @@ class TestTrainAndAttack:
             assert run_command(command, config, index, out=tmp_path / "out.jsonl") == 1
             assert capsys.readouterr() == ("", message)
             assert sorted(p.name for p in tmp_path.iterdir()) == [
-                "config.json", "data.jsonl", "victim.jsonl"]
+                "config.json", "data.npz", "victim.jsonl"]
 
     def test_attack_runs_on_a_raw_scorer(self, dataset_path, tmp_path, capsys):
         victim = tmp_path / "raw.jsonl"
         save_scorer(make_affine(10, 6, seed=1, sigmoid_output=False), str(victim))
-        data = read_jsonl(dataset_path)
-        index = next(i for i, rec in enumerate(data) if 3 <= sum(rec["y"]) < 6)
+        relevant = harness.load_dataset(str(dataset_path)).Y.sum(axis=1)
+        index = next(i for i, count in enumerate(relevant) if 3 <= count < 6)
         config = self.config(tmp_path, dataset_path, victim)
         assert run_cli(["attack", "--config", str(config), "--index", str(index)]) == 0
         records = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
@@ -405,7 +424,7 @@ class TestRoundTrip:
             dataset={"n": 120, "d": 8, "c": 6, "mean_relevant": 2.5, "seed": 5},
             victim=victim, attack={"eta": 0.05, "alpha": 1e-4, "max_iter": 50})
         expected = self.report(tmp_path, "inline.json", **inline)
-        data, scorer = tmp_path / "data.jsonl", tmp_path / "victim.jsonl"
+        data, scorer = tmp_path / "data.npz", tmp_path / "victim.jsonl"
         assert run_command("gen-data", tmp_path / "inline.json", out=data) == 0
         assert run_command("train", tmp_path / "inline.json", out=scorer) == 0
         paths = {**inline, "dataset": {"path": str(data)}, "victim": {"path": str(scorer)}}
@@ -418,12 +437,12 @@ class TestRoundTrip:
 
 
 class TestEmptyFeatures:
-    """A dataset line with no features is named at load, before any training."""
+    """A dataset file with no features is named at load, before any training."""
 
     @pytest.fixture
     def dataset_path(self, tmp_path):
-        path = tmp_path / "data.jsonl"
-        path.write_text('{"x": [0.5], "y": [1, 0, 1]}\n{"x": [], "y": [0, 1, 1]}\n')
+        path = tmp_path / "data.npz"
+        path.write_bytes(archive_bytes(X=np.empty((2, 0)), Y=[[1, 0, 1], [0, 1, 1]]))
         return path
 
     def test_train_exits_one(self, dataset_path, tmp_path, capsys):
@@ -431,7 +450,7 @@ class TestEmptyFeatures:
             tmp_path, dataset={"path": str(dataset_path)}, victim={}))
         assert run_command("train", config, out=tmp_path / "v.jsonl") == 1
         assert capsys.readouterr().err == (
-            f"error: {dataset_path} line 2: x must be 1-D and non-empty\n")
+            f"error: {dataset_path}: x must be 1-D and non-empty\n")
         assert not (tmp_path / "v.jsonl").exists()
 
     def test_report_exits_one(self, dataset_path, tmp_path, capsys):
@@ -449,19 +468,36 @@ class TestEmptyFeatures:
         path.write_text(json.dumps(config))
         assert run_cli(["report", "--config", str(path)]) == 1
         assert capsys.readouterr().err == (
-            f"error: {dataset_path} line 2: x must be 1-D and non-empty\n")
+            f"error: {dataset_path}: x must be 1-D and non-empty\n")
         assert not (tmp_path / "report.csv").exists()
 
 
 class TestEmptyLabels:
     def test_train_exits_one(self, tmp_path, capsys):
-        path = tmp_path / "data.jsonl"
-        path.write_text('{"x": [0.5], "y": []}\n{"x": [0.2], "y": []}\n')
+        path = tmp_path / "data.npz"
+        path.write_bytes(archive_bytes(X=[[0.5], [0.2]], Y=np.empty((2, 0), dtype=np.int64)))
         config = write_config(tmp_path / "config.json", **base_config(
             tmp_path, dataset={"path": str(path)}, victim={}))
         assert run_command("train", config, out=tmp_path / "v.jsonl") == 1
-        assert capsys.readouterr().err == f"error: {path} line 1: y must be non-empty\n"
+        assert capsys.readouterr().err == f"error: {path}: y must be non-empty\n"
         assert not (tmp_path / "v.jsonl").exists()
+
+
+class TestBadDatasetFile:
+    """Every command that reads a dataset file rejects a bad one in one line that
+    names it, and writes nothing."""
+
+    @pytest.mark.parametrize("command", ["report", "attack", "gen-data", "train"])
+    @pytest.mark.parametrize("case", BAD_DATASET_FILES)
+    def test_rejected_in_one_line(self, tmp_path, capsys, command, case):
+        content, message = BAD_DATASET_FILES[case]
+        path = tmp_path / "data.npz"
+        path.write_bytes(content)
+        config = write_config(tmp_path / "config.json", **base_config(
+            tmp_path, dataset={"path": str(path)}, victim={}))
+        assert run_command(command, config, 0, tmp_path / "out.npz") == 1
+        assert capsys.readouterr() == ("", f"error: {path}: {message}\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "data.npz"]
 
 
 class TestReportOnAnAllRelevantInstance:
@@ -472,9 +508,9 @@ class TestReportOnAnAllRelevantInstance:
     def report(self, tmp_path, methods, scheme, attack=None, labels=LABELS, command="report",
                index=None, **extra):
         rng = np.random.default_rng(2)
-        data = tmp_path / "data.jsonl"
-        data.write_text("".join(json.dumps({"x": rng.uniform(-1, 1, 3).tolist(), "y": y}) + "\n"
-                                for y in labels))
+        data = tmp_path / "data.npz"
+        harness.save_dataset([core.Instance(x=rng.uniform(-1, 1, 3), y=y) for y in labels],
+                             str(data))
         config = {
             "dataset": {"path": str(data)},
             "victim": {"arch": "affine", "epochs": 20},
@@ -526,7 +562,7 @@ class TestReportOnAnAllRelevantInstance:
                            command=command, index=2) == 1
         assert capsys.readouterr() == (
             "", "error: attack (tkml_ap_u, k=1) instance 2: non-finite gradient at iteration 0\n")
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "data.jsonl"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "data.npz"]
 
     def test_delta_threshold_above_s_drops_the_instance(self, tmp_path, capsys):
         # instance 0 has S = {0} under the categories {0, 2}; instance 2 has S = {0, 2}
@@ -590,12 +626,14 @@ class TestMalformedScorer:
         (edit_header(activation="sigmoid"), "unknown activation 'sigmoid'"),
         (layers(3), "expected 1 (affine) or 2 (mlp) weight/bias layers"),
         (layers(2, arch="mlp"), "hidden dimensions do not chain"),
+        (lambda lines: [lines[0], "[" * 5_000], f"layer 1: {RECURSION}"),
+        (lambda lines: ["\udcff"], UNDECODABLE),  # written as the byte 0xff
     ], ids=["list-header", "no-shapes", "short-weight", "list-layer", "no-layer", "empty",
             "string-sigmoid-output", "wrong-arch", "affine-activation", "unknown-activation",
-            "three-layers", "unchained-layers"])
+            "three-layers", "unchained-layers", "deep-layer", "not-utf-8"])
     @COMMANDS
     def test_rejects_file_in_one_line(self, tmp_path, capsys, command, edit, message):
-        dataset = tmp_path / "data.jsonl"
+        dataset = tmp_path / "data.npz"
         victim = tmp_path / "victim.jsonl"
         config = write_config(tmp_path / "config.json", **base_config(
             tmp_path, dataset={"n": 20, "d": 4, "c": 6, "mean_relevant": 3.0},
@@ -603,14 +641,14 @@ class TestMalformedScorer:
         assert run_command("gen-data", config, out=dataset) == 0
         assert run_command("train", config, out=victim) == 0
         lines = edit(victim.read_text().splitlines())
-        victim.write_text("".join(line + "\n" for line in lines))
+        victim.write_text("".join(line + "\n" for line in lines), errors="surrogateescape")
         capsys.readouterr()
         config = write_config(config, **base_config(
             tmp_path, dataset={"path": str(dataset)}, victim={"path": str(victim)}))
         assert run_command(command, config, 0) == 1
         assert capsys.readouterr() == ("", f"error: {victim}: {message}\n")
         assert sorted(p.name for p in tmp_path.iterdir()) == [
-            "config.json", "data.jsonl", "victim.jsonl"]
+            "config.json", "data.npz", "victim.jsonl"]
 
 
 class ClassThreeInfinite(model.Scorer):
@@ -635,8 +673,8 @@ class TestNonFiniteScores:
 
     @pytest.fixture
     def files(self, tmp_path):
-        dataset = tmp_path / "data.jsonl"
-        dataset.write_text("".join(json.dumps({"x": x, "y": y}) + "\n" for x, y in self.ROWS))
+        dataset = tmp_path / "data.npz"
+        harness.save_dataset([core.Instance(x=x, y=y) for x, y in self.ROWS], str(dataset))
         # Class 3's logit, 1.7e308 * x[0] + 1e308, overflows at instance 2 only.
         weights = self.WEIGHTS[:3] + [[1.7e308, 0.0]]
         overflow = tmp_path / "overflow.jsonl"
@@ -663,7 +701,7 @@ class TestNonFiniteScores:
         assert capsys.readouterr() == ("", "error: clean scores (k=1) instance 2: "
                                            "score vector contains non-finite entries\n")
         assert sorted(p.name for p in tmp_path.iterdir()) == [
-            "config.json", "data.jsonl", "overflow.jsonl"]
+            "config.json", "data.npz", "overflow.jsonl"]
 
     @COMMANDS
     def test_overflow_error_is_the_only_stderr_line(self, files, tmp_path, command):
@@ -694,7 +732,7 @@ class TestNonFiniteScores:
         assert run_command(command, config, 2) == 1
         assert capsys.readouterr() == ("", "error: attack (tkmia, k=1) instance 2: "
                                            "score vector contains non-finite entries\n")
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "data.jsonl",
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "data.npz",
                                                               "overflow.jsonl"]
 
 

@@ -517,35 +517,43 @@ class TestDataset:
             Dataset.of(empty)
 
 
+# atomic_write's text and binary modes, each with the kind of data its handle writes.
+MODES = pytest.mark.parametrize("binary, as_mode", [(False, str), (True, str.encode)],
+                                ids=["text", "binary"])
+
+
 class TestAtomicWrite:
-    def test_replaces_target(self, tmp_path):
+    @MODES
+    def test_replaces_target(self, tmp_path, binary, as_mode):
         path = tmp_path / "out.txt"
         path.write_bytes(b"old\n")
-        with atomic_write(str(path)) as handle:
-            handle.write("new\r\n")
+        with atomic_write(str(path), binary=binary) as handle:
+            handle.write(as_mode("new\r\n"))
             assert path.read_bytes() == b"old\n"  # nothing shows before the block ends
-            handle.write("line\n")
+            handle.write(as_mode("line\n"))
         assert path.read_bytes() == b"new\r\nline\n"
         assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
 
+    @MODES
     @pytest.mark.parametrize("failure", ["write", "rename", "raise"])
-    def test_failure_keeps_old_bytes_and_no_temp_file(self, tmp_path, monkeypatch, failure):
+    def test_failure_keeps_old_bytes_and_no_temp_file(self, tmp_path, monkeypatch, failure,
+                                                      binary, as_mode):
         path = tmp_path / "out.txt"
         path.write_bytes(b"old\n")
         if failure == "write":
-            text = "half written \udcff"  # a lone surrogate cannot be encoded
-            expected = UnicodeEncodeError
+            # A text handle cannot encode a lone surrogate; a bytes handle takes no str.
+            data, expected = "half written \udcff", TypeError if binary else UnicodeEncodeError
         elif failure == "rename":
             def refuse(src, dst):
                 raise OSError("rename refused")
 
             monkeypatch.setattr("tkmia.core.os.replace", refuse)
-            text, expected = "new\n", OSError
+            data, expected = as_mode("new\n"), OSError
         else:
-            text, expected = "new\n", KeyError
+            data, expected = as_mode("new\n"), KeyError
         with pytest.raises(expected):
-            with atomic_write(str(path)) as handle:
-                handle.write(text)
+            with atomic_write(str(path), binary=binary) as handle:
+                handle.write(data)
                 if failure == "raise":
                     raise KeyError("the caller fails mid-write")
         assert path.read_bytes() == b"old\n"

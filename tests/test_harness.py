@@ -40,7 +40,7 @@ from tkmia.harness import (
 from tkmia.metrics import MEASURES, MetricsRecord
 from tkmia.model import Scorer, make_affine, save_scorer
 
-from support import dumped, read_jsonl
+from support import BAD_DATASET_FILES, dumped, read_jsonl
 
 
 def parent_gen_synthetic(spec):
@@ -106,7 +106,7 @@ class TestGenSynthetic:
         for ia, ib in zip(a, b):
             np.testing.assert_array_equal(ia.x, ib.x)
             np.testing.assert_array_equal(ia.y, ib.y)
-        pa, pb = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
+        pa, pb = tmp_path / "a.npz", tmp_path / "b.npz"
         save_dataset(a, str(pa))
         save_dataset(b, str(pb))
         assert pa.read_bytes() == pb.read_bytes()
@@ -233,7 +233,7 @@ class TestGenSynthetic:
 class TestDatasetIO:
     def test_roundtrip(self, tmp_path):
         data = gen_synthetic(SyntheticSpec(n=30, d=5, c=4, mean_relevant=1.5, seed=7))
-        path = tmp_path / "data.jsonl"
+        path = tmp_path / "data.npz"
         save_dataset(data, str(path))
         loaded = load_dataset(str(path))
         assert len(loaded) == len(data)
@@ -244,8 +244,8 @@ class TestDatasetIO:
         assert loaded.X.tobytes() == data.X.tobytes() and loaded.X.shape == data.X.shape
         assert loaded.Y.tobytes() == data.Y.tobytes() and loaded.Y.dtype == np.int64
 
-    def test_lines_are_the_per_instance_json_lines(self, tmp_path):
-        path = tmp_path / "data.jsonl"
+    def test_archive_holds_the_stacked_arrays(self, tmp_path):
+        path = tmp_path / "data.npz"
         data = gen_synthetic(SyntheticSpec(n=40, d=5, c=4, mean_relevant=1.5, seed=3))
         save_dataset(data, str(path))
         assert not data._views  # written from the arrays: no instance was built
@@ -253,57 +253,38 @@ class TestDatasetIO:
                Instance(x=np.float32([0.1, -2.5, 7.0, 1e-40, 3.0]), y=np.int8([0, 1, 1, 0]))]
         for instances in (data, list(data) + odd, odd):
             save_dataset(instances, str(path))
-            assert path.read_text() == "".join(
-                json.dumps({"x": inst.x.tolist(), "y": inst.y.tolist()}) + "\n"
-                for inst in instances)
+            with np.load(path, allow_pickle=False) as archive:
+                assert archive.files == ["X", "Y"]
+                X, Y = archive["X"], archive["Y"]
+            assert (X.dtype, Y.dtype) == (np.float64, np.int64)
+            assert X.tobytes() == np.stack([inst.x for inst in instances]).tobytes()
+            assert Y.tobytes() == np.stack([inst.y for inst in instances]).tobytes()
+
+    def test_writes_exactly_the_path_and_the_same_bytes_at_any_time(self, tmp_path,
+                                                                    monkeypatch):
+        data = gen_synthetic(SyntheticSpec(n=20, d=3, c=4, mean_relevant=1.5, seed=5))
+        save_dataset(data, str(tmp_path / "data"))
+        # A zip entry may carry its write time: the second save runs a day later.
+        later = time.time() + 86400
+        monkeypatch.setattr(time, "time", lambda: later)
+        save_dataset(data, str(tmp_path / "data.jsonl"))
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["data", "data.jsonl"]
+        assert (tmp_path / "data").read_bytes() == (tmp_path / "data.jsonl").read_bytes()
 
     def test_empty_dataset_not_written(self, tmp_path):
-        path = tmp_path / "data.jsonl"
+        path = tmp_path / "data.npz"
         with pytest.raises(ValueError, match="^empty dataset$"):
             save_dataset([], str(path))
         assert list(tmp_path.iterdir()) == []
 
-    def test_empty_file_rejected(self, tmp_path):
-        path = tmp_path / "empty.jsonl"
-        path.write_text("")
-        with pytest.raises(ValueError):
-            load_dataset(str(path))
-
-    @pytest.mark.parametrize("bad_line, message", [
-        ('{"x": [0.1, 0.2, 0.3], "y": [1, 0]}', "len(x)=3, len(y)=2, but the first instance has 2, 2"),
-        ('{"x": [0.1, 0.2], "y": [1, 0, 1]}', "len(x)=2, len(y)=3, but the first instance has 2, 2"),
-        ('{"x": [0.1, 0.2]}', 'expected an object with "x" and "y"'),
-        ('{"x": [0.1, 0.2], "y": [1, 0]', "Expecting"),
-        ('{"x": [0.1, 0.2], "y": [1, 2]}', "label entries must be 0 or 1"),
-        ('{"x": [], "y": [1, 0]}', "x must be 1-D and non-empty"),
-        ('{"x": [0.1, 0.2], "y": []}', "y must be non-empty"),
-    ])
-    def test_bad_line_named(self, tmp_path, bad_line, message):
-        good = '{"x": [0.5, -0.5], "y": [0, 1]}'
-        path = tmp_path / "data.jsonl"
-        path.write_text("\n".join([good, good, "", bad_line, good]) + "\n")
+    @pytest.mark.parametrize("case", BAD_DATASET_FILES)
+    def test_bad_file_named_in_one_line(self, tmp_path, case):
+        content, message = BAD_DATASET_FILES[case]
+        path = tmp_path / "data.npz"
+        path.write_bytes(content)
         with pytest.raises(ValueError) as info:
             load_dataset(str(path))
-        assert str(info.value).startswith(f"{path} line 4: ")
-        assert message in str(info.value)
-
-    @pytest.mark.parametrize("bad_line, message", [
-        ('{"x": [NaN, 0.2], "y": [1, 0]}', "x contains non-finite entries"),
-        ('{"x": [0.1, 0.2], "y": [1, 2]}', "label entries must be 0 or 1"),
-    ])
-    @pytest.mark.parametrize("later", ['{"x": [0.5, -0.5], "y": [0, 1]}',
-                                       '{"x": [Infinity, 0.2], "y": [1, 0]}',
-                                       '{"x": [0.5, -0.5], "y": [0, 1, 0]}', '{"x": [0.5'])
-    def test_first_bad_line_named_after_the_block_check(self, tmp_path, bad_line, message,
-                                                        later):
-        # The lines are checked as one block; a failed check names the first bad line,
-        # also before a later bad one and a later line that is no JSON.
-        good = '{"x": [0.5, -0.5], "y": [0, 1]}'
-        path = tmp_path / "data.jsonl"
-        path.write_text("\n".join([good, good, bad_line, good, later]) + "\n")
-        with pytest.raises(ValueError) as info:
-            load_dataset(str(path))
-        assert str(info.value) == f"{path} line 3: {message}"
+        assert str(info.value) == f"{path}: {message}"
 
 
 def small_config(tmp_path, scheme=None, methods=("tkmia", "ml_cw_u"), k_grid=(2,),
