@@ -3,7 +3,8 @@
 Subcommands:
 
   gen-data   write the dataset of a report config as an .npz archive of X and Y
-  train      write the victim scorer of a report config, read or trained on its dataset
+  train      write the victim scorer of a report config, read or trained on its dataset,
+             as an .npz archive of its layers, activation and sigmoid_output
   attack     re-run one instance of a report config and print its outcome lines
   report     run a full experiment config and write CSV + outcomes
   check      run the built-in verification suites

@@ -4,13 +4,15 @@ A score vector is any finite vector (sigmoid outputs or raw logits): only
 its ranking is used, with ties broken deterministically by smaller class
 index, which keeps every downstream ranking quantity reproducible.
 All functions here are pure and safe to call concurrently, apart from
-:func:`atomic_write`, the one streaming file writer every output goes through.
+:func:`atomic_write`, the one streaming file writer every output goes through,
+and :func:`read_archive`, the one reader of dataset and scorer files.
 """
 from __future__ import annotations
 
 import math
 import os
-import tempfile
+import zipfile
+import zlib
 from collections.abc import Sequence
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -28,6 +30,7 @@ __all__ = [
     "variational_top_k_sum",
     "hinge",
     "atomic_write",
+    "read_archive",
 ]
 
 
@@ -299,7 +302,10 @@ def atomic_write(path: str, binary: bool = False) -> Iterator[IO]:
     raises, the temp file is removed and an existing target keeps its old
     bytes. Text is written without newline translation.
     """
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), suffix=".tmp")
+    tmp = os.path.join(os.path.dirname(os.path.abspath(path)), f"tmp{os.urandom(8).hex()}.tmp")
+    # Mode 0666 less the umask, as open(path, "w") gives a new file; mkstemp's temp
+    # file, and so the target, would be 0600 whatever the umask.
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL | getattr(os, "O_BINARY", 0), 0o666)
     try:
         with os.fdopen(fd, "wb") if binary else os.fdopen(fd, "w", newline="") as handle:
             yield handle
@@ -307,3 +313,45 @@ def atomic_write(path: str, binary: bool = False) -> Iterator[IO]:
     except BaseException:
         os.unlink(tmp)
         raise
+
+
+# The dtype kinds that an archive entry of each kind may hold.
+_KINDS = {"numeric": "biuf", "bool": "b", "str": "U"}
+
+
+def read_archive(path: str, what: str, layouts: Sequence[dict], build):
+    """Read the ``.npz`` archive of a ``what`` at ``path``, without pickles, and return
+    ``build`` of its dict of arrays.
+
+    The archive must hold exactly the entries of one of ``layouts``, each a dict of
+    entry name to (ndim, kind), where kind is "numeric", "bool" or "str". Any other
+    file, and any ValueError of ``build``, raises one ValueError line that begins
+    with ``path``. A missing file keeps its OSError, which names it.
+    """
+    # Each layout's names as "A, B and C"; the layouts joined by ", or ".
+    names = ", or ".join(" and ".join(", ".join(layout).rsplit(", ", 1)) for layout in layouts)
+    with open(path, "rb") as handle:
+        try:
+            if handle.read(4) != b"PK\x03\x04":  # np.load would read a .npy or a pickle
+                raise ValueError(f"not a {what} archive (a zip of the arrays {names})")
+            handle.seek(0)
+            with np.load(handle, allow_pickle=False) as archive:
+                layout = next((layout for layout in layouts
+                               if sorted(layout) == sorted(archive.files)), None)
+                if layout is None:
+                    raise ValueError(f"expected the arrays {names}, got {archive.files}")
+                # asarray: numpy gives an entry that holds no .npy data as bytes.
+                arrays = {name: np.asarray(archive[name]) for name in layout}
+            for name, (ndim, kind) in layout.items():
+                array = arrays[name]
+                if array.dtype.kind not in _KINDS[kind] or array.ndim != ndim:
+                    raise ValueError(f"{name} must be a {ndim}-D {kind} array, "
+                                     f"got {array.ndim}-D {array.dtype}")
+            return build(arrays)
+        # What numpy and zipfile raise on a damaged archive, an encrypted or unknown
+        # compression among them (RuntimeError), and an entry whose header declares
+        # more than memory holds (MemoryError: numpy allocates before it reads),
+        # besides the checks' ValueError.
+        except (ValueError, EOFError, OSError, RuntimeError, MemoryError,
+                zipfile.BadZipFile, zlib.error) as exc:
+            raise ValueError(f"{path}: {exc}") from None

@@ -13,8 +13,6 @@ from __future__ import annotations
 
 import json
 import os
-import zipfile
-import zlib
 from dataclasses import MISSING, dataclass, fields
 from itertools import islice
 from json.encoder import encode_basestring_ascii
@@ -37,7 +35,7 @@ from .attack import (
     select_random,
     tkmia_attack,
 )
-from .core import Dataset, Instance, _integer, _seed, atomic_write
+from .core import Dataset, Instance, _integer, _seed, atomic_write, read_archive
 from .metrics import (MEASURES, REPORT_COLUMNS, AggregateReport, _aggregate, evaluate_rows,
                       write_report_csv)
 # Unused here; perfbench's tracer test looks evaluate_instance up in this namespace.
@@ -211,29 +209,11 @@ def save_dataset(instances: Sequence[Instance], path: str) -> None:
 
 
 def load_dataset(path: str) -> Dataset:
-    """Read :func:`save_dataset`'s format: a zip archive of exactly the numeric arrays
+    """Read :func:`save_dataset`'s format: an archive of exactly the numeric 2-D arrays
     ``X`` and ``Y``, checked once by :class:`Dataset`. Any other file, or an empty
     dataset, raises one ValueError line that begins with ``path``."""
-    with open(path, "rb") as handle:
-        try:
-            if handle.read(4) != b"PK\x03\x04":  # np.load would read a .npy or a pickle
-                raise ValueError("not a dataset archive (a zip of the arrays X and Y)")
-            handle.seek(0)
-            with np.load(handle, allow_pickle=False) as archive:
-                if sorted(archive.files) != ["X", "Y"]:
-                    raise ValueError(f"expected the arrays X and Y, got {archive.files}")
-                # asarray: numpy gives an entry that holds no .npy data as bytes.
-                X, Y = np.asarray(archive["X"]), np.asarray(archive["Y"])
-            for name, array in (("X", X), ("Y", Y)):
-                if array.dtype.kind not in "biuf" or array.ndim != 2:
-                    raise ValueError(f"{name} must be a 2-D numeric array, "
-                                     f"got {array.ndim}-D {array.dtype}")
-            return Dataset.of(Dataset(X, Y))
-        # What numpy and zipfile raise on a damaged archive, an encrypted or unknown
-        # compression among them (RuntimeError), besides the checks' ValueError.
-        except (ValueError, EOFError, OSError, RuntimeError, zipfile.BadZipFile,
-                zlib.error) as exc:
-            raise ValueError(f"{path}: {exc}") from None
+    return read_archive(path, "dataset", [{"X": (2, "numeric"), "Y": (2, "numeric")}],
+                        lambda arrays: Dataset.of(Dataset(arrays["X"], arrays["Y"])))
 
 
 @dataclass

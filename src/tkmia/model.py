@@ -13,13 +13,11 @@ concurrently. Training builds a new scorer.
 """
 from __future__ import annotations
 
-import json
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Dataset, _finite, _integer, _seed, atomic_write
+from .core import Dataset, _finite, _integer, _seed, atomic_write, read_archive
 
 __all__ = [
     "Scorer",
@@ -32,8 +30,6 @@ __all__ = [
     "save_scorer",
     "load_scorer",
 ]
-
-FORMAT_TAG = "tkmia-scorer-v1"
 
 # Sigmoid saturates to exactly 0.0/1.0 in float64 beyond |z| ~ 36.7; clip
 # logits so outputs stay strictly inside (0, 1).
@@ -414,64 +410,36 @@ def finite_diff_check(model: Scorer, x, tolerance: float,
     return worst <= tolerance, worst
 
 
+# The entries of an affine and of an MLP scorer's archive: each layer's weight and
+# bias, the hidden activation, and whether the scores are sigmoid outputs.
+_SCORER_LAYOUTS = [
+    {**{f"{name}_{number}": (ndim, "numeric") for number in range(1, layers + 1)
+        for name, ndim in (("weight", 2), ("bias", 1))},
+     "activation": (0, "str"), "sigmoid_output": (0, "bool")}
+    for layers in (1, 2)]
+
+
 def save_scorer(model: Scorer, path: str) -> None:
-    """Serialize a scorer as line-delimited JSON (header + one layer/line)."""
-    header = {
-        "format": FORMAT_TAG,
-        "arch": model.arch,
-        "activation": model.activation,
-        "sigmoid_output": model.sigmoid_output,
-        "shapes": [list(w.shape) for w in model.weights],
-    }
-    with atomic_write(path) as handle:
-        handle.write(json.dumps(header) + "\n")
-        for w, b in zip(model.weights, model.biases):
-            handle.write(json.dumps({"weight": w.ravel(order="C").tolist(),
-                                     "bias": b.tolist()}) + "\n")
+    """An uncompressed ``.npz`` archive at exactly ``path``: ``weight_1`` and ``bias_1``,
+    and ``weight_2`` and ``bias_2`` for an MLP, then ``activation`` as a 0-d str array
+    and ``sigmoid_output`` as a 0-d bool array. numpy dates each entry 1980-01-01, so
+    equal scorers give equal bytes."""
+    layers = {f"{name}_{number}": array
+              for number, pair in enumerate(zip(model.weights, model.biases), start=1)
+              for name, array in zip(("weight", "bias"), pair)}
+    with atomic_write(path, binary=True) as handle:
+        np.savez(handle, **layers, activation=model.activation,
+                 sigmoid_output=model.sigmoid_output)
 
 
 def load_scorer(path: str) -> Scorer:
-    """Read :func:`save_scorer`'s format.
+    """Read :func:`save_scorer`'s format, checked once by :class:`Scorer`; the layer
+    count gives the arch. Any other file raises one ValueError line that begins with
+    ``path``."""
+    def build(arrays):
+        layers = range(1, len(arrays) // 2)  # two entries per layer, and two more
+        return Scorer([arrays[f"weight_{number}"] for number in layers],
+                      [arrays[f"bias_{number}"] for number in layers],
+                      str(arrays["activation"]), bool(arrays["sigmoid_output"]))
 
-    A malformed file raises a one-line ValueError that names the file, and
-    the 1-based layer number of a malformed or invalid layer line.
-    """
-    try:  # a missing file's OSError names it; bytes that are not UTF-8 do not
-        with open(path) as handle:
-            lines = [line for line in handle.read().splitlines() if line.strip()]
-        if not lines:
-            raise ValueError("empty scorer file")
-        header = json.loads(lines[0])
-        if not isinstance(header, dict):
-            raise ValueError("header: expected an object")
-        if header.get("format") != FORMAT_TAG:
-            raise ValueError(f"unsupported scorer format {header.get('format')!r}")
-        for key in ("arch", "shapes", "activation", "sigmoid_output"):
-            if key not in header:
-                raise ValueError(f"header: missing key {key!r}")
-        if not isinstance(header["sigmoid_output"], bool):
-            raise ValueError(f"header: sigmoid_output must be true or false, "
-                             f"got {header['sigmoid_output']!r}")
-        shapes = [tuple(s) for s in header["shapes"]]
-        if len(lines) - 1 != len(shapes):
-            raise ValueError("layer count does not match header")
-        weights, biases = [], []
-        for number, (shape, line) in enumerate(zip(shapes, lines[1:]), start=1):
-            try:
-                layer = json.loads(line)
-                if not isinstance(layer, dict) or not {"weight", "bias"} <= layer.keys():
-                    raise ValueError('expected an object with "weight" and "bias"')
-                weight = np.asarray(layer["weight"], dtype=np.float64)
-                if weight.size != math.prod(shape):
-                    raise ValueError(f"{weight.size} weights do not fit shape {list(shape)}")
-                weights.append(weight.reshape(shape))
-                biases.append(np.asarray(layer["bias"], dtype=np.float64))
-            except (ValueError, TypeError, RecursionError) as exc:
-                raise ValueError(f"layer {number}: {exc}") from None
-        model = Scorer(weights, biases, header["activation"], header["sigmoid_output"])
-        if header["arch"] != model.arch:
-            raise ValueError(f"header: arch {header['arch']!r} does not match "
-                             f"the layer count {len(weights)}")
-        return model
-    except (ValueError, TypeError, RecursionError) as exc:
-        raise ValueError(f"{path}: {exc}") from None
+    return read_archive(path, "scorer", _SCORER_LAYOUTS, build)

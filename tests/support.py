@@ -111,6 +111,44 @@ BAD_DATASET_FILES = {
 }
 
 
+# The arrays of a good affine and a good MLP scorer, from which each bad scorer file
+# is made.
+_AFFINE = {"weight_1": _X, "bias_1": _X[:, 0], "activation": "tanh", "sigmoid_output": True}
+_MLP = {"weight_1": _X, "bias_1": _X[:, 0], "weight_2": _X.T, "bias_2": _X[0],
+        "activation": "relu", "sigmoid_output": True}
+_SCORER_ARRAYS = ("weight_1, bias_1, activation and sigmoid_output, "
+                  "or weight_1, bias_1, weight_2, bias_2, activation and sigmoid_output")
+_NOT_A_SCORER = f"not a scorer archive (a zip of the arrays {_SCORER_ARRAYS})"
+# The affine scorer in the JSON-lines format of earlier versions.
+_JSON_LINES_SCORER = (
+    b'{"format": "tkmia-scorer-v1", "arch": "affine", "activation": "tanh", '
+    b'"sigmoid_output": true, "shapes": [[3, 2]]}\n'
+    b'{"weight": [0.5, -0.5, 0.1, 0.2, -0.3, 0.9], "bias": [0.5, 0.1, -0.3]}\n')
+# Each case of a file that ``load_scorer`` rejects: the file's bytes, and the end of
+# the one-line error that names it.
+BAD_SCORER_FILES = {
+    "empty file": (b"", _NOT_A_SCORER),
+    "JSON lines": (_JSON_LINES_SCORER, _NOT_A_SCORER),
+    "dataset archive": (archive_bytes(X=_X, Y=_Y),
+                        f"expected the arrays {_SCORER_ARRAYS}, got ['X', 'Y']"),
+    "weight_3": (archive_bytes(**_MLP, weight_3=_X),
+                 f"expected the arrays {_SCORER_ARRAYS}, got ['weight_1', 'bias_1', "
+                 "'weight_2', 'bias_2', 'activation', 'sigmoid_output', 'weight_3']"),
+    "unchained layers": (archive_bytes(**{**_MLP, "weight_2": _X, "bias_2": _X[:, 0]}),
+                         "hidden dimensions do not chain"),
+    "affine relu": (archive_bytes(**{**_AFFINE, "activation": "relu"}),
+                    "affine scorer: activation must be 'tanh', got 'relu'"),
+    "unknown activation": (archive_bytes(**{**_MLP, "activation": "sigmoid"}),
+                           "unknown activation 'sigmoid'"),
+    "int sigmoid_output": (archive_bytes(**{**_AFFINE, "sigmoid_output": 1}),
+                           "sigmoid_output must be a 0-D bool array, got 0-D int64"),
+    "non-finite bias": (archive_bytes(**{**_AFFINE, "bias_1": [0.5, np.nan, -0.3]}),
+                        "layer 1: non-finite parameters"),
+    "1-D weight": (archive_bytes(**{**_AFFINE, "weight_1": _X[0]}),
+                   "weight_1 must be a 2-D numeric array, got 1-D float64"),
+}
+
+
 def outcome_digest(path):
     """The first 16 hex digits of a sha256 over each outcome record of the file at
     ``path``: its method, k, instance, success, iterations_used, residual and

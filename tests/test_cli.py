@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import os
+import stat
 import subprocess
 import sys
 from pathlib import Path
@@ -13,7 +14,7 @@ from tkmia.cli import main
 from tkmia.model import make_affine, save_scorer
 
 from support import attack as library_attack
-from support import BAD_DATASET_FILES, archive_bytes, dumped, read_jsonl
+from support import BAD_DATASET_FILES, BAD_SCORER_FILES, dumped, read_jsonl
 
 
 def run_cli(argv):
@@ -82,7 +83,7 @@ class TestGenData:
     @EXPORTS
     def test_missing_out_directory_rejected_before_set_up(self, tmp_path, capsys, command):
         # The config is missing too: the directory check must come first.
-        code = run_command(command, tmp_path / "config.json", out=tmp_path / "nodir" / "x.jsonl")
+        code = run_command(command, tmp_path / "config.json", out=tmp_path / "nodir" / "x.npz")
         assert code == 1
         assert capsys.readouterr() == (
             "", f"error: --out: directory {tmp_path / 'nodir'} does not exist\n")
@@ -127,11 +128,11 @@ class TestTrainAndAttack:
         return run_command("train", self.config(tmp_path, dataset_path, victim), out=out)
 
     def test_train_then_attack_prints_outcome_json(self, dataset_path, tmp_path, capsys):
-        victim = tmp_path / "victim.jsonl"
+        victim = tmp_path / "victim.npz"
         assert self.train(tmp_path, dataset_path, {"epochs": 40, "seed": 1}, victim) == 0
         assert capsys.readouterr().out == f"wrote affine scorer to {victim}\n"
         # keys left out take train_victim's defaults
-        expected = tmp_path / "expected.jsonl"
+        expected = tmp_path / "expected.npz"
         save_scorer(harness.train_victim(harness.load_dataset(str(dataset_path)), epochs=40,
                                          seed=1), str(expected))
         assert victim.read_bytes() == expected.read_bytes()
@@ -149,7 +150,7 @@ class TestTrainAndAttack:
     def test_empty_victim_block_fits_the_report_victim(self, dataset_path, tmp_path, capsys):
         """An empty victim block takes VictimSpec's defaults, epochs included, and the
         config's seed 3, as the victim of a report on that config does."""
-        victim, expected = tmp_path / "victim.jsonl", tmp_path / "expected.jsonl"
+        victim, expected = tmp_path / "victim.npz", tmp_path / "expected.npz"
         assert self.train(tmp_path, dataset_path, {}, victim) == 0
         save_scorer(harness.train_victim(harness.load_dataset(str(dataset_path)), seed=3),
                     str(expected))
@@ -158,7 +159,7 @@ class TestTrainAndAttack:
     def test_attack_prints_the_outcome_record_dumped(self, dataset_path, tmp_path, capsys):
         """Each printed line is the record of the library's attack dumped with the
         instance, k and the measures of its clean and perturbed scores."""
-        victim = tmp_path / "victim.jsonl"
+        victim = tmp_path / "victim.npz"
         assert self.train(tmp_path, dataset_path, {"epochs": 20}, victim) == 0
         capsys.readouterr()
         data, scorer = harness.load_dataset(str(dataset_path)), model.load_scorer(str(victim))
@@ -180,7 +181,7 @@ class TestTrainAndAttack:
     @pytest.mark.parametrize("case", ["outside", "negative", "filtered", "past-cap"])
     def test_index_in_no_cell_exits_one(self, dataset_path, tmp_path, capsys, case):
         """An index that no cell of the report attacks prints nothing and one line."""
-        victim = tmp_path / "victim.jsonl"
+        victim = tmp_path / "victim.npz"
         save_scorer(make_affine(10, 6), str(victim))
         config = self.config(tmp_path, dataset_path, victim)
         data = harness.load_dataset(str(dataset_path))
@@ -236,7 +237,7 @@ class TestTrainAndAttack:
                                                                  capsys):
         """An instance with three relevant labels is in the k=2 cell of an m=1 report
         but fails the filter |Yp| >= k + |S| at k=3: only its k=2 lines are printed."""
-        victim = tmp_path / "victim.jsonl"
+        victim = tmp_path / "victim.npz"
         save_scorer(make_affine(10, 6, seed=1), str(victim))
         config = self.config(tmp_path, dataset_path, victim, k_grid=[2, 3], max_instances=150)
         data = harness.load_dataset(str(dataset_path))
@@ -249,7 +250,7 @@ class TestTrainAndAttack:
     def test_attack_prints_its_lines_in_the_order_of_the_report_file(self, dataset_path,
                                                                       tmp_path, capsys):
         """The lines follow the config's k grid and methods, not their sorted order."""
-        victim = tmp_path / "victim.jsonl"
+        victim = tmp_path / "victim.npz"
         save_scorer(make_affine(10, 6, seed=1), str(victim))
         methods = list(reversed(attack.METHODS))
         config = self.config(tmp_path, dataset_path, victim, k_grid=[3, 2], methods=methods,
@@ -265,7 +266,7 @@ class TestTrainAndAttack:
     def test_attack_needs_no_output_directory(self, dataset_path, tmp_path, capsys):
         """``tkmia attack`` writes no file, so a config whose output directories are
         missing runs, where a report on it exits 1 before any work."""
-        victim = tmp_path / "victim.jsonl"
+        victim = tmp_path / "victim.npz"
         save_scorer(make_affine(10, 6, seed=1), str(victim))
         nodir = tmp_path / "nodir"
         config = self.config(tmp_path, dataset_path, victim,
@@ -279,7 +280,7 @@ class TestTrainAndAttack:
         assert run_cli(["report", "--config", str(config)]) == 1
         assert capsys.readouterr() == ("", f"error: out_csv: directory {nodir} does not exist\n")
         assert sorted(p.name for p in tmp_path.iterdir()) == [
-            "config.json", "data.npz", "victim.jsonl"]
+            "config.json", "data.npz", "victim.npz"]
 
     # Integers beyond int64 in a float field, which numpy takes only as floats: 10**30 runs,
     # and 10**400, which no float holds, is not finite.
@@ -301,7 +302,7 @@ class TestTrainAndAttack:
         """A config that a report rejects, ``tkmia attack``, ``gen-data`` and ``train``
         reject with the same line, printing and writing nothing. A number in a float
         field is checked as the float it denotes: 10**30 runs in every command."""
-        victim = tmp_path / "victim.jsonl"
+        victim = tmp_path / "victim.npz"
         save_scorer(make_affine(10, 6, seed=1), str(victim))
         fields = dict({"negative-seed": {"seed": -1}, "k-above-c": {"k_grid": [6]},
                        # json.dumps writes NaN, and json.load reads it.
@@ -321,7 +322,7 @@ class TestTrainAndAttack:
                    "lr1e400": f"victim: learning rate must be finite, got {10**400}",
                    **{name: f"{config}: {error}" for name, (_, error) in self.UNREADABLE.items()},
                    }.get(case)
-        out = tmp_path / "out.jsonl"
+        out = tmp_path / "out.npz"
         if message is None:
             assert run_command(command, config, 0, out) == 0
             assert capsys.readouterr().err == ""
@@ -329,10 +330,10 @@ class TestTrainAndAttack:
         assert run_command(command, config, 0, out) == 1
         assert capsys.readouterr() == ("", f"error: {message}\n")
         assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
-            ["data.npz", "victim.jsonl"] + ([] if case == "missing-file" else ["config.json"]))
+            ["data.npz", "victim.npz"] + ([] if case == "missing-file" else ["config.json"]))
 
     def test_train_rejects_mlp_without_hidden_units(self, dataset_path, tmp_path, capsys):
-        out = tmp_path / "v.jsonl"
+        out = tmp_path / "v.npz"
         assert self.train(tmp_path, dataset_path, {"arch": "mlp", "hidden": 0}, out) == 1
         assert capsys.readouterr().err == "error: victim: hidden size must be >= 1, got 0\n"
         assert not out.exists()
@@ -341,7 +342,7 @@ class TestTrainAndAttack:
         from tkmia.model import ACTIVATIONS, load_scorer
 
         for activation in ACTIVATIONS:
-            out = tmp_path / f"{activation}.jsonl"
+            out = tmp_path / f"{activation}.npz"
             victim = {"arch": "mlp", "hidden": 4, "activation": activation, "epochs": 2}
             assert self.train(tmp_path, dataset_path, victim, out) == 0
             assert load_scorer(str(out)).activation == activation
@@ -354,7 +355,7 @@ class TestTrainAndAttack:
     def test_train_rejects_mlp_flags_on_an_affine_victim(self, dataset_path, tmp_path, capsys,
                                                          victim, key):
         """hidden and activation shape an MLP only, as in a report's victim block."""
-        out = tmp_path / "v.jsonl"
+        out = tmp_path / "v.npz"
         assert self.train(tmp_path, dataset_path, victim, out) == 1
         assert capsys.readouterr().err == f"error: victim: unknown key {key!r}\n"
         assert not out.exists()
@@ -362,7 +363,7 @@ class TestTrainAndAttack:
     def test_attack_takes_the_clip_domain_of_the_config(self, tmp_path, capsys):
         dataset = tmp_path / "data.npz"
         harness.save_dataset([core.Instance(x=[0.5, 1.5], y=[1, 1, 0])], str(dataset))
-        victim = tmp_path / "victim.jsonl"
+        victim = tmp_path / "victim.npz"
         model = make_affine(2, 3, seed=1)
         save_scorer(model, str(victim))
         config = self.config(tmp_path, dataset, victim, k_grid=[1], methods=["tkmia"],
@@ -380,20 +381,20 @@ class TestTrainAndAttack:
         """A victim whose in_dim or out_dim is not the dataset's d or c ends the run
         before any attack, and nothing is printed or written: ``train`` writes no
         victim that a report on its config would refuse."""
-        victim = tmp_path / "victim.jsonl"
+        victim = tmp_path / "victim.npz"
         config = self.config(tmp_path, dataset_path, victim)
         index = harness._cell_selection(harness.ExperimentConfig.from_json(str(config)),
                                         harness.load_dataset(str(dataset_path)), 2)[0][0]
         for d, c in ((11, 6), (10, 7)):
             save_scorer(make_affine(d, c, seed=1), str(victim))
             message = f"error: victim has in_dim={d}, out_dim={c}, but the dataset has d=10, c=6\n"
-            assert run_command(command, config, index, out=tmp_path / "out.jsonl") == 1
+            assert run_command(command, config, index, out=tmp_path / "out.npz") == 1
             assert capsys.readouterr() == ("", message)
             assert sorted(p.name for p in tmp_path.iterdir()) == [
-                "config.json", "data.npz", "victim.jsonl"]
+                "config.json", "data.npz", "victim.npz"]
 
     def test_attack_runs_on_a_raw_scorer(self, dataset_path, tmp_path, capsys):
-        victim = tmp_path / "raw.jsonl"
+        victim = tmp_path / "raw.npz"
         save_scorer(make_affine(10, 6, seed=1, sigmoid_output=False), str(victim))
         relevant = harness.load_dataset(str(dataset_path)).Y.sum(axis=1)
         index = next(i for i, count in enumerate(relevant) if 3 <= count < 6)
@@ -413,74 +414,65 @@ class TestRoundTrip:
         assert run_cli(["report", "--config", str(config)]) == 0
         return [Path(fields[key]).read_bytes() for key in ("out_csv", "out_outcomes")]
 
+    @pytest.mark.parametrize("sigmoid_output", [True, False], ids=["sigmoid", "logit"])
     @pytest.mark.parametrize("victim", [
         {"arch": "affine", "epochs": 20},
         {"arch": "mlp", "hidden": 4, "activation": "relu", "epochs": 20},
     ], ids=["affine", "mlp"])
-    def test_report_on_the_written_files_is_the_inline_report(self, tmp_path, capsys, victim):
+    def test_report_on_the_written_files_is_the_inline_report(self, tmp_path, capsys,
+                                                               monkeypatch, victim,
+                                                               sigmoid_output):
+        if not sigmoid_output:
+            fit = harness.train_victim
+
+            def fit_logits(*args, **kwargs):
+                # An inline victim is fitted with sigmoid outputs; this one scores its logits.
+                fitted = fit(*args, **kwargs)
+                return model.Scorer(fitted.weights, fitted.biases, fitted.activation,
+                                    sigmoid_output=False)
+
+            monkeypatch.setattr(harness, "train_victim", fit_logits)
         # The victim block sets no seed: it fits at the config's seed 3.
         inline = base_config(
             tmp_path, seed=3, k_grid=[2], methods=list(attack.METHODS), max_instances=10,
             dataset={"n": 120, "d": 8, "c": 6, "mean_relevant": 2.5, "seed": 5},
             victim=victim, attack={"eta": 0.05, "alpha": 1e-4, "max_iter": 50})
         expected = self.report(tmp_path, "inline.json", **inline)
-        data, scorer = tmp_path / "data.npz", tmp_path / "victim.jsonl"
+        data, scorer = tmp_path / "data.npz", tmp_path / "victim.npz"
         assert run_command("gen-data", tmp_path / "inline.json", out=data) == 0
         assert run_command("train", tmp_path / "inline.json", out=scorer) == 0
+        assert model.load_scorer(str(scorer)).sigmoid_output is sigmoid_output
         paths = {**inline, "dataset": {"path": str(data)}, "victim": {"path": str(scorer)}}
         assert self.report(tmp_path, "paths.json", **paths) == expected
-        # From a config of path blocks, the two commands write the files again.
-        for command, written in (("gen-data", data), ("train", scorer)):
-            again = tmp_path / f"again-{written.name}"
-            assert run_command(command, tmp_path / "paths.json", out=again) == 0
-            assert again.read_bytes() == written.read_bytes()
+        # From the inline config again, and from the config of path blocks, the two
+        # commands write the same bytes.
+        for config in ("inline.json", "paths.json"):
+            for command, written in (("gen-data", data), ("train", scorer)):
+                again = tmp_path / f"again-{written.name}"
+                assert run_command(command, tmp_path / config, out=again) == 0
+                assert again.read_bytes() == written.read_bytes()
 
 
-class TestEmptyFeatures:
-    """A dataset file with no features is named at load, before any training."""
+class TestFileModes:
+    """Every file that a command writes takes the mode that the umask gives a new
+    file, as ``open(path, "w")`` would."""
 
-    @pytest.fixture
-    def dataset_path(self, tmp_path):
-        path = tmp_path / "data.npz"
-        path.write_bytes(archive_bytes(X=np.empty((2, 0)), Y=[[1, 0, 1], [0, 1, 1]]))
-        return path
-
-    def test_train_exits_one(self, dataset_path, tmp_path, capsys):
+    @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)],
+                             ids=["umask-022", "umask-077"])
+    def test_outputs_follow_the_umask(self, tmp_path, capsys, umask, mode):
         config = write_config(tmp_path / "config.json", **base_config(
-            tmp_path, dataset={"path": str(dataset_path)}, victim={}))
-        assert run_command("train", config, out=tmp_path / "v.jsonl") == 1
-        assert capsys.readouterr().err == (
-            f"error: {dataset_path}: x must be 1-D and non-empty\n")
-        assert not (tmp_path / "v.jsonl").exists()
-
-    def test_report_exits_one(self, dataset_path, tmp_path, capsys):
-        config = {
-            "dataset": {"path": str(dataset_path)},
-            "victim": {"arch": "affine"},
-            "k_grid": [1],
-            "scheme": {"type": "random", "m": 1},
-            "methods": ["tkmia"],
-            "attack": {"eta": 0.05},
-            "out_csv": str(tmp_path / "report.csv"),
-            "out_outcomes": str(tmp_path / "outcomes.jsonl"),
-        }
-        path = tmp_path / "config.json"
-        path.write_text(json.dumps(config))
-        assert run_cli(["report", "--config", str(path)]) == 1
-        assert capsys.readouterr().err == (
-            f"error: {dataset_path}: x must be 1-D and non-empty\n")
-        assert not (tmp_path / "report.csv").exists()
-
-
-class TestEmptyLabels:
-    def test_train_exits_one(self, tmp_path, capsys):
-        path = tmp_path / "data.npz"
-        path.write_bytes(archive_bytes(X=[[0.5], [0.2]], Y=np.empty((2, 0), dtype=np.int64)))
-        config = write_config(tmp_path / "config.json", **base_config(
-            tmp_path, dataset={"path": str(path)}, victim={}))
-        assert run_command("train", config, out=tmp_path / "v.jsonl") == 1
-        assert capsys.readouterr().err == f"error: {path}: y must be non-empty\n"
-        assert not (tmp_path / "v.jsonl").exists()
+            tmp_path, dataset={"n": 20, "d": 2, "c": 3, "mean_relevant": 1.5},
+            victim={"epochs": 1}))
+        previous = os.umask(umask)
+        try:
+            assert run_command("gen-data", config, out=tmp_path / "data.npz") == 0
+            assert run_command("train", config, out=tmp_path / "victim.npz") == 0
+            assert run_command("report", config) == 0
+        finally:
+            os.umask(previous)
+        written = ["data.npz", "outcomes.jsonl", "report.csv", "victim.npz"]
+        assert {name: stat.S_IMODE((tmp_path / name).stat().st_mode)
+                for name in written} == dict.fromkeys(written, mode)
 
 
 class TestBadDatasetFile:
@@ -584,71 +576,22 @@ class TestReportOnAnAllRelevantInstance:
         assert [row.split(",")[-1] for row in rows[1:]] == ["3", "3"]
 
 
-def drop_shapes(lines):
-    header = json.loads(lines[0])
-    del header["shapes"]
-    return [json.dumps(header)] + lines[1:]
+class TestBadScorerFile:
+    """Every command that reads a scorer file rejects a bad one in one line that
+    names it, and writes nothing."""
 
-
-def edit_header(**changes):
-    return lambda lines: [json.dumps({**json.loads(lines[0]), **changes})] + lines[1:]
-
-
-def layers(count, **changes):
-    """An edit to ``count`` copies of the first layer, under a header that lists them."""
-    def edit(lines):
-        header = json.loads(lines[0])
-        header.update(shapes=header["shapes"] * count, **changes)
-        return [json.dumps(header)] + lines[1:2] * count
-    return edit
-
-
-def short_weight(lines):
-    layer = json.loads(lines[1])
-    layer["weight"] = layer["weight"][:-1]
-    return [lines[0], json.dumps(layer)]
-
-
-class TestMalformedScorer:
-    @pytest.mark.parametrize("edit, message", [
-        (lambda lines: ["[]"], "header: expected an object"),
-        (drop_shapes, "header: missing key 'shapes'"),
-        (short_weight, "layer 1: 23 weights do not fit shape [6, 4]"),
-        (lambda lines: [lines[0], "[1]"],
-         'layer 1: expected an object with "weight" and "bias"'),
-        (lambda lines: lines[:1], "layer count does not match header"),
-        (lambda lines: [], "empty scorer file"),
-        # Each below once loaded a scorer that the file does not hold.
-        (edit_header(sigmoid_output="false"),
-         "header: sigmoid_output must be true or false, got 'false'"),
-        (edit_header(arch="mlp"), "header: arch 'mlp' does not match the layer count 1"),
-        (edit_header(activation="relu"), "affine scorer: activation must be 'tanh', got 'relu'"),
-        (edit_header(activation="sigmoid"), "unknown activation 'sigmoid'"),
-        (layers(3), "expected 1 (affine) or 2 (mlp) weight/bias layers"),
-        (layers(2, arch="mlp"), "hidden dimensions do not chain"),
-        (lambda lines: [lines[0], "[" * 5_000], f"layer 1: {RECURSION}"),
-        (lambda lines: ["\udcff"], UNDECODABLE),  # written as the byte 0xff
-    ], ids=["list-header", "no-shapes", "short-weight", "list-layer", "no-layer", "empty",
-            "string-sigmoid-output", "wrong-arch", "affine-activation", "unknown-activation",
-            "three-layers", "unchained-layers", "deep-layer", "not-utf-8"])
-    @COMMANDS
-    def test_rejects_file_in_one_line(self, tmp_path, capsys, command, edit, message):
-        dataset = tmp_path / "data.npz"
-        victim = tmp_path / "victim.jsonl"
+    @pytest.mark.parametrize("command", ["report", "attack", "train"])
+    @pytest.mark.parametrize("case", BAD_SCORER_FILES)
+    def test_rejected_in_one_line(self, tmp_path, capsys, command, case):
+        content, message = BAD_SCORER_FILES[case]
+        path = tmp_path / "victim.npz"
+        path.write_bytes(content)
         config = write_config(tmp_path / "config.json", **base_config(
-            tmp_path, dataset={"n": 20, "d": 4, "c": 6, "mean_relevant": 3.0},
-            victim={"epochs": 1}))
-        assert run_command("gen-data", config, out=dataset) == 0
-        assert run_command("train", config, out=victim) == 0
-        lines = edit(victim.read_text().splitlines())
-        victim.write_text("".join(line + "\n" for line in lines), errors="surrogateescape")
-        capsys.readouterr()
-        config = write_config(config, **base_config(
-            tmp_path, dataset={"path": str(dataset)}, victim={"path": str(victim)}))
-        assert run_command(command, config, 0) == 1
-        assert capsys.readouterr() == ("", f"error: {victim}: {message}\n")
-        assert sorted(p.name for p in tmp_path.iterdir()) == [
-            "config.json", "data.npz", "victim.jsonl"]
+            tmp_path, dataset={"n": 20, "d": 2, "c": 3, "mean_relevant": 1.5},
+            victim={"path": str(path)}))
+        assert run_command(command, config, 0, tmp_path / "out.npz") == 1
+        assert capsys.readouterr() == ("", f"error: {path}: {message}\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "victim.npz"]
 
 
 class ClassThreeInfinite(model.Scorer):
@@ -677,7 +620,7 @@ class TestNonFiniteScores:
         harness.save_dataset([core.Instance(x=x, y=y) for x, y in self.ROWS], str(dataset))
         # Class 3's logit, 1.7e308 * x[0] + 1e308, overflows at instance 2 only.
         weights = self.WEIGHTS[:3] + [[1.7e308, 0.0]]
-        overflow = tmp_path / "overflow.jsonl"
+        overflow = tmp_path / "overflow.npz"
         save_scorer(model.Scorer([weights], [[0.0, 0.1, -0.1, 1e308]], sigmoid_output=False),
                     str(overflow))
         return dataset, overflow
@@ -701,7 +644,7 @@ class TestNonFiniteScores:
         assert capsys.readouterr() == ("", "error: clean scores (k=1) instance 2: "
                                            "score vector contains non-finite entries\n")
         assert sorted(p.name for p in tmp_path.iterdir()) == [
-            "config.json", "data.npz", "overflow.jsonl"]
+            "config.json", "data.npz", "overflow.npz"]
 
     @COMMANDS
     def test_overflow_error_is_the_only_stderr_line(self, files, tmp_path, command):
@@ -728,12 +671,12 @@ class TestNonFiniteScores:
                                     sigmoid_output=False)
         # The run gets the double in place of the victim file, which it never reads.
         monkeypatch.setattr(harness, "load_scorer", lambda path: victim)
-        config = self.config(tmp_path, dataset, tmp_path / "unread.jsonl")
+        config = self.config(tmp_path, dataset, tmp_path / "unread.npz")
         assert run_command(command, config, 2) == 1
         assert capsys.readouterr() == ("", "error: attack (tkmia, k=1) instance 2: "
                                            "score vector contains non-finite entries\n")
         assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "data.npz",
-                                                              "overflow.jsonl"]
+                                                              "overflow.npz"]
 
 
 class TestReport:

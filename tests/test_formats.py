@@ -1,19 +1,20 @@
 """Round trips of the dataset and scorer file formats.
 
-Saving, loading and saving again must give the same bytes. A dataset archive
-broken by a mutation must be rejected in one line that names the file, and a
-scorer line broken by a mutation in one line that names its layer number.
+Saving, loading and saving again must give the same bytes. A dataset or scorer
+archive broken by a mutation, or one whose entry declares more values than memory
+holds, must be rejected in one line that names the file.
 """
-import json
+import io
 import os
 import tempfile
+import zipfile
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tkmia.core import Dataset, Instance
+from tkmia.core import Instance
 from tkmia.harness import load_dataset, save_dataset
 from tkmia.model import ACTIVATIONS, Scorer, load_scorer, save_scorer
 
@@ -43,33 +44,11 @@ def scorers(draw):
 
 def save_load_save(save, load, obj):
     with tempfile.TemporaryDirectory() as tmp:
-        first, second = os.path.join(tmp, "a.jsonl"), os.path.join(tmp, "b.jsonl")
+        first, second = os.path.join(tmp, "a.npz"), os.path.join(tmp, "b.npz")
         save(obj, first)
         save(load(first), second)
         with open(first, "rb") as a, open(second, "rb") as b:
             return a.read(), b.read()
-
-
-def load_error(load, lines):
-    """The error of ``load`` on a file of ``lines``, and the file's path."""
-    with tempfile.TemporaryDirectory() as tmp:
-        path = os.path.join(tmp, "mutated.jsonl")
-        with open(path, "w") as handle:
-            handle.write("".join(line + "\n" for line in lines))
-        with pytest.raises(ValueError) as info:
-            load(path)
-        return str(info.value), path
-
-
-# Each takes a saved layer record and gives a line that is invalid on its own.
-LAYER_MUTATIONS = [
-    lambda r: json.dumps(r)[:-1],
-    lambda r: "[]",
-    lambda r: json.dumps({"weight": r["weight"]}),
-    lambda r: json.dumps({"weight": r["weight"][1:], "bias": r["bias"]}),
-    lambda r: json.dumps({"weight": r["weight"], "bias": r["bias"][1:]}),
-    lambda r: json.dumps({"weight": r["weight"], "bias": [float("inf")] + r["bias"][1:]}),
-]
 
 
 class TestDatasetFormat:
@@ -79,33 +58,6 @@ class TestDatasetFormat:
         first, second = save_load_save(save_dataset, load_dataset, data)
         assert first == second
 
-    @settings(max_examples=100, deadline=None)
-    @given(datasets(), st.data())
-    def test_mutated_archive_is_named_or_loads_unchanged(self, data, draw):
-        # A byte of the archive changed, or its tail cut off. An entry's CRC-32 covers
-        # its bytes, so a changed byte that is read fails the load; one that is not
-        # read (a date, say) loads the saved arrays.
-        with tempfile.TemporaryDirectory() as tmp:
-            path = os.path.join(tmp, "data.npz")
-            save_dataset(data, path)
-            with open(path, "rb") as handle:
-                content = bytearray(handle.read())
-            i = draw.draw(st.integers(0, len(content) - 1))
-            if draw.draw(st.booleans()):
-                content[i] ^= draw.draw(st.integers(1, 255))
-            else:
-                del content[i:]
-            with open(path, "wb") as handle:
-                handle.write(content)
-            try:
-                loaded = load_dataset(path)
-            except ValueError as exc:
-                assert str(exc).startswith(f"{path}: ") and "\n" not in str(exc)
-            else:
-                expected = Dataset.of(data)
-                assert loaded.X.tobytes() == expected.X.tobytes()
-                assert loaded.Y.tobytes() == expected.Y.tobytes()
-
 
 class TestScorerFormat:
     @settings(max_examples=100, deadline=None)
@@ -114,17 +66,61 @@ class TestScorerFormat:
         first, second = save_load_save(save_scorer, load_scorer, model)
         assert first == second
 
+
+class TestMutatedArchive:
+    @pytest.mark.parametrize("save, load, objects", [
+        (save_dataset, load_dataset, datasets()),
+        (save_scorer, load_scorer, scorers()),
+    ], ids=["dataset", "scorer"])
     @settings(max_examples=100, deadline=None)
-    @given(scorers(), st.data())
-    def test_mutated_layer_is_named(self, model, draw):
+    @given(draw=st.data())
+    def test_mutated_archive_is_named_or_loads_unchanged(self, save, load, objects, draw):
+        # A byte of the archive changed, or its tail cut off. An entry's CRC-32 covers
+        # its bytes, so a changed byte that is read fails the load; one that is not
+        # read (a date, say) loads what was saved, which saves to the same bytes.
         with tempfile.TemporaryDirectory() as tmp:
-            path = os.path.join(tmp, "scorer.jsonl")
-            save_scorer(model, path)
-            with open(path) as handle:
-                lines = handle.read().splitlines()
-        number = draw.draw(st.integers(1, len(lines) - 1))  # line 0 is the header
-        mutate = draw.draw(st.sampled_from(LAYER_MUTATIONS))
-        lines[number] = mutate(json.loads(lines[number]))
-        message, path = load_error(load_scorer, lines)
-        assert message.startswith(f"{path}: layer {number}: ")
-        assert "\n" not in message
+            path, again = os.path.join(tmp, "saved.npz"), os.path.join(tmp, "again.npz")
+            save(draw.draw(objects), path)
+            with open(path, "rb") as handle:
+                saved = handle.read()
+            content = bytearray(saved)
+            i = draw.draw(st.integers(0, len(content) - 1))
+            if draw.draw(st.booleans()):
+                content[i] ^= draw.draw(st.integers(1, 255))
+            else:
+                del content[i:]
+            with open(path, "wb") as handle:
+                handle.write(content)
+            try:
+                loaded = load(path)
+            except ValueError as exc:
+                assert str(exc).startswith(f"{path}: ") and "\n" not in str(exc)
+            else:
+                save(loaded, again)
+                with open(again, "rb") as handle:
+                    assert handle.read() == saved
+
+
+class TestDeclaredSize:
+    @pytest.mark.parametrize("load, arrays", [
+        (load_dataset, {"X": None, "Y": np.eye(2)}),
+        (load_scorer, {"weight_1": None, "bias_1": np.zeros(2), "activation": np.array("tanh"),
+                       "sigmoid_output": np.array(True)}),
+    ], ids=["dataset", "scorer"])
+    def test_entry_larger_than_memory_named_in_one_line(self, tmp_path, load, arrays):
+        # The entry of None declares 10**15 float64 values and holds none; numpy
+        # allocates an entry's array before it reads the data.
+        path = tmp_path / "huge.npz"
+        with zipfile.ZipFile(path, "w") as archive:
+            for name, array in arrays.items():
+                entry = io.BytesIO()
+                if array is None:
+                    np.lib.format.write_array_header_1_0(
+                        entry, {"descr": "<f8", "fortran_order": False, "shape": (10**8, 10**7)})
+                else:
+                    np.save(entry, array)
+                archive.writestr(f"{name}.npy", entry.getvalue())
+        with pytest.raises(ValueError) as info:
+            load(str(path))
+        assert str(info.value).startswith(f"{path}: Unable to allocate ")
+        assert "\n" not in str(info.value)

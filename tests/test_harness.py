@@ -457,7 +457,7 @@ class TestRunExperiment:
         save_dataset(gen_synthetic(SyntheticSpec(**config.dataset)), str(data_path))
         config.dataset = {"path": str(data_path)}
         for d, c in ((12, 9), (11, 8)):
-            victim_path = tmp_path / f"victim{d}x{c}.jsonl"
+            victim_path = tmp_path / f"victim{d}x{c}.npz"
             save_scorer(make_affine(d, c, seed=3), str(victim_path))
             config.victim = {"path": str(victim_path)}
             message = (f"victim has in_dim={d}, out_dim={c}, "
@@ -532,9 +532,9 @@ class TestRunExperiment:
             base = tmp_path / ("sigmoid" if sigmoid else "raw")
             base.mkdir()
             save_scorer(Scorer(victim.weights, victim.biases, sigmoid_output=sigmoid),
-                        str(base / "victim.jsonl"))
+                        str(base / "victim.npz"))
             config = {**dataclasses.asdict(small_config(base)),
-                      "victim": {"path": str(base / "victim.jsonl")},
+                      "victim": {"path": str(base / "victim.npz")},
                       "scheme": {"type": "random", "m": 1}}
             (base / "config.json").write_text(json.dumps(config))
             assert main(["report", "--config", str(base / "config.json")]) == 0
@@ -549,7 +549,7 @@ class TestRunExperiment:
         config = small_config(tmp_path, max_instances=10)
         data_path = tmp_path / "data.jsonl"
         save_dataset(gen_synthetic(SyntheticSpec(**config.dataset)), str(data_path))
-        victim_path = tmp_path / "victim.jsonl"
+        victim_path = tmp_path / "victim.npz"
         save_scorer(make_affine(12, 8, seed=3), str(victim_path))
         config.dataset = {"path": str(data_path)}
         config.victim = {"path": str(victim_path)}
@@ -642,7 +642,7 @@ class TestOutcomeLines:
             # The same victim on its raw logits: negative scores, which can be -0.0.
             victim = train_victim(gen_synthetic(SyntheticSpec(**config.dataset)),
                                   **{"seed": config.seed, **config.victim})
-            path = tmp_path / "raw.jsonl"
+            path = tmp_path / "raw.npz"
             save_scorer(Scorer(victim.weights, victim.biases, sigmoid_output=False), str(path))
             config.victim = {"path": str(path)}
         expected = []
@@ -748,7 +748,7 @@ class TestCellSelection:
             data[i] = Instance(x=data[i].x, y=[1] * 8)
         base = tmp_path_factory.mktemp("selection")
         save_dataset(data, str(base / "data.jsonl"))
-        save_scorer(make_affine(4, 8, seed=3), str(base / "victim.jsonl"))
+        save_scorer(make_affine(4, 8, seed=3), str(base / "victim.npz"))
         return base, data
 
     def brute_force(self, config, data, k):
@@ -777,7 +777,7 @@ class TestCellSelection:
         base, data = files
         config = ExperimentConfig(
             seed=5, dataset={"path": str(base / "data.jsonl")},
-            victim={"path": str(base / "victim.jsonl")}, k_grid=(2, 3), scheme=scheme,
+            victim={"path": str(base / "victim.npz")}, k_grid=(2, 3), scheme=scheme,
             methods=methods, attack={"eta": 0.05, "max_iter": 3, "delta_threshold": delta},
             out_csv=str(tmp_path / "report.csv"), out_outcomes=str(tmp_path / "outcomes.jsonl"),
             max_instances=max_instances)
@@ -826,7 +826,7 @@ class TestCellSelection:
             for delta in (None, 1, 2)[:max_s + 1]:
                 for max_instances in (1000, 9):
                     config = ExperimentConfig(
-                        seed=seed, dataset={"path": "data.jsonl"}, victim={"path": "v.jsonl"},
+                        seed=seed, dataset={"path": "data.jsonl"}, victim={"path": "v.npz"},
                         k_grid=tuple(range(getattr(scheme, "m", 1), 4)), scheme=scheme,
                         methods=methods, attack={"eta": 0.05, "delta_threshold": delta},
                         out_csv=str(tmp_path / "r.csv"), out_outcomes=str(tmp_path / "o.jsonl"),
@@ -954,7 +954,7 @@ class TestExperimentConfig:
         ("dataset", "nn", lambda raw: raw["dataset"].update(nn=5)),
         ("dataset", "n", lambda raw: raw.update(dataset={"path": "d.jsonl", "n": 5})),
         ("victim", "epoch", lambda raw: raw["victim"].update(epoch=5)),
-        ("victim", "arch", lambda raw: raw.update(victim={"path": "v.jsonl", "arch": "mlp"})),
+        ("victim", "arch", lambda raw: raw.update(victim={"path": "v.npz", "arch": "mlp"})),
         ("scheme", "m", lambda raw: raw["scheme"].update(m=1)),
         ("attack", "max_iters", lambda raw: raw["attack"].update(max_iters=1)),
         ("attack", "succes_mode", lambda raw: raw["attack"].update(succes_mode="strict")),

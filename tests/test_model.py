@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,8 @@ from tkmia.model import (
     train_bce,
 )
 from tkmia.metrics import ap_at_k
+
+from support import BAD_SCORER_FILES
 
 
 def forward_oracle(model, x):
@@ -707,7 +711,7 @@ class TestSerialization:
         for model in (make_affine(5, 3, seed=8),
                       make_mlp(5, 4, 3, seed=9, activation="relu"),
                       make_affine(4, 2, seed=10, sigmoid_output=False)):
-            path = tmp_path / "scorer.jsonl"
+            path = tmp_path / "scorer.npz"
             save_scorer(model, str(path))
             loaded = load_scorer(str(path))
             assert loaded.arch == model.arch
@@ -718,15 +722,52 @@ class TestSerialization:
             for ba, bb in zip(model.biases, loaded.biases):
                 np.testing.assert_array_equal(ba, bb)
 
-    def test_format_field_checked(self, tmp_path):
-        path = tmp_path / "bad.jsonl"
-        path.write_text('{"format": "something-else", "shapes": []}\n')
-        with pytest.raises(ValueError):
+    @pytest.mark.parametrize("model", [
+        make_affine(3, 2, seed=1, sigmoid_output=False),
+        make_mlp(3, 4, 2, seed=2, activation="relu"),
+    ], ids=["affine", "mlp"])
+    def test_archive_holds_the_layers_activation_and_output(self, tmp_path, model):
+        path = tmp_path / "scorer.npz"
+        save_scorer(model, str(path))
+        with np.load(path, allow_pickle=False) as archive:
+            arrays = {name: archive[name] for name in archive.files}
+        layers = [f"{name}_{number}" for number in range(1, len(model.weights) + 1)
+                  for name in ("weight", "bias")]
+        assert list(arrays) == layers + ["activation", "sigmoid_output"]
+        for name, array in zip(layers, [a for pair in zip(model.weights, model.biases)
+                                        for a in pair]):
+            assert arrays[name].dtype == np.float64
+            assert arrays[name].shape == array.shape
+            assert arrays[name].tobytes() == array.tobytes()
+        assert arrays["activation"].shape == arrays["sigmoid_output"].shape == ()
+        assert arrays["activation"].dtype.kind == "U"
+        assert str(arrays["activation"]) == model.activation
+        assert arrays["sigmoid_output"].dtype == np.bool_
+        assert bool(arrays["sigmoid_output"]) == model.sigmoid_output
+
+    def test_writes_exactly_the_path_and_the_same_bytes_at_any_time(self, tmp_path,
+                                                                    monkeypatch):
+        model = make_mlp(4, 3, 2, seed=5)
+        save_scorer(model, str(tmp_path / "victim"))
+        # A zip entry may carry its write time: the second save runs a day later.
+        later = time.time() + 86400
+        monkeypatch.setattr(time, "time", lambda: later)
+        save_scorer(model, str(tmp_path / "victim.jsonl"))
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["victim", "victim.jsonl"]
+        assert (tmp_path / "victim").read_bytes() == (tmp_path / "victim.jsonl").read_bytes()
+
+    @pytest.mark.parametrize("case", BAD_SCORER_FILES)
+    def test_bad_file_named_in_one_line(self, tmp_path, case):
+        content, message = BAD_SCORER_FILES[case]
+        path = tmp_path / "victim.npz"
+        path.write_bytes(content)
+        with pytest.raises(ValueError) as info:
             load_scorer(str(path))
+        assert str(info.value) == f"{path}: {message}"
 
     def test_scores_survive_roundtrip(self, tmp_path):
         model = make_mlp(6, 5, 4, seed=11)
-        path = tmp_path / "scorer.jsonl"
+        path = tmp_path / "scorer.npz"
         save_scorer(model, str(path))
         x = np.linspace(-1, 1, 6)
         np.testing.assert_array_equal(model.score(x), load_scorer(str(path)).score(x))
