@@ -24,9 +24,7 @@ the method by name, checks its whole input once, and per iteration runs one
 unchecked forward pass of the scorer at the projected input
 (:meth:`Scorer._vjp`) and ranks the scores once;
 that ranking serves the stopping test and the (k+1)-th class of the
-tkml_ap_u baseline, and the last one gives the outcome's residual set. A
-report's iteration 0 reads its cell's clean row (``clean_scores``) instead,
-and runs the forward pass only if the attack goes on, for its pullback.
+tkml_ap_u baseline, and the last one gives the outcome's residual set.
 The method's terms map the scores to a score cotangent, which the forward
 pass's pullback turns into the epsilon gradient; a flat loss (every hinge
 inactive) gives None and no pullback, since the pullback of a zero
@@ -555,8 +553,8 @@ def _flat_run(model: Scorer, x, eps, velocity, it: int, zero_pull, coefs, max_it
         size = min(2 * size, _MAX_CHUNK)
 
 
-def run_attack_loop(model: Scorer, instance: Instance, specified, config: AttackConfig,
-                    method: str, *, clean_scores=None) -> AttackOutcome:
+def run_attack_loop(model: Scorer, instance: Instance, specified,
+                    config: AttackConfig, method: str) -> AttackOutcome:
     """The one checked entry and iterative engine of all three methods.
 
     ``method`` names the loss: ``tkmia``, ``ml_cw_u`` or ``tkml_ap_u``. The
@@ -567,22 +565,13 @@ def run_attack_loop(model: Scorer, instance: Instance, specified, config: Attack
     (:func:`_rest`); :func:`ineligible` accepts the instance, or its reason is
     raised; ``model._check_input`` accepts ``instance.x``, which is writable; and
     ``instance.x`` lies inside ``config.clip_domain``, bounds included, so that
-    iteration 0 scores ``x + 0.0``, which is ``x`` with its -0.0 entries made +0.0;
-    and ``clean_scores``, if given, is a finite (c,) vector.
+    iteration 0 scores ``x + 0.0``, which is ``x`` with its -0.0 entries made +0.0.
     Yp is ``instance.relevant`` as it is: :class:`Instance` makes it ascending,
     distinct and inside [0, c). So 1 <= k < c (``config`` has k >= 1 and
     |Yp| >= k + |S|).
     Each iteration that the loop runs then runs one unchecked forward pass at
     the projected input, ``scores, pullback = model._vjp(x_adv)``, and ranks
-    the scores once, raw logits included. ``clean_scores``, if given, are the
-    victim's scores at ``x + 0.0``, as a report's cell scores them for its
-    clean measures (a row of ``model.score(X + 0.0)`` has the bytes of
-    ``_vjp``'s scores). Iteration 0 then ranks a copy of them in place of its
-    scores, and runs its forward pass only if the attack goes on, for the
-    pullback; the outcome is the one without them, bit for bit, unless a clip
-    bound is -0.0, which can project a zero entry of ``x`` to -0.0. Their
-    bytes are the caller's promise: the entry checks their shape and
-    finiteness only. No check is lost: ``x_adv`` is finite
+    the scores once, raw logits included. No check is lost: ``x_adv`` is finite
     by construction, since ``x`` is finite, the clip bounds are finite, eps
     is projected after every update and every gradient is tested for
     non-finite entries before it moves eps. Every method stops once at least
@@ -652,34 +641,23 @@ def run_attack_loop(model: Scorer, instance: Instance, specified, config: Attack
     # The domain is closed; a non-finite entry has failed _check_input already.
     if np.count_nonzero((x >= lo) & (x <= hi)) != d:
         raise ValueError("x lies outside the clip domain [{}, {}]".format(*config.clip_domain))
-    if clean_scores is not None:
-        # A copy, so that the outcome owns its scores as it does without them.
-        clean_scores = np.array(clean_scores, dtype=np.float64)
-        if clean_scores.shape != (c,) or np.count_nonzero(np.isfinite(clean_scores)) != c:
-            raise ValueError(f"clean scores must be a finite ({c},) vector")
     zero_pull = tests = None
     success, stop = False, "budget"
     forward = pullbacks = 0
 
     it = 0
     while True:
-        if clean_scores is None:
-            scores, pullback = model._vjp(np.minimum(np.maximum(x + eps, lo), hi))
-            forward += 1
-        else:  # iteration 0, on the caller's clean row
-            scores, pullback, clean_scores = clean_scores, None, None
+        scores, pullback = model._vjp(np.minimum(np.maximum(x + eps, lo), hi))
+        forward += 1
         order = _rank(scores)
         residual = _ranked_in(order[:k], spec)
-        if it == 0:  # the loop's own array, which nothing writes: the entry's copy or _vjp's
+        if it == 0:  # _vjp's own array, which nothing writes
             scores_before = scores
         if _succeeded(scores, order, k, len(spec) - len(residual), delta, rest_idx, strict):
             success, stop = True, "success"
             break
         if it == max_iter:
             break
-        if pullback is None:  # the attack goes on from the clean row: its forward pass
-            pullback = model._vjp(np.minimum(np.maximum(x + eps, lo), hi))[1]
-            forward += 1
         before = eps, velocity, lam1, lam2
         if method == "tkmia":
             # Finite: the gradients are 1 - n1/(c-k) and 1 - n2/k, with 1 <= k < c.
@@ -735,28 +713,24 @@ def run_attack_loop(model: Scorer, instance: Instance, specified, config: Attack
     )
 
 
-def tkmia_attack(model: Scorer, instance: Instance, specified, config: AttackConfig, *,
-                 clean_scores=None) -> AttackOutcome:
+def tkmia_attack(model: Scorer, instance: Instance, specified,
+                 config: AttackConfig) -> AttackOutcome:
     """Run the measure-imperceptible attack on one instance.
 
     Requires the instance filter |Yp| >= k + |S| and S a subset of the
     relevant labels. Both lambdas start at 0 (every hinge active, maximal
     gradient signal) and take plain projected gradient steps with the same
-    step size as epsilon; momentum applies to epsilon only. ``clean_scores``,
-    the victim's scores at ``instance.x + 0.0``, spare iteration 0 a forward
-    pass (see :func:`run_attack_loop`).
+    step size as epsilon; momentum applies to epsilon only.
     """
-    return run_attack_loop(model, instance, specified, config, "tkmia",
-                           clean_scores=clean_scores)
+    return run_attack_loop(model, instance, specified, config, "tkmia")
 
 
-def run_baseline(model: Scorer, instance: Instance, specified, spec: BaselineSpec, *,
-                 clean_scores=None) -> AttackOutcome:
+def run_baseline(model: Scorer, instance: Instance, specified,
+                 spec: BaselineSpec) -> AttackOutcome:
     """Attack one instance with the baseline loss ``spec.method``; the entry
-    checks, the stopping test and ``clean_scores`` are the main attack's, and
+    checks and the stopping test are the main attack's, and
     :func:`ineligible` also needs an irrelevant label for ml_cw_u."""
-    return run_attack_loop(model, instance, specified, spec.config, spec.method,
-                           clean_scores=clean_scores)
+    return run_attack_loop(model, instance, specified, spec.config, spec.method)
 
 
 def select_global(dataset: Sequence[Instance], categories) -> list[tuple[int, tuple[int, ...]]]:

@@ -128,7 +128,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (ValueError, OSError, KeyError, FloatingPointError) as exc:
+    except (ValueError, OSError, KeyError, FloatingPointError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

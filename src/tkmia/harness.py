@@ -6,8 +6,10 @@ from an equicorrelated Gaussian-copula threshold model, and victims are
 the small scorers from :mod:`tkmia.model`. Experiments sweep a grid of
 (k, specified-set scheme, method) cells, attack the identical filtered
 instance list with every method, and emit one CSV row per cell plus
-line-delimited JSON outcome records. All randomness is seeded, so reports
-are reproducible byte for byte.
+line-delimited JSON outcome records. A cell scores its clean rows once, for
+their measures; each attack is one public :func:`tkmia_attack` or
+:func:`run_baseline` call, which scores its own iteration 0. All randomness
+is seeded, so reports are reproducible byte for byte.
 """
 from __future__ import annotations
 
@@ -480,7 +482,8 @@ def _cell_selection(config: ExperimentConfig, dataset: Dataset, k: int):
         m = config.scheme.m
         pairs = ((idx, select_random(dataset[idx], m, seed=[config.seed, k, m, idx]))
                  for idx in range(len(dataset)) if admitted(idx, m))
-    return list(islice(pairs, config.max_instances))
+    # No cell holds more pairs than the dataset has rows; islice takes no cap above sys.maxsize.
+    return list(islice(pairs, min(config.max_instances, len(dataset))))
 
 
 def _check_output_directory(name: str, path: str) -> None:
@@ -504,20 +507,18 @@ def _evaluate_cell(scores, labels, k: int, chosen, name: str):
 
 
 def _open_cell(model: Scorer, dataset: Dataset, pairs, k: int):
-    """The clean side of a k cell of (index, S) ``pairs``, opened once for all its methods:
-    the chosen rows' clean scores and their measure records. A non-finite row
-    names the cell's ``clean scores (k=K)`` prefix and the instance's dataset index."""
+    """The clean measure records of a k cell of (index, S) ``pairs``, opened once for all
+    its methods. A non-finite row of clean scores names the cell's ``clean scores (k=K)``
+    prefix and the instance's dataset index."""
     chosen = [idx for idx, _ in pairs]
-    # Each attack's iteration 0 reads its row: the scores at x + 0.0, as it scores them.
-    scores = model.score(dataset.X[chosen] + 0.0)
-    return scores, _evaluate_cell(scores, dataset.Y[chosen], k, chosen, f"clean scores (k={k})")
+    scores = model.score(dataset.X[chosen])
+    return _evaluate_cell(scores, dataset.Y[chosen], k, chosen, f"clean scores (k={k})")
 
 
-def _attack_cell(model: Scorer, dataset: Dataset, pairs, clean_scores, method: str,
-                 cfg: AttackConfig):
-    """Attack each (index, S) of ``pairs``, a block of a cell, by ``method`` from its row of
-    ``clean_scores``, with one :func:`tkmia_attack` or :func:`run_baseline` call each: the
-    one attack path of :func:`_run_cell`. Returns the outcomes and their perturbed measure
+def _attack_cell(model: Scorer, dataset: Dataset, pairs, method: str, cfg: AttackConfig):
+    """Attack each (index, S) of ``pairs``, a block of a cell, by ``method``, with one
+    :func:`tkmia_attack` or :func:`run_baseline` call each: the one attack path of
+    :func:`_run_cell`. Returns the outcomes and their perturbed measure
     records. An attack's error, or a non-finite perturbed row, names the cell and the
     instance's dataset index; the block is attacked before its rows are evaluated, so an
     attack's error comes first."""
@@ -525,10 +526,9 @@ def _attack_cell(model: Scorer, dataset: Dataset, pairs, clean_scores, method: s
     baseline = None if method == "tkmia" else BaselineSpec(method, cfg)
     outcomes = []
     try:
-        for (idx, s), row in zip(pairs, clean_scores):
-            outcomes.append(tkmia_attack(model, dataset[idx], s, cfg, clean_scores=row)
-                            if baseline is None else
-                            run_baseline(model, dataset[idx], s, baseline, clean_scores=row))
+        for idx, s in pairs:
+            outcomes.append(tkmia_attack(model, dataset[idx], s, cfg) if baseline is None
+                            else run_baseline(model, dataset[idx], s, baseline))
     except (ValueError, FloatingPointError) as exc:
         raise type(exc)(f"{name} instance {idx}: {exc}") from None
     after = np.reshape([o.scores_after for o in outcomes], (len(pairs), model.out_dim))
@@ -587,7 +587,7 @@ class OutcomeLines:
         return self._sets[values]
 
 
-def _run_cell(model: Scorer, dataset: Dataset, pairs, clean_scores, clean, method: str,
+def _run_cell(model: Scorer, dataset: Dataset, pairs, clean, method: str,
               cfg: AttackConfig, lines: OutcomeLines, write) -> AggregateReport | None:
     """Attack, evaluate and write the (k, method) cell of (index, S) ``pairs``, whose
     clean side :func:`_open_cell` gives, ``_CELL_BLOCK`` pairs at a time: each block
@@ -598,8 +598,7 @@ def _run_cell(model: Scorer, dataset: Dataset, pairs, clean_scores, clean, metho
     perturbed, expelled, success, norms = [], [], [], []
     for start in range(0, len(pairs), _CELL_BLOCK):
         block = slice(start, start + _CELL_BLOCK)
-        outcomes, after = _attack_cell(model, dataset, pairs[block], clean_scores[block],
-                                       method, cfg)
+        outcomes, after = _attack_cell(model, dataset, pairs[block], method, cfg)
         for outcome, (idx, _), cl, pt in zip(outcomes, pairs[block], clean[block], after):
             # One norm per outcome: the line's epsilon_norm and the row's APer.
             norm = outcome.epsilon_norm
@@ -624,10 +623,10 @@ def _run_cells(config: ExperimentConfig, dataset: Dataset, model: Scorer, write,
         pairs = _cell_selection(config, dataset, k)
         if index is not None:
             pairs = [pair for pair in pairs if pair[0] == index]
-        clean_scores, clean = _open_cell(model, dataset, pairs, k)
+        clean = _open_cell(model, dataset, pairs, k)
         cell = {"k": k, "s_size": _scheme_s_size(config.scheme, pairs), "n": len(pairs)}
         for method in config.methods:
-            report = _run_cell(model, dataset, pairs, clean_scores, clean, method,
+            report = _run_cell(model, dataset, pairs, clean, method,
                                config.attack_config(method, k), lines, write)
             row = {**cell, "method": method}
             rows.append({col: row.get(col, getattr(report, col, None)) for col in REPORT_COLUMNS})

@@ -544,10 +544,10 @@ class TestReportOnAnAllRelevantInstance:
         # before tkml_ap_u's later cell fails on instance 2.
         real = harness.run_baseline
 
-        def fails_on_all_relevant(model, instance, specified, spec, *, clean_scores=None):
+        def fails_on_all_relevant(model, instance, specified, spec):
             if len(instance.relevant) == instance.n_classes:
                 raise FloatingPointError("non-finite gradient at iteration 0")
-            return real(model, instance, specified, spec, clean_scores=clean_scores)
+            return real(model, instance, specified, spec)
 
         monkeypatch.setattr(harness, "run_baseline", fails_on_all_relevant)
         assert self.report(tmp_path, ["tkmia", "tkml_ap_u"], {"type": "random", "m": 1},
@@ -595,12 +595,18 @@ class TestBadScorerFile:
 
 
 class ClassThreeInfinite(model.Scorer):
-    """A scorer double whose own forward passes score class 3 at +inf; the
-    clean scores, from ``_scores``, are the victim's."""
+    """A scorer double whose own forward passes score class 3 at +inf at every input
+    but the rows of ``clean``: the clean scores, from ``_scores``, and each attack's
+    iteration 0, at its instance's x, are the victim's."""
+
+    def __init__(self, clean, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.clean = np.asarray(clean, dtype=np.float64)
 
     def _vjp(self, x):
         scores, pullback = super()._vjp(x)
-        scores[3] = np.inf
+        if not (self.clean == x).all(axis=1).any():
+            scores[3] = np.inf
         return scores, pullback
 
 
@@ -665,10 +671,11 @@ class TestNonFiniteScores:
     def test_names_the_instance_of_a_non_finite_perturbed_row(self, files, tmp_path, capsys,
                                                               monkeypatch, command):
         # Clean, instance 1 ranks class 1 first and instance 2 class 0: instance 1's
-        # attack ends at iteration 0 on its clean row, instance 2's runs on.
+        # attack ends at iteration 0, at its x, and instance 2's runs on to an input
+        # that differs from its x.
         dataset, _ = files
-        victim = ClassThreeInfinite([self.WEIGHTS], [[0.0, 0.1, -0.1, -1.0]],
-                                    sigmoid_output=False)
+        victim = ClassThreeInfinite([x for x, _ in self.ROWS], [self.WEIGHTS],
+                                    [[0.0, 0.1, -0.1, -1.0]], sigmoid_output=False)
         # The run gets the double in place of the victim file, which it never reads.
         monkeypatch.setattr(harness, "load_scorer", lambda path: victim)
         config = self.config(tmp_path, dataset, tmp_path / "unread.npz")
@@ -677,6 +684,34 @@ class TestNonFiniteScores:
                                            "score vector contains non-finite entries\n")
         assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "data.npz",
                                                               "overflow.npz"]
+
+
+class TestImpossibleAllocation:
+    """A config whose arrays cannot be allocated exits 1 with one line that states the
+    array's shape, and writes nothing. 10^16 rows or hidden units of d = 8 float64
+    entries are 568 PiB, above any x86-64 address space (128 PiB at 57-bit virtual
+    addresses), so the allocation fails at once whatever the overcommit setting, and
+    nothing is allocated."""
+
+    DATASET = {"n": 40, "d": 8, "c": 5, "mean_relevant": 2.0}
+    CONFIGS = {"rows": ({**DATASET, "n": 10**16}, {"arch": "affine"}),
+               "hidden": (DATASET, {"arch": "mlp", "hidden": 10**16})}
+
+    # gen-data reads no victim block, so only the dataset's rows fail it.
+    @pytest.mark.parametrize("command, case", [
+        ("gen-data", "rows"), ("train", "rows"), ("train", "hidden"), ("report", "rows"),
+        ("report", "hidden"), ("attack", "rows"), ("attack", "hidden")])
+    def test_exits_one_in_one_line(self, tmp_path, capsys, command, case):
+        dataset, victim = self.CONFIGS[case]
+        config = write_config(tmp_path / "config.json",
+                              **base_config(tmp_path, dataset=dataset, victim=victim))
+        assert run_command(command, config, 0, tmp_path / "out.npz") == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
+        # The data matrix, or the first layer's weights, one row per hidden unit.
+        assert "shape (10000000000000000, 8)" in err
+        assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
 
 
 class TestReport:

@@ -384,28 +384,52 @@ class TestRunExperiment:
                 record = dataclasses.asdict(evaluate_instance(scores, y, r["k"]))
                 assert r[side] == {name: record[name] for name in MEASURES}
 
-    def test_each_attack_is_one_call_given_its_clean_row(self, tmp_path, monkeypatch):
+    def test_each_attack_is_the_public_call(self, tmp_path, monkeypatch):
         from tkmia import harness
+        from tkmia.metrics import evaluate_instance
 
         config = small_config(tmp_path, methods=METHODS, k_grid=(1, 3), max_instances=15)
-        run_experiment(config)
-        outputs = [Path(path).read_bytes() for path in (config.out_csv, config.out_outcomes)]
         calls = []
 
-        def without_the_row(real):
-            def entry(model, instance, specified, spec, *, clean_scores):
-                calls.append((model, instance, clean_scores))
-                return real(model, instance, specified, spec)
+        def recorded(real):
+            def entry(model, instance, specified, spec):
+                outcome = real(model, instance, specified, spec)
+                calls.append((real, model, instance, specified, spec, outcome))
+                return outcome
             return entry
 
         for name in ("tkmia_attack", "run_baseline"):
-            monkeypatch.setattr(harness, name, without_the_row(getattr(harness, name)))
+            monkeypatch.setattr(harness, name, recorded(getattr(harness, name)))
         run_experiment(config)
-        assert [Path(path).read_bytes() for path in (config.out_csv, config.out_outcomes)] == (
-            outputs)
-        assert len(calls) == len(read_jsonl(config.out_outcomes)) > 0
-        for model, instance, row in calls:
-            assert row.tobytes() == model.score(instance.x + 0.0).tobytes()
+        lines = Path(config.out_outcomes).read_text().splitlines(keepends=True)
+        records = [json.loads(line) for line in lines]
+        assert {(r["method"], r["k"]) for r in records} == {
+            (method, k) for method in METHODS for k in (1, 3)}
+        assert len(calls) == len(lines)
+        dataset = gen_synthetic(SyntheticSpec(**config.dataset))
+        writer = OutcomeLines(dataset.X.shape[1])
+        for (real, model, instance, specified, spec, outcome), line, record in zip(
+                calls, lines, records):
+            index, k = record["instance"], record["k"]
+            assert instance.x.tobytes() == dataset.X[index].tobytes()
+            direct = real(model, instance, specified, spec)
+            assert line == writer.line(direct, direct.epsilon_norm, index, k,
+                                       evaluate_instance(direct.scores_before, instance.y, k),
+                                       evaluate_instance(direct.scores_after, instance.y, k))
+            assert (outcome.forward_passes, outcome.pullbacks, outcome.stop) == (
+                direct.forward_passes, direct.pullbacks, direct.stop)
+            assert outcome.forward_passes >= 1
+
+    def test_cap_above_sys_maxsize_is_the_dataset_size(self, tmp_path):
+        # islice takes no stop above sys.maxsize, and no cell holds more pairs than rows.
+        outputs = []
+        for cap in (250, 10**30):
+            config = small_config(tmp_path, max_instances=cap)
+            assert config.dataset["n"] == 250
+            run_experiment(config)
+            outputs.append([Path(path).read_bytes()
+                            for path in (config.out_csv, config.out_outcomes)])
+        assert outputs[0] == outputs[1]
 
     def test_random_scheme_draws_stop_at_the_cap(self, tmp_path, monkeypatch):
         from tkmia import harness
