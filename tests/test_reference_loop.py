@@ -9,7 +9,10 @@ pulls back zeros once per attack, on its first flat iteration, and reuses
 that gradient; every other iteration runs one pullback. The engine runs no
 iteration after the first one whose update leaves eps, velocity and the
 lambdas bitwise unchanged (a fixed point), and the reference, which runs
-the whole budget, gives the same outcome. The outcome's
+the whole budget, gives the same outcome. Every attack scores its own
+iteration 0, at ``x + 0.0``: an ``x`` with -0.0 entries gives the outcome at
+``x + 0.0``, and iteration 0's scores are the bytes of the victim's batch
+row there, which rank as a report's clean row does. The outcome's
 ``forward_passes`` and ``pullbacks`` count these calls, and its ``stop``
 says whether success, the budget's end or a fixed point ended the attack.
 """
@@ -19,7 +22,9 @@ import numpy as np
 import pytest
 
 from tkmia.attack import METHODS, AttackConfig
+from tkmia.core import Instance
 from tkmia.harness import SyntheticSpec, gen_synthetic
+from tkmia.metrics import evaluate_instance
 from tkmia.model import Scorer, TrainConfig, make_mlp, train_bce
 
 from support import CountingScorer, attack
@@ -125,6 +130,50 @@ def test_one_forward_and_one_gradient_per_iteration(victim, case):
         assert pullbacks < iterations
         assert forwards < iterations
         assert fixed_points > 0
+
+
+@pytest.mark.parametrize("method", METHODS)
+@pytest.mark.parametrize("variant", ["c1_only", "strict", "delta1"])
+@pytest.mark.parametrize("sigmoid", [True, False], ids=["sigmoid", "logit"])
+def test_iteration_zero_scores_x_plus_zero(victim, method, variant, sigmoid):
+    model, pairs = victim
+    if not sigmoid:
+        model = Scorer(model.weights, model.biases, model.activation, sigmoid_output=False)
+    config = replace(CONFIG, success_mode="strict" if variant == "strict" else "c1_only",
+                     delta_threshold=1 if variant == "delta1" else None)
+    # Every other instance has -0.0 entries, which x + 0.0 makes +0.0.
+    instances = []
+    for n, (instance, _) in enumerate(pairs):
+        x = instance.x.copy()
+        if n % 2:
+            x[::3] = -0.0
+        instances.append(Instance(x=x, y=instance.y))
+    X = np.stack([inst.x for inst in instances])
+    # A report's cell scores its clean rows as they are; the batch row at x + 0.0.
+    clean, rows = model.score(X), model.score(X + 0.0)
+    at_zero = 0
+    for instance, (_, spec), row, clean_row in zip(instances, pairs, rows, clean):
+        if method == "ml_cw_u" and not instance.irrelevant:
+            continue
+        signed, plus = CountingScorer(model), CountingScorer(model)
+        out = attack(method, signed, instance, spec, config)
+        ref = attack(method, plus, Instance(x=instance.x + 0.0, y=instance.y), spec, config)
+        at_zero += out.iterations_used == 0
+        assert signed.calls == plus.calls
+        assert out.forward_passes == signed.calls["vjp"] + signed.calls["rows"] >= 1
+        assert vars(out).keys() == vars(ref).keys()
+        for name, value in vars(ref).items():
+            if isinstance(value, np.ndarray):
+                assert getattr(out, name).tobytes() == value.tobytes(), name
+            else:
+                assert repr(getattr(out, name)) == repr(value), name
+        assert out.scores_before.tobytes() == row.tobytes()
+        assert evaluate_instance(out.scores_before, instance.y, K) == (
+            evaluate_instance(clean_row, instance.y, K))
+        # The outcome owns its scores.
+        assert not np.shares_memory(out.scores_before, rows)
+        assert not np.shares_memory(out.scores_after, rows)
+    assert 0 < at_zero < len(pairs)
 
 
 class ParentVjpScorer(Scorer):
