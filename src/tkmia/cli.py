@@ -64,7 +64,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cmd_gen_data(args) -> int:
     _check_output_directory("--out", args.out)
-    dataset = _resolve_dataset(ExperimentConfig.from_json(args.config))
+    config = ExperimentConfig.from_json(args.config)
+    config.check_output("--out", args.out)
+    dataset = _resolve_dataset(config)
     save_dataset(dataset, args.out)
     print(f"wrote {len(dataset)} instances to {args.out}")
     return 0
@@ -72,7 +74,9 @@ def _cmd_gen_data(args) -> int:
 
 def _cmd_train(args) -> int:
     _check_output_directory("--out", args.out)
-    _, victim = _resolve(ExperimentConfig.from_json(args.config))
+    config = ExperimentConfig.from_json(args.config)
+    config.check_output("--out", args.out)
+    _, victim = _resolve(config)
     save_scorer(victim, args.out)
     print(f"wrote {victim.arch} scorer to {args.out}")
     return 0

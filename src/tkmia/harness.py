@@ -331,8 +331,8 @@ class ExperimentConfig:
     ``attack`` holds the shared attack hyperparameters, which ``attack_overrides``
     may adjust per listed method: the fields of :class:`AttackConfig` that no
     cell sets. Building the config checks every key, value kind and (k, method)
-    cell, and rejects a bad one with a one-line ValueError naming the block and
-    the key, or the cell.
+    cell, and that no output is a file the config reads, and rejects a bad one
+    with a one-line ValueError naming the block and the key, or the cell.
     """
 
     dataset: dict
@@ -376,6 +376,8 @@ class ExperimentConfig:
             _check_keys("victim", self.victim, {"path": "str"}, ("path",))
         else:
             _victim_spec(self.victim)
+        for key in ("out_csv", "out_outcomes"):
+            self.check_output(key, getattr(self, key))
         _check_keys("attack", self.attack, _ATTACK_KEYS, _ATTACK_REQUIRED)
         overrides = {} if self.attack_overrides is None else self.attack_overrides
         _check_keys("attack_overrides", overrides, dict.fromkeys(self.methods, "dict"))
@@ -403,6 +405,14 @@ class ExperimentConfig:
         lo, hi = AttackConfig.clip_domain
         clip = (params.pop("clip_lo", lo), params.pop("clip_hi", hi))
         return AttackConfig(k=k, clip_domain=clip, scheme=self.scheme, **params)
+
+    def check_output(self, name: str, path: str) -> None:
+        """Reject an output ``path`` that is the dataset or victim file the config
+        reads, with an error that names ``name``."""
+        for block in ("dataset", "victim"):
+            source = getattr(self, block).get("path")
+            if source is not None and os.path.realpath(path) == os.path.realpath(source):
+                raise ValueError(f"{name}: same file as {block}.path")
 
     def check_classes(self, c: int) -> None:
         """Reject a k or a global category that a c-class dataset cannot hold."""
@@ -487,11 +497,13 @@ def _cell_selection(config: ExperimentConfig, dataset: Dataset, k: int):
 
 
 def _check_output_directory(name: str, path: str) -> None:
-    """Reject an output path whose directory is missing, naming ``name``,
-    before any work is done for it."""
+    """Reject an output path whose directory is missing, or that is a directory,
+    naming ``name``, before any work is done for it."""
     directory = os.path.dirname(os.path.abspath(path))
     if not os.path.isdir(directory):
         raise ValueError(f"{name}: directory {directory} does not exist")
+    if os.path.isdir(path):
+        raise ValueError(f"{name}: {path} is a directory")
 
 
 def _evaluate_cell(scores, labels, k: int, chosen, name: str):

@@ -14,6 +14,7 @@ budget and pulls back every iteration's cotangent, zeros included.
 import hashlib
 import io
 import json
+import weakref
 from dataclasses import asdict, replace
 from pathlib import Path
 
@@ -28,6 +29,7 @@ from tkmia.attack import (
     tkmia_attack,
     tkmia_objective,
 )
+from tkmia.core import Dataset
 from tkmia.model import Scorer
 
 
@@ -56,6 +58,20 @@ def constant_score_model(values, in_dim=3):
     values = np.asarray(values, dtype=float)
     logits = np.log(values / (1.0 - values))
     return Scorer([np.zeros((len(values), in_dim))], [logits])
+
+
+def built_views(monkeypatch):
+    """A list that gains a weak reference to each row instance that a
+    :class:`Dataset` builds from now on."""
+    built, view = [], Dataset._view
+
+    def recorded(x, y):
+        inst = view(x, y)
+        built.append(weakref.ref(inst))
+        return inst
+
+    monkeypatch.setattr(Dataset, "_view", staticmethod(recorded))
+    return built
 
 
 def read_jsonl(path):

@@ -90,6 +90,51 @@ class TestGenData:
         assert list(tmp_path.iterdir()) == []
 
 
+class TestOutputPaths:
+    """An output path that is a directory, or a file that the config reads, is
+    rejected in one line before any work, and nothing is written."""
+
+    DATASET = {"n": 40, "d": 4, "c": 5, "mean_relevant": 2.0, "seed": 1}
+
+    @pytest.mark.parametrize("command, key", [("gen-data", "--out"), ("train", "--out"),
+                                              ("report", "out_csv"), ("report", "out_outcomes")])
+    def test_a_directory_is_rejected_before_any_work(self, tmp_path, capsys, monkeypatch,
+                                                     command, key):
+        monkeypatch.setattr(harness, "gen_synthetic", None)  # any set-up would fail
+        outdir = tmp_path / "outdir"
+        outdir.mkdir()
+        fields = base_config(tmp_path, dataset=self.DATASET, victim={"epochs": 1})
+        if key != "--out":
+            fields[key] = str(outdir)
+        config = write_config(tmp_path / "config.json", **fields)
+        assert run_command(command, config, out=outdir) == 1
+        assert capsys.readouterr() == ("", f"error: {key}: {outdir} is a directory\n")
+        assert sorted(p.name for p in tmp_path.rglob("*")) == ["config.json", "outdir"]
+
+    @pytest.mark.parametrize("command, key, source", [
+        ("report", "out_outcomes", "dataset"), ("report", "out_csv", "victim"),
+        ("report", "out_csv", "dataset"), ("report", "out_outcomes", "victim"),
+        ("train", "--out", "dataset"), ("gen-data", "--out", "victim")])
+    def test_an_input_file_is_rejected_before_any_work(self, tmp_path, capsys, command, key,
+                                                       source):
+        files = {"dataset": tmp_path / "data.npz", "victim": tmp_path / "victim.npz"}
+        harness.save_dataset(harness.gen_synthetic(harness.SyntheticSpec(**self.DATASET)),
+                             str(files["dataset"]))
+        save_scorer(make_affine(4, 5, seed=1), str(files["victim"]))
+        before = {name: path.read_bytes() for name, path in files.items()}
+        target = f"{tmp_path}/./{files[source].name}"  # the same file by another name
+        fields = base_config(tmp_path, dataset={"path": str(files["dataset"])},
+                             victim={"path": str(files["victim"])})
+        if key != "--out":
+            fields[key] = target
+        config = write_config(tmp_path / "config.json", **fields)
+        assert run_command(command, config, out=target) == 1
+        assert capsys.readouterr() == ("", f"error: {key}: same file as {source}.path\n")
+        assert {name: path.read_bytes() for name, path in files.items()} == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "config.json", "data.npz", "victim.npz"]
+
+
 def error_of(read, value):
     """The message of the error that ``read(value)`` raises."""
     with pytest.raises((ValueError, RecursionError)) as info:

@@ -2,8 +2,6 @@ import collections.abc
 import copy
 import dataclasses
 import pickle
-import sys
-import threading
 import tracemalloc
 
 import numpy as np
@@ -23,7 +21,7 @@ from tkmia.core import (
     variational_top_k_sum,
 )
 
-from support import ranking
+from support import built_views, ranking
 
 
 class TestTopKIndices:
@@ -352,6 +350,18 @@ class TestInstance:
             Dataset(x, y[:5])
 
 
+def rows_of(data, instances):
+    """The row of ``data`` that each instance views, found by shared memory and
+    checked by bytes."""
+    rows = []
+    for inst in instances:
+        (i,) = [i for i in range(len(data)) if np.shares_memory(inst.x, data.X[i])]
+        assert np.shares_memory(inst.y, data.Y[i])
+        assert inst.x.tobytes() == data.X[i].tobytes() and inst.y.tobytes() == data.Y[i].tobytes()
+        rows.append(i)
+    return rows
+
+
 class TestDataset:
     def test_rows_view_one_pair_of_arrays(self):
         rng = np.random.default_rng(10)
@@ -389,22 +399,19 @@ class TestDataset:
     def test_copies_and_pickles_build_their_own_rows_on_access(self):
         rng = np.random.default_rng(13)
         data = Dataset(rng.uniform(-1.0, 1.0, (4, 3)), [[1, 0], [0, 1], [1, 1], [0, 1]])
-        rows = list(data)
         for other in (copy.copy(data), copy.deepcopy(data), pickle.loads(pickle.dumps(data))):
-            assert not other._views  # nothing is built until a row is read
+            assert rows_of(other, other) == [0, 1, 2, 3]
             for i, inst in enumerate(other):
-                assert inst is not rows[i] and inst is other[i]
-                assert np.shares_memory(inst.x, other.X) and np.shares_memory(inst.y, other.Y)
-                assert rows[i] not in other and inst not in data
+                assert inst is not other[i]  # each read builds a fresh view
+                assert inst.x.tobytes() == data.X[i].tobytes()
+                assert inst.y.tobytes() == data.Y[i].tobytes()
+                assert not np.shares_memory(inst.y, data.Y)  # the copy's own labels
 
     def test_building_allocates_no_row_objects(self, monkeypatch):
         rng = np.random.default_rng(14)
         X = rng.uniform(-1.0, 1.0, (10_000, 32))
         Y = (rng.uniform(size=(10_000, 10)) < 0.3).astype(np.int64)
-        built = []
-        view = Dataset._view
-        monkeypatch.setattr(Dataset, "_view",
-                            staticmethod(lambda x, y: built.append(1) or view(x, y)))
+        built = built_views(monkeypatch)
         tracemalloc.start()
         try:
             data = Dataset(X, Y)
@@ -413,14 +420,16 @@ class TestDataset:
             tracemalloc.stop()
         # The read-only int64 copy of Y is 0.8 MB; a view per row was 3.2 MB more.
         assert peak < 1.5e6 and built == []
-        assert data[9_999] is data[-1] and data[-1] is data[9_999] and len(built) == 1
+        last, again = data[9_999], data[-1]
+        assert last is not again and rows_of(data, [last, again]) == [9_999, 9_999]
+        assert len(built) == 2
 
     def test_index_out_of_range_raises_index_error(self):
-        data = Dataset(np.zeros((3, 2)), [[1, 0], [0, 1], [1, 1]])
+        data = Dataset(np.arange(6.0).reshape(3, 2), [[1, 0], [0, 1], [1, 1]])
         for index in (3, -4, np.int64(3), 10**20):
             with pytest.raises(IndexError, match="^Dataset index out of range$"):
                 data[index]
-        assert data[np.int64(-3)] is data[0] and data[True] is data[1]
+        assert rows_of(data, [data[np.int64(-3)], data[True], data[-1]]) == [0, 1, 2]
         with pytest.raises(TypeError):
             data["0"]
 
@@ -430,76 +439,26 @@ class TestDataset:
                        slice(0, 99)):
             got = data[window]
             assert type(got) is tuple
-            assert [id(inst) for inst in got] == [id(data[i]) for i in range(6)[window]]
-        assert [id(inst) for inst in data] == [id(data[i]) for i in range(6)]
-        assert [id(inst) for inst in reversed(data)] == [id(data[i]) for i in range(5, -1, -1)]
+            assert rows_of(data, got) == list(range(6)[window])
+        assert rows_of(data, data) == list(range(6))
+        assert rows_of(data, reversed(data)) == list(range(5, -1, -1))
 
-    def test_membership_index_and_count_go_by_identity(self):
+    def test_membership_raises_type_error_and_builds_no_row(self, monkeypatch):
         data = Dataset(np.zeros((5, 2)), np.ones((5, 2), dtype=int))
         inst = data[3]
-        assert inst in data and data.index(inst) == 3 and data.count(inst) == 1
-        assert data.index(inst, 2) == 3 and data.index(inst, -2, 4) == 3
-        for start, stop in ((4, None), (0, 3), (-1, None)):
-            with pytest.raises(ValueError, match="^instance is not in the dataset$"):
-                data.index(inst, start, stop)
-        twin = Instance(inst.x, inst.y)
-        assert twin not in data and data.count(twin) == 0 and 3 not in data
-        with pytest.raises(ValueError, match="^instance is not in the dataset$"):
-            data.index(twin)
+        built = built_views(monkeypatch)
+        # A fresh view is never a stored row: a search could only build every row.
+        for value in (inst, Instance(inst.x, inst.y), 3):
+            for search in (lambda: value in data, lambda: data.index(value),
+                           lambda: data.count(value)):
+                with pytest.raises(TypeError):
+                    search()
+        assert built == []
         # Equal and hashed by identity, as a tuple of the same rows is not.
         other = Dataset(data.X, data.Y)
         assert data != other and data == data and hash(data) != hash(other)
         with pytest.raises(TypeError):
             data + data
-
-    def test_threads_reading_a_new_row_at_once_get_one_object(self, monkeypatch):
-        data = Dataset(np.zeros((4, 2)), np.ones((4, 2), dtype=int))
-        # Both threads build a view before either stores one; one of them must win.
-        barrier = threading.Barrier(2, timeout=5)
-        view = Dataset._view
-
-        def slow_view(x, y):
-            try:
-                barrier.wait()
-            except threading.BrokenBarrierError:  # a design that builds once under a lock
-                pass
-            return view(x, y)
-
-        monkeypatch.setattr(Dataset, "_view", staticmethod(slow_view))
-        got = [None, None]
-
-        def read(slot):
-            got[slot] = data[2]
-
-        threads = [threading.Thread(target=read, args=(slot,)) for slot in (0, 1)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=10)
-            assert not thread.is_alive()
-        assert got[0] is got[1] is data[2]
-
-    def test_many_threads_share_each_row_object(self):
-        data = Dataset(np.zeros((300, 2)), np.ones((300, 2), dtype=int))
-        seen = [None] * 8
-
-        def read(slot):
-            seen[slot] = [id(inst) for inst in data] + [id(data[i]) for i in range(299, -1, -1)]
-
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            threads = [threading.Thread(target=read, args=(slot,)) for slot in range(8)]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=30)
-                assert not thread.is_alive()
-        finally:
-            sys.setswitchinterval(interval)
-        rows = [id(data[i]) for i in range(300)]
-        assert all(ids == rows + rows[::-1] for ids in seen)
-        assert len(data._views) == 300
 
     def test_arrays_cannot_be_rebound_or_deleted(self):
         # Every instance views X and Y, so a rebound array would leave them stale.

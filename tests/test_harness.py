@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 import json
 import math
 import re
@@ -40,7 +41,7 @@ from tkmia.harness import (
 from tkmia.metrics import MEASURES, MetricsRecord
 from tkmia.model import Scorer, make_affine, save_scorer
 
-from support import BAD_DATASET_FILES, dumped, read_jsonl
+from support import BAD_DATASET_FILES, built_views, dumped, read_jsonl
 
 
 def parent_gen_synthetic(spec):
@@ -91,13 +92,14 @@ class TestGenSynthetic:
         assert got.Y.tobytes() == np.stack([i.y for i in want]).tobytes()
         assert got.Y.dtype == np.int64 and not got.Y.flags.writeable
 
-    def test_instances_are_found_and_hashed_by_identity(self):
+    def test_instances_are_equal_and_hashed_by_identity(self):
         data = gen_synthetic(SyntheticSpec(n=20, d=3, c=4, mean_relevant=2.0, seed=1))
         inst = data[7]
-        assert inst in data and data.index(inst) == 7 and data.count(inst) == 1
-        assert hash(inst) == hash(data[7]) and len(set(data)) == 20
-        twin = Instance(inst.x, inst.y)  # equal values, another instance
-        assert twin != inst and not twin == inst and twin not in data
+        assert inst == inst and hash(inst) == hash(inst) and len(set(data)) == 20
+        # Each read of a row builds a fresh view of it, another instance.
+        for twin in (data[7], Instance(inst.x, inst.y)):
+            assert twin != inst and not twin == inst and hash(twin) != hash(inst)
+            assert twin.x.tobytes() == inst.x.tobytes() and twin.y.tobytes() == inst.y.tobytes()
 
     def test_deterministic_and_byte_identical(self, tmp_path):
         spec = SyntheticSpec(n=50, d=8, c=6, mean_relevant=2.0, seed=9)
@@ -244,11 +246,12 @@ class TestDatasetIO:
         assert loaded.X.tobytes() == data.X.tobytes() and loaded.X.shape == data.X.shape
         assert loaded.Y.tobytes() == data.Y.tobytes() and loaded.Y.dtype == np.int64
 
-    def test_archive_holds_the_stacked_arrays(self, tmp_path):
+    def test_archive_holds_the_stacked_arrays(self, tmp_path, monkeypatch):
         path = tmp_path / "data.npz"
         data = gen_synthetic(SyntheticSpec(n=40, d=5, c=4, mean_relevant=1.5, seed=3))
+        built = built_views(monkeypatch)
         save_dataset(data, str(path))
-        assert not data._views  # written from the arrays: no instance was built
+        assert built == []  # written from the arrays: no instance was built
         odd = [Instance(x=[-0.0, 5e-324, 1e308, 0.1, 1 / 3], y=[1, 0, 0, 1]),
                Instance(x=np.float32([0.1, -2.5, 7.0, 1e-40, 3.0]), y=np.int8([0, 1, 1, 0]))]
         for instances in (data, list(data) + odd, odd):
@@ -635,6 +638,22 @@ class TestCellBlocks:
         rows = run_experiment(self.config(tmp_path))
         assert len(alive) == len(made) == sum(row["n"] for row in rows) == 6 * 23
         assert max(alive) <= 5
+
+    def test_a_report_keeps_no_row_instance(self, tmp_path, monkeypatch):
+        from tkmia import harness
+
+        views, datasets, resolve = built_views(monkeypatch), [], harness._resolve
+
+        def kept(config):  # the dataset outlives the report, as a caller's would
+            dataset, model = resolve(config)
+            datasets.append(dataset)
+            return dataset, model
+
+        monkeypatch.setattr(harness, "_resolve", kept)
+        rows = run_experiment(self.config(tmp_path))
+        gc.collect()
+        assert len(datasets) == 1 and len(views) >= sum(row["n"] for row in rows) == 6 * 23
+        assert [ref for ref in views if ref() is not None] == []
 
 
 def hand_outcome(**fields):
