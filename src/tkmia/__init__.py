@@ -50,7 +50,6 @@ from .metrics import (
 from .model import (
     Scorer,
     TrainConfig,
-    finite_diff_check,
     load_scorer,
     make_affine,
     make_mlp,

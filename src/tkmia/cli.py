@@ -7,11 +7,10 @@ Subcommands:
              as an .npz archive of its layers, activation and sigmoid_output
   attack     re-run one instance of a report config and print its outcome lines
   report     run a full experiment config and write CSV + outcomes
-  check      run the built-in verification suites
 
-gen-data, train, attack and report read one experiment config and take every
-seed from it; check takes --seed. Identical inputs give identical outputs. Exit
-status is 0 on success, 1 on any error, and 2 on usage problems.
+Every command reads one experiment config and takes every seed from it.
+Identical inputs give identical outputs. Exit status is 0 on success, 1 on any
+error, and 2 on usage problems.
 """
 from __future__ import annotations
 
@@ -20,8 +19,6 @@ import sys
 
 import numpy as np
 
-from .checks import run_all_checks
-from .core import _seed
 from .harness import (
     ExperimentConfig,
     _check_output_directory,
@@ -56,9 +53,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("report", help="run an experiment config file")
     p.add_argument("--config", required=True)
 
-    p = sub.add_parser("check", help="run the verification suites")
-    p.add_argument("--seed", type=int, default=0)
-
     return parser
 
 
@@ -83,8 +77,7 @@ def _cmd_train(args) -> int:
 
 
 # attack and report end a score that overflows with their one-line error, which
-# numpy's RuntimeWarning would otherwise precede. check keeps numpy's defaults,
-# so that ``python -W error -m tkmia.cli check`` still fails on any warning.
+# numpy's RuntimeWarning would otherwise precede.
 _QUIET = np.errstate(over="ignore", invalid="ignore")
 
 
@@ -108,23 +101,11 @@ def _cmd_report(args) -> int:
     return 0
 
 
-def _cmd_check(args) -> int:
-    results = run_all_checks(seed=_seed(args.seed, "--seed"))
-    failed = 0
-    for name, ok, detail in results:
-        status = "PASS" if ok else "FAIL"
-        print(f"{name}: {status} ({detail})")
-        failed += 0 if ok else 1
-    print(f"{len(results) - failed}/{len(results)} suites passed")
-    return 0 if failed == 0 else 1
-
-
 _COMMANDS = {
     "gen-data": _cmd_gen_data,
     "train": _cmd_train,
     "attack": _cmd_attack,
     "report": _cmd_report,
-    "check": _cmd_check,
 }
 
 

@@ -73,12 +73,12 @@ def _integer(value, message: str) -> int:
     return int(value)
 
 
-def _seed(value, name: str = "seed") -> int:
+def _seed(value) -> int:
     """The one seed rule: the integer rule, and non-negative, as numpy's
-    generators require; errors begin with ``name``."""
-    seed = _integer(value, f"{name} must be an integer, got")
+    generators require."""
+    seed = _integer(value, "seed must be an integer, got")
     if seed < 0:
-        raise ValueError(f"{name} must be non-negative, got {seed}")
+        raise ValueError(f"seed must be non-negative, got {seed}")
     return seed
 
 

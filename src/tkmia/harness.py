@@ -497,13 +497,16 @@ def _cell_selection(config: ExperimentConfig, dataset: Dataset, k: int):
 
 
 def _check_output_directory(name: str, path: str) -> None:
-    """Reject an output path whose directory is missing, or that is a directory,
-    naming ``name``, before any work is done for it."""
+    """Reject an output path whose directory is missing, that is a directory, or
+    that names no file (it is empty or ends in a separator), naming ``name``,
+    before any work is done for it."""
     directory = os.path.dirname(os.path.abspath(path))
     if not os.path.isdir(directory):
         raise ValueError(f"{name}: directory {directory} does not exist")
     if os.path.isdir(path):
         raise ValueError(f"{name}: {path} is a directory")
+    if not os.path.basename(path):
+        raise ValueError(f"{name}: no file name in {path!r}")
 
 
 def _evaluate_cell(scores, labels, k: int, chosen, name: str):

@@ -26,7 +26,6 @@ __all__ = [
     "make_mlp",
     "train_bce",
     "bce_loss",
-    "finite_diff_check",
     "save_scorer",
     "load_scorer",
 ]
@@ -383,31 +382,6 @@ def _bce_grads(model: Scorer, X: np.ndarray, Y: np.ndarray, out, work) -> None:
     for (g, a), grad_w, grad_b in zip(layers, out, out[len(layers):]):
         np.matmul(g.T, a, out=grad_w)
         np.add.reduce(g, axis=0, out=grad_b)
-
-
-def _central_differences(fn, point: np.ndarray, step: float) -> np.ndarray:
-    """Central differences of ``fn`` at ``point`` along each coordinate,
-    stacked on the last axis."""
-    return np.stack([fn(point + bump) - fn(point - bump) for bump in step * np.eye(point.shape[0])],
-                    axis=-1) / (2 * step)
-
-
-def finite_diff_check(model: Scorer, x, tolerance: float,
-                      step: float = 1e-5) -> tuple[bool, float]:
-    """Compare input_gradient rows against central finite differences.
-
-    Checks the full Jacobian, one output class at a time, at an interior
-    point (no logit clipping active). Returns (passed, max relative
-    error) where the error is normwise per class row.
-    """
-    # Row j holds the central differences of class j's score along each x_i.
-    numeric = _central_differences(model.score, np.asarray(x, dtype=np.float64), step)
-    worst = 0.0
-    for j, cot in enumerate(np.eye(model.out_dim)):
-        analytic = model.input_gradient(x, cot)
-        scale = max(float(np.linalg.norm(numeric[j])), 1e-12)
-        worst = max(worst, float(np.linalg.norm(analytic - numeric[j])) / scale)
-    return worst <= tolerance, worst
 
 
 # The entries of an affine and of an MLP scorer's archive: each layer's weight and

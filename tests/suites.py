@@ -1,12 +1,17 @@
-"""Brute-force verification suites: the one oracle of ``tkmia check`` and of
-acceptance criteria 1, 2, 3 and 5.
+"""Brute-force verification suites: the one oracle of acceptance criteria 1, 2,
+3 and 5, and of the CI step that runs every suite at further seeds.
 
 Each suite takes only a seed, re-derives its expectations from scratch
 (dense grids, full sorts, definitional formulas, central finite
 differences) rather than from the code paths it checks, and returns the
-worst error of each kind it measured. ``tkmia check`` compares them with the
-bounds in :data:`CHECKS`; the acceptance tests call the same suites at fixed
-seeds and assert their own literal bounds.
+worst error of each kind it measured. :func:`run_all_checks` compares them
+with the bounds in :data:`CHECKS`; the acceptance tests call the same suites
+at fixed seeds and assert their own literal bounds.
+
+This module lives beside the tests, not in the library: running the suites
+needs the test tree, with ``src`` and ``tests`` on the import path, e.g.
+
+    PYTHONPATH=src:tests python -W error -c 'import suites; print(suites.run_all_checks(7))'
 """
 from __future__ import annotations
 
@@ -14,9 +19,8 @@ from functools import partial
 
 import numpy as np
 
-from . import attack, core, metrics, model
-
-__all__ = ["run_all_checks", "CHECKS"]
+from tkmia import attack, core, metrics, model
+from tkmia.model import Scorer
 
 # The central-difference step, the least distance from every hinge kink of a
 # gradient point, so that no difference straddles one, and the draws allowed
@@ -26,6 +30,31 @@ _KINK_MARGIN = 1e-3
 _TRIES = 1000
 # The k and the label sets S and Yp of every gradient point.
 _K, _SPEC, _REL = 3, (1, 4), (1, 2, 4, 6)
+
+
+def _central_differences(fn, point: np.ndarray, step: float) -> np.ndarray:
+    """Central differences of ``fn`` at ``point`` along each coordinate,
+    stacked on the last axis."""
+    return np.stack([fn(point + bump) - fn(point - bump) for bump in step * np.eye(point.shape[0])],
+                    axis=-1) / (2 * step)
+
+
+def finite_diff_check(model: Scorer, x, tolerance: float,
+                      step: float = 1e-5) -> tuple[bool, float]:
+    """Compare input_gradient rows against central finite differences.
+
+    Checks the full Jacobian, one output class at a time, at an interior
+    point (no logit clipping active). Returns (passed, max relative
+    error) where the error is normwise per class row.
+    """
+    # Row j holds the central differences of class j's score along each x_i.
+    numeric = _central_differences(model.score, np.asarray(x, dtype=np.float64), step)
+    worst = 0.0
+    for j, cot in enumerate(np.eye(model.out_dim)):
+        analytic = model.input_gradient(x, cot)
+        scale = max(float(np.linalg.norm(numeric[j])), 1e-12)
+        worst = max(worst, float(np.linalg.norm(analytic - numeric[j])) / scale)
+    return worst <= tolerance, worst
 
 
 def check_variational_form(seed: int):
@@ -98,7 +127,7 @@ def _draw_generic(rng, victim, seed: int, rank_gap: bool = False):
 
 def _fd_gap(fn, point: np.ndarray, analytic: np.ndarray) -> float:
     """Relative norm gap between ``analytic`` and central differences of ``fn``."""
-    numeric = model._central_differences(fn, point, _STEP)
+    numeric = _central_differences(fn, point, _STEP)
     scale = max(float(np.linalg.norm(numeric)), 1e-8)
     return float(np.linalg.norm(analytic - numeric)) / scale
 
@@ -121,7 +150,7 @@ def check_objective_gradients(seed: int):
             _, g_eps, g1, g2 = attack.tkmia_objective(victim, x, eps, lam1, lam2,
                                                       _SPEC, _REL, cfg)
             worst = max(worst, _fd_gap(value, eps, g_eps))
-            fd = model._central_differences(lambda lams: value(eps, *lams),
+            fd = _central_differences(lambda lams: value(eps, *lams),
                                             np.array([lam1, lam2]), _STEP)
             worst = max(worst, *np.abs([g1, g2] - fd) / np.maximum(1.0, np.abs(fd)))
 
@@ -192,7 +221,7 @@ def check_model_gradients(seed: int):
     for victim in _victims(seed):
         for _ in range(20):
             x = rng.uniform(-0.9, 0.9, victim.in_dim)
-            worst = max(worst, model.finite_diff_check(victim, x, tolerance=1e-4)[1])
+            worst = max(worst, finite_diff_check(victim, x, tolerance=1e-4)[1])
     return {"max gradient error": worst}
 
 

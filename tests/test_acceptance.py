@@ -1,7 +1,7 @@
 """Acceptance suite: one test per criterion, each printing a PASS line.
 
-Criteria 1, 2, 3 and 5 run the brute-force suites of :mod:`tkmia.checks`,
-the ones behind ``tkmia check``, at fixed seeds, and assert their own
+Criteria 1, 2, 3 and 5 run the brute-force suites of :mod:`suites`, the
+test-side module beside this one, at fixed seeds, and assert their own
 literal bounds on the worst errors the suites return.
 
 Run with ``pytest tests/test_acceptance.py -v`` (add ``-s`` to see the
@@ -18,7 +18,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tkmia import checks
 from tkmia.attack import (AttackConfig, filter_instances, select_global, tkmia_attack,
                           tkmia_objective)
 from tkmia.core import Instance
@@ -26,6 +25,7 @@ from tkmia.harness import ExperimentConfig, SyntheticSpec, gen_synthetic, run_ex
 from tkmia.metrics import ap_at_k, delta_report, evaluate_instance, ndcg_at_k
 from tkmia.model import Scorer, TrainConfig, make_affine, train_bce
 
+import suites
 from support import attack, constant_score_model, outcome_digest, rank_of
 
 REPO = Path(__file__).resolve().parents[1]
@@ -38,7 +38,7 @@ def announce(criterion, name):
 class TestCriterion1VariationalForm:
     def test_variational_equivalence(self):
         start = time.time()
-        worst = checks.check_variational_form(101)
+        worst = suites.check_variational_form(101)
         elapsed = time.time() - start
         # the grid minimum never undercuts the true top-k sum
         assert worst["grid undercut"] <= 1e-6
@@ -53,7 +53,7 @@ class TestCriterion1VariationalForm:
 class TestCriterion2HingeIdentity:
     def test_nested_hinge_identity(self):
         start = time.time()
-        worst = checks.check_hinge_identity(102)
+        worst = suites.check_hinge_identity(102)
         elapsed = time.time() - start
         assert worst["max violation"] <= 1e-12
         # scalar op agrees exactly on a sample
@@ -65,7 +65,7 @@ class TestCriterion2HingeIdentity:
 class TestCriterion3Gradients:
     def test_objective_and_baseline_gradients(self):
         start = time.time()
-        worst = checks.check_objective_gradients(31)["max relative error"]
+        worst = suites.check_objective_gradients(31)["max relative error"]
         elapsed = time.time() - start
         assert worst <= 1e-4, f"max relative gradient error {worst:.2e}"
         assert elapsed < 30.0, f"gradient suite took {elapsed:.1f}s"
@@ -123,7 +123,7 @@ class TestCriterion4Convexity:
 
 class TestCriterion5MetricOracles:
     def test_metrics_match_bruteforce(self):
-        assert checks.check_metric_oracles(51)["max metric gap"] <= 1e-12
+        assert suites.check_metric_oracles(51)["max metric gap"] <= 1e-12
         # frozen hand case: ranked labels (1, 0, 1) at k=3
         assert ndcg_at_k([0.9, 0.5, 0.3], [1, 0, 1], 3) == pytest.approx(0.9197, abs=1e-4)
         announce(5, "metric implementations vs brute-force oracles")

@@ -30,6 +30,7 @@ from tkmia.harness import (
     SyntheticSpec,
     VictimSpec,
     _cell_selection,
+    _evaluate_cell,
     _sliding_extremes,
     _victim_spec,
     gen_synthetic,
@@ -654,6 +655,18 @@ class TestCellBlocks:
         gc.collect()
         assert len(datasets) == 1 and len(views) >= sum(row["n"] for row in rows) == 6 * 23
         assert [ref for ref in views if ref() is not None] == []
+
+
+class TestEvaluateCell:
+    def test_an_error_of_finite_scores_passes_through_unprefixed(self):
+        # Only a non-finite row of scores names the cell and an instance. A cell
+        # admits rows with |Yp| >= 2, so a label row without relevant labels meets
+        # only a direct call, and its error is the measures' own.
+        scores = np.array([[0.1, 0.2, 0.3], [0.3, 0.2, 0.1]])
+        with pytest.raises(ValueError) as raised:
+            _evaluate_cell(scores, np.array([[1, 0, 0], [0, 0, 0]]), 2, [4, 9],
+                           "clean scores (k=2)")
+        assert str(raised.value) == "AP@k undefined without relevant labels"
 
 
 def hand_outcome(**fields):

@@ -11,7 +11,6 @@ from tkmia.model import (
     _bce_work,
     _sigmoid,
     bce_loss,
-    finite_diff_check,
     load_scorer,
     make_affine,
     make_mlp,
@@ -21,6 +20,7 @@ from tkmia.model import (
 from tkmia.metrics import ap_at_k
 
 from support import BAD_SCORER_FILES
+from suites import finite_diff_check
 
 
 def forward_oracle(model, x):
@@ -76,6 +76,28 @@ class TestScore:
         model = make_affine(4, 3)
         with pytest.raises(ValueError):
             model.score(np.array([0.0, np.nan, 0.0, 0.0]))
+
+    @pytest.mark.parametrize("weights, biases", [
+        ([], []),
+        ([np.eye(2)] * 3, [np.zeros(2)] * 3),
+        ([np.eye(2)], [np.zeros(2)] * 2),
+        ([np.eye(2)] * 2, [np.zeros(2)]),
+    ], ids=["no-layer", "three-layers", "more-biases", "more-weights"])
+    def test_layer_count_rejected(self, weights, biases):
+        with pytest.raises(ValueError) as raised:
+            Scorer(weights, biases)
+        assert str(raised.value) == "expected 1 (affine) or 2 (mlp) weight/bias layers"
+
+    @pytest.mark.parametrize("weights, biases, number", [
+        ([np.zeros(3)], [np.zeros(3)], 1),
+        ([np.zeros((3, 2))], [np.zeros((3, 1))], 1),
+        ([np.zeros((3, 2))], [np.zeros(2)], 1),
+        ([np.zeros((4, 2)), np.zeros((3, 4))], [np.zeros(4), np.zeros(4)], 2),
+    ], ids=["1-d-weight", "2-d-bias", "short-bias", "second-layer-bias"])
+    def test_layer_shapes_rejected(self, weights, biases, number):
+        with pytest.raises(ValueError) as raised:
+            Scorer(weights, biases)
+        assert str(raised.value) == f"layer {number}: shapes inconsistent"
 
     @pytest.mark.parametrize("flag", ["false", 0, 1, None])
     def test_sigmoid_output_must_be_a_bool(self, flag):
@@ -438,58 +460,6 @@ class TestSigmoidBytes:
             assert model._scores(X).tobytes() == expected.tobytes()
         # Every pinned logit, though the sum x @ 0 + b may turn -0.0 into 0.0.
         assert set(pinned._forward(X[0])[0].tolist()) == set(PINNED_LOGITS)
-
-
-class TestFiniteDiffCheck:
-    def test_affine_near_machine_precision(self):
-        model = make_affine(6, 4, seed=5)
-        ok, err = finite_diff_check(model, np.linspace(-0.5, 0.5, 6), tolerance=1e-6)
-        assert ok and err < 1e-6
-
-    def test_mlp_tanh_passes(self):
-        model = make_mlp(6, 8, 4, seed=6)
-        ok, _ = finite_diff_check(model, np.linspace(-0.5, 0.5, 6), tolerance=1e-4)
-        assert ok
-
-    def test_corrupted_gradient_fails(self):
-        model = make_affine(6, 4, seed=7)
-
-        class Corrupted(Scorer):
-            def input_gradient(self, x, cotangent):
-                return super().input_gradient(x, cotangent) + 0.01
-
-        bad = Corrupted(model.weights, model.biases)
-        ok, err = finite_diff_check(bad, np.linspace(-0.5, 0.5, 6), tolerance=1e-4)
-        assert not ok and err > 1e-4
-
-    @pytest.mark.parametrize("arch", ["affine", "mlp"])
-    def test_equals_the_per_class_loop_bit_for_bit(self, arch):
-        def per_class_loop(model, x, tolerance, step=1e-5):
-            # finite_diff_check as it was: 2 * c * d score calls, one class at a time
-            x = np.asarray(x, dtype=np.float64)
-            worst = 0.0
-            for j in range(model.out_dim):
-                cot = np.zeros(model.out_dim)
-                cot[j] = 1.0
-                analytic = model.input_gradient(x, cot)
-                numeric = np.zeros_like(x)
-                for i in range(x.shape[0]):
-                    bump = np.zeros_like(x)
-                    bump[i] = step
-                    numeric[i] = (model.score(x + bump)[j] - model.score(x - bump)[j]) / (2 * step)
-                scale = max(float(np.linalg.norm(numeric)), 1e-12)
-                worst = max(worst, float(np.linalg.norm(analytic - numeric)) / scale)
-            return worst <= tolerance, worst
-
-        rng = np.random.default_rng(11)
-        for trial in range(10):
-            d, c = int(rng.integers(1, 9)), int(rng.integers(2, 9))
-            model = (make_affine(d, c, seed=trial) if arch == "affine"
-                     else make_mlp(d, int(rng.integers(1, 9)), c, seed=trial))
-            x = rng.uniform(-0.8, 0.8, d)
-            for tolerance, step in ((1e-4, 1e-5), (1e-9, 1e-3)):
-                assert (finite_diff_check(model, x, tolerance, step)
-                        == per_class_loop(model, x, tolerance, step))
 
 
 def toy_separable(n=200, seed=0):
