@@ -2,11 +2,11 @@
 3 and 5, and of the CI step that runs every suite at further seeds.
 
 Each suite takes only a seed, re-derives its expectations from scratch
-(dense grids, full sorts, definitional formulas, central finite
-differences) rather than from the code paths it checks, and returns the
-worst error of each kind it measured. :func:`run_all_checks` compares them
-with the bounds in :data:`CHECKS`; the acceptance tests call the same suites
-at fixed seeds and assert their own literal bounds.
+(dense grids, written-out formulas, and :mod:`support`'s measure and
+central-difference oracles) rather than from the code paths it checks, and
+returns the worst error of each kind it measured. :func:`run_all_checks`
+compares them with the bounds in :data:`CHECKS`; the acceptance tests call the
+same suites at fixed seeds and assert their own literal bounds.
 
 This module lives beside the tests, not in the library: running the suites
 needs the test tree, with ``src`` and ``tests`` on the import path, e.g.
@@ -22,6 +22,8 @@ import numpy as np
 from tkmia import attack, core, metrics, model
 from tkmia.model import Scorer
 
+from support import central_differences, measures
+
 # The central-difference step, the least distance from every hinge kink of a
 # gradient point, so that no difference straddles one, and the draws allowed
 # per point (seeds 0-124 need at most 64).
@@ -30,13 +32,6 @@ _KINK_MARGIN = 1e-3
 _TRIES = 1000
 # The k and the label sets S and Yp of every gradient point.
 _K, _SPEC, _REL = 3, (1, 4), (1, 2, 4, 6)
-
-
-def _central_differences(fn, point: np.ndarray, step: float) -> np.ndarray:
-    """Central differences of ``fn`` at ``point`` along each coordinate,
-    stacked on the last axis."""
-    return np.stack([fn(point + bump) - fn(point - bump) for bump in step * np.eye(point.shape[0])],
-                    axis=-1) / (2 * step)
 
 
 def finite_diff_check(model: Scorer, x, tolerance: float,
@@ -48,7 +43,7 @@ def finite_diff_check(model: Scorer, x, tolerance: float,
     error) where the error is normwise per class row.
     """
     # Row j holds the central differences of class j's score along each x_i.
-    numeric = _central_differences(model.score, np.asarray(x, dtype=np.float64), step)
+    numeric = central_differences(model.score, np.asarray(x, dtype=np.float64), step)
     worst = 0.0
     for j, cot in enumerate(np.eye(model.out_dim)):
         analytic = model.input_gradient(x, cot)
@@ -127,7 +122,7 @@ def _draw_generic(rng, victim, seed: int, rank_gap: bool = False):
 
 def _fd_gap(fn, point: np.ndarray, analytic: np.ndarray) -> float:
     """Relative norm gap between ``analytic`` and central differences of ``fn``."""
-    numeric = _central_differences(fn, point, _STEP)
+    numeric = central_differences(fn, point, _STEP)
     scale = max(float(np.linalg.norm(numeric)), 1e-8)
     return float(np.linalg.norm(analytic - numeric)) / scale
 
@@ -150,8 +145,8 @@ def check_objective_gradients(seed: int):
             _, g_eps, g1, g2 = attack.tkmia_objective(victim, x, eps, lam1, lam2,
                                                       _SPEC, _REL, cfg)
             worst = max(worst, _fd_gap(value, eps, g_eps))
-            fd = _central_differences(lambda lams: value(eps, *lams),
-                                            np.array([lam1, lam2]), _STEP)
+            fd = central_differences(lambda lams: value(eps, *lams), np.array([lam1, lam2]),
+                                     _STEP)
             worst = max(worst, *np.abs([g1, g2] - fd) / np.maximum(1.0, np.abs(fd)))
 
         for offset, loss, rank_gap in ((3, partial(attack.ml_cw_u_loss, alpha=0.2), False),
@@ -185,26 +180,11 @@ def check_metric_oracles(seed: int):
             scores = rng.uniform(0.0, 1.0, c)
         y = np.zeros(c, dtype=np.int64)
         y[rng.choice(c, size=int(rng.integers(1, c + 1)), replace=False)] = 1
-        order = sorted(range(c), key=lambda i: (-scores[i], i))
-        ranked = [int(y[i]) for i in order[:k]]
-        relevant = {i for i in range(c) if y[i] == 1}
-
-        acc = 1 if relevant <= set(order[:k]) else 0
-        p = sum(ranked) / k
-        nk = min(k, len(relevant))
-        ap = sum(sum(ranked[:i]) / i for i in range(1, k + 1) if ranked[i - 1]) / nk
-        dcg = sum(ranked[i] / np.log2(i + 2) for i in range(k))
-        idcg = sum(1.0 / np.log2(i + 2) for i in range(nk))
-        expected = (acc, p, ap, dcg / idcg)
+        expected = measures(scores, y, k)
         stacks.setdefault((c, k), []).append((scores, y, expected))
-
-        worst = max(
-            worst,
-            abs(metrics.tk_acc(scores, y, k) - acc),
-            abs(metrics.precision_at_k(scores, y, k) - p),
-            abs(metrics.ap_at_k(scores, y, k) - ap),
-            abs(metrics.ndcg_at_k(scores, y, k) - dcg / idcg),
-        )
+        for measure, value in zip((metrics.tk_acc, metrics.precision_at_k, metrics.ap_at_k,
+                                   metrics.ndcg_at_k), expected):
+            worst = max(worst, abs(measure(scores, y, k) - value))
     for (c, k), cases in stacks.items():
         records = metrics.evaluate_rows(np.stack([s for s, _, _ in cases]),
                                         np.stack([y for _, y, _ in cases]), k)

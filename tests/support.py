@@ -1,4 +1,7 @@
-"""The one copy of each oracle and test double that several test modules use.
+"""The one copy of each oracle and test double that several test modules use,
+the verification suites of ``suites`` among them: the rank oracle
+:func:`ranking`, the measure oracle :func:`measures` and
+:func:`central_differences`.
 
 The oracles rank with Python's ``sorted`` and this module imports nothing of
 tkmia's ranking code (``core``'s rankings, ``metrics``, ``success_check``,
@@ -43,14 +46,27 @@ def rank_of(scores, idx):
     return ranking(scores).index(idx) + 1
 
 
-def fd_grad(fn, point, step=1e-5):
-    """Central differences of the scalar function ``fn`` at ``point``."""
-    grad = np.zeros_like(point)
-    for i in range(point.shape[0]):
-        bump = np.zeros_like(point)
-        bump[i] = step
-        grad[i] = (fn(point + bump) - fn(point - bump)) / (2 * step)
-    return grad
+def measures(scores, y, k):
+    """TkAcc, P@k, AP@k and NDCG@k of one instance by their definitions, on
+    :func:`ranking`."""
+    order = ranking(scores)
+    ranked = [int(y[i]) for i in order[:k]]
+    relevant = {i for i in range(len(y)) if y[i] == 1}
+    acc = 1 if relevant <= set(order[:k]) else 0
+    p = sum(ranked) / k
+    nk = min(k, len(relevant))
+    ap = sum(sum(ranked[:i]) / i for i in range(1, k + 1) if ranked[i - 1]) / nk
+    dcg = sum(ranked[i] / np.log2(i + 2) for i in range(k))
+    idcg = sum(1.0 / np.log2(i + 2) for i in range(nk))
+    return acc, p, ap, dcg / idcg
+
+
+def central_differences(fn, point, step=1e-5):
+    """Central differences of ``fn`` at ``point`` along each coordinate,
+    stacked on the last axis: the gradient of a scalar ``fn``, the Jacobian of
+    a vector one."""
+    return np.stack([fn(point + bump) - fn(point - bump) for bump in step * np.eye(point.shape[0])],
+                    axis=-1) / (2 * step)
 
 
 def constant_score_model(values, in_dim=3):
@@ -239,6 +255,41 @@ def numpy_tkmia_terms(scores, lam1, lam2, spec, rest, k):
     cot[s_max] += n1 / (c - k)
     cot[y_min] -= n2 / k
     return cot, 1.0 - n1 / (c - k), 1.0 - n2 / k
+
+
+def ablated_tkmia_terms(part):
+    """``tkmia.attack._tkmia_terms``, by :func:`numpy_tkmia_terms`, with one part of
+    the objective off: the ``"push-down"`` hinge (S below position k) or the
+    ``"pull-up"`` hinge (Yp \\ S into the top k) is never active, as under an
+    infinite lambda, so its lambda's gradient is 1; ``"lambdas"`` keeps both
+    hinges and returns 0 for both lambda gradients. Either way the lambdas stay
+    at 0, where the attack starts them."""
+    def terms(vals, lam1, lam2, spec, rest, k):
+        cot, g1, g2 = numpy_tkmia_terms(np.array(vals), np.inf if part == "push-down" else lam1,
+                                        np.inf if part == "pull-up" else lam2,
+                                        np.array(spec), np.array(rest), k)
+        return (cot, 0.0, 0.0) if part == "lambdas" else (cot, g1, g2)
+
+    return terms
+
+
+def least_perturbation_bound(model, x, specified, k):
+    """A lower bound on the l2 norm of any eps after which k labels outside
+    ``specified`` rank above all of it, for the affine ``model`` at ``x``.
+
+    At the clean logits z, label t rises above s only if (w_t - w_s) . eps >=
+    z_s - z_t, so only if ||eps|| >= max(0, z_s - z_t) / ||w_t - w_s||; above all
+    of S only if ||eps|| is at least the largest of these over s; and k labels
+    rise so only if ||eps|| is at least the k-th smallest of those maxima. Sigmoid
+    scores rank as the logits do, and a clip box only shrinks the feasible set.
+    """
+    (w,), (b,) = model.weights, model.biases
+    z = w @ x + b
+    spec = list(specified)
+    others = [t for t in range(len(z)) if t not in spec]
+    needed = (np.maximum(z[spec] - z[others, None], 0.0)
+              / np.linalg.norm(w[others, None] - w[spec], axis=-1)).max(axis=1)
+    return float(np.sort(needed)[k - 1])
 
 
 def reference_attack_loop(model, instance, specified, config, method, step_fn,

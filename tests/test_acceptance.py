@@ -4,6 +4,11 @@ Criteria 1, 2, 3 and 5 run the brute-force suites of :mod:`suites`, the
 test-side module beside this one, at fixed seeds, and assert their own
 literal bounds on the worst errors the suites return.
 
+Two further tests read the efficacy cell and print no PASS line: which part of
+the objective keeps the measures (each part switched off in turn), and that no
+successful perturbation of the affine victim is shorter than
+``support.least_perturbation_bound``.
+
 Run with ``pytest tests/test_acceptance.py -v`` (add ``-s`` to see the
 per-criterion lines while running).
 """
@@ -26,7 +31,8 @@ from tkmia.metrics import ap_at_k, delta_report, evaluate_instance, ndcg_at_k
 from tkmia.model import Scorer, TrainConfig, make_affine, train_bce
 
 import suites
-from support import attack, constant_score_model, outcome_digest, rank_of
+from support import (ablated_tkmia_terms, attack, constant_score_model,
+                     least_perturbation_bound, outcome_digest, rank_of)
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -147,19 +153,39 @@ class TestCriterion5MetricOracles:
         announce(5, "negative deltas representable and exact")
 
 
-@pytest.fixture(scope="module")
-def efficacy_victim():
-    """The trained victim of criteria 4, 6 and 7: its dataset, the victim, the
-    attacked (index, S) pairs at k = 3, and the seconds these took."""
-    start = time.time()
-    spec = SyntheticSpec(n=2000, d=32, c=10, mean_relevant=3.5,
-                         label_correlation=0.5, seed=7)
-    dataset = gen_synthetic(spec)
+# The efficacy report's attack settings at k = 3.
+EFFICACY_CONFIG = AttackConfig(k=3, eta=0.05, alpha=1e-4, momentum=0.9, max_iter=300)
+
+
+def efficacy_cell(seed):
+    """The efficacy report's dataset and trained victim, both seeded by ``seed``,
+    and the attacked (index, S) pairs at k = 3."""
+    dataset = gen_synthetic(SyntheticSpec(n=2000, d=32, c=10, mean_relevant=3.5,
+                                          label_correlation=0.5, seed=seed))
     victim = train_bce(dataset, TrainConfig(epochs=60, learning_rate=0.5,
-                                            batch_size=64, seed=7))
+                                            batch_size=64, seed=seed))
     pairs = [(i, s) for i, s in select_global(dataset, (0,))
              if len(dataset[i].relevant) >= 3 + len(s)][:1000]
-    return dataset, victim, pairs, time.time() - start
+    return dataset, victim, pairs
+
+
+def attack_cell(method, victim, dataset, pairs):
+    """``method``'s outcomes on ``pairs`` under :data:`EFFICACY_CONFIG`, and their
+    delta report."""
+    k = EFFICACY_CONFIG.k
+    clean = [evaluate_instance(victim.score(dataset[i].x), dataset[i].y, k) for i, _ in pairs]
+    outs = [attack(method, victim, dataset[i], s, EFFICACY_CONFIG) for i, s in pairs]
+    pert = [evaluate_instance(o.scores_after, dataset[i].y, k) for o, (i, _) in zip(outs, pairs)]
+    return outs, delta_report(clean, pert, outs, [o.epsilon_norm for o in outs])
+
+
+@pytest.fixture(scope="module")
+def efficacy_victim():
+    """The trained victim of criteria 4, 6 and 7 and of the least-perturbation
+    test: its dataset, the victim, the attacked (index, S) pairs at k = 3, and
+    the seconds these took."""
+    start = time.time()
+    return *efficacy_cell(7), time.time() - start
 
 
 @pytest.fixture(scope="module", params=["sigmoid", "logits"])
@@ -172,25 +198,16 @@ def efficacy_run(request, efficacy_victim):
         victim = Scorer(victim.weights, victim.biases, victim.activation, sigmoid_output=False)
     mean_ap = float(np.mean([ap_at_k(victim.score(inst.x), inst.y, 3)
                              for inst in dataset]))
-
-    k = 3
-    config = AttackConfig(k=k, eta=0.05, alpha=1e-4, momentum=0.9, max_iter=300)
-    clean = [evaluate_instance(victim.score(dataset[i].x), dataset[i].y, k)
-             for i, _ in pairs]
     reports, outcomes = {}, {}
     for method in ("tkmia", "ml_cw_u", "tkml_ap_u"):
-        outs = [attack(method, victim, dataset[i], s, config) for i, s in pairs]
-        pert = [evaluate_instance(o.scores_after, dataset[i].y, k)
-                for o, (i, _) in zip(outs, pairs)]
-        reports[method] = delta_report(clean, pert, outs, [o.epsilon_norm for o in outs])
-        outcomes[method] = outs
+        outcomes[method], reports[method] = attack_cell(method, victim, dataset, pairs)
     return {
         "mean_ap": mean_ap,
         "n_instances": len(pairs),
         "reports": reports,
         "outcomes": outcomes,
         "elapsed": setup + time.time() - start,
-        "k": k,
+        "k": EFFICACY_CONFIG.k,
         "output": request.param,
     }
 
@@ -240,6 +257,49 @@ class TestCriterion7Directional:
             assert ours.delta_l >= other.delta_l - 0.05, baseline
         announce(7, f"{efficacy_run['output']}: ranking-measure deltas strictly smaller "
                     "than both baselines, expulsion within tolerance")
+
+
+class TestObjectiveAblation:
+    """Which part of tkmia's objective buys its measure imperceptibility: tkmia with
+    its pull-up hinge off, its push-down hinge off or its lambdas frozen at 0,
+    against the full objective and tkml_ap_u, on the efficacy cell at three
+    (dataset, victim) seeds fixed in advance."""
+
+    @pytest.mark.parametrize("seed", [7, 3, 11])
+    def test_the_pull_up_hinge_keeps_the_measures(self, monkeypatch, seed):
+        dataset, victim, pairs = efficacy_cell(seed)
+        reports = {method: attack_cell(method, victim, dataset, pairs)[1]
+                   for method in ("tkmia", "tkml_ap_u")}
+        for part in ("pull-up", "push-down", "lambdas"):
+            with monkeypatch.context() as patch:
+                patch.setattr("tkmia.attack._tkmia_terms", ablated_tkmia_terms(part))
+                reports[part] = attack_cell("tkmia", victim, dataset, pairs)[1]
+        for name, rep in reports.items():
+            print(f"seed {seed}, {name}: dP@3 {rep.delta_p_at_k:+.4f}, "
+                  f"dmAP@3 {rep.delta_map_at_k:+.4f}, dL {rep.delta_l:.4f}, APer {rep.aper:.3f}")
+        full, pull_up_off = reports["tkmia"], reports["pull-up"]
+        # Without the pull-up hinge tkmia damages P@3 more than tkml_ap_u does,
+        # and P@3 and mAP@3 more than the full objective does.
+        assert pull_up_off.delta_p_at_k > reports["tkml_ap_u"].delta_p_at_k
+        assert pull_up_off.delta_p_at_k > full.delta_p_at_k
+        assert pull_up_off.delta_map_at_k > full.delta_map_at_k
+        # Without the push-down hinge S still leaves the top k: filling it with
+        # Yp \ S expels S, as |Yp| >= k + |S|.
+        assert reports["push-down"].delta_l >= 0.99
+
+
+class TestLeastPerturbationBound:
+    def test_no_success_is_shorter_than_the_affine_bound(self, efficacy_victim, efficacy_run):
+        # The sigmoid victim and its logit twin share their weights, and so the bound.
+        dataset, victim, pairs, _ = efficacy_victim
+        k = efficacy_run["k"]
+        for method, outs in efficacy_run["outcomes"].items():
+            checked = [(o.epsilon_norm, least_perturbation_bound(victim, dataset[i].x, s, k))
+                       for o, (i, s) in zip(outs, pairs) if o.success and o.iterations_used]
+            assert all(norm >= bound * (1 - 1e-9) for norm, bound in checked), method
+            print(f"{efficacy_run['output']}, {method}: {len(checked)} successes after at "
+                  "least one iteration, least ||eps|| / bound "
+                  f"{min(norm / bound for norm, bound in checked):.2f}")
 
 
 class TestCriterion8Boundaries:

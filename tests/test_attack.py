@@ -35,8 +35,8 @@ from tkmia.model import Scorer, TrainConfig, make_affine, make_mlp, train_bce
 from support import (
     CountingScorer,
     attack,
+    central_differences,
     constant_score_model,
-    fd_grad,
     numpy_tkmia_terms,
     rank_of,
 )
@@ -131,16 +131,14 @@ class TestObjectiveGradients:
             x, eps, lam1, lam2 = generic_objective_point(rng, model, spec, rel, cfg)
             value, g_eps, g1, g2 = tkmia_objective(model, x, eps, lam1, lam2,
                                                    spec, rel, cfg)
-            num = fd_grad(lambda e: tkmia_objective(model, x, e, lam1, lam2,
-                                                    spec, rel, cfg)[0], eps)
+            num = central_differences(lambda e: tkmia_objective(model, x, e, lam1, lam2,
+                                                                spec, rel, cfg)[0], eps)
             scale = max(np.linalg.norm(num), 1e-8)
             assert np.linalg.norm(g_eps - num) / scale <= 1e-4
 
-            step = 1e-5
-            fd1 = (tkmia_objective(model, x, eps, lam1 + step, lam2, spec, rel, cfg)[0]
-                   - tkmia_objective(model, x, eps, lam1 - step, lam2, spec, rel, cfg)[0]) / (2 * step)
-            fd2 = (tkmia_objective(model, x, eps, lam1, lam2 + step, spec, rel, cfg)[0]
-                   - tkmia_objective(model, x, eps, lam1, lam2 - step, spec, rel, cfg)[0]) / (2 * step)
+            fd1, fd2 = central_differences(
+                lambda lams: tkmia_objective(model, x, eps, *lams, spec, rel, cfg)[0],
+                np.array([lam1, lam2]))
             assert abs(g1 - fd1) <= 1e-4 * max(1.0, abs(fd1))
             assert abs(g2 - fd2) <= 1e-4 * max(1.0, abs(fd2))
 

@@ -15,7 +15,7 @@ from tkmia.attack import (
 from tkmia.core import Instance
 from tkmia.model import make_affine, make_mlp
 
-from support import attack, constant_score_model, fd_grad, rank_of, ranking
+from support import attack, central_differences, constant_score_model, rank_of, ranking
 
 
 def test_baselines_module_re_exports_the_attack_names():
@@ -60,7 +60,8 @@ class TestMlCwULoss:
                 continue
             hits += 1
             _, grad = ml_cw_u_loss(model, x, eps, rel, alpha=0.2)
-            num = fd_grad(lambda e: ml_cw_u_loss(model, x, e, rel, alpha=0.2)[0], eps)
+            num = central_differences(lambda e: ml_cw_u_loss(model, x, e, rel, alpha=0.2)[0],
+                                      eps)
             scale = max(np.linalg.norm(num), 1e-8)
             assert np.linalg.norm(grad - num) / scale <= 1e-4
 
@@ -104,7 +105,7 @@ class TestTkmlApULoss:
                 continue
             hits += 1
             _, grad = tkml_ap_u_loss(model, x, eps, rel, k=k, alpha=0.2)
-            num = fd_grad(
+            num = central_differences(
                 lambda e: tkml_ap_u_loss(model, x, e, rel, k=k, alpha=0.2)[0], eps)
             scale = max(np.linalg.norm(num), 1e-8)
             assert np.linalg.norm(grad - num) / scale <= 1e-4
