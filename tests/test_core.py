@@ -9,7 +9,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tkmia.attack import _extremes, _split_sets
 from tkmia.core import (
     Dataset,
     Instance,
@@ -146,23 +145,6 @@ class TestVariationalForm:
             k = int(rng.integers(1, 8))
             assert variational_top_k_sum(scores, k, 1.0) == pytest.approx(k, abs=1e-12)
 
-    def test_grid_minimum_matches_topk_sum(self):
-        # Dense lambda grid oracle: the minimum over the grid can only sit
-        # above the true minimum, and adding the analytic optimum f_[k]
-        # recovers it exactly.
-        rng = np.random.default_rng(7)
-        grid = np.linspace(0.0, 1.0, 1001)
-        for _ in range(100):
-            c = int(rng.integers(2, 16))
-            k = int(rng.integers(1, c))
-            scores = rng.uniform(0, 1, c)
-            target = k * avg_top_k(scores, k)
-            grid_min = min(variational_top_k_sum(scores, k, lam) for lam in grid)
-            assert grid_min >= target - 1e-6
-            at_opt = variational_top_k_sum(scores, k, kth_largest(scores, k))
-            assert at_opt == pytest.approx(target, abs=1e-9)
-            assert min(grid_min, at_opt) == pytest.approx(target, abs=1e-9)
-
     def test_lam_out_of_range(self):
         with pytest.raises(ValueError):
             variational_top_k_sum([0.5, 0.6], 1, 1.5)
@@ -190,81 +172,6 @@ class TestHinge:
         # [[a - x]_+ - b]_+ == [a - x - b]_+ for positive a, b; both sides
         # share the same arithmetic order so equality is exact.
         assert hinge(hinge(a - x) - b) == hinge(a - x - b)
-
-
-def delta_terms(scores, specified, relevant):
-    """Hinged gaps ``[max_{s in S} f_s - f_i]_+`` as the objective forms them."""
-    scores = np.asarray(scores, dtype=np.float64)
-    spec, rest = _split_sets(specified, relevant, scores.shape[0])
-    s_max, _ = _extremes(scores.tolist(), spec, rest)
-    return np.maximum(scores[s_max] - scores, 0.0)
-
-
-def delta_tilde_terms(scores, relevant, specified):
-    """Hinged gaps ``[f_j - min_{y in Yp \\ S} f_y]_+`` as the objective forms them."""
-    scores = np.asarray(scores, dtype=np.float64)
-    spec, rest = _split_sets(specified, relevant, scores.shape[0])
-    _, y_min = _extremes(scores.tolist(), spec, rest)
-    return np.maximum(scores - scores[y_min], 0.0)
-
-
-class TestDeltaTerms:
-    def test_single_specified(self):
-        out = delta_terms([0.8, 0.3, 0.6], [0], [0, 1])
-        assert out.tolist() == pytest.approx([0.0, 0.5, 0.2], abs=1e-15)
-
-    def test_zero_at_argmax_of_specified(self):
-        rng = np.random.default_rng(8)
-        for _ in range(50):
-            scores = rng.uniform(0, 1, 9)
-            rel = sorted(rng.choice(9, size=4, replace=False).tolist())
-            spec = rel[:3]
-            out = delta_terms(scores, spec, rel)
-            best = max(spec, key=lambda i: scores[i])
-            assert out[best] == 0.0
-
-    def test_sorted_view_matches_rank_definition(self):
-        # Descending-sorted gaps equal the gap against the i-th smallest
-        # score: Delta_[i] uses f_[c - i + 1].
-        rng = np.random.default_rng(9)
-        for _ in range(100):
-            c = int(rng.integers(2, 12))
-            scores = rng.uniform(0, 1, c)
-            rel = sorted(rng.choice(c, size=int(rng.integers(2, c + 1)), replace=False).tolist())
-            spec = rel[: int(rng.integers(1, len(rel)))]
-            smax = max(scores[spec])
-            ascending = np.sort(scores)
-            expected = [hinge(smax - ascending[i]) for i in range(c)]
-            got = np.sort(delta_terms(scores, spec, rel))[::-1]
-            assert got.tolist() == pytest.approx(expected, abs=1e-12)
-
-
-class TestDeltaTildeTerms:
-    def test_hand_value(self):
-        out = delta_tilde_terms([0.8, 0.3, 0.6], [0, 1], [0])
-        assert out.tolist() == pytest.approx([0.5, 0.0, 0.3], abs=1e-15)
-
-    def test_global_min_reference(self):
-        scores = [0.8, 0.1, 0.6]
-        out = delta_tilde_terms(scores, [0, 1], [0])
-        assert np.all(out >= 0.0)
-        assert out[1] == 0.0
-
-    def test_matches_definitional_oracle(self):
-        rng = np.random.default_rng(10)
-        for _ in range(100):
-            c = int(rng.integers(3, 12))
-            scores = rng.uniform(0, 1, c)
-            rel = sorted(rng.choice(c, size=int(rng.integers(2, c + 1)), replace=False).tolist())
-            spec = rel[: int(rng.integers(1, len(rel)))]
-            ref = min(scores[i] for i in rel if i not in spec)
-            expected = [hinge(scores[j] - ref) for j in range(c)]
-            got = delta_tilde_terms(scores, rel, spec)
-            assert got.tolist() == pytest.approx(expected, abs=1e-12)
-
-    def test_empty_rest_rejected(self):
-        with pytest.raises(ValueError):
-            delta_tilde_terms([0.5, 0.6, 0.7], [0, 1], [0, 1])
 
 
 class TestInstance:

@@ -20,7 +20,6 @@ from tkmia.model import (
 from tkmia.metrics import ap_at_k
 
 from support import BAD_SCORER_FILES
-from suites import finite_diff_check
 
 
 def forward_oracle(model, x):
@@ -120,14 +119,6 @@ class TestInputGradient:
         s = 1.0 / (1.0 + np.exp(-(w * x[0] + b)))
         expected = cot[0] * s * (1 - s) * w
         assert model.input_gradient(x, cot)[0] == pytest.approx(expected, abs=1e-12)
-
-    def test_matches_finite_differences(self):
-        rng = np.random.default_rng(3)
-        for seed in range(3):
-            model = make_mlp(5, 6, 4, seed=seed)
-            x = rng.uniform(-0.9, 0.9, 5)
-            ok, err = finite_diff_check(model, x, tolerance=1e-4)
-            assert ok, f"relative error {err}"
 
     def test_linear_in_cotangent(self):
         rng = np.random.default_rng(4)
