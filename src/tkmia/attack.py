@@ -273,11 +273,14 @@ def ineligible(instance: Instance, s_size: int, k: int, method: str,
     """Why ``method`` cannot attack ``instance`` with |S| = ``s_size`` at k,
     or None: the one rule of what each method can attack.
 
-    Every method needs |Yp| >= k + |S| and ``delta`` (the success threshold,
-    None for all of S) at most |S|; ml_cw_u also needs an irrelevant label.
-    Of ``instance`` it reads only |Yp| and c, so its answer holds for every
-    instance of a dataset with the same |Yp| and |S|.
+    ``method`` must be one of :data:`METHODS`. Every method needs
+    |Yp| >= k + |S| and ``delta`` (the success threshold, None for all of S) at
+    most |S|; ml_cw_u also needs an irrelevant label. Of ``instance`` it reads
+    only |Yp| and c, so its answer holds for every instance of a dataset with
+    the same |Yp| and |S|.
     """
+    if method not in METHODS:
+        return f"unknown method {method!r}"
     n_relevant = len(instance.relevant)
     if n_relevant < k + s_size:
         return f"instance filter violated: |Yp|={n_relevant} < k+|S|={k + s_size}"

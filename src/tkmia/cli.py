@@ -15,6 +15,7 @@ error, and 2 on usage problems.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 import numpy as np
@@ -56,8 +57,16 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_not_config(name: str, path: str, config: str) -> None:
+    """Reject an output ``path`` that is the ``config`` file the command reads,
+    naming ``name``, before any work is done for it."""
+    if os.path.realpath(path) == os.path.realpath(config):
+        raise ValueError(f"{name}: same file as --config")
+
+
 def _cmd_gen_data(args) -> int:
     _check_output_directory("--out", args.out)
+    _check_not_config("--out", args.out, args.config)
     config = ExperimentConfig.from_json(args.config)
     config.check_output("--out", args.out)
     dataset = _resolve_dataset(config)
@@ -68,6 +77,7 @@ def _cmd_gen_data(args) -> int:
 
 def _cmd_train(args) -> int:
     _check_output_directory("--out", args.out)
+    _check_not_config("--out", args.out, args.config)
     config = ExperimentConfig.from_json(args.config)
     config.check_output("--out", args.out)
     _, victim = _resolve(config)
@@ -96,6 +106,8 @@ def _cmd_attack(args) -> int:
 @_QUIET
 def _cmd_report(args) -> int:
     config = ExperimentConfig.from_json(args.config)
+    for key in ("out_csv", "out_outcomes"):
+        _check_not_config(key, getattr(config, key), args.config)
     rows = run_experiment(config)
     print(f"wrote {len(rows)} report rows to {config.out_csv}")
     return 0

@@ -20,6 +20,7 @@ from tkmia.attack import (
     ineligible,
     ml_cw_u_loss,
     residual_set,
+    run_attack_loop,
     run_baseline,
     select_global,
     select_random,
@@ -892,6 +893,13 @@ class TestEntryCheck:
         assert str(raised.value) == "input dimension (3,) != (4,)"
         assert counting.calls["vjp"] == 0
 
+    def test_unknown_method_rejected_before_any_forward_pass(self):
+        counting = EntryCounting(make_affine(3, 5, seed=0))
+        inst = Instance(x=np.zeros(3), y=[1, 1, 1, 0, 0])
+        with pytest.raises(ValueError) as raised:
+            run_attack_loop(counting, inst, (0,), AttackConfig(k=1, eta=0.1), "bogus")
+        assert str(raised.value) == "unknown method 'bogus'"
+        assert counting.calls["vjp"] == counting.calls["rows"] == counting.checks == 0
 
     @pytest.mark.parametrize("method", ["tkmia", *BASELINE_METHODS])
     def test_x_outside_the_clip_domain_rejected_at_entry(self, method):
@@ -1060,6 +1068,11 @@ class TestIneligible:
                 with pytest.raises(ValueError) as raised:
                     attack(method, model, inst, spec, config)
                 assert str(raised.value) == reason
+
+    def test_unknown_method_is_the_first_reason(self):
+        # The instance fails the filter for every method too.
+        inst = Instance(x=np.zeros(3), y=[1, 1, 0, 0])
+        assert ineligible(inst, 1, 2, "bogus", None) == "unknown method 'bogus'"
 
 
 class TestAttackConfig:

@@ -130,22 +130,26 @@ class TestOutputPaths:
     @pytest.mark.parametrize("command, key, source", [
         ("report", "out_outcomes", "dataset"), ("report", "out_csv", "victim"),
         ("report", "out_csv", "dataset"), ("report", "out_outcomes", "victim"),
-        ("train", "--out", "dataset"), ("gen-data", "--out", "victim")])
+        ("train", "--out", "dataset"), ("gen-data", "--out", "victim"),
+        ("gen-data", "--out", "config"), ("train", "--out", "config"),
+        ("report", "out_csv", "config"), ("report", "out_outcomes", "config")])
     def test_an_input_file_is_rejected_before_any_work(self, tmp_path, capsys, command, key,
                                                        source):
-        files = {"dataset": tmp_path / "data.npz", "victim": tmp_path / "victim.npz"}
+        files = {"dataset": tmp_path / "data.npz", "victim": tmp_path / "victim.npz",
+                 "config": tmp_path / "config.json"}
         harness.save_dataset(harness.gen_synthetic(harness.SyntheticSpec(**self.DATASET)),
                              str(files["dataset"]))
         save_scorer(make_affine(4, 5, seed=1), str(files["victim"]))
-        before = {name: path.read_bytes() for name, path in files.items()}
         target = f"{tmp_path}/./{files[source].name}"  # the same file by another name
         fields = base_config(tmp_path, dataset={"path": str(files["dataset"])},
                              victim={"path": str(files["victim"])})
         if key != "--out":
             fields[key] = target
-        config = write_config(tmp_path / "config.json", **fields)
+        config = write_config(files["config"], **fields)
+        before = {name: path.read_bytes() for name, path in files.items()}
         assert run_command(command, config, out=target) == 1
-        assert capsys.readouterr() == ("", f"error: {key}: same file as {source}.path\n")
+        named = "--config" if source == "config" else f"{source}.path"
+        assert capsys.readouterr() == ("", f"error: {key}: same file as {named}\n")
         assert {name: path.read_bytes() for name, path in files.items()} == before
         assert sorted(p.name for p in tmp_path.iterdir()) == [
             "config.json", "data.npz", "victim.npz"]
