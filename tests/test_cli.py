@@ -154,6 +154,33 @@ class TestOutputPaths:
         assert sorted(p.name for p in tmp_path.iterdir()) == [
             "config.json", "data.npz", "victim.npz"]
 
+    @pytest.mark.parametrize("spelling", ["relative-config", "relative-output", "link"])
+    @pytest.mark.parametrize("command, key", [("gen-data", "--out"), ("train", "--out"),
+                                              ("report", "out_csv"), ("report", "out_outcomes")])
+    def test_the_config_is_rejected_under_any_name_that_resolves_to_it(
+            self, tmp_path, capsys, monkeypatch, command, key, spelling):
+        # Both sides are resolved: either one relative to the working directory, or the
+        # output a symbolic link to the config, is still the config.
+        monkeypatch.setattr(harness, "gen_synthetic", None)  # any set-up would fail
+        monkeypatch.chdir(tmp_path)
+        config = tmp_path / "config.json"
+        target = {"relative-config": str(config), "relative-output": "config.json",
+                  "link": str(tmp_path / "link.json")}[spelling]
+        fields = base_config(tmp_path, dataset=self.DATASET, victim={"epochs": 1})
+        if key != "--out":
+            fields[key] = target
+        write_config(config, **fields)
+        if spelling == "link":
+            (tmp_path / "link.json").symlink_to(config)
+        before = config.read_bytes()
+        named = "config.json" if spelling == "relative-config" else config
+        assert run_command(command, named, out=target) == 1
+        assert capsys.readouterr() == ("", f"error: {key}: same file as --config\n")
+        assert config.read_bytes() == before
+        links = {p.name: os.readlink(p) for p in tmp_path.iterdir() if p.is_symlink()}
+        assert links == ({"link.json": str(config)} if spelling == "link" else {})
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", *links]
+
 
 def error_of(read, value):
     """The message of the error that ``read(value)`` raises."""
