@@ -17,14 +17,7 @@ from .attack import (
     tkml_ap_u_loss,
 )
 from . import baselines  # noqa: F401  (binds tkmia.baselines, the benchmark's path)
-from .core import (
-    Instance,
-    avg_top_k,
-    hinge,
-    kth_largest,
-    top_k_indices,
-    variational_top_k_sum,
-)
+from .core import Instance, top_k_indices
 from .harness import (
     ExperimentConfig,
     SyntheticSpec,
@@ -42,7 +35,6 @@ from .metrics import (
     delta_l,
     delta_report,
     map_at_k,
-    map_at_k_per_category,
     ndcg_at_k,
     precision_at_k,
     tk_acc,

@@ -25,10 +25,6 @@ __all__ = [
     "Instance",
     "Dataset",
     "top_k_indices",
-    "kth_largest",
-    "avg_top_k",
-    "variational_top_k_sum",
-    "hinge",
     "atomic_write",
     "read_archive",
 ]
@@ -235,37 +231,6 @@ def top_k_indices(scores, k: int) -> np.ndarray:
     """Indices of the k largest scores, descending, ties by smaller class index."""
     order = _rank(as_scores(scores))
     return order[:_check_k(k, order.shape[0])]
-
-
-def kth_largest(scores, k: int) -> float:
-    """The k-th largest score value."""
-    scores = as_scores(scores)
-    return float(scores[top_k_indices(scores, k)[-1]])
-
-
-def avg_top_k(scores, k: int) -> float:
-    """Mean of the k largest scores; an upper bound on the k-th largest."""
-    scores = as_scores(scores)
-    return float(scores[top_k_indices(scores, k)].mean())
-
-
-def variational_top_k_sum(scores, k: int, lam: float) -> float:
-    """Evaluate ``k*lam + sum_i max(0, f_i - lam)``, for lam in [0, 1].
-
-    Minimized over all real lam it is the sum of the k largest scores (at lam =
-    the k-th largest); over lam in [0, 1] that needs the k-th largest in [0, 1].
-    """
-    scores = as_scores(scores)
-    k = _check_k(k, scores.shape[0])
-    lam = float(lam)
-    if not 0.0 <= lam <= 1.0:
-        raise ValueError(f"lam={lam} out of range [0, 1]")
-    return float(k * lam + np.maximum(scores - lam, 0.0).sum())
-
-
-def hinge(a: float) -> float:
-    """max(0, a)."""
-    return max(0.0, float(a))
 
 
 @contextmanager

@@ -40,7 +40,6 @@ __all__ = [
     "precision_at_k",
     "ap_at_k",
     "map_at_k",
-    "map_at_k_per_category",
     "ndcg_at_k",
     "delta_l",
     "aper",
@@ -121,35 +120,11 @@ def ap_at_k(scores, labels, k: int) -> float:
 
 
 def map_at_k(samples: Sequence[tuple], k: int) -> float:
-    """Mean of AP@k over ``(scores, labels)`` samples.
-
-    This sample-mean reading is what the aggregate reports use. For the
-    dataset-level per-category variant see :func:`map_at_k_per_category`.
-    """
+    """Mean of AP@k over ``(scores, labels)`` samples, the sample-mean reading
+    that the aggregate reports use."""
     if len(samples) == 0:
         raise ValueError("empty sample list")
     return float(np.mean([ap_at_k(s, y, k) for s, y in samples]))
-
-
-def map_at_k_per_category(samples: Sequence[tuple], k: int) -> float:
-    """Mean over categories of per-category AP@k.
-
-    For category j, instances are ranked by their class-j score and scored
-    against the binary relevance column y_j. Categories with no relevant
-    instance are skipped; if every category is empty the metric is
-    undefined.
-    """
-    if len(samples) == 0:
-        raise ValueError("empty sample list")
-    score_mat = np.asarray([as_scores(s) for s, _ in samples])
-    label_mat = np.asarray([as_labels(y, score_mat.shape[1]) for _, y in samples])
-    k = _check_k(k, score_mat.shape[0])
-    # Category j is row j of the transposes: instances ranked by their class-j
-    # score, ties by index.
-    ap = _measure_rows(score_mat.T, label_mat.T, k)["ap_at_k"][label_mat.any(axis=0)]
-    if ap.size == 0:
-        raise UndefinedMetricError("no category has a relevant instance")
-    return float(np.mean(ap))
 
 
 def ndcg_at_k(scores, labels, k: int) -> float:

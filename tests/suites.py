@@ -19,10 +19,10 @@ from functools import partial
 
 import numpy as np
 
-from tkmia import attack, core, metrics, model
+from tkmia import attack, metrics, model
 from tkmia.model import Scorer
 
-from support import central_differences, measures
+from support import central_differences, constant_score_model, measures
 
 # The central-difference step, the least distance from every hinge kink of a
 # gradient point, so that no difference straddles one, and the draws allowed
@@ -52,36 +52,89 @@ def finite_diff_check(model: Scorer, x, tolerance: float,
     return worst <= tolerance, worst
 
 
+def _cross_minimum(value, steps: int, i: int, j: int) -> float:
+    """The least ``value(a, b)`` over grid indices a, b in [0, steps], for a value that
+    is a convex function of a plus one of b, each minimised at i or a neighbour (j for
+    b): the value at (i, j) plus the best step of each index alone."""
+    centre = value(i, j)
+    best_a = min([value(a, j) - centre for a in (i - 1, i + 1) if 0 <= a <= steps], default=0.0)
+    best_b = min([value(i, b) - centre for b in (j - 1, j + 1) if 0 <= b <= steps], default=0.0)
+    return centre + min(0.0, best_a) + min(0.0, best_b)
+
+
 def check_variational_form(seed: int):
-    """Top-k sums against the hinge variational form: by how much a dense
-    grid's minimum undercuts them, how far the library's form at the k-th
-    largest score is from them, and how far the library's form is from the
-    written-out formula at five grid points."""
+    """The value of :func:`attack.tkmia_objective` against the average-top-k form
+    of its two hinge sums, on 1,000 draws of scores (a constant scorer), S inside
+    Yp, eps, k and alpha.
+
+    With ``gaps1`` the best specified score less each score and ``gaps2`` each
+    score less the worst score of Yp \\ S, the value minimised over all real
+    lambdas is (1/(c-k)) * (sum of the c-k largest gaps1) + (1/k) * (sum of the
+    k largest gaps2) + (alpha/2) ||eps||^2, at lambda1 and lambda2 the (c-k)-th
+    and k-th largest gaps. Returns by how much the value's minimum over a 1001 x
+    1001 lambda grid on [0, 1]^2 undercuts that form, how far the value at those
+    lambdas is from it where both lie in [0, 1], and how far the value is from
+    the written-out objective at five lambda points.
+
+    The value is a convex function of lambda1 plus one of lambda2, so the grid's
+    minimum lies on a cross of five grid points through the nearest grid point
+    to the optimum clipped to [0, 1]^2.
+    """
     rng = np.random.default_rng(seed)
-    grid = np.linspace(0.0, 1.0, 1001)
+    steps = 1000  # grid intervals per lambda
     undercut = -np.inf
     at_opt = 0.0
-    for _ in range(1000):
+
+    def draw():
         c = int(rng.integers(2, 21))
         k = int(rng.integers(1, c))
-        scores = rng.uniform(0.0, 1.0, size=c)
-        target = k * core.avg_top_k(scores, k)
-        values = k * grid + np.maximum(scores[None, :] - grid[:, None], 0.0).sum(axis=1)
-        undercut = max(undercut, target - float(values.min()))
-        value = core.variational_top_k_sum(scores, k, core.kth_largest(scores, k))
-        at_opt = max(at_opt, abs(value - target))
+        victim = constant_score_model(rng.uniform(0.001, 0.999, c))
+        rel = rng.choice(c, size=int(rng.integers(2, c + 1)), replace=False).tolist()
+        spec = rel[:int(rng.integers(1, len(rel)))]
+        eps = rng.uniform(-0.1, 0.1, victim.in_dim)
+        cfg = attack.AttackConfig(k=k, eta=0.1, alpha=float(rng.uniform(0.0, 1.0)))
+        scores = victim.score(np.zeros(victim.in_dim))
+        top, bottom = scores[spec].max(), scores[rel[len(spec):]].min()
+
+        def value(lam1, lam2):
+            return attack.tkmia_objective(victim, np.zeros(victim.in_dim), eps, lam1, lam2,
+                                          spec, rel, cfg)[0]
+
+        return c, k, scores, top, bottom, 0.5 * cfg.alpha * float(eps @ eps), value
+
+    for _ in range(1000):
+        c, k, scores, top, bottom, penalty, value = draw()
+        gaps1, gaps2 = np.sort(top - scores)[::-1], np.sort(scores - bottom)[::-1]
+        target = gaps1[:c - k].sum() / (c - k) + gaps2[:k].sum() / k + penalty
+        lam1, lam2 = gaps1[c - k - 1], gaps2[k - 1]
+        i, j = (int(round(min(max(lam, 0.0), 1.0) * steps)) for lam in (lam1, lam2))
+        grid_min = _cross_minimum(lambda a, b: value(a / steps, b / steps), steps, i, j)
+        undercut = max(undercut, target - grid_min)
+        if 0.0 <= lam1 <= 1.0 and 0.0 <= lam2 <= 1.0:
+            at_opt = max(at_opt, abs(value(lam1, lam2) - target))
     formula = 0.0
     for lam in (0.0, 0.25, 0.5, 0.75, 1.0):
-        scores = rng.uniform(0.0, 1.0, 12)
-        written = 4 * lam + np.maximum(scores - lam, 0.0).sum()
-        formula = max(formula, abs(core.variational_top_k_sum(scores, 4, lam) - written))
-    return {"grid undercut": undercut, "at-optimum gap": at_opt, "formula gap": formula}
+        c, k, scores, top, bottom, penalty, value = draw()
+        written = (lam + (1.0 - lam) + penalty
+                   + sum(max(0.0, top - f - lam) for f in scores) / (c - k)
+                   + sum(max(0.0, f - bottom - (1.0 - lam)) for f in scores) / k)
+        formula = max(formula, abs(value(lam, 1.0 - lam) - written))
+    return {"grid undercut": float(undercut), "at-optimum gap": float(at_opt),
+            "formula gap": float(formula)}
 
 
 def check_hinge_identity(seed: int):
     """The nested hinge ``[[a - x]_+ - b]_+`` against ``[a - x - b]_+`` for
-    positive offsets, written out on 100,000 draws and with ``core.hinge``
-    on every 10,000th."""
+    positive offsets, written out on 100,000 draws; and on every 10th draw, the
+    hinges that :func:`attack._tkmia_terms` counts active, by its collapsed test
+    ``gap > lambda``, against those whose nested hinge is positive.
+
+    The scalar draws have c = 2 and k = 1, scores (a, x), S = {0} and Yp \\ S =
+    {1}, and both lambdas b, or 0 on every other draw, where the attack starts
+    them. Each hinge's active count is read back from its lambda gradient, 1 -
+    count / (c - k) or 1 - count / k; the scalar violation counts the draws on
+    which some count differs.
+    """
     rng = np.random.default_rng(seed)
     n = 100_000
     a = rng.uniform(1e-12, 50.0, n)
@@ -89,9 +142,16 @@ def check_hinge_identity(seed: int):
     x = rng.uniform(-50.0, 50.0, n)
     lhs = np.maximum(np.maximum(a - x, 0.0) - b, 0.0)
     rhs = np.maximum(a - x - b, 0.0)
-    scalar = max(abs(core.hinge(core.hinge(a[i] - x[i]) - b[i]) - core.hinge(a[i] - x[i] - b[i]))
-                 for i in range(0, n, 10_000))
-    return {"max violation": float(np.max(np.abs(lhs - rhs))), "scalar violation": scalar}
+    c, k = 2, 1
+    disagreements = 0
+    for draw, i in enumerate(range(0, n, 10)):
+        vals, lam = [float(a[i]), float(x[i])], 0.0 if draw % 2 else float(b[i])
+        _, g1, g2 = attack._tkmia_terms(vals, lam, lam, (0,), (1,), k)
+        nested1 = sum(max(0.0, max(0.0, vals[0] - v) - lam) > 0.0 for v in vals)
+        nested2 = sum(max(0.0, max(0.0, v - vals[1]) - lam) > 0.0 for v in vals)
+        disagreements += (round((1.0 - g1) * (c - k)), round((1.0 - g2) * k)) != (nested1, nested2)
+    return {"max violation": float(np.max(np.abs(lhs - rhs))),
+            "scalar violation": float(disagreements)}
 
 
 def _victims(seed: int):

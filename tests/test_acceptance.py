@@ -46,11 +46,12 @@ class TestCriterion1VariationalForm:
         start = time.time()
         worst = suites.check_variational_form(101)
         elapsed = time.time() - start
-        # the grid minimum never undercuts the true top-k sum
+        # the objective's minimum on the lambda grid never undercuts the
+        # average-top-k form of its hinge sums
         assert worst["grid undercut"] <= 1e-6
-        # with the analytic optimum f_[k] the library's form is exact
+        # at the analytic optimum (the m-th largest gaps) it equals that form
         assert worst["at-optimum gap"] <= 1e-9
-        # the library op agrees with the written-out formula on grid points
+        # the objective agrees with the written-out formula at five lambda points
         assert worst["formula gap"] <= 1e-12
         assert elapsed < 5.0, f"variational suite took {elapsed:.2f}s"
         announce(1, "variational top-k equivalence")
@@ -62,7 +63,7 @@ class TestCriterion2HingeIdentity:
         worst = suites.check_hinge_identity(102)
         elapsed = time.time() - start
         assert worst["max violation"] <= 1e-12
-        # scalar op agrees exactly on a sample
+        # the attack's collapsed activity test agrees with the nested hinge on every sampled draw
         assert worst["scalar violation"] == 0.0
         assert elapsed < 1.0, f"hinge suite took {elapsed:.2f}s"
         announce(2, "nested hinge identity")

@@ -29,7 +29,7 @@ from tkmia.attack import (
     tkmia_attack,
     tkmia_objective,
 )
-from tkmia.core import Dataset, Instance, hinge
+from tkmia.core import Dataset, Instance
 from tkmia.harness import SyntheticSpec, gen_synthetic, load_dataset, save_dataset
 from tkmia.model import Scorer, TrainConfig, make_affine, make_mlp, train_bce
 
@@ -82,8 +82,8 @@ class TestObjectiveValue:
             spec = rel[: int(rng.integers(1, len(rel)))]
             smax = max(scores[i] for i in spec)
             ymin = min(scores[i] for i in rel if i not in spec)
-            expected = (sum(hinge(smax - f) for f in scores) / (c - k)
-                        + sum(hinge(f - ymin) for f in scores) / k)
+            expected = (sum(max(0.0, smax - f) for f in scores) / (c - k)
+                        + sum(max(0.0, f - ymin) for f in scores) / k)
             value, _, _, _ = tkmia_objective(model, np.zeros(3), np.zeros(3), 0.0, 0.0,
                                              spec, rel, AttackConfig(k=k, eta=0.1))
             assert value == pytest.approx(expected, abs=1e-12)

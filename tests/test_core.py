@@ -6,19 +6,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from tkmia.core import (
-    Dataset,
-    Instance,
-    atomic_write,
-    avg_top_k,
-    hinge,
-    kth_largest,
-    top_k_indices,
-    variational_top_k_sum,
-)
+from tkmia.core import Dataset, Instance, atomic_write, top_k_indices
 
 from support import built_views, ranking
 
@@ -67,111 +56,6 @@ class TestTopKIndices:
             top_k_indices([0.5, float("nan")], 1)
         with pytest.raises(ValueError):
             top_k_indices([0.5], 1)
-
-
-class TestKthLargest:
-    def test_basic(self):
-        assert kth_largest([0.9, 0.1, 0.5], 2) == 0.5
-
-    def test_tie_case(self):
-        assert kth_largest([0.7, 0.7], 2) == 0.7
-
-    def test_matches_sorted_oracle(self):
-        rng = np.random.default_rng(2)
-        for _ in range(200):
-            scores = rng.uniform(0, 1, 12)
-            k = int(rng.integers(1, 13))
-            assert kth_largest(scores, k) == sorted(scores, reverse=True)[k - 1]
-
-    def test_k_out_of_range(self):
-        with pytest.raises(ValueError):
-            kth_largest([0.1, 0.2], 3)
-
-
-class TestAvgTopK:
-    def test_hand_value(self):
-        assert avg_top_k([0.9, 0.5, 0.2], 2) == pytest.approx(0.7, abs=1e-15)
-
-    def test_k_equals_c_is_mean(self):
-        rng = np.random.default_rng(3)
-        for _ in range(50):
-            scores = rng.uniform(0, 1, 8)
-            assert avg_top_k(scores, 8) == pytest.approx(scores.mean(), abs=1e-12)
-
-    def test_upper_bounds_kth_largest(self):
-        rng = np.random.default_rng(4)
-        for _ in range(500):
-            c = int(rng.integers(2, 20))
-            scores = rng.uniform(0, 1, c)
-            k = int(rng.integers(1, c + 1))
-            assert avg_top_k(scores, k) >= kth_largest(scores, k) - 1e-15
-
-    def test_sorted_values_bit_for_bit_with_ties(self):
-        # Scores on a 0.1 grid tie often; tied classes have equal values, so
-        # the index ranking gives the sorted values exactly.
-        rng = np.random.default_rng(5)
-        for _ in range(500):
-            c = int(rng.integers(2, 12))
-            scores = rng.integers(0, 11, c) / 10.0
-            k = int(rng.integers(1, c + 1))
-            ranked = np.sort(scores)[::-1]
-            assert kth_largest(scores, k) == float(ranked[k - 1])
-            assert avg_top_k(scores, k) == float(ranked[:k].mean())
-
-    def test_midpoint_convexity_of_topk_sum(self):
-        # phi(u) = k * avg_top_k(u, k) is convex per component.
-        rng = np.random.default_rng(5)
-        for _ in range(300):
-            c = int(rng.integers(2, 12))
-            k = int(rng.integers(1, c + 1))
-            u = rng.uniform(0, 1, c)
-            v = rng.uniform(0, 1, c)
-            mid = k * avg_top_k((u + v) / 2, k)
-            avg = (k * avg_top_k(u, k) + k * avg_top_k(v, k)) / 2
-            assert mid <= avg + 1e-9
-
-
-class TestVariationalForm:
-    def test_hand_value(self):
-        # 2*0.5 + (0.4 + 0 + 0) = 1.4, which is the top-2 sum of the scores
-        assert variational_top_k_sum([0.9, 0.5, 0.2], 2, 0.5) == pytest.approx(1.4, abs=1e-15)
-        assert variational_top_k_sum([0.9, 0.5, 0.2], 2, 0.5) == pytest.approx(
-            2 * avg_top_k([0.9, 0.5, 0.2], 2), abs=1e-12)
-
-    def test_lam_one_all_hinges_vanish(self):
-        rng = np.random.default_rng(6)
-        for _ in range(20):
-            scores = rng.uniform(0, 0.999, 7)
-            k = int(rng.integers(1, 8))
-            assert variational_top_k_sum(scores, k, 1.0) == pytest.approx(k, abs=1e-12)
-
-    def test_lam_out_of_range(self):
-        with pytest.raises(ValueError):
-            variational_top_k_sum([0.5, 0.6], 1, 1.5)
-        with pytest.raises(ValueError):
-            variational_top_k_sum([0.5, 0.6], 1, -0.1)
-
-
-class TestHinge:
-    def test_values(self):
-        assert hinge(0.3) == 0.3
-        assert hinge(-0.3) == 0.0
-        assert hinge(0.0) == 0.0
-
-    @given(st.floats(min_value=-1e6, max_value=1e6, allow_nan=False))
-    def test_matches_max(self, a):
-        assert hinge(a) == max(0.0, a)
-
-    @settings(max_examples=300)
-    @given(
-        st.floats(min_value=1e-9, max_value=100.0),
-        st.floats(min_value=1e-9, max_value=100.0),
-        st.floats(min_value=-100.0, max_value=100.0),
-    )
-    def test_nested_hinge_collapses(self, a, b, x):
-        # [[a - x]_+ - b]_+ == [a - x - b]_+ for positive a, b; both sides
-        # share the same arithmetic order so equality is exact.
-        assert hinge(hinge(a - x) - b) == hinge(a - x - b)
 
 
 class TestInstance:

@@ -208,6 +208,41 @@ class TestGenSynthetic:
         read = float(re.search(r"probability (\S+) <", str(raised.value)).group(1))
         assert read == pytest.approx(kept, rel=1e-2)
 
+    @pytest.mark.parametrize("c, mean_relevant, correlation, draws", [
+        (10, 3.5, 0.5, 400_000),
+        (2, 0.1, 0.9, 2_000_000),
+        (80, 2.9, 0.3, 100_000),
+        # At a low correlation the common factor's window reaches deep into its tails,
+        # so a wrong bound shows: either bound multiplied by sqrt(rho) where it is
+        # divided moves the estimate by about 0.014 here.
+        (5, 1.0, 0.05, 400_000),
+    ])
+    def test_kept_probability_matches_a_monte_carlo_draw(self, monkeypatch, c, mean_relevant,
+                                                         correlation, draws):
+        # The share of the label model's draws that have some but not all labels
+        # relevant, drawn as gen_synthetic draws them; the spec's estimate must lie
+        # within 4 standard errors of it, read by setting the floor just above and
+        # just below.
+        from tkmia import harness
+
+        rng = np.random.default_rng(0)
+        threshold = NormalDist().inv_cdf(mean_relevant / c)
+        kept = 0
+        for start in range(0, draws, 20_000):
+            n = min(20_000, draws - start)
+            latent = (math.sqrt(correlation) * rng.standard_normal((n, 1))
+                      + math.sqrt(1.0 - correlation) * rng.standard_normal((n, c)))
+            relevant = np.count_nonzero(latent < threshold, axis=1)
+            kept += np.count_nonzero((relevant > 0) & (relevant < c))
+        share = kept / draws
+        tolerance = 4 * math.sqrt(share * (1 - share) / draws)
+        spec = dict(n=1, d=2, c=c, mean_relevant=mean_relevant, label_correlation=correlation)
+        monkeypatch.setattr(harness, "MIN_KEPT_PROBABILITY", share - tolerance)
+        SyntheticSpec(**spec)
+        monkeypatch.setattr(harness, "MIN_KEPT_PROBABILITY", share + tolerance)
+        with pytest.raises(ValueError, match="give a label draw with some but not all"):
+            SyntheticSpec(**spec)
+
     def test_high_correlation_spec_generates(self):
         # The kept draws have the common factor in a narrow window, which fixed
         # Gauss-Hermite nodes over it miss: they read 1.6e-9 here for about 0.036.

@@ -21,7 +21,6 @@ from tkmia.metrics import (
     evaluate_instance,
     evaluate_rows,
     map_at_k,
-    map_at_k_per_category,
     ndcg_at_k,
     precision_at_k,
     tk_acc,
@@ -119,27 +118,6 @@ class TestMapAtK:
         with pytest.raises(ValueError):
             map_at_k([], 2)
 
-    def test_per_category_empty_rejected(self):
-        with pytest.raises(ValueError) as raised:
-            map_at_k_per_category([], 2)
-        assert str(raised.value) == "empty sample list"
-
-    def test_per_category_without_a_relevant_instance_undefined(self):
-        with pytest.raises(UndefinedMetricError) as raised:
-            map_at_k_per_category([([0.9, 0.2], [0, 0]), ([0.4, 0.3], [0, 0])], 1)
-        assert str(raised.value) == "no category has a relevant instance"
-
-    def test_per_category_toy(self):
-        # Category 0 ranks instances (0.9, 0.4, 0.7) against (1, 0, 1):
-        # prefix (1, 1) -> AP 1. Category 1 ranks (0.2, 0.3, 0.6) against
-        # (0, 1, 0): prefix (0, 1) -> AP 1/2. Mean 0.75.
-        samples = [
-            ([0.9, 0.2], [1, 0]),
-            ([0.4, 0.3], [0, 1]),
-            ([0.7, 0.6], [1, 0]),
-        ]
-        assert map_at_k_per_category(samples, 2) == pytest.approx(0.75)
-
 
 class TestNdcgAtK:
     def test_ideal_ranking(self):
@@ -234,14 +212,6 @@ def parent_evaluate_instance(scores, labels, k):
                          ndcg_at_k=parent_ndcg(ranked, n_relevant))
 
 
-def parent_map_at_k_per_category(samples, k):
-    score_mat = np.asarray([as_scores(s) for s, _ in samples])
-    label_mat = np.asarray([as_labels(y, score_mat.shape[1]) for _, y in samples])
-    order = np.argsort(-score_mat, axis=0, kind="stable")[:k]
-    return float(np.mean([parent_ap(label_mat[order[:, j], j], int(label_mat[:, j].sum()))
-                          for j in range(score_mat.shape[1]) if label_mat[:, j].any()]))
-
-
 def as_bytes(record):
     """A record's fields as (type, bytes) pairs: equal only if bit-equal."""
     return [(type(v), np.float64(v).tobytes()) for v in dataclasses.astuple(record)]
@@ -310,39 +280,6 @@ class TestEvaluateRows:
         assert precision_at_k([0.9, 0.1], [0, 0], 1) == 0.0
         with pytest.raises(UndefinedMetricError, match="NDCG@k"):
             ndcg_at_k([0.9, 0.1], [0, 0], 1)
-
-
-class TestMapAtKPerCategoryPinned:
-    @pytest.mark.parametrize("seed", range(5))
-    def test_equals_parent_formula_bit_for_bit(self, seed):
-        rng = np.random.default_rng(seed)
-        n, c = int(rng.integers(3, 40)), int(rng.integers(2, 12))
-        tied = rng.integers(0, 11, (n, c)) / 10.0
-        labels = (rng.uniform(size=(n, c)) < 0.3).astype(int)
-        for scores in (tied, rng.uniform(size=(n, c))):
-            samples = list(zip(scores, labels))
-            for k in {1, min(3, n), min(9, n), n}:
-                got = map_at_k_per_category(samples, k)
-                want = parent_map_at_k_per_category(samples, k)
-                assert np.float64(got).tobytes() == np.float64(want).tobytes()
-
-    def test_single_instance(self):
-        assert map_at_k_per_category([([0.9, 0.2], [1, 0])], 1) == 1.0
-
-    @pytest.mark.parametrize("k, message", [
-        (0, "k=0 out of range [1, 2]"),
-        (-1, "k=-1 out of range [1, 2]"),
-        (3, "k=3 out of range [1, 2]"),
-        (1.5, "k must be an integer, got 1.5"),
-        (True, "k must be an integer, got True"),
-    ])
-    def test_k_takes_the_one_k_rule(self, k, message):
-        # k counts instances here: it once failed with an IndexError at 0 and
-        # read True as 1.
-        samples = [([0.9, 0.2], [1, 0]), ([0.4, 0.7], [0, 1])]
-        with pytest.raises(ValueError) as raised:
-            map_at_k_per_category(samples, k)
-        assert str(raised.value) == message
 
 
 class TestMonotoneInvariance:

@@ -6,13 +6,20 @@ import pytest
 
 import suites
 from suites import finite_diff_check
-from tkmia import attack, core, metrics, model
+from tkmia import attack, metrics, model
 from tkmia.model import make_affine, make_mlp
 
 
-def off_by(fn, nudge):
-    """``fn`` with ``nudge`` applied to its result."""
-    return lambda *args: nudge(fn(*args))
+def off_by(nudge):
+    """A replacement for a function: the function with ``nudge`` applied to its result."""
+    return lambda fn: lambda *args: nudge(fn(*args))
+
+
+def below(fn):
+    """A replacement for ``_tkmia_terms``: the function run at the next double below
+    each lambda, which makes a gap of 0 active at lambda = 0."""
+    return lambda vals, lam1, lam2, *rest: fn(vals, np.nextafter(lam1, -np.inf),
+                                              np.nextafter(lam2, -np.inf), *rest)
 
 
 def failed_suites(seed=0):
@@ -27,21 +34,22 @@ class TestCheck:
         results = suites.run_all_checks(7)
         assert len(results) == 5 and all(passed for _, passed, _ in results)
 
-    @pytest.mark.parametrize("module, name, nudge, suite", [
-        (core, "variational_top_k_sum", lambda value: value + 1e-10, "variational-top-k"),
-        (core, "hinge", lambda value: value * (1.0 + 1e-9), "hinge-identity"),
-        (attack, "_tkmia_terms", lambda terms: (terms[0], terms[1] + 1e-3, terms[2]),
+    @pytest.mark.parametrize("module, name, replace, suite", [
+        (attack, "tkmia_objective", off_by(lambda out: (out[0] + 1e-10, *out[1:])),
+         "variational-top-k"),
+        (attack, "_tkmia_terms", below, "hinge-identity"),
+        (attack, "_tkmia_terms", off_by(lambda terms: (terms[0], terms[1] + 1e-3, terms[2])),
          "objective-gradients"),
-        (attack, "_hinge_cot", lambda cot: None if cot is None else 1.01 * cot,
+        (attack, "_hinge_cot", off_by(lambda cot: None if cot is None else 1.01 * cot),
          "objective-gradients"),
         (metrics, "_measure_rows",
-         lambda rows: {**rows, "ndcg_at_k": rows["ndcg_at_k"] + 1e-10}, "metric-oracles"),
-        (model.Scorer, "input_gradient", lambda grad: grad + 1e-3, "model-gradients"),
+         off_by(lambda rows: {**rows, "ndcg_at_k": rows["ndcg_at_k"] + 1e-10}), "metric-oracles"),
+        (model.Scorer, "input_gradient", off_by(lambda grad: grad + 1e-3), "model-gradients"),
     ], ids=["variational", "hinge", "tkmia-terms", "baseline-hinge", "measure-rows",
             "input-gradient"])
-    def test_check_fails_on_a_slightly_wrong_library(self, monkeypatch, module, name, nudge,
+    def test_check_fails_on_a_slightly_wrong_library(self, monkeypatch, module, name, replace,
                                                      suite):
-        monkeypatch.setattr(module, name, off_by(getattr(module, name), nudge))
+        monkeypatch.setattr(module, name, replace(getattr(module, name)))
         assert failed_suites() == [suite]
 
     def test_no_kink_free_point_is_one_line_error(self, monkeypatch):
