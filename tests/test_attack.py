@@ -5,6 +5,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tkmia.attack import (
     BASELINE_METHODS,
@@ -39,6 +41,7 @@ from support import (
     constant_score_model,
     numpy_tkmia_terms,
     rank_of,
+    ranking,
 )
 
 
@@ -100,6 +103,213 @@ class TestObjectiveValue:
         with pytest.raises(ValueError):
             tkmia_objective(model, np.zeros(3), np.zeros(3), 0.0, 0.0, (0,),
                             (0, 1), AttackConfig(k=3, eta=0.1))
+
+
+def relaxation_draw(rng, ties=False):
+    """A constant scorer's scores (on a 0.1 grid with ``ties``), S inside Yp and
+    k, with the objective's value at x = eps = 0, alpha = 0 as a function of the
+    lambdas, and both gap vectors sorted in descending order."""
+    c = int(rng.integers(2, 13))
+    k = int(rng.integers(1, c))
+    values = rng.integers(1, 10, c) / 10.0 if ties else rng.uniform(0.01, 0.99, c)
+    model = constant_score_model(values)
+    scores = model.score(np.zeros(3))
+    rel = rng.choice(c, size=int(rng.integers(2, c + 1)), replace=False).tolist()
+    spec = rel[:int(rng.integers(1, len(rel)))]
+    top, bottom = scores[spec].max(), scores[rel[len(spec):]].min()
+    cfg = AttackConfig(k=k, eta=0.1)
+
+    def value(lam1, lam2):
+        return tkmia_objective(model, np.zeros(3), np.zeros(3), lam1, lam2, spec, rel, cfg)[0]
+
+    return value, scores, c, k, np.sort(top - scores)[::-1], np.sort(scores - bottom)[::-1]
+
+
+def average_top_k_form(gaps1, gaps2, c, k):
+    """(1/(c-k)) * (sum of the c-k largest gaps1) + (1/k) * (sum of the k largest gaps2)."""
+    return gaps1[:c - k].sum() / (c - k) + gaps2[:k].sum() / k
+
+
+def relaxation_draw_of(values, spec, rel, k):
+    """The objective's value at x = eps = 0, alpha = 0 of a constant scorer of
+    ``values`` as a function of the lambdas."""
+    model = constant_score_model(values)
+    cfg = AttackConfig(k=k, eta=0.1)
+    return lambda lam1, lam2: tkmia_objective(model, np.zeros(3), np.zeros(3), lam1, lam2,
+                                              spec, rel, cfg)[0]
+
+
+class TestAverageTopKRelaxation:
+    """The objective's value as the variational form of two average-top-m sums
+    (Ogryczak and Tamir): over lambda, ``lam + (1/m) sum [g - lam]_+`` is least,
+    at the mean of the m largest gaps g, where lam is the m-th largest gap."""
+
+    def test_hand_value(self):
+        # Scores (0.9, 0.5, 0.2, 0.7), S = {0}, Yp \ S = {3}, k = 2: gaps1
+        # (0, 0.4, 0.7, 0.2), gaps2 (0.2, -0.2, -0.5, 0).
+        value = relaxation_draw_of([0.9, 0.5, 0.2, 0.7], (0,), (0, 3), 2)
+        # 0.2 + 0.1 + (0.2 + 0.5) / 2 + 0.1 / 2
+        assert value(0.2, 0.1) == pytest.approx(0.7, abs=1e-12)
+        # At the 2nd largest gaps (0.4, 0): (0.7 + 0.4) / 2 + (0.2 + 0) / 2
+        assert value(0.4, 0.0) == pytest.approx(0.65, abs=1e-12)
+
+    def test_value_at_the_mth_largest_gaps_is_the_form(self):
+        rng = np.random.default_rng(40)
+        checked = 0
+        for _ in range(200):
+            value, _, c, k, gaps1, gaps2 = relaxation_draw(rng)
+            lam1, lam2 = gaps1[c - k - 1], gaps2[k - 1]
+            if 0.0 <= lam1 <= 1.0 and 0.0 <= lam2 <= 1.0:
+                checked += 1
+                assert value(lam1, lam2) == pytest.approx(
+                    average_top_k_form(gaps1, gaps2, c, k), abs=1e-12)
+        assert checked > 50
+
+    def test_ties_give_the_form_of_the_sorted_gaps(self):
+        rng = np.random.default_rng(41)
+        for _ in range(200):
+            value, _, c, k, gaps1, gaps2 = relaxation_draw(rng, ties=True)
+            lam1, lam2 = (min(max(g, 0.0), 1.0) for g in (gaps1[c - k - 1], gaps2[k - 1]))
+            if (lam1, lam2) == (gaps1[c - k - 1], gaps2[k - 1]):
+                assert value(lam1, lam2) == pytest.approx(
+                    average_top_k_form(gaps1, gaps2, c, k), abs=1e-12)
+
+    def test_no_lambda_in_the_unit_square_undercuts_the_form(self):
+        rng = np.random.default_rng(42)
+        grid = np.linspace(0.0, 1.0, 11)
+        for _ in range(30):
+            value, _, c, k, gaps1, gaps2 = relaxation_draw(rng)
+            form = average_top_k_form(gaps1, gaps2, c, k)
+            assert min(value(a, b) for a in grid for b in grid) >= form - 1e-12
+
+    def test_form_bounds_the_margins_of_the_top_k(self):
+        # The m-th largest gaps are the margins the attack drives to zero or
+        # below: f_smax - f_[k+1] (S out of the top k) and f_[k] - f_ymin
+        # (Yp \ S inside it); the means of the m largest bound them above.
+        rng = np.random.default_rng(43)
+        for _ in range(300):
+            _, scores, c, k, gaps1, gaps2 = relaxation_draw(rng)
+            ranked = [scores[i] for i in ranking(scores)]
+            top, bottom = gaps1[0] + ranked[-1], ranked[0] - gaps2[0]
+            margins = (top - ranked[k]) + (ranked[k - 1] - bottom)
+            assert average_top_k_form(gaps1, gaps2, c, k) >= margins - 1e-12
+
+    def test_one_place_takes_the_largest_gap(self):
+        # With c - k = 1 (k = 1) the first (second) term is the largest gap, at any
+        # lambda between the two largest gaps; the other lambda stays at 0.
+        rng = np.random.default_rng(44)
+        checked = 0
+        for _ in range(300):
+            value, _, c, k, gaps1, gaps2 = relaxation_draw(rng)
+            for m, gaps, other, at in ((c - k, gaps1, gaps2[gaps2 > 0.0].sum() / k,
+                                        lambda lam: value(lam, 0.0)),
+                                       (k, gaps2, gaps1[gaps1 > 0.0].sum() / (c - k),
+                                        lambda lam: value(0.0, lam))):
+                lo, hi = max(gaps[1], 0.0), min(gaps[0], 1.0)
+                if m == 1 and lo <= hi:
+                    checked += 1
+                    for lam in (lo, (lo + hi) / 2, hi):
+                        assert at(lam) == pytest.approx(gaps[0] + other, abs=1e-12)
+        assert checked > 20
+
+    def test_value_is_convex_in_the_lambdas(self):
+        rng = np.random.default_rng(45)
+        for _ in range(300):
+            value, *_ = relaxation_draw(rng)
+            a, b = rng.uniform(0.0, 1.0, 2), rng.uniform(0.0, 1.0, 2)
+            mid = value(*((a + b) / 2))
+            assert mid <= (value(*a) + value(*b)) / 2 + 1e-12
+
+    def test_lambda_gradients_vanish_between_the_mth_and_next_gap(self):
+        # The first-order condition at the optimum: with lambda strictly between
+        # the (m+1)-th and m-th largest gaps, m hinges are active and the lambda
+        # gradient 1 - m / m is zero.
+        rng = np.random.default_rng(46)
+        checked = 0
+        for _ in range(300):
+            c = int(rng.integers(2, 13))
+            k = int(rng.integers(1, c))
+            scores = rng.uniform(0.0, 1.0, c)
+            labels = rng.permutation(c)
+            n_spec = int(rng.integers(1, c))
+            spec = tuple(sorted(labels[:n_spec].tolist()))
+            rest = tuple(sorted(labels[n_spec:].tolist()))
+            gaps1 = np.sort(scores[list(spec)].max() - scores)[::-1]
+            gaps2 = np.sort(scores - scores[list(rest)].min())[::-1]
+            lam1 = (gaps1[c - k - 1] + gaps1[c - k]) / 2
+            lam2 = (gaps2[k - 1] + gaps2[k]) / 2
+            if gaps1[c - k] < lam1 < gaps1[c - k - 1] and gaps2[k] < lam2 < gaps2[k - 1] \
+                    and lam1 >= 0.0 and lam2 >= 0.0:
+                checked += 1
+                _, g1, g2 = _tkmia_terms(scores.tolist(), float(lam1), float(lam2), spec, rest, k)
+                assert (g1, g2) == (0.0, 0.0)
+        assert checked > 50
+
+
+class TestTkmiaTermsActivity:
+    """``_tkmia_terms`` counts a hinge active by its collapsed test ``gap > lambda``,
+    which for lambda >= 0 is the nested hinge ``[[gap]_+ - lambda]_+ > 0``."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.floats(min_value=-50.0, max_value=50.0),
+           st.floats(min_value=-50.0, max_value=50.0),
+           st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=1.0)))
+    def test_activity_is_the_nested_hinge(self, a, x, lam):
+        # c = 2, k = 1, scores (a, x), S = {0}, Yp \ S = {1}: each active count
+        # is read back from its lambda gradient 1 - count / 1.
+        vals = [a, x]
+        _, g1, g2 = _tkmia_terms(vals, lam, lam, (0,), (1,), 1)
+        nested1 = sum(max(0.0, max(0.0, a - v) - lam) > 0.0 for v in vals)
+        nested2 = sum(max(0.0, max(0.0, v - x) - lam) > 0.0 for v in vals)
+        assert (round(1.0 - g1), round(1.0 - g2)) == (nested1, nested2)
+
+    def test_extremes_are_never_active_at_lambda_zero(self):
+        # At the loop's start every score strictly below s_max's is active in the
+        # first hinge and every score strictly above y_min's in the second; s_max
+        # and y_min themselves, and the scores tied with them, are not.
+        rng = np.random.default_rng(47)
+        for _ in range(300):
+            c = int(rng.integers(2, 13))
+            k = int(rng.integers(1, c))
+            scores = rng.integers(0, 5, c) / 4.0
+            labels = rng.permutation(c)
+            n_spec = int(rng.integers(1, c))
+            spec = tuple(sorted(labels[:n_spec].tolist()))
+            rest = tuple(sorted(labels[n_spec:].tolist()))
+            top, bottom = scores[list(spec)].max(), scores[list(rest)].min()
+            _, g1, g2 = _tkmia_terms(scores.tolist(), 0.0, 0.0, spec, rest, k)
+            assert round((1.0 - g1) * (c - k)) == int((scores < top).sum())
+            assert round((1.0 - g2) * k) == int((scores > bottom).sum())
+
+    def test_score_cotangent_sums_to_zero(self):
+        # A shift of every score moves no gap, so the value's score gradient has
+        # no component along the all-ones vector.
+        rng = np.random.default_rng(48)
+        seen = 0
+        for _ in range(300):
+            c = int(rng.integers(2, 13))
+            k = int(rng.integers(1, c))
+            scores = rng.uniform(0.0, 1.0, c)
+            labels = rng.permutation(c)
+            n_spec = int(rng.integers(1, c))
+            spec = tuple(sorted(labels[:n_spec].tolist()))
+            rest = tuple(sorted(labels[n_spec:].tolist()))
+            cot, _, _ = _tkmia_terms(scores.tolist(), *rng.uniform(0.0, 0.5, 2), spec, rest, k)
+            if cot is not None:
+                seen += 1
+                assert abs(cot.sum()) <= 1e-12
+        assert seen > 100
+
+    def test_lambdas_at_the_largest_gaps_leave_no_hinge_active(self):
+        rng = np.random.default_rng(49)
+        for _ in range(100):
+            c = int(rng.integers(2, 13))
+            k = int(rng.integers(1, c))
+            scores = rng.uniform(0.0, 1.0, c)
+            spec, rest = (0,), tuple(range(1, c))
+            lam1 = float((scores[0] - scores).max())
+            lam2 = float((scores - scores[1:].min()).max())
+            assert _tkmia_terms(scores.tolist(), lam1, lam2, spec, rest, k) == (None, 1.0, 1.0)
 
 
 class TestSuccessCheck:

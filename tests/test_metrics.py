@@ -118,6 +118,22 @@ class TestMapAtK:
         with pytest.raises(ValueError):
             map_at_k([], 2)
 
+    def test_sample_without_a_relevant_label_undefined(self):
+        with pytest.raises(UndefinedMetricError) as raised:
+            map_at_k([([0.9, 0.2], [1, 0]), ([0.4, 0.3], [0, 0])], 1)
+        assert str(raised.value) == "AP@k undefined without relevant labels"
+
+    def test_mean_over_samples_not_over_categories(self):
+        # Per sample, ranked labels (1, 0), (0, 1), (1, 0): APs 1, 1/2, 1, mean
+        # 5/6. A per-category mean would rank the instances in each column and
+        # read 0.75 here.
+        samples = [
+            ([0.9, 0.2], [1, 0]),
+            ([0.4, 0.3], [0, 1]),
+            ([0.7, 0.6], [1, 0]),
+        ]
+        assert map_at_k(samples, 2) == pytest.approx(5 / 6, abs=1e-15)
+
 
 class TestNdcgAtK:
     def test_ideal_ranking(self):
@@ -280,6 +296,36 @@ class TestEvaluateRows:
         assert precision_at_k([0.9, 0.1], [0, 0], 1) == 0.0
         with pytest.raises(UndefinedMetricError, match="NDCG@k"):
             ndcg_at_k([0.9, 0.1], [0, 0], 1)
+
+
+class TestMapAtKPinned:
+    @pytest.mark.parametrize("seed", range(5))
+    def test_equals_the_mean_of_the_parent_ap_bit_for_bit(self, seed):
+        rng = np.random.default_rng(seed)
+        n, c = int(rng.integers(1, 40)), int(rng.integers(2, 12))
+        tied = rng.integers(0, 11, (n, c)) / 10.0
+        labels = (rng.uniform(size=(n, c)) < 0.3).astype(int)
+        labels[np.arange(n), rng.integers(0, c, n)] = 1
+        for scores in (tied, rng.uniform(size=(n, c))):
+            samples = list(zip(scores, labels))
+            for k in {1, min(3, c), c}:
+                got = map_at_k(samples, k)
+                want = float(np.mean([parent_ap(*parent_ranked(s, y, k)) for s, y in samples]))
+                assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+    @pytest.mark.parametrize("k, message", [
+        (0, "k=0 out of range [1, 2]"),
+        (-1, "k=-1 out of range [1, 2]"),
+        (3, "k=3 out of range [1, 2]"),
+        (1.5, "k must be an integer, got 1.5"),
+        (True, "k must be an integer, got True"),
+    ])
+    def test_k_takes_the_one_k_rule(self, k, message):
+        # k counts classes: the rule of every measure, with its one message.
+        samples = [([0.9, 0.2], [1, 0]), ([0.4, 0.7], [0, 1])]
+        with pytest.raises(ValueError) as raised:
+            map_at_k(samples, k)
+        assert str(raised.value) == message
 
 
 class TestMonotoneInvariance:
