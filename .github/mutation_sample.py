@@ -1,8 +1,7 @@
 """Run a seeded sample of one-operator mutants of a module against test files,
 in a copy of the repository, and print which the tests kill.
 
-    python .github/mutation_sample.py MODULE [--sample N] [--seed S] [--lines A-B]
-        [--timeout T] TEST...
+    python .github/mutation_sample.py MODULE [--sample N] [--seed S] [--lines A-B] TEST...
 
 MODULE is a path under the repository, e.g. src/tkmia/harness.py; each TEST is
 a pytest argument, a file or a node id, relative to the repository. A site is
@@ -16,8 +15,8 @@ The repository is copied, without .git and caches, into a temporary directory,
 and each mutant is written there, never into the working tree. The tests run
 there as ``python -m pytest -x -q -p no:cacheprovider TEST...`` with the copy's
 src first on PYTHONPATH. They must pass on the unmutated copy. A mutant is
-killed if pytest then exits non-zero or runs past ``--timeout`` seconds, and
-survives if it exits 0. One line is printed per mutant, with the operator's
+killed if pytest then exits non-zero or runs past TIMEOUT seconds (a mutant
+can loop forever), and survives if it exits 0. One line is printed per mutant, with the operator's
 line and 1-based column, then a count. It does not gate: a mutant costs one
 run of the tests, seconds to a minute each.
 """
@@ -40,6 +39,7 @@ SYMBOLS = {ast.Lt: "<", ast.LtE: "<=", ast.Gt: ">", ast.GtE: ">=", ast.Eq: "==",
            ast.NotEq: "!=", ast.Add: "+", ast.Sub: "-", ast.Mult: "*", ast.Div: "/"}
 IGNORE = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache", ".hypothesis",
                                 ".perfbench-work", ".benchmarks")
+TIMEOUT = 600.0
 
 
 def char_position(lines, lineno: int, col: int) -> tuple:
@@ -87,15 +87,15 @@ def mutate(source: str, site) -> str:
     return "".join(lines)
 
 
-def run_tests(copy: str, tests, timeout: float) -> int | None:
-    """pytest's exit status on ``tests`` in ``copy``, or None past ``timeout``."""
+def run_tests(copy: str, tests) -> int | None:
+    """pytest's exit status on ``tests`` in ``copy``, or None past TIMEOUT."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [os.path.join(copy, "src"),
                                                       env.get("PYTHONPATH")]))
     try:
         command = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *tests]
         return subprocess.run(command, cwd=copy, env=env, stdout=subprocess.DEVNULL,
-                              stderr=subprocess.DEVNULL, timeout=timeout).returncode
+                              stderr=subprocess.DEVNULL, timeout=TIMEOUT).returncode
     except subprocess.TimeoutExpired:
         return None
 
@@ -112,8 +112,6 @@ def main(argv) -> int:
     parser.add_argument("--sample", type=int, default=20, help="mutants to run (default 20)")
     parser.add_argument("--seed", type=int, default=0, help="seed of the sample (default 0)")
     parser.add_argument("--lines", type=line_range, help="only sites on lines A-B (or A)")
-    parser.add_argument("--timeout", type=float, default=600.0,
-                        help="seconds before a mutant's run counts as killed (default 600)")
     args = parser.parse_args(argv)
 
     with open(os.path.join(REPO, args.module), encoding="utf-8") as handle:
@@ -126,14 +124,14 @@ def main(argv) -> int:
         copy = os.path.join(work, "repo")
         shutil.copytree(REPO, copy, ignore=IGNORE)
         target = os.path.join(copy, args.module)
-        if run_tests(copy, args.tests, args.timeout) != 0:
+        if run_tests(copy, args.tests) != 0:
             print("the tests do not pass on the unmutated copy", file=sys.stderr)
             return 2
         for site in sample:
             with open(target, "w", encoding="utf-8") as handle:
                 handle.write(mutate(source, site))
             start = time.monotonic()
-            status = run_tests(copy, args.tests, args.timeout)
+            status = run_tests(copy, args.tests)
             seconds = time.monotonic() - start
             line, col, old, new = site
             verdict = "survived" if status == 0 else "killed"

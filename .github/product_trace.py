@@ -1,7 +1,7 @@
 """Run the CLI's commands in this process and print the functions of src/tkmia
 that they enter and those that they do not.
 
-    PYTHONPATH=src python .github/product_trace.py
+    PYTHONPATH=src python .github/product_trace.py    # Python 3.11 or later
 
 The commands run in a temporary directory, on small inline configs:
 ``gen-data`` and ``train``; a report with an affine victim, the global scheme
@@ -10,44 +10,28 @@ a ``delta_threshold``; and ``attack`` on one instance of the first report. Each
 must exit 0.
 
 A profiler set with ``sys.setprofile`` records each code object that a call
-enters. A function is one ``def`` of a module's source, named by its qualified
-name and keyed by its code object's first line (its first decorator or its
-``def``); lambdas and comprehensions are not listed. Functions that only tests
-call show as not entered: the list reads what a user of the CLI runs. It does
-not gate: the exit status is 1 only if a command fails.
+enters. A function is one compiled function code object of a module, named by
+its qualified name and keyed by its first line (its first decorator or its
+``def``), the key the profiler records; lambdas, comprehensions and class
+bodies are not listed. Functions that only tests call show as not entered: the
+list reads what a user of the CLI runs. It does not gate: the exit status is 1
+only if a command fails.
 """
-import ast
 import contextlib
+import inspect
 import io
 import json
 import os
 import sys
 import tempfile
 
-REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-PACKAGE = os.path.join(REPO, "src", "tkmia")
+from statement_trace import PACKAGE, code_objects
 
 
 def functions(path: str) -> dict:
     """The first line of each function's code object in ``path`` -> its qualified name."""
-    with open(path, encoding="utf-8") as handle:
-        tree = ast.parse(handle.read())
-    found = {}
-
-    def visit(node, prefix):
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                name = prefix + child.name
-                if not isinstance(child, ast.ClassDef):
-                    first = min([child.lineno] + [d.lineno for d in child.decorator_list])
-                    found[first] = name
-                    name += ".<locals>"
-                visit(child, name + ".")
-            else:
-                visit(child, prefix)
-
-    visit(tree, "")
-    return found
+    return {code.co_firstlineno: code.co_qualname for code in code_objects(path)
+            if code.co_flags & inspect.CO_OPTIMIZED and not code.co_name.startswith("<")}
 
 
 def configs() -> list:

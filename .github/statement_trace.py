@@ -32,18 +32,24 @@ ALLOWLIST = {
 }
 
 
-def executable_lines(path: str) -> set:
-    """The line numbers that some code object compiled from ``path`` runs."""
+def code_objects(path: str):
+    """Each code object compiled from ``path``: the module's and every one nested in it."""
     with open(path, encoding="utf-8") as handle:
-        source = handle.read()
-    lines, codes = set(), [compile(source, path, "exec")]
+        codes = [compile(handle.read(), path, "exec")]
     while codes:
         code = codes.pop()
+        yield code
+        codes.extend(const for const in code.co_consts if isinstance(const, types.CodeType))
+
+
+def executable_lines(path: str) -> set:
+    """The line numbers that some code object compiled from ``path`` runs."""
+    lines = set()
+    for code in code_objects(path):
         own = {line for _, _, line in code.co_lines() if line}  # None, or 0 before line 1
         if code.co_name != "<module>":
             own.discard(code.co_firstlineno)
         lines |= own
-        codes.extend(const for const in code.co_consts if isinstance(const, types.CodeType))
     return lines
 
 

@@ -71,14 +71,15 @@ def check_variational_form(seed: int):
     score less the worst score of Yp \\ S, the value minimised over all real
     lambdas is (1/(c-k)) * (sum of the c-k largest gaps1) + (1/k) * (sum of the
     k largest gaps2) + (alpha/2) ||eps||^2, at lambda1 and lambda2 the (c-k)-th
-    and k-th largest gaps. Returns by how much the value's minimum over a 1001 x
-    1001 lambda grid on [0, 1]^2 undercuts that form, how far the value at those
-    lambdas is from it where both lie in [0, 1], and how far the value is from
-    the written-out objective at five lambda points.
+    and k-th largest gaps. Returns by how much the value's least value on five
+    points of a 1001 x 1001 lambda grid on [0, 1]^2 undercuts that form, how far
+    the value at those lambdas is from it where both lie in [0, 1], and how far
+    the value is from the written-out objective at five lambda points.
 
-    The value is a convex function of lambda1 plus one of lambda2, so the grid's
-    minimum lies on a cross of five grid points through the nearest grid point
-    to the optimum clipped to [0, 1]^2.
+    The five grid points are a cross through the nearest grid point to the
+    optimum clipped to [0, 1]^2. They hold the whole grid's minimum when the
+    value is a convex function of lambda1 plus one of lambda2; criterion 4
+    checks the convexity, and this suite does not check the rest of the grid.
     """
     rng = np.random.default_rng(seed)
     steps = 1000  # grid intervals per lambda

@@ -46,8 +46,8 @@ class TestCriterion1VariationalForm:
         start = time.time()
         worst = suites.check_variational_form(101)
         elapsed = time.time() - start
-        # the objective's minimum on the lambda grid never undercuts the
-        # average-top-k form of its hinge sums
+        # the objective on the lambda grid's points around the optimum never
+        # undercuts the average-top-k form of its hinge sums
         assert worst["grid undercut"] <= 1e-6
         # at the analytic optimum (the m-th largest gaps) it equals that form
         assert worst["at-optimum gap"] <= 1e-9
