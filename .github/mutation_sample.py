@@ -16,9 +16,11 @@ and each mutant is written there, never into the working tree. The tests run
 there as ``python -m pytest -x -q -p no:cacheprovider TEST...`` with the copy's
 src first on PYTHONPATH. They must pass on the unmutated copy. A mutant is
 killed if pytest then exits non-zero or runs past TIMEOUT seconds (a mutant
-can loop forever), and survives if it exits 0. One line is printed per mutant, with the operator's
-line and 1-based column, then a count. It does not gate: a mutant costs one
-run of the tests, seconds to a minute each.
+can loop forever), and survives if it exits 0. A survivor that EQUIVALENT
+lists is counted apart, as ``equivalent``, with its reason: it changes no
+result that a test could see. One line is printed per mutant, with the
+operator's line and 1-based column, then a count. It does not gate: a mutant
+costs one run of the tests, seconds to a minute each.
 """
 import argparse
 import ast
@@ -40,6 +42,30 @@ SYMBOLS = {ast.Lt: "<", ast.LtE: "<=", ast.Gt: ">", ast.GtE: ">=", ast.Eq: "==",
 IGNORE = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache", ".hypothesis",
                                 ".perfbench-work", ".benchmarks")
 TIMEOUT = 600.0
+# Known equivalent mutants, each as (module, the stripped text of its line, the text
+# from its operator on, reason): matched by text, not line number, so they still
+# match after an edit moves the line, and no longer once the line itself changes.
+_TIE = "a continuous normal equals the threshold with probability zero"
+EQUIVALENT = [
+    ("src/tkmia/harness.py",
+     "keep = (indiv_w * lo + common < threshold) & (indiv_w * hi + common >= threshold)",
+     "< threshold", _TIE),
+    ("src/tkmia/harness.py",
+     "keep = (indiv_w * lo + common < threshold) & (indiv_w * hi + common >= threshold)",
+     ">= threshold", _TIE),
+    ("src/tkmia/harness.py", "< threshold)", "< threshold", _TIE),
+    ("src/tkmia/harness.py", "if sum(map(len, labels)) < min(_BLOCK, spec.n - done):", "< min",
+     "flushing a block one window later groups the rows differently, not their values"),
+    ("src/tkmia/harness.py", "if sum(map(len, labels)) < min(_BLOCK, spec.n - done):", "- done",
+     "the last block waits for more kept rows than it writes: more draws, the same rows"),
+    ("src/tkmia/harness.py", "u = lo + (hi - lo) / 128 * (np.arange(128) + 0.5)", "+ 0.5",
+     "midpoints shifted a whole step: the integrand is negligible at both window ends"),
+    ("src/tkmia/harness.py", "if kept < MIN_KEPT_PROBABILITY:", "< MIN_KEPT_PROBABILITY",
+     "differs only where the estimate equals the threshold exactly"),
+    ("src/tkmia/model.py",
+     "if np.maximum.reduce(np.abs(Z, out=A), axis=None) < _LOGIT_CLIP:", "< _LOGIT_CLIP",
+     "differs only where a batch's largest |logit| is exactly _LOGIT_CLIP, which no draw reaches"),
+]
 
 
 def char_position(lines, lineno: int, col: int) -> tuple:
@@ -87,6 +113,16 @@ def mutate(source: str, site) -> str:
     return "".join(lines)
 
 
+def equivalent(module: str, lines, site) -> str | None:
+    """The reason that EQUIVALENT gives for the mutant at ``site`` of ``module``, whose
+    source lines are ``lines``, or None if it lists no such mutant."""
+    line, col, _, _ = site
+    text = lines[line - 1]
+    return next((reason for path, line_text, at, reason in EQUIVALENT
+                 if path == module and text.strip() == line_text and text[col:].startswith(at)),
+                None)
+
+
 def run_tests(copy: str, tests) -> int | None:
     """pytest's exit status on ``tests`` in ``copy``, or None past TIMEOUT."""
     env = dict(os.environ)
@@ -119,7 +155,7 @@ def main(argv) -> int:
     pool = [site for site in sites(source) if args.lines is None or site[0] in args.lines]
     sample = sorted(random.Random(args.seed).sample(pool, min(args.sample, len(pool))))
     text = source.splitlines()
-    killed = 0
+    counts = dict.fromkeys(("killed", "survived", "equivalent"), 0)
     with tempfile.TemporaryDirectory() as work:
         copy = os.path.join(work, "repo")
         shutil.copytree(REPO, copy, ignore=IGNORE)
@@ -134,13 +170,14 @@ def main(argv) -> int:
             status = run_tests(copy, args.tests)
             seconds = time.monotonic() - start
             line, col, old, new = site
-            verdict = "survived" if status == 0 else "killed"
-            killed += status != 0
-            print(f"{verdict:8} {args.module}:{line}:{col + 1} `{old}` -> `{new}` ({seconds:.1f} s"
-                  f"{', timeout' if status is None else ''}): {text[line - 1].strip()}",
-                  flush=True)
+            reason = equivalent(args.module, text, site) if status == 0 else None
+            verdict = "killed" if status != 0 else "survived" if reason is None else "equivalent"
+            counts[verdict] += 1
+            print(f"{verdict:10} {args.module}:{line}:{col + 1} `{old}` -> `{new}` ({seconds:.1f}"
+                  f" s{', timeout' if status is None else ''}): {text[line - 1].strip()}"
+                  f"{'' if reason is None else f' | equivalent: {reason}'}", flush=True)
     print(f"mutation sample: {len(sample)} of {len(pool)} sites in {args.module} (seed "
-          f"{args.seed}): {killed} killed, {len(sample) - killed} survived")
+          f"{args.seed}): " + ", ".join(f"{n} {verdict}" for verdict, n in counts.items()))
     return 0
 
 

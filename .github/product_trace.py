@@ -5,9 +5,10 @@ that they enter and those that they do not.
 
 The commands run in a temporary directory, on small inline configs:
 ``gen-data`` and ``train``; a report with an affine victim, the global scheme
-and ``c1_only``; a report with an MLP victim, the random scheme, ``strict`` and
-a ``delta_threshold``; and ``attack`` on one instance of the first report. Each
-must exit 0.
+and ``c1_only``; the same report on the dataset and victim files that
+``gen-data`` and ``train`` wrote; a report with an MLP victim, the random
+scheme, ``strict`` and a ``delta_threshold``; and ``attack`` on one instance of
+the first report. Each must exit 0.
 
 A profiler set with ``sys.setprofile`` records each code object that a call
 enters. A function is one compiled function code object of a module, named by
@@ -35,7 +36,8 @@ def functions(path: str) -> dict:
 
 
 def configs() -> list:
-    """The two report configs: affine, global, c1_only; MLP, random, strict, delta_threshold."""
+    """The three report configs: affine, global, c1_only; the same on the files that
+    ``gen-data`` and ``train`` write; MLP, random, strict, delta_threshold."""
     common = {"seed": 7, "dataset": {"n": 400, "d": 8, "c": 8, "mean_relevant": 3.5,
                                      "label_correlation": 0.5, "seed": 7},
               "methods": ["tkmia", "ml_cw_u", "tkml_ap_u"], "max_instances": 20}
@@ -48,20 +50,23 @@ def configs() -> list:
                attack={"eta": 0.05, "alpha": 1e-4, "success_mode": "strict",
                        "delta_threshold": 1},
                out_csv="mlp.csv", out_outcomes="mlp.jsonl")
-    return [affine, mlp]
+    files = dict(affine, dataset={"path": "data.npz"}, victim={"path": "victim.npz"},
+                 out_csv="files.csv", out_outcomes="files.jsonl")
+    return [affine, files, mlp]
 
 
 def run_commands() -> list:
     """Run the commands; returns the failed ones."""
     from tkmia import cli
 
-    affine, mlp = configs()
-    for name, config in (("affine.json", affine), ("mlp.json", mlp)):
+    affine, files, mlp = configs()
+    for name, config in (("affine.json", affine), ("files.json", files), ("mlp.json", mlp)):
         with open(name, "w") as handle:
             json.dump(config, handle)
     commands = [["gen-data", "--config", "affine.json", "--out", "data.npz"],
                 ["train", "--config", "affine.json", "--out", "victim.npz"],
                 ["report", "--config", "affine.json"],
+                ["report", "--config", "files.json"],
                 ["report", "--config", "mlp.json"]]
     failed = []
     for argv in commands:

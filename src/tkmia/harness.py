@@ -6,10 +6,11 @@ from an equicorrelated Gaussian-copula threshold model, and victims are
 the small scorers from :mod:`tkmia.model`. Experiments sweep a grid of
 (k, specified-set scheme, method) cells, attack the identical filtered
 instance list with every method, and emit one CSV row per cell plus
-line-delimited JSON outcome records. A cell scores its clean rows once, for
-their measures; each attack is one public :func:`tkmia_attack` or
-:func:`run_baseline` call, which scores its own iteration 0. All randomness
-is seeded, so reports are reproducible byte for byte.
+line-delimited JSON outcome records. A cell scores its clean rows once, a
+block at a time, for their measures; each attack is one public
+:func:`tkmia_attack` or :func:`run_baseline` call, which scores its own
+iteration 0. All randomness is seeded, so reports are reproducible byte for
+byte.
 """
 from __future__ import annotations
 
@@ -18,7 +19,6 @@ import os
 from dataclasses import MISSING, dataclass, fields
 from itertools import islice
 from json.encoder import encode_basestring_ascii
-from operator import attrgetter
 from statistics import NormalDist
 from typing import Sequence
 
@@ -38,8 +38,8 @@ from .attack import (
     tkmia_attack,
 )
 from .core import Dataset, Instance, _integer, _seed, atomic_write, read_archive
-from .metrics import (MEASURES, REPORT_COLUMNS, AggregateReport, _aggregate, evaluate_rows,
-                      write_report_csv)
+from .metrics import (MEASURES, REPORT_COLUMNS, AggregateReport, _aggregate, _columns,
+                      _value_rows, write_report_csv)
 # Unused here; perfbench's tracer test looks evaluate_instance up in this namespace.
 from .metrics import evaluate_instance  # noqa: F401
 from .model import ACTIVATIONS, Scorer, TrainConfig, load_scorer, make_mlp, train_bce
@@ -69,8 +69,8 @@ FEATURE_NOISE = 0.28
 # holds all of its draws at once.
 _BLOCK = 128
 _WINDOW = 2048
-# The (index, S) pairs of a report cell attacked, evaluated and written per pass, so
-# that a report holds one block of attack outcomes at a time.
+# The (index, S) pairs of a report cell scored clean, attacked, evaluated and written
+# per pass, so that a report holds one block of scores and attack outcomes at a time.
 _CELL_BLOCK = 256
 # A spec whose label draws have both kinds of label with a lower probability is
 # rejected: the generator would draw each instance's labels 1 / probability times.
@@ -509,11 +509,12 @@ def _check_output_directory(name: str, path: str) -> None:
         raise ValueError(f"{name}: no file name in {path!r}")
 
 
-def _evaluate_cell(scores, labels, k: int, chosen, name: str):
-    """:func:`evaluate_rows`, whose error for a non-finite row i of ``scores`` names
-    ``name`` and the row's dataset instance ``chosen[i]``."""
+def _evaluate_cell(scores, labels, k: int, chosen, name: str) -> tuple[np.ndarray, ...]:
+    """The measures of each row of ``scores``, one array per MEASURES entry in its
+    order; the error for a non-finite row i of ``scores`` names ``name`` and the row's
+    dataset instance ``chosen[i]``."""
     try:
-        return evaluate_rows(scores, labels, k)
+        return _columns(scores, labels, k, 2)
     except ValueError as exc:
         finite = np.isfinite(scores).all(axis=1)
         if finite.all():
@@ -521,22 +522,26 @@ def _evaluate_cell(scores, labels, k: int, chosen, name: str):
         raise ValueError(f"{name} instance {chosen[int(np.argmin(finite))]}: {exc}") from None
 
 
-def _open_cell(model: Scorer, dataset: Dataset, pairs, k: int):
-    """The clean measure records of a k cell of (index, S) ``pairs``, opened once for all
-    its methods. A non-finite row of clean scores names the cell's ``clean scores (k=K)``
-    prefix and the instance's dataset index."""
+def _open_cell(model: Scorer, dataset: Dataset, pairs, k: int) -> tuple[np.ndarray, ...]:
+    """The clean measures of a k cell of (index, S) ``pairs``, opened once for all its
+    methods: one array per MEASURES entry, scored and measured ``_CELL_BLOCK`` rows at a
+    time, every block before any attack. A non-finite row of clean scores names the cell's
+    ``clean scores (k=K)`` prefix and the instance's dataset index."""
     chosen = [idx for idx, _ in pairs]
-    scores = model.score(dataset.X[chosen])
-    return _evaluate_cell(scores, dataset.Y[chosen], k, chosen, f"clean scores (k={k})")
+    blocks = [_evaluate_cell(model.score(dataset.X[rows]), dataset.Y[rows], k, rows,
+                             f"clean scores (k={k})")
+              for rows in (chosen[start:start + _CELL_BLOCK]
+                           for start in range(0, len(chosen), _CELL_BLOCK))]
+    return tuple(map(np.concatenate, zip(*blocks)))
 
 
 def _attack_cell(model: Scorer, dataset: Dataset, pairs, method: str, cfg: AttackConfig):
     """Attack each (index, S) of ``pairs``, a block of a cell, by ``method``, with one
     :func:`tkmia_attack` or :func:`run_baseline` call each: the one attack path of
-    :func:`_run_cell`. Returns the outcomes and their perturbed measure
-    records. An attack's error, or a non-finite perturbed row, names the cell and the
-    instance's dataset index; the block is attacked before its rows are evaluated, so an
-    attack's error comes first."""
+    :func:`_run_cell`. Returns the outcomes and their perturbed measures, as
+    :func:`_evaluate_cell` gives them. An attack's error, or a non-finite perturbed row,
+    names the cell and the instance's dataset index; the block is attacked before its
+    rows are evaluated, so an attack's error comes first."""
     name, chosen = f"attack ({method}, k={cfg.k})", [idx for idx, _ in pairs]
     baseline = None if method == "tkmia" else BaselineSpec(method, cfg)
     outcomes = []
@@ -556,24 +561,24 @@ class OutcomeLines:
     which :func:`_run_cells` writes a block of a cell at a time.
 
     ``line(outcome, norm, instance, k, clean, perturbed)``, with ``norm`` the outcome's
-    ``epsilon_norm`` and ``clean`` and ``perturbed`` the instance's measure records, equals
-    ``json.dumps(outcome.to_record(instance=instance, k=k, clean_metrics=...,
-    perturbed_metrics=...)) + "\\n"`` byte for byte on what these write, and checks none
-    of it. Its outcomes have the attack loop's types, float64 arrays among them, and
-    finite floats, whose text is their repr: the loop keeps epsilon and the lambdas
-    finite, and :func:`_evaluate_cell` rejects non-finite scores before a block's lines
-    are written. A measure set (an int ``tk_acc``, non-negative floats) takes one text
-    per distinct set and the all-zero epsilon one per writer. A ``scores_before`` takes
-    one text per distinct row of bytes, kept for the writer's life (one report or one
+    ``epsilon_norm`` and ``clean`` and ``perturbed`` the instance's measures, each a tuple
+    in MEASURES order, equals ``json.dumps(outcome.to_record(instance=instance, k=k,
+    clean_metrics=..., perturbed_metrics=...)) + "\\n"`` byte for byte on what these
+    write, and checks none of it. Its outcomes have the attack loop's types, float64
+    arrays among them, and finite floats, whose text is their repr: the loop keeps
+    epsilon and the lambdas finite, and :func:`_evaluate_cell` rejects non-finite scores
+    before a block's lines are written. A measure set (an int ``tk_acc``, non-negative
+    floats, as :func:`~tkmia.metrics._value_rows` gives them) takes one text per
+    distinct set and the all-zero epsilon one per writer. A ``scores_before`` takes one
+    text per distinct row of bytes, kept for the writer's life (one report or one
     ``tkmia attack``) and reused across its cells and methods; rows that differ only in
-    a signed zero differ in bytes, so they never share text. ``scores_after`` reuses
-    the text of ``scores_before`` when their bytes agree.
+    a signed zero differ in bytes, so they never share text. ``scores_after`` reuses the
+    text of ``scores_before`` when their bytes agree.
     """
 
     # The line's keys, each with a %s for its value's text.
     _FORMAT = "{" + ", ".join(f"{json.dumps(key)}: %s" for key in (
         *RECORD_KEYS, "instance", "k", "clean_metrics", "perturbed_metrics")) + "}\n"
-    _values = attrgetter(*MEASURES)
 
     def __init__(self, d: int):
         self._zero = bytes(8 * d), repr([0.0] * d)
@@ -594,9 +599,8 @@ class OutcomeLines:
             before_text if after.tobytes() == before_bytes else repr(after.tolist()),
             instance, k, self._text(clean), self._text(perturbed))
 
-    def _text(self, record) -> str:
+    def _text(self, values) -> str:
         """A measure set's JSON text, once per distinct set."""
-        values = self._values(record)
         if values not in self._sets:
             self._sets[values] = json.dumps(dict(zip(MEASURES, values)))
         return self._sets[values]
@@ -605,26 +609,30 @@ class OutcomeLines:
 def _run_cell(model: Scorer, dataset: Dataset, pairs, clean, method: str,
               cfg: AttackConfig, lines: OutcomeLines, write) -> AggregateReport | None:
     """Attack, evaluate and write the (k, method) cell of (index, S) ``pairs``, whose
-    clean side :func:`_open_cell` gives, ``_CELL_BLOCK`` pairs at a time: each block
+    clean measures :func:`_open_cell` gives, ``_CELL_BLOCK`` pairs at a time: each block
     goes through :func:`_attack_cell`, ``write`` takes its outcome lines, and its
     outcomes are freed before the next block is attacked. Only the per-row values of
-    the cell's report row are kept. Returns that row's :class:`AggregateReport`, None
-    for no pairs."""
-    perturbed, expelled, success, norms = [], [], [], []
+    the cell's report row are kept, as one array per block of each. Returns that row's
+    :class:`AggregateReport`, None for no pairs."""
+    kept = []  # per block: its perturbed measures, expelled counts, success flags, norms
     for start in range(0, len(pairs), _CELL_BLOCK):
         block = slice(start, start + _CELL_BLOCK)
         outcomes, after = _attack_cell(model, dataset, pairs[block], method, cfg)
-        for outcome, (idx, _), cl, pt in zip(outcomes, pairs[block], clean[block], after):
+        norms = []
+        for outcome, (idx, _), cl, pt in zip(outcomes, pairs[block],
+                                             _value_rows(column[block] for column in clean),
+                                             _value_rows(after)):
             # One norm per outcome: the line's epsilon_norm and the row's APer.
-            norm = outcome.epsilon_norm
-            write(lines.line(outcome, norm, idx, cfg.k, cl, pt))
-            expelled.append(len(outcome.specified) - len(outcome.residual))
-            success.append(outcome.success)
-            norms.append(norm)
-        perturbed += after
+            norms.append(outcome.epsilon_norm)
+            write(lines.line(outcome, norms[-1], idx, cfg.k, cl, pt))
+        kept.append((*after, np.array([len(o.specified) - len(o.residual) for o in outcomes]),
+                     np.array([o.success for o in outcomes]), np.array(norms)))
         # Written: freed now, not while the next block's attacks run.
         del outcomes, outcome
-    return _aggregate(clean, perturbed, expelled, success, norms) if pairs else None
+    if not kept:
+        return None
+    *perturbed, expelled, success, norms = map(np.concatenate, zip(*kept))
+    return _aggregate(clean, perturbed, expelled, success, norms)
 
 
 def _run_cells(config: ExperimentConfig, dataset: Dataset, model: Scorer, write,
@@ -654,11 +662,12 @@ def run_experiment(config: ExperimentConfig):
     Returns the report rows. A cell that the selection empties gives rows
     with ``n = 0`` and no measures. A failed attack, or a non-finite row of
     clean or perturbed scores, names its cell and the instance's dataset
-    index. Each cell is attacked, evaluated and written in blocks of
-    ``_CELL_BLOCK`` instances, so the first error in block order is the one
-    reported. Outcome records stream to a temp file block by block; after
-    the last cell it replaces ``out_outcomes`` and the CSV is written, so a
-    failing run leaves no partial outputs.
+    index. Each cell's clean rows are scored in blocks of ``_CELL_BLOCK``
+    instances before any attack, then it is attacked, evaluated and written in
+    such blocks, so the first error in that order is the one reported.
+    Outcome records stream to a temp file block by block; after the last
+    cell it replaces ``out_outcomes`` and the CSV is written, so a failing
+    run leaves no partial outputs.
     """
     for key in ("out_csv", "out_outcomes"):
         _check_output_directory(key, getattr(config, key))

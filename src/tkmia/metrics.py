@@ -161,10 +161,10 @@ def aper(perturbations: Iterable[np.ndarray]) -> float | None:
 MEASURES = ("tk_acc", "p_at_k", "ap_at_k", "ndcg_at_k")
 
 
-@dataclass(slots=True)
+@dataclass
 class MetricsRecord:
-    """Per-instance measure values at a fixed k; slotted, as a report keeps one per
-    attacked row of a cell."""
+    """Per-instance measure values at a fixed k: the record form of one row of the
+    arrays that a report keeps."""
 
     k: int
     tk_acc: int
@@ -173,11 +173,23 @@ class MetricsRecord:
     ndcg_at_k: float
 
 
-def _records(scores, labels, k: int, ndim: int) -> list[MetricsRecord]:
+def _columns(scores, labels, k: int, ndim: int) -> tuple[np.ndarray, ...]:
+    """Each MEASURES entry over the rows of (N, c) ``scores`` and ``labels``, as one
+    int64 or float64 array in MEASURES order, from one validation and one ranking;
+    ``ndim=1`` takes one score vector and its labels as a single row."""
     values = _measures(scores, labels, k, ndim)
     _defined(values["ap_at_k"], "AP@k")
+    return tuple(values[name] for name in MEASURES)
+
+
+def _value_rows(columns):
+    """One tuple of Python values per row of ``columns``, arrays of one measure each."""
+    return zip(*(column.tolist() for column in columns))
+
+
+def _records(scores, labels, k: int, ndim: int) -> list[MetricsRecord]:
     return [MetricsRecord(int(k), *row)
-            for row in zip(*(values[name].tolist() for name in MEASURES))]
+            for row in _value_rows(_columns(scores, labels, k, ndim))]
 
 
 def evaluate_rows(scores, labels, k: int) -> list[MetricsRecord]:
@@ -231,26 +243,27 @@ def delta_report(
     ks = {r.k for r in clean} | {r.k for r in perturbed}
     if len(ks) != 1:
         raise ValueError("mismatched k across records")
-    return _aggregate(clean, perturbed, [len(o.specified) - len(o.residual) for o in outcomes],
-                      [o.success for o in outcomes], norms)
+    clean, perturbed = ([np.asarray([getattr(r, name) for r in records]) for name in MEASURES]
+                        for records in (clean, perturbed))
+    return _aggregate(clean, perturbed,
+                      np.asarray([len(o.specified) - len(o.residual) for o in outcomes]),
+                      np.asarray([o.success for o in outcomes], dtype=bool), np.asarray(norms))
 
 
 def _aggregate(clean, perturbed, expelled, success, norms) -> AggregateReport:
     """:func:`delta_report`'s row from its aligned, non-empty per-row values: the
-    ``clean`` and ``perturbed`` records, each outcome's count of specified labels
-    expelled from the top k, its success flag and its epsilon norm. Each mean is
-    ``np.mean`` over all rows in their order, so a report that attacks a cell in
-    blocks of rows gets the bytes of one pass."""
-
-    def mean(records, name):
-        return float(np.mean([getattr(r, name) for r in records]))
-
-    succeeded = [norm for norm, ok in zip(norms, success) if ok]
+    ``clean`` and ``perturbed`` measures, one array per MEASURES entry in its order,
+    then arrays of each outcome's count of specified labels expelled from the top k,
+    its success flag and its epsilon norm. Each mean is ``np.mean`` over all rows in
+    their order, so a report that attacks a cell in blocks of rows gets the bytes of
+    one pass."""
+    succeeded = norms[success]
     return AggregateReport(
-        *(mean(clean, name) - mean(perturbed, name) for name in MEASURES),
+        *(float(np.mean(before)) - float(np.mean(after))
+          for before, after in zip(clean, perturbed)),
         delta_l=float(np.mean(expelled)),
-        aper=float(np.mean(succeeded)) if succeeded else None,
-        n=len(clean),
+        aper=float(np.mean(succeeded)) if succeeded.size else None,
+        n=len(expelled),
     )
 
 

@@ -18,7 +18,7 @@ import hashlib
 import io
 import json
 import weakref
-from dataclasses import asdict, replace
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -194,11 +194,21 @@ def outcome_digest(path):
     return digest.hexdigest()[:16]
 
 
+# The measure keys of an outcome line's clean_metrics and perturbed_metrics, in order.
+MEASURE_KEYS = ("tk_acc", "p_at_k", "ap_at_k", "ndcg_at_k")
+
+
+def measure_set(record):
+    """A measure record's values in MEASURE_KEYS order: the tuple that a report's
+    outcome line writer takes for one row."""
+    return tuple(getattr(record, key) for key in MEASURE_KEYS)
+
+
 def dumped(outcome, instance, k, clean, perturbed):
     """The reference text of a report's outcome line: its record dumped with the
-    instance, k and both measure records (less their k), then a newline."""
-    sets = [{name: value for name, value in asdict(record).items() if name != "k"}
-            for record in (clean, perturbed)]
+    instance, k and both measure sets, each a tuple in MEASURE_KEYS order, then a
+    newline."""
+    sets = [dict(zip(MEASURE_KEYS, values, strict=True)) for values in (clean, perturbed)]
     return json.dumps(outcome.to_record(instance=instance, k=k, clean_metrics=sets[0],
                                         perturbed_metrics=sets[1])) + "\n"
 

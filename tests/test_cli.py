@@ -14,7 +14,7 @@ from tkmia.cli import main
 from tkmia.model import make_affine, save_scorer
 
 from support import attack as library_attack
-from support import BAD_DATASET_FILES, BAD_SCORER_FILES, dumped, read_jsonl
+from support import BAD_DATASET_FILES, BAD_SCORER_FILES, dumped, measure_set, read_jsonl
 
 
 def run_cli(argv):
@@ -265,7 +265,7 @@ class TestTrainAndAttack:
         for method in attack.METHODS:
             outcome = library_attack(method, scorer, data[index], (0,),
                                      attack.AttackConfig(k=2, eta=0.05, alpha=1e-4))
-            clean, perturbed = (metrics.evaluate_instance(scores, data[index].y, 2)
+            clean, perturbed = (measure_set(metrics.evaluate_instance(scores, data[index].y, 2))
                                 for scores in (outcome.scores_before, outcome.scores_after))
             expected += dumped(outcome, index, 2, clean, perturbed)
         assert capsys.readouterr().out == expected
@@ -732,17 +732,26 @@ class TestNonFiniteScores:
             out_outcomes=str(tmp_path / "outcomes.jsonl"))
 
     @COMMANDS
+    @pytest.mark.parametrize("block", [None, 1])
     def test_names_the_instance_of_a_non_finite_clean_row(self, files, tmp_path, capsys,
-                                                          command):
+                                                          monkeypatch, command, block):
         # S = {0} is out of the top 1 at instance 2's clean scores, behind class 3's
         # +inf, which has no JSON text. numpy's overflow warning, an error under this
-        # suite's warning filter, is not raised.
+        # suite's warning filter, is not raised. With one row per block, the report's
+        # instance 2 is in the second clean block: every clean block is scored before
+        # the first attack, so instance 1 is not attacked either.
+        if block is not None:
+            monkeypatch.setattr(harness, "_CELL_BLOCK", block)
+        loops, loop = [], attack.run_attack_loop
+        monkeypatch.setattr(attack, "run_attack_loop",
+                            lambda *args: loops.append(args) or loop(*args))
         dataset, overflow = files
         assert run_command(command, self.config(tmp_path, dataset, overflow), 2) == 1
         assert capsys.readouterr() == ("", "error: clean scores (k=1) instance 2: "
                                            "score vector contains non-finite entries\n")
         assert sorted(p.name for p in tmp_path.iterdir()) == [
             "config.json", "data.npz", "overflow.npz"]
+        assert loops == []
 
     @COMMANDS
     def test_overflow_error_is_the_only_stderr_line(self, files, tmp_path, command):

@@ -7,6 +7,7 @@ import time
 import weakref
 from pathlib import Path
 from statistics import NormalDist
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -39,10 +40,10 @@ from tkmia.harness import (
     save_dataset,
     train_victim,
 )
-from tkmia.metrics import MEASURES, MetricsRecord
+from tkmia.metrics import MEASURES, MetricsRecord, delta_report, write_report_csv
 from tkmia.model import Scorer, make_affine, save_scorer
 
-from support import BAD_DATASET_FILES, built_views, dumped, read_jsonl
+from support import BAD_DATASET_FILES, built_views, dumped, measure_set, read_jsonl
 
 
 def parent_gen_synthetic(spec):
@@ -453,8 +454,9 @@ class TestRunExperiment:
             assert instance.x.tobytes() == dataset.X[index].tobytes()
             direct = real(model, instance, specified, spec)
             assert line == writer.line(direct, direct.epsilon_norm, index, k,
-                                       evaluate_instance(direct.scores_before, instance.y, k),
-                                       evaluate_instance(direct.scores_after, instance.y, k))
+                                       *(measure_set(evaluate_instance(scores, instance.y, k))
+                                         for scores in (direct.scores_before,
+                                                        direct.scores_after)))
             assert (outcome.forward_passes, outcome.pullbacks, outcome.stop) == (
                 direct.forward_passes, direct.pullbacks, direct.stop)
             assert outcome.forward_passes >= 1
@@ -691,6 +693,36 @@ class TestCellBlocks:
         assert len(datasets) == 1 and len(views) >= sum(row["n"] for row in rows) == 6 * 23
         assert [ref for ref in views if ref() is not None] == []
 
+    def test_a_report_builds_no_record_and_delta_report_gives_its_row(self, tmp_path,
+                                                                       monkeypatch):
+        # A report keeps its per-row measures as arrays. delta_report takes records,
+        # rebuilt here from the report's own outcome lines, and gives the report's CSV
+        # bytes: the record path and the column path share one arithmetic.
+        config, built, init = self.config(tmp_path), [], MetricsRecord.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(args)
+            init(self, *args, **kwargs)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(MetricsRecord, "__init__", counted)
+            rows = run_experiment(config)
+        assert built == [] and sum(row["n"] for row in rows) == 6 * 23
+        lines = read_jsonl(config.out_outcomes)
+        rebuilt = []
+        for row in rows:
+            cell = [r for r in lines if (r["k"], r["method"]) == (row["k"], row["method"])]
+            clean, perturbed = ([MetricsRecord(r["k"], **r[side]) for r in cell]
+                                for side in ("clean_metrics", "perturbed_metrics"))
+            outcomes = [SimpleNamespace(specified=r["specified"], residual=r["residual"],
+                                        success=r["success"]) for r in cell]
+            report = delta_report(clean, perturbed, outcomes, [r["epsilon_norm"] for r in cell])
+            rebuilt.append({**row, **dataclasses.asdict(report)})
+        # Both kinds of outcome in some cell, so that APer averages a strict subset.
+        assert {r["success"] for r in lines} == {True, False}
+        write_report_csv(str(tmp_path / "rebuilt.csv"), rebuilt)
+        assert (tmp_path / "rebuilt.csv").read_bytes() == Path(config.out_csv).read_bytes()
+
 
 class TestEvaluateCell:
     def test_an_error_of_finite_scores_passes_through_unprefixed(self):
@@ -719,8 +751,8 @@ class TestOutcomeLines:
         assert RECORD_KEYS == ("method", "success", "iterations_used", "specified", "residual",
                                "lambda1", "lambda2", "epsilon_norm", "epsilon", "scores_before",
                                "scores_after")
-        outcome, record = hand_outcome(), MetricsRecord(2, 1, 0.5, 1.0, 1.0)
-        line = OutcomeLines(3).line(outcome, outcome.epsilon_norm, 7, 2, record, record)
+        outcome, values = hand_outcome(), (1, 0.5, 1.0, 1.0)
+        line = OutcomeLines(3).line(outcome, outcome.epsilon_norm, 7, 2, values, values)
         assert tuple(json.loads(line)) == (*RECORD_KEYS, "instance", "k", "clean_metrics",
                                            "perturbed_metrics")
 
@@ -785,9 +817,7 @@ class TestOutcomeLines:
                          scores_before=np.array([-1.7976931348623157e308, 2.5e-308, 0.1, 1e300])),
         ]
         # Report measure sets: an int tk_acc and non-negative floats.
-        sets = [MetricsRecord(2, 1, 0.0, 1.0, 1.0),
-                MetricsRecord(2, 0, 0.5, 0.75, 0.6131471927654584),
-                MetricsRecord(2, 2, 1.0, 1.0, 1.0)]
+        sets = [(1, 0.0, 1.0, 1.0), (0, 0.5, 0.75, 0.6131471927654584), (2, 1.0, 1.0, 1.0)]
         for outcome in cases * 2:  # twice, so that reused text meets each case again
             norm = outcome.epsilon_norm
             for clean in sets:
@@ -803,7 +833,7 @@ class TestOutcomeLines:
         rows = [np.array([-0.0, 1.5, -2.25, 0.125]), np.array([0.0, 1.5, -2.25, 0.125]),
                 np.array([-3.0, -0.0, 0.0, 7.5e-300])]
         cells = [(1, "tkmia"), (2, "ml_cw_u"), (2, "tkml_ap_u")]
-        record = MetricsRecord(2, 1, 0.5, 1.0, 1.0)
+        values = (1, 0.5, 1.0, 1.0)
         lines, seen = OutcomeLines(3), set()
         for turn in range(4):
             for i, row in enumerate(rows):
@@ -817,8 +847,8 @@ class TestOutcomeLines:
                     ][turn]
                     outcome = hand_outcome(method=method, scores_before=before,
                                            scores_after=after, iterations_used=turn)
-                    assert (lines.line(outcome, outcome.epsilon_norm, i, k, record, record)
-                            == dumped(outcome, i, k, record, record))
+                    assert (lines.line(outcome, outcome.epsilon_norm, i, k, values, values)
+                            == dumped(outcome, i, k, values, values))
                     seen.add(before.tobytes())
         # One kept text per distinct clean row of bytes, the signed-zero twins apart.
         assert len(seen) == len(lines._rows) == len(rows)

@@ -1,6 +1,6 @@
 """Tests of the repository's scripts under .github that are not CI gates:
-``mutation_sample.py``, whose killed and surviving mutants back the mutation
-checks quoted in CHANGES.md, and ``product_trace.py``'s function list."""
+``mutation_sample.py``, whose killed, surviving and equivalent mutants back the
+mutation checks quoted in CHANGES.md, and ``product_trace.py``."""
 import sys
 import textwrap
 from pathlib import Path
@@ -49,6 +49,34 @@ class TestMutationSites:
             assert mutant == expected
 
 
+class TestEquivalentMutants:
+    def test_each_listed_mutant_is_one_site_of_its_module(self, scripts):
+        for module, line_text, at, reason in scripts.EQUIVALENT:
+            source = (GITHUB.parent / module).read_text()
+            lines = source.splitlines()
+            matched = [site for site in scripts.sites(source)
+                       if lines[site[0] - 1].strip() == line_text
+                       and lines[site[0] - 1][site[1]:].startswith(at)]
+            assert len(matched) == 1, (module, line_text, at)
+            assert matched[0][2] == at.split()[0]  # the whole operator, "<" not "<="
+            assert scripts.equivalent(module, lines, matched[0]) == reason
+
+    def test_equivalent_survivors_are_counted_apart(self, scripts, monkeypatch, capsys):
+        # Every test run passes, so every mutant survives: the one listed mutant on the
+        # midpoint line is reported as equivalent, with its reason, and the rest survive.
+        module = "src/tkmia/harness.py"
+        line_text = "u = lo + (hi - lo) / 128 * (np.arange(128) + 0.5)"
+        lines = (GITHUB.parent / module).read_text().splitlines()
+        line = next(i for i, text in enumerate(lines, 1) if text.strip() == line_text)
+        monkeypatch.setattr(scripts, "run_tests", lambda copy, tests: 0)
+        assert scripts.main([module, "tests/test_harness.py", "--lines", str(line)]) == 0
+        out = capsys.readouterr().out.splitlines()
+        reason = next(r for path, text, at, r in scripts.EQUIVALENT if at == "+ 0.5")
+        assert [row.split()[0] for row in out[:-1]] == ["survived"] * 4 + ["equivalent"]
+        assert out[-2].endswith(f"(np.arange(128) + 0.5) | equivalent: {reason}")
+        assert out[-1].endswith(": 0 killed, 4 survived, 1 equivalent")
+
+
 @pytest.mark.skipif(sys.version_info < (3, 11), reason="co_qualname is new in Python 3.11")
 def test_product_trace_keys_each_function_as_the_profiler_records_it(tmp_path, monkeypatch):
     monkeypatch.syspath_prepend(str(GITHUB))
@@ -91,3 +119,19 @@ def test_product_trace_keys_each_function_as_the_profiler_records_it(tmp_path, m
     finally:
         sys.setprofile(None)
     assert {line: entered[line] for line in listed} == listed
+
+
+def test_product_trace_reports_on_the_files_its_commands_write(tmp_path, monkeypatch):
+    # The report on the dataset and victim files that gen-data and train wrote is the
+    # report of the config that they were written from, byte for byte.
+    monkeypatch.syspath_prepend(str(GITHUB))
+    import product_trace
+
+    affine, files, _ = product_trace.configs()
+    assert files == {**affine, "dataset": {"path": "data.npz"}, "victim": {"path": "victim.npz"},
+                     "out_csv": "files.csv", "out_outcomes": "files.jsonl"}
+    monkeypatch.chdir(tmp_path)
+    assert product_trace.run_commands() == []
+    for suffix in ("csv", "jsonl"):
+        assert ((tmp_path / f"files.{suffix}").read_bytes()
+                == (tmp_path / f"affine.{suffix}").read_bytes())
