@@ -47,7 +47,9 @@ def as_scores(values, ndim: int = 1) -> np.ndarray:
 
 def as_labels(bits, n_classes: int | None = None, ndim: int = 1) -> np.ndarray:
     """Validate a binary label vector (1 = relevant, 0 = irrelevant); with
-    ``ndim=2``, a matrix whose rows are label vectors."""
+    ``ndim=2``, a matrix whose rows are label vectors. Returns an int8 copy,
+    one byte per label; numpy sums it in int64 and multiplies it by a float in
+    float64, so every value computed from it is that of an int64 copy."""
     labels = np.asarray(bits)
     if labels.ndim != ndim:
         raise ValueError("label vector must be 1-D" if ndim == 1 else "label matrix must be 2-D")
@@ -57,7 +59,7 @@ def as_labels(bits, n_classes: int | None = None, ndim: int = 1) -> np.ndarray:
         raise ValueError(
             f"label vector length {labels.shape[-1]} != score length {n_classes}"
         )
-    return labels.astype(np.int64)
+    return labels.astype(np.int8)
 
 
 def _integer(value, message: str) -> int:
@@ -102,7 +104,7 @@ def _rows(x, y) -> tuple[np.ndarray, np.ndarray]:
     ``x`` (N, d) and of ``y`` (N, c) are instance i's features and labels.
 
     Each row's x must be non-empty and finite, and its y non-empty with entries
-    0 or 1. Returns x as float64 and y as a read-only int64 copy. The errors
+    0 or 1. Returns x as float64 and y as a read-only int8 copy. The errors
     are those of :class:`Instance`, which is the N = 1 case.
     """
     x = np.asarray(x, dtype=np.float64)
@@ -157,7 +159,7 @@ class Instance:
 
 class Dataset(Sequence):
     """The instances of the rows of ``X`` (n, d) and ``Y`` (n, c), checked once by
-    :class:`Instance`'s rule: item i views row i of float64 ``X`` and read-only int64 ``Y``.
+    :class:`Instance`'s rule: item i views row i of float64 ``X`` and read-only int8 ``Y``.
 
     A read-only sequence that keeps only the two arrays: each access builds a fresh
     instance of its row, and building a dataset builds none. A slice is a tuple of

@@ -203,11 +203,12 @@ def _sliding_extremes(z: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray
 
 def save_dataset(instances: Sequence[Instance], path: str) -> None:
     """An uncompressed ``.npz`` archive at exactly ``path`` of :meth:`Dataset.of`'s
-    float64 ``X`` and int64 ``Y``, so a dataset builds no instance; an empty one is an
-    error. numpy dates each entry 1980-01-01, so equal datasets give equal bytes."""
+    float64 ``X`` and its int8 ``Y`` written as int64, the archive's label type, so a
+    dataset builds no instance; an empty one is an error. numpy dates each entry
+    1980-01-01, so equal datasets give equal bytes."""
     data = Dataset.of(instances)
     with atomic_write(path, binary=True) as handle:
-        np.savez(handle, X=data.X, Y=data.Y)
+        np.savez(handle, X=data.X, Y=data.Y.astype(np.int64))
 
 
 def load_dataset(path: str) -> Dataset:
@@ -570,10 +571,12 @@ class OutcomeLines:
     before a block's lines are written. A measure set (an int ``tk_acc``, non-negative
     floats, as :func:`~tkmia.metrics._value_rows` gives them) takes one text per
     distinct set and the all-zero epsilon one per writer. A ``scores_before`` takes one
-    text per distinct row of bytes, kept for the writer's life (one report or one
-    ``tkmia attack``) and reused across its cells and methods; rows that differ only in
-    a signed zero differ in bytes, so they never share text. ``scores_after`` reuses the
-    text of ``scores_before`` when their bytes agree.
+    text per instance index, kept for the writer's life (one report or one ``tkmia
+    attack``) and reused across its cells and methods. So an instance index must name
+    one clean score row for the writer's life, as it does where every cell scores the
+    rows of one dataset with one model: the writer keeps no row bytes to tell two rows
+    apart. ``scores_after`` reuses that text when it is ``scores_before``'s array, as it
+    is after an attack that ends at iteration 0.
     """
 
     # The line's keys, each with a %s for its value's text.
@@ -583,20 +586,19 @@ class OutcomeLines:
     def __init__(self, d: int):
         self._zero = bytes(8 * d), repr([0.0] * d)
         self._sets: dict[tuple, str] = {}
-        self._rows: dict[bytes, str] = {}
+        self._rows: dict[int, str] = {}
 
     def line(self, outcome, norm, instance, k, clean, perturbed) -> str:
         o, (zero_bytes, zero_text) = outcome, self._zero
         eps, before, after = o.epsilon, o.scores_before, o.scores_after
-        before_bytes = before.tobytes()
-        before_text = self._rows.get(before_bytes)
+        before_text = self._rows.get(instance)
         if before_text is None:
-            before_text = self._rows[before_bytes] = repr(before.tolist())
+            before_text = self._rows[instance] = repr(before.tolist())
         return self._FORMAT % (
             encode_basestring_ascii(o.method), "true" if o.success else "false",
             o.iterations_used, list(o.specified), list(o.residual), o.lambda1, o.lambda2, norm,
             zero_text if eps.tobytes() == zero_bytes else repr(eps.tolist()), before_text,
-            before_text if after.tobytes() == before_bytes else repr(after.tolist()),
+            before_text if after is before else repr(after.tolist()),
             instance, k, self._text(clean), self._text(perturbed))
 
     def _text(self, values) -> str:

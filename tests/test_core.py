@@ -130,7 +130,7 @@ class TestInstance:
         for i, inst in enumerate(rows):
             one = Instance(x[i], y[i])
             assert inst.x.tobytes() == one.x.tobytes() and inst.x.dtype == np.float64
-            assert inst.y.tobytes() == one.y.tobytes() and inst.y.dtype == np.int64
+            assert inst.y.tobytes() == one.y.tobytes() and inst.y.dtype == np.int8
             assert not inst.y.flags.writeable and not one.y.flags.writeable
             assert inst.relevant == one.relevant
         # The labels are a read-only copy: the caller's arrays stay writable.
@@ -159,7 +159,7 @@ class TestDataset:
         x = rng.uniform(-1.0, 1.0, (5, 4))
         data = Dataset(x, (rng.uniform(size=(5, 3)) < 0.5).astype(np.int8))
         assert type(data) is Dataset and isinstance(data, collections.abc.Sequence)
-        assert data.X is x and data.Y.dtype == np.int64 and not data.Y.flags.writeable
+        assert data.X is x and data.Y.dtype == np.int8 and not data.Y.flags.writeable
         for i, inst in enumerate(data):
             assert inst.x.base is data.X and inst.y.base is data.Y
             assert inst.x.tobytes() == data.X[i].tobytes()
@@ -175,7 +175,7 @@ class TestDataset:
             stacked = Dataset.of(instances)
             assert type(stacked) is Dataset and stacked is not data
             assert stacked.X.tobytes() == x.tobytes() and stacked.X.dtype == np.float64
-            assert stacked.Y.tobytes() == y.tobytes() and stacked.Y.dtype == np.int64
+            assert np.array_equal(stacked.Y, y) and stacked.Y.dtype == np.int8
             assert [inst.relevant for inst in stacked] == [inst.relevant for inst in data]
 
     def test_copies_and_pickles_rebuild_from_the_arrays(self):
@@ -209,7 +209,7 @@ class TestDataset:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        # The read-only int64 copy of Y is 0.8 MB; a view per row was 3.2 MB more.
+        # The read-only int8 copy of Y is 0.1 MB; a view per row was 3.2 MB more.
         assert peak < 1.5e6 and built == []
         last, again = data[9_999], data[-1]
         assert last is not again and rows_of(data, [last, again]) == [9_999, 9_999]

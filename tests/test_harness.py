@@ -86,13 +86,15 @@ class TestGenSynthetic:
         got, want = gen_synthetic(spec), parent_gen_synthetic(spec)
         assert len(got) == spec.n
         assert np.stack([i.x for i in got]).tobytes() == np.stack([i.x for i in want]).tobytes()
-        assert np.stack([i.y for i in got]).tobytes() == np.stack([i.y for i in want]).tobytes()
-        assert all(i.y.dtype == np.int64 and not i.y.flags.writeable for i in got)
+        # The loop's labels by value, one byte each.
+        labels = np.stack([i.y for i in want])
+        assert np.array_equal(np.stack([i.y for i in got]), labels)
+        assert all(i.y.dtype == np.int8 and not i.y.flags.writeable for i in got)
         # One pair of arrays, whose rows the instances view.
         assert type(got) is Dataset and got[-1].x.base is got.X and got[-1].y.base is got.Y
         assert got.X.tobytes() == np.stack([i.x for i in want]).tobytes()
-        assert got.Y.tobytes() == np.stack([i.y for i in want]).tobytes()
-        assert got.Y.dtype == np.int64 and not got.Y.flags.writeable
+        assert np.array_equal(got.Y, labels)
+        assert got.Y.dtype == np.int8 and not got.Y.flags.writeable
 
     def test_instances_are_equal_and_hashed_by_identity(self):
         data = gen_synthetic(SyntheticSpec(n=20, d=3, c=4, mean_relevant=2.0, seed=1))
@@ -281,7 +283,7 @@ class TestDatasetIO:
             np.testing.assert_array_equal(a.y, b.y)
         assert type(loaded) is Dataset
         assert loaded.X.tobytes() == data.X.tobytes() and loaded.X.shape == data.X.shape
-        assert loaded.Y.tobytes() == data.Y.tobytes() and loaded.Y.dtype == np.int64
+        assert loaded.Y.tobytes() == data.Y.tobytes() and loaded.Y.dtype == np.int8
 
     def test_archive_holds_the_stacked_arrays(self, tmp_path, monkeypatch):
         path = tmp_path / "data.npz"
@@ -298,7 +300,22 @@ class TestDatasetIO:
                 X, Y = archive["X"], archive["Y"]
             assert (X.dtype, Y.dtype) == (np.float64, np.int64)
             assert X.tobytes() == np.stack([inst.x for inst in instances]).tobytes()
-            assert Y.tobytes() == np.stack([inst.y for inst in instances]).tobytes()
+            labels = np.stack([inst.y for inst in instances])
+            assert Y.tobytes() == labels.astype(np.int64).tobytes()
+
+    def test_reads_and_rewrites_an_int64_archive(self, tmp_path):
+        # An archive as np.savez writes int64 labels: one byte a label in memory, and
+        # written back with the file's bytes.
+        rng = np.random.default_rng(4)
+        X = rng.uniform(-1.0, 1.0, (12, 5))
+        Y = (rng.uniform(size=(12, 4)) < 0.5).astype(np.int64)
+        path, again = tmp_path / "data.npz", tmp_path / "again.npz"
+        np.savez(path, X=X, Y=Y)
+        loaded = load_dataset(str(path))
+        assert loaded.Y.dtype == np.int8 and not loaded.Y.flags.writeable
+        assert np.array_equal(loaded.Y, Y) and loaded.X.tobytes() == X.tobytes()
+        save_dataset(load_dataset(str(path)), str(again))
+        assert again.read_bytes() == path.read_bytes()
 
     def test_writes_exactly_the_path_and_the_same_bytes_at_any_time(self, tmp_path,
                                                                     monkeypatch):
@@ -796,7 +813,7 @@ class TestOutcomeLines:
     def test_hand_built_outcomes_are_their_records_dumped(self):
         # Outcomes and measure sets of a report's types, every float finite.
         lines = OutcomeLines(3)
-        zeros = np.zeros(3)
+        zeros, row = np.zeros(3), np.array([0.9, 0.8, 0.1, 0.4])
         cases = [
             hand_outcome(),
             # -0.0 in epsilon, in the scores and as the only epsilon entry
@@ -807,9 +824,10 @@ class TestOutcomeLines:
             # equal values in other bytes: 0.0 after -0.0
             hand_outcome(scores_before=np.array([0.5, -0.0, 0.25, 0.75]),
                          scores_after=np.array([0.5, 0.0, 0.25, 0.75])),
-            # a zero-iteration success, and a zero epsilon of another d
+            # a zero-iteration success, whose scores are one array, and a zero
+            # epsilon of another d
             hand_outcome(epsilon=zeros, iterations_used=0, lambda1=0.0, lambda2=0.0,
-                         scores_after=np.array([0.9, 0.8, 0.1, 0.4])),
+                         scores_before=row, scores_after=row),
             hand_outcome(epsilon=np.zeros(5), success=False, residual=(1,), method="ml_cw_u",
                          specified=(0, 1), lambda1=0.0, lambda2=0.0),
             # extreme finite floats
@@ -818,40 +836,53 @@ class TestOutcomeLines:
         ]
         # Report measure sets: an int tk_acc and non-negative floats.
         sets = [(1, 0.0, 1.0, 1.0), (0, 0.5, 0.75, 0.6131471927654584), (2, 1.0, 1.0, 1.0)]
-        for outcome in cases * 2:  # twice, so that reused text meets each case again
+        # Twice, so that reused text meets each case again; each case is its own
+        # instance, since the writer keys a clean row's text by the instance index.
+        for index, outcome in [*enumerate(cases)] * 2:
             norm = outcome.epsilon_norm
             for clean in sets:
                 for pert in sets:
-                    assert (lines.line(outcome, norm, 7, 2, clean, pert)
-                            == dumped(outcome, 7, 2, clean, pert))
+                    assert (lines.line(outcome, norm, index, 2, clean, pert)
+                            == dumped(outcome, index, 2, clean, pert))
 
     @pytest.mark.bitwise
     def test_clean_text_is_reused_across_cells(self):
         # One writer, as a report keeps it, fed the lines of three cells in turn. A
-        # logit victim's clean rows: two that differ only in a signed zero, each
-        # met again as another array of the same bytes in every cell.
+        # logit victim's clean rows, instance i's row met again as another array of
+        # the same bytes in every cell; two differ only in a signed zero.
         rows = [np.array([-0.0, 1.5, -2.25, 0.125]), np.array([0.0, 1.5, -2.25, 0.125]),
                 np.array([-3.0, -0.0, 0.0, 7.5e-300])]
         cells = [(1, "tkmia"), (2, "ml_cw_u"), (2, "tkml_ap_u")]
         values = (1, 0.5, 1.0, 1.0)
-        lines, seen = OutcomeLines(3), set()
+        lines, listed = OutcomeLines(3), []
+
+        class Row(np.ndarray):  # a score row that counts the writer's reads of its text
+            def tolist(self):
+                listed.append(self)
+                return super().tolist()
+
         for turn in range(4):
             for i, row in enumerate(rows):
                 for k, method in cells:
-                    before = row.copy()
+                    before = row.copy().view(Row)
                     after = [
                         before,  # an attack that ends at iteration 0: the one array
                         before + 1.0,
                         before.copy(),  # equal bytes, another array
-                        rows[1 - i] if i < 2 else -before,  # its signed-zero twin, or -row
+                        rows[1 - i].view(Row) if i < 2 else -before,  # signed-zero twin, or -row
                     ][turn]
                     outcome = hand_outcome(method=method, scores_before=before,
                                            scores_after=after, iterations_used=turn)
-                    assert (lines.line(outcome, outcome.epsilon_norm, i, k, values, values)
-                            == dumped(outcome, i, k, values, values))
-                    seen.add(before.tobytes())
-        # One kept text per distinct clean row of bytes, the signed-zero twins apart.
-        assert len(seen) == len(lines._rows) == len(rows)
+                    listed.clear()
+                    line = lines.line(outcome, outcome.epsilon_norm, i, k, values, values)
+                    # The clean row's text is made once per instance, and scores_after's
+                    # is reused exactly when it is scores_before's array.
+                    first = turn == 0 and k == 1
+                    assert [a is before for a in listed] == [True] * first + [False] * (turn > 0)
+                    assert line == dumped(outcome, i, k, values, values)
+        # One kept str per instance, keyed by its index: no row bytes are kept.
+        assert list(lines._rows) == [0, 1, 2]
+        assert all(type(text) is str for text in lines._rows.values())
 
 
 class TestCellSelection:
