@@ -31,10 +31,7 @@ from .metrics import (
     MetricsRecord,
     UndefinedMetricError,
     ap_at_k,
-    aper,
-    delta_l,
     delta_report,
-    map_at_k,
     ndcg_at_k,
     precision_at_k,
     tk_acc,

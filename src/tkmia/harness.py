@@ -38,8 +38,8 @@ from .attack import (
     tkmia_attack,
 )
 from .core import Dataset, Instance, _integer, _seed, atomic_write, read_archive
-from .metrics import (MEASURES, REPORT_COLUMNS, AggregateReport, _aggregate, _columns,
-                      _value_rows, write_report_csv)
+from .metrics import (MEASURES, REPORT_COLUMNS, AggregateReport, _value_rows, delta_report,
+                      evaluate_rows, write_report_csv)
 # Unused here; perfbench's tracer test looks evaluate_instance up in this namespace.
 from .metrics import evaluate_instance  # noqa: F401
 from .model import ACTIVATIONS, Scorer, TrainConfig, load_scorer, make_mlp, train_bce
@@ -515,7 +515,7 @@ def _evaluate_cell(scores, labels, k: int, chosen, name: str) -> tuple[np.ndarra
     order; the error for a non-finite row i of ``scores`` names ``name`` and the row's
     dataset instance ``chosen[i]``."""
     try:
-        return _columns(scores, labels, k, 2)
+        return evaluate_rows(scores, labels, k)
     except ValueError as exc:
         finite = np.isfinite(scores).all(axis=1)
         if finite.all():
@@ -634,7 +634,7 @@ def _run_cell(model: Scorer, dataset: Dataset, pairs, clean, method: str,
     if not kept:
         return None
     *perturbed, expelled, success, norms = map(np.concatenate, zip(*kept))
-    return _aggregate(clean, perturbed, expelled, success, norms)
+    return delta_report(clean, perturbed, expelled, success, norms)
 
 
 def _run_cells(config: ExperimentConfig, dataset: Dataset, model: Scorer, write,

@@ -14,8 +14,9 @@ Implemented measures, for one instance with labels ``y`` and ranked labels
   AP@k             (1/N_k) * sum_{i<=k} y_[i] * P@i  with N_k = min(k, |Yp|)
   NDCG@k           DCG@k / IDCG@k with log2(i+1) position discounts
 
-and over an attacked instance set:
+and, in :func:`delta_report`, over an attacked instance set:
 
+  mAP@k            the sample mean of AP@k
   delta_l          mean number of specified labels expelled from the top k
   APer             mean L2 norm of the successful perturbations
 """
@@ -23,11 +24,11 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, fields
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .core import _check_k, _l2_norm, _rank, as_labels, as_scores, atomic_write
+from .core import _check_k, _rank, as_labels, as_scores, atomic_write
 # Unused here; perfbench's tracer test looks top_k_indices up in this namespace.
 from .core import top_k_indices  # noqa: F401
 
@@ -39,10 +40,7 @@ __all__ = [
     "tk_acc",
     "precision_at_k",
     "ap_at_k",
-    "map_at_k",
     "ndcg_at_k",
-    "delta_l",
-    "aper",
     "evaluate_instance",
     "evaluate_rows",
     "delta_report",
@@ -119,41 +117,9 @@ def ap_at_k(scores, labels, k: int) -> float:
     return float(_defined(_measures(scores, labels, k)["ap_at_k"], "AP@k")[0])
 
 
-def map_at_k(samples: Sequence[tuple], k: int) -> float:
-    """Mean of AP@k over ``(scores, labels)`` samples, the sample-mean reading
-    that the aggregate reports use."""
-    if len(samples) == 0:
-        raise ValueError("empty sample list")
-    return float(np.mean([ap_at_k(s, y, k) for s, y in samples]))
-
-
 def ndcg_at_k(scores, labels, k: int) -> float:
     """Discounted cumulative gain over the top k, normalized by the ideal."""
     return float(_defined(_measures(scores, labels, k)["ndcg_at_k"], "NDCG@k")[0])
-
-
-def delta_l(outcomes: Sequence) -> float:
-    """Mean count of specified labels expelled from the top k.
-
-    Each outcome must expose ``specified`` (the attacked label set) and
-    ``residual`` (members of it still ranked in the top k afterwards).
-    """
-    if len(outcomes) == 0:
-        raise ValueError("empty outcome list")
-    return float(np.mean([len(o.specified) - len(o.residual) for o in outcomes]))
-
-
-def aper(perturbations: Iterable[np.ndarray]) -> float | None:
-    """Mean L2 norm over successful-attack perturbations.
-
-    Returns None when there are no successes, the explicit
-    undefined-metric marker. Each norm is ``np.linalg.norm``'s, by the
-    arithmetic of ``AttackOutcome.epsilon_norm``.
-    """
-    norms = [_l2_norm(np.asarray(e, dtype=np.float64).ravel(order="K")) for e in perturbations]
-    if not norms:
-        return None
-    return float(np.mean(norms))
 
 
 # The per-instance measures, as MetricsRecord names them, in the order the
@@ -163,8 +129,8 @@ MEASURES = ("tk_acc", "p_at_k", "ap_at_k", "ndcg_at_k")
 
 @dataclass
 class MetricsRecord:
-    """Per-instance measure values at a fixed k: the record form of one row of the
-    arrays that a report keeps."""
+    """Per-instance measure values at a fixed k: one row of :func:`evaluate_rows`'
+    arrays, as :func:`evaluate_instance` gives it."""
 
     k: int
     tk_acc: int
@@ -174,12 +140,19 @@ class MetricsRecord:
 
 
 def _columns(scores, labels, k: int, ndim: int) -> tuple[np.ndarray, ...]:
-    """Each MEASURES entry over the rows of (N, c) ``scores`` and ``labels``, as one
-    int64 or float64 array in MEASURES order, from one validation and one ranking;
-    ``ndim=1`` takes one score vector and its labels as a single row."""
+    """The body of :func:`evaluate_rows` (``ndim=2``) and of :func:`evaluate_instance`
+    (``ndim=1``: one score vector and its labels, as a single row)."""
     values = _measures(scores, labels, k, ndim)
     _defined(values["ap_at_k"], "AP@k")
     return tuple(values[name] for name in MEASURES)
+
+
+def evaluate_rows(scores, labels, k: int) -> tuple[np.ndarray, ...]:
+    """Every per-instance measure for each row of an (N, c) score matrix and its
+    (N, c) labels, from one validation and one ranking: one int64 or float64 array
+    per MEASURES entry, in its order. Each row's values are the bytes of
+    :func:`evaluate_instance` of that row."""
+    return _columns(scores, labels, k, 2)
 
 
 def _value_rows(columns):
@@ -187,23 +160,11 @@ def _value_rows(columns):
     return zip(*(column.tolist() for column in columns))
 
 
-def _records(scores, labels, k: int, ndim: int) -> list[MetricsRecord]:
-    return [MetricsRecord(int(k), *row)
-            for row in _value_rows(_columns(scores, labels, k, ndim))]
-
-
-def evaluate_rows(scores, labels, k: int) -> list[MetricsRecord]:
-    """Every per-instance measure for each row of an (N, c) score matrix
-    and its (N, c) labels, from one validation and one ranking.
-
-    Each record equals :func:`evaluate_instance` of its row.
-    """
-    return _records(scores, labels, k, 2)
-
-
 def evaluate_instance(scores, labels, k: int) -> MetricsRecord:
-    """All per-instance measures from one validation and one ranking."""
-    return _records(scores, labels, k, 1)[0]
+    """All per-instance measures of one score vector, as the one-row case of
+    :func:`evaluate_rows`."""
+    (row,) = _value_rows(_columns(scores, labels, k, 1))
+    return MetricsRecord(int(k), *row)
 
 
 @dataclass
@@ -225,38 +186,21 @@ class AggregateReport:
     n: int
 
 
-def delta_report(
-    clean: Sequence[MetricsRecord],
-    perturbed: Sequence[MetricsRecord],
-    outcomes: Sequence,
-    norms: Sequence[float],
-) -> AggregateReport:
+def delta_report(clean, perturbed, expelled, success, norms) -> AggregateReport:
     """Aggregate one attacked instance set into a report row.
 
-    ``clean`` and ``perturbed`` must describe the same instances in the
-    same order (checked by length and k). The reported mAP@k is the
-    sample mean of AP@k. ``norms`` holds each outcome's L2 epsilon norm, in
-    order; APer, as :func:`aper`, averages those of successful outcomes only.
+    ``clean`` and ``perturbed`` are the set's measures, as :func:`evaluate_rows`
+    gives them; ``expelled``, ``success`` and ``norms`` are arrays of each outcome's
+    count of specified labels expelled from the top k, its success flag and its L2
+    epsilon norm. Every array holds one value per instance, in the same order, and
+    none is empty. Each mean is ``np.mean`` over all rows in their order, so a report
+    that attacks a cell in blocks of rows gets the bytes of one pass: mAP@k is the
+    sample mean of AP@k, and APer averages the norms of successful outcomes only.
     """
-    if not (len(clean) == len(perturbed) == len(outcomes) == len(norms)) or len(clean) == 0:
-        raise ValueError("clean, perturbed, outcomes and norms must be non-empty and aligned")
-    ks = {r.k for r in clean} | {r.k for r in perturbed}
-    if len(ks) != 1:
-        raise ValueError("mismatched k across records")
-    clean, perturbed = ([np.asarray([getattr(r, name) for r in records]) for name in MEASURES]
-                        for records in (clean, perturbed))
-    return _aggregate(clean, perturbed,
-                      np.asarray([len(o.specified) - len(o.residual) for o in outcomes]),
-                      np.asarray([o.success for o in outcomes], dtype=bool), np.asarray(norms))
-
-
-def _aggregate(clean, perturbed, expelled, success, norms) -> AggregateReport:
-    """:func:`delta_report`'s row from its aligned, non-empty per-row values: the
-    ``clean`` and ``perturbed`` measures, one array per MEASURES entry in its order,
-    then arrays of each outcome's count of specified labels expelled from the top k,
-    its success flag and its epsilon norm. Each mean is ``np.mean`` over all rows in
-    their order, so a report that attacks a cell in blocks of rows gets the bytes of
-    one pass."""
+    lengths = {len(values) for values in (*clean, *perturbed, expelled, success, norms)}
+    if len(lengths) != 1 or 0 in lengths:
+        raise ValueError("clean, perturbed, expelled, success and norms must be non-empty "
+                         "arrays of one length")
     succeeded = norms[success]
     return AggregateReport(
         *(float(np.mean(before)) - float(np.mean(after))

@@ -294,7 +294,7 @@ def train_bce(dataset, config: TrainConfig, model: Scorer | None = None) -> Scor
     allocates its arrays, since every product and sum runs in the same order.
     """
     data = Dataset.of(dataset)
-    X, Y = data.X, data.Y.astype(np.float64)
+    X, Y = data.X, data.Y
     n, d = X.shape
     c = Y.shape[1]
     if model is None:

@@ -247,10 +247,9 @@ def check_metric_oracles(seed: int):
                                    metrics.ndcg_at_k), expected):
             worst = max(worst, abs(measure(scores, y, k) - value))
     for (c, k), cases in stacks.items():
-        records = metrics.evaluate_rows(np.stack([s for s, _, _ in cases]),
+        columns = metrics.evaluate_rows(np.stack([s for s, _, _ in cases]),
                                         np.stack([y for _, y, _ in cases]), k)
-        for record, (_, _, expected) in zip(records, cases):
-            got = [getattr(record, name) for name in metrics.MEASURES]
+        for got, (_, _, expected) in zip(zip(*columns), cases):
             worst = max(worst, *(abs(a - b) for a, b in zip(got, expected)))
     return {"max metric gap": float(worst)}
 

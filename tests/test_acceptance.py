@@ -27,7 +27,7 @@ from tkmia.attack import (AttackConfig, filter_instances, select_global, tkmia_a
                           tkmia_objective)
 from tkmia.core import Instance
 from tkmia.harness import ExperimentConfig, SyntheticSpec, gen_synthetic, run_experiment
-from tkmia.metrics import ap_at_k, delta_report, evaluate_instance, ndcg_at_k
+from tkmia.metrics import ap_at_k, delta_report, evaluate_rows, ndcg_at_k
 from tkmia.model import Scorer, TrainConfig, make_affine, train_bce
 
 import suites
@@ -137,18 +137,10 @@ class TestCriterion5MetricOracles:
 
     def test_negative_deltas_representable(self):
         # a perturbation that repairs the ranking makes the delta negative
-        clean = [evaluate_instance([0.9, 0.2, 0.8], [1, 1, 0], 2),
-                 evaluate_instance([0.9, 0.8, 0.1], [1, 1, 0], 2)]
-        pert = [evaluate_instance([0.9, 0.8, 0.1], [1, 1, 0], 2),
-                evaluate_instance([0.9, 0.8, 0.1], [1, 1, 0], 2)]
-
-        class Out:
-            specified = (0,)
-            residual = (0,)
-            success = False
-            epsilon = np.zeros(2)
-
-        rep = delta_report(clean, pert, [Out(), Out()], [0.0, 0.0])
+        clean = evaluate_rows([[0.9, 0.2, 0.8], [0.9, 0.8, 0.1]], [[1, 1, 0]] * 2, 2)
+        pert = evaluate_rows([[0.9, 0.8, 0.1]] * 2, [[1, 1, 0]] * 2, 2)
+        # two failed attacks, each expelling nothing
+        rep = delta_report(clean, pert, np.zeros(2), np.zeros(2, dtype=bool), np.zeros(2))
         assert rep.delta_tk_acc == pytest.approx(-0.5, abs=1e-12)
         assert rep.delta_tk_acc < 0
         announce(5, "negative deltas representable and exact")
@@ -170,14 +162,23 @@ def efficacy_cell(seed):
     return dataset, victim, pairs
 
 
+def outcome_report(clean_scores, outs, labels, k):
+    """The delta report of ``outs``, attacks on the rows of ``clean_scores`` and
+    ``labels``: both sides measured as stacked rows."""
+    clean, pert = (evaluate_rows(scores, labels, k)
+                   for scores in (clean_scores, np.stack([o.scores_after for o in outs])))
+    return delta_report(clean, pert, np.array([len(o.specified) - len(o.residual) for o in outs]),
+                        np.array([o.success for o in outs]),
+                        np.array([o.epsilon_norm for o in outs]))
+
+
 def attack_cell(method, victim, dataset, pairs):
     """``method``'s outcomes on ``pairs`` under :data:`EFFICACY_CONFIG`, and their
     delta report."""
-    k = EFFICACY_CONFIG.k
-    clean = [evaluate_instance(victim.score(dataset[i].x), dataset[i].y, k) for i, _ in pairs]
+    rows = [i for i, _ in pairs]
     outs = [attack(method, victim, dataset[i], s, EFFICACY_CONFIG) for i, s in pairs]
-    pert = [evaluate_instance(o.scores_after, dataset[i].y, k) for o, (i, _) in zip(outs, pairs)]
-    return outs, delta_report(clean, pert, outs, [o.epsilon_norm for o in outs])
+    return outs, outcome_report(victim.score(dataset.X[rows]), outs, dataset.Y[rows],
+                                EFFICACY_CONFIG.k)
 
 
 @pytest.fixture(scope="module")
@@ -311,9 +312,7 @@ class TestCriterion8Boundaries:
         out = tkmia_attack(model, inst, (2,), AttackConfig(k=2, eta=0.1, max_iter=100))
         assert out.success and out.iterations_used == 0
         assert np.all(out.epsilon == 0.0)
-        before = evaluate_instance(out.scores_before, inst.y, 2)
-        after = evaluate_instance(out.scores_after, inst.y, 2)
-        rep = delta_report([before], [after], [out], [out.epsilon_norm])
+        rep = outcome_report(np.stack([out.scores_before]), [out], np.stack([inst.y]), 2)
         assert rep.delta_p_at_k == 0.0 and rep.delta_ndcg_at_k == 0.0
         assert rep.aper == 0.0
 

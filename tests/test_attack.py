@@ -9,6 +9,7 @@ import pytest
 from tkmia.attack import (
     BASELINE_METHODS,
     AttackConfig,
+    AttackOutcome,
     BaselineSpec,
     GlobalScheme,
     RandomScheme,
@@ -370,9 +371,10 @@ class TestOneLabelSetCheckAndKRule:
     @pytest.mark.parametrize("specified, message", [
         ((0, 0), r"specified set \[0, 0\] repeats a label"),
         ((5,), r"specified set \[5\] has a label outside \[0, 4\)"),
+        ((4,), r"specified set \[4\] has a label outside \[0, 4\)"),
         ((-3,), r"specified set \[-3\] has a label outside \[0, 4\)"),
         ((), "specified set must be non-empty"),
-    ], ids=["repeat", "above-c", "negative", "empty"])
+    ], ids=["repeat", "above-c", "equal-to-c", "negative", "empty"])
     def test_residual_set_checks_the_specified_set(self, specified, message):
         with pytest.raises(ValueError, match=message):
             residual_set([0.9, 0.8, 0.6, 0.1], specified, 2)
@@ -1258,6 +1260,9 @@ class TestAttackConfig:
         with pytest.raises(ValueError):
             AttackConfig(k=2, eta=0.1, clip_domain=(1.0, -1.0))
         with pytest.raises(ValueError):
+            AttackConfig(k=2, eta=0.1, clip_domain=(0.5, 0.5))
+        assert AttackConfig(k=2, eta=0.1, momentum=0.0).momentum == 0.0
+        with pytest.raises(ValueError):
             AttackConfig(k=2, eta=0.1, success_mode="sometimes")
         with pytest.raises(ValueError):
             GlobalScheme(())
@@ -1283,6 +1288,21 @@ class TestAttackConfig:
         with pytest.raises(dataclasses.FrozenInstanceError):
             cfg.eta = 0.2
         assert dataclasses.replace(cfg, eta=0.2).coefs[2] == 0.2
+
+
+class TestEpsilonNorm:
+    @pytest.mark.bitwise
+    def test_is_the_linalg_norm_bit_for_bit(self):
+        # np.linalg.norm's arithmetic without its wrapper: the same bytes on every
+        # kind of vector.
+        rng = np.random.default_rng(3)
+        vectors = [np.zeros(5), -np.zeros(3), np.array([-0.0]), np.array([5e-324, -5e-324]),
+                   np.full(7, 2.5e-308), rng.normal(size=32), rng.normal(size=1000) * 1e-3,
+                   np.array([1e150, -3e150]), np.array([-1.3e154, 1.0]),
+                   np.array([3.0, 4.0, 0.0])]
+        for v in vectors:
+            outcome = AttackOutcome("tkmia", v, 1, True, (0,), (), 0.0, 0.0, v, v)
+            assert outcome.epsilon_norm.hex() == float(np.linalg.norm(v)).hex()
 
 
 class TestOneIntegerRule:

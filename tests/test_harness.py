@@ -7,7 +7,6 @@ import time
 import weakref
 from pathlib import Path
 from statistics import NormalDist
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -712,9 +711,9 @@ class TestCellBlocks:
 
     def test_a_report_builds_no_record_and_delta_report_gives_its_row(self, tmp_path,
                                                                        monkeypatch):
-        # A report keeps its per-row measures as arrays. delta_report takes records,
-        # rebuilt here from the report's own outcome lines, and gives the report's CSV
-        # bytes: the record path and the column path share one arithmetic.
+        # A report keeps its per-row measures as arrays and builds no record.
+        # delta_report, on arrays rebuilt here from the report's own outcome lines,
+        # gives the report's CSV bytes.
         config, built, init = self.config(tmp_path), [], MetricsRecord.__init__
 
         def counted(self, *args, **kwargs):
@@ -729,11 +728,12 @@ class TestCellBlocks:
         rebuilt = []
         for row in rows:
             cell = [r for r in lines if (r["k"], r["method"]) == (row["k"], row["method"])]
-            clean, perturbed = ([MetricsRecord(r["k"], **r[side]) for r in cell]
+            clean, perturbed = ([np.array([r[side][name] for r in cell]) for name in MEASURES]
                                 for side in ("clean_metrics", "perturbed_metrics"))
-            outcomes = [SimpleNamespace(specified=r["specified"], residual=r["residual"],
-                                        success=r["success"]) for r in cell]
-            report = delta_report(clean, perturbed, outcomes, [r["epsilon_norm"] for r in cell])
+            expelled = np.array([len(r["specified"]) - len(r["residual"]) for r in cell])
+            success, norms = (np.array([r[key] for r in cell])
+                              for key in ("success", "epsilon_norm"))
+            report = delta_report(clean, perturbed, expelled, success, norms)
             rebuilt.append({**row, **dataclasses.asdict(report)})
         # Both kinds of outcome in some cell, so that APer averages a strict subset.
         assert {r["success"] for r in lines} == {True, False}

@@ -1,26 +1,22 @@
 import csv
 import dataclasses
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tkmia.attack import AttackOutcome
 from tkmia.core import as_labels, as_scores
 from tkmia.metrics import (
     REPORT_COLUMNS,
     AggregateReport,
+    MEASURES,
     MetricsRecord,
     UndefinedMetricError,
     ap_at_k,
-    aper,
-    delta_l,
     delta_report,
     evaluate_instance,
     evaluate_rows,
-    map_at_k,
     ndcg_at_k,
     precision_at_k,
     tk_acc,
@@ -102,37 +98,6 @@ class TestApAtK:
     def test_no_relevant_undefined(self):
         with pytest.raises(UndefinedMetricError):
             ap_at_k([0.9, 0.1], [0, 0], 1)
-
-
-class TestMapAtK:
-    def test_single_sample(self):
-        sample = ([0.9, 0.5, 0.3], [1, 0, 1])
-        assert map_at_k([sample], 3) == pytest.approx(ap_at_k(*sample, 3))
-
-    def test_two_samples(self):
-        a = ([0.9, 0.8, 0.1], [1, 1, 0])   # AP 1.0
-        b = ([0.9, 0.3], [0, 1])           # AP 0.5
-        assert map_at_k([a, b], 2) == pytest.approx(0.75)
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            map_at_k([], 2)
-
-    def test_sample_without_a_relevant_label_undefined(self):
-        with pytest.raises(UndefinedMetricError) as raised:
-            map_at_k([([0.9, 0.2], [1, 0]), ([0.4, 0.3], [0, 0])], 1)
-        assert str(raised.value) == "AP@k undefined without relevant labels"
-
-    def test_mean_over_samples_not_over_categories(self):
-        # Per sample, ranked labels (1, 0), (0, 1), (1, 0): APs 1, 1/2, 1, mean
-        # 5/6. A per-category mean would rank the instances in each column and
-        # read 0.75 here.
-        samples = [
-            ([0.9, 0.2], [1, 0]),
-            ([0.4, 0.3], [0, 1]),
-            ([0.7, 0.6], [1, 0]),
-        ]
-        assert map_at_k(samples, 2) == pytest.approx(5 / 6, abs=1e-15)
 
 
 class TestNdcgAtK:
@@ -233,6 +198,11 @@ def as_bytes(record):
     return [(type(v), np.float64(v).tobytes()) for v in dataclasses.astuple(record)]
 
 
+def records(arrays, k):
+    """evaluate_rows' arrays as one record per row, in the report's Python values."""
+    return [MetricsRecord(k, *row) for row in zip(*(array.tolist() for array in arrays))]
+
+
 @st.composite
 def tied_matrices(draw):
     """Up to 8 rows of 0.1-grid scores over c <= 20 classes, some k >= 8."""
@@ -251,9 +221,9 @@ class TestEvaluateRows:
     @given(tied_matrices())
     def test_rows_equal_the_parent_evaluation_bit_for_bit(self, case):
         scores, labels, k = case
-        records = evaluate_rows(scores, labels, k)
-        assert len(records) == len(scores)
-        for s, y, record in zip(scores, labels, records):
+        columns = evaluate_rows(scores, labels, k)
+        assert [len(column) for column in columns] == [len(scores)] * len(MEASURES)
+        for s, y, record in zip(scores, labels, records(columns, k)):
             expected = as_bytes(parent_evaluate_instance(s, y, k))
             assert as_bytes(record) == expected
             assert as_bytes(evaluate_instance(s, y, k)) == expected
@@ -266,11 +236,13 @@ class TestEvaluateRows:
         labels = (rng.uniform(size=(200, 20)) < 0.5).astype(int)
         labels[:, 0] = 1
         for k in (8, 9, 13, 20):
-            for s, y, record in zip(scores, labels, evaluate_rows(scores, labels, k)):
+            for s, y, record in zip(scores, labels, records(evaluate_rows(scores, labels, k), k)):
                 assert as_bytes(record) == as_bytes(parent_evaluate_instance(s, y, k))
 
     def test_values_are_plain_python_numbers(self):
-        (record,) = evaluate_rows([[0.9, 0.2, 0.5]], [[1, 0, 1]], 2)
+        columns = evaluate_rows([[0.9, 0.2, 0.5]], [[1, 0, 1]], 2)
+        assert [column.dtype for column in columns] == [np.int64] + [np.float64] * 3
+        record = evaluate_instance([0.9, 0.2, 0.5], [1, 0, 1], 2)
         assert [type(v) for v in dataclasses.astuple(record)] == [int, int, float, float, float]
 
     @pytest.mark.parametrize("scores, labels, message", [
@@ -287,31 +259,9 @@ class TestEvaluateRows:
             evaluate_rows(scores, labels, 1)
 
     def test_row_without_relevant_labels_undefined(self):
-        with pytest.raises(UndefinedMetricError, match="AP@k"):
+        with pytest.raises(UndefinedMetricError) as raised:
             evaluate_rows([[0.9, 0.1], [0.2, 0.3]], [[1, 0], [0, 0]], 1)
-
-    def test_measures_without_relevant_labels(self):
-        # top-k accuracy and P@k stay defined; AP@k and NDCG@k do not
-        assert tk_acc([0.9, 0.1], [0, 0], 1) == 1
-        assert precision_at_k([0.9, 0.1], [0, 0], 1) == 0.0
-        with pytest.raises(UndefinedMetricError, match="NDCG@k"):
-            ndcg_at_k([0.9, 0.1], [0, 0], 1)
-
-
-class TestMapAtKPinned:
-    @pytest.mark.parametrize("seed", range(5))
-    def test_equals_the_mean_of_the_parent_ap_bit_for_bit(self, seed):
-        rng = np.random.default_rng(seed)
-        n, c = int(rng.integers(1, 40)), int(rng.integers(2, 12))
-        tied = rng.integers(0, 11, (n, c)) / 10.0
-        labels = (rng.uniform(size=(n, c)) < 0.3).astype(int)
-        labels[np.arange(n), rng.integers(0, c, n)] = 1
-        for scores in (tied, rng.uniform(size=(n, c))):
-            samples = list(zip(scores, labels))
-            for k in {1, min(3, c), c}:
-                got = map_at_k(samples, k)
-                want = float(np.mean([parent_ap(*parent_ranked(s, y, k)) for s, y in samples]))
-                assert np.float64(got).tobytes() == np.float64(want).tobytes()
+        assert str(raised.value) == "AP@k undefined without relevant labels"
 
     @pytest.mark.parametrize("k, message", [
         (0, "k=0 out of range [1, 2]"),
@@ -322,10 +272,16 @@ class TestMapAtKPinned:
     ])
     def test_k_takes_the_one_k_rule(self, k, message):
         # k counts classes: the rule of every measure, with its one message.
-        samples = [([0.9, 0.2], [1, 0]), ([0.4, 0.7], [0, 1])]
         with pytest.raises(ValueError) as raised:
-            map_at_k(samples, k)
+            evaluate_rows([[0.9, 0.2], [0.4, 0.7]], [[1, 0], [0, 1]], k)
         assert str(raised.value) == message
+
+    def test_measures_without_relevant_labels(self):
+        # top-k accuracy and P@k stay defined; AP@k and NDCG@k do not
+        assert tk_acc([0.9, 0.1], [0, 0], 1) == 1
+        assert precision_at_k([0.9, 0.1], [0, 0], 1) == 0.0
+        with pytest.raises(UndefinedMetricError, match="NDCG@k"):
+            ndcg_at_k([0.9, 0.1], [0, 0], 1)
 
 
 class TestMonotoneInvariance:
@@ -348,82 +304,18 @@ class TestMonotoneInvariance:
                 assert mapped == base
 
 
-class TestDeltaL:
-    def test_all_expelled(self):
-        outs = [SimpleNamespace(specified=(3,), residual=()) for _ in range(4)]
-        assert delta_l(outs) == 1.0
-
-    def test_nothing_expelled(self):
-        outs = [SimpleNamespace(specified=(3,), residual=(3,))]
-        assert delta_l(outs) == 0.0
-
-    def test_mixed(self):
-        outs = [
-            SimpleNamespace(specified=(1, 2), residual=()),
-            SimpleNamespace(specified=(1, 2), residual=(1,)),
-        ]
-        assert delta_l(outs) == pytest.approx(1.5)
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            delta_l([])
+def columns(*rows):
+    """One array per MEASURES entry, from rows of (tk_acc, P@k, AP@k, NDCG@k)."""
+    return tuple(np.array(column) for column in zip(*rows))
 
 
-class TestAper:
-    def test_single_vector(self):
-        assert aper([np.array([3.0, 4.0, 0.0])]) == pytest.approx(5.0)
-
-    def test_zero_vectors(self):
-        assert aper([np.zeros(4), np.zeros(4)]) == 0.0
-
-    def test_no_successes_marker(self):
-        assert aper([]) is None
-
-    def test_matches_norm_oracle(self):
-        rng = np.random.default_rng(8)
-        vecs = [rng.normal(size=6) for _ in range(20)]
-        expected = sum(np.sqrt((v ** 2).sum()) for v in vecs) / len(vecs)
-        assert aper(vecs) == pytest.approx(expected, abs=1e-12)
-
-    @pytest.mark.bitwise
-    def test_norms_are_linalg_norms_bit_for_bit(self):
-        # aper and AttackOutcome.epsilon_norm share one norm, np.linalg.norm's
-        # arithmetic without its wrapper: the same bytes on every kind of vector.
-        rng = np.random.default_rng(3)
-        vectors = [np.zeros(5), -np.zeros(3), np.array([-0.0]), np.array([5e-324, -5e-324]),
-                   np.full(7, 2.5e-308), rng.normal(size=32), rng.normal(size=1000) * 1e-3,
-                   np.array([1e150, -3e150]), np.array([-1.3e154, 1.0])]
-        for v in vectors:
-            want = float(np.linalg.norm(v)).hex()
-            outcome = AttackOutcome("tkmia", v, 1, True, (0,), (), 0.0, 0.0, v, v)
-            assert outcome.epsilon_norm.hex() == want
-            assert aper([v]).hex() == want
-        # A perturbation of another shape or layout is flattened as linalg flattens it.
-        grid = rng.normal(size=(6, 5))
-        for v in (grid, grid.T, grid[:, 1], grid[::2, ::-1], grid.astype(np.float32)):
-            assert aper([v]).hex() == float(np.linalg.norm(np.asarray(v, np.float64))).hex()
-        assert aper(vectors).hex() == float(
-            np.mean([np.linalg.norm(v) for v in vectors])).hex()
-
-
-def record(k=2, acc=1, p=1.0, ap=1.0, ndcg=1.0):
-    return MetricsRecord(k=k, tk_acc=acc, p_at_k=p, ap_at_k=ap, ndcg_at_k=ndcg)
-
-
-def outcome(specified=(1,), residual=(), success=True, eps=(0.0, 0.0)):
-    return SimpleNamespace(specified=specified, residual=residual,
-                           success=success, epsilon=np.asarray(eps))
-
-
-def norms(outs):
-    return [float(np.linalg.norm(o.epsilon)) for o in outs]
+ONE, HALF, ZERO = (1, 1.0, 1.0, 1.0), (1, 0.5, 1.0, 1.0), (0, 0.0, 0.0, 0.0)
 
 
 class TestDeltaReport:
     def test_identical_sides_zero_deltas(self):
-        clean = [record(), record(acc=0, p=0.5, ap=0.6, ndcg=0.7)]
-        outs = [outcome(), outcome(success=False, residual=(1,))]
-        rep = delta_report(clean, clean, outs, norms(outs))
+        clean = columns(ONE, (0, 0.5, 0.6, 0.7))
+        rep = delta_report(clean, clean, np.array([1, 0]), np.array([True, False]), np.zeros(2))
         assert rep.delta_tk_acc == 0.0
         assert rep.delta_p_at_k == 0.0
         assert rep.delta_map_at_k == 0.0
@@ -432,44 +324,77 @@ class TestDeltaReport:
 
     def test_negative_delta_representable(self):
         # A perturbation can improve a measure; the delta then goes negative.
-        clean = [record(acc=0, p=0.5, ap=0.5, ndcg=0.5)]
-        perturbed = [record(acc=1, p=1.0, ap=1.0, ndcg=1.0)]
-        rep = delta_report(clean, perturbed, [outcome()], [0.0])
+        rep = delta_report(columns((0, 0.5, 0.5, 0.5)), columns(ONE), np.array([1]),
+                           np.array([True]), np.zeros(1))
         assert rep.delta_tk_acc == pytest.approx(-1.0)
         assert rep.delta_p_at_k == pytest.approx(-0.5)
 
     def test_two_instance_hand_check(self):
-        clean = [record(p=1.0), record(p=0.5)]
-        perturbed = [record(p=0.5), record(p=0.5)]
-        outs = [outcome(), outcome(success=False, residual=(1,), eps=(1.0, 0.0))]
-        rep = delta_report(clean, perturbed, outs, norms(outs))
+        # only the successful outcome (zero epsilon) counts toward APer
+        rep = delta_report(columns(ONE, HALF), columns(HALF, HALF), np.array([1, 0]),
+                           np.array([True, False]), np.array([0.0, 1.0]))
         assert rep.delta_p_at_k == pytest.approx(0.25)
         assert rep.delta_l == pytest.approx(0.5)
-        # only the successful outcome (zero epsilon) counts toward APer
         assert rep.aper == 0.0
 
+    @pytest.mark.parametrize("expelled, mean", [([1, 1, 1, 1], 1.0), ([0], 0.0), ([2, 1], 1.5)])
+    def test_delta_l_is_the_mean_expelled_count(self, expelled, mean):
+        n = len(expelled)
+        rep = delta_report(columns(*[ONE] * n), columns(*[ONE] * n), np.array(expelled),
+                           np.ones(n, dtype=bool), np.zeros(n))
+        assert rep.delta_l == mean
+
     def test_no_success_aper_marker(self):
-        rep = delta_report([record()], [record()], [outcome(success=False, residual=(1,))],
-                           [0.0])
+        rep = delta_report(columns(ONE), columns(ONE), np.array([0]), np.array([False]),
+                           np.zeros(1))
         assert rep.aper is None
 
-    def test_mismatched_sides_rejected(self):
-        with pytest.raises(ValueError):
-            delta_report([record()], [record(), record()], [outcome(), outcome()], [0.0, 0.0])
-        with pytest.raises(ValueError):
-            delta_report([record(k=2)], [record(k=3)], [outcome()], [0.0])
-        with pytest.raises(ValueError):
-            delta_report([record()], [record()], [outcome()], [0.0, 0.0])
+    @pytest.mark.parametrize("clean, perturbed, expelled, success, norms", [
+        (columns(ONE), columns(ONE, ONE), [1, 1], [True, True], [0.0, 0.0]),
+        (columns(ONE), columns(ONE), [1], [True], [0.0, 0.0]),
+        (columns(ONE), columns(ONE), [1], [True, True], [0.0]),
+        (columns(ONE), columns(ONE), [1, 1], [True], [0.0]),
+        (columns(ONE, ONE), (*columns(ONE, ONE)[:3], np.ones(1)), [1, 1], [True] * 2, [0.0] * 2),
+        ((np.array([]),) * 4, (np.array([]),) * 4, [], [], []),
+    ], ids=["perturbed", "norms", "success", "expelled", "one-measure", "empty"])
+    def test_mismatched_or_empty_rejected(self, clean, perturbed, expelled, success, norms):
+        with pytest.raises(ValueError) as raised:
+            delta_report(clean, perturbed, np.array(expelled), np.array(success, dtype=bool),
+                         np.array(norms))
+        assert str(raised.value) == ("clean, perturbed, expelled, success and norms must be "
+                                     "non-empty arrays of one length")
 
     def test_aper_averages_the_norms_of_successes(self):
         rng = np.random.default_rng(3)
-        outs = [outcome(success=bool(i % 3), residual=() if i % 3 else (1,),
-                        eps=rng.normal(size=5)) for i in range(12)]
-        clean, perturbed = [record()] * 12, [record(p=0.5)] * 12
-        rep = delta_report(clean, perturbed, outs, norms(outs))
-        assert rep.aper == aper([o.epsilon for o in outs if o.success])
-        # APer reads the given norms, of the successful outcomes only.
-        assert delta_report(clean, perturbed, outs, [1.0] * 12).aper == 1.0
+        success, norms = np.arange(12) % 3 > 0, rng.uniform(size=12)
+        rep = delta_report(columns(*[ONE] * 12), columns(*[HALF] * 12), np.ones(12), success,
+                           norms)
+        assert rep.aper == float(np.mean(norms[success]))
+
+    def test_map_is_the_mean_over_samples_not_over_categories(self):
+        # Per sample, ranked labels (1, 0), (0, 1), (1, 0): APs 1, 1/2, 1, mean
+        # 5/6. A per-category mean would rank the instances in each column and
+        # read 0.75 here.
+        clean = evaluate_rows([[0.9, 0.2], [0.4, 0.3], [0.7, 0.6]], [[1, 0], [0, 1], [1, 0]], 2)
+        rep = delta_report(clean, columns(*[ZERO] * 3), np.ones(3), np.ones(3, dtype=bool),
+                           np.zeros(3))
+        assert rep.delta_map_at_k == pytest.approx(5 / 6, abs=1e-15)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_map_is_the_mean_of_the_parent_ap_bit_for_bit(self, seed):
+        rng = np.random.default_rng(seed)
+        n, c = int(rng.integers(1, 40)), int(rng.integers(2, 12))
+        tied = rng.integers(0, 11, (n, c)) / 10.0
+        labels = (rng.uniform(size=(n, c)) < 0.3).astype(int)
+        labels[np.arange(n), rng.integers(0, c, n)] = 1
+        zero = columns(*[ZERO] * n)
+        for scores in (tied, rng.uniform(size=(n, c))):
+            for k in {1, min(3, c), c}:
+                rep = delta_report(evaluate_rows(scores, labels, k), zero, np.ones(n),
+                                   np.ones(n, dtype=bool), np.zeros(n))
+                want = float(np.mean([parent_ap(*parent_ranked(s, y, k))
+                                      for s, y in zip(scores, labels)]))
+                assert np.float64(rep.delta_map_at_k).tobytes() == np.float64(want).tobytes()
 
     def test_fields_are_the_csv_columns_of_a_cell(self):
         names = [field.name for field in dataclasses.fields(AggregateReport)]

@@ -317,7 +317,8 @@ class TestBatchPasses:
     @pytest.mark.bitwise
     @pytest.mark.parametrize("n", [1, 40])
     @pytest.mark.parametrize("arch, activation", ARCHS)
-    def test_bce_matches_parent_bit_for_bit(self, arch, activation, n):
+    @pytest.mark.parametrize("labels", [np.float64, np.int8])  # int8: a Dataset's Y
+    def test_bce_matches_parent_bit_for_bit(self, arch, activation, n, labels):
         model = wide_logit_scorer(arch, activation, sigmoid_output=True)
         rng = np.random.default_rng(10 + n)
         work = _bce_work(model, n)
@@ -340,7 +341,7 @@ class TestBatchPasses:
                     == np.float64(parent_bce_loss(model, X, Y)).tobytes())
             # NaN buffers: every entry must be written.
             grads = [np.full_like(p, np.nan) for p in model.weights + model.biases]
-            _bce_grads(model, X, Y, grads, work)
+            _bce_grads(model, X, Y.astype(labels), grads, work)
             grads_w, grads_b = grads[:len(model.weights)], grads[len(model.weights):]
             expected_w, expected_b = parent_bce_grads(model, X, Y)
             assert len(grads_w) == len(grads_b) == len(model.weights)
